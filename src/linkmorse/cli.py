@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, render
 from .deform import check_lemmas, deform as make_path, detect_events, vertex_angles
-from .errors import LinkmorseError, NonGenericPathError
+from .errors import LinkmorseError
 from .geometry import (
     CircleFit,
     Configuration,
@@ -237,9 +237,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NonGenericPathError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (LinkmorseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -6,9 +6,13 @@ carries a closed inscribed realization of the linkage exactly when
     F(r) = sum_i eps_i * arcsin(l_i / (2r)) - pi * k = 0,
 
 with dF/dr = -delta / r where ``delta = sum_i eps_i tan(alpha_i)``.  The
-solver scans r over a bracketing grid for every feasible (E, k) pair, refines
-each sign change, rebuilds vertex coordinates from the root, and filters the
-results for orientation consistency.
+solver samples F over a bracketing grid of r for one orientation string and
+all its feasible windings at once, refines each sign change, rebuilds vertex
+coordinates from the root, and filters the results for orientation
+consistency.  Only the strings with ``eps_1 = +1`` are scanned: the mirror
+string ``(-E, -k)`` has ``F_{-E,-k} = -F_{E,k}`` exactly in floating point,
+so it reuses the same roots.  Vertex sets within ``1e-8 * perimeter`` (max
+norm) of an earlier one are dropped as duplicates.
 """
 
 from __future__ import annotations
@@ -229,22 +233,16 @@ def _angle_tables(linkage: Linkage, grid: np.ndarray):
     return alphas, tangents
 
 
-def _bracket_roots(values: np.ndarray, grid: np.ndarray, refine) -> list:
-    """Roots of a sampled scalar function: refined sign changes plus isolated
-    exact zeros.  Runs of consecutive exact zeros mark a degenerate family
-    (the function vanishes identically there) and yield no isolated roots."""
-    signs = np.sign(values)
-    roots = []
-    zeros = np.nonzero(signs == 0.0)[0]
-    for idx in zeros:
-        left_ok = idx == 0 or signs[idx - 1] != 0.0
-        right_ok = idx == len(signs) - 1 or signs[idx + 1] != 0.0
-        if left_ok and right_ok:
-            roots.append(float(grid[idx]))
-    changes = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-    for idx in changes:
-        roots.append(refine(float(grid[idx]), float(grid[idx + 1])))
-    return roots
+def _bracket_masks(values: np.ndarray):
+    """Isolated exact zeros and sign changes along the last axis of a sampled
+    table.  Runs of consecutive exact zeros mark a degenerate family (the
+    function vanishes identically there) and yield no isolated roots; a sign
+    change at sample ``i`` brackets a root between samples ``i`` and ``i + 1``."""
+    pos, neg, zero = values > 0.0, values < 0.0, values == 0.0
+    isolated = zero.copy()
+    isolated[..., 1:] &= ~zero[..., :-1]
+    isolated[..., :-1] &= ~zero[..., 1:]
+    return isolated, (pos[..., :-1] & neg[..., 1:]) | (neg[..., :-1] & pos[..., 1:])
 
 
 def _merge_radii(radii: list, rtol: float) -> list:
@@ -253,6 +251,49 @@ def _merge_radii(radii: list, rtol: float) -> list:
         if not merged or abs(r - merged[-1]) > rtol * r:
             merged.append(r)
     return merged
+
+
+def _scan_string(linkage: Linkage, grid: np.ndarray, alphas_tab: np.ndarray,
+                 tangents_tab: np.ndarray, eps: OrientationString, ks: np.ndarray,
+                 opts: SolverOptions) -> list:
+    """Merged root radii of F for one orientation string, one sorted list per
+    winding number in ``ks``.
+
+    The closure sums are tabulated once for the string and offset by
+    ``pi k`` for every winding at once; sign changes are refined by
+    bracketing.  Double roots (where F and delta vanish together) are
+    recovered by locating the zeros of delta and testing |F| there.
+    """
+    rtol = max(opts.root_rtol, _BRENTQ_RTOL)
+    xtol = linkage.min_radius * 1e-15
+    e_arr = eps.array
+    f_tab = (alphas_tab @ e_arr)[None, :] - math.pi * ks[:, None]
+    zeros, changes = _bracket_masks(f_tab)
+    radii = [[] for _ in ks]
+    # divmod of flat indices: a 2-D np.nonzero costs about nine times more (numpy 2.4).
+    for j, i in zip(*np.divmod(np.flatnonzero(zeros), zeros.shape[1])):
+        radii[j].append(float(grid[i]))
+    for j, i in zip(*np.divmod(np.flatnonzero(changes), changes.shape[1])):
+        k = int(ks[j])
+        radii[j].append(float(brentq(lambda r: f_value(linkage, eps, k, r), grid[i], grid[i + 1],
+                                     xtol=xtol, rtol=rtol)))
+
+    # Double roots hide at interior extrema of F, i.e. zeros of delta.
+    d_vals = tangents_tab @ e_arr
+    finite = np.isfinite(d_vals)
+    if not np.all(finite):
+        d_vals = np.where(finite, d_vals, e_arr[int(np.argmax(linkage.lengths))] * 1e300)
+    zeros, changes = _bracket_masks(d_vals)
+    extrema = [float(r) for r in grid[zeros]]
+    extrema.extend(float(brentq(lambda r: delta_at_radius(linkage, eps, r), grid[i], grid[i + 1],
+                                xtol=xtol, rtol=rtol))
+                   for i in np.flatnonzero(changes))
+    for r in extrema:
+        closure = f_value(linkage, eps, 0, r)
+        for j in np.nonzero(np.abs(closure - math.pi * ks) <= opts.residual_tol)[0]:
+            radii[j].append(r)
+
+    return [_merge_radii(rs, opts.dedup_rtol) for rs in radii]
 
 
 def solve_radii(linkage: Linkage, eps, k: int, opts: SolverOptions | None = None) -> list:
@@ -264,34 +305,11 @@ def solve_radii(linkage: Linkage, eps, k: int, opts: SolverOptions | None = None
     of delta and testing |F| there, and arrive flagged ``delta_zero``.
     """
     opts = opts or SolverOptions()
+    eps = eps if isinstance(eps, OrientationString) else OrientationString(tuple(eps))
     grid = _radius_grid(linkage, opts)
     alphas, tangents = _angle_tables(linkage, grid)
-    e = _eps_array(eps)
-    f_vals = alphas @ e - math.pi * k
-    rtol = max(opts.root_rtol, _BRENTQ_RTOL)
-
-    def refine_f(a, b):
-        return float(brentq(lambda r: f_value(linkage, eps, k, r), a, b,
-                            xtol=linkage.min_radius * 1e-15, rtol=rtol))
-
-    radii = _bracket_roots(f_vals, grid, refine_f)
-
-    # Double roots hide at interior extrema of F, i.e. zeros of delta.
-    d_vals = tangents @ e
-    finite = np.isfinite(d_vals)
-    if not np.all(finite):
-        d_vals = np.where(finite, d_vals, np.sign(e[int(np.argmax(linkage.lengths))]) * 1e300)
-
-    def refine_d(a, b):
-        return float(brentq(lambda r: delta_at_radius(linkage, eps, r), a, b,
-                            xtol=linkage.min_radius * 1e-15, rtol=rtol))
-
-    for r_ext in _bracket_roots(d_vals, grid, refine_d):
-        if abs(f_value(linkage, eps, k, r_ext)) <= opts.residual_tol:
-            radii.append(r_ext)
-
-    merged = _merge_radii(radii, opts.dedup_rtol)
-    return [(r, degeneracy_flags(linkage, eps, r, opts.degeneracy_tol)) for r in merged]
+    (radii,) = _scan_string(linkage, grid, alphas, tangents, eps, np.array([k]), opts)
+    return [(r, degeneracy_flags(linkage, eps, r, opts.degeneracy_tol)) for r in radii]
 
 
 def reconstruct(linkage: Linkage, desc: CyclicDescriptor) -> Configuration:
@@ -341,10 +359,15 @@ def _orientation_consistent(config: Configuration, desc: CyclicDescriptor,
 def enumerate_cyclic(linkage: Linkage, opts: SolverOptions | None = None) -> list:
     """Every cyclic configuration of the linkage.
 
-    Scans all 2^n orientation strings against their feasible winding numbers,
-    collects the radius roots, reconstructs coordinates, drops roots whose
-    rebuilt orientations disagree with the string, and deduplicates identical
-    vertex sets.  Results are sorted by (winding, orientation string, radius).
+    Scans the 2^(n-1) orientation strings with ``eps_1 = +1`` against all
+    their feasible winding numbers at once and reuses each string's roots for
+    its mirror ``(-E, -k)``: ``F_{-E,-k} = -F_{E,k}`` holds exactly in
+    floating point, so the mirror's brackets and refined roots are
+    bit-identical.  Every root of either string is flagged, reconstructed and
+    dropped when its rebuilt orientations disagree with the string.  Results
+    are sorted by (winding, orientation string, radius); an item whose
+    vertices all lie within ``1e-8 * perimeter`` (max norm) of an earlier
+    kept item is dropped as a duplicate.
 
     Returns a list of :class:`CyclicConfiguration`.
     """
@@ -352,56 +375,35 @@ def enumerate_cyclic(linkage: Linkage, opts: SolverOptions | None = None) -> lis
     n = linkage.n
     grid = _radius_grid(linkage, opts)
     alphas_tab, tangents_tab = _angle_tables(linkage, grid)
-    rtol = max(opts.root_rtol, _BRENTQ_RTOL)
-    xtol = linkage.min_radius * 1e-15
     items = []
 
-    for signs in itertools.product((1, -1), repeat=n):
-        eps = OrientationString(signs)
-        e_arr = eps.array
-        positives = eps.positive_count
-        s_vals = alphas_tab @ e_arr
-        d_vals = tangents_tab @ e_arr
-        finite = np.isfinite(d_vals)
-        if not np.all(finite):
-            fill = float(e_arr[int(np.argmax(linkage.lengths))]) * 1e300
-            d_vals = np.where(finite, d_vals, fill)
-
-        def refine_d(a, b, _eps=eps):
-            return float(brentq(lambda r: delta_at_radius(linkage, _eps, r), a, b,
-                                xtol=xtol, rtol=rtol))
-
-        extrema = _bracket_roots(d_vals, grid, refine_d)
-
-        for k in _feasible_windings(n, positives):
-            def refine_f(a, b, _eps=eps, _k=k):
-                return float(brentq(lambda r: f_value(linkage, _eps, _k, r), a, b,
-                                    xtol=xtol, rtol=rtol))
-
-            radii = _bracket_roots(s_vals - math.pi * k, grid, refine_f)
-            radii.extend(r for r in extrema
-                         if abs(f_value(linkage, eps, k, r)) <= opts.residual_tol)
-
-            for r in _merge_radii(radii, opts.dedup_rtol):
-                flags = degeneracy_flags(linkage, eps, r, opts.degeneracy_tol)
-                desc = CyclicDescriptor.from_radius(linkage, eps, k, r)
-                config = reconstruct(linkage, desc)
-                if not _orientation_consistent(config, desc, flags):
-                    continue
-                items.append(CyclicConfiguration(desc, config, flags))
+    for tail in itertools.product((1, -1), repeat=n - 1):
+        eps = OrientationString((1,) + tail)
+        ks = np.array(list(_feasible_windings(n, eps.positive_count)), dtype=int)
+        roots = _scan_string(linkage, grid, alphas_tab, tangents_tab, eps, ks, opts)
+        for string, sign in ((eps, 1), (eps.mirrored(), -1)):
+            for k, radii in zip(ks, roots):
+                for r in radii:
+                    flags = degeneracy_flags(linkage, string, r, opts.degeneracy_tol)
+                    desc = CyclicDescriptor.from_radius(linkage, string, sign * int(k), r)
+                    config = reconstruct(linkage, desc)
+                    if _orientation_consistent(config, desc, flags):
+                        items.append(CyclicConfiguration(desc, config, flags))
 
     items.sort(key=lambda it: (it.descriptor.winding, it.descriptor.eps.eps, it.descriptor.radius))
     return _dedup_vertex_sets(items, linkage)
 
 
 def _dedup_vertex_sets(items: list, linkage: Linkage) -> list:
-    scale = linkage.perimeter
+    """Greedy in list order: keep an item unless its vertices lie within
+    ``1e-8 * perimeter`` (max norm) of an item already kept."""
+    tol = 1e-8 * linkage.perimeter
     unique = []
+    kept = np.empty((len(items), linkage.n, 2))
     for item in items:
         pts = item.configuration.points
-        if any(other.configuration.n == item.configuration.n
-               and np.max(np.abs(other.configuration.points - pts)) < 1e-8 * scale
-               for other in unique):
+        if np.any(np.abs(kept[:len(unique)] - pts).max(axis=(1, 2)) < tol):
             continue
+        kept[len(unique)] = pts
         unique.append(item)
     return unique

@@ -1,12 +1,16 @@
 """Radius root finding, reconstruction, and enumeration."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import random_linkage
 from linkmorse import (
+    Configuration,
+    CyclicConfiguration,
     CyclicDescriptor,
     Linkage,
     edge_lengths,
@@ -20,6 +24,17 @@ from linkmorse import (
     signed_area,
     solve_radii,
     validate_configuration,
+)
+from linkmorse.solver import (
+    SolverOptions,
+    _angle_tables,
+    _dedup_vertex_sets,
+    _feasible_windings,
+    _merge_radii,
+    _orientation_consistent,
+    _radius_grid,
+    degeneracy_flags,
+    delta_at_radius,
 )
 from linkmorse.errors import InconsistentDescriptorError, SolverDomainError
 
@@ -242,3 +257,94 @@ def test_enumeration_closure_defects_small():
     for item in enumerate_cyclic(linkage):
         defect = item.descriptor.closure_defect()
         assert defect * item.descriptor.radius < 1e-9 * linkage.perimeter
+
+
+def _reference_enumerate(linkage):
+    """The full 2^n scan, one (E, k) pair at a time, with pairwise dedup: the
+    reference the half scan with mirror reuse must reproduce bit for bit."""
+    opts = SolverOptions()
+    grid = _radius_grid(linkage, opts)
+    alphas_tab, tangents_tab = _angle_tables(linkage, grid)
+    xtol, rtol = linkage.min_radius * 1e-15, max(opts.root_rtol, 4.0 * np.finfo(float).eps)
+
+    def roots(values, func):
+        signs = np.sign(values)
+        found = [float(grid[i]) for i in np.nonzero(signs == 0.0)[0]
+                 if (i == 0 or signs[i - 1] != 0.0) and (i == len(signs) - 1 or signs[i + 1] != 0.0)]
+        found.extend(float(brentq(func, grid[i], grid[i + 1], xtol=xtol, rtol=rtol))
+                     for i in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0])
+        return found
+
+    items = []
+    for eps in itertools.product((1, -1), repeat=linkage.n):
+        e_arr = np.array(eps, dtype=float)
+        d_vals = tangents_tab @ e_arr
+        d_vals = np.where(np.isfinite(d_vals), d_vals, e_arr[int(np.argmax(linkage.lengths))] * 1e300)
+        extrema = roots(d_vals, lambda r: delta_at_radius(linkage, eps, r))
+        for k in _feasible_windings(linkage.n, sum(v > 0 for v in eps)):
+            radii = roots(alphas_tab @ e_arr - math.pi * k, lambda r: f_value(linkage, eps, k, r))
+            radii.extend(r for r in extrema if abs(f_value(linkage, eps, k, r)) <= opts.residual_tol)
+            for r in _merge_radii(radii, opts.dedup_rtol):
+                flags = degeneracy_flags(linkage, eps, r, opts.degeneracy_tol)
+                desc = CyclicDescriptor.from_radius(linkage, eps, k, r)
+                config = reconstruct(linkage, desc)
+                if _orientation_consistent(config, desc, flags):
+                    items.append(CyclicConfiguration(desc, config, flags))
+    items.sort(key=lambda it: (it.descriptor.winding, it.descriptor.eps.eps, it.descriptor.radius))
+    unique = []
+    for item in items:
+        if not any(np.max(np.abs(other.configuration.points - item.configuration.points))
+                   < 1e-8 * linkage.perimeter for other in unique):
+            unique.append(item)
+    return unique
+
+
+def _exact_key(item):
+    desc = item.descriptor
+    return (desc.radius, desc.winding, desc.eps.eps, item.configuration.points.tobytes(), item.flags)
+
+
+def _exact_fixtures():
+    yield from (pytest.param(Linkage([1] * n), id=f"equilateral_{n}") for n in (4, 5, 6))
+    yield pytest.param(Linkage([3, 1, 1, 2]), id="quad_3112")
+    yield pytest.param(Linkage([1, 2, 1.5, 2.5 - 1e-8]), id="quad_wall_1e-8")
+    yield pytest.param(Linkage([1, 2, 1.5, 2.5 - 1e-6]), id="quad_wall_1e-6")
+    rng = np.random.default_rng(41)
+    yield from (pytest.param(random_linkage(rng, n), id=f"random_{n}") for n in (6, 7, 8, 9))
+
+
+@pytest.mark.parametrize("linkage", list(_exact_fixtures()))
+def test_enumeration_matches_full_scan_exactly(linkage):
+    expected = [_exact_key(item) for item in _reference_enumerate(linkage)]
+    assert expected
+    assert [_exact_key(item) for item in enumerate_cyclic(linkage)] == expected
+
+
+def test_dedup_drops_near_copies_and_keeps_first():
+    linkage = random_linkage(np.random.default_rng(3), 5)
+    first, other = enumerate_cyclic(linkage)[:2]
+
+    def copy(shift):
+        points = np.array(first.configuration.points)
+        points[2, 0] += shift * linkage.perimeter
+        return CyclicConfiguration(first.descriptor, Configuration(points), first.flags)
+
+    exact, near, far = copy(0.0), copy(0.5e-8), copy(2e-8)
+    unique = _dedup_vertex_sets([first, exact, other, near, far], linkage)
+    assert len(unique) == 3
+    assert unique[0] is first and unique[1] is other and unique[2] is far
+
+
+def test_solve_radii_mirror_is_exact():
+    rng = np.random.default_rng(17)
+    found = 0
+    for n in (4, 5, 6):
+        linkage = random_linkage(rng, n)
+        for tail in itertools.product((1, -1), repeat=n - 1):
+            eps = (1,) + tail
+            mirror = tuple(-v for v in eps)
+            for k in _feasible_windings(n, sum(v > 0 for v in eps)):
+                radii = [r for r, _ in solve_radii(linkage, eps, k)]
+                assert radii == [r for r, _ in solve_radii(linkage, mirror, -k)]
+                found += len(radii)
+    assert found > 0
