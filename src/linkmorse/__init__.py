@@ -53,6 +53,7 @@ from .solver import (
 from .morse import (
     MorseReport,
     SignReport,
+    closed_form,
     closing_chord,
     delta,
     hessian_sign,
@@ -63,7 +64,6 @@ from .morse import (
 from .oracle import (
     OracleVerdict,
     area_gradient,
-    area_hessian,
     constraint_jacobian,
     constraint_values,
     criticality_residual,

@@ -16,18 +16,18 @@ import numpy as np
 
 from .errors import LinkmorseError
 from .geometry import (
-    CircleFit,
     Configuration,
     Linkage,
+    OrientationString,
     edge_orientations,
     is_convex_positive,
-    measure_half_angles,
     signed_area,
     validate_configuration,
 )
-from .morse import MorseReport, SignReport, morse_index, sign_report
+from .morse import MorseReport, SignReport, closed_form
 from .oracle import EIGEN_ZERO_TOL, OracleVerdict, criticality_residual, oracle_index
 from .solver import (
+    CLOSURE_TOL,
     CyclicConfiguration,
     CyclicDescriptor,
     DegeneracyFlags,
@@ -75,17 +75,13 @@ class ConfigurationAnalysis:
         return None
 
     @property
-    def comparable(self) -> bool:
-        """True when both the formulas and the oracle produced Morse data."""
-        return (self.signs is not None and self.morse is not None
-                and self.oracle is not None and self.oracle.is_morse)
-
-    @property
     def agree(self) -> bool | None:
-        if not self.comparable:
+        """Formula against oracle: the determinant sign always, the index too
+        when its formula applies.  None when either side has no sign."""
+        if self.signs is None or self.oracle is None or not self.oracle.is_morse:
             return None
-        return (self.morse.index == self.oracle.index
-                and self.signs.h_sign == self.oracle.det_sign)
+        return (self.signs.h_sign == self.oracle.det_sign
+                and (self.morse is None or self.morse.index == self.oracle.index))
 
 
 def analyze_configuration(linkage: Linkage, item: CyclicConfiguration,
@@ -104,11 +100,7 @@ def analyze_configuration(linkage: Linkage, item: CyclicConfiguration,
     if flags.any:
         morse_error = oracle_error = "flagged non-generic"
     else:
-        try:
-            signs = sign_report(desc.alphas, desc.eps)
-            morse = morse_index(config, desc.circle)
-        except LinkmorseError as err:
-            morse_error = str(err)
+        signs, morse, morse_error = closed_form(config, desc.circle)
         try:
             oracle = oracle_index(config, linkage, eigen_tol=eigen_tol)
         except LinkmorseError as err:
@@ -182,7 +174,7 @@ def enumeration_dict(linkage: Linkage, analyses: list,
         "tolerances": {
             "root_rtol": opts.root_rtol,
             "degeneracy": opts.degeneracy_tol,
-            "closure": opts.closure_tol,
+            "closure": CLOSURE_TOL,
         },
         "configurations": [record_dict(a) for a in analyses],
     }
@@ -241,21 +233,21 @@ def _fail(note: str) -> VerificationRow:
 
 def verify_record(linkage: Linkage, record: dict,
                   eigen_tol: float = EIGEN_ZERO_TOL) -> VerificationRow:
-    """Re-derive everything from the recorded coordinates and cross-check.
+    """Check one outside record, re-analyse it, and compare.
 
     The points must satisfy the linkage constraints, lie on the recorded
-    circle (tamper detection for r and center), reproduce the recorded
-    orientation string, and be critical; the closed-form sign data must then
-    agree with the oracle.  Flagged records are reported but exempt from the
-    agreement requirement.  Configurations whose subconfiguration sequence is
-    degenerate (coincident vertices, diametral chords) still have their
-    full-polygon determinant sign checked.
+    circle (tamper detection for r and center), be critical, and reproduce
+    the recorded orientation string.  Flagged records are reported but exempt
+    from the agreement requirement.  Everything else is read off
+    :func:`analyze_configuration` of the record, whose ``agree`` compares the
+    determinant sign always and the index where its formula applies.
     """
     try:
         config = Configuration(np.asarray(record["points"], dtype=float))
-        flags = record.get("flags", {})
-        flagged = bool(flags.get("delta_zero")) or any(flags.get("central", [])) \
-            or any(flags.get("near_flip", []))
+        raw_flags = record.get("flags", {})
+        flags = DegeneracyFlags(central=tuple(raw_flags.get("central", [])),
+                                near_flip=tuple(raw_flags.get("near_flip", [])),
+                                delta_zero=bool(raw_flags.get("delta_zero")))
         violations = validate_configuration(linkage, config.points, tol=1e-6)
         if violations:
             return _fail(f"constraint violations: {violations[0]}")
@@ -267,41 +259,41 @@ def verify_record(linkage: Linkage, record: dict,
         worst = float(np.max(np.abs(dist - radius)))
         if worst > 1e-6 * radius:
             return _fail(f"points deviate from the recorded circle by {worst:.3e}")
-        fit = CircleFit(center=center, radius=radius)
-        lam, residual = criticality_residual(config, linkage)
-        if residual > CRITICALITY_TOL:
-            return _fail(f"criticality residual {residual:.3e} exceeds {CRITICALITY_TOL:.1e}")
-        if flagged:
+        if flags.any:
+            _, residual = criticality_residual(config, linkage)
+            if residual > CRITICALITY_TOL:
+                return _fail(f"criticality residual {residual:.3e} exceeds {CRITICALITY_TOL:.1e}")
             return VerificationRow(residual=residual, inertia=None, det_sign=None,
                                    index=None, formula_index=None, agree=True,
                                    flagged=True, note="flagged, excluded")
-        verdict = oracle_index(config, linkage, eigen_tol=eigen_tol)
+        # half-angles from the chord relation, as the solver builds them
+        eps = OrientationString(tuple(record["eps"]))
+        alphas = np.arcsin(np.clip(linkage.lengths / (2.0 * radius), 0.0, 1.0))
+        desc = CyclicDescriptor(radius=radius, winding=record["k"], eps=eps,
+                                alphas=alphas, center=center)
+        result = analyze_configuration(linkage, CyclicConfiguration(desc, config, flags),
+                                       eigen_tol=eigen_tol)
+        verdict = result.oracle
+        if verdict is None:
+            return _fail(result.oracle_error)
+        if verdict.residual > CRITICALITY_TOL:
+            return _fail(f"criticality residual {verdict.residual:.3e} exceeds {CRITICALITY_TOL:.1e}")
+        oracle_side = dict(residual=verdict.residual, inertia=verdict.inertia,
+                           det_sign=verdict.det_sign, index=verdict.index, flagged=False)
         if not verdict.is_morse:
-            return VerificationRow(residual=residual, inertia=verdict.inertia,
-                                   det_sign=verdict.det_sign, index=verdict.index,
-                                   formula_index=None, agree=False, flagged=False,
-                                   note="oracle found a zero eigenvalue")
-        eps = edge_orientations(config.points, center)
-        if list(eps.eps) != [int(v) for v in record["eps"]]:
+            return VerificationRow(formula_index=None, agree=False,
+                                   note="oracle found a zero eigenvalue", **oracle_side)
+        if edge_orientations(config.points, center) != eps:
             return _fail("recorded orientation string disagrees with the geometry")
-        alphas = measure_half_angles(config.points, fit)
-        signs = sign_report(alphas, eps)
-        try:
-            report = morse_index(config, fit)
-        except LinkmorseError as err:
-            # index formula undefined on a degenerate subconfiguration; the
-            # determinant sign of the full polygon is still comparable
-            agree = signs.h_sign == verdict.det_sign
-            return VerificationRow(residual=residual, inertia=verdict.inertia,
-                                   det_sign=verdict.det_sign, index=verdict.index,
-                                   formula_index=None, agree=agree, flagged=False,
-                                   note=f"index formula not applicable ({err})" if agree
-                                   else "determinant sign disagrees")
-        agree = report.index == verdict.index and signs.h_sign == verdict.det_sign
-        return VerificationRow(residual=residual, inertia=verdict.inertia,
-                               det_sign=verdict.det_sign, index=verdict.index,
-                               formula_index=report.index, agree=agree, flagged=False,
-                               note=None if agree else "formula and oracle disagree")
+        if result.signs is None:
+            return _fail(result.morse_error)
+        agree = result.agree
+        if result.morse is None:
+            note = f"index formula not applicable ({result.morse_error})" if agree \
+                else "determinant sign disagrees"
+            return VerificationRow(formula_index=None, agree=agree, note=note, **oracle_side)
+        return VerificationRow(formula_index=result.morse.index, agree=agree,
+                               note=None if agree else "formula and oracle disagree", **oracle_side)
     except LinkmorseError as err:
         return _fail(str(err))
 

@@ -26,10 +26,9 @@ from .geometry import (
     Linkage,
     edge_orientations,
     fit_circle,
-    measure_half_angles,
     signed_area,
 )
-from .morse import morse_index, sign_report
+from .morse import closed_form
 from .solver import SolverOptions
 
 
@@ -70,10 +69,9 @@ def cmd_index(args) -> int:
     fit = fit_circle(config.points, tol=args.tol_fit)
     if fit is None:
         raise LinkmorseError("configuration is not cyclic at the fit tolerance")
-    eps = edge_orientations(config.points, fit.center)
-    alphas = measure_half_angles(config.points, fit)
-    signs = sign_report(alphas, eps)
-    report = morse_index(config, fit)
+    signs, report, error = closed_form(config, fit)
+    if error is not None:
+        raise LinkmorseError(error)
     payload = {
         "h_sequence": list(report.h_sequence),
         "index": report.index,
@@ -151,10 +149,8 @@ def _render_items(data) -> list:
         eps = rec.get("eps")
         if eps is None:
             eps = list(edge_orientations(pts, center).eps)
-        try:
-            idx = morse_index(config, CircleFit(center=center, radius=radius)).index
-        except LinkmorseError:
-            idx = None
+        _, report, _ = closed_form(config, CircleFit(center=center, radius=radius))
+        idx = None if report is None else report.index
         area = float(rec["area"]) if "area" in rec else signed_area(pts)
         label = render.annotation(eps, int(rec.get("k", 0)), radius, idx, area)
         items.append(render.RenderItem(points=pts, center=center, radius=radius, label=label))
@@ -185,14 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--tol-root", type=float, default=1e-14,
-                       help="relative accuracy of radius roots")
-        p.add_argument("--tol-degen", type=float, default=1e-7,
-                       help="degeneracy flag threshold")
-        p.add_argument("--tol-eig", type=float, default=1e-7,
-                       help="relative eigenvalue zero threshold in the oracle")
-
     p_enum = sub.add_parser("enumerate", help="enumerate all cyclic configurations")
     p_enum.add_argument("-i", "--input", required=True, help="linkage JSON file")
     p_enum.add_argument("-o", "--output", help="enumeration JSON output (stdout if omitted)")
@@ -200,7 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--cap-factor", type=float, default=1e3)
     p_enum.add_argument("--seed", type=int, default=None,
                         help="recorded in the artifact for reproducibility")
-    add_common(p_enum)
+    p_enum.add_argument("--tol-root", type=float, default=1e-14,
+                        help="relative accuracy of radius roots")
+    p_enum.add_argument("--tol-degen", type=float, default=1e-7,
+                        help="degeneracy flag threshold")
+    p_enum.add_argument("--tol-eig", type=float, default=1e-7,
+                        help="relative eigenvalue zero threshold in the oracle")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_index = sub.add_parser("index", help="Morse data of one cyclic configuration")
@@ -211,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify an enumeration artifact")
     p_verify.add_argument("-i", "--input", required=True, help="enumeration JSON file")
-    add_common(p_verify)
+    p_verify.add_argument("--tol-eig", type=float, default=1e-7,
+                          help="relative eigenvalue zero threshold in the oracle")
     p_verify.set_defaults(func=cmd_verify)
 
     p_deform = sub.add_parser("deform", help="event log of a fixed-circle deformation")

@@ -28,6 +28,7 @@ from .errors import (
     NonGenericPathError,
 )
 from .geometry import CircleFit, Configuration, _as_points, _readonly
+from .morse import determinant_sign
 
 # Events are bisected in time until the bracket shrinks below this.
 EVENT_REFINE_TOL = 1e-10
@@ -144,11 +145,7 @@ class AngularPath:
 
     def gap_table(self) -> np.ndarray:
         """(frames, n) lifted angular gaps, closing edge included."""
-        th = self.angles
-        gaps = np.empty_like(th)
-        gaps[:, :-1] = th[:, 1:] - th[:, :-1]
-        gaps[:, -1] = th[:, 0] - th[:, -1]
-        return gaps
+        return _gaps(self.angles)
 
     def derived_lengths(self, frame: int) -> np.ndarray:
         """Edge lengths of the deformed linkage at one frame."""
@@ -183,9 +180,10 @@ class AngularPath:
 
 
 def _gaps(theta: np.ndarray) -> np.ndarray:
+    """Gaps between cyclically consecutive angles along the last axis."""
     gaps = np.empty_like(theta)
-    gaps[:-1] = theta[1:] - theta[:-1]
-    gaps[-1] = theta[0] - theta[-1]
+    gaps[..., :-1] = theta[..., 1:] - theta[..., :-1]
+    gaps[..., -1] = theta[..., 0] - theta[..., -1]
     return gaps
 
 
@@ -194,7 +192,7 @@ def _snapshot(t: float, gaps: np.ndarray) -> PathSnapshot:
     delta = float(np.sum(np.tan(0.5 * gaps)))
     d = 1 if delta > 0 else -1
     e = sum(1 for v in eps if v > 0)
-    return PathSnapshot(t=t, eps=eps, delta=delta, d=d, e=e, h_sign=-d * (-1) ** e)
+    return PathSnapshot(t=t, eps=eps, delta=delta, d=d, e=e, h_sign=determinant_sign(d, e))
 
 
 def deform(theta_start, theta_end, radius: float, steps: int = 2000) -> AngularPath:
@@ -332,9 +330,8 @@ def _planned_transition(event: Event) -> list:
 def check_lemmas(path: AngularPath, events: list | None = None) -> LemmaReport:
     """Verify the event transition table and piecewise constancy of the signs.
 
-    Between consecutive events every frame must carry identical
-    (eps, d, h_sign); at every generic frame the product
-    ``h_sign * d * (-1)**e`` must equal -1.  Violations are returned, not
+    Between consecutive events every frame must carry identical (eps, d),
+    hence an identical determinant sign.  Violations are returned, not
     raised.
     """
     if events is None:
@@ -357,11 +354,7 @@ def check_lemmas(path: AngularPath, events: list | None = None) -> LemmaReport:
         for j in idx:
             eps = tuple(1 if s > 0 else -1 for s in sin_table[j])
             d = 1 if delta_col[j] > 0 else -1
-            e = sum(1 for v in eps if v > 0)
-            h = -d * (-1) ** e
-            if h * d * (-1) ** e != -1:
-                violations.append(f"frame t={times[j]:.6f}: sign identity broken")
-            seen.add((eps, d, h))
+            seen.add((eps, d))
             checked += 1
         if len(seen) > 1:
             violations.append(

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     CentralConfigurationError,
     InvalidConfigurationError,
+    LinkmorseError,
     NonGenericError,
     VanishingChordError,
 )
@@ -39,6 +40,12 @@ DELTA_REL_TOL = 1e-9
 CHORD_TOL = 1e-9
 
 
+def determinant_sign(d: int, e: int) -> int:
+    """The sign rule ``-d * (-1)**e`` for ``d = sign(delta)`` and ``e``
+    positive orientations."""
+    return -d * (-1) ** e
+
+
 @dataclass(frozen=True)
 class SignReport:
     """Determinant-sign data of one closed cyclic polygon."""
@@ -46,11 +53,10 @@ class SignReport:
     delta: float
     d: int
     e: int
-    h_sign: int
 
-    def __post_init__(self):
-        if self.h_sign != -self.d * (-1) ** self.e:
-            raise NonGenericError("inconsistent sign report")
+    @property
+    def h_sign(self) -> int:
+        return determinant_sign(self.d, self.e)
 
     def to_json_dict(self) -> dict:
         return {"delta": float(self.delta), "d": self.d, "e": self.e, "h_sign": self.h_sign}
@@ -99,8 +105,7 @@ def hessian_sign(eps, delta_value: float, tol: float = 0.0) -> int:
     eps = eps if isinstance(eps, OrientationString) else OrientationString(tuple(eps))
     if abs(delta_value) <= tol or delta_value == 0.0:
         raise NonGenericError(f"delta = {delta_value:.3e} is on the degeneracy boundary")
-    d = 1 if delta_value > 0.0 else -1
-    return -d * (-1) ** eps.positive_count
+    return determinant_sign(1 if delta_value > 0.0 else -1, eps.positive_count)
 
 
 def sign_report(alphas, eps, rel_tol: float = DELTA_REL_TOL) -> SignReport:
@@ -110,8 +115,7 @@ def sign_report(alphas, eps, rel_tol: float = DELTA_REL_TOL) -> SignReport:
     scale = float(np.sum(np.tan(np.asarray(alphas, dtype=float))))
     if abs(value) < rel_tol * scale:
         raise NonGenericError(f"|delta| = {abs(value):.3e} below {rel_tol:.1e} * {scale:.3e}")
-    d = 1 if value > 0.0 else -1
-    return SignReport(delta=value, d=d, e=eps.positive_count, h_sign=-d * (-1) ** eps.positive_count)
+    return SignReport(delta=value, d=1 if value > 0.0 else -1, e=eps.positive_count)
 
 
 def closing_chord(config: Configuration, fit: CircleFit, i: int, tol: float = CHORD_TOL):
@@ -151,8 +155,12 @@ def subconfig_sign_sequence(config: Configuration, fit: CircleFit,
     closes the polygon and no chord is added.  Degeneracies are reported with
     the offending subconfiguration index attached.
     """
-    eps_full = edge_orientations(config.points, fit.center)
-    alphas_full = measure_half_angles(config.points, fit)
+    return _sign_sequence(config, fit, edge_orientations(config.points, fit.center),
+                          measure_half_angles(config.points, fit), rel_tol)
+
+
+def _sign_sequence(config: Configuration, fit: CircleFit, eps_full: OrientationString,
+                   alphas_full: np.ndarray, rel_tol: float) -> tuple:
     n = config.n
     signs = [1]
     for i in range(4, n + 1):
@@ -171,6 +179,10 @@ def subconfig_sign_sequence(config: Configuration, fit: CircleFit,
     return tuple(signs)
 
 
+def _morse_report(seq: tuple) -> MorseReport:
+    return MorseReport(h_sequence=seq, index=sum(1 for a, b in zip(seq, seq[1:]) if a != b))
+
+
 def morse_index(config: Configuration, fit: CircleFit | None = None,
                 rel_tol: float = DELTA_REL_TOL) -> MorseReport:
     """Morse index of the signed area at a generic cyclic configuration.
@@ -182,6 +194,23 @@ def morse_index(config: Configuration, fit: CircleFit | None = None,
         fit = fit_circle(config.points)
         if fit is None:
             raise InvalidConfigurationError("configuration is not cyclic; no circumcircle fits")
-    seq = subconfig_sign_sequence(config, fit, rel_tol=rel_tol)
-    index = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
-    return MorseReport(h_sequence=seq, index=index)
+    return _morse_report(subconfig_sign_sequence(config, fit, rel_tol=rel_tol))
+
+
+def closed_form(config: Configuration, fit: CircleFit):
+    """``(signs, morse, error)``: the full-polygon :class:`SignReport`, the
+    :class:`MorseReport` and the error text of one cyclic configuration.
+
+    Orientations and half-angles are measured once, from the points and the
+    circle.  On a :class:`LinkmorseError` the reports not yet computed are
+    None and ``error`` says why; ``signs`` survives alone when only the
+    subconfiguration sequence is degenerate.
+    """
+    signs = None
+    try:
+        eps = edge_orientations(config.points, fit.center)
+        alphas = measure_half_angles(config.points, fit)
+        signs = sign_report(alphas, eps)
+        return signs, _morse_report(_sign_sequence(config, fit, eps, alphas, DELTA_REL_TOL)), None
+    except LinkmorseError as err:
+        return signs, None, str(err)

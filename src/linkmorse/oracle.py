@@ -7,7 +7,7 @@ Lagrange multipliers and computes the true Morse data: the Lagrangian
 Hessian projected onto the constraint tangent space, its eigenvalue inertia,
 and the determinant sign.  Constraints are kept quadratic,
 ``g_i = |p_i - p_{i+1}|^2 - l_i^2``, so their second derivatives are exact
-constant matrices.
+constant matrices and the Lagrangian Hessian is assembled in closed form.
 """
 
 from __future__ import annotations
@@ -77,22 +77,6 @@ def area_gradient(points) -> np.ndarray:
     return grad
 
 
-def area_hessian(n: int) -> np.ndarray:
-    """Constant Hessian of the shoelace area over the free coordinates."""
-    m = _free_count(n)
-    hess = np.zeros((m, m))
-    for i in range(n):
-        j = (i + 1) % n
-        if i >= 2 and j >= 2:
-            xi, yi = 2 * (i - 2), 2 * (i - 2) + 1
-            xj, yj = 2 * (j - 2), 2 * (j - 2) + 1
-            hess[xi, yj] += 0.5
-            hess[yj, xi] += 0.5
-            hess[yi, xj] -= 0.5
-            hess[xj, yi] -= 0.5
-    return hess
-
-
 def constraint_values(points, linkage: Linkage) -> np.ndarray:
     """Quadratic edge constraints g_i = |p_i - p_{i+1}|^2 - l_i^2, i = 2..n.
 
@@ -109,12 +93,11 @@ def constraint_values(points, linkage: Linkage) -> np.ndarray:
     return vals
 
 
-def constraint_jacobian(points, linkage: Linkage, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Jacobian of the edge constraints over the free coordinates.
+def _regular_jacobian(points, linkage: Linkage, rank_tol: float):
+    """Constraint Jacobian and an orthonormal tangent basis from one SVD.
 
-    Shape (n-1, 2(n-2)); row i carries ``2(p_i - p_{i+1})`` in the columns of
-    its free endpoints.  Raises :class:`NonRegularPointError` when the rank
-    drops below n-1 (a singular point of the moduli space).
+    Raises :class:`NonRegularPointError` when the rank drops below n-1;
+    otherwise the rows of V^T past the n-1 singular values span the kernel.
     """
     pts = _as_points(points)
     n = pts.shape[0]
@@ -128,29 +111,30 @@ def constraint_jacobian(points, linkage: Linkage, rank_tol: float = RANK_TOL) ->
             jac[row, 2 * (i - 2): 2 * (i - 2) + 2] += d
         if j >= 2:
             jac[row, 2 * (j - 2): 2 * (j - 2) + 2] -= d
-    svals = np.linalg.svd(jac, compute_uv=False)
-    if svals.size and svals[-1] <= rank_tol * svals[0]:
+    _, svals, vt = np.linalg.svd(jac, full_matrices=True)
+    if svals[-1] <= rank_tol * svals[0]:
         raise NonRegularPointError(
             f"constraint Jacobian rank deficient (sigma_min/sigma_max = "
             f"{svals[-1] / svals[0]:.3e})"
         )
-    return jac
+    return jac, vt[svals.size:].T
 
 
-def _constraint_hessian(n: int, row: int) -> np.ndarray:
-    """Constant second derivative of g_{row+2}: +/-2 I blocks on the free
-    endpoints of that edge."""
-    i = row + 1
-    j = (i + 1) % n
-    m = _free_count(n)
-    hess = np.zeros((m, m))
-    for a, sa in ((i, 1.0), (j, -1.0)):
-        for b, sb in ((i, 1.0), (j, -1.0)):
-            if a >= 2 and b >= 2:
-                blk = slice(2 * (a - 2), 2 * (a - 2) + 2)
-                blk2 = slice(2 * (b - 2), 2 * (b - 2) + 2)
-                hess[blk, blk2] += 2.0 * sa * sb * np.eye(2)
-    return hess
+def constraint_jacobian(points, linkage: Linkage, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Jacobian of the edge constraints over the free coordinates.
+
+    Shape (n-1, 2(n-2)); row i carries ``2(p_i - p_{i+1})`` in the columns of
+    its free endpoints.  Raises :class:`NonRegularPointError` when the rank
+    drops below n-1 (a singular point of the moduli space).
+    """
+    return _regular_jacobian(points, linkage, rank_tol)[0]
+
+
+def _stationarity(points, jac: np.ndarray):
+    grad = area_gradient(points)
+    lam, *_ = np.linalg.lstsq(jac.T, grad, rcond=None)
+    residual = float(np.linalg.norm(grad - jac.T @ lam)) / max(1.0, float(np.linalg.norm(grad)))
+    return lam, residual
 
 
 def criticality_residual(config: Configuration, linkage: Linkage):
@@ -161,19 +145,12 @@ def criticality_residual(config: Configuration, linkage: Linkage):
     configuration the residual vanishes to solver precision; for a triangle
     the moduli space is zero-dimensional and the system is square.
     """
-    grad = area_gradient(config.points)
-    jac = constraint_jacobian(config.points, linkage)
-    lam, *_ = np.linalg.lstsq(jac.T, grad, rcond=None)
-    residual = float(np.linalg.norm(grad - jac.T @ lam)) / max(1.0, float(np.linalg.norm(grad)))
-    return lam, residual
+    return _stationarity(config.points, constraint_jacobian(config.points, linkage))
 
 
 def tangent_basis(points, linkage: Linkage, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the constraint tangent space (columns), via SVD."""
-    jac = constraint_jacobian(points, linkage, rank_tol=rank_tol)
-    _, svals, vt = np.linalg.svd(jac, full_matrices=True)
-    rank = int(np.sum(svals > rank_tol * svals[0])) if svals.size else 0
-    return vt[rank:].T
+    return _regular_jacobian(points, linkage, rank_tol)[1]
 
 
 def projected_hessian(config: Configuration, linkage: Linkage, lam,
@@ -182,14 +159,24 @@ def projected_hessian(config: Configuration, linkage: Linkage, lam,
 
     ``Z^T (hess A - sum_i lambda_i hess g_i) Z`` with Z an orthonormal
     tangent basis; the result is the (n-3) x (n-3) second derivative of the
-    area along the moduli space at a critical point.
+    area along the moduli space at a critical point.  The Lagrangian Hessian
+    is block tridiagonal over the free vertices p_3..p_n: vertex p_v carries
+    ``-2 (lambda_{v-1} + lambda_v) I`` (multipliers indexed by edge) and
+    each edge p_v p_{v+1} between free vertices couples them by
+    ``2 lambda_v I`` plus the area's ``+/-1/2`` cross terms.
     """
     n = config.n
     lam = np.asarray(lam, dtype=float)
-    lagrangian = area_hessian(n).copy()
-    for row in range(n - 1):
-        if lam[row] != 0.0:
-            lagrangian -= lam[row] * _constraint_hessian(n, row)
+    lagrangian = np.zeros((_free_count(n), _free_count(n)))
+    x = 2 * np.arange(n - 2)  # x column of each free vertex; y is x + 1
+    diag = -2.0 * lam[:-1] - 2.0 * lam[1:]
+    lagrangian[x, x] = lagrangian[x + 1, x + 1] = diag
+    a, b = x[:-1], x[1:]  # consecutive free vertices
+    couple = 2.0 * lam[1:-1]
+    lagrangian[a, b] = lagrangian[b, a] = couple
+    lagrangian[a + 1, b + 1] = lagrangian[b + 1, a + 1] = couple
+    lagrangian[a, b + 1] = lagrangian[b + 1, a] = 0.5
+    lagrangian[a + 1, b] = lagrangian[b, a + 1] = -0.5
     z = tangent_basis(config.points, linkage) if basis is None else np.asarray(basis, dtype=float)
     proj = z.T @ lagrangian @ z
     return 0.5 * (proj + proj.T)
@@ -215,8 +202,9 @@ def oracle_index(config: Configuration, linkage: Linkage,
     ``det_sign`` is 0 when any projected eigenvalue is numerically zero, in
     which case the verdict is non-Morse and excluded from sign comparisons.
     """
-    lam, residual = criticality_residual(config, linkage)
-    proj = projected_hessian(config, linkage, lam)
+    jac, basis = _regular_jacobian(config.points, linkage, RANK_TOL)
+    lam, residual = _stationarity(config.points, jac)
+    proj = projected_hessian(config, linkage, lam, basis=basis)
     neg, zer, pos = inertia(proj, tol=eigen_tol)
     det_sign = 0 if zer else (1 if neg % 2 == 0 else -1)
     return OracleVerdict(multipliers=lam, residual=residual,

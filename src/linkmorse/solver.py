@@ -46,6 +46,10 @@ _RMIN_MARGIN = 1e-12
 
 _BRENTQ_RTOL = max(1e-14, 4.0 * np.finfo(float).eps)
 
+# Allowed absolute defect of the angular closure sum(2 eps_i alpha_i) = 2 pi k
+# when rebuilding vertices from a descriptor.
+CLOSURE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -56,7 +60,6 @@ class SolverOptions:
     root_rtol: float = 1e-14     # relative radius accuracy of refined roots
     dedup_rtol: float = 1e-10    # merge roots closer than this (relative)
     degeneracy_tol: float = 1e-7 # flag threshold for central/flip/delta-zero
-    closure_tol: float = 1e-9    # allowed angular closure defect
     residual_tol: float = 1e-9   # |F| accepted at a double (delta-zero) root
 
     def __post_init__(self):
@@ -318,9 +321,9 @@ def reconstruct(linkage: Linkage, desc: CyclicDescriptor) -> Configuration:
     Successive vertex angles advance by ``2 eps_i alpha_i``; the pinned
     vertices are snapped exactly to ``(0,0)`` and ``(0, l_1)``.
     """
-    if desc.closure_defect() > 1e-9:
+    if desc.closure_defect() > CLOSURE_TOL:
         raise InconsistentDescriptorError(
-            f"angular closure defect {desc.closure_defect():.3e} exceeds 1e-9"
+            f"angular closure defect {desc.closure_defect():.3e} exceeds {CLOSURE_TOL:.0e}"
         )
     if desc.n != linkage.n:
         raise InconsistentDescriptorError("descriptor size does not match the linkage")

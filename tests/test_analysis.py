@@ -13,6 +13,7 @@ from linkmorse.analysis import (
     enumeration_dict,
     load_enumeration,
     record_dict,
+    verify_record,
 )
 
 PENTA = Linkage([1, 1, 1, 1, 1])
@@ -33,6 +34,8 @@ def test_aligned_configurations_use_oracle_fallback(pentagon_analyses):
     assert len(fallback) == 10
     assert all(a.index == 1 for a in fallback)
     assert all(a.morse_error is not None for a in fallback)
+    # the determinant sign is still compared where the index formula fails
+    assert all(a.agree is True for a in fallback)
     formula = [a for a in pentagon_analyses if a.index_source == "formula"]
     assert sorted(a.index for a in formula) == [0, 0, 2, 2]
     assert all(a.agree for a in formula)
@@ -69,6 +72,23 @@ def test_verify_accepts_clean_artifact(pentagon_analyses):
     rows, summary, ok = verify_enumeration(linkage, records)
     assert ok
     assert summary == "14/14 agree (0 flagged)"
+
+
+def test_verify_rows_read_off_the_library_analysis():
+    rng = np.random.default_rng(31)
+    linkages = [PENTA] + [random_linkage(rng, n) for n in (5, 6, 7, 8)]
+    for linkage in linkages:
+        analyses = analyze_linkage(linkage)
+        _, records = load_enumeration(dump_json(enumeration_dict(linkage, analyses)))
+        for a, rec in zip(analyses, records):
+            assert not a.flags.any
+            row = verify_record(linkage, rec)
+            assert row.index == a.oracle.index
+            assert row.formula_index == (None if a.morse is None else a.morse.index)
+            assert row.det_sign == a.oracle.det_sign
+            assert row.inertia == a.oracle.inertia
+            assert row.residual == a.oracle.residual
+            assert row.agree is a.agree is True
 
 
 def test_verify_catches_tampered_radius(pentagon_analyses):

@@ -83,6 +83,13 @@ def test_verify_clean_artifact(pentagon_artifact, capsys):
     assert "14/14 agree (0 flagged)" in captured.out
 
 
+def test_verify_rejects_enumeration_tolerances(pentagon_artifact, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-i", str(pentagon_artifact), "--tol-degen", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_tampered_artifact(pentagon_artifact, tmp_path, capsys):
     data = json.loads(pentagon_artifact.read_text())
     data["configurations"][5]["r"] *= 1.001

@@ -216,3 +216,60 @@ def test_inertia_invariant_under_basis_rotation():
     shuffled = projected_hessian(item.configuration, linkage, lam, basis=basis @ q)
     reference = projected_hessian(item.configuration, linkage, lam)
     assert inertia(shuffled) == inertia(reference)
+
+
+def _dense_lagrangian(n, lam):
+    """The Lagrangian Hessian as a sum of dense m x m matrices: the area's
+    constant Hessian minus lambda_i times each constraint's."""
+    m = 2 * (n - 2)
+    hess = np.zeros((m, m))
+    for i in range(n):
+        j = (i + 1) % n
+        if i >= 2 and j >= 2:
+            xi, yi, xj, yj = 2 * (i - 2), 2 * (i - 2) + 1, 2 * (j - 2), 2 * (j - 2) + 1
+            hess[xi, yj] += 0.5
+            hess[yj, xi] += 0.5
+            hess[yi, xj] -= 0.5
+            hess[xj, yi] -= 0.5
+    for row in range(n - 1):
+        i = row + 1
+        j = (i + 1) % n
+        g = np.zeros((m, m))
+        for a, sa in ((i, 1.0), (j, -1.0)):
+            for b, sb in ((i, 1.0), (j, -1.0)):
+                if a >= 2 and b >= 2:
+                    g[2 * (a - 2): 2 * (a - 2) + 2, 2 * (b - 2): 2 * (b - 2) + 2] += \
+                        2.0 * sa * sb * np.eye(2)
+        if lam[row] != 0.0:
+            hess -= lam[row] * g
+    return hess
+
+
+def test_direct_lagrangian_matches_dense_sum():
+    rng = np.random.default_rng(20)
+    for n in range(4, 9):
+        linkage = random_linkage(rng, n)
+        for item in enumerate_cyclic(linkage)[:6]:
+            lam, _ = criticality_residual(item.configuration, linkage)
+            identity = np.eye(2 * (n - 2))
+            direct = projected_hessian(item.configuration, linkage, lam, basis=identity)
+            assert np.array_equal(direct, _dense_lagrangian(n, lam))
+
+
+def test_one_svd_per_verdict(monkeypatch):
+    rng = np.random.default_rng(22)
+    linkage = random_linkage(rng, 6)
+    item = enumerate_cyclic(linkage)[0]
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    verdict = oracle_index(item.configuration, linkage)
+    assert len(calls) == 1
+    lam, residual = criticality_residual(item.configuration, linkage)
+    assert residual == verdict.residual
+    assert np.array_equal(lam, verdict.multipliers)
