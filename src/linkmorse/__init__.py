@@ -41,7 +41,6 @@ from .solver import (
     CyclicConfiguration,
     CyclicDescriptor,
     DegeneracyFlags,
-    SolverOptions,
     degeneracy_flags,
     delta_at_radius,
     enumerate_cyclic,

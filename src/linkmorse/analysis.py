@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import LinkmorseError
 from .geometry import (
+    INPUT_TOL,
     Configuration,
     Linkage,
     OrientationString,
@@ -25,13 +26,14 @@ from .geometry import (
     validate_configuration,
 )
 from .morse import MorseReport, SignReport, closed_form
-from .oracle import EIGEN_ZERO_TOL, OracleVerdict, criticality_residual, oracle_index
+from .oracle import OracleVerdict, criticality_residual, oracle_index
 from .solver import (
     CLOSURE_TOL,
+    DEGENERACY_TOL,
+    ROOT_RTOL,
     CyclicConfiguration,
     CyclicDescriptor,
     DegeneracyFlags,
-    SolverOptions,
     enumerate_cyclic,
 )
 
@@ -84,8 +86,7 @@ class ConfigurationAnalysis:
                 and (self.morse is None or self.morse.index == self.oracle.index))
 
 
-def analyze_configuration(linkage: Linkage, item: CyclicConfiguration,
-                          eigen_tol: float = EIGEN_ZERO_TOL) -> ConfigurationAnalysis:
+def analyze_configuration(linkage: Linkage, item: CyclicConfiguration) -> ConfigurationAnalysis:
     """Run the sign formulas and the oracle on one enumerated configuration.
 
     Flagged (near-degenerate) configurations skip both: the closed-form
@@ -102,7 +103,7 @@ def analyze_configuration(linkage: Linkage, item: CyclicConfiguration,
     else:
         signs, morse, morse_error = closed_form(config, desc.circle)
         try:
-            oracle = oracle_index(config, linkage, eigen_tol=eigen_tol)
+            oracle = oracle_index(config, linkage)
         except LinkmorseError as err:
             oracle_error = str(err)
     return ConfigurationAnalysis(
@@ -112,11 +113,9 @@ def analyze_configuration(linkage: Linkage, item: CyclicConfiguration,
     )
 
 
-def analyze_linkage(linkage: Linkage, opts: SolverOptions | None = None,
-                    eigen_tol: float = EIGEN_ZERO_TOL) -> list:
+def analyze_linkage(linkage: Linkage) -> list:
     """Enumerate all cyclic configurations and analyze each."""
-    return [analyze_configuration(linkage, item, eigen_tol=eigen_tol)
-            for item in enumerate_cyclic(linkage, opts)]
+    return [analyze_configuration(linkage, item) for item in enumerate_cyclic(linkage)]
 
 
 def index_summary(analyses: list) -> str:
@@ -163,17 +162,15 @@ def record_dict(analysis: ConfigurationAnalysis) -> dict:
     }
 
 
-def enumeration_dict(linkage: Linkage, analyses: list,
-                     opts: SolverOptions | None = None, seed: int | None = None) -> dict:
-    """Envelope around the record array: linkage, seed, and tolerances are
-    recorded so runs are reproducible from the artifact alone."""
-    opts = opts or SolverOptions()
+def enumeration_dict(linkage: Linkage, analyses: list, seed: int | None = None) -> dict:
+    """Envelope around the record array: linkage, seed, and the solver's
+    tolerances are recorded so runs are reproducible from the artifact alone."""
     return {
         "lengths": [float(v) for v in linkage.lengths],
         "seed": seed,
         "tolerances": {
-            "root_rtol": opts.root_rtol,
-            "degeneracy": opts.degeneracy_tol,
+            "root_rtol": ROOT_RTOL,
+            "degeneracy": DEGENERACY_TOL,
             "closure": CLOSURE_TOL,
         },
         "configurations": [record_dict(a) for a in analyses],
@@ -231,8 +228,7 @@ def _fail(note: str) -> VerificationRow:
                            formula_index=None, agree=False, flagged=False, note=note)
 
 
-def verify_record(linkage: Linkage, record: dict,
-                  eigen_tol: float = EIGEN_ZERO_TOL) -> VerificationRow:
+def verify_record(linkage: Linkage, record: dict) -> VerificationRow:
     """Check one outside record, re-analyse it, and compare.
 
     The points must satisfy the linkage constraints, lie on the recorded
@@ -248,7 +244,7 @@ def verify_record(linkage: Linkage, record: dict,
         flags = DegeneracyFlags(central=tuple(raw_flags.get("central", [])),
                                 near_flip=tuple(raw_flags.get("near_flip", [])),
                                 delta_zero=bool(raw_flags.get("delta_zero")))
-        violations = validate_configuration(linkage, config.points, tol=1e-6)
+        violations = validate_configuration(linkage, config.points, tol=INPUT_TOL)
         if violations:
             return _fail(f"constraint violations: {violations[0]}")
         center = np.asarray(record["center"], dtype=float).reshape(2)
@@ -257,7 +253,7 @@ def verify_record(linkage: Linkage, record: dict,
             return _fail(f"recorded radius {radius} is not positive")
         dist = np.linalg.norm(config.points - center[None, :], axis=1)
         worst = float(np.max(np.abs(dist - radius)))
-        if worst > 1e-6 * radius:
+        if worst > INPUT_TOL * radius:
             return _fail(f"points deviate from the recorded circle by {worst:.3e}")
         if flags.any:
             _, residual = criticality_residual(config, linkage)
@@ -271,8 +267,7 @@ def verify_record(linkage: Linkage, record: dict,
         alphas = np.arcsin(np.clip(linkage.lengths / (2.0 * radius), 0.0, 1.0))
         desc = CyclicDescriptor(radius=radius, winding=record["k"], eps=eps,
                                 alphas=alphas, center=center)
-        result = analyze_configuration(linkage, CyclicConfiguration(desc, config, flags),
-                                       eigen_tol=eigen_tol)
+        result = analyze_configuration(linkage, CyclicConfiguration(desc, config, flags))
         verdict = result.oracle
         if verdict is None:
             return _fail(result.oracle_error)
@@ -298,10 +293,9 @@ def verify_record(linkage: Linkage, record: dict,
         return _fail(str(err))
 
 
-def verify_enumeration(linkage: Linkage, records: list,
-                       eigen_tol: float = EIGEN_ZERO_TOL):
+def verify_enumeration(linkage: Linkage, records: list):
     """Verify every record; returns (rows, summary line, all_ok)."""
-    rows = [verify_record(linkage, rec, eigen_tol=eigen_tol) for rec in records]
+    rows = [verify_record(linkage, rec) for rec in records]
     flagged = sum(1 for r in rows if r.flagged)
     good = sum(1 for r in rows if r.agree and not r.flagged)
     ok = all(r.agree for r in rows)

@@ -21,6 +21,7 @@ from . import analysis, render
 from .deform import check_lemmas, deform as make_path, detect_events, vertex_angles
 from .errors import LinkmorseError
 from .geometry import (
+    INPUT_TOL,
     CircleFit,
     Configuration,
     Linkage,
@@ -29,7 +30,6 @@ from .geometry import (
     signed_area,
 )
 from .morse import closed_form
-from .solver import SolverOptions
 
 
 def _read_json(path: str):
@@ -41,20 +41,10 @@ def _read_json(path: str):
         raise LinkmorseError(f"invalid JSON in {path}: {err}")
 
 
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        samples=args.samples,
-        cap_factor=args.cap_factor,
-        root_rtol=args.tol_root,
-        degeneracy_tol=args.tol_degen,
-    )
-
-
 def cmd_enumerate(args) -> int:
     linkage = Linkage.from_json_dict(_read_json(args.input))
-    opts = _solver_options(args)
-    analyses = analysis.analyze_linkage(linkage, opts, eigen_tol=args.tol_eig)
-    envelope = analysis.enumeration_dict(linkage, analyses, opts, seed=args.seed)
+    analyses = analysis.analyze_linkage(linkage)
+    envelope = analysis.enumeration_dict(linkage, analyses, seed=args.seed)
     text = analysis.dump_json(envelope)
     if args.output:
         Path(args.output).write_text(text)
@@ -66,7 +56,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_index(args) -> int:
     config = Configuration.from_json_dict(_read_json(args.input))
-    fit = fit_circle(config.points, tol=args.tol_fit)
+    fit = fit_circle(config.points, tol=INPUT_TOL)
     if fit is None:
         raise LinkmorseError("configuration is not cyclic at the fit tolerance")
     signs, report, error = closed_form(config, fit)
@@ -90,7 +80,7 @@ def cmd_verify(args) -> int:
     if not path.exists():
         raise LinkmorseError(f"no such file: {args.input}")
     linkage, records = analysis.load_enumeration(path.read_text())
-    rows, summary, ok = analysis.verify_enumeration(linkage, records, eigen_tol=args.tol_eig)
+    rows, summary, ok = analysis.verify_enumeration(linkage, records)
     for row in rows:
         print(json.dumps(row.to_json_dict(), sort_keys=False))
     print(summary)
@@ -104,8 +94,8 @@ def cmd_verify(args) -> int:
 def cmd_deform(args) -> int:
     cfg_a = Configuration.from_json_dict(_read_json(args.start))
     cfg_b = Configuration.from_json_dict(_read_json(args.end))
-    fit_a = fit_circle(cfg_a.points, tol=args.tol_fit)
-    fit_b = fit_circle(cfg_b.points, tol=args.tol_fit)
+    fit_a = fit_circle(cfg_a.points, tol=INPUT_TOL)
+    fit_b = fit_circle(cfg_b.points, tol=INPUT_TOL)
     if fit_a is None or fit_b is None:
         raise LinkmorseError("both endpoint configurations must be cyclic")
     if cfg_a.n != cfg_b.n:
@@ -142,7 +132,7 @@ def _render_items(data) -> list:
             center = np.asarray(rec["center"], dtype=float)
             radius = float(rec["r"])
         else:
-            fit = fit_circle(pts, tol=1e-6)
+            fit = fit_circle(pts, tol=INPUT_TOL)
             if fit is None:
                 raise LinkmorseError("configuration is not cyclic; cannot draw its circle")
             center, radius = fit.center, fit.radius
@@ -184,28 +174,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="enumerate all cyclic configurations")
     p_enum.add_argument("-i", "--input", required=True, help="linkage JSON file")
     p_enum.add_argument("-o", "--output", help="enumeration JSON output (stdout if omitted)")
-    p_enum.add_argument("--samples", type=int, default=4096)
-    p_enum.add_argument("--cap-factor", type=float, default=1e3)
     p_enum.add_argument("--seed", type=int, default=None,
                         help="recorded in the artifact for reproducibility")
-    p_enum.add_argument("--tol-root", type=float, default=1e-14,
-                        help="relative accuracy of radius roots")
-    p_enum.add_argument("--tol-degen", type=float, default=1e-7,
-                        help="degeneracy flag threshold")
-    p_enum.add_argument("--tol-eig", type=float, default=1e-7,
-                        help="relative eigenvalue zero threshold in the oracle")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_index = sub.add_parser("index", help="Morse data of one cyclic configuration")
     p_index.add_argument("-i", "--input", required=True, help="configuration JSON file")
     p_index.add_argument("-o", "--output", help="JSON output (stdout if omitted)")
-    p_index.add_argument("--tol-fit", type=float, default=1e-6)
     p_index.set_defaults(func=cmd_index)
 
     p_verify = sub.add_parser("verify", help="verify an enumeration artifact")
     p_verify.add_argument("-i", "--input", required=True, help="enumeration JSON file")
-    p_verify.add_argument("--tol-eig", type=float, default=1e-7,
-                          help="relative eigenvalue zero threshold in the oracle")
     p_verify.set_defaults(func=cmd_verify)
 
     p_deform = sub.add_parser("deform", help="event log of a fixed-circle deformation")
@@ -213,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_deform.add_argument("-b", "--end", required=True, help="end configuration JSON")
     p_deform.add_argument("-o", "--output", help="event-log JSON output (stdout if omitted)")
     p_deform.add_argument("--frames", type=int, default=2000)
-    p_deform.add_argument("--tol-fit", type=float, default=1e-6)
     p_deform.set_defaults(func=cmd_deform)
 
     p_render = sub.add_parser("render", help="draw configurations as SVG")

@@ -27,7 +27,7 @@ from .errors import (
     InvalidConfigurationError,
     NonGenericPathError,
 )
-from .geometry import CircleFit, Configuration, _as_points, _readonly
+from .geometry import INPUT_TOL, CircleFit, Configuration, _as_points, _readonly
 from .morse import determinant_sign
 
 # Events are bisected in time until the bracket shrinks below this.
@@ -39,7 +39,7 @@ EVENT_REFINE_TOL = 1e-10
 POLE_MASK_FACTOR = 10
 
 
-def vertex_angles(config: Configuration, fit: CircleFit, tol: float = 1e-6) -> np.ndarray:
+def vertex_angles(config: Configuration, fit: CircleFit) -> np.ndarray:
     """Lifted polar angles of the vertices about the circle center.
 
     The lift is continuous along the chain: consecutive angles differ by the
@@ -49,7 +49,7 @@ def vertex_angles(config: Configuration, fit: CircleFit, tol: float = 1e-6) -> n
     pts = _as_points(config.points)
     rel = pts - fit.center[None, :]
     dist = np.linalg.norm(rel, axis=1)
-    if np.any(np.abs(dist - fit.radius) > tol * fit.radius):
+    if np.any(np.abs(dist - fit.radius) > INPUT_TOL * fit.radius):
         raise InvalidConfigurationError("vertices do not lie on the given circle")
     raw = np.arctan2(rel[:, 1], rel[:, 0])
     lifted = np.empty_like(raw)
@@ -212,11 +212,11 @@ def deform(theta_start, theta_end, radius: float, steps: int = 2000) -> AngularP
     return AngularPath(radius=float(radius), times=ts, angles=angles)
 
 
-def _bisect(func, lo: float, hi: float, tol: float) -> float:
+def _bisect(func, lo: float, hi: float) -> float:
     flo = func(lo)
     if flo == 0.0:
         return lo
-    while hi - lo > tol:
+    while hi - lo > EVENT_REFINE_TOL:
         mid = 0.5 * (lo + hi)
         fmid = func(mid)
         if fmid == 0.0:
@@ -228,7 +228,7 @@ def _bisect(func, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def detect_events(path: AngularPath, refine_tol: float = EVENT_REFINE_TOL) -> list:
+def detect_events(path: AngularPath) -> list:
     """All flip / central / delta-zero events on the path, sorted by time.
 
     Edge events are zero crossings of ``sin(D_i(t))`` between frames,
@@ -248,7 +248,7 @@ def detect_events(path: AngularPath, refine_tol: float = EVENT_REFINE_TOL) -> li
         signs = np.sign(col)
         for j in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]:
             t_star = _bisect(lambda t: float(np.sin(path.gaps_at(t)[edge])),
-                             float(times[j]), float(times[j + 1]), refine_tol)
+                             float(times[j]), float(times[j + 1]))
             kind = "flip" if math.cos(float(path.gaps_at(t_star)[edge])) > 0.0 else "central"
             events.append((t_star, kind, edge))
 
@@ -261,7 +261,7 @@ def detect_events(path: AngularPath, refine_tol: float = EVENT_REFINE_TOL) -> li
         if any(lo - mask <= tc <= hi + mask for tc in central_ts):
             continue
         t_star = _bisect(lambda t: float(np.sum(np.tan(0.5 * path.gaps_at(t)))),
-                         lo, hi, refine_tol)
+                         lo, hi)
         events.append((t_star, "delta_zero", None))
 
     events.sort(key=lambda item: item[0])
@@ -274,7 +274,7 @@ def detect_events(path: AngularPath, refine_tol: float = EVENT_REFINE_TOL) -> li
     out = []
     for t_star, kind, edge in events:
         gap = min(0.5 * res, t_star - times[0], times[-1] - t_star)
-        gap = max(gap, refine_tol)
+        gap = max(gap, EVENT_REFINE_TOL)
         before = path.snapshot(t_star - gap)
         after = path.snapshot(t_star + gap)
         out.append(Event(kind=kind, edge=None if edge is None else edge + 1,

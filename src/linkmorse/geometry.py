@@ -28,6 +28,15 @@ from .errors import (
 # circle center when |cross| / (|edge| * r) falls below this.
 CENTRAL_CROSS_TOL = 1e-9
 
+# Relative slack for configurations read from outside the program (files,
+# recorded artifacts): their vertices must lie on their circle, and satisfy
+# their linkage, within this multiple of the radius or edge length.
+INPUT_TOL = 1e-6
+
+# An edge counts as longer than the diameter, and so as no chord, when
+# l / (2r) exceeds 1 by more than this.
+OVER_DIAMETER_TOL = 1e-9
+
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
@@ -288,18 +297,18 @@ def edge_orientations(points, center) -> OrientationString:
     return OrientationString(tuple(1 if c > 0 else -1 for c in cross))
 
 
-def measure_half_angles(points, fit: CircleFit, tol: float = 1e-9) -> np.ndarray:
+def measure_half_angles(points, fit: CircleFit) -> np.ndarray:
     """Half-angles ``alpha_i = arcsin(l_i / (2r))`` of the inscribed edges.
 
     Each ``alpha_i`` lies in (0, pi/2]; the side of the center is carried
     separately by the orientation string.  An edge longer than the diameter
-    (beyond ``tol``) cannot be a chord and raises.
+    (beyond :data:`OVER_DIAMETER_TOL`) cannot be a chord and raises.
     """
     pts = _as_points(points)
     r = fit.radius
     lengths = edge_lengths(pts)
     ratios = lengths / (2.0 * r)
-    over = np.nonzero(ratios > 1.0 + tol)[0]
+    over = np.nonzero(ratios > 1.0 + OVER_DIAMETER_TOL)[0]
     if over.size:
         i = int(over[0])
         raise NotInscribableError(
@@ -313,12 +322,10 @@ def is_convex_positive(points) -> bool:
 
     Requires every turn to be a strict left turn and the total turning to be
     one full revolution, which rules out star polygons that are only locally
-    convex.
+    convex; together they imply a positive area.
     """
     pts = _as_points(points)
     n = pts.shape[0]
-    if signed_area(pts) <= 0.0:
-        return False
     total = 0.0
     for i in range(n):
         u = pts[(i + 1) % n] - pts[i]

@@ -36,7 +36,9 @@ from .geometry import (
 # determinant sign rule is undefined on the delta = 0 boundary.
 DELTA_REL_TOL = 1e-9
 
-# Relative slack for chord degeneracy tests (vanishing or diametral).
+# Relative slack for chord degeneracy tests (vanishing or diametral chords,
+# chords through the center), and the distance below pi/2 at which a
+# half-angle makes its edge a diameter.
 CHORD_TOL = 1e-9
 
 
@@ -64,30 +66,26 @@ class SignReport:
 
 @dataclass(frozen=True)
 class MorseReport:
-    """Subconfiguration sign sequence and the resulting Morse index."""
+    """Subconfiguration sign sequence; the Morse index counts its sign changes."""
 
     h_sequence: tuple
-    index: int
 
-    def __post_init__(self):
-        seq = tuple(int(v) for v in self.h_sequence)
-        object.__setattr__(self, "h_sequence", seq)
-        if not seq or seq[0] != 1:
-            raise NonGenericError("sign sequence must start with +1")
-        if self.index != sum(1 for a, b in zip(seq, seq[1:]) if a != b):
-            raise NonGenericError("index does not count the sign changes")
+    @property
+    def index(self) -> int:
+        seq = self.h_sequence
+        return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
     def to_json_dict(self) -> dict:
-        return {"h_sequence": list(self.h_sequence), "index": int(self.index)}
+        return {"h_sequence": list(self.h_sequence), "index": self.index}
 
 
-def delta(alphas, eps, tol: float = 1e-9) -> float:
+def delta(alphas, eps) -> float:
     """``sum_i eps_i tan(alpha_i)`` for half-angles strictly below pi/2."""
     al = np.asarray(alphas, dtype=float)
     eps = eps if isinstance(eps, OrientationString) else OrientationString(tuple(eps))
     if al.size != len(eps):
         raise InvalidConfigurationError("half-angle and orientation lengths differ")
-    too_close = np.nonzero(al >= 0.5 * math.pi - tol)[0]
+    too_close = np.nonzero(al >= 0.5 * math.pi - CHORD_TOL)[0]
     if too_close.size:
         raise CentralConfigurationError(
             f"edge {int(too_close[0]) + 1} is (numerically) a diameter",
@@ -108,17 +106,17 @@ def hessian_sign(eps, delta_value: float, tol: float = 0.0) -> int:
     return determinant_sign(1 if delta_value > 0.0 else -1, eps.positive_count)
 
 
-def sign_report(alphas, eps, rel_tol: float = DELTA_REL_TOL) -> SignReport:
+def sign_report(alphas, eps) -> SignReport:
     """Determinant-sign report with a scale-aware genericity guard on delta."""
     eps = eps if isinstance(eps, OrientationString) else OrientationString(tuple(eps))
     value = delta(alphas, eps)
     scale = float(np.sum(np.tan(np.asarray(alphas, dtype=float))))
-    if abs(value) < rel_tol * scale:
-        raise NonGenericError(f"|delta| = {abs(value):.3e} below {rel_tol:.1e} * {scale:.3e}")
+    if abs(value) < DELTA_REL_TOL * scale:
+        raise NonGenericError(f"|delta| = {abs(value):.3e} below {DELTA_REL_TOL:.1e} * {scale:.3e}")
     return SignReport(delta=value, d=1 if value > 0.0 else -1, e=eps.positive_count)
 
 
-def closing_chord(config: Configuration, fit: CircleFit, i: int, tol: float = CHORD_TOL):
+def closing_chord(config: Configuration, fit: CircleFit, i: int):
     """Length, orientation, and half-angle of the chord ``p_i -> p_1`` that
     closes the subconfiguration ``(p_1, ..., p_i)``.
 
@@ -133,21 +131,20 @@ def closing_chord(config: Configuration, fit: CircleFit, i: int, tol: float = CH
     chord = b - a
     length = float(np.hypot(*chord))
     r = fit.radius
-    if length <= tol * r:
+    if length <= CHORD_TOL * r:
         raise VanishingChordError(f"chord p_{i} -> p_1 has vanishing length", index=i)
-    if abs(length - 2.0 * r) <= tol * r:
+    if abs(length - 2.0 * r) <= CHORD_TOL * r:
         raise CentralConfigurationError(f"chord p_{i} -> p_1 is a diameter", index=i)
     w = fit.center - a
     cross = chord[0] * w[1] - chord[1] * w[0]
-    if abs(cross) <= tol * length * r:
+    if abs(cross) <= CHORD_TOL * length * r:
         raise CentralConfigurationError(f"chord p_{i} -> p_1 runs through the center", index=i)
     eps = 1 if cross > 0.0 else -1
     alpha = math.asin(min(length / (2.0 * r), 1.0))
     return length, eps, alpha
 
 
-def subconfig_sign_sequence(config: Configuration, fit: CircleFit,
-                            rel_tol: float = DELTA_REL_TOL) -> tuple:
+def subconfig_sign_sequence(config: Configuration, fit: CircleFit) -> tuple:
     """Determinant signs of the nested subconfigurations P_3 .. P_n.
 
     Entry 0 is +1 by convention.  For 4 <= i < n the subconfiguration closes
@@ -156,11 +153,11 @@ def subconfig_sign_sequence(config: Configuration, fit: CircleFit,
     the offending subconfiguration index attached.
     """
     return _sign_sequence(config, fit, edge_orientations(config.points, fit.center),
-                          measure_half_angles(config.points, fit), rel_tol)
+                          measure_half_angles(config.points, fit))
 
 
 def _sign_sequence(config: Configuration, fit: CircleFit, eps_full: OrientationString,
-                   alphas_full: np.ndarray, rel_tol: float) -> tuple:
+                   alphas_full: np.ndarray) -> tuple:
     n = config.n
     signs = [1]
     for i in range(4, n + 1):
@@ -172,19 +169,14 @@ def _sign_sequence(config: Configuration, fit: CircleFit, eps_full: OrientationS
             eps_i = eps_full.eps
             alphas_i = alphas_full
         try:
-            report = sign_report(alphas_i, eps_i, rel_tol=rel_tol)
+            report = sign_report(alphas_i, eps_i)
         except NonGenericError as err:
             raise NonGenericError(f"subconfiguration P_{i}: {err}", index=i) from err
         signs.append(report.h_sign)
     return tuple(signs)
 
 
-def _morse_report(seq: tuple) -> MorseReport:
-    return MorseReport(h_sequence=seq, index=sum(1 for a, b in zip(seq, seq[1:]) if a != b))
-
-
-def morse_index(config: Configuration, fit: CircleFit | None = None,
-                rel_tol: float = DELTA_REL_TOL) -> MorseReport:
+def morse_index(config: Configuration, fit: CircleFit | None = None) -> MorseReport:
     """Morse index of the signed area at a generic cyclic configuration.
 
     The index equals the number of adjacent sign changes in the
@@ -194,7 +186,7 @@ def morse_index(config: Configuration, fit: CircleFit | None = None,
         fit = fit_circle(config.points)
         if fit is None:
             raise InvalidConfigurationError("configuration is not cyclic; no circumcircle fits")
-    return _morse_report(subconfig_sign_sequence(config, fit, rel_tol=rel_tol))
+    return MorseReport(subconfig_sign_sequence(config, fit))
 
 
 def closed_form(config: Configuration, fit: CircleFit):
@@ -211,6 +203,6 @@ def closed_form(config: Configuration, fit: CircleFit):
         eps = edge_orientations(config.points, fit.center)
         alphas = measure_half_angles(config.points, fit)
         signs = sign_report(alphas, eps)
-        return signs, _morse_report(_sign_sequence(config, fit, eps, alphas, DELTA_REL_TOL)), None
+        return signs, MorseReport(_sign_sequence(config, fit, eps, alphas)), None
     except LinkmorseError as err:
         return signs, None, str(err)

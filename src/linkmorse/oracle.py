@@ -93,7 +93,7 @@ def constraint_values(points, linkage: Linkage) -> np.ndarray:
     return vals
 
 
-def _regular_jacobian(points, linkage: Linkage, rank_tol: float):
+def _regular_jacobian(points, linkage: Linkage):
     """Constraint Jacobian and an orthonormal tangent basis from one SVD.
 
     Raises :class:`NonRegularPointError` when the rank drops below n-1;
@@ -112,7 +112,7 @@ def _regular_jacobian(points, linkage: Linkage, rank_tol: float):
         if j >= 2:
             jac[row, 2 * (j - 2): 2 * (j - 2) + 2] -= d
     _, svals, vt = np.linalg.svd(jac, full_matrices=True)
-    if svals[-1] <= rank_tol * svals[0]:
+    if svals[-1] <= RANK_TOL * svals[0]:
         raise NonRegularPointError(
             f"constraint Jacobian rank deficient (sigma_min/sigma_max = "
             f"{svals[-1] / svals[0]:.3e})"
@@ -120,14 +120,14 @@ def _regular_jacobian(points, linkage: Linkage, rank_tol: float):
     return jac, vt[svals.size:].T
 
 
-def constraint_jacobian(points, linkage: Linkage, rank_tol: float = RANK_TOL) -> np.ndarray:
+def constraint_jacobian(points, linkage: Linkage) -> np.ndarray:
     """Jacobian of the edge constraints over the free coordinates.
 
     Shape (n-1, 2(n-2)); row i carries ``2(p_i - p_{i+1})`` in the columns of
     its free endpoints.  Raises :class:`NonRegularPointError` when the rank
     drops below n-1 (a singular point of the moduli space).
     """
-    return _regular_jacobian(points, linkage, rank_tol)[0]
+    return _regular_jacobian(points, linkage)[0]
 
 
 def _stationarity(points, jac: np.ndarray):
@@ -148,9 +148,9 @@ def criticality_residual(config: Configuration, linkage: Linkage):
     return _stationarity(config.points, constraint_jacobian(config.points, linkage))
 
 
-def tangent_basis(points, linkage: Linkage, rank_tol: float = RANK_TOL) -> np.ndarray:
+def tangent_basis(points, linkage: Linkage) -> np.ndarray:
     """Orthonormal basis of the constraint tangent space (columns), via SVD."""
-    return _regular_jacobian(points, linkage, rank_tol)[1]
+    return _regular_jacobian(points, linkage)[1]
 
 
 def projected_hessian(config: Configuration, linkage: Linkage, lam,
@@ -182,30 +182,29 @@ def projected_hessian(config: Configuration, linkage: Linkage, lam,
     return 0.5 * (proj + proj.T)
 
 
-def inertia(matrix, tol: float = EIGEN_ZERO_TOL) -> tuple:
+def inertia(matrix) -> tuple:
     """Eigenvalue inertia (negatives, zeros, positives) of a symmetric matrix."""
     mat = np.asarray(matrix, dtype=float)
     if mat.size == 0:
         return (0, 0, 0)
     evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     scale = float(np.max(np.abs(evals)))
-    cutoff = tol * scale if scale > 0.0 else tol
+    cutoff = EIGEN_ZERO_TOL * scale if scale > 0.0 else EIGEN_ZERO_TOL
     neg = int(np.sum(evals < -cutoff))
     zer = int(np.sum(np.abs(evals) <= cutoff))
     return (neg, zer, mat.shape[0] - neg - zer)
 
 
-def oracle_index(config: Configuration, linkage: Linkage,
-                 eigen_tol: float = EIGEN_ZERO_TOL) -> OracleVerdict:
+def oracle_index(config: Configuration, linkage: Linkage) -> OracleVerdict:
     """Full numerical verdict: multipliers, residual, inertia, determinant sign.
 
     ``det_sign`` is 0 when any projected eigenvalue is numerically zero, in
     which case the verdict is non-Morse and excluded from sign comparisons.
     """
-    jac, basis = _regular_jacobian(config.points, linkage, RANK_TOL)
+    jac, basis = _regular_jacobian(config.points, linkage)
     lam, residual = _stationarity(config.points, jac)
     proj = projected_hessian(config, linkage, lam, basis=basis)
-    neg, zer, pos = inertia(proj, tol=eigen_tol)
+    neg, zer, pos = inertia(proj)
     det_sign = 0 if zer else (1 if neg % 2 == 0 else -1)
     return OracleVerdict(multipliers=lam, residual=residual,
                          inertia=(neg, zer, pos), det_sign=det_sign, index=neg)

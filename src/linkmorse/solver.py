@@ -44,29 +44,28 @@ from .geometry import (
 # largest edge would be a diameter.
 _RMIN_MARGIN = 1e-12
 
-_BRENTQ_RTOL = max(1e-14, 4.0 * np.finfo(float).eps)
+# Grid points per spacing scheme of the radius scan.
+SAMPLES = 4096
+
+# Upper end of the radius scan as a multiple of the minimum radius.
+CAP_FACTOR = 1e3
+
+# Relative radius accuracy of refined roots, passed to brentq as ``rtol``
+# (which must be at least 4 machine epsilons).
+ROOT_RTOL = 1e-14
+
+# Roots of one (E, k) pair closer than this (relative) are merged.
+MERGE_RTOL = 1e-10
+
+# Flag threshold for central edges, near-flipped edges and delta zeros.
+DEGENERACY_TOL = 1e-7
+
+# |F| accepted at a double (delta-zero) root.
+RESIDUAL_TOL = 1e-9
 
 # Allowed absolute defect of the angular closure sum(2 eps_i alpha_i) = 2 pi k
 # when rebuilding vertices from a descriptor.
 CLOSURE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tunables for the radius scan and degeneracy bookkeeping."""
-
-    samples: int = 4096          # grid points per spacing scheme
-    cap_factor: float = 1e3      # upper scan bound as a multiple of min_radius
-    root_rtol: float = 1e-14     # relative radius accuracy of refined roots
-    dedup_rtol: float = 1e-10    # merge roots closer than this (relative)
-    degeneracy_tol: float = 1e-7 # flag threshold for central/flip/delta-zero
-    residual_tol: float = 1e-9   # |F| accepted at a double (delta-zero) root
-
-    def __post_init__(self):
-        if self.samples < 16:
-            raise ValueError("samples must be at least 16")
-        if self.cap_factor <= 1.0:
-            raise ValueError("cap_factor must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -202,26 +201,26 @@ def delta_at_radius(linkage: Linkage, eps, r: float) -> float:
     return float(e @ tangents)
 
 
-def degeneracy_flags(linkage: Linkage, eps, r: float, tol: float = 1e-7) -> DegeneracyFlags:
-    """Deterministic near-degeneracy flags for (L, E, r) at tolerance ``tol``."""
+def degeneracy_flags(linkage: Linkage, eps, r: float) -> DegeneracyFlags:
+    """Deterministic near-degeneracy flags for (L, E, r) at :data:`DEGENERACY_TOL`."""
     lengths = linkage.lengths
-    central = tuple(bool(2.0 * r - l <= tol * r) for l in lengths)
+    central = tuple(bool(2.0 * r - l <= DEGENERACY_TOL * r) for l in lengths)
     alphas = np.arcsin(np.clip(lengths / (2.0 * r), 0.0, 1.0))
-    near_flip = tuple(bool(a < tol) for a in alphas)
+    near_flip = tuple(bool(a < DEGENERACY_TOL) for a in alphas)
     delta = delta_at_radius(linkage, eps, r)
     return DegeneracyFlags(central=central, near_flip=near_flip,
-                           delta_zero=bool(math.isfinite(delta) and abs(delta) < tol))
+                           delta_zero=bool(math.isfinite(delta) and abs(delta) < DEGENERACY_TOL))
 
 
-def _radius_grid(linkage: Linkage, opts: SolverOptions) -> np.ndarray:
+def _radius_grid(linkage: Linkage) -> np.ndarray:
     """Bracketing grid: geometric spacing over the full range plus a grid
     uniform in the largest half-angle, which resolves the steep region just
     above the minimum radius."""
     r_min = linkage.min_radius
     lo = r_min * (1.0 + _RMIN_MARGIN)
-    hi = r_min * opts.cap_factor
-    geometric = np.geomspace(lo, hi, opts.samples)
-    u = np.linspace(math.asin(r_min / hi), 0.5 * math.pi * (1.0 - _RMIN_MARGIN), opts.samples)
+    hi = r_min * CAP_FACTOR
+    geometric = np.geomspace(lo, hi, SAMPLES)
+    u = np.linspace(math.asin(r_min / hi), 0.5 * math.pi * (1.0 - _RMIN_MARGIN), SAMPLES)
     steep = r_min / np.sin(u[::-1])
     grid = np.clip(np.concatenate([geometric, steep]), lo, hi)
     return np.unique(grid)
@@ -248,17 +247,16 @@ def _bracket_masks(values: np.ndarray):
     return isolated, (pos[..., :-1] & neg[..., 1:]) | (neg[..., :-1] & pos[..., 1:])
 
 
-def _merge_radii(radii: list, rtol: float) -> list:
+def _merge_radii(radii: list) -> list:
     merged = []
     for r in sorted(radii):
-        if not merged or abs(r - merged[-1]) > rtol * r:
+        if not merged or abs(r - merged[-1]) > MERGE_RTOL * r:
             merged.append(r)
     return merged
 
 
 def _scan_string(linkage: Linkage, grid: np.ndarray, alphas_tab: np.ndarray,
-                 tangents_tab: np.ndarray, eps: OrientationString, ks: np.ndarray,
-                 opts: SolverOptions) -> list:
+                 tangents_tab: np.ndarray, eps: OrientationString, ks: np.ndarray) -> list:
     """Merged root radii of F for one orientation string, one sorted list per
     winding number in ``ks``.
 
@@ -267,7 +265,6 @@ def _scan_string(linkage: Linkage, grid: np.ndarray, alphas_tab: np.ndarray,
     bracketing.  Double roots (where F and delta vanish together) are
     recovered by locating the zeros of delta and testing |F| there.
     """
-    rtol = max(opts.root_rtol, _BRENTQ_RTOL)
     xtol = linkage.min_radius * 1e-15
     e_arr = eps.array
     f_tab = (alphas_tab @ e_arr)[None, :] - math.pi * ks[:, None]
@@ -279,7 +276,7 @@ def _scan_string(linkage: Linkage, grid: np.ndarray, alphas_tab: np.ndarray,
     for j, i in zip(*np.divmod(np.flatnonzero(changes), changes.shape[1])):
         k = int(ks[j])
         radii[j].append(float(brentq(lambda r: f_value(linkage, eps, k, r), grid[i], grid[i + 1],
-                                     xtol=xtol, rtol=rtol)))
+                                     xtol=xtol, rtol=ROOT_RTOL)))
 
     # Double roots hide at interior extrema of F, i.e. zeros of delta.
     d_vals = tangents_tab @ e_arr
@@ -289,17 +286,17 @@ def _scan_string(linkage: Linkage, grid: np.ndarray, alphas_tab: np.ndarray,
     zeros, changes = _bracket_masks(d_vals)
     extrema = [float(r) for r in grid[zeros]]
     extrema.extend(float(brentq(lambda r: delta_at_radius(linkage, eps, r), grid[i], grid[i + 1],
-                                xtol=xtol, rtol=rtol))
+                                xtol=xtol, rtol=ROOT_RTOL))
                    for i in np.flatnonzero(changes))
     for r in extrema:
         closure = f_value(linkage, eps, 0, r)
-        for j in np.nonzero(np.abs(closure - math.pi * ks) <= opts.residual_tol)[0]:
+        for j in np.nonzero(np.abs(closure - math.pi * ks) <= RESIDUAL_TOL)[0]:
             radii[j].append(r)
 
-    return [_merge_radii(rs, opts.dedup_rtol) for rs in radii]
+    return [_merge_radii(rs) for rs in radii]
 
 
-def solve_radii(linkage: Linkage, eps, k: int, opts: SolverOptions | None = None) -> list:
+def solve_radii(linkage: Linkage, eps, k: int) -> list:
     """All radii solving F(r) = 0 for one (E, k) pair, with degeneracy flags.
 
     Returns ``[(r, DegeneracyFlags), ...]`` sorted by radius.  Sign changes of
@@ -307,12 +304,11 @@ def solve_radii(linkage: Linkage, eps, k: int, opts: SolverOptions | None = None
     (where F and delta vanish together) are recovered by locating the zeros
     of delta and testing |F| there, and arrive flagged ``delta_zero``.
     """
-    opts = opts or SolverOptions()
     eps = eps if isinstance(eps, OrientationString) else OrientationString(tuple(eps))
-    grid = _radius_grid(linkage, opts)
+    grid = _radius_grid(linkage)
     alphas, tangents = _angle_tables(linkage, grid)
-    (radii,) = _scan_string(linkage, grid, alphas, tangents, eps, np.array([k]), opts)
-    return [(r, degeneracy_flags(linkage, eps, r, opts.degeneracy_tol)) for r in radii]
+    (radii,) = _scan_string(linkage, grid, alphas, tangents, eps, np.array([k]))
+    return [(r, degeneracy_flags(linkage, eps, r)) for r in radii]
 
 
 def reconstruct(linkage: Linkage, desc: CyclicDescriptor) -> Configuration:
@@ -359,7 +355,7 @@ def _orientation_consistent(config: Configuration, desc: CyclicDescriptor,
     return all(g == d or c for g, d, c in zip(geo.eps, desc.eps.eps, flags.central))
 
 
-def enumerate_cyclic(linkage: Linkage, opts: SolverOptions | None = None) -> list:
+def enumerate_cyclic(linkage: Linkage) -> list:
     """Every cyclic configuration of the linkage.
 
     Scans the 2^(n-1) orientation strings with ``eps_1 = +1`` against all
@@ -374,20 +370,19 @@ def enumerate_cyclic(linkage: Linkage, opts: SolverOptions | None = None) -> lis
 
     Returns a list of :class:`CyclicConfiguration`.
     """
-    opts = opts or SolverOptions()
     n = linkage.n
-    grid = _radius_grid(linkage, opts)
+    grid = _radius_grid(linkage)
     alphas_tab, tangents_tab = _angle_tables(linkage, grid)
     items = []
 
     for tail in itertools.product((1, -1), repeat=n - 1):
         eps = OrientationString((1,) + tail)
         ks = np.array(list(_feasible_windings(n, eps.positive_count)), dtype=int)
-        roots = _scan_string(linkage, grid, alphas_tab, tangents_tab, eps, ks, opts)
+        roots = _scan_string(linkage, grid, alphas_tab, tangents_tab, eps, ks)
         for string, sign in ((eps, 1), (eps.mirrored(), -1)):
             for k, radii in zip(ks, roots):
                 for r in radii:
-                    flags = degeneracy_flags(linkage, string, r, opts.degeneracy_tol)
+                    flags = degeneracy_flags(linkage, string, r)
                     desc = CyclicDescriptor.from_radius(linkage, string, sign * int(k), r)
                     config = reconstruct(linkage, desc)
                     if _orientation_consistent(config, desc, flags):

@@ -64,6 +64,7 @@ def test_artifact_output_is_deterministic():
     first = dump_json(enumeration_dict(PENTA, analyze_linkage(PENTA), seed=1))
     second = dump_json(enumeration_dict(PENTA, analyze_linkage(PENTA), seed=1))
     assert first == second
+    assert json.loads(first)["tolerances"] == {"root_rtol": 1e-14, "degeneracy": 1e-07, "closure": 1e-09}
 
 
 def test_verify_accepts_clean_artifact(pentagon_analyses):

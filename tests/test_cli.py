@@ -83,9 +83,27 @@ def test_verify_clean_artifact(pentagon_artifact, capsys):
     assert "14/14 agree (0 flagged)" in captured.out
 
 
-def test_verify_rejects_enumeration_tolerances(pentagon_artifact, capsys):
+REMOVED_FLAGS = [
+    ("verify", "--tol-degen", "1e-3"),
+    ("enumerate", "--samples", "8"),
+    ("enumerate", "--cap-factor", "1"),
+    ("enumerate", "--tol-root", "1e-20"),
+    ("enumerate", "--tol-degen", "1e-3"),
+    ("enumerate", "--tol-eig", "1e-3"),
+    ("verify", "--tol-eig", "1e-3"),
+    ("index", "--tol-fit", "1e-3"),
+    ("deform", "--tol-fit", "1e-3"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS,
+                         ids=[command + flag for command, flag, _ in REMOVED_FLAGS])
+def test_verify_rejects_enumeration_tolerances(pentagon_artifact, command, flag, value, capsys):
+    """The tolerances are fixed constants: no command takes one as a flag."""
+    inputs = {"deform": ["-a", str(pentagon_artifact), "-b", str(pentagon_artifact)]}
+    argv = [command] + inputs.get(command, ["-i", str(pentagon_artifact)]) + [flag, value]
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "-i", str(pentagon_artifact), "--tol-degen", "1e-3"])
+        main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

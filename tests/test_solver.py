@@ -26,7 +26,8 @@ from linkmorse import (
     validate_configuration,
 )
 from linkmorse.solver import (
-    SolverOptions,
+    RESIDUAL_TOL,
+    ROOT_RTOL,
     _angle_tables,
     _dedup_vertex_sets,
     _feasible_windings,
@@ -262,10 +263,9 @@ def test_enumeration_closure_defects_small():
 def _reference_enumerate(linkage):
     """The full 2^n scan, one (E, k) pair at a time, with pairwise dedup: the
     reference the half scan with mirror reuse must reproduce bit for bit."""
-    opts = SolverOptions()
-    grid = _radius_grid(linkage, opts)
+    grid = _radius_grid(linkage)
     alphas_tab, tangents_tab = _angle_tables(linkage, grid)
-    xtol, rtol = linkage.min_radius * 1e-15, max(opts.root_rtol, 4.0 * np.finfo(float).eps)
+    xtol, rtol = linkage.min_radius * 1e-15, max(ROOT_RTOL, 4.0 * np.finfo(float).eps)
 
     def roots(values, func):
         signs = np.sign(values)
@@ -283,9 +283,9 @@ def _reference_enumerate(linkage):
         extrema = roots(d_vals, lambda r: delta_at_radius(linkage, eps, r))
         for k in _feasible_windings(linkage.n, sum(v > 0 for v in eps)):
             radii = roots(alphas_tab @ e_arr - math.pi * k, lambda r: f_value(linkage, eps, k, r))
-            radii.extend(r for r in extrema if abs(f_value(linkage, eps, k, r)) <= opts.residual_tol)
-            for r in _merge_radii(radii, opts.dedup_rtol):
-                flags = degeneracy_flags(linkage, eps, r, opts.degeneracy_tol)
+            radii.extend(r for r in extrema if abs(f_value(linkage, eps, k, r)) <= RESIDUAL_TOL)
+            for r in _merge_radii(radii):
+                flags = degeneracy_flags(linkage, eps, r)
                 desc = CyclicDescriptor.from_radius(linkage, eps, k, r)
                 config = reconstruct(linkage, desc)
                 if _orientation_consistent(config, desc, flags):
