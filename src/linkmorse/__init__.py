@@ -53,9 +53,7 @@ from .morse import (
     MorseReport,
     SignReport,
     closed_form,
-    closing_chord,
     delta,
-    hessian_sign,
     morse_index,
     sign_report,
     subconfig_sign_sequence,

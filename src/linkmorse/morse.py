@@ -7,6 +7,19 @@ of the orientation string.  The Morse index is the number of sign changes in
 the sequence of these determinant signs taken over the nested
 subconfigurations ``(p_1..p_3), (p_1..p_4), ..., (p_1..p_n)``, each closed by
 the chord back to ``p_1`` and seeded with +1 for the triangle.
+
+The sequence depends on the combinatorics ``eps`` and the metric
+characterization ``alpha`` alone.  For ``P_i`` with ``4 <= i < n`` let
+``S``, ``T`` and ``P`` be the sums over its first ``i - 1`` edges of
+``eps * alpha``, ``eps * tan(alpha)`` and ``[eps > 0]``.  The closing chord
+spans the central angle ``2 S``, so it has ``eps_c * tan(alpha_c) = -tan(S)``
+and ``eps_c = +1`` iff ``(-S) mod pi < pi/2``; hence
+
+    h_i = -sign(T - tan S) * (-1)**(P + [(-S) mod pi < pi/2]).
+
+Its length is ``2 r |sin S|``: it vanishes at ``S = 0`` and is a diameter at
+``S = pi/2`` (mod pi), and both are refused.  ``P_n`` closes with its own last
+edge and uses the full sums.
 """
 
 from __future__ import annotations
@@ -36,9 +49,8 @@ from .geometry import (
 # determinant sign rule is undefined on the delta = 0 boundary.
 DELTA_REL_TOL = 1e-9
 
-# Relative slack for chord degeneracy tests (vanishing or diametral chords,
-# chords through the center), and the distance below pi/2 at which a
-# half-angle makes its edge a diameter.
+# Relative slack for chord degeneracy tests (vanishing or diametral chords),
+# and the distance below pi/2 at which a half-angle makes its edge a diameter.
 CHORD_TOL = 1e-9
 
 
@@ -94,18 +106,6 @@ def delta(alphas, eps) -> float:
     return float(eps.array @ np.tan(al))
 
 
-def hessian_sign(eps, delta_value: float, tol: float = 0.0) -> int:
-    """Hessian determinant sign ``-sign(delta) * (-1)**e``.
-
-    ``tol`` is an absolute floor on |delta| below which the configuration is
-    declared non-generic (the sign rule has no value on the boundary).
-    """
-    eps = eps if isinstance(eps, OrientationString) else OrientationString(tuple(eps))
-    if abs(delta_value) <= tol or delta_value == 0.0:
-        raise NonGenericError(f"delta = {delta_value:.3e} is on the degeneracy boundary")
-    return determinant_sign(1 if delta_value > 0.0 else -1, eps.positive_count)
-
-
 def sign_report(alphas, eps) -> SignReport:
     """Determinant-sign report with a scale-aware genericity guard on delta."""
     eps = eps if isinstance(eps, OrientationString) else OrientationString(tuple(eps))
@@ -116,63 +116,52 @@ def sign_report(alphas, eps) -> SignReport:
     return SignReport(delta=value, d=1 if value > 0.0 else -1, e=eps.positive_count)
 
 
-def closing_chord(config: Configuration, fit: CircleFit, i: int):
-    """Length, orientation, and half-angle of the chord ``p_i -> p_1`` that
-    closes the subconfiguration ``(p_1, ..., p_i)``.
-
-    Valid for 3 <= i <= n - 1.  Raises when the chord vanishes (consecutive
-    subconfiguration endpoints coincide) or runs through the center.
-    """
-    n = config.n
-    if not 3 <= i <= n - 1:
-        raise InvalidConfigurationError(f"chord index must satisfy 3 <= i <= {n - 1}, got {i}")
-    a = config.points[i - 1]
-    b = config.points[0]
-    chord = b - a
-    length = float(np.hypot(*chord))
-    r = fit.radius
-    if length <= CHORD_TOL * r:
-        raise VanishingChordError(f"chord p_{i} -> p_1 has vanishing length", index=i)
-    if abs(length - 2.0 * r) <= CHORD_TOL * r:
-        raise CentralConfigurationError(f"chord p_{i} -> p_1 is a diameter", index=i)
-    w = fit.center - a
-    cross = chord[0] * w[1] - chord[1] * w[0]
-    if abs(cross) <= CHORD_TOL * length * r:
-        raise CentralConfigurationError(f"chord p_{i} -> p_1 runs through the center", index=i)
-    eps = 1 if cross > 0.0 else -1
-    alpha = math.asin(min(length / (2.0 * r), 1.0))
-    return length, eps, alpha
-
-
 def subconfig_sign_sequence(config: Configuration, fit: CircleFit) -> tuple:
-    """Determinant signs of the nested subconfigurations P_3 .. P_n.
-
-    Entry 0 is +1 by convention.  For 4 <= i < n the subconfiguration closes
-    with the chord ``p_i -> p_1``; for i = n the actual last edge already
-    closes the polygon and no chord is added.  Degeneracies are reported with
-    the offending subconfiguration index attached.
+    """Determinant signs of the nested subconfigurations P_3 .. P_n, from the
+    orientations and half-angles measured once from the points and the circle.
     """
-    return _sign_sequence(config, fit, edge_orientations(config.points, fit.center),
+    return _sign_sequence(edge_orientations(config.points, fit.center),
                           measure_half_angles(config.points, fit))
 
 
-def _sign_sequence(config: Configuration, fit: CircleFit, eps_full: OrientationString,
-                   alphas_full: np.ndarray) -> tuple:
-    n = config.n
-    signs = [1]
-    for i in range(4, n + 1):
-        if i < n:
-            _, chord_eps, chord_alpha = closing_chord(config, fit, i)
-            eps_i = tuple(eps_full.eps[: i - 1]) + (chord_eps,)
-            alphas_i = np.append(alphas_full[: i - 1], chord_alpha)
-        else:
-            eps_i = eps_full.eps
-            alphas_i = alphas_full
+def _sign_sequence(eps: OrientationString, alphas: np.ndarray) -> tuple:
+    """Sign sequence of P_3 .. P_n from prefix sums of ``(eps, alpha)``.
+
+    Entry 0 is +1 by convention.  For 4 <= i < n the closing chord of P_i is
+    read off the sums over its first i - 1 edges (see the module docstring);
+    entry n is the full polygon's sign.  Degeneracies are reported with the
+    offending subconfiguration index attached.
+    """
+    n = len(eps)
+    e, tans = eps.array, np.tan(alphas)
+    first = slice(2, n - 2)  # sums over the first i - 1 edges, i = 4 .. n - 1
+    s = np.cumsum(e * alphas)[first]
+    sin_s, tan_s = np.abs(np.sin(s)), np.tan(s)
+    values = np.cumsum(e * tans)[first] - tan_s
+    scales = np.cumsum(tans)[first] + np.abs(tan_s)
+    vanishing = 2.0 * sin_s <= CHORD_TOL
+    diameter = 2.0 * (1.0 - sin_s) <= CHORD_TOL
+    diameter_edge = np.maximum.accumulate(alphas)[first] >= 0.5 * math.pi - CHORD_TOL
+    small = np.abs(values) < DELTA_REL_TOL * scales
+    bad = np.flatnonzero(vanishing | diameter | diameter_edge | small)
+    if bad.size:
+        j = int(bad[0])
+        i = j + 4
+        if vanishing[j]:
+            raise VanishingChordError(f"chord p_{i} -> p_1 has vanishing length", index=i)
+        if diameter[j]:
+            raise CentralConfigurationError(f"chord p_{i} -> p_1 is a diameter", index=i)
+        if diameter_edge[j]:
+            delta(alphas, eps)  # raises, naming the first edge that is a diameter
+        raise NonGenericError(f"subconfiguration P_{i}: |delta| = {abs(values[j]):.3e} "
+                              f"below {DELTA_REL_TOL:.1e} * {scales[j]:.3e}", index=i)
+    positives = np.cumsum(e > 0.0)[first] + (np.mod(-s, math.pi) < 0.5 * math.pi)
+    signs = [1] + determinant_sign(np.where(values > 0.0, 1, -1), positives).tolist()
+    if n > 3:
         try:
-            report = sign_report(alphas_i, eps_i)
+            signs.append(sign_report(alphas, eps).h_sign)
         except NonGenericError as err:
-            raise NonGenericError(f"subconfiguration P_{i}: {err}", index=i) from err
-        signs.append(report.h_sign)
+            raise NonGenericError(f"subconfiguration P_{n}: {err}", index=n) from err
     return tuple(signs)
 
 
@@ -203,6 +192,6 @@ def closed_form(config: Configuration, fit: CircleFit):
         eps = edge_orientations(config.points, fit.center)
         alphas = measure_half_angles(config.points, fit)
         signs = sign_report(alphas, eps)
-        return signs, MorseReport(_sign_sequence(config, fit, eps, alphas)), None
+        return signs, MorseReport(_sign_sequence(eps, alphas)), None
     except LinkmorseError as err:
         return signs, None, str(err)

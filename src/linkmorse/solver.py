@@ -7,12 +7,11 @@ carries a closed inscribed realization of the linkage exactly when
 
 with dF/dr = -delta / r where ``delta = sum_i eps_i tan(alpha_i)``.  The
 solver samples F over a bracketing grid of r for one orientation string and
-all its feasible windings at once, refines each sign change, rebuilds vertex
-coordinates from the root, and filters the results for orientation
-consistency.  Only the strings with ``eps_1 = +1`` are scanned: the mirror
-string ``(-E, -k)`` has ``F_{-E,-k} = -F_{E,k}`` exactly in floating point,
-so it reuses the same roots.  Vertex sets within ``1e-8 * perimeter`` (max
-norm) of an earlier one are dropped as duplicates.
+all its feasible windings at once, refines each sign change and rebuilds
+vertex coordinates from the root.  Only the strings with ``eps_1 = +1`` are
+scanned: the mirror string ``(-E, -k)`` has ``F_{-E,-k} = -F_{E,k}`` exactly
+in floating point, so it reuses the same roots.  Vertex sets within
+``1e-8 * perimeter`` (max norm) of an earlier one are dropped as duplicates.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
-    CentralConfigurationError,
     InconsistentDescriptorError,
     NotInscribableError,
     SingularDerivativeError,
@@ -37,7 +35,6 @@ from .geometry import (
     Linkage,
     OrientationString,
     _readonly,
-    edge_orientations,
 )
 
 # Relative gap keeping the scan strictly above the minimum radius, where the
@@ -344,17 +341,6 @@ def _feasible_windings(n: int, positives: int):
             yield k
 
 
-def _orientation_consistent(config: Configuration, desc: CyclicDescriptor,
-                            flags: DegeneracyFlags) -> bool:
-    """Geometric orientation of the rebuilt vertices must reproduce the
-    descriptor's string; edges flagged central are exempt."""
-    try:
-        geo = edge_orientations(config.points, desc.center)
-    except CentralConfigurationError as err:
-        return flags.central[err.index - 1] if err.index else False
-    return all(g == d or c for g, d, c in zip(geo.eps, desc.eps.eps, flags.central))
-
-
 def enumerate_cyclic(linkage: Linkage) -> list:
     """Every cyclic configuration of the linkage.
 
@@ -362,11 +348,13 @@ def enumerate_cyclic(linkage: Linkage) -> list:
     their feasible winding numbers at once and reuses each string's roots for
     its mirror ``(-E, -k)``: ``F_{-E,-k} = -F_{E,k}`` holds exactly in
     floating point, so the mirror's brackets and refined roots are
-    bit-identical.  Every root of either string is flagged, reconstructed and
-    dropped when its rebuilt orientations disagree with the string.  Results
-    are sorted by (winding, orientation string, radius); an item whose
-    vertices all lie within ``1e-8 * perimeter`` (max norm) of an earlier
-    kept item is dropped as a duplicate.
+    bit-identical.  Every root of either string is flagged and reconstructed;
+    the rebuilt vertices keep the string's orientations, since
+    ``reconstruct`` steps by ``2 eps_i alpha_i`` with ``alpha_i < pi/2`` on
+    every edge not flagged central.  Results are sorted by (winding,
+    orientation string, radius); an item whose vertices all lie within
+    ``1e-8 * perimeter`` (max norm) of an earlier kept item is dropped as a
+    duplicate.
 
     Returns a list of :class:`CyclicConfiguration`.
     """
@@ -384,9 +372,7 @@ def enumerate_cyclic(linkage: Linkage) -> list:
                 for r in radii:
                     flags = degeneracy_flags(linkage, string, r)
                     desc = CyclicDescriptor.from_radius(linkage, string, sign * int(k), r)
-                    config = reconstruct(linkage, desc)
-                    if _orientation_consistent(config, desc, flags):
-                        items.append(CyclicConfiguration(desc, config, flags))
+                    items.append(CyclicConfiguration(desc, reconstruct(linkage, desc), flags))
 
     items.sort(key=lambda it: (it.descriptor.winding, it.descriptor.eps.eps, it.descriptor.radius))
     return _dedup_vertex_sets(items, linkage)

@@ -1,6 +1,7 @@
 """Closed-form sign rules and the subconfiguration Morse index."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,16 +12,16 @@ from linkmorse import (
     Configuration,
     CyclicDescriptor,
     Linkage,
-    closing_chord,
     delta,
+    edge_orientations,
     enumerate_cyclic,
-    fit_circle,
-    hessian_sign,
+    measure_half_angles,
     morse_index,
     reconstruct,
     sign_report,
     subconfig_sign_sequence,
 )
+from linkmorse.morse import CHORD_TOL, determinant_sign
 from linkmorse.errors import (
     CentralConfigurationError,
     InvalidConfigurationError,
@@ -29,7 +30,6 @@ from linkmorse.errors import (
 )
 
 PENTA_L = Linkage([1, 1, 1, 1, 1])
-GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def _regular(winding=1, ccw=True):
@@ -56,17 +56,14 @@ def test_delta_rejects_central_half_angle():
         delta([math.pi / 2, 0.3, 0.3], (1, 1, 1))
 
 
-def test_hessian_sign_formula():
-    assert hessian_sign((1, 1, 1, 1, 1), 2.5) == 1      # e = 5, d = +1
-    assert hessian_sign((1, 1, 1, 1), 4.0) == -1        # e = 4, d = +1
-    assert hessian_sign((-1, -1, -1, -1, -1), -2.5) == 1  # e = 0, d = -1
+@pytest.mark.parametrize("d, e, expected", [(1, 5, 1), (1, 4, -1), (-1, 0, 1)])
+def test_determinant_sign_formula(d, e, expected):
+    assert determinant_sign(d, e) == expected
 
 
-def test_hessian_sign_rejects_boundary():
+def test_sign_report_rejects_zero_delta():
     with pytest.raises(NonGenericError):
-        hessian_sign((1, 1, 1, 1), 0.0)
-    with pytest.raises(NonGenericError):
-        hessian_sign((1, 1, 1, 1), 1e-12, tol=1e-9)
+        sign_report([0.3, 0.5, 0.3, 0.5], (1, 1, -1, -1))
 
 
 def test_sign_report_invariant():
@@ -76,33 +73,21 @@ def test_sign_report_invariant():
     assert report.h_sign == -report.d * (-1) ** report.e == 1
 
 
-def test_closing_chord_regular_pentagon():
-    config, fit = _regular()
-    length, eps, alpha = closing_chord(config, fit, 4)
-    assert length == pytest.approx(GOLDEN, abs=1e-12)
-    assert eps == 1
-    assert alpha == pytest.approx(math.radians(72.0), abs=1e-12)
+def test_regular_hexagon_p4_chord_is_diameter():
+    pts, center, radius = regular_polygon_points(6)
+    with pytest.raises(CentralConfigurationError) as info:
+        subconfig_sign_sequence(Configuration(pts), CircleFit(center=center, radius=radius))
+    assert info.value.index == 4
 
 
-def test_closing_chord_regular_pentagram():
-    config, fit = _regular(winding=2)
-    length, eps, alpha = closing_chord(config, fit, 4)
-    assert length == pytest.approx(GOLDEN - 1.0, abs=1e-12)
-    assert eps == -1
-    assert alpha == pytest.approx(math.radians(36.0), abs=1e-12)
-
-
-def test_closing_chord_square_diagonal_is_diameter():
-    pts = np.array([(0.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)])
-    fit = fit_circle(pts)
-    with pytest.raises(CentralConfigurationError):
-        closing_chord(Configuration(pts), fit, 3)
-
-
-def test_closing_chord_index_bounds():
-    config, fit = _regular()
-    with pytest.raises(InvalidConfigurationError):
-        closing_chord(config, fit, 5)  # i = n closes with the real last edge
+def test_diameter_edge_is_refused_before_a_later_chord():
+    # edge 1 passes 5e-9 r off the center, so its measured half-angle rounds
+    # to pi/2; P_4 holds that edge and is refused before P_5's diameter chord
+    theta = np.array([0.0, math.pi + 5e-9, 2.0, 2.8, math.pi, 4.0])
+    pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    with pytest.raises(CentralConfigurationError) as info:
+        subconfig_sign_sequence(Configuration(pts), CircleFit(center=(0.0, 0.0), radius=1.0))
+    assert info.value.index == 1
 
 
 def test_sequence_convex_pentagon():
@@ -182,3 +167,66 @@ def test_mirror_duality_on_enumerated_configurations():
             m = morse_index(item.configuration, item.descriptor.circle).index
             m_mirror = morse_index(partner.configuration, partner.descriptor.circle).index
             assert m + m_mirror == n - 3
+
+
+def _geometric_sign_sequence(config, fit):
+    """The sign sequence measured the old way: each chord ``p_i -> p_1`` is
+    taken from the points and every subpolygon gets its own sign report."""
+    eps = edge_orientations(config.points, fit.center).eps
+    alphas = measure_half_angles(config.points, fit)
+    n, r = config.n, fit.radius
+    signs = [1]
+    for i in range(4, n + 1):
+        if i < n:
+            a = config.points[i - 1]
+            chord = config.points[0] - a
+            length = float(np.hypot(*chord))
+            if length <= CHORD_TOL * r:
+                raise VanishingChordError(f"chord p_{i} -> p_1 has vanishing length", index=i)
+            if abs(length - 2.0 * r) <= CHORD_TOL * r:
+                raise CentralConfigurationError(f"chord p_{i} -> p_1 is a diameter", index=i)
+            w = fit.center - a
+            cross = chord[0] * w[1] - chord[1] * w[0]
+            if abs(cross) <= CHORD_TOL * length * r:
+                raise CentralConfigurationError(f"chord p_{i} -> p_1 runs through the center",
+                                                index=i)
+            eps_i = eps[: i - 1] + ((1 if cross > 0.0 else -1),)
+            alphas_i = np.append(alphas[: i - 1], math.asin(min(length / (2.0 * r), 1.0)))
+        else:
+            eps_i, alphas_i = eps, alphas
+        try:
+            signs.append(sign_report(alphas_i, eps_i).h_sign)
+        except NonGenericError as err:
+            raise NonGenericError(f"subconfiguration P_{i}: {err}", index=i) from err
+    return tuple(signs)
+
+
+def _outcome(sequence, config, fit):
+    """The sequence, or the refusal: class, index and text, with the rounding
+    digits of a |delta| value masked."""
+    try:
+        return sequence(config, fit)
+    except (CentralConfigurationError, NonGenericError, VanishingChordError) as err:
+        return type(err).__name__, err.index, re.sub(r"\|delta\| = \S+", "|delta| = _", str(err))
+
+
+def _prefix_sum_fixtures():
+    yield from (Linkage([1] * n) for n in range(4, 9))
+    yield Linkage([1, 2, 1, 2, 1, 2])
+    rng = np.random.default_rng(29)
+    yield from (random_linkage(rng, n) for n in range(5, 11))
+
+
+def test_prefix_sums_match_geometric_chords():
+    outcomes = []
+    for linkage in _prefix_sum_fixtures():
+        for item in enumerate_cyclic(linkage):
+            if item.flags.any:
+                continue
+            config, fit = item.configuration, item.descriptor.circle
+            expected = _outcome(_geometric_sign_sequence, config, fit)
+            assert _outcome(subconfig_sign_sequence, config, fit) == expected
+            outcomes.append(expected)
+    kinds = {o[0] for o in outcomes if isinstance(o[0], str)}
+    assert len(outcomes) > 900
+    assert kinds == {"CentralConfigurationError", "NonGenericError", "VanishingChordError"}

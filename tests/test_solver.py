@@ -32,12 +32,15 @@ from linkmorse.solver import (
     _dedup_vertex_sets,
     _feasible_windings,
     _merge_radii,
-    _orientation_consistent,
     _radius_grid,
     degeneracy_flags,
     delta_at_radius,
 )
-from linkmorse.errors import InconsistentDescriptorError, SolverDomainError
+from linkmorse.errors import (
+    CentralConfigurationError,
+    InconsistentDescriptorError,
+    SolverDomainError,
+)
 
 SQUARE_L = Linkage([1, 1, 1, 1])
 PENTA_L = Linkage([1, 1, 1, 1, 1])
@@ -260,9 +263,20 @@ def test_enumeration_closure_defects_small():
         assert defect * item.descriptor.radius < 1e-9 * linkage.perimeter
 
 
+def _orientation_consistent(config, desc, flags):
+    """The orientation filter the enumeration used to apply: the rebuilt
+    vertices must reproduce the descriptor's string, central edges exempt."""
+    try:
+        geo = edge_orientations(config.points, desc.center)
+    except CentralConfigurationError as err:
+        return flags.central[err.index - 1] if err.index else False
+    return all(g == d or c for g, d, c in zip(geo.eps, desc.eps.eps, flags.central))
+
+
 def _reference_enumerate(linkage):
-    """The full 2^n scan, one (E, k) pair at a time, with pairwise dedup: the
-    reference the half scan with mirror reuse must reproduce bit for bit."""
+    """The full 2^n scan, one (E, k) pair at a time, with the orientation
+    filter and pairwise dedup: the reference the half scan with mirror reuse
+    and no filter must reproduce bit for bit."""
     grid = _radius_grid(linkage)
     alphas_tab, tangents_tab = _angle_tables(linkage, grid)
     xtol, rtol = linkage.min_radius * 1e-15, max(ROOT_RTOL, 4.0 * np.finfo(float).eps)
