@@ -186,7 +186,7 @@ def load_enumeration(text: str):
     data = json.loads(text)
     if not isinstance(data, dict) or "lengths" not in data or "configurations" not in data:
         raise LinkmorseError("enumeration JSON must carry 'lengths' and 'configurations'")
-    linkage = Linkage(np.asarray(data["lengths"], dtype=float))
+    linkage = Linkage(data["lengths"])
     records = data["configurations"]
     if not isinstance(records, list):
         raise LinkmorseError("'configurations' must be an array")
@@ -236,19 +236,30 @@ def verify_record(linkage: Linkage, record: dict) -> VerificationRow:
     the recorded orientation string.  Flagged records are reported but exempt
     from the agreement requirement.  Everything else is read off
     :func:`analyze_configuration` of the record, whose ``agree`` compares the
-    determinant sign always and the index where its formula applies.
+    determinant sign always and the index where its formula applies.  A
+    record that is not an object, or has a missing or mistyped field, fails
+    as malformed.
     """
+    if not isinstance(record, dict):
+        return _fail(f"malformed record: expected an object, got {type(record).__name__}")
     try:
-        config = Configuration(np.asarray(record["points"], dtype=float))
+        config = Configuration(record["points"])
         raw_flags = record.get("flags", {})
         flags = DegeneracyFlags(central=tuple(raw_flags.get("central", [])),
                                 near_flip=tuple(raw_flags.get("near_flip", [])),
                                 delta_zero=bool(raw_flags.get("delta_zero")))
+        center = np.asarray(record["center"], dtype=float).reshape(2)
+        radius = float(record["r"])
+        eps = OrientationString(tuple(record["eps"]))
+        winding = int(record["k"])
+    except LinkmorseError as err:
+        return _fail(str(err))
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        return _fail(f"malformed record: {type(err).__name__}: {err}")
+    try:
         violations = validate_configuration(linkage, config.points, tol=INPUT_TOL)
         if violations:
             return _fail(f"constraint violations: {violations[0]}")
-        center = np.asarray(record["center"], dtype=float).reshape(2)
-        radius = float(record["r"])
         if not radius > 0.0:
             return _fail(f"recorded radius {radius} is not positive")
         dist = np.linalg.norm(config.points - center[None, :], axis=1)
@@ -263,9 +274,8 @@ def verify_record(linkage: Linkage, record: dict) -> VerificationRow:
                                    index=None, formula_index=None, agree=True,
                                    flagged=True, note="flagged, excluded")
         # half-angles from the chord relation, as the solver builds them
-        eps = OrientationString(tuple(record["eps"]))
         alphas = np.arcsin(np.clip(linkage.lengths / (2.0 * radius), 0.0, 1.0))
-        desc = CyclicDescriptor(radius=radius, winding=record["k"], eps=eps,
+        desc = CyclicDescriptor(radius=radius, winding=winding, eps=eps,
                                 alphas=alphas, center=center)
         result = analyze_configuration(linkage, CyclicConfiguration(desc, config, flags))
         verdict = result.oracle

@@ -126,23 +126,31 @@ def _render_items(data) -> list:
         raise LinkmorseError("render input must be an enumeration artifact or a configuration")
     items = []
     for rec in source:
-        pts = np.asarray(rec["points"], dtype=float)
-        config = Configuration(pts)
-        if "center" in rec and "r" in rec:
-            center = np.asarray(rec["center"], dtype=float)
-            radius = float(rec["r"])
-        else:
+        if not isinstance(rec, dict) or "points" not in rec:
+            raise LinkmorseError("malformed record: expected an object with 'points'")
+        config = Configuration(rec["points"])
+        pts = config.points
+        try:
+            center = radius = None
+            if "center" in rec and "r" in rec:
+                center, radius = np.asarray(rec["center"], dtype=float).reshape(2), float(rec["r"])
+            eps = rec.get("eps")
+            if eps is not None:
+                eps = [float(v) for v in eps]
+            winding = int(rec.get("k", 0))
+            area = float(rec["area"]) if "area" in rec else signed_area(pts)
+        except (TypeError, ValueError) as err:
+            raise LinkmorseError(f"malformed record: {type(err).__name__}: {err}") from err
+        if center is None:
             fit = fit_circle(pts, tol=INPUT_TOL)
             if fit is None:
                 raise LinkmorseError("configuration is not cyclic; cannot draw its circle")
             center, radius = fit.center, fit.radius
-        eps = rec.get("eps")
         if eps is None:
             eps = list(edge_orientations(pts, center).eps)
         _, report, _ = closed_form(config, CircleFit(center=center, radius=radius))
         idx = None if report is None else report.index
-        area = float(rec["area"]) if "area" in rec else signed_area(pts)
-        label = render.annotation(eps, int(rec.get("k", 0)), radius, idx, area)
+        label = render.annotation(eps, winding, radius, idx, area)
         items.append(render.RenderItem(points=pts, center=center, radius=radius, label=label))
     return items
 

@@ -14,6 +14,12 @@ at isolated times on a generic path: a *flip* (a gap crosses 0 mod 2pi, the
 edge vanishes and its orientation toggles), a *central* crossing (a gap
 crosses pi mod 2pi, the edge sweeps a diameter), and a *delta zero*
 (``delta(t) = sum tan(D_i/2)`` crosses 0 away from its poles).
+
+Between frames each gap is linear in t, so edge events have a closed form:
+if ``sin D_i`` changes sign from frame j to j + 1, with gaps ``g0``, ``g1``,
+the crossed multiple of pi is ``m = round((g0 + g1) / 2pi)`` and the event
+is at ``t_j + (m pi - g0) / (g1 - g0) * (t_{j+1} - t_j)``, a flip for even m
+and a central crossing for odd m.  Delta zeros are bisected.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .errors import (
 from .geometry import INPUT_TOL, CircleFit, Configuration, _as_points, _readonly
 from .morse import determinant_sign
 
-# Events are bisected in time until the bracket shrinks below this.
+# Delta zeros are bisected in time until the bracket shrinks below this.
 EVENT_REFINE_TOL = 1e-10
 
 # Frames within this many resolutions of a central crossing are ignored when
@@ -132,16 +138,13 @@ class AngularPath:
     def resolution(self) -> float:
         return float(np.max(np.diff(self.times)))
 
-    def angles_at(self, t: float) -> np.ndarray:
-        """Piecewise-linear interpolation of the lifted angles."""
-        t = float(np.clip(t, self.times[0], self.times[-1]))
-        out = np.empty(self.n)
-        for i in range(self.n):
-            out[i] = np.interp(t, self.times, self.angles[:, i])
-        return out
-
     def gaps_at(self, t: float) -> np.ndarray:
-        return _gaps(self.angles_at(t))
+        """Lifted gaps at time t, linear between the two frames bracketing it."""
+        times = self.times
+        t = float(np.clip(t, times[0], times[-1]))
+        j = int(np.clip(np.searchsorted(times, t) - 1, 0, times.size - 2))
+        w = (t - times[j]) / (times[j + 1] - times[j])
+        return _gaps(self.angles[j] + w * (self.angles[j + 1] - self.angles[j]))
 
     def gap_table(self) -> np.ndarray:
         """(frames, n) lifted angular gaps, closing edge included."""
@@ -153,7 +156,12 @@ class AngularPath:
         return 2.0 * self.radius * np.abs(np.sin(0.5 * gaps))
 
     def snapshot(self, t: float) -> PathSnapshot:
-        return _snapshot(t, self.gaps_at(t))
+        gaps = self.gaps_at(t)
+        eps = tuple(1 if s > 0 else -1 for s in np.sin(gaps))
+        delta = float(np.sum(np.tan(0.5 * gaps)))
+        d = 1 if delta > 0 else -1
+        e = sum(1 for v in eps if v > 0)
+        return PathSnapshot(t=t, eps=eps, delta=delta, d=d, e=e, h_sign=determinant_sign(d, e))
 
     def configuration_at(self, frame: int):
         """Re-pinned configuration and circle of one frame.
@@ -185,14 +193,6 @@ def _gaps(theta: np.ndarray) -> np.ndarray:
     gaps[..., :-1] = theta[..., 1:] - theta[..., :-1]
     gaps[..., -1] = theta[..., 0] - theta[..., -1]
     return gaps
-
-
-def _snapshot(t: float, gaps: np.ndarray) -> PathSnapshot:
-    eps = tuple(1 if s > 0 else -1 for s in np.sin(gaps))
-    delta = float(np.sum(np.tan(0.5 * gaps)))
-    d = 1 if delta > 0 else -1
-    e = sum(1 for v in eps if v > 0)
-    return PathSnapshot(t=t, eps=eps, delta=delta, d=d, e=e, h_sign=determinant_sign(d, e))
 
 
 def deform(theta_start, theta_end, radius: float, steps: int = 2000) -> AngularPath:
@@ -231,26 +231,26 @@ def _bisect(func, lo: float, hi: float) -> float:
 def detect_events(path: AngularPath) -> list:
     """All flip / central / delta-zero events on the path, sorted by time.
 
-    Edge events are zero crossings of ``sin(D_i(t))`` between frames,
-    classified by the cosine sign at the refined time.  Delta zeros are sign
-    changes of ``delta(t)`` outside masked windows around central crossings,
-    where the tangent pole flips the sign without a zero.  Two events closer
-    than the frame resolution violate the genericity assumption and raise.
+    Edge events are sign changes of ``sin(D_i)`` between frames, timed in
+    closed form on their frame segment (see the module docstring); the
+    parity of the crossed multiple of pi tells a flip from a central
+    crossing.  Delta zeros are sign changes of ``delta(t)`` outside masked
+    windows around central crossings, where the tangent pole flips the sign
+    without a zero; they are bisected.  Two events closer than the frame
+    resolution violate the genericity assumption and raise.
     """
     gaps = path.gap_table()
     times = path.times
     res = path.resolution
-    events = []
 
-    sin_table = np.sin(gaps)
-    for edge in range(path.n):
-        col = sin_table[:, edge]
-        signs = np.sign(col)
-        for j in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]:
-            t_star = _bisect(lambda t: float(np.sin(path.gaps_at(t)[edge])),
-                             float(times[j]), float(times[j + 1]))
-            kind = "flip" if math.cos(float(path.gaps_at(t_star)[edge])) > 0.0 else "central"
-            events.append((t_star, kind, edge))
+    signs = np.sign(np.sin(gaps))
+    # edge-major, so the stable sort below lists simultaneous events by edge
+    edges, rows = np.nonzero((signs[:-1] * signs[1:] < 0.0).T)
+    g0, g1 = gaps[rows, edges], gaps[rows + 1, edges]
+    multiples = np.rint((g0 + g1) / (2.0 * math.pi))
+    t_edge = times[rows] + (multiples * math.pi - g0) / (g1 - g0) * (times[rows + 1] - times[rows])
+    events = [(float(t), "central" if m % 2 else "flip", int(edge))
+              for t, m, edge in zip(t_edge, multiples, edges)]
 
     central_ts = [t for t, kind, _ in events if kind == "central"]
     mask = POLE_MASK_FACTOR * res
@@ -342,21 +342,15 @@ def check_lemmas(path: AngularPath, events: list | None = None) -> LemmaReport:
 
     times = path.times
     res = path.resolution
-    event_ts = [e.t for e in events]
-    bounds = [float(times[0])] + event_ts + [float(times[-1])]
+    bounds = [float(times[0])] + [e.t for e in events] + [float(times[-1])]
     gaps = path.gap_table()
-    sin_table = np.sin(gaps)
-    delta_col = np.sum(np.tan(0.5 * gaps), axis=1)
+    # one row of sign data per frame: eps_i > 0 for each edge, then d > 0
+    table = np.column_stack([np.sin(gaps) > 0.0, np.sum(np.tan(0.5 * gaps), axis=1) > 0.0])
     checked = 0
     for lo, hi in zip(bounds, bounds[1:]):
-        idx = np.nonzero((times > lo + res) & (times < hi - res))[0]
-        seen = set()
-        for j in idx:
-            eps = tuple(1 if s > 0 else -1 for s in sin_table[j])
-            d = 1 if delta_col[j] > 0 else -1
-            seen.add((eps, d))
-            checked += 1
-        if len(seen) > 1:
+        rows = table[(times > lo + res) & (times < hi - res)]
+        checked += len(rows)
+        if np.any(rows != rows[:1]):
             violations.append(
                 f"segment ({lo:.6f}, {hi:.6f}): sign data not constant across frames"
             )

@@ -39,7 +39,10 @@ OVER_DIAMETER_TOL = 1e-9
 
 
 def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise InvalidConfigurationError(f"expected an (n, 2) array of planar points: {err}") from err
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InvalidConfigurationError(
             f"expected an (n, 2) array of planar points, got shape {pts.shape}"
@@ -67,7 +70,10 @@ class Linkage:
     lengths: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.lengths, dtype=float)
+        try:
+            arr = np.asarray(self.lengths, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise InvalidLinkageError(f"edge lengths must be numbers: {err}") from err
         if arr.ndim != 1 or arr.size < 3:
             raise InvalidLinkageError("a linkage needs at least 3 edge lengths")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
@@ -98,7 +104,7 @@ class Linkage:
     def from_json_dict(cls, data: dict) -> "Linkage":
         if not isinstance(data, dict) or "lengths" not in data:
             raise InvalidLinkageError('linkage JSON must be {"lengths": [...]}')
-        return cls(np.asarray(data["lengths"], dtype=float))
+        return cls(data["lengths"])
 
 
 @dataclass(frozen=True)
@@ -132,7 +138,7 @@ class Configuration:
     def from_json_dict(cls, data: dict) -> "Configuration":
         if not isinstance(data, dict) or "points" not in data:
             raise InvalidConfigurationError('configuration JSON must be {"points": [[x, y], ...]}')
-        return cls(np.asarray(data["points"], dtype=float))
+        return cls(data["points"])
 
 
 @dataclass(frozen=True)

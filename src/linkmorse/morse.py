@@ -124,13 +124,15 @@ def subconfig_sign_sequence(config: Configuration, fit: CircleFit) -> tuple:
                           measure_half_angles(config.points, fit))
 
 
-def _sign_sequence(eps: OrientationString, alphas: np.ndarray) -> tuple:
+def _sign_sequence(eps: OrientationString, alphas: np.ndarray,
+                   full: SignReport | None = None) -> tuple:
     """Sign sequence of P_3 .. P_n from prefix sums of ``(eps, alpha)``.
 
     Entry 0 is +1 by convention.  For 4 <= i < n the closing chord of P_i is
     read off the sums over its first i - 1 edges (see the module docstring);
-    entry n is the full polygon's sign.  Degeneracies are reported with the
-    offending subconfiguration index attached.
+    entry n is the full polygon's sign, taken from ``full`` when the caller
+    has its report already.  Degeneracies are reported with the offending
+    subconfiguration index attached.
     """
     n = len(eps)
     e, tans = eps.array, np.tan(alphas)
@@ -159,7 +161,7 @@ def _sign_sequence(eps: OrientationString, alphas: np.ndarray) -> tuple:
     signs = [1] + determinant_sign(np.where(values > 0.0, 1, -1), positives).tolist()
     if n > 3:
         try:
-            signs.append(sign_report(alphas, eps).h_sign)
+            signs.append((full or sign_report(alphas, eps)).h_sign)
         except NonGenericError as err:
             raise NonGenericError(f"subconfiguration P_{n}: {err}", index=n) from err
     return tuple(signs)
@@ -192,6 +194,6 @@ def closed_form(config: Configuration, fit: CircleFit):
         eps = edge_orientations(config.points, fit.center)
         alphas = measure_half_angles(config.points, fit)
         signs = sign_report(alphas, eps)
-        return signs, MorseReport(_sign_sequence(eps, alphas)), None
+        return signs, MorseReport(_sign_sequence(eps, alphas, signs)), None
     except LinkmorseError as err:
         return signs, None, str(err)

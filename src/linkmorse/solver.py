@@ -10,8 +10,7 @@ solver samples F over a bracketing grid of r for one orientation string and
 all its feasible windings at once, refines each sign change and rebuilds
 vertex coordinates from the root.  Only the strings with ``eps_1 = +1`` are
 scanned: the mirror string ``(-E, -k)`` has ``F_{-E,-k} = -F_{E,k}`` exactly
-in floating point, so it reuses the same roots.  Vertex sets within
-``1e-8 * perimeter`` (max norm) of an earlier one are dropped as duplicates.
+in floating point, so it reuses the same roots, descriptors and flags.
 """
 
 from __future__ import annotations
@@ -224,12 +223,10 @@ def _radius_grid(linkage: Linkage) -> np.ndarray:
 
 
 def _angle_tables(linkage: Linkage, grid: np.ndarray):
-    """Per-grid-point half-angles and their tangents for every edge."""
-    ratios = np.clip(linkage.lengths[None, :] / (2.0 * grid[:, None]), 0.0, 1.0)
-    alphas = np.arcsin(ratios)
-    with np.errstate(divide="ignore"):
-        tangents = np.where(ratios < 1.0, ratios / np.sqrt(np.maximum(1.0 - ratios * ratios, 0.0)), np.inf)
-    return alphas, tangents
+    """Per-grid-point half-angles and their tangents for every edge; the
+    grid stays above ``r_min``, so every ``l / 2r < 1`` and every tangent is finite."""
+    ratios = linkage.lengths[None, :] / (2.0 * grid[:, None])
+    return np.arcsin(ratios), ratios / np.sqrt(1.0 - ratios * ratios)
 
 
 def _bracket_masks(values: np.ndarray):
@@ -276,11 +273,7 @@ def _scan_string(linkage: Linkage, grid: np.ndarray, alphas_tab: np.ndarray,
                                      xtol=xtol, rtol=ROOT_RTOL)))
 
     # Double roots hide at interior extrema of F, i.e. zeros of delta.
-    d_vals = tangents_tab @ e_arr
-    finite = np.isfinite(d_vals)
-    if not np.all(finite):
-        d_vals = np.where(finite, d_vals, e_arr[int(np.argmax(linkage.lengths))] * 1e300)
-    zeros, changes = _bracket_masks(d_vals)
+    zeros, changes = _bracket_masks(tangents_tab @ e_arr)
     extrema = [float(r) for r in grid[zeros]]
     extrema.extend(float(brentq(lambda r: delta_at_radius(linkage, eps, r), grid[i], grid[i + 1],
                                 xtol=xtol, rtol=ROOT_RTOL))
@@ -348,13 +341,13 @@ def enumerate_cyclic(linkage: Linkage) -> list:
     their feasible winding numbers at once and reuses each string's roots for
     its mirror ``(-E, -k)``: ``F_{-E,-k} = -F_{E,k}`` holds exactly in
     floating point, so the mirror's brackets and refined roots are
-    bit-identical.  Every root of either string is flagged and reconstructed;
-    the rebuilt vertices keep the string's orientations, since
-    ``reconstruct`` steps by ``2 eps_i alpha_i`` with ``alpha_i < pi/2`` on
-    every edge not flagged central.  Results are sorted by (winding,
-    orientation string, radius); an item whose vertices all lie within
-    ``1e-8 * perimeter`` (max norm) of an earlier kept item is dropped as a
-    duplicate.
+    bit-identical.  Each root is flagged and described once; the mirror item
+    takes :meth:`CyclicDescriptor.mirrored` and the same flags, since
+    ``central`` and ``near_flip`` depend on r alone and ``delta_zero`` on
+    ``|delta|``.  Both items are reconstructed; the rebuilt vertices keep the
+    string's orientations, since ``reconstruct`` steps by
+    ``2 eps_i alpha_i`` with ``alpha_i < pi/2`` on every edge not flagged
+    central.  Results are sorted by (winding, orientation string, radius).
 
     Returns a list of :class:`CyclicConfiguration`.
     """
@@ -367,27 +360,12 @@ def enumerate_cyclic(linkage: Linkage) -> list:
         eps = OrientationString((1,) + tail)
         ks = np.array(list(_feasible_windings(n, eps.positive_count)), dtype=int)
         roots = _scan_string(linkage, grid, alphas_tab, tangents_tab, eps, ks)
-        for string, sign in ((eps, 1), (eps.mirrored(), -1)):
-            for k, radii in zip(ks, roots):
-                for r in radii:
-                    flags = degeneracy_flags(linkage, string, r)
-                    desc = CyclicDescriptor.from_radius(linkage, string, sign * int(k), r)
-                    items.append(CyclicConfiguration(desc, reconstruct(linkage, desc), flags))
+        for k, radii in zip(ks, roots):
+            for r in radii:
+                flags = degeneracy_flags(linkage, eps, r)
+                desc = CyclicDescriptor.from_radius(linkage, eps, int(k), r)
+                for d in (desc, desc.mirrored()):
+                    items.append(CyclicConfiguration(d, reconstruct(linkage, d), flags))
 
     items.sort(key=lambda it: (it.descriptor.winding, it.descriptor.eps.eps, it.descriptor.radius))
-    return _dedup_vertex_sets(items, linkage)
-
-
-def _dedup_vertex_sets(items: list, linkage: Linkage) -> list:
-    """Greedy in list order: keep an item unless its vertices lie within
-    ``1e-8 * perimeter`` (max norm) of an item already kept."""
-    tol = 1e-8 * linkage.perimeter
-    unique = []
-    kept = np.empty((len(items), linkage.n, 2))
-    for item in items:
-        pts = item.configuration.points
-        if np.any(np.abs(kept[:len(unique)] - pts).max(axis=(1, 2)) < tol):
-            continue
-        kept[len(unique)] = pts
-        unique.append(item)
-    return unique
+    return items

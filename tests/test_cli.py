@@ -180,5 +180,38 @@ def test_verify_flags_near_central_artifact(tmp_path, capsys):
     assert "(2 flagged)" in captured.out
 
 
+def _first_record(change):
+    def edit(data):
+        data["configurations"][0] = change(data["configurations"][0])
+        return data
+    return edit
+
+
+MALFORMED = [
+    ("verify", "no-k", _first_record(lambda rec: {f: v for f, v in rec.items() if f != "k"}), 1),
+    ("verify", "r-not-a-number", _first_record(lambda rec: dict(rec, r="abc")), 1),
+    ("verify", "record-is-a-string", _first_record(lambda rec: "abc"), 1),
+    ("verify", "flags-is-a-list", _first_record(lambda rec: dict(rec, flags=[1])), 1),
+    ("enumerate", "lengths-not-numbers", lambda data: {"lengths": "abc"}, 2),
+    ("index", "point-not-a-number", lambda data: {"points": [["x", 1], [0, 1], [1, 1]]}, 2),
+    ("render", "point-not-a-number", lambda data: {"points": [["x", 1], [0, 1], [1, 1]]}, 2),
+    ("render", "record-is-a-string", _first_record(lambda rec: "abc"), 2),
+    ("render", "r-not-a-number", _first_record(lambda rec: dict(rec, r="abc")), 2),
+]
+
+
+@pytest.mark.parametrize("command, make, code", [case[:1] + case[2:] for case in MALFORMED],
+                         ids=[f"{case[0]}-{case[1]}" for case in MALFORMED])
+def test_malformed_input_is_refused_without_traceback(pentagon_artifact, tmp_path, capsys,
+                                                       command, make, code):
+    bad = _write(tmp_path / "bad.json", make(json.loads(pentagon_artifact.read_text())))
+    extra = ["-o", str(tmp_path / "out.svg")] if command == "render" else []
+    capsys.readouterr()
+    assert main([command, "-i", bad] + extra) == code
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed at record 0: malformed record" if code == 1
+                          else "error: ")
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert main(["verify", "-i", str(tmp_path / "nope.json")]) == 2

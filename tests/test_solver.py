@@ -9,7 +9,6 @@ from scipy.optimize import brentq
 
 from conftest import random_linkage
 from linkmorse import (
-    Configuration,
     CyclicConfiguration,
     CyclicDescriptor,
     Linkage,
@@ -29,7 +28,6 @@ from linkmorse.solver import (
     RESIDUAL_TOL,
     ROOT_RTOL,
     _angle_tables,
-    _dedup_vertex_sets,
     _feasible_windings,
     _merge_radii,
     _radius_grid,
@@ -275,8 +273,8 @@ def _orientation_consistent(config, desc, flags):
 
 def _reference_enumerate(linkage):
     """The full 2^n scan, one (E, k) pair at a time, with the orientation
-    filter and pairwise dedup: the reference the half scan with mirror reuse
-    and no filter must reproduce bit for bit."""
+    filter and pairwise dedup: the reference the half scan with mirror reuse,
+    no filter and no dedup must reproduce bit for bit."""
     grid = _radius_grid(linkage)
     alphas_tab, tangents_tab = _angle_tables(linkage, grid)
     xtol, rtol = linkage.min_radius * 1e-15, max(ROOT_RTOL, 4.0 * np.finfo(float).eps)
@@ -332,21 +330,6 @@ def test_enumeration_matches_full_scan_exactly(linkage):
     expected = [_exact_key(item) for item in _reference_enumerate(linkage)]
     assert expected
     assert [_exact_key(item) for item in enumerate_cyclic(linkage)] == expected
-
-
-def test_dedup_drops_near_copies_and_keeps_first():
-    linkage = random_linkage(np.random.default_rng(3), 5)
-    first, other = enumerate_cyclic(linkage)[:2]
-
-    def copy(shift):
-        points = np.array(first.configuration.points)
-        points[2, 0] += shift * linkage.perimeter
-        return CyclicConfiguration(first.descriptor, Configuration(points), first.flags)
-
-    exact, near, far = copy(0.0), copy(0.5e-8), copy(2e-8)
-    unique = _dedup_vertex_sets([first, exact, other, near, far], linkage)
-    assert len(unique) == 3
-    assert unique[0] is first and unique[1] is other and unique[2] is far
 
 
 def test_solve_radii_mirror_is_exact():
