@@ -19,8 +19,6 @@ from .errors import (
     NonGenericPathError,
     NonRegularPointError,
     NotInscribableError,
-    SingularDerivativeError,
-    SolverDomainError,
     VanishingChordError,
 )
 from .geometry import (
@@ -42,9 +40,8 @@ from .solver import (
     CyclicDescriptor,
     DegeneracyFlags,
     degeneracy_flags,
-    delta_at_radius,
+    delta_at_angle,
     enumerate_cyclic,
-    f_derivative,
     f_value,
     reconstruct,
     solve_radii,

@@ -34,6 +34,7 @@ from .solver import (
     CyclicConfiguration,
     CyclicDescriptor,
     DegeneracyFlags,
+    degeneracy_flags,
     enumerate_cyclic,
 )
 
@@ -233,21 +234,22 @@ def verify_record(linkage: Linkage, record: dict) -> VerificationRow:
 
     The points must satisfy the linkage constraints, lie on the recorded
     circle (tamper detection for r and center), be critical, and reproduce
-    the recorded orientation string.  Flagged records are reported but exempt
-    from the agreement requirement.  Everything else is read off
-    :func:`analyze_configuration` of the record, whose ``agree`` compares the
-    determinant sign always and the index where its formula applies.  A
-    record that is not an object, or has a missing or mistyped field, fails
-    as malformed.
+    the recorded orientation string.  The degeneracy flags are recomputed
+    from the recorded radius and string and must equal the recorded ones;
+    flagged records are reported but exempt from the agreement requirement.
+    Everything else is read off :func:`analyze_configuration` of the record,
+    whose ``agree`` compares the determinant sign always and the index where
+    its formula applies.  A record that is not an object, or has a missing
+    or mistyped field, fails as malformed.
     """
     if not isinstance(record, dict):
         return _fail(f"malformed record: expected an object, got {type(record).__name__}")
     try:
         config = Configuration(record["points"])
-        raw_flags = record.get("flags", {})
-        flags = DegeneracyFlags(central=tuple(raw_flags.get("central", [])),
-                                near_flip=tuple(raw_flags.get("near_flip", [])),
-                                delta_zero=bool(raw_flags.get("delta_zero")))
+        raw_flags = record["flags"]
+        recorded = DegeneracyFlags(central=tuple(raw_flags.get("central", [])),
+                                   near_flip=tuple(raw_flags.get("near_flip", [])),
+                                   delta_zero=bool(raw_flags.get("delta_zero")))
         center = np.asarray(record["center"], dtype=float).reshape(2)
         radius = float(record["r"])
         eps = OrientationString(tuple(record["eps"]))
@@ -266,6 +268,13 @@ def verify_record(linkage: Linkage, record: dict) -> VerificationRow:
         worst = float(np.max(np.abs(dist - radius)))
         if worst > INPUT_TOL * radius:
             return _fail(f"points deviate from the recorded circle by {worst:.3e}")
+        # half-angles from the chord relation
+        alphas = np.arcsin(np.clip(linkage.lengths / (2.0 * radius), 0.0, 1.0))
+        desc = CyclicDescriptor(radius=radius, winding=winding, eps=eps,
+                                alphas=alphas, center=center)
+        flags = degeneracy_flags(eps, alphas)
+        if flags != recorded:
+            return _fail("recorded flags disagree with the recorded radius and orientation string")
         if flags.any:
             _, residual = criticality_residual(config, linkage)
             if residual > CRITICALITY_TOL:
@@ -273,10 +282,6 @@ def verify_record(linkage: Linkage, record: dict) -> VerificationRow:
             return VerificationRow(residual=residual, inertia=None, det_sign=None,
                                    index=None, formula_index=None, agree=True,
                                    flagged=True, note="flagged, excluded")
-        # half-angles from the chord relation, as the solver builds them
-        alphas = np.arcsin(np.clip(linkage.lengths / (2.0 * radius), 0.0, 1.0))
-        desc = CyclicDescriptor(radius=radius, winding=winding, eps=eps,
-                                alphas=alphas, center=center)
         result = analyze_configuration(linkage, CyclicConfiguration(desc, config, flags))
         verdict = result.oracle
         if verdict is None:

@@ -100,6 +100,9 @@ def cmd_deform(args) -> int:
         raise LinkmorseError("both endpoint configurations must be cyclic")
     if cfg_a.n != cfg_b.n:
         raise LinkmorseError("endpoint configurations must share the vertex count")
+    if abs(fit_a.radius - fit_b.radius) > INPUT_TOL * max(fit_a.radius, fit_b.radius):
+        raise LinkmorseError(f"endpoint configurations lie on circles of radii {fit_a.radius:.6g} "
+                             f"and {fit_b.radius:.6g}; a fixed-circle path needs one circle")
     theta_a = vertex_angles(cfg_a, fit_a)
     theta_b = vertex_angles(cfg_b, fit_b)
     path = make_path(theta_a, theta_b, fit_a.radius, steps=args.frames)

@@ -38,14 +38,6 @@ class CentralConfigurationError(LinkmorseError):
         self.index = index
 
 
-class SolverDomainError(LinkmorseError):
-    """Radius below the minimum circumradius max(l_i)/2."""
-
-
-class SingularDerivativeError(LinkmorseError):
-    """Radius derivative undefined because some edge is a diameter."""
-
-
 class InconsistentDescriptorError(LinkmorseError):
     """Cyclic descriptor violates the angular closure condition."""
 

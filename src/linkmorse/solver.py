@@ -1,14 +1,24 @@
-"""Enumeration of cyclic configurations by radius root finding.
+"""Enumeration of cyclic configurations by root finding in the largest half-angle.
 
-For a fixed orientation string E and winding number k, a circle of radius r
-carries a closed inscribed realization of the linkage exactly when
+A cyclic configuration is fixed by its orientation string E, its winding
+number k and its half-angles ``alpha_i``.  All of them follow from one
+variable, ``theta = arcsin(r_min / r)``, the half-angle of the longest edge:
+with ``rho_i = l_i / l_max``, ``alpha_i = arcsin(rho_i sin theta)`` and
+``r = r_min / sin theta``.  The circle of radius r carries a closed inscribed
+realization of the linkage exactly when
 
-    F(r) = sum_i eps_i * arcsin(l_i / (2r)) - pi * k = 0,
+    F(theta) = sum_i eps_i * alpha_i(theta) - pi * k = 0,
 
-with dF/dr = -delta / r where ``delta = sum_i eps_i tan(alpha_i)``.  The
-solver samples F over a bracketing grid of r for one orientation string and
-all its feasible windings at once, refines each sign change and rebuilds
-vertex coordinates from the root.  Only the strings with ``eps_1 = +1`` are
+with ``dF/dtheta = cot(theta) * delta`` where ``delta = sum_i eps_i tan(alpha_i)``.
+``theta`` runs over ``(0, pi/2]`` and tends to 0 as r grows without bound, so
+one grid of :data:`SAMPLES` points uniform in theta covers every radius: there
+is no radius cap.  The solver samples F on that grid for one orientation
+string and all its feasible windings at once, refines each sign change in
+theta and rebuilds vertex coordinates from the root.  Double roots hide at
+zeros of delta, the extrema of F; one is accepted when
+``|F| <= RESIDUAL_TOL * (sum alpha_i + pi |k|)``, and a root is flagged
+``delta_zero`` when ``|delta| < DEGENERACY_TOL * sum tan(alpha_i)``, so both
+tests scale with the problem.  Only the strings with ``eps_1 = +1`` are
 scanned: the mirror string ``(-E, -k)`` has ``F_{-E,-k} = -F_{E,k}`` exactly
 in floating point, so it reuses the same roots, descriptors and flags.
 """
@@ -22,12 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (
-    InconsistentDescriptorError,
-    NotInscribableError,
-    SingularDerivativeError,
-    SolverDomainError,
-)
+from .errors import InconsistentDescriptorError
 from .geometry import (
     CircleFit,
     Configuration,
@@ -40,24 +45,27 @@ from .geometry import (
 # largest edge would be a diameter.
 _RMIN_MARGIN = 1e-12
 
-# Grid points per spacing scheme of the radius scan.
+# Grid points of the scan, uniform in theta.
 SAMPLES = 4096
 
-# Upper end of the radius scan as a multiple of the minimum radius.
-CAP_FACTOR = 1e3
+# First grid point, standing in for theta = 0 (r = inf): F has the sign of its
+# limit there, -k, or the sign of sum(eps * l) for k = 0.  It is also brentq's
+# ``xtol``, so roots are refined to ROOT_RTOL relative however far out.
+_FAR_ANGLE = 1e-200
 
-# Relative radius accuracy of refined roots, passed to brentq as ``rtol``
+# Relative accuracy of refined roots in theta, passed to brentq as ``rtol``
 # (which must be at least 4 machine epsilons).
 ROOT_RTOL = 1e-14
 
-# Roots of one (E, k) pair closer than this (relative) are merged.
+# Roots of one (E, k) pair closer than this (relative, in theta) are merged.
 MERGE_RTOL = 1e-10
 
-# Flag threshold for central edges, near-flipped edges and delta zeros.
+# Flag threshold for central edges, near-flipped edges and delta zeros
+# (|delta| against sum tan(alpha)).
 DEGENERACY_TOL = 1e-7
 
-# |F| accepted at a double (delta-zero) root.
-RESIDUAL_TOL = 1e-9
+# |F| accepted at a double (delta-zero) root, relative to sum(alpha) + pi |k|.
+RESIDUAL_TOL = 1e-12
 
 # Allowed absolute defect of the angular closure sum(2 eps_i alpha_i) = 2 pi k
 # when rebuilding vertices from a descriptor.
@@ -83,6 +91,15 @@ class DegeneracyFlags:
             "near_flip": [bool(v) for v in self.near_flip],
             "delta_zero": bool(self.delta_zero),
         }
+
+
+def _half_angles(linkage: Linkage, theta) -> np.ndarray:
+    """Half-angles ``arcsin(rho_i sin theta)`` for a scalar theta (shape n) or
+    an array of them (one row each).  The longest edges take theta itself:
+    ``arcsin(sin theta)`` loses half the digits near pi/2."""
+    rho = linkage.lengths / linkage.lengths.max()
+    theta = np.asarray(theta, dtype=float)[..., None]
+    return np.where(rho == 1.0, theta, np.arcsin(rho * np.sin(theta)))
 
 
 @dataclass(frozen=True)
@@ -118,18 +135,15 @@ class CyclicDescriptor:
         return abs(total - 2.0 * math.pi * self.winding)
 
     @classmethod
-    def from_radius(cls, linkage: Linkage, eps, winding: int, radius: float) -> "CyclicDescriptor":
-        """Build the descriptor for a root radius: half-angles from the chord
-        relation and the center placed left/right of the pinned first edge
-        according to ``eps_1``."""
+    def from_angle(cls, linkage: Linkage, eps, winding: int, theta: float) -> "CyclicDescriptor":
+        """Build the descriptor for a root angle ``theta`` in ``(0, pi/2]``:
+        radius ``r_min / sin theta``, the half-angles, and the center placed
+        left/right of the pinned first edge according to ``eps_1``."""
         eps = eps if isinstance(eps, OrientationString) else OrientationString(tuple(eps))
-        ratios = linkage.lengths / (2.0 * radius)
-        if np.any(ratios > 1.0 + 1e-12):
-            raise NotInscribableError("radius below the minimum circumradius")
-        alphas = np.arcsin(np.clip(ratios, 0.0, 1.0))
-        half = float(linkage.lengths[0]) / 2.0
-        cx = math.sqrt(max(radius * radius - half * half, 0.0))
-        center = np.array([-cx if eps.eps[0] > 0 else cx, half])
+        alphas = _half_angles(linkage, theta)
+        radius = linkage.min_radius / math.sin(theta)
+        cx = radius * math.cos(alphas[0])
+        center = np.array([-cx if eps.eps[0] > 0 else cx, float(linkage.lengths[0]) / 2.0])
         return cls(radius=radius, winding=winding, eps=eps, alphas=alphas, center=center)
 
     def mirrored(self) -> "CyclicDescriptor":
@@ -158,75 +172,36 @@ def _eps_array(eps) -> np.ndarray:
     return OrientationString(tuple(eps)).array
 
 
-def f_value(linkage: Linkage, eps, k: int, r: float) -> float:
-    """Closure function ``sum_i eps_i arcsin(l_i / (2r)) - pi k``."""
-    if r < linkage.min_radius:
-        raise SolverDomainError(
-            f"radius {r:.12g} below minimum circumradius {linkage.min_radius:.12g}"
-        )
-    e = _eps_array(eps)
-    ratios = np.clip(linkage.lengths / (2.0 * r), 0.0, 1.0)
-    return float(e @ np.arcsin(ratios)) - math.pi * k
+def f_value(linkage: Linkage, eps, k: int, theta: float) -> float:
+    """Closure function ``sum_i eps_i alpha_i(theta) - pi k``."""
+    return float(_eps_array(eps) @ _half_angles(linkage, theta)) - math.pi * k
 
 
-def f_derivative(linkage: Linkage, eps, r: float) -> float:
-    """Radius derivative of the closure function, ``-delta / r``.
-
-    Each term differentiates to ``-l_i / (2 r^2 cos(alpha_i))``, which the
-    chord relation turns into ``-tan(alpha_i) / r``; matches centered finite
-    differences of :func:`f_value`.
-    """
-    if r <= linkage.min_radius:
-        raise SolverDomainError(
-            f"radius {r:.12g} must exceed the minimum circumradius {linkage.min_radius:.12g}"
-        )
-    e = _eps_array(eps)
-    ratios = linkage.lengths / (2.0 * r)
-    if np.any(1.0 - ratios <= 1e-15):
-        raise SingularDerivativeError("an edge is (numerically) a diameter at this radius")
-    tangents = ratios / np.sqrt(1.0 - ratios * ratios)
-    return -float(e @ tangents) / r
+def delta_at_angle(linkage: Linkage, eps, theta: float) -> float:
+    """``delta = sum_i eps_i tan(alpha_i)`` at the angle theta; the theta
+    derivative of :func:`f_value` is ``cot(theta) * delta``."""
+    return float(_eps_array(eps) @ np.tan(_half_angles(linkage, theta)))
 
 
-def delta_at_radius(linkage: Linkage, eps, r: float) -> float:
-    """``delta = sum_i eps_i tan(alpha_i)`` evaluated at radius r."""
-    e = _eps_array(eps)
-    ratios = np.clip(linkage.lengths / (2.0 * r), 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        tangents = np.where(ratios < 1.0, ratios / np.sqrt(np.maximum(1.0 - ratios * ratios, 0.0)), np.inf)
-    return float(e @ tangents)
+def degeneracy_flags(eps, alphas) -> DegeneracyFlags:
+    """Deterministic near-degeneracy flags for (E, alpha) at :data:`DEGENERACY_TOL`:
+    an edge within ``DEGENERACY_TOL * r`` of a diameter, a half-angle below it,
+    or ``|delta|`` below it times ``sum tan(alpha)``."""
+    alphas = np.asarray(alphas, dtype=float)
+    tangents = np.tan(alphas)
+    delta = float(_eps_array(eps) @ tangents)
+    return DegeneracyFlags(central=tuple((2.0 - 2.0 * np.sin(alphas) <= DEGENERACY_TOL).tolist()),
+                           near_flip=tuple((alphas < DEGENERACY_TOL).tolist()),
+                           delta_zero=bool(abs(delta) < DEGENERACY_TOL * float(tangents.sum())))
 
 
-def degeneracy_flags(linkage: Linkage, eps, r: float) -> DegeneracyFlags:
-    """Deterministic near-degeneracy flags for (L, E, r) at :data:`DEGENERACY_TOL`."""
-    lengths = linkage.lengths
-    central = tuple(bool(2.0 * r - l <= DEGENERACY_TOL * r) for l in lengths)
-    alphas = np.arcsin(np.clip(lengths / (2.0 * r), 0.0, 1.0))
-    near_flip = tuple(bool(a < DEGENERACY_TOL) for a in alphas)
-    delta = delta_at_radius(linkage, eps, r)
-    return DegeneracyFlags(central=central, near_flip=near_flip,
-                           delta_zero=bool(math.isfinite(delta) and abs(delta) < DEGENERACY_TOL))
-
-
-def _radius_grid(linkage: Linkage) -> np.ndarray:
-    """Bracketing grid: geometric spacing over the full range plus a grid
-    uniform in the largest half-angle, which resolves the steep region just
-    above the minimum radius."""
-    r_min = linkage.min_radius
-    lo = r_min * (1.0 + _RMIN_MARGIN)
-    hi = r_min * CAP_FACTOR
-    geometric = np.geomspace(lo, hi, SAMPLES)
-    u = np.linspace(math.asin(r_min / hi), 0.5 * math.pi * (1.0 - _RMIN_MARGIN), SAMPLES)
-    steep = r_min / np.sin(u[::-1])
-    grid = np.clip(np.concatenate([geometric, steep]), lo, hi)
-    return np.unique(grid)
-
-
-def _angle_tables(linkage: Linkage, grid: np.ndarray):
-    """Per-grid-point half-angles and their tangents for every edge; the
-    grid stays above ``r_min``, so every ``l / 2r < 1`` and every tangent is finite."""
-    ratios = linkage.lengths[None, :] / (2.0 * grid[:, None])
-    return np.arcsin(ratios), ratios / np.sqrt(1.0 - ratios * ratios)
+def _angle_grid() -> np.ndarray:
+    """The scan grid: :data:`SAMPLES` steps uniform in theta up to the angle
+    at ``r_min (1 + _RMIN_MARGIN)``, the first point moved from 0 to
+    :data:`_FAR_ANGLE`."""
+    grid = np.linspace(0.0, math.asin(1.0 / (1.0 + _RMIN_MARGIN)), SAMPLES + 1)
+    grid[0] = _FAR_ANGLE
+    return grid
 
 
 def _bracket_masks(values: np.ndarray):
@@ -241,64 +216,71 @@ def _bracket_masks(values: np.ndarray):
     return isolated, (pos[..., :-1] & neg[..., 1:]) | (neg[..., :-1] & pos[..., 1:])
 
 
-def _merge_radii(radii: list) -> list:
+def _merge(thetas: list) -> list:
     merged = []
-    for r in sorted(radii):
-        if not merged or abs(r - merged[-1]) > MERGE_RTOL * r:
-            merged.append(r)
+    for t in sorted(thetas):
+        if not merged or abs(t - merged[-1]) > MERGE_RTOL * t:
+            merged.append(t)
     return merged
 
 
 def _scan_string(linkage: Linkage, grid: np.ndarray, alphas_tab: np.ndarray,
                  tangents_tab: np.ndarray, eps: OrientationString, ks: np.ndarray) -> list:
-    """Merged root radii of F for one orientation string, one sorted list per
-    winding number in ``ks``.
+    """Merged root angles of F for one orientation string, one sorted list
+    per winding number in ``ks``.
 
     The closure sums are tabulated once for the string and offset by
     ``pi k`` for every winding at once; sign changes are refined by
     bracketing.  Double roots (where F and delta vanish together) are
     recovered by locating the zeros of delta and testing |F| there.
     """
-    xtol = linkage.min_radius * 1e-15
     e_arr = eps.array
-    f_tab = (alphas_tab @ e_arr)[None, :] - math.pi * ks[:, None]
-    zeros, changes = _bracket_masks(f_tab)
-    radii = [[] for _ in ks]
+    closures = alphas_tab @ e_arr
+    # The first point stands in for r = inf.  On a wall (sum eps_i l_i = 0, to
+    # RESIDUAL_TOL) F and delta both vanish in that limit, which is no
+    # configuration, and their signs next to it are rounding: scan from the
+    # second point.
+    start = int(abs(closures[0]) <= RESIDUAL_TOL * alphas_tab[0].sum())
+    grid, closures, deltas = grid[start:], closures[start:], tangents_tab[start:] @ e_arr
+    zeros, changes = _bracket_masks(closures[None, :] - math.pi * ks[:, None])
+    thetas = [[] for _ in ks]
     # divmod of flat indices: a 2-D np.nonzero costs about nine times more (numpy 2.4).
     for j, i in zip(*np.divmod(np.flatnonzero(zeros), zeros.shape[1])):
-        radii[j].append(float(grid[i]))
+        thetas[j].append(float(grid[i]))
     for j, i in zip(*np.divmod(np.flatnonzero(changes), changes.shape[1])):
         k = int(ks[j])
-        radii[j].append(float(brentq(lambda r: f_value(linkage, eps, k, r), grid[i], grid[i + 1],
-                                     xtol=xtol, rtol=ROOT_RTOL)))
+        thetas[j].append(float(brentq(lambda t: f_value(linkage, eps, k, t), grid[i], grid[i + 1],
+                                      xtol=_FAR_ANGLE, rtol=ROOT_RTOL)))
 
     # Double roots hide at interior extrema of F, i.e. zeros of delta.
-    zeros, changes = _bracket_masks(tangents_tab @ e_arr)
-    extrema = [float(r) for r in grid[zeros]]
-    extrema.extend(float(brentq(lambda r: delta_at_radius(linkage, eps, r), grid[i], grid[i + 1],
-                                xtol=xtol, rtol=ROOT_RTOL))
+    zeros, changes = _bracket_masks(deltas)
+    extrema = [float(t) for t in grid[zeros]]
+    extrema.extend(float(brentq(lambda t: delta_at_angle(linkage, eps, t), grid[i], grid[i + 1],
+                                xtol=_FAR_ANGLE, rtol=ROOT_RTOL))
                    for i in np.flatnonzero(changes))
-    for r in extrema:
-        closure = f_value(linkage, eps, 0, r)
-        for j in np.nonzero(np.abs(closure - math.pi * ks) <= RESIDUAL_TOL)[0]:
-            radii[j].append(r)
+    for t in extrema:
+        alphas = _half_angles(linkage, t)
+        scale = alphas.sum() + math.pi * np.abs(ks)
+        for j in np.nonzero(np.abs(float(e_arr @ alphas) - math.pi * ks) <= RESIDUAL_TOL * scale)[0]:
+            thetas[j].append(t)
 
-    return [_merge_radii(rs) for rs in radii]
+    return [_merge(ts) for ts in thetas]
 
 
 def solve_radii(linkage: Linkage, eps, k: int) -> list:
-    """All radii solving F(r) = 0 for one (E, k) pair, with degeneracy flags.
+    """All radii solving F = 0 for one (E, k) pair, with degeneracy flags.
 
     Returns ``[(r, DegeneracyFlags), ...]`` sorted by radius.  Sign changes of
-    the sampled closure function are refined by bracketing; double roots
-    (where F and delta vanish together) are recovered by locating the zeros
-    of delta and testing |F| there, and arrive flagged ``delta_zero``.
+    the sampled closure function are refined by bracketing in theta; double
+    roots (where F and delta vanish together) are recovered by locating the
+    zeros of delta and testing |F| there, and arrive flagged ``delta_zero``.
     """
     eps = eps if isinstance(eps, OrientationString) else OrientationString(tuple(eps))
-    grid = _radius_grid(linkage)
-    alphas, tangents = _angle_tables(linkage, grid)
-    (radii,) = _scan_string(linkage, grid, alphas, tangents, eps, np.array([k]))
-    return [(r, degeneracy_flags(linkage, eps, r)) for r in radii]
+    grid = _angle_grid()
+    alphas = _half_angles(linkage, grid)
+    (thetas,) = _scan_string(linkage, grid, alphas, np.tan(alphas), eps, np.array([k]))
+    descs = [CyclicDescriptor.from_angle(linkage, eps, k, t) for t in reversed(thetas)]
+    return [(d.radius, degeneracy_flags(eps, d.alphas)) for d in descs]
 
 
 def reconstruct(linkage: Linkage, desc: CyclicDescriptor) -> Configuration:
@@ -343,27 +325,28 @@ def enumerate_cyclic(linkage: Linkage) -> list:
     floating point, so the mirror's brackets and refined roots are
     bit-identical.  Each root is flagged and described once; the mirror item
     takes :meth:`CyclicDescriptor.mirrored` and the same flags, since
-    ``central`` and ``near_flip`` depend on r alone and ``delta_zero`` on
-    ``|delta|``.  Both items are reconstructed; the rebuilt vertices keep the
-    string's orientations, since ``reconstruct`` steps by
+    ``central`` and ``near_flip`` depend on the half-angles alone and
+    ``delta_zero`` on ``|delta|``.  Both items are reconstructed; the rebuilt
+    vertices keep the string's orientations, since ``reconstruct`` steps by
     ``2 eps_i alpha_i`` with ``alpha_i < pi/2`` on every edge not flagged
     central.  Results are sorted by (winding, orientation string, radius).
 
     Returns a list of :class:`CyclicConfiguration`.
     """
     n = linkage.n
-    grid = _radius_grid(linkage)
-    alphas_tab, tangents_tab = _angle_tables(linkage, grid)
+    grid = _angle_grid()
+    alphas_tab = _half_angles(linkage, grid)
+    tangents_tab = np.tan(alphas_tab)
     items = []
 
     for tail in itertools.product((1, -1), repeat=n - 1):
         eps = OrientationString((1,) + tail)
         ks = np.array(list(_feasible_windings(n, eps.positive_count)), dtype=int)
         roots = _scan_string(linkage, grid, alphas_tab, tangents_tab, eps, ks)
-        for k, radii in zip(ks, roots):
-            for r in radii:
-                flags = degeneracy_flags(linkage, eps, r)
-                desc = CyclicDescriptor.from_radius(linkage, eps, int(k), r)
+        for k, thetas in zip(ks, roots):
+            for t in thetas:
+                desc = CyclicDescriptor.from_angle(linkage, eps, int(k), t)
+                flags = degeneracy_flags(eps, desc.alphas)
                 for d in (desc, desc.mirrored()):
                     items.append(CyclicConfiguration(d, reconstruct(linkage, d), flags))
 

@@ -119,9 +119,11 @@ def test_verify_tampered_artifact(pentagon_artifact, tmp_path, capsys):
 
 
 def test_deform_command(tmp_path, capsys):
-    pentagon, _, _ = regular_polygon_points(5)
-    star, _, _ = regular_polygon_points(5, winding=2)
-    a = _write(tmp_path / "a.json", {"points": star.tolist()})
+    pentagon, _, radius = regular_polygon_points(5)
+    star, _, star_radius = regular_polygon_points(5, winding=2)
+    # both endpoints on one circle: scaling about the pinned vertex p1 = 0
+    # keeps p2 on the +y axis
+    a = _write(tmp_path / "a.json", {"points": (star * (radius / star_radius)).tolist()})
     b = _write(tmp_path / "b.json", {"points": pentagon.tolist()})
     out = tmp_path / "events.json"
     code = main(["deform", "-a", a, "-b", b, "-o", str(out), "--frames", "2000"])
@@ -131,6 +133,39 @@ def test_deform_command(tmp_path, capsys):
     assert events, "star to pentagon must cross at least one event"
     assert {"kind", "edge", "t", "H_before", "H_after", "d_before", "d_after"} <= set(events[0])
     assert "transition violations" in captured.out
+
+
+def test_deform_refuses_endpoints_on_different_circles(tmp_path, capsys):
+    # the unit pentagram (r = 0.526) and the unit pentagon (r = 0.851): a
+    # path on the first circle would not end at the second configuration
+    pentagon, _, _ = regular_polygon_points(5)
+    star, _, _ = regular_polygon_points(5, winding=2)
+    a = _write(tmp_path / "a.json", {"points": star.tolist()})
+    b = _write(tmp_path / "b.json", {"points": pentagon.tolist()})
+    assert main(["deform", "-a", a, "-b", b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "circles of radii" in captured.err
+
+
+def test_verify_recomputes_flags(tmp_path, capsys):
+    # flags claiming a delta zero exempted each record from every check but
+    # the criticality residual, so wrong strings and windings passed
+    linkage_file = _write(tmp_path / "linkage.json", {"lengths": [1.0, 1.2, 1.4, 1.1, 0.9]})
+    artifact = tmp_path / "enum.json"
+    assert main(["enumerate", "-i", linkage_file, "-o", str(artifact)]) == 0
+    data = json.loads(artifact.read_text())
+    assert len(data["configurations"]) == 10
+    for rec in data["configurations"]:
+        rec["flags"]["delta_zero"] = True
+        rec["eps"] = [1, 1, 1, 1, 1]
+        rec["k"] = 7
+    bad = _write(tmp_path / "tampered.json", data)
+    capsys.readouterr()
+    assert main(["verify", "-i", bad]) == 1
+    captured = capsys.readouterr()
+    assert "0/10 agree (0 flagged)" in captured.out
+    assert "recorded flags disagree" in captured.err
 
 
 def test_render_directory(pentagon_artifact, tmp_path, capsys):

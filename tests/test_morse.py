@@ -136,14 +136,14 @@ def test_morse_index_convex_square():
 def test_aligned_pentagon_configurations_are_degenerate():
     # three consecutive edges on one line: the subconfiguration sequence hits
     # a vanishing chord or a delta zero depending on the backtracking edge
-    r = 1.0 / math.sqrt(3.0)
-    desc = CyclicDescriptor.from_radius(PENTA_L, (1, 1, 1, 1, -1), 1, r)
+    # r = 1 / sqrt(3): every half-angle is pi/3
+    desc = CyclicDescriptor.from_angle(PENTA_L, (1, 1, 1, 1, -1), 1, math.pi / 3)
     config = reconstruct(PENTA_L, desc)
     with pytest.raises(VanishingChordError) as info:
         subconfig_sign_sequence(config, desc.circle)
     assert info.value.index == 4
 
-    desc2 = CyclicDescriptor.from_radius(PENTA_L, (-1, 1, 1, 1, 1), 1, r)
+    desc2 = CyclicDescriptor.from_angle(PENTA_L, (-1, 1, 1, 1, 1), 1, math.pi / 3)
     config2 = reconstruct(PENTA_L, desc2)
     with pytest.raises(NonGenericError) as info2:
         subconfig_sign_sequence(config2, desc2.circle)

@@ -1,4 +1,4 @@
-"""Radius root finding, reconstruction, and enumeration."""
+"""Root finding in the largest half-angle, reconstruction, and enumeration."""
 
 import itertools
 import math
@@ -9,13 +9,15 @@ from scipy.optimize import brentq
 
 from conftest import random_linkage
 from linkmorse import (
-    CyclicConfiguration,
     CyclicDescriptor,
+    DegeneracyFlags,
     Linkage,
+    analyze_linkage,
+    degeneracy_flags,
+    delta_at_angle,
     edge_lengths,
     edge_orientations,
     enumerate_cyclic,
-    f_derivative,
     f_value,
     fit_circle,
     measure_half_angles,
@@ -24,21 +26,8 @@ from linkmorse import (
     solve_radii,
     validate_configuration,
 )
-from linkmorse.solver import (
-    RESIDUAL_TOL,
-    ROOT_RTOL,
-    _angle_tables,
-    _feasible_windings,
-    _merge_radii,
-    _radius_grid,
-    degeneracy_flags,
-    delta_at_radius,
-)
-from linkmorse.errors import (
-    CentralConfigurationError,
-    InconsistentDescriptorError,
-    SolverDomainError,
-)
+from linkmorse.solver import _feasible_windings
+from linkmorse.errors import CentralConfigurationError, InconsistentDescriptorError
 
 SQUARE_L = Linkage([1, 1, 1, 1])
 PENTA_L = Linkage([1, 1, 1, 1, 1])
@@ -46,49 +35,48 @@ ALL_PLUS4 = (1, 1, 1, 1)
 ALL_PLUS5 = (1, 1, 1, 1, 1)
 
 R_SQUARE = math.sqrt(2) / 2
-R_PENTAGON = 1.0 / (2.0 * math.sin(math.pi / 5))
 R_PENTAGRAM = 1.0 / (2.0 * math.sin(2 * math.pi / 5))
+
+# theta = arcsin(r_min / r), the half-angle of the longest edge
+THETA_SQUARE = math.pi / 4
+THETA_PENTAGON = math.pi / 5
+
+QUAD_WALL_8 = [1, 2, 1.5, 2.5 - 1e-8]
+QUAD_WALL_6 = [1, 2, 1.5, 2.5 - 1e-6]
+# generic (b = (1, 4, 1)); two of its roots lie within 1.3e-12 relative of r_min
+PENTAGON_NEAR_RMIN = [0.7573611128687527, 1.2164402726063217, 0.6733244298490622,
+                      1.6753095409833882, 1.082692365727465]
 
 
 def test_f_value_square_root():
-    assert f_value(SQUARE_L, ALL_PLUS4, 1, R_SQUARE) == pytest.approx(0.0, abs=1e-12)
+    assert f_value(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_f_value_regular_pentagon_root():
-    assert f_value(PENTA_L, ALL_PLUS5, 1, R_PENTAGON) == pytest.approx(0.0, abs=1e-12)
+    assert f_value(PENTA_L, ALL_PLUS5, 1, THETA_PENTAGON) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_f_value_asymptotic_limit():
-    value = f_value(SQUARE_L, ALL_PLUS4, 2, 1e6)
-    assert value == pytest.approx(-2 * math.pi, abs=1e-5)
-
-
-def test_f_value_domain_error():
-    with pytest.raises(SolverDomainError):
-        f_value(SQUARE_L, ALL_PLUS4, 1, 0.49)
-
-
-def test_f_derivative_square_value():
-    # closed form -delta/r = -4 / (sqrt(2)/2) = -4 sqrt(2), frozen from the
-    # finite-difference check below
-    assert f_derivative(SQUARE_L, ALL_PLUS4, R_SQUARE) == pytest.approx(-4 * math.sqrt(2), abs=1e-12)
+    # theta -> 0 is r -> inf, where every half-angle vanishes
+    assert f_value(SQUARE_L, ALL_PLUS4, 2, 1e-6) == pytest.approx(-2 * math.pi, abs=1e-5)
+    assert f_value(SQUARE_L, ALL_PLUS4, 2, 1e-200) == -2 * math.pi
+    assert f_value(Linkage([3, 1, 1, 2]), (1, -1, 1, -1), 0, 1e-200) > 0.0
 
 
 def test_f_derivative_matches_finite_difference():
+    # dF/dtheta = cot(theta) * delta, with delta = sum eps_i tan(alpha_i)
+    rng = np.random.default_rng(3)
+    cases = [(SQUARE_L, ALL_PLUS4), (SQUARE_L, (1, -1, 1, -1)),
+             (random_linkage(rng, 6), (1, -1, 1, 1, -1, 1)),
+             (Linkage(PENTAGON_NEAR_RMIN), (1, 1, -1, 1, -1))]
     h = 1e-6
-    fd = (f_value(SQUARE_L, ALL_PLUS4, 1, R_SQUARE + h)
-          - f_value(SQUARE_L, ALL_PLUS4, 1, R_SQUARE - h)) / (2 * h)
-    assert f_derivative(SQUARE_L, ALL_PLUS4, R_SQUARE) == pytest.approx(fd, abs=1e-6)
-
-
-def test_f_derivative_vanishes_at_infinity():
-    value = f_derivative(SQUARE_L, ALL_PLUS4, 1e9)
-    assert -1e-8 < value < 0.0
-
-
-def test_f_derivative_zero_for_balanced_signs():
-    # eps = (+,-,+,-) on equal lengths cancels delta identically
-    assert f_derivative(SQUARE_L, (1, -1, 1, -1), 1.0) == 0.0
+    for linkage, eps in cases:
+        for theta in (0.01, 0.4, 1.0, 1.5):
+            fd = (f_value(linkage, eps, 0, theta + h) - f_value(linkage, eps, 0, theta - h)) / (2 * h)
+            assert fd == pytest.approx(delta_at_angle(linkage, eps, theta) / math.tan(theta),
+                                       rel=1e-7, abs=1e-8)
+    # balanced signs on equal lengths cancel delta identically
+    assert delta_at_angle(SQUARE_L, (1, -1, 1, -1), 0.7) == 0.0
 
 
 def test_solve_radii_square():
@@ -130,24 +118,30 @@ def test_solve_radii_obtuse_triangle_circumradius():
 
 
 def test_degeneracy_flags_detect_each_kind():
-    from linkmorse import degeneracy_flags
-
-    # balanced signs on equal lengths: delta vanishes at every radius
-    flags = degeneracy_flags(SQUARE_L, (1, -1, 1, -1), 1.0)
+    # balanced signs on equal half-angles: delta vanishes
+    flags = degeneracy_flags((1, -1, 1, -1), np.full(4, 0.3))
     assert flags.delta_zero and flags.any
     # radius a hair above the minimum: the longest edge is nearly a diameter
-    flags = degeneracy_flags(SQUARE_L, ALL_PLUS4, 0.5 * (1 + 1e-9))
+    flags = degeneracy_flags(ALL_PLUS4, np.full(4, math.asin(1 / (1 + 1e-9))))
     assert flags.central == (True, True, True, True)
     # enormous radius: every half-angle collapses toward a flip
-    flags = degeneracy_flags(SQUARE_L, ALL_PLUS4, 1e8)
+    flags = degeneracy_flags(ALL_PLUS4, np.full(4, 5e-9))
     assert all(flags.near_flip)
+    # delta_zero is relative to sum tan(alpha): two edges one ulp apart near a
+    # diameter leave |delta| ~ 2e-4, tiny next to tangents ~ 1e6; the same
+    # |delta| among tangents of order 1 is no zero
+    a = 0.5 * math.pi - 1e-6
+    near_diameter = np.array([a, np.nextafter(a, 0.0), 0.3, 0.3])
+    assert abs(np.tan(near_diameter) @ [1, -1, 1, -1]) > 1e-4
+    assert degeneracy_flags((1, -1, 1, -1), near_diameter).delta_zero
+    assert not degeneracy_flags((1, -1, 1, -1), np.array([0.3, 0.3 + 1e-4, 0.5, 0.5])).delta_zero
     # a generic root carries no flags
-    flags = degeneracy_flags(SQUARE_L, ALL_PLUS4, R_SQUARE)
+    flags = degeneracy_flags(ALL_PLUS4, np.full(4, THETA_SQUARE))
     assert not flags.any
 
 
 def test_reconstruct_unit_square():
-    desc = CyclicDescriptor.from_radius(SQUARE_L, ALL_PLUS4, 1, R_SQUARE)
+    desc = CyclicDescriptor.from_angle(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE)
     config = reconstruct(SQUARE_L, desc)
     expected = [(0, 0), (0, 1), (-1, 1), (-1, 0)]
     assert config.points == pytest.approx(np.asarray(expected, dtype=float), abs=1e-12)
@@ -157,14 +151,14 @@ def test_reconstruct_unit_square():
 
 
 def test_reconstruct_regular_pentagon_area():
-    desc = CyclicDescriptor.from_radius(PENTA_L, ALL_PLUS5, 1, R_PENTAGON)
+    desc = CyclicDescriptor.from_angle(PENTA_L, ALL_PLUS5, 1, THETA_PENTAGON)
     config = reconstruct(PENTA_L, desc)
     expected = 1.25 * math.tan(math.radians(54.0))  # regular unit pentagon
     assert signed_area(config.points) == pytest.approx(expected, abs=1e-9)
 
 
 def test_reconstruct_mirror_negates_area():
-    desc = CyclicDescriptor.from_radius(PENTA_L, ALL_PLUS5, 1, R_PENTAGON)
+    desc = CyclicDescriptor.from_angle(PENTA_L, ALL_PLUS5, 1, THETA_PENTAGON)
     mirror = desc.mirrored()
     config = reconstruct(PENTA_L, desc)
     mirrored = reconstruct(PENTA_L, mirror)
@@ -173,7 +167,7 @@ def test_reconstruct_mirror_negates_area():
 
 
 def test_reconstruct_rejects_broken_closure():
-    desc = CyclicDescriptor.from_radius(SQUARE_L, ALL_PLUS4, 1, R_SQUARE)
+    desc = CyclicDescriptor.from_angle(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE)
     bad = CyclicDescriptor(radius=desc.radius, winding=2, eps=desc.eps,
                            alphas=desc.alphas, center=desc.center)
     with pytest.raises(InconsistentDescriptorError):
@@ -271,65 +265,124 @@ def _orientation_consistent(config, desc, flags):
     return all(g == d or c for g, d, c in zip(geo.eps, desc.eps.eps, flags.central))
 
 
-def _reference_enumerate(linkage):
-    """The full 2^n scan, one (E, k) pair at a time, with the orientation
-    filter and pairwise dedup: the reference the half scan with mirror reuse,
-    no filter and no dedup must reproduce bit for bit."""
-    grid = _radius_grid(linkage)
-    alphas_tab, tangents_tab = _angle_tables(linkage, grid)
-    xtol, rtol = linkage.min_radius * 1e-15, max(ROOT_RTOL, 4.0 * np.finfo(float).eps)
+def _radius_scan(linkage):
+    """The radius scan the solver ran before it scanned in theta: the full
+    2^n strings, one (E, k) pair at a time, refined in r, with the
+    orientation filter and the pairwise dedup it used to apply.  Its grid
+    merges 4096 radii spaced geometrically with 4096 uniform in the largest
+    half-angle and stops at 1e3 r_min; a double root needs |F| <= 1e-9 and
+    delta_zero means |delta| < 1e-7, both absolute.  Returns sorted
+    ``(k, eps, r, flags)``.  It is right where no root lies beyond the cap
+    and no absolute tolerance misjudges a root, which excludes the near-wall
+    quadrilaterals."""
+    lengths, r_min, tol = linkage.lengths, linkage.min_radius, 1e-7
+    lo, hi = r_min * (1.0 + 1e-12), r_min * 1e3
+    u = np.linspace(math.asin(r_min / hi), 0.5 * math.pi * (1.0 - 1e-12), 4096)
+    grid = np.unique(np.clip(np.concatenate([np.geomspace(lo, hi, 4096), r_min / np.sin(u[::-1])]), lo, hi))
+
+    def ratios(r):
+        return np.clip(lengths / (2.0 * np.asarray(r)[..., None]), 0.0, 1.0)
+
+    def closure(e, r):
+        return np.arcsin(ratios(r)) @ e
+
+    def delta(e, r):
+        x = ratios(r)
+        return (x / np.sqrt(1.0 - x * x)) @ e
 
     def roots(values, func):
         signs = np.sign(values)
         found = [float(grid[i]) for i in np.nonzero(signs == 0.0)[0]
                  if (i == 0 or signs[i - 1] != 0.0) and (i == len(signs) - 1 or signs[i + 1] != 0.0)]
-        found.extend(float(brentq(func, grid[i], grid[i + 1], xtol=xtol, rtol=rtol))
+        found.extend(float(brentq(func, grid[i], grid[i + 1], xtol=r_min * 1e-15, rtol=1e-14))
                      for i in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0])
         return found
 
     items = []
     for eps in itertools.product((1, -1), repeat=linkage.n):
-        e_arr = np.array(eps, dtype=float)
-        d_vals = tangents_tab @ e_arr
-        d_vals = np.where(np.isfinite(d_vals), d_vals, e_arr[int(np.argmax(linkage.lengths))] * 1e300)
-        extrema = roots(d_vals, lambda r: delta_at_radius(linkage, eps, r))
+        e = np.array(eps, dtype=float)
+        extrema = roots(delta(e, grid), lambda r: delta(e, r))
         for k in _feasible_windings(linkage.n, sum(v > 0 for v in eps)):
-            radii = roots(alphas_tab @ e_arr - math.pi * k, lambda r: f_value(linkage, eps, k, r))
-            radii.extend(r for r in extrema if abs(f_value(linkage, eps, k, r)) <= RESIDUAL_TOL)
-            for r in _merge_radii(radii):
-                flags = degeneracy_flags(linkage, eps, r)
-                desc = CyclicDescriptor.from_radius(linkage, eps, k, r)
+            radii = roots(closure(e, grid) - math.pi * k, lambda r: closure(e, r) - math.pi * k)
+            radii.extend(r for r in extrema if abs(closure(e, r) - math.pi * k) <= 1e-9)
+            merged = []
+            for r in sorted(radii):
+                if not merged or abs(r - merged[-1]) > 1e-10 * r:
+                    merged.append(r)
+            for r in merged:
+                flags = DegeneracyFlags(central=tuple(bool(2.0 * r - l <= tol * r) for l in lengths),
+                                        near_flip=tuple(bool(a < tol) for a in np.arcsin(ratios(r))),
+                                        delta_zero=bool(abs(delta(e, r)) < tol))
+                desc = CyclicDescriptor.from_angle(linkage, eps, k, math.asin(r_min / r))
                 config = reconstruct(linkage, desc)
                 if _orientation_consistent(config, desc, flags):
-                    items.append(CyclicConfiguration(desc, config, flags))
-    items.sort(key=lambda it: (it.descriptor.winding, it.descriptor.eps.eps, it.descriptor.radius))
+                    items.append((k, eps, r, flags, config.points))
+    items.sort(key=lambda it: it[:3])
     unique = []
     for item in items:
-        if not any(np.max(np.abs(other.configuration.points - item.configuration.points))
-                   < 1e-8 * linkage.perimeter for other in unique):
+        if not any(np.max(np.abs(other[4] - item[4])) < 1e-8 * linkage.perimeter for other in unique):
             unique.append(item)
-    return unique
-
-
-def _exact_key(item):
-    desc = item.descriptor
-    return (desc.radius, desc.winding, desc.eps.eps, item.configuration.points.tobytes(), item.flags)
+    return [item[:4] for item in unique]
 
 
 def _exact_fixtures():
     yield from (pytest.param(Linkage([1] * n), id=f"equilateral_{n}") for n in (4, 5, 6))
     yield pytest.param(Linkage([3, 1, 1, 2]), id="quad_3112")
-    yield pytest.param(Linkage([1, 2, 1.5, 2.5 - 1e-8]), id="quad_wall_1e-8")
-    yield pytest.param(Linkage([1, 2, 1.5, 2.5 - 1e-6]), id="quad_wall_1e-6")
+    yield pytest.param(Linkage([1, 1, 2, 2]), id="quad_1122")
+    yield pytest.param(Linkage([1, 1, 1.5, 1.5]), id="quad_1_1_15_15")
+    yield pytest.param(Linkage([1, 2, 1, 2, 1, 2]), id="hex_121212")
+    # exact walls, where F and delta vanish at r = inf: that limit is no root
+    yield pytest.param(Linkage([1, 2, 3, 2.5, 1.5]), id="wall_5")
+    yield pytest.param(Linkage([1, 1, 1, 1, 2, 2]), id="wall_6")
     rng = np.random.default_rng(41)
     yield from (pytest.param(random_linkage(rng, n), id=f"random_{n}") for n in (6, 7, 8, 9))
 
 
 @pytest.mark.parametrize("linkage", list(_exact_fixtures()))
 def test_enumeration_matches_full_scan_exactly(linkage):
-    expected = [_exact_key(item) for item in _reference_enumerate(linkage)]
+    """Half scan in theta with mirror reuse, no filter and no dedup, against
+    the full radius scan: the same (E, k, flags) exactly, radii within 1e-12."""
+    expected = _radius_scan(linkage)
     assert expected
-    assert [_exact_key(item) for item in enumerate_cyclic(linkage)] == expected
+    items = enumerate_cyclic(linkage)
+    assert [(it.descriptor.winding, it.descriptor.eps.eps, it.flags) for it in items] == \
+        [(k, eps, flags) for k, eps, _, flags in expected]
+    assert [it.descriptor.radius for it in items] == pytest.approx([r for _, _, r, _ in expected],
+                                                                   rel=1e-12)
+
+
+def test_quad_wall_1e8_finds_the_pair_beyond_the_old_cap():
+    # the quadrilateral dichotomy gives 4 here; the radius scan stopped at
+    # 1e3 r_min and lost the pair near r = 3742 r_min, which sits next to
+    # the extremum of F at r = 6481 r_min, where |F| = 4.1e-13 is no root
+    linkage = Linkage(QUAD_WALL_8)
+    items = enumerate_cyclic(linkage)
+    assert len(items) == 4
+    far = [it for it in items if it.descriptor.radius > 1e3 * linkage.min_radius]
+    assert len(far) == 2
+    assert all(it.flags.delta_zero for it in far)
+    assert all(3.7e3 < it.descriptor.radius / linkage.min_radius < 3.8e3 for it in far)
+
+
+def test_quad_wall_1e6_roots_are_generic_and_agree():
+    # absolute tolerances flagged these 4 roots delta_zero and admitted a
+    # spurious double root besides
+    analyses = analyze_linkage(Linkage(QUAD_WALL_6))
+    assert len(analyses) == 4
+    assert not any(a.flags.any for a in analyses)
+    assert all(a.agree and a.index_source == "formula" for a in analyses)
+
+
+def test_pentagon_near_minimum_radius_closes():
+    # refined in r, a root near r_min left a closure defect of 3.3e-9 and
+    # reconstruct raised InconsistentDescriptorError
+    linkage = Linkage(PENTAGON_NEAR_RMIN)
+    items = enumerate_cyclic(linkage)
+    assert len(items) == 6
+    assert max(it.descriptor.closure_defect() for it in items) < 1e-10
+    near = [it for it in items if it.descriptor.radius < linkage.min_radius * (1 + 1e-11)]
+    assert len(near) == 2
+    assert all(any(it.flags.central) for it in near)
 
 
 def test_solve_radii_mirror_is_exact():
