@@ -75,8 +75,37 @@ def test_f_derivative_matches_finite_difference():
             fd = (f_value(linkage, eps, 0, theta + h) - f_value(linkage, eps, 0, theta - h)) / (2 * h)
             assert fd == pytest.approx(delta_at_angle(linkage, eps, theta) / math.tan(theta),
                                        rel=1e-7, abs=1e-8)
-    # balanced signs on equal lengths cancel delta identically
-    assert delta_at_angle(SQUARE_L, (1, -1, 1, -1), 0.7) == 0.0
+
+
+def test_f_derivative_square_value():
+    # every half-angle is pi/4, so delta = 4 and dF/dtheta = cot(pi/4) * 4 = 4;
+    # with dtheta/dr = -tan(theta)/r this is the radius derivative -delta/r = -4 sqrt(2)
+    delta = delta_at_angle(SQUARE_L, ALL_PLUS4, THETA_SQUARE)
+    assert delta == pytest.approx(4.0, abs=1e-12)
+    assert delta / math.tan(THETA_SQUARE) == pytest.approx(4.0, abs=1e-12)
+    assert -delta / R_SQUARE == pytest.approx(-4 * math.sqrt(2), abs=1e-12)
+    h = 1e-6
+    fd = (f_value(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE + h)
+          - f_value(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE - h)) / (2 * h)
+    assert fd == pytest.approx(4.0, abs=1e-6)
+
+
+def test_f_derivative_vanishes_at_infinity():
+    # as theta -> 0 (r -> inf) dF/dtheta tends to sum(eps_i l_i) / l_max = 4,
+    # so the radius derivative -delta/r vanishes from below
+    for theta in (math.asin(0.5 / 1e9), 1e-200):
+        delta = delta_at_angle(SQUARE_L, ALL_PLUS4, theta)
+        assert delta / math.tan(theta) == pytest.approx(4.0, rel=1e-12)
+    theta = math.asin(0.5 / 1e9)
+    value = -delta_at_angle(SQUARE_L, ALL_PLUS4, theta) / (0.5 / math.sin(theta))
+    assert -1e-8 < value < 0.0
+
+
+def test_f_derivative_zero_for_balanced_signs():
+    # eps = (+,-,+,-) on equal lengths cancels delta identically, and F is flat
+    for theta in (1e-200, 0.01, 0.7, math.pi / 2):
+        assert delta_at_angle(SQUARE_L, (1, -1, 1, -1), theta) == 0.0
+    assert f_value(SQUARE_L, (1, -1, 1, -1), 0, 0.3) == f_value(SQUARE_L, (1, -1, 1, -1), 0, 1.2)
 
 
 def test_solve_radii_square():
