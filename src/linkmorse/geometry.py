@@ -307,20 +307,27 @@ def measure_half_angles(points, fit: CircleFit) -> np.ndarray:
     """Half-angles ``alpha_i = arcsin(l_i / (2r))`` of the inscribed edges.
 
     Each ``alpha_i`` lies in (0, pi/2]; the side of the center is carried
-    separately by the orientation string.  An edge longer than the diameter
-    (beyond :data:`OVER_DIAMETER_TOL`) cannot be a chord and raises.
+    separately by the orientation string.  It is computed as
+    ``atan2(l_i / 2, h_i)``, with ``h_i`` the distance from the center to the
+    edge midpoint, which keeps its digits near a diameter: there
+    ``pi/2 - alpha_i`` is about ``h_i / r``, the quantity
+    :data:`CENTRAL_CROSS_TOL` thresholds, where ``arcsin`` of a ratio within
+    rounding of 1 returns pi/2.  An edge longer than the diameter (beyond
+    :data:`OVER_DIAMETER_TOL`) cannot be a chord and raises.
     """
     pts = _as_points(points)
     r = fit.radius
-    lengths = edge_lengths(pts)
-    ratios = lengths / (2.0 * r)
-    over = np.nonzero(ratios > 1.0 + OVER_DIAMETER_TOL)[0]
+    nxt = np.roll(pts, -1, axis=0)
+    chords = nxt - pts
+    lengths = np.hypot(chords[:, 0], chords[:, 1])
+    over = np.nonzero(lengths / (2.0 * r) > 1.0 + OVER_DIAMETER_TOL)[0]
     if over.size:
         i = int(over[0])
         raise NotInscribableError(
             f"edge {i + 1} (length {lengths[i]:.12g}) exceeds the diameter {2 * r:.12g}"
         )
-    return np.arcsin(np.clip(ratios, 0.0, 1.0))
+    offsets = 0.5 * (pts + nxt) - fit.center
+    return np.arctan2(0.5 * lengths, np.hypot(offsets[:, 0], offsets[:, 1]))
 
 
 def is_convex_positive(points) -> bool:

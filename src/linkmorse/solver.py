@@ -12,27 +12,42 @@ realization of the linkage exactly when
 with ``dF/dtheta = cot(theta) * delta`` where ``delta = sum_i eps_i tan(alpha_i)``.
 ``theta`` runs over ``(0, pi/2]`` and tends to 0 as r grows without bound, so
 one grid of :data:`SAMPLES` points uniform in theta covers every radius: there
-is no radius cap.  The solver samples F on that grid for one orientation
-string and all its feasible windings at once, refines each sign change in
-theta and rebuilds vertex coordinates from the root.  Double roots hide at
-zeros of delta, the extrema of F; one is accepted when
+is no radius cap.
+
+The scan runs once per linkage, over blocks of orientation strings.  For a
+block, one matrix product tabulates the closure sums ``C = sum eps_i alpha_i``
+and one the deltas ``D`` on the grid, for every string at once.  A level
+``pi k`` can only be crossed in a cell where ``floor(C / pi)`` changes or next
+to a sample within a slack of a level, so one pass over the block picks these
+candidate cells, and the exact test runs on them alone, for all feasible
+windings at once: a sign change of ``C - pi k`` brackets a root, an isolated
+exact zero is one, and a run of exact zeros (a family on which F vanishes
+identically) yields none.  A string whose +1 and -1 edges carry the same
+lengths is such a family for every winding and is not scanned.  Brackets are
+refined in theta with ``brentq``.
+Double roots hide at zeros of delta, the extrema of F; one is accepted when
 ``|F| <= RESIDUAL_TOL * (sum alpha_i + pi |k|)``, and a root is flagged
 ``delta_zero`` when ``|delta| < DEGENERACY_TOL * sum tan(alpha_i)``, so both
 tests scale with the problem.  Only the strings with ``eps_1 = +1`` are
 scanned: the mirror string ``(-E, -k)`` has ``F_{-E,-k} = -F_{E,k}`` exactly
 in floating point, so it reuses the same roots, descriptors and flags.
+
+The per-root tail is batched too: half-angles, radii, centers, flags, the
+closure check and the vertices of every root and its mirror are array
+operations over all roots of the linkage, and the result objects are built
+last.  The scan covers ``2^(n-1)`` strings, so linkages with more than
+:data:`MAX_EDGES` edges are refused before it starts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import InconsistentDescriptorError
+from .errors import InconsistentDescriptorError, InvalidLinkageError
 from .geometry import (
     CircleFit,
     Configuration,
@@ -47,6 +62,25 @@ _RMIN_MARGIN = 1e-12
 
 # Grid points of the scan, uniform in theta.
 SAMPLES = 4096
+
+# Orientation strings per block of the scan.  Each of the block's four work
+# tables (strings x grid points) then takes about 512 kB, which bounds the
+# scan's working set whatever n is.  At n = 10, blocks of 8 strings took
+# 14% longer and blocks of 32 grew the peak memory by another 2.7 MB.
+_BLOCK = max(1, 2 ** 16 // SAMPLES)
+
+# Distance, in units of pi, within which a sample of C counts as near a level
+# pi k.  It is far above the rounding of C / pi, so a sign change of C - pi k
+# across a cell where floor(C / pi) stays the same has an endpoint this near.
+_LEVEL_SLACK = 1e-9
+
+# Largest number of edges enumerate_cyclic accepts.  The scan covers
+# 2^(n-1) strings and the number of configurations grows about as fast:
+# ``linkmorse enumerate`` on random lengths in [0.5, 2] took 10.7 s at
+# n = 14, 19.9 s at n = 15 and 40 s (33126 configurations, 0.7 GB peak) at
+# n = 16 on a 2-core x86-64 host with Python 3.11, so n = 17 would pass a
+# minute.
+MAX_EDGES = 16
 
 # First grid point, standing in for theta = 0 (r = inf): F has the sign of its
 # limit there, -k, or the sign of sum(eps * l) for k = 0.  It is also brentq's
@@ -93,13 +127,19 @@ class DegeneracyFlags:
         }
 
 
-def _half_angles(linkage: Linkage, theta) -> np.ndarray:
+def _ratios(linkage: Linkage) -> np.ndarray:
+    """``rho_i = l_i / l_max``."""
+    return linkage.lengths / linkage.lengths.max()
+
+
+def _half_angles(rho: np.ndarray, theta) -> np.ndarray:
     """Half-angles ``arcsin(rho_i sin theta)`` for a scalar theta (shape n) or
     an array of them (one row each).  The longest edges take theta itself:
     ``arcsin(sin theta)`` loses half the digits near pi/2."""
-    rho = linkage.lengths / linkage.lengths.max()
     theta = np.asarray(theta, dtype=float)[..., None]
-    return np.where(rho == 1.0, theta, np.arcsin(rho * np.sin(theta)))
+    alphas = np.arcsin(rho * np.sin(theta))
+    np.copyto(alphas, theta, where=rho == 1.0)
+    return alphas
 
 
 @dataclass(frozen=True)
@@ -131,8 +171,7 @@ class CyclicDescriptor:
 
     def closure_defect(self) -> float:
         """Absolute defect of the angular closure sum(2 eps_i alpha_i) = 2 pi k."""
-        total = 2.0 * float(self.eps.array @ self.alphas)
-        return abs(total - 2.0 * math.pi * self.winding)
+        return float(_closure_defects(self.eps.array[None], self.alphas[None], self.winding)[0])
 
     @classmethod
     def from_angle(cls, linkage: Linkage, eps, winding: int, theta: float) -> "CyclicDescriptor":
@@ -140,11 +179,8 @@ class CyclicDescriptor:
         radius ``r_min / sin theta``, the half-angles, and the center placed
         left/right of the pinned first edge according to ``eps_1``."""
         eps = eps if isinstance(eps, OrientationString) else OrientationString(tuple(eps))
-        alphas = _half_angles(linkage, theta)
-        radius = linkage.min_radius / math.sin(theta)
-        cx = radius * math.cos(alphas[0])
-        center = np.array([-cx if eps.eps[0] > 0 else cx, float(linkage.lengths[0]) / 2.0])
-        return cls(radius=radius, winding=winding, eps=eps, alphas=alphas, center=center)
+        radius, alphas, center = _root_geometry(linkage, eps.array[None], np.array([theta]))
+        return cls(radius=radius[0], winding=winding, eps=eps, alphas=alphas[0], center=center[0])
 
     def mirrored(self) -> "CyclicDescriptor":
         """Reflection across the pinned edge: all signs and the winding flip."""
@@ -172,115 +208,78 @@ def _eps_array(eps) -> np.ndarray:
     return OrientationString(tuple(eps)).array
 
 
+def _closure(theta: float, rho: np.ndarray, e: np.ndarray, k: int) -> float:
+    return float(e @ _half_angles(rho, theta)) - math.pi * k
+
+
+def _delta(theta: float, rho: np.ndarray, e: np.ndarray) -> float:
+    return float(e @ np.tan(_half_angles(rho, theta)))
+
+
 def f_value(linkage: Linkage, eps, k: int, theta: float) -> float:
     """Closure function ``sum_i eps_i alpha_i(theta) - pi k``."""
-    return float(_eps_array(eps) @ _half_angles(linkage, theta)) - math.pi * k
+    return _closure(theta, _ratios(linkage), _eps_array(eps), k)
 
 
 def delta_at_angle(linkage: Linkage, eps, theta: float) -> float:
     """``delta = sum_i eps_i tan(alpha_i)`` at the angle theta; the theta
     derivative of :func:`f_value` is ``cot(theta) * delta``."""
-    return float(_eps_array(eps) @ np.tan(_half_angles(linkage, theta)))
+    return _delta(theta, _ratios(linkage), _eps_array(eps))
+
+
+def _flag_rows(eps: np.ndarray, alphas: np.ndarray) -> list:
+    """:class:`DegeneracyFlags` of each row of stacked strings and half-angles."""
+    tangents = np.tan(alphas)
+    delta = (eps * tangents).sum(axis=1)
+    central = (2.0 - 2.0 * np.sin(alphas) <= DEGENERACY_TOL).tolist()
+    near_flip = (alphas < DEGENERACY_TOL).tolist()
+    delta_zero = (np.abs(delta) < DEGENERACY_TOL * tangents.sum(axis=1)).tolist()
+    return [DegeneracyFlags(central=tuple(c), near_flip=tuple(f), delta_zero=z)
+            for c, f, z in zip(central, near_flip, delta_zero)]
 
 
 def degeneracy_flags(eps, alphas) -> DegeneracyFlags:
     """Deterministic near-degeneracy flags for (E, alpha) at :data:`DEGENERACY_TOL`:
     an edge within ``DEGENERACY_TOL * r`` of a diameter, a half-angle below it,
     or ``|delta|`` below it times ``sum tan(alpha)``."""
-    alphas = np.asarray(alphas, dtype=float)
-    tangents = np.tan(alphas)
-    delta = float(_eps_array(eps) @ tangents)
-    return DegeneracyFlags(central=tuple((2.0 - 2.0 * np.sin(alphas) <= DEGENERACY_TOL).tolist()),
-                           near_flip=tuple((alphas < DEGENERACY_TOL).tolist()),
-                           delta_zero=bool(abs(delta) < DEGENERACY_TOL * float(tangents.sum())))
+    return _flag_rows(_eps_array(eps)[None], np.asarray(alphas, dtype=float)[None])[0]
 
 
-def _angle_grid() -> np.ndarray:
-    """The scan grid: :data:`SAMPLES` steps uniform in theta up to the angle
-    at ``r_min (1 + _RMIN_MARGIN)``, the first point moved from 0 to
-    :data:`_FAR_ANGLE`."""
-    grid = np.linspace(0.0, math.asin(1.0 / (1.0 + _RMIN_MARGIN)), SAMPLES + 1)
-    grid[0] = _FAR_ANGLE
-    return grid
+def _closure_defects(eps: np.ndarray, alphas: np.ndarray, winding) -> np.ndarray:
+    """``|sum 2 eps_i alpha_i - 2 pi k|`` of each row."""
+    return np.abs(2.0 * (eps * alphas).sum(axis=1) - 2.0 * math.pi * np.asarray(winding))
 
 
-def _bracket_masks(values: np.ndarray):
-    """Isolated exact zeros and sign changes along the last axis of a sampled
-    table.  Runs of consecutive exact zeros mark a degenerate family (the
-    function vanishes identically there) and yield no isolated roots; a sign
-    change at sample ``i`` brackets a root between samples ``i`` and ``i + 1``."""
-    pos, neg, zero = values > 0.0, values < 0.0, values == 0.0
-    isolated = zero.copy()
-    isolated[..., 1:] &= ~zero[..., :-1]
-    isolated[..., :-1] &= ~zero[..., 1:]
-    return isolated, (pos[..., :-1] & neg[..., 1:]) | (neg[..., :-1] & pos[..., 1:])
+def _root_geometry(linkage: Linkage, eps: np.ndarray, thetas: np.ndarray):
+    """Radii ``r_min / sin theta``, half-angles and centers of the roots
+    ``thetas`` of the strings ``eps`` (one row each).  The center lies at
+    distance ``r cos(alpha_1)`` left of the pinned edge for ``eps_1 = +1``
+    and right of it otherwise."""
+    alphas = _half_angles(_ratios(linkage), thetas)
+    radius = linkage.min_radius / np.sin(thetas)
+    cx = radius * np.cos(alphas[:, 0])
+    center = np.stack([np.where(eps[:, 0] > 0, -cx, cx),
+                       np.full(thetas.size, float(linkage.lengths[0]) / 2.0)], axis=1)
+    return radius, alphas, center
 
 
-def _merge(thetas: list) -> list:
-    merged = []
-    for t in sorted(thetas):
-        if not merged or abs(t - merged[-1]) > MERGE_RTOL * t:
-            merged.append(t)
-    return merged
-
-
-def _scan_string(linkage: Linkage, grid: np.ndarray, alphas_tab: np.ndarray,
-                 tangents_tab: np.ndarray, eps: OrientationString, ks: np.ndarray) -> list:
-    """Merged root angles of F for one orientation string, one sorted list
-    per winding number in ``ks``.
-
-    The closure sums are tabulated once for the string and offset by
-    ``pi k`` for every winding at once; sign changes are refined by
-    bracketing.  Double roots (where F and delta vanish together) are
-    recovered by locating the zeros of delta and testing |F| there.
-    """
-    e_arr = eps.array
-    closures = alphas_tab @ e_arr
-    # The first point stands in for r = inf.  On a wall (sum eps_i l_i = 0, to
-    # RESIDUAL_TOL) F and delta both vanish in that limit, which is no
-    # configuration, and their signs next to it are rounding: scan from the
-    # second point.
-    start = int(abs(closures[0]) <= RESIDUAL_TOL * alphas_tab[0].sum())
-    grid, closures, deltas = grid[start:], closures[start:], tangents_tab[start:] @ e_arr
-    zeros, changes = _bracket_masks(closures[None, :] - math.pi * ks[:, None])
-    thetas = [[] for _ in ks]
-    # divmod of flat indices: a 2-D np.nonzero costs about nine times more (numpy 2.4).
-    for j, i in zip(*np.divmod(np.flatnonzero(zeros), zeros.shape[1])):
-        thetas[j].append(float(grid[i]))
-    for j, i in zip(*np.divmod(np.flatnonzero(changes), changes.shape[1])):
-        k = int(ks[j])
-        thetas[j].append(float(brentq(lambda t: f_value(linkage, eps, k, t), grid[i], grid[i + 1],
-                                      xtol=_FAR_ANGLE, rtol=ROOT_RTOL)))
-
-    # Double roots hide at interior extrema of F, i.e. zeros of delta.
-    zeros, changes = _bracket_masks(deltas)
-    extrema = [float(t) for t in grid[zeros]]
-    extrema.extend(float(brentq(lambda t: delta_at_angle(linkage, eps, t), grid[i], grid[i + 1],
-                                xtol=_FAR_ANGLE, rtol=ROOT_RTOL))
-                   for i in np.flatnonzero(changes))
-    for t in extrema:
-        alphas = _half_angles(linkage, t)
-        scale = alphas.sum() + math.pi * np.abs(ks)
-        for j in np.nonzero(np.abs(float(e_arr @ alphas) - math.pi * ks) <= RESIDUAL_TOL * scale)[0]:
-            thetas[j].append(t)
-
-    return [_merge(ts) for ts in thetas]
-
-
-def solve_radii(linkage: Linkage, eps, k: int) -> list:
-    """All radii solving F = 0 for one (E, k) pair, with degeneracy flags.
-
-    Returns ``[(r, DegeneracyFlags), ...]`` sorted by radius.  Sign changes of
-    the sampled closure function are refined by bracketing in theta; double
-    roots (where F and delta vanish together) are recovered by locating the
-    zeros of delta and testing |F| there, and arrive flagged ``delta_zero``.
-    """
-    eps = eps if isinstance(eps, OrientationString) else OrientationString(tuple(eps))
-    grid = _angle_grid()
-    alphas = _half_angles(linkage, grid)
-    (thetas,) = _scan_string(linkage, grid, alphas, np.tan(alphas), eps, np.array([k]))
-    descs = [CyclicDescriptor.from_angle(linkage, eps, k, t) for t in reversed(thetas)]
-    return [(d.radius, degeneracy_flags(eps, d.alphas)) for d in descs]
+def _vertices(linkage: Linkage, radius: np.ndarray, center: np.ndarray,
+              eps: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Vertex coordinates, shape (rows, n, 2), of stacked descriptors on their
+    circles in the pinned frame.  Successive vertex angles advance by
+    ``2 eps_i alpha_i``; the pinned vertices are snapped exactly to ``(0,0)``
+    and ``(0, l_1)``."""
+    # math.atan2, not np.arctan2: the two differ in the last bit on some
+    # inputs, and the vertices would move with it.
+    first = np.array([math.atan2(-y, -x) for x, y in center.tolist()])
+    steps = 2.0 * eps * alphas
+    angles = first[:, None] + np.concatenate(
+        [np.zeros((first.size, 1)), np.cumsum(steps[:, :-1], axis=1)], axis=1)
+    unit = np.stack([np.cos(angles), np.sin(angles)], axis=2)
+    pts = center[:, None, :] + radius[:, None, None] * unit
+    pts[:, 0] = (0.0, 0.0)
+    pts[:, 1] = (0.0, float(linkage.lengths[0]))
+    return pts
 
 
 def reconstruct(linkage: Linkage, desc: CyclicDescriptor) -> Configuration:
@@ -295,25 +294,199 @@ def reconstruct(linkage: Linkage, desc: CyclicDescriptor) -> Configuration:
         )
     if desc.n != linkage.n:
         raise InconsistentDescriptorError("descriptor size does not match the linkage")
-    center = desc.center
-    theta1 = math.atan2(-center[1], -center[0])
-    steps = 2.0 * desc.eps.array * desc.alphas
-    theta = theta1 + np.concatenate([[0.0], np.cumsum(steps[:-1])])
-    pts = center[None, :] + desc.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    pts[0] = (0.0, 0.0)
-    pts[1] = (0.0, float(linkage.lengths[0]))
-    return Configuration(points=pts)
+    pts = _vertices(linkage, np.array([desc.radius]), desc.center[None],
+                    desc.eps.array[None], desc.alphas[None])
+    return Configuration(points=pts[0])
 
 
-def _feasible_windings(n: int, positives: int):
-    """Winding numbers k compatible with an orientation string having
-    ``positives`` entries equal to +1: the closure sum is confined to the
-    open interval (-(n - e) pi/2, e pi/2), so -(n - e) < 2k < e."""
-    lo = math.floor(-(n - positives) / 2.0)
-    hi = math.ceil(positives / 2.0)
-    for k in range(lo, hi + 1):
-        if -(n - positives) < 2 * k < positives:
-            yield k
+def _angle_grid() -> np.ndarray:
+    """The scan grid: :data:`SAMPLES` steps uniform in theta up to the angle
+    at ``r_min (1 + _RMIN_MARGIN)``, the first point moved from 0 to
+    :data:`_FAR_ANGLE`."""
+    grid = np.linspace(0.0, math.asin(1.0 / (1.0 + _RMIN_MARGIN)), SAMPLES + 1)
+    grid[0] = _FAR_ANGLE
+    return grid
+
+
+def _winding_bounds(n: int, positives):
+    """Least and greatest winding number k compatible with an orientation
+    string having ``positives`` entries equal to +1 (an int or an array): the
+    closure sum is confined to the open interval (-(n - e) pi/2, e pi/2), so
+    -(n - e) < 2k < e."""
+    return -(n - positives) // 2 + 1, (positives + 1) // 2 - 1
+
+
+def _vanishing(lengths: np.ndarray, strings: np.ndarray) -> np.ndarray:
+    """Strings whose +1 and -1 edges carry the same multiset of lengths: on
+    them sum(eps_i alpha_i) and delta vanish identically."""
+    _, group = np.unique(lengths, return_inverse=True)
+    return ~(strings @ np.eye(group.max() + 1)[group]).any(axis=1)
+
+
+def _candidates(table: np.ndarray, offset: int, cells: np.ndarray):
+    """Row (plus ``offset``), column and the values before, at and after each
+    candidate sample of a block table; ``cells`` marks the candidates."""
+    flat = np.flatnonzero(cells)
+    values = table.ravel()
+    row, i = np.divmod(flat, table.shape[1])
+    return (row + offset, i, values.take(flat - 1, mode="clip"), values[flat],
+            values.take(flat + 1, mode="clip"))
+
+
+def _level_cells(closures: np.ndarray, levels: np.ndarray, floors: np.ndarray) -> np.ndarray:
+    """Samples of a block of closure sums next to which a level ``pi k`` may
+    be met: where ``floor(C / pi)`` changes before the next sample, or where
+    this sample or the next lies within :data:`_LEVEL_SLACK` of a level.
+    ``levels`` and ``floors`` are work arrays of the block's shape."""
+    np.multiply(closures, 1.0 / math.pi, out=levels)
+    np.floor(levels, out=floors)
+    fraction = np.subtract(levels, floors, out=levels)
+    cells = (fraction <= _LEVEL_SLACK) | (fraction >= 1.0 - _LEVEL_SLACK)
+    cells[:, :-1] |= cells[:, 1:]
+    cells[:, :-1] |= floors[:, :-1] != floors[:, 1:]
+    return cells
+
+
+def _sign_cells(deltas: np.ndarray) -> np.ndarray:
+    """Samples of a block of deltas that are not of one strict sign, or whose
+    sign differs from the next sample's."""
+    pos, neg = deltas > 0.0, deltas < 0.0
+    cells = ~(pos | neg)
+    cells[:, :-1] |= (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
+    return cells
+
+
+def _isolated_zero(i, prev, here, after, level, last: int):
+    """Candidate samples where the table equals the level and its neighbours
+    along the row do not: a run of exact zeros is a family on which the
+    function vanishes identically, which yields no root."""
+    return ((here == level) & ((i == 0) | (prev != level))
+            & ((i == last) | (after != level)))
+
+
+def _sign_change(here, after, level):
+    """Candidate cells across which the table minus the level changes sign."""
+    return ((here < level) & (after > level)) | ((here > level) & (after < level))
+
+
+def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
+    """Candidate samples of the closure sums and of the deltas of every
+    string on the grid, as :func:`_candidates` tuples over all blocks."""
+    alphas_tab = _half_angles(rho, grid)
+    tangents_tab = np.tan(alphas_tab)
+    wall_tol = RESIDUAL_TOL * alphas_tab[0].sum()
+    level_cells, sign_cells = [], []
+    # Work tables reused by every block: a fresh array of this size per
+    # operation costs more in page faults than the arithmetic on it.  They
+    # are four allocations, not one, so that none exceeds a block table:
+    # freeing a larger one would raise the allocator's threshold for mapping
+    # memory and change the cost of later allocations in the process.
+    work = [np.empty((min(_BLOCK, len(strings)), grid.size)) for _ in range(4)]
+    for start in range(0, len(strings), _BLOCK):
+        rows = strings[start:start + _BLOCK]
+        closures, deltas, levels, floors = (table[:len(rows)] for table in work)
+        np.matmul(rows, alphas_tab.T, out=closures)
+        np.matmul(rows, tangents_tab.T, out=deltas)
+        # The first point stands in for r = inf.  On a wall (sum eps_i l_i = 0,
+        # to RESIDUAL_TOL) F and delta both vanish in that limit, which is no
+        # configuration, and their signs next to it are rounding: NaN there
+        # is neither a zero nor a sign, so such a string's scan starts at the
+        # second point.
+        wall = np.abs(closures[:, 0]) <= wall_tol
+        closures[wall, 0] = np.nan
+        deltas[wall, 0] = np.nan
+        level_cells.append(_candidates(closures, start, _level_cells(closures, levels, floors)))
+        sign_cells.append(_candidates(deltas, start, _sign_cells(deltas)))
+    none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 3
+    return ([np.concatenate(v) for v in zip(none, *level_cells)],
+            [np.concatenate(v) for v in zip(none, *sign_cells)])
+
+
+def _merge(row: np.ndarray, k: np.ndarray, theta: np.ndarray):
+    """Sort roots by (row, k, theta) and drop each root closer than
+    :data:`MERGE_RTOL` (relative) to the last one kept for its (row, k)."""
+    order = np.lexsort((theta, k, row))
+    row, k, theta = row[order], k[order], theta[order]
+    keep, kept = [], None
+    for j, root in enumerate(zip(row.tolist(), k.tolist(), theta.tolist())):
+        if kept is None or root[:2] != kept[:2] or abs(root[2] - kept[2]) > MERGE_RTOL * root[2]:
+            keep.append(j)
+            kept = root
+    return row[keep].astype(int), k[keep].astype(int), theta[keep]
+
+
+def _scan(linkage: Linkage, strings: np.ndarray, k_lo: np.ndarray, k_hi: np.ndarray):
+    """Merged roots of F for the orientation strings ``strings`` (rows of
+    +-1) and the windings ``k_lo <= k <= k_hi`` of each row.
+
+    Returns arrays ``(row, k, theta)`` sorted by row, then k, then theta.
+    """
+    # A string whose +1 and -1 edges carry the same lengths has F = -pi k and
+    # delta = 0 for every theta, which yields no root.  It is not scanned: a
+    # matrix product would leave rounding residues of either sign in its
+    # tables, not exact zeros.
+    scanned = np.flatnonzero(~_vanishing(linkage.lengths, strings))
+    strings, k_lo, k_hi = strings[scanned], k_lo[scanned], k_hi[scanned]
+    rho = _ratios(linkage)
+    grid = _angle_grid()
+    last = grid.size - 1
+    level_cells, sign_cells = _tabulate(rho, grid, strings)
+
+    # Roots of F: exact zeros at the level nearest a candidate sample, and
+    # sign changes across the cell to the next sample for every level from
+    # floor(C / pi) at the lower end to floor(C / pi) + 1 at the upper end.
+    row, i, prev, here, after = level_cells
+    k = np.rint(here / math.pi)
+    zero = _isolated_zero(i, prev, here, after, math.pi * k, last)
+    zero &= (k >= k_lo[row]) & (k <= k_hi[row])
+    found = [(row[zero], k[zero], grid[i[zero]])]
+    known = (i < last) & ~np.isnan(here)
+    row, i, here, after = row[known], i[known], here[known], after[known]
+    lo = np.floor(np.minimum(here, after) / math.pi)
+    hi = np.floor(np.maximum(here, after) / math.pi) + 1.0
+    for step in range(int(np.max(hi - lo, initial=-1.0)) + 1):
+        k = lo + step
+        change = _sign_change(here, after, math.pi * k)
+        change &= (k <= hi) & (k >= k_lo[row]) & (k <= k_hi[row])
+        brackets = zip(row[change].tolist(), k[change].tolist(), i[change].tolist())
+        refined = [brentq(_closure, grid[c], grid[c + 1], args=(rho, strings[r], kk),
+                          xtol=_FAR_ANGLE, rtol=ROOT_RTOL) for r, kk, c in brackets]
+        found.append((row[change], k[change], np.array(refined, dtype=float)))
+
+    # Double roots hide at interior extrema of F, i.e. zeros of delta; each
+    # is tested against the level nearest to F there.
+    row, i, prev, here, after = sign_cells
+    zero = _isolated_zero(i, prev, here, after, 0.0, last)
+    change = (i < last) & _sign_change(here, after, 0.0)
+    refined = [brentq(_delta, grid[c], grid[c + 1], args=(rho, strings[r]), xtol=_FAR_ANGLE,
+                      rtol=ROOT_RTOL) for r, c in zip(row[change].tolist(), i[change].tolist())]
+    row = np.concatenate([row[zero], row[change]])
+    theta = np.concatenate([grid[i[zero]], np.array(refined, dtype=float)])
+    alphas = _half_angles(rho, theta)
+    closure = (strings[row] * alphas).sum(axis=1)
+    k = np.rint(closure / math.pi)
+    scale = alphas.sum(axis=1) + math.pi * np.abs(k)
+    double = ((k >= k_lo[row]) & (k <= k_hi[row])
+              & (np.abs(closure - math.pi * k) <= RESIDUAL_TOL * scale))
+    found.append((row[double], k[double], theta[double]))
+
+    row, k, theta = _merge(*(np.concatenate(v) for v in zip(*found)))
+    return scanned[row], k, theta
+
+
+def solve_radii(linkage: Linkage, eps, k: int) -> list:
+    """All radii solving F = 0 for one (E, k) pair, with degeneracy flags.
+
+    Returns ``[(r, DegeneracyFlags), ...]`` sorted by radius.  Sign changes of
+    the sampled closure function are refined by bracketing in theta; double
+    roots (where F and delta vanish together) are recovered by locating the
+    zeros of delta and testing |F| there, and arrive flagged ``delta_zero``.
+    """
+    e = _eps_array(eps)[None]
+    _, _, thetas = _scan(linkage, e, np.array([k]), np.array([k]))
+    rows = np.repeat(e, thetas.size, axis=0)
+    radius, alphas, _ = _root_geometry(linkage, rows, thetas[::-1])
+    return list(zip(radius.tolist(), _flag_rows(rows, alphas)))
 
 
 def enumerate_cyclic(linkage: Linkage) -> list:
@@ -331,24 +504,37 @@ def enumerate_cyclic(linkage: Linkage) -> list:
     ``2 eps_i alpha_i`` with ``alpha_i < pi/2`` on every edge not flagged
     central.  Results are sorted by (winding, orientation string, radius).
 
-    Returns a list of :class:`CyclicConfiguration`.
+    Raises :class:`InvalidLinkageError` for more than :data:`MAX_EDGES`
+    edges.  Returns a list of :class:`CyclicConfiguration`.
     """
     n = linkage.n
-    grid = _angle_grid()
-    alphas_tab = _half_angles(linkage, grid)
-    tangents_tab = np.tan(alphas_tab)
+    if n > MAX_EDGES:
+        raise InvalidLinkageError(
+            f"{n} edges exceed the enumeration budget of {MAX_EDGES}: "
+            f"the scan covers 2^(n-1) orientation strings")
+    bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 2, -1, -1)) & 1
+    strings = np.concatenate([np.ones((bits.shape[0], 1)), 1.0 - 2.0 * bits], axis=1)
+    positives = n - bits.sum(axis=1)
+    rows, ks, thetas = _scan(linkage, strings, *_winding_bounds(n, positives))
+
+    eps = strings[rows]
+    radius, alphas, center = _root_geometry(linkage, eps, thetas)
+    defects = _closure_defects(eps, alphas, ks)
+    if defects.size and defects.max() > CLOSURE_TOL:
+        raise InconsistentDescriptorError(
+            f"angular closure defect {defects.max():.3e} exceeds {CLOSURE_TOL:.0e}")
+    flags = _flag_rows(eps, alphas)
+    mirror_center = center * np.array([-1.0, 1.0])
+    points = _vertices(linkage, np.concatenate([radius, radius]),
+                       np.concatenate([center, mirror_center]),
+                       np.concatenate([eps, -eps]), np.concatenate([alphas, alphas]))
+
     items = []
-
-    for tail in itertools.product((1, -1), repeat=n - 1):
-        eps = OrientationString((1,) + tail)
-        ks = np.array(list(_feasible_windings(n, eps.positive_count)), dtype=int)
-        roots = _scan_string(linkage, grid, alphas_tab, tangents_tab, eps, ks)
-        for k, thetas in zip(ks, roots):
-            for t in thetas:
-                desc = CyclicDescriptor.from_angle(linkage, eps, int(k), t)
-                flags = degeneracy_flags(eps, desc.alphas)
-                for d in (desc, desc.mirrored()):
-                    items.append(CyclicConfiguration(d, reconstruct(linkage, d), flags))
-
+    for j, (signs, k) in enumerate(zip(eps.astype(int).tolist(), ks.tolist())):
+        desc = CyclicDescriptor(radius=radius[j], winding=k, eps=OrientationString(tuple(signs)),
+                                alphas=alphas[j], center=center[j])
+        mirror = Configuration(points=points[len(ks) + j])
+        items.append(CyclicConfiguration(desc, Configuration(points=points[j]), flags[j]))
+        items.append(CyclicConfiguration(desc.mirrored(), mirror, flags[j]))
     items.sort(key=lambda it: (it.descriptor.winding, it.descriptor.eps.eps, it.descriptor.radius))
     return items

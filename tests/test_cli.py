@@ -57,6 +57,12 @@ def test_enumerate_rejects_unclosable_lengths(tmp_path, capsys):
     assert main(["enumerate", "-i", linkage_file]) == 2
 
 
+def test_enumerate_refuses_too_many_edges(tmp_path, capsys):
+    linkage_file = _write(tmp_path / "linkage.json", {"lengths": [1.0] * 40})
+    assert main(["enumerate", "-i", linkage_file]) == 2
+    assert "enumeration budget" in capsys.readouterr().err
+
+
 def test_index_command_square(tmp_path, capsys):
     pts, _, _ = regular_polygon_points(4)
     config_file = _write(tmp_path / "square.json", {"points": pts.tolist()})

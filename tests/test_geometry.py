@@ -198,6 +198,16 @@ def test_half_angles_reproduce_chords():
         assert 2 * fit.radius * np.sin(alphas) == pytest.approx(chords, rel=1e-9)
 
 
+@pytest.mark.parametrize("d", [2e-9, 5e-9, 1e-8, 3e-8])
+def test_half_angles_near_a_diameter(d):
+    # the first edge passes d/2 from the center; arcsin(l / 2r) of a ratio
+    # within rounding of 1 gave pi/2 - alpha_1 = 0 for d up to 1e-8
+    angles = np.array([0.0, math.pi + d, 2.0, 2.8, 4.0])
+    pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    alphas = measure_half_angles(pts, CircleFit(center=np.zeros(2), radius=1.0))
+    assert math.pi / 2 - alphas[0] == pytest.approx(d / 2, rel=1e-6)
+
+
 def test_convexity_classifier():
     assert is_convex_positive(SQUARE)
     assert not is_convex_positive(SQUARE[::-1])

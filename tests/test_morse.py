@@ -21,7 +21,7 @@ from linkmorse import (
     sign_report,
     subconfig_sign_sequence,
 )
-from linkmorse.morse import CHORD_TOL, determinant_sign
+from linkmorse.morse import CHORD_TOL, _sign_sequence, determinant_sign
 from linkmorse.errors import (
     CentralConfigurationError,
     InvalidConfigurationError,
@@ -81,12 +81,24 @@ def test_regular_hexagon_p4_chord_is_diameter():
 
 
 def test_diameter_edge_is_refused_before_a_later_chord():
-    # edge 1 passes 5e-9 r off the center, so its measured half-angle rounds
-    # to pi/2; P_4 holds that edge and is refused before P_5's diameter chord
-    theta = np.array([0.0, math.pi + 5e-9, 2.0, 2.8, math.pi, 4.0])
-    pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    # edge 1 passes 5e-10 r off the center, a diameter to CHORD_TOL: its
+    # measured half-angle is pi/2 - 5e-10.  From the points, edge_orientations
+    # refuses it first, since pi/2 - alpha ~ h/r is the quantity that
+    # CENTRAL_CROSS_TOL thresholds; from the prefix sums, P_4 holds the edge
+    # and is refused before P_5's diameter chord.
+    fit = CircleFit(center=(0.0, 0.0), radius=1.0)
+
+    def points(offset):
+        theta = np.array([0.0, math.pi + offset, 2.0, 2.8, math.pi, 4.0])
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
     with pytest.raises(CentralConfigurationError) as info:
-        subconfig_sign_sequence(Configuration(pts), CircleFit(center=(0.0, 0.0), radius=1.0))
+        subconfig_sign_sequence(Configuration(points(1e-9)), fit)
+    assert info.value.index == 1
+    alphas = measure_half_angles(points(1e-9), fit)
+    assert 0.5 * math.pi - alphas[0] < CHORD_TOL
+    with pytest.raises(CentralConfigurationError) as info:
+        _sign_sequence(edge_orientations(points(5e-9), fit.center), alphas)
     assert info.value.index == 1
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from linkmorse import (
     solve_radii,
     validate_configuration,
 )
-from linkmorse.solver import _feasible_windings
-from linkmorse.errors import CentralConfigurationError, InconsistentDescriptorError
+from linkmorse import solver
+from linkmorse.solver import MAX_EDGES, _winding_bounds
+from linkmorse.errors import CentralConfigurationError, InconsistentDescriptorError, InvalidLinkageError
 
 SQUARE_L = Linkage([1, 1, 1, 1])
 PENTA_L = Linkage([1, 1, 1, 1, 1])
@@ -46,6 +48,12 @@ QUAD_WALL_6 = [1, 2, 1.5, 2.5 - 1e-6]
 # generic (b = (1, 4, 1)); two of its roots lie within 1.3e-12 relative of r_min
 PENTAGON_NEAR_RMIN = [0.7573611128687527, 1.2164402726063217, 0.6733244298490622,
                       1.6753095409833882, 1.082692365727465]
+
+
+def _windings(n, eps):
+    """``range`` arguments over the feasible windings of a string."""
+    lo, hi = _winding_bounds(n, sum(v > 0 for v in eps))
+    return lo, hi + 1
 
 
 def test_f_value_square_root():
@@ -331,7 +339,7 @@ def _radius_scan(linkage):
     for eps in itertools.product((1, -1), repeat=linkage.n):
         e = np.array(eps, dtype=float)
         extrema = roots(delta(e, grid), lambda r: delta(e, r))
-        for k in _feasible_windings(linkage.n, sum(v > 0 for v in eps)):
+        for k in range(*_windings(linkage.n, eps)):
             radii = roots(closure(e, grid) - math.pi * k, lambda r: closure(e, r) - math.pi * k)
             radii.extend(r for r in extrema if abs(closure(e, r) - math.pi * k) <= 1e-9)
             merged = []
@@ -422,8 +430,143 @@ def test_solve_radii_mirror_is_exact():
         for tail in itertools.product((1, -1), repeat=n - 1):
             eps = (1,) + tail
             mirror = tuple(-v for v in eps)
-            for k in _feasible_windings(n, sum(v > 0 for v in eps)):
+            for k in range(*_windings(n, eps)):
                 radii = [r for r, _ in solve_radii(linkage, eps, k)]
                 assert radii == [r for r, _ in solve_radii(linkage, mirror, -k)]
                 found += len(radii)
     assert found > 0
+
+
+def _string_roots(linkage, eps, ks):
+    """The per-string scan the solver ran before it scanned blocks of
+    strings: one windings x grid table for one string, exact zeros and sign
+    changes per winding, brackets refined with brentq on f_value, double
+    roots tested at the zeros of delta, one merged root list per winding."""
+    rho = linkage.lengths / linkage.lengths.max()
+
+    def half_angles(theta):
+        theta = np.asarray(theta, dtype=float)[..., None]
+        return np.where(rho == 1.0, theta, np.arcsin(rho * np.sin(theta)))
+
+    def masks(values):
+        pos, neg, zero = values > 0.0, values < 0.0, values == 0.0
+        isolated = zero.copy()
+        isolated[..., 1:] &= ~zero[..., :-1]
+        isolated[..., :-1] &= ~zero[..., 1:]
+        return isolated, (pos[..., :-1] & neg[..., 1:]) | (neg[..., :-1] & pos[..., 1:])
+
+    grid = np.linspace(0.0, math.asin(1.0 / (1.0 + 1e-12)), 4097)
+    grid[0] = 1e-200
+    alphas_tab = half_angles(grid)
+    e = np.array(eps, dtype=float)
+    closures = alphas_tab @ e
+    start = int(abs(closures[0]) <= 1e-12 * alphas_tab[0].sum())
+    grid, closures, deltas = grid[start:], closures[start:], np.tan(alphas_tab[start:]) @ e
+    zeros, changes = masks(closures[None, :] - math.pi * ks[:, None])
+    thetas = [[] for _ in ks]
+    for j, i in zip(*np.nonzero(zeros)):
+        thetas[j].append(float(grid[i]))
+    for j, i in zip(*np.nonzero(changes)):
+        k = int(ks[j])
+        thetas[j].append(float(brentq(lambda t: f_value(linkage, eps, k, t), grid[i], grid[i + 1],
+                                      xtol=1e-200, rtol=1e-14)))
+    zeros, changes = masks(deltas)
+    extrema = [float(t) for t in grid[zeros]]
+    extrema.extend(float(brentq(lambda t: delta_at_angle(linkage, eps, t), grid[i], grid[i + 1],
+                                xtol=1e-200, rtol=1e-14))
+                   for i in np.flatnonzero(changes))
+    for t in extrema:
+        alphas = half_angles(t)
+        scale = alphas.sum() + math.pi * np.abs(ks)
+        for j in np.nonzero(np.abs(float(e @ alphas) - math.pi * ks) <= 1e-12 * scale)[0]:
+            thetas[j].append(t)
+    merged = []
+    for ts in thetas:
+        kept = []
+        for t in sorted(ts):
+            if not kept or abs(t - kept[-1]) > 1e-10 * t:
+                kept.append(t)
+        merged.append(kept)
+    return merged
+
+
+def _per_string_enumeration(linkage):
+    """enumerate_cyclic as it was before the block scan: the strings with
+    eps_1 = +1 one at a time, each root and its mirror described and flagged
+    on their own.  Returns sorted ``(k, eps, flags, r)``."""
+    n, r_min = linkage.n, linkage.min_radius
+    rho = linkage.lengths / linkage.lengths.max()
+    items = []
+    for tail in itertools.product((1, -1), repeat=n - 1):
+        eps = (1,) + tail
+        ks = np.arange(*_windings(n, eps))
+        for k, thetas in zip(ks.tolist(), _string_roots(linkage, eps, ks)):
+            for t in thetas:
+                alphas = np.where(rho == 1.0, t, np.arcsin(rho * np.sin(t)))
+                tangents = np.tan(alphas)
+                flags = DegeneracyFlags(
+                    central=tuple((2.0 - 2.0 * np.sin(alphas) <= 1e-7).tolist()),
+                    near_flip=tuple((alphas < 1e-7).tolist()),
+                    delta_zero=bool(abs(float(np.array(eps, dtype=float) @ tangents))
+                                    < 1e-7 * float(tangents.sum())))
+                r = r_min / math.sin(t)
+                items.append((k, eps, flags, r))
+                items.append((-k, tuple(-v for v in eps), flags, r))
+    items.sort(key=lambda it: (it[0], it[1], it[3]))
+    return items
+
+
+def _block_scan_fixtures():
+    yield from _exact_fixtures()
+    yield pytest.param(Linkage(QUAD_WALL_8), id="quad_wall_1e-8")
+    yield pytest.param(Linkage(QUAD_WALL_6), id="quad_wall_1e-6")
+    yield pytest.param(Linkage(PENTAGON_NEAR_RMIN), id="pentagon_near_rmin")
+    rng = np.random.default_rng(43)
+    yield from (pytest.param(random_linkage(rng, n), id=f"seeded_{n}") for n in range(6, 12))
+
+
+@pytest.mark.parametrize("linkage", list(_block_scan_fixtures()))
+def test_block_scan_matches_per_string_scan(linkage):
+    """The same grid, brackets, brentq and merge as the per-string scan, so
+    (E, k, flags) are identical and the radii equal bit for bit."""
+    expected = _per_string_enumeration(linkage)
+    items = enumerate_cyclic(linkage)
+    assert [(it.descriptor.winding, it.descriptor.eps.eps, it.flags) for it in items] == \
+        [(k, eps, flags) for k, eps, flags, _ in expected]
+    assert [it.descriptor.radius for it in items] == [r for *_, r in expected]
+
+
+def test_solve_radii_matches_per_string_scan():
+    # the square's (1, 1, -1, -1) vanishes identically at k = 0 and has no root
+    cases = [(SQUARE_L, (1, 1, -1, -1)), (SQUARE_L, (-1, -1, 1, 1)), (SQUARE_L, ALL_PLUS4),
+             (Linkage(QUAD_WALL_8), (1, -1, -1, 1)), (PENTA_L, (1, 1, -1, 1, 1))]
+    for linkage, eps in cases:
+        for k in range(-2, 3):
+            (thetas,) = _string_roots(linkage, eps, np.array([k]))
+            expected = [linkage.min_radius / math.sin(t) for t in reversed(thetas)]
+            assert [r for r, _ in solve_radii(linkage, eps, k)] == expected
+
+
+def test_enumeration_memory_is_bounded():
+    # the scan works on blocks of strings, so its working set does not grow
+    # with 2^n; the items returned at n = 12 take about 2 MB
+    linkage = random_linkage(np.random.default_rng(12), 12)
+    tracemalloc.start()
+    try:
+        items = enumerate_cyclic(linkage)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert items
+    assert peak < 8 * 2 ** 20
+
+
+def test_enumeration_refuses_beyond_edge_budget(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(solver, "_scan", no_scan)
+    with pytest.raises(InvalidLinkageError, match="budget"):
+        enumerate_cyclic(Linkage([1.0] * 40))
+    with pytest.raises(InvalidLinkageError):
+        enumerate_cyclic(Linkage([1.0] * (MAX_EDGES + 1)))
