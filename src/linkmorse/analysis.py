@@ -3,8 +3,18 @@
 One :class:`ConfigurationAnalysis` per enumerated cyclic configuration holds
 the descriptor, coordinates, degeneracy flags, signed area, closed-form
 Morse data (when the configuration is generic enough for the formulas), the
-oracle verdict, and their agreement.  JSON encoding/decoding of enumeration
-artifacts lives here too.
+oracle verdict, and their agreement.
+
+The analysis is an array computation over a stack of configurations: the
+points of a chunk of them, shape (rows, n, 2), go through the stacked
+kernels of ``geometry`` (area, convexity), ``morse`` (the closed form) and
+``oracle`` (the numerical verdict) once.  A row refused by a check keeps
+its own refusal, and a flagged row skips the closed form and the oracle.
+Chunks bound the work arrays whatever n is.  :func:`analyze_configuration`
+is the one-row case, and :func:`verify_enumeration` analyses the records
+that pass its per-record checks the same way.  JSON encoding and decoding
+of enumeration artifacts lives here too; :func:`write_enumeration` writes
+an artifact record by record.
 """
 
 from __future__ import annotations
@@ -20,13 +30,13 @@ from .geometry import (
     Configuration,
     Linkage,
     OrientationString,
-    edge_orientations,
-    is_convex_positive,
-    signed_area,
+    _convex_rows,
+    _orientation_rows,
+    _signed_areas,
     validate_configuration,
 )
-from .morse import MorseReport, SignReport, closed_form
-from .oracle import OracleVerdict, criticality_residual, oracle_index
+from .morse import MorseReport, SignReport, _closed_form_rows
+from .oracle import OracleVerdict, _check_size, _verdict_rows
 from .solver import (
     CLOSURE_TOL,
     DEGENERACY_TOL,
@@ -41,6 +51,12 @@ from .solver import (
 # Residual above which an allegedly cyclic configuration is not accepted as a
 # critical point during verification.
 CRITICALITY_TOL = 1e-8
+
+# Work-array budget of the stacked analysis, in float64 entries.  A chunk of
+# configurations takes _CHUNK // m^2 rows, m = 2(n - 2) free coordinates, so
+# each of the oracle's (rows, m, m) arrays takes at most 512 kB whatever n
+# is, as solver._BLOCK bounds the scan's tables.
+_CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -87,6 +103,50 @@ class ConfigurationAnalysis:
                 and (self.morse is None or self.morse.index == self.oracle.index))
 
 
+def _chunks(items: list, n: int):
+    """Consecutive slices of ``items`` of at most ``_CHUNK // m^2`` rows,
+    ``m = 2(n - 2)`` free coordinates."""
+    step = max(1, _CHUNK // (2 * (n - 2)) ** 2)
+    for start in range(0, len(items), step):
+        yield items[start:start + step]
+
+
+def _analyze_rows(linkage: Linkage, items: list) -> list:
+    """:class:`ConfigurationAnalysis` of each item of one chunk, as array
+    operations over the stack of its points."""
+    points = np.stack([item.configuration.points for item in items])
+    areas = _signed_areas(points).tolist()
+    convex = _convex_rows(points).tolist()
+    live = [j for j, item in enumerate(items) if not item.flags.any]
+    closed, verdicts = [], []
+    if live:
+        stack = points[live]
+        descs = [items[j].descriptor for j in live]
+        closed = _closed_form_rows(stack, np.array([d.center for d in descs]),
+                                   np.array([d.radius for d in descs]))
+        try:
+            _check_size(points.shape[1], linkage)
+            verdicts = _verdict_rows(stack)
+        except LinkmorseError as err:
+            verdicts = [err] * len(live)
+    results = dict(zip(live, zip(closed, verdicts)))
+    out = []
+    for j, item in enumerate(items):
+        signs = morse = oracle = None
+        morse_error = oracle_error = "flagged non-generic"
+        if j in results:
+            (signs, morse, morse_error), verdict = results[j]
+            if isinstance(verdict, LinkmorseError):
+                oracle_error = str(verdict)
+            else:
+                oracle, oracle_error = verdict, None
+        out.append(ConfigurationAnalysis(
+            descriptor=item.descriptor, configuration=item.configuration, flags=item.flags,
+            area=areas[j], convex=convex[j], signs=signs, morse=morse, morse_error=morse_error,
+            oracle=oracle, oracle_error=oracle_error))
+    return out
+
+
 def analyze_configuration(linkage: Linkage, item: CyclicConfiguration) -> ConfigurationAnalysis:
     """Run the sign formulas and the oracle on one enumerated configuration.
 
@@ -94,29 +154,15 @@ def analyze_configuration(linkage: Linkage, item: CyclicConfiguration) -> Config
     results only hold generically and the oracle comparison would be
     meaningless on the degeneracy boundary.
     """
-    desc, config, flags = item.descriptor, item.configuration, item.flags
-    area = signed_area(config.points)
-    convex = is_convex_positive(config.points)
-    signs = morse = oracle = None
-    morse_error = oracle_error = None
-    if flags.any:
-        morse_error = oracle_error = "flagged non-generic"
-    else:
-        signs, morse, morse_error = closed_form(config, desc.circle)
-        try:
-            oracle = oracle_index(config, linkage)
-        except LinkmorseError as err:
-            oracle_error = str(err)
-    return ConfigurationAnalysis(
-        descriptor=desc, configuration=config, flags=flags, area=area, convex=convex,
-        signs=signs, morse=morse, morse_error=morse_error,
-        oracle=oracle, oracle_error=oracle_error,
-    )
+    return _analyze_rows(linkage, [item])[0]
 
 
 def analyze_linkage(linkage: Linkage) -> list:
-    """Enumerate all cyclic configurations and analyze each."""
-    return [analyze_configuration(linkage, item) for item in enumerate_cyclic(linkage)]
+    """Enumerate all cyclic configurations and analyze them, a chunk of
+    configurations at a time as one stack of points."""
+    items = enumerate_cyclic(linkage)
+    return [result for chunk in _chunks(items, linkage.n)
+            for result in _analyze_rows(linkage, chunk)]
 
 
 def index_summary(analyses: list) -> str:
@@ -182,6 +228,20 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
+def write_enumeration(stream, linkage: Linkage, analyses, seed: int | None = None) -> None:
+    """Write the artifact of ``analyses`` to ``stream`` record by record: the
+    text of ``dump_json(enumeration_dict(linkage, analyses, seed))``, without
+    holding the envelope or the whole text."""
+    head, tail = dump_json(enumeration_dict(linkage, [], seed)).rsplit("[]", 1)
+    stream.write(head + "[")
+    sep = "\n"
+    for analysis in analyses:
+        record = json.dumps(record_dict(analysis), indent=2)
+        stream.write(sep + "    " + record.replace("\n", "\n    "))
+        sep = ",\n"
+    stream.write(("]" if sep == "\n" else "\n  ]") + tail)
+
+
 def load_enumeration(text: str):
     """Parse an enumeration artifact back to (linkage, records)."""
     data = json.loads(text)
@@ -229,19 +289,9 @@ def _fail(note: str) -> VerificationRow:
                            formula_index=None, agree=False, flagged=False, note=note)
 
 
-def verify_record(linkage: Linkage, record: dict) -> VerificationRow:
-    """Check one outside record, re-analyse it, and compare.
-
-    The points must satisfy the linkage constraints, lie on the recorded
-    circle (tamper detection for r and center), be critical, and reproduce
-    the recorded orientation string.  The degeneracy flags are recomputed
-    from the recorded radius and string and must equal the recorded ones;
-    flagged records are reported but exempt from the agreement requirement.
-    Everything else is read off :func:`analyze_configuration` of the record,
-    whose ``agree`` compares the determinant sign always and the index where
-    its formula applies.  A record that is not an object, or has a missing
-    or mistyped field, fails as malformed.
-    """
+def _check_record(linkage: Linkage, record):
+    """The :class:`CyclicConfiguration` of an outside record that passes every
+    check needing no analysis, or its failing row."""
     if not isinstance(record, dict):
         return _fail(f"malformed record: expected an object, got {type(record).__name__}")
     try:
@@ -273,44 +323,89 @@ def verify_record(linkage: Linkage, record: dict) -> VerificationRow:
         desc = CyclicDescriptor(radius=radius, winding=winding, eps=eps,
                                 alphas=alphas, center=center)
         flags = degeneracy_flags(eps, alphas)
-        if flags != recorded:
-            return _fail("recorded flags disagree with the recorded radius and orientation string")
-        if flags.any:
-            _, residual = criticality_residual(config, linkage)
-            if residual > CRITICALITY_TOL:
-                return _fail(f"criticality residual {residual:.3e} exceeds {CRITICALITY_TOL:.1e}")
-            return VerificationRow(residual=residual, inertia=None, det_sign=None,
-                                   index=None, formula_index=None, agree=True,
-                                   flagged=True, note="flagged, excluded")
-        result = analyze_configuration(linkage, CyclicConfiguration(desc, config, flags))
-        verdict = result.oracle
-        if verdict is None:
-            return _fail(result.oracle_error)
-        if verdict.residual > CRITICALITY_TOL:
-            return _fail(f"criticality residual {verdict.residual:.3e} exceeds {CRITICALITY_TOL:.1e}")
-        oracle_side = dict(residual=verdict.residual, inertia=verdict.inertia,
-                           det_sign=verdict.det_sign, index=verdict.index, flagged=False)
-        if not verdict.is_morse:
-            return VerificationRow(formula_index=None, agree=False,
-                                   note="oracle found a zero eigenvalue", **oracle_side)
-        if edge_orientations(config.points, center) != eps:
-            return _fail("recorded orientation string disagrees with the geometry")
-        if result.signs is None:
-            return _fail(result.morse_error)
-        agree = result.agree
-        if result.morse is None:
-            note = f"index formula not applicable ({result.morse_error})" if agree \
-                else "determinant sign disagrees"
-            return VerificationRow(formula_index=None, agree=agree, note=note, **oracle_side)
-        return VerificationRow(formula_index=result.morse.index, agree=agree,
-                               note=None if agree else "formula and oracle disagree", **oracle_side)
     except LinkmorseError as err:
         return _fail(str(err))
+    if flags != recorded:
+        return _fail("recorded flags disagree with the recorded radius and orientation string")
+    return CyclicConfiguration(desc, config, flags)
+
+
+def _compared_rows(linkage: Linkage, items: list) -> list:
+    """Rows of records that passed their own checks, one chunk: the oracle
+    checks the criticality of each, and an unflagged one's analysis is
+    compared with the record and with itself."""
+    points = np.stack([item.configuration.points for item in items])
+    measured, central = _orientation_rows(points, np.array([item.descriptor.center
+                                                            for item in items]))
+    # a flagged record has no analysis, only its criticality checked
+    flagged = [j for j, item in enumerate(items) if item.flags.any]
+    verdicts = dict(zip(flagged, _verdict_rows(points[flagged]))) if flagged else {}
+    rows = []
+    for j, (item, result) in enumerate(zip(items, _analyze_rows(linkage, items))):
+        verdict = verdicts.get(j, result.oracle)
+        if verdict is None or isinstance(verdict, LinkmorseError):
+            rows.append(_fail(result.oracle_error if verdict is None else str(verdict)))
+            continue
+        oracle_side = dict(residual=verdict.residual, inertia=verdict.inertia,
+                           det_sign=verdict.det_sign, index=verdict.index, flagged=False)
+        if verdict.residual > CRITICALITY_TOL:
+            rows.append(_fail(f"criticality residual {verdict.residual:.3e} "
+                              f"exceeds {CRITICALITY_TOL:.1e}"))
+        elif item.flags.any:
+            rows.append(VerificationRow(residual=verdict.residual, inertia=None, det_sign=None,
+                                        index=None, formula_index=None, agree=True,
+                                        flagged=True, note="flagged, excluded"))
+        elif not verdict.is_morse:
+            rows.append(VerificationRow(formula_index=None, agree=False,
+                                        note="oracle found a zero eigenvalue", **oracle_side))
+        elif central[j] is not None:
+            rows.append(_fail(str(central[j])))
+        elif tuple(measured[j].tolist()) != item.descriptor.eps.eps:
+            rows.append(_fail("recorded orientation string disagrees with the geometry"))
+        elif result.signs is None:
+            rows.append(_fail(result.morse_error))
+        elif result.morse is None:
+            note = f"index formula not applicable ({result.morse_error})" if result.agree \
+                else "determinant sign disagrees"
+            rows.append(VerificationRow(formula_index=None, agree=result.agree, note=note,
+                                        **oracle_side))
+        else:
+            rows.append(VerificationRow(
+                formula_index=result.morse.index, agree=result.agree,
+                note=None if result.agree else "formula and oracle disagree", **oracle_side))
+    return rows
+
+
+def _verify_rows(linkage: Linkage, records: list) -> list:
+    """Verification rows of outside records.  Each record is checked on its
+    own first; those that pass are analysed a chunk at a time."""
+    rows = [_check_record(linkage, record) for record in records]
+    live = [j for j, row in enumerate(rows) if isinstance(row, CyclicConfiguration)]
+    for chunk in _chunks(live, linkage.n):
+        for j, row in zip(chunk, _compared_rows(linkage, [rows[j] for j in chunk])):
+            rows[j] = row
+    return rows
+
+
+def verify_record(linkage: Linkage, record: dict) -> VerificationRow:
+    """Check one outside record, re-analyse it, and compare.
+
+    The points must satisfy the linkage constraints, lie on the recorded
+    circle (tamper detection for r and center), be critical, and reproduce
+    the recorded orientation string.  The degeneracy flags are recomputed
+    from the recorded radius and string and must equal the recorded ones;
+    flagged records are reported but exempt from the agreement requirement.
+    Everything else is read off the record's :class:`ConfigurationAnalysis`,
+    whose ``agree`` compares the determinant sign always and the index where
+    its formula applies.  A record that is not an object, or has a missing
+    or mistyped field, fails as malformed.
+    """
+    return _verify_rows(linkage, [record])[0]
 
 
 def verify_enumeration(linkage: Linkage, records: list):
     """Verify every record; returns (rows, summary line, all_ok)."""
-    rows = [verify_record(linkage, rec) for rec in records]
+    rows = _verify_rows(linkage, records)
     flagged = sum(1 for r in rows if r.flagged)
     good = sum(1 for r in rows if r.agree and not r.flagged)
     ok = all(r.agree for r in rows)

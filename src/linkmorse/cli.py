@@ -44,12 +44,11 @@ def _read_json(path: str):
 def cmd_enumerate(args) -> int:
     linkage = Linkage.from_json_dict(_read_json(args.input))
     analyses = analysis.analyze_linkage(linkage)
-    envelope = analysis.enumeration_dict(linkage, analyses, seed=args.seed)
-    text = analysis.dump_json(envelope)
     if args.output:
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as out:
+            analysis.write_enumeration(out, linkage, analyses, seed=args.seed)
     else:
-        sys.stdout.write(text)
+        analysis.write_enumeration(sys.stdout, linkage, analyses, seed=args.seed)
     print(analysis.index_summary(analyses))
     return 0
 

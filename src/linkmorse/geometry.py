@@ -201,8 +201,74 @@ def signed_area(points) -> float:
     pts = _as_points(points)
     if pts.shape[0] < 3:
         raise InvalidConfigurationError("signed area needs at least 3 points")
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    return float(_signed_areas(pts[None])[0])
+
+
+# ---------------------------------------------------------------------------
+# Stacked kernels: the same quantities for a stack of configurations, shape
+# (rows, n, 2), which the caller has validated.  The public functions of one
+# configuration are their one-row case.
+
+
+def _dot_rows(a, b) -> np.ndarray:
+    """Dot products of matching vectors along the last axis.  A stacked
+    ``matmul`` of a row by a column makes the same BLAS call per row as
+    ``np.dot`` of two vectors, so each value has the same digits; an
+    elementwise product summed along the axis may not."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _refusals(mask: np.ndarray, make) -> list:
+    """Per row of a (rows, items) mask: None, or ``make(row, item)`` for its
+    first true item."""
+    errors = [None] * mask.shape[0]
+    for row in np.flatnonzero(mask.any(axis=1)).tolist():
+        errors[row] = make(row, int(mask[row].argmax()))
+    return errors
+
+
+def _signed_areas(pts: np.ndarray) -> np.ndarray:
+    """Shoelace areas of stacked vertex cycles."""
+    x, y = pts[..., 0], pts[..., 1]
+    return 0.5 * (_dot_rows(x, np.roll(y, -1, axis=-1)) - _dot_rows(np.roll(x, -1, axis=-1), y))
+
+
+def _orientation_rows(pts: np.ndarray, centers: np.ndarray):
+    """Orientation strings, an int array of rows of +-1, of stacked
+    configurations about their centers, and per row the refusal of its first
+    central edge (None if it has none)."""
+    e = np.roll(pts, -1, axis=1) - pts
+    w = centers[:, None, :] - pts
+    cross = e[..., 0] * w[..., 1] - e[..., 1] * w[..., 0]
+    norm = np.linalg.norm(e, axis=2) * np.linalg.norm(w, axis=2)
+    central = (norm == 0.0) | (np.abs(cross) <= CENTRAL_CROSS_TOL * norm)
+    errors = _refusals(central, lambda row, i: CentralConfigurationError(
+        f"edge {i + 1} passes through the circle center", index=i + 1))
+    return np.where(cross > 0, 1, -1), errors
+
+
+def _half_angle_rows(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray):
+    """Half-angles of the edges of stacked configurations on their circles,
+    and per row the refusal of its first edge longer than the diameter."""
+    nxt = np.roll(pts, -1, axis=1)
+    chords = nxt - pts
+    lengths = np.hypot(chords[..., 0], chords[..., 1])
+    diameters = 2.0 * radii
+    over = lengths / diameters[:, None] > 1.0 + OVER_DIAMETER_TOL
+    errors = _refusals(over, lambda row, i: NotInscribableError(
+        f"edge {i + 1} (length {lengths[row, i]:.12g}) exceeds the diameter "
+        f"{diameters[row]:.12g}"))
+    offsets = 0.5 * (pts + nxt) - centers[:, None, :]
+    return np.arctan2(0.5 * lengths, np.hypot(offsets[..., 0], offsets[..., 1])), errors
+
+
+def _convex_rows(pts: np.ndarray) -> np.ndarray:
+    """:func:`is_convex_positive` of each stacked configuration."""
+    u = np.roll(pts, -1, axis=1) - pts  # p_{i+1} - p_i
+    v = np.roll(u, -1, axis=1)  # p_{i+2} - p_{i+1}
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    total = np.arctan2(cross, _dot_rows(u, v)).sum(axis=1)
+    return np.all(cross > 0.0, axis=1) & (np.abs(total - 2.0 * math.pi) < 1e-6)
 
 
 @dataclass(frozen=True)
@@ -290,17 +356,10 @@ def edge_orientations(points, center) -> OrientationString:
     """
     pts = _as_points(points)
     ctr = np.asarray(center, dtype=float).reshape(2)
-    nxt = np.roll(pts, -1, axis=0)
-    e = nxt - pts
-    w = ctr[None, :] - pts
-    cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
-    norm = np.linalg.norm(e, axis=1) * np.linalg.norm(w, axis=1)
-    for i in range(pts.shape[0]):
-        if norm[i] == 0.0 or abs(cross[i]) <= CENTRAL_CROSS_TOL * norm[i]:
-            raise CentralConfigurationError(
-                f"edge {i + 1} passes through the circle center", index=i + 1
-            )
-    return OrientationString(tuple(1 if c > 0 else -1 for c in cross))
+    sides, errors = _orientation_rows(pts[None], ctr[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return OrientationString(tuple(sides[0].tolist()))
 
 
 def measure_half_angles(points, fit: CircleFit) -> np.ndarray:
@@ -316,18 +375,10 @@ def measure_half_angles(points, fit: CircleFit) -> np.ndarray:
     :data:`OVER_DIAMETER_TOL`) cannot be a chord and raises.
     """
     pts = _as_points(points)
-    r = fit.radius
-    nxt = np.roll(pts, -1, axis=0)
-    chords = nxt - pts
-    lengths = np.hypot(chords[:, 0], chords[:, 1])
-    over = np.nonzero(lengths / (2.0 * r) > 1.0 + OVER_DIAMETER_TOL)[0]
-    if over.size:
-        i = int(over[0])
-        raise NotInscribableError(
-            f"edge {i + 1} (length {lengths[i]:.12g}) exceeds the diameter {2 * r:.12g}"
-        )
-    offsets = 0.5 * (pts + nxt) - fit.center
-    return np.arctan2(0.5 * lengths, np.hypot(offsets[:, 0], offsets[:, 1]))
+    alphas, errors = _half_angle_rows(pts[None], fit.center[None], np.array([fit.radius]))
+    if errors[0] is not None:
+        raise errors[0]
+    return alphas[0]
 
 
 def is_convex_positive(points) -> bool:
@@ -337,14 +388,4 @@ def is_convex_positive(points) -> bool:
     one full revolution, which rules out star polygons that are only locally
     convex; together they imply a positive area.
     """
-    pts = _as_points(points)
-    n = pts.shape[0]
-    total = 0.0
-    for i in range(n):
-        u = pts[(i + 1) % n] - pts[i]
-        v = pts[(i + 2) % n] - pts[(i + 1) % n]
-        cross = u[0] * v[1] - u[1] * v[0]
-        if cross <= 0.0:
-            return False
-        total += math.atan2(cross, float(u @ v))
-    return abs(total - 2.0 * math.pi) < 1e-6
+    return bool(_convex_rows(_as_points(points)[None])[0])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError, NonRegularPointError
-from .geometry import Configuration, Linkage, _as_points, _readonly
+from .geometry import Configuration, Linkage, _as_points, _dot_rows, _readonly, _refusals
 
 # Singular values below this multiple of the largest one count as zero when
 # deciding constraint rank and the tangent space.
@@ -59,6 +59,119 @@ def _free_count(n: int) -> int:
     return 2 * (n - 2)
 
 
+def _check_size(n: int, linkage: Linkage):
+    if n != linkage.n:
+        raise InvalidConfigurationError("configuration and linkage sizes differ")
+
+
+# ---------------------------------------------------------------------------
+# Stacked kernels over configurations of shape (rows, n, 2).  The functions
+# of one configuration below are their one-row case.
+
+
+def _gradient_rows(pts: np.ndarray) -> np.ndarray:
+    """Area gradients over the free coordinates, one row per configuration."""
+    nxt, prv = np.roll(pts, -1, axis=1)[:, 2:], pts[:, 1:-1]
+    grad = np.empty((pts.shape[0], _free_count(pts.shape[1])))
+    grad[:, 0::2] = 0.5 * (nxt[..., 1] - prv[..., 1])
+    grad[:, 1::2] = 0.5 * (prv[..., 0] - nxt[..., 0])
+    return grad
+
+
+def _regular_rows(pts: np.ndarray):
+    """Constraint Jacobians, the V^T factors of one batched SVD, and per row
+    the :class:`NonRegularPointError` of a rank below n-1 (or None).
+
+    Jacobian row i - 1 (edge i = 1..n-1) carries ``2(p_i - p_{i+1})`` in the
+    columns of p_i and its negative in those of p_{i+1}, where free.
+    """
+    n = pts.shape[1]
+    d = 2.0 * (pts - np.roll(pts, -1, axis=1))
+    jac = np.zeros((pts.shape[0], n - 1, _free_count(n)))
+    pair = np.arange(2)
+    tail = np.arange(2, n)  # edges whose first endpoint is free
+    jac[:, tail[:, None] - 1, 2 * (tail[:, None] - 2) + pair] += d[:, tail]
+    head = np.arange(1, n - 1)  # edges whose second endpoint is free
+    jac[:, head[:, None] - 1, 2 * (head[:, None] - 1) + pair] -= d[:, head]
+    _, svals, vt = np.linalg.svd(jac, full_matrices=True)
+    errors = _refusals((svals[:, -1] <= RANK_TOL * svals[:, 0])[:, None],
+                       lambda row, _: NonRegularPointError(
+                           f"constraint Jacobian rank deficient (sigma_min/sigma_max = "
+                           f"{svals[row, -1] / svals[row, 0]:.3e})"))
+    return jac, vt, errors
+
+
+def _stationarity_rows(pts: np.ndarray, jac: np.ndarray):
+    """Least-squares multipliers and normalized stationarity gaps per row.
+    ``lstsq`` has no stacked form, so it runs once per row."""
+    grad = _gradient_rows(pts)
+    jac_t = jac.transpose(0, 2, 1)
+    lam = np.empty(jac.shape[:2])
+    for row in range(lam.shape[0]):
+        lam[row] = np.linalg.lstsq(jac_t[row], grad[row], rcond=None)[0]
+    gap = grad - (jac_t @ lam[:, :, None])[:, :, 0]
+    return lam, np.sqrt(_dot_rows(gap, gap)) / np.maximum(1.0, np.sqrt(_dot_rows(grad, grad)))
+
+
+def _lagrangian_rows(lam: np.ndarray) -> np.ndarray:
+    """Lagrangian Hessians over the free coordinates, one per row of
+    multipliers (see :func:`projected_hessian`)."""
+    n = lam.shape[1] + 1
+    lagrangian = np.zeros((lam.shape[0], _free_count(n), _free_count(n)))
+    x = 2 * np.arange(n - 2)  # x column of each free vertex; y is x + 1
+    diag = -2.0 * lam[:, :-1] - 2.0 * lam[:, 1:]
+    lagrangian[:, x, x] = lagrangian[:, x + 1, x + 1] = diag
+    a, b = x[:-1], x[1:]  # consecutive free vertices
+    couple = 2.0 * lam[:, 1:-1]
+    lagrangian[:, a, b] = lagrangian[:, b, a] = couple
+    lagrangian[:, a + 1, b + 1] = lagrangian[:, b + 1, a + 1] = couple
+    lagrangian[:, a, b + 1] = lagrangian[:, b + 1, a] = 0.5
+    lagrangian[:, a + 1, b] = lagrangian[:, b, a + 1] = -0.5
+    return lagrangian
+
+
+def _projected_rows(lagrangian: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``Z^T L Z`` per row, symmetrized."""
+    proj = basis.transpose(0, 2, 1) @ lagrangian @ basis
+    return 0.5 * (proj + proj.transpose(0, 2, 1))
+
+
+def _inertia_rows(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalue inertia (negatives, zeros, positives) of stacked symmetric
+    matrices, shape (rows, 3)."""
+    rows, k = mats.shape[:2]
+    if k == 0:
+        return np.zeros((rows, 3), dtype=int)
+    evals = np.linalg.eigvalsh(0.5 * (mats + mats.transpose(0, 2, 1)))
+    scale = np.abs(evals).max(axis=1)
+    cutoff = np.where(scale > 0.0, EIGEN_ZERO_TOL * scale, EIGEN_ZERO_TOL)[:, None]
+    neg = (evals < -cutoff).sum(axis=1)
+    zer = (np.abs(evals) <= cutoff).sum(axis=1)
+    return np.stack([neg, zer, k - neg - zer], axis=1)
+
+
+def _verdict_rows(pts: np.ndarray) -> list:
+    """:func:`oracle_index` of each stacked configuration: an
+    :class:`OracleVerdict`, or the :class:`NonRegularPointError` of a
+    singular point."""
+    n = pts.shape[1]
+    jac, vt, out = _regular_rows(pts)
+    regular = np.array([error is None for error in out], dtype=bool)
+    lam, residual = _stationarity_rows(pts[regular], jac[regular])
+    basis = vt[regular, n - 1:].transpose(0, 2, 1)
+    inertias = _inertia_rows(_projected_rows(_lagrangian_rows(lam), basis)).tolist()
+    for row, multipliers, gap, (neg, zer, pos) in zip(np.flatnonzero(regular).tolist(), lam,
+                                                      residual.tolist(), inertias):
+        det_sign = 0 if zer else (1 if neg % 2 == 0 else -1)
+        out[row] = OracleVerdict(multipliers=multipliers, residual=gap, inertia=(neg, zer, pos),
+                                 det_sign=det_sign, index=neg)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# One configuration
+
+
 def area_gradient(points) -> np.ndarray:
     """Gradient of the shoelace area over the free coordinates (p_3..p_n).
 
@@ -66,15 +179,9 @@ def area_gradient(points) -> np.ndarray:
     of the two cyclic neighbors.
     """
     pts = _as_points(points)
-    n = pts.shape[0]
-    if n < 3:
+    if pts.shape[0] < 3:
         raise InvalidConfigurationError("gradient needs at least 3 vertices")
-    grad = np.empty(_free_count(n))
-    for i in range(2, n):
-        nxt, prv = pts[(i + 1) % n], pts[i - 1]
-        grad[2 * (i - 2)] = 0.5 * (nxt[1] - prv[1])
-        grad[2 * (i - 2) + 1] = 0.5 * (prv[0] - nxt[0])
-    return grad
+    return _gradient_rows(pts[None])[0]
 
 
 def constraint_values(points, linkage: Linkage) -> np.ndarray:
@@ -84,8 +191,7 @@ def constraint_values(points, linkage: Linkage) -> np.ndarray:
     """
     pts = _as_points(points)
     n = pts.shape[0]
-    if n != linkage.n:
-        raise InvalidConfigurationError("configuration and linkage sizes differ")
+    _check_size(n, linkage)
     vals = np.empty(n - 1)
     for row, i in enumerate(range(1, n)):
         diff = pts[i] - pts[(i + 1) % n]
@@ -101,23 +207,11 @@ def _regular_jacobian(points, linkage: Linkage):
     """
     pts = _as_points(points)
     n = pts.shape[0]
-    if n != linkage.n:
-        raise InvalidConfigurationError("configuration and linkage sizes differ")
-    jac = np.zeros((n - 1, _free_count(n)))
-    for row, i in enumerate(range(1, n)):
-        j = (i + 1) % n
-        d = 2.0 * (pts[i] - pts[j])
-        if i >= 2:
-            jac[row, 2 * (i - 2): 2 * (i - 2) + 2] += d
-        if j >= 2:
-            jac[row, 2 * (j - 2): 2 * (j - 2) + 2] -= d
-    _, svals, vt = np.linalg.svd(jac, full_matrices=True)
-    if svals[-1] <= RANK_TOL * svals[0]:
-        raise NonRegularPointError(
-            f"constraint Jacobian rank deficient (sigma_min/sigma_max = "
-            f"{svals[-1] / svals[0]:.3e})"
-        )
-    return jac, vt[svals.size:].T
+    _check_size(n, linkage)
+    jac, vt, errors = _regular_rows(pts[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return jac[0], vt[0, n - 1:].T
 
 
 def constraint_jacobian(points, linkage: Linkage) -> np.ndarray:
@@ -130,13 +224,6 @@ def constraint_jacobian(points, linkage: Linkage) -> np.ndarray:
     return _regular_jacobian(points, linkage)[0]
 
 
-def _stationarity(points, jac: np.ndarray):
-    grad = area_gradient(points)
-    lam, *_ = np.linalg.lstsq(jac.T, grad, rcond=None)
-    residual = float(np.linalg.norm(grad - jac.T @ lam)) / max(1.0, float(np.linalg.norm(grad)))
-    return lam, residual
-
-
 def criticality_residual(config: Configuration, linkage: Linkage):
     """Least-squares Lagrange multipliers and the normalized stationarity gap.
 
@@ -145,7 +232,9 @@ def criticality_residual(config: Configuration, linkage: Linkage):
     configuration the residual vanishes to solver precision; for a triangle
     the moduli space is zero-dimensional and the system is square.
     """
-    return _stationarity(config.points, constraint_jacobian(config.points, linkage))
+    jac = constraint_jacobian(config.points, linkage)
+    lam, residual = _stationarity_rows(config.points[None], jac[None])
+    return lam[0], float(residual[0])
 
 
 def tangent_basis(points, linkage: Linkage) -> np.ndarray:
@@ -165,34 +254,15 @@ def projected_hessian(config: Configuration, linkage: Linkage, lam,
     each edge p_v p_{v+1} between free vertices couples them by
     ``2 lambda_v I`` plus the area's ``+/-1/2`` cross terms.
     """
-    n = config.n
-    lam = np.asarray(lam, dtype=float)
-    lagrangian = np.zeros((_free_count(n), _free_count(n)))
-    x = 2 * np.arange(n - 2)  # x column of each free vertex; y is x + 1
-    diag = -2.0 * lam[:-1] - 2.0 * lam[1:]
-    lagrangian[x, x] = lagrangian[x + 1, x + 1] = diag
-    a, b = x[:-1], x[1:]  # consecutive free vertices
-    couple = 2.0 * lam[1:-1]
-    lagrangian[a, b] = lagrangian[b, a] = couple
-    lagrangian[a + 1, b + 1] = lagrangian[b + 1, a + 1] = couple
-    lagrangian[a, b + 1] = lagrangian[b + 1, a] = 0.5
-    lagrangian[a + 1, b] = lagrangian[b, a + 1] = -0.5
     z = tangent_basis(config.points, linkage) if basis is None else np.asarray(basis, dtype=float)
-    proj = z.T @ lagrangian @ z
-    return 0.5 * (proj + proj.T)
+    lagrangian = _lagrangian_rows(np.asarray(lam, dtype=float)[None])
+    return _projected_rows(lagrangian, z[None])[0]
 
 
 def inertia(matrix) -> tuple:
     """Eigenvalue inertia (negatives, zeros, positives) of a symmetric matrix."""
     mat = np.asarray(matrix, dtype=float)
-    if mat.size == 0:
-        return (0, 0, 0)
-    evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    scale = float(np.max(np.abs(evals)))
-    cutoff = EIGEN_ZERO_TOL * scale if scale > 0.0 else EIGEN_ZERO_TOL
-    neg = int(np.sum(evals < -cutoff))
-    zer = int(np.sum(np.abs(evals) <= cutoff))
-    return (neg, zer, mat.shape[0] - neg - zer)
+    return tuple(_inertia_rows(mat.reshape((1,) + mat.shape))[0].tolist())
 
 
 def oracle_index(config: Configuration, linkage: Linkage) -> OracleVerdict:
@@ -201,10 +271,8 @@ def oracle_index(config: Configuration, linkage: Linkage) -> OracleVerdict:
     ``det_sign`` is 0 when any projected eigenvalue is numerically zero, in
     which case the verdict is non-Morse and excluded from sign comparisons.
     """
-    jac, basis = _regular_jacobian(config.points, linkage)
-    lam, residual = _stationarity(config.points, jac)
-    proj = projected_hessian(config, linkage, lam, basis=basis)
-    neg, zer, pos = inertia(proj)
-    det_sign = 0 if zer else (1 if neg % 2 == 0 else -1)
-    return OracleVerdict(multipliers=lam, residual=residual,
-                         inertia=(neg, zer, pos), det_sign=det_sign, index=neg)
+    _check_size(config.n, linkage)
+    verdict = _verdict_rows(config.points[None])[0]
+    if isinstance(verdict, NonRegularPointError):
+        raise verdict
+    return verdict

@@ -76,10 +76,12 @@ _LEVEL_SLACK = 1e-9
 
 # Largest number of edges enumerate_cyclic accepts.  The scan covers
 # 2^(n-1) strings and the number of configurations grows about as fast:
-# ``linkmorse enumerate`` on random lengths in [0.5, 2] took 10.7 s at
-# n = 14, 19.9 s at n = 15 and 40 s (33126 configurations, 0.7 GB peak) at
-# n = 16 on a 2-core x86-64 host with Python 3.11, so n = 17 would pass a
-# minute.
+# ``linkmorse enumerate -o`` on random lengths in [0.5, 2] took 1.2-2.3 s
+# at n = 12, 3.1-3.8 s at n = 14 and 20 s at n = 16 (37796 configurations,
+# 188 MB peak: 4.7 s scan, 6.6 s analysis, 8.0 s writing 88 MB of JSON,
+# 0.9 s import) on a 2-core x86-64 host with Python 3.11.  Each edge more
+# about doubles the scan and the configurations, so n = 17 would take about
+# 40 s.
 MAX_EDGES = 16
 
 # First grid point, standing in for theta = 0 (r = inf): F has the sign of its

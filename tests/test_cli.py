@@ -1,11 +1,14 @@
 """End-to-end command-line checks through main()."""
 
+import io
 import json
 import math
 
 import pytest
 
 from conftest import regular_polygon_points
+from linkmorse import Linkage, analyze_linkage, index_summary
+from linkmorse.analysis import dump_json, enumeration_dict, write_enumeration
 from linkmorse.cli import main
 
 
@@ -43,6 +46,31 @@ def test_enumerate_triangle(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.startswith("2 configurations")
+
+
+@pytest.mark.parametrize("lengths", [[1, 1, 1], [1, 1, 1, 1, 1], [1, 2, 1, 2, 1, 2],
+                                     [1, 2, 1.5, 2.5 - 1e-8], [1.0, 1.2, 1.4, 1.1, 0.9]])
+def test_enumerate_streams_the_artifact_text(tmp_path, capsys, lengths):
+    # the artifact is written record by record; it must be the text of the
+    # whole envelope dumped at once, on stdout and with -o
+    linkage = Linkage(lengths)
+    analyses = analyze_linkage(linkage)
+    expected = dump_json(enumeration_dict(linkage, analyses, seed=3))
+    summary = index_summary(analyses) + "\n"
+    linkage_file = _write(tmp_path / "linkage.json", {"lengths": lengths})
+    capsys.readouterr()
+    assert main(["enumerate", "-i", linkage_file, "--seed", "3"]) == 0
+    assert capsys.readouterr().out == expected + summary
+    out = tmp_path / "out.json"
+    assert main(["enumerate", "-i", linkage_file, "--seed", "3", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == summary
+    assert out.read_text() == expected
+
+
+def test_streamed_artifact_without_records():
+    stream = io.StringIO()
+    write_enumeration(stream, Linkage([1, 1, 1]), [], seed=None)
+    assert stream.getvalue() == dump_json(enumeration_dict(Linkage([1, 1, 1]), []))
 
 
 def test_enumerate_rejects_malformed_json(tmp_path, capsys):

@@ -1,0 +1,193 @@
+"""The stacked analysis kernels: each row equals its one-row call, refusals
+keep their text, the edge cases of the stack shapes, and the per-row loops
+they replaced as references."""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import random_linkage, random_valid_configuration
+from linkmorse import (
+    Configuration,
+    CyclicConfiguration,
+    Linkage,
+    analyze_configuration,
+    analyze_linkage,
+    enumerate_cyclic,
+    oracle_index,
+)
+from linkmorse import analysis, geometry, morse, oracle
+from linkmorse.errors import NonRegularPointError
+
+GAP = 1e-4
+# Near-central hexagon: its longest edge is within the degeneracy tolerance
+# of a diameter at two roots, which arrive flagged.
+THIN_HEXAGON = [2 * math.sin(math.pi / 2 - GAP), 2 * math.sin(0.2), 2 * math.sin(0.2),
+                2 * math.sin(0.3), 2 * math.sin(0.3), 2 * math.sin(math.pi / 2 - 1.0 - GAP)]
+
+# Per n, linkages whose configurations together give these kinds of rows:
+# (index source, flagged).
+MIXED = {
+    3: ([[1, 1, 1], [1.9, 1.0, 1.0]], {("formula", False)}),
+    4: ([[1, 2, 1.5, 2.5 - 1e-8], [1, 1, 1, 1], [3, 1, 1, 2]],
+        {("formula", False), (None, True)}),
+    6: ([[1] * 6, [1, 2, 1, 2, 1, 2], THIN_HEXAGON],
+        {("formula", False), ("oracle", False), (None, True)}),
+}
+
+
+def _fields(a):
+    """Every field of an analysis as plain comparable values."""
+    verdict = a.oracle
+    return (a.area, a.convex, a.flags, a.signs, a.morse, a.morse_error, a.oracle_error,
+            None if verdict is None else (verdict.multipliers.tolist(), verdict.residual,
+                                          verdict.inertia, verdict.det_sign, verdict.index))
+
+
+def _item(result):
+    return CyclicConfiguration(result.descriptor, result.configuration, result.flags)
+
+
+@pytest.mark.parametrize("n", sorted(MIXED))
+def test_stacked_rows_equal_one_row_calls(n):
+    lengths, kinds = MIXED[n]
+    pairs = [(Linkage(ls), item) for ls in lengths for item in enumerate_cyclic(Linkage(ls))]
+    # the analysis reads everything off the points, descriptors and flags,
+    # so the configurations of several linkages with n edges share a stack
+    stacked = analysis._analyze_rows(pairs[0][0], [item for _, item in pairs])
+    for (linkage, item), result in zip(pairs, stacked):
+        assert _fields(result) == _fields(analyze_configuration(linkage, item))
+    assert {(a.index_source, a.flags.any) for a in stacked} == kinds
+    if n == 3:
+        # the tangent space is empty: no eigenvalues, inertia (0, 0, 0)
+        assert {a.oracle.inertia for a in stacked} == {(0, 0, 0)}
+    if n == 4:
+        # no prefix subconfiguration: the sequence is P_3 and P_4 alone
+        assert {len(a.morse.h_sequence) for a in stacked if a.morse} == {2}
+
+
+def test_stack_across_chunk_boundaries():
+    linkage = random_linkage(np.random.default_rng(5), 10)
+    analyses = analyze_linkage(linkage)
+    assert len(analyses) > analysis._CHUNK // (2 * (10 - 2)) ** 2
+    for result in analyses:
+        assert _fields(result) == _fields(analyze_configuration(linkage, _item(result)))
+
+
+def test_empty_stacks_and_shapes():
+    assert oracle._inertia_rows(np.zeros((2, 0, 0))).tolist() == [[0, 0, 0], [0, 0, 0]]
+    value, sequences, *refusals = morse._sign_rows(np.ones((3, 4)), np.full((3, 4), 0.25 * math.pi))
+    assert sequences.shape == (3, 2)
+    assert refusals[2] == [None] * 3  # the prefix range is empty at n = 4
+
+
+def test_singular_row_keeps_its_refusal_in_a_stack():
+    linkage = Linkage([1, 1, 1, 1])
+    flat = np.array([(0.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 1.0)])
+    good = [item.configuration.points for item in enumerate_cyclic(linkage)]
+    verdicts = oracle._verdict_rows(np.stack([good[0], flat, good[1]]))
+    with pytest.raises(NonRegularPointError) as info:
+        oracle_index(Configuration(flat), linkage)
+    assert isinstance(verdicts[1], NonRegularPointError)
+    assert str(verdicts[1]) == str(info.value)
+    for verdict, points in zip(verdicts[::2], good):
+        one = oracle_index(Configuration(points), linkage)
+        assert verdict.multipliers.tolist() == one.multipliers.tolist()
+        assert (verdict.residual, verdict.inertia, verdict.det_sign) == \
+            (one.residual, one.inertia, one.det_sign)
+
+
+# ---------------------------------------------------------------------------
+# The per-row loops the kernels replaced, kept as references: the arithmetic
+# is unchanged, so the values must be equal, not close.
+
+
+def _loop_area(pts):
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+
+
+def _loop_convex(pts):
+    n = pts.shape[0]
+    total = 0.0
+    for i in range(n):
+        u = pts[(i + 1) % n] - pts[i]
+        v = pts[(i + 2) % n] - pts[(i + 1) % n]
+        cross = u[0] * v[1] - u[1] * v[0]
+        if cross <= 0.0:
+            return False
+        total += math.atan2(cross, float(u @ v))
+    return abs(total - 2.0 * math.pi) < 1e-6
+
+
+def _loop_jacobian(pts):
+    n = pts.shape[0]
+    jac = np.zeros((n - 1, 2 * (n - 2)))
+    for row, i in enumerate(range(1, n)):
+        j = (i + 1) % n
+        d = 2.0 * (pts[i] - pts[j])
+        if i >= 2:
+            jac[row, 2 * (i - 2): 2 * (i - 2) + 2] += d
+        if j >= 2:
+            jac[row, 2 * (j - 2): 2 * (j - 2) + 2] -= d
+    return jac
+
+
+def _loop_stationarity(pts, jac):
+    n = pts.shape[0]
+    grad = np.empty(2 * (n - 2))
+    for i in range(2, n):
+        nxt, prv = pts[(i + 1) % n], pts[i - 1]
+        grad[2 * (i - 2)] = 0.5 * (nxt[1] - prv[1])
+        grad[2 * (i - 2) + 1] = 0.5 * (prv[0] - nxt[0])
+    lam, *_ = np.linalg.lstsq(jac.T, grad, rcond=None)
+    residual = float(np.linalg.norm(grad - jac.T @ lam)) / max(1.0, float(np.linalg.norm(grad)))
+    return lam, residual
+
+
+def test_kernels_match_the_per_row_loops():
+    rng = np.random.default_rng(37)
+    for n in (3, 4, 5, 8, 11):
+        linkage = random_linkage(rng, n)
+        stacks = [np.stack([item.configuration.points for item in enumerate_cyclic(linkage)]),
+                  np.stack([random_valid_configuration(rng, n)[1].points for _ in range(20)])]
+        for pts in stacks:
+            assert geometry._signed_areas(pts).tolist() == [_loop_area(p) for p in pts]
+            assert geometry._convex_rows(pts).tolist() == [_loop_convex(p) for p in pts]
+            jac, _, errors = oracle._regular_rows(pts)
+            assert all(np.array_equal(j, _loop_jacobian(p)) for j, p in zip(jac, pts))
+            lam, residual = oracle._stationarity_rows(pts, jac)
+            for p, j, row, gap in zip(pts, jac, lam, residual.tolist()):
+                loop_lam, loop_gap = _loop_stationarity(p, j)
+                assert row.tolist() == loop_lam.tolist()
+                assert gap == loop_gap
+
+
+# ---------------------------------------------------------------------------
+# Index symmetry: the mirror of a configuration has area -A, so its index is
+# n - 3 - m.
+
+
+def _symmetry_linkages():
+    yield from (Linkage([1] * n) for n in range(4, 9))
+    yield from (Linkage(ls) for ls in ([1, 2, 1, 2, 1, 2], [1, 1, 1, 1, 2, 2], [3, 1, 1, 2],
+                                       [1, 2, 3, 2.5, 1.5], THIN_HEXAGON))
+    rng = np.random.default_rng(43)
+    yield from (random_linkage(rng, n) for n in range(5, 11))
+
+
+def test_mirror_pairs_have_symmetric_formula_indices():
+    pairs = 0
+    for linkage in _symmetry_linkages():
+        table = {(a.descriptor.eps.eps, a.descriptor.winding, a.descriptor.radius): a
+                 for a in analyze_linkage(linkage)}
+        for (eps, k, r), a in table.items():
+            mirror = table[(tuple(-v for v in eps), -k, r)]
+            assert mirror.flags == a.flags
+            if a.flags.any or "formula" not in (a.index_source, mirror.index_source):
+                continue
+            assert a.index_source == mirror.index_source == "formula"
+            assert a.index + mirror.index == linkage.n - 3
+            pairs += 1
+    assert pairs > 500
