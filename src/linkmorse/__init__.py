@@ -15,11 +15,8 @@ from .errors import (
     InvalidConfigurationError,
     InvalidLinkageError,
     LinkmorseError,
-    NonGenericError,
     NonGenericPathError,
     NonRegularPointError,
-    NotInscribableError,
-    VanishingChordError,
 )
 from .geometry import (
     CircleFit,
@@ -30,8 +27,6 @@ from .geometry import (
     edge_lengths,
     edge_orientations,
     fit_circle,
-    is_convex_positive,
-    measure_half_angles,
     signed_area,
     validate_configuration,
 )
@@ -44,27 +39,15 @@ from .solver import (
     enumerate_cyclic,
     f_value,
     reconstruct,
-    solve_radii,
 )
 from .morse import (
     MorseReport,
     SignReport,
     closed_form,
-    delta,
-    morse_index,
-    sign_report,
-    subconfig_sign_sequence,
 )
 from .oracle import (
     OracleVerdict,
-    area_gradient,
-    constraint_jacobian,
-    constraint_values,
-    criticality_residual,
-    inertia,
     oracle_index,
-    projected_hessian,
-    tangent_basis,
 )
 from .deform import (
     AngularPath,
@@ -78,7 +61,6 @@ from .deform import (
 )
 from .analysis import (
     ConfigurationAnalysis,
-    analyze_configuration,
     analyze_linkage,
     index_summary,
     verify_enumeration,

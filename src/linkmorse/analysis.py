@@ -10,9 +10,8 @@ points of a chunk of them, shape (rows, n, 2), go through the stacked
 kernels of ``geometry`` (area, convexity), ``morse`` (the closed form) and
 ``oracle`` (the numerical verdict) once.  A row refused by a check keeps
 its own refusal, and a flagged row skips the closed form and the oracle.
-Chunks bound the work arrays whatever n is.  :func:`analyze_configuration`
-is the one-row case, and :func:`verify_enumeration` analyses the records
-that pass its per-record checks the same way.  JSON encoding and decoding
+Chunks bound the work arrays whatever n is.  :func:`verify_enumeration`
+analyses the records that pass its per-record checks the same way.  JSON encoding and decoding
 of enumeration artifacts lives here too; :func:`write_enumeration` writes
 an artifact record by record.
 """
@@ -20,6 +19,7 @@ an artifact record by record.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +36,7 @@ from .geometry import (
     validate_configuration,
 )
 from .morse import MorseReport, SignReport, _closed_form_rows
-from .oracle import OracleVerdict, _check_size, _verdict_rows
+from .oracle import OracleVerdict, _verdict_rows
 from .solver import (
     CLOSURE_TOL,
     DEGENERACY_TOL,
@@ -111,9 +111,12 @@ def _chunks(items: list, n: int):
         yield items[start:start + step]
 
 
-def _analyze_rows(linkage: Linkage, items: list) -> list:
+def _analyze_rows(items: list) -> list:
     """:class:`ConfigurationAnalysis` of each item of one chunk, as array
-    operations over the stack of its points."""
+    operations over the stack of its points.  Flagged (near-degenerate)
+    items skip the closed form and the oracle: the closed-form results only
+    hold generically and the oracle comparison would be meaningless on the
+    degeneracy boundary."""
     points = np.stack([item.configuration.points for item in items])
     areas = _signed_areas(points).tolist()
     convex = _convex_rows(points).tolist()
@@ -124,11 +127,7 @@ def _analyze_rows(linkage: Linkage, items: list) -> list:
         descs = [items[j].descriptor for j in live]
         closed = _closed_form_rows(stack, np.array([d.center for d in descs]),
                                    np.array([d.radius for d in descs]))
-        try:
-            _check_size(points.shape[1], linkage)
-            verdicts = _verdict_rows(stack)
-        except LinkmorseError as err:
-            verdicts = [err] * len(live)
+        verdicts = _verdict_rows(stack)
     results = dict(zip(live, zip(closed, verdicts)))
     out = []
     for j, item in enumerate(items):
@@ -147,22 +146,11 @@ def _analyze_rows(linkage: Linkage, items: list) -> list:
     return out
 
 
-def analyze_configuration(linkage: Linkage, item: CyclicConfiguration) -> ConfigurationAnalysis:
-    """Run the sign formulas and the oracle on one enumerated configuration.
-
-    Flagged (near-degenerate) configurations skip both: the closed-form
-    results only hold generically and the oracle comparison would be
-    meaningless on the degeneracy boundary.
-    """
-    return _analyze_rows(linkage, [item])[0]
-
-
 def analyze_linkage(linkage: Linkage) -> list:
     """Enumerate all cyclic configurations and analyze them, a chunk of
     configurations at a time as one stack of points."""
     items = enumerate_cyclic(linkage)
-    return [result for chunk in _chunks(items, linkage.n)
-            for result in _analyze_rows(linkage, chunk)]
+    return [result for chunk in _chunks(items, linkage.n) for result in _analyze_rows(chunk)]
 
 
 def index_summary(analyses: list) -> str:
@@ -327,10 +315,14 @@ def _check_record(linkage: Linkage, record):
         return _fail(str(err))
     if flags != recorded:
         return _fail("recorded flags disagree with the recorded radius and orientation string")
+    closure = int(np.rint(eps.array @ alphas / math.pi))
+    if closure != winding:
+        return _fail(f"recorded winding {winding} disagrees with the closure sum "
+                     f"(winding {closure})")
     return CyclicConfiguration(desc, config, flags)
 
 
-def _compared_rows(linkage: Linkage, items: list) -> list:
+def _compared_rows(items: list) -> list:
     """Rows of records that passed their own checks, one chunk: the oracle
     checks the criticality of each, and an unflagged one's analysis is
     compared with the record and with itself."""
@@ -341,7 +333,7 @@ def _compared_rows(linkage: Linkage, items: list) -> list:
     flagged = [j for j, item in enumerate(items) if item.flags.any]
     verdicts = dict(zip(flagged, _verdict_rows(points[flagged]))) if flagged else {}
     rows = []
-    for j, (item, result) in enumerate(zip(items, _analyze_rows(linkage, items))):
+    for j, (item, result) in enumerate(zip(items, _analyze_rows(items))):
         verdict = verdicts.get(j, result.oracle)
         if verdict is None or isinstance(verdict, LinkmorseError):
             rows.append(_fail(result.oracle_error if verdict is None else str(verdict)))
@@ -376,36 +368,27 @@ def _compared_rows(linkage: Linkage, items: list) -> list:
     return rows
 
 
-def _verify_rows(linkage: Linkage, records: list) -> list:
-    """Verification rows of outside records.  Each record is checked on its
-    own first; those that pass are analysed a chunk at a time."""
+def verify_enumeration(linkage: Linkage, records: list):
+    """Check each outside record, re-analyse it, and compare; returns
+    (rows, summary line, all_ok).
+
+    Each record is checked on its own first.  Its points must satisfy the
+    linkage constraints and lie on the recorded circle (tamper detection for
+    r and center), its winding must be that of its closure sum, and the
+    degeneracy flags recomputed from the recorded radius and string must
+    equal the recorded ones.  The records that pass are analysed a chunk at
+    a time.  Each must be critical and reproduce the recorded orientation
+    string; flagged records are reported but exempt from the agreement
+    requirement.  Everything else is read off the record's
+    :class:`ConfigurationAnalysis`, whose ``agree`` compares the determinant
+    sign always and the index where its formula applies.  A record that is
+    not an object, or has a missing or mistyped field, fails as malformed.
+    """
     rows = [_check_record(linkage, record) for record in records]
     live = [j for j, row in enumerate(rows) if isinstance(row, CyclicConfiguration)]
     for chunk in _chunks(live, linkage.n):
-        for j, row in zip(chunk, _compared_rows(linkage, [rows[j] for j in chunk])):
+        for j, row in zip(chunk, _compared_rows([rows[j] for j in chunk])):
             rows[j] = row
-    return rows
-
-
-def verify_record(linkage: Linkage, record: dict) -> VerificationRow:
-    """Check one outside record, re-analyse it, and compare.
-
-    The points must satisfy the linkage constraints, lie on the recorded
-    circle (tamper detection for r and center), be critical, and reproduce
-    the recorded orientation string.  The degeneracy flags are recomputed
-    from the recorded radius and string and must equal the recorded ones;
-    flagged records are reported but exempt from the agreement requirement.
-    Everything else is read off the record's :class:`ConfigurationAnalysis`,
-    whose ``agree`` compares the determinant sign always and the index where
-    its formula applies.  A record that is not an object, or has a missing
-    or mistyped field, fails as malformed.
-    """
-    return _verify_rows(linkage, [record])[0]
-
-
-def verify_enumeration(linkage: Linkage, records: list):
-    """Verify every record; returns (rows, summary line, all_ok)."""
-    rows = _verify_rows(linkage, records)
     flagged = sum(1 for r in rows if r.flagged)
     good = sum(1 for r in rows if r.agree and not r.flagged)
     ok = all(r.agree for r in rows)

@@ -22,15 +22,11 @@ class DegenerateCircleError(LinkmorseError):
     """The first three vertices are collinear; no circumcircle exists."""
 
 
-class NotInscribableError(LinkmorseError):
-    """An edge is longer than the circle diameter, so no chord realizes it."""
-
-
 class CentralConfigurationError(LinkmorseError):
-    """An edge or chord passes through the circle center (a diameter).
+    """An edge passes through the circle center (a diameter).
 
     Orientation signs are undefined there and the half-angle tangent blows up.
-    The optional ``index`` records the offending edge or subconfiguration.
+    ``index`` records the offending edge, counted from 1.
     """
 
     def __init__(self, message, index=None):
@@ -40,22 +36,6 @@ class CentralConfigurationError(LinkmorseError):
 
 class InconsistentDescriptorError(LinkmorseError):
     """Cyclic descriptor violates the angular closure condition."""
-
-
-class NonGenericError(LinkmorseError):
-    """A sign quantity sits on its degeneracy boundary (e.g. delta near zero)."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
-
-class VanishingChordError(LinkmorseError):
-    """A subconfiguration closing chord has (numerically) zero length."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class NonRegularPointError(LinkmorseError):

@@ -21,7 +21,6 @@ from .errors import (
     DegenerateCircleError,
     InvalidConfigurationError,
     InvalidLinkageError,
-    NotInscribableError,
 )
 
 # Scale-invariant threshold: a directed edge counts as passing through the
@@ -128,12 +127,6 @@ class Configuration:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def edge_lengths(self) -> np.ndarray:
-        return edge_lengths(self.points)
-
-    def to_json_dict(self) -> dict:
-        return {"points": [[float(x), float(y)] for x, y in self.points]}
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "Configuration":
         if not isinstance(data, dict) or "points" not in data:
@@ -178,11 +171,6 @@ class OrientationString:
     def array(self) -> np.ndarray:
         return np.array(self.eps, dtype=float)
 
-    @property
-    def positive_count(self) -> int:
-        """Number of +1 entries (the parity input of the Hessian sign rule)."""
-        return sum(1 for v in self.eps if v > 0)
-
     def mirrored(self) -> "OrientationString":
         return OrientationString(tuple(-v for v in self.eps))
 
@@ -206,8 +194,8 @@ def signed_area(points) -> float:
 
 # ---------------------------------------------------------------------------
 # Stacked kernels: the same quantities for a stack of configurations, shape
-# (rows, n, 2), which the caller has validated.  The public functions of one
-# configuration are their one-row case.
+# (rows, n, 2), which the caller has validated.  signed_area and
+# edge_orientations are their one-row case.
 
 
 def _dot_rows(a, b) -> np.ndarray:
@@ -248,14 +236,25 @@ def _orientation_rows(pts: np.ndarray, centers: np.ndarray):
 
 
 def _half_angle_rows(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray):
-    """Half-angles of the edges of stacked configurations on their circles,
-    and per row the refusal of its first edge longer than the diameter."""
+    """Half-angles ``alpha_i = arcsin(l_i / (2r))`` of the edges of stacked
+    configurations on their circles, and per row the refusal text of its
+    first edge longer than the diameter (beyond :data:`OVER_DIAMETER_TOL`),
+    which cannot be a chord.
+
+    Each ``alpha_i`` lies in (0, pi/2]; the side of the center is carried
+    separately by the orientation string.  It is computed as
+    ``atan2(l_i / 2, h_i)``, with ``h_i`` the distance from the center to the
+    edge midpoint, which keeps its digits near a diameter: there
+    ``pi/2 - alpha_i`` is about ``h_i / r``, the quantity
+    :data:`CENTRAL_CROSS_TOL` thresholds, where ``arcsin`` of a ratio within
+    rounding of 1 returns pi/2.
+    """
     nxt = np.roll(pts, -1, axis=1)
     chords = nxt - pts
     lengths = np.hypot(chords[..., 0], chords[..., 1])
     diameters = 2.0 * radii
     over = lengths / diameters[:, None] > 1.0 + OVER_DIAMETER_TOL
-    errors = _refusals(over, lambda row, i: NotInscribableError(
+    errors = _refusals(over, lambda row, i: (
         f"edge {i + 1} (length {lengths[row, i]:.12g}) exceeds the diameter "
         f"{diameters[row]:.12g}"))
     offsets = 0.5 * (pts + nxt) - centers[:, None, :]
@@ -263,7 +262,13 @@ def _half_angle_rows(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray):
 
 
 def _convex_rows(pts: np.ndarray) -> np.ndarray:
-    """:func:`is_convex_positive` of each stacked configuration."""
+    """Per stacked configuration, whether it is a strictly convex, positively
+    oriented (ccw) polygon.
+
+    Requires every turn to be a strict left turn and the total turning to be
+    one full revolution, which rules out star polygons that are only locally
+    convex; together they imply a positive area.
+    """
     u = np.roll(pts, -1, axis=1) - pts  # p_{i+1} - p_i
     v = np.roll(u, -1, axis=1)  # p_{i+2} - p_{i+1}
     cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
@@ -360,32 +365,3 @@ def edge_orientations(points, center) -> OrientationString:
     if errors[0] is not None:
         raise errors[0]
     return OrientationString(tuple(sides[0].tolist()))
-
-
-def measure_half_angles(points, fit: CircleFit) -> np.ndarray:
-    """Half-angles ``alpha_i = arcsin(l_i / (2r))`` of the inscribed edges.
-
-    Each ``alpha_i`` lies in (0, pi/2]; the side of the center is carried
-    separately by the orientation string.  It is computed as
-    ``atan2(l_i / 2, h_i)``, with ``h_i`` the distance from the center to the
-    edge midpoint, which keeps its digits near a diameter: there
-    ``pi/2 - alpha_i`` is about ``h_i / r``, the quantity
-    :data:`CENTRAL_CROSS_TOL` thresholds, where ``arcsin`` of a ratio within
-    rounding of 1 returns pi/2.  An edge longer than the diameter (beyond
-    :data:`OVER_DIAMETER_TOL`) cannot be a chord and raises.
-    """
-    pts = _as_points(points)
-    alphas, errors = _half_angle_rows(pts[None], fit.center[None], np.array([fit.radius]))
-    if errors[0] is not None:
-        raise errors[0]
-    return alphas[0]
-
-
-def is_convex_positive(points) -> bool:
-    """True for a strictly convex, positively oriented (ccw) polygon.
-
-    Requires every turn to be a strict left turn and the total turning to be
-    one full revolution, which rules out star polygons that are only locally
-    convex; together they imply a positive area.
-    """
-    return bool(_convex_rows(_as_points(points)[None])[0])

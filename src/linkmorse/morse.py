@@ -29,23 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CentralConfigurationError,
-    InvalidConfigurationError,
-    NonGenericError,
-    VanishingChordError,
-)
 from .geometry import (
     CircleFit,
     Configuration,
-    OrientationString,
     _dot_rows,
     _half_angle_rows,
     _orientation_rows,
     _refusals,
-    edge_orientations,
-    fit_circle,
-    measure_half_angles,
 )
 
 # |delta| below this multiple of sum(tan(alpha)) counts as degenerate: the
@@ -90,48 +80,31 @@ class MorseReport:
         seq = self.h_sequence
         return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
-    def to_json_dict(self) -> dict:
-        return {"h_sequence": list(self.h_sequence), "index": self.index}
-
-
-def _as_row(alphas, eps):
-    """One row ``(eps, alphas)`` of a stack, from an orientation string and
-    half-angles of the same length."""
-    al = np.asarray(alphas, dtype=float)
-    eps = eps if isinstance(eps, OrientationString) else OrientationString(tuple(eps))
-    if al.size != len(eps):
-        raise InvalidConfigurationError("half-angle and orientation lengths differ")
-    return eps.array[None], al[None]
-
 
 def _delta_text(value, scale) -> str:
     return f"|delta| = {abs(value):.3e} below {DELTA_REL_TOL:.1e} * {scale:.3e}"
 
 
-def _diameter_edges(alphas: np.ndarray) -> list:
-    """Per row of stacked half-angles, the refusal of its first edge that is
-    (numerically) a diameter, or None."""
-    return _refusals(alphas >= 0.5 * math.pi - CHORD_TOL, lambda row, i: CentralConfigurationError(
-        f"edge {i + 1} is (numerically) a diameter", index=i + 1))
-
-
 def _sign_rows(eps: np.ndarray, alphas: np.ndarray):
     """Sign data of stacked orientation strings and half-angles (rows of n).
 
-    Returns ``(delta, sequences, diameter, small, prefix)``: the full
-    polygon's ``delta`` per row; the sign sequences of P_3 .. P_n, one row
-    each, read off prefix sums as in the module docstring, with the full
-    polygon's sign last; and three lists of per-row refusals (None where
-    the check passes): an edge that is a diameter, ``|delta|`` below
-    :data:`DELTA_REL_TOL` times ``sum tan(alpha)``, and the first degenerate
-    P_i, 4 <= i < n.  Callers choose the order in which they apply.
+    Returns ``(delta, sequences, polygon, prefix)``: the full polygon's
+    ``delta`` per row; the sign sequences of P_3 .. P_n, one row each, read
+    off prefix sums as in the module docstring, with the full polygon's sign
+    last; and two lists of per-row refusal texts (None where the checks
+    pass): the full polygon's, its first edge that is a diameter or else
+    ``|delta|`` below :data:`DELTA_REL_TOL` times ``sum tan(alpha)``, and
+    the first degenerate P_i, 4 <= i < n.
     """
     n = eps.shape[1]
     tans = np.tan(alphas)
     value = _dot_rows(eps, tans)
     scale = tans.sum(axis=1)
-    small = _refusals((np.abs(value) < DELTA_REL_TOL * scale)[:, None],
-                      lambda row, _: NonGenericError(_delta_text(value[row], scale[row])))
+    diameter_edge = alphas >= 0.5 * math.pi - CHORD_TOL
+    small = np.abs(value) < DELTA_REL_TOL * scale
+    polygon = _refusals(np.concatenate([diameter_edge, small[:, None]], axis=1), lambda row, i: (
+        f"edge {i + 1} is (numerically) a diameter" if i < n
+        else _delta_text(value[row], scale[row])))
     first = slice(2, n - 2)  # sums over the first i - 1 edges, i = 4 .. n - 1
     s = np.cumsum(eps * alphas, axis=1)[:, first]
     sin_s, tan_s = np.abs(np.sin(s)), np.tan(s)
@@ -139,86 +112,22 @@ def _sign_rows(eps: np.ndarray, alphas: np.ndarray):
     scales = np.cumsum(tans, axis=1)[:, first] + np.abs(tan_s)
     vanishing = 2.0 * sin_s <= CHORD_TOL
     diameter = 2.0 * (1.0 - sin_s) <= CHORD_TOL
-    diameter_edge = np.maximum.accumulate(alphas, axis=1)[:, first] >= 0.5 * math.pi - CHORD_TOL
 
     def refuse(row, j):
         i = j + 4
         if vanishing[row, j]:
-            return VanishingChordError(f"chord p_{i} -> p_1 has vanishing length", index=i)
+            return f"chord p_{i} -> p_1 has vanishing length"
         if diameter[row, j]:
-            return CentralConfigurationError(f"chord p_{i} -> p_1 is a diameter", index=i)
-        if diameter_edge[row, j]:
-            return _diameter_edges(alphas[row:row + 1])[0]
-        return NonGenericError(f"subconfiguration P_{i}: "
-                               f"{_delta_text(values[row, j], scales[row, j])}", index=i)
+            return f"chord p_{i} -> p_1 is a diameter"
+        return f"subconfiguration P_{i}: {_delta_text(values[row, j], scales[row, j])}"
 
-    bad = vanishing | diameter | diameter_edge | (np.abs(values) < DELTA_REL_TOL * scales)
-    prefix = _refusals(bad, refuse)
+    prefix = _refusals(vanishing | diameter | (np.abs(values) < DELTA_REL_TOL * scales), refuse)
     positives = np.cumsum(eps > 0.0, axis=1)[:, first] + (np.mod(-s, math.pi) < 0.5 * math.pi)
     sequences = [np.ones((eps.shape[0], 1), dtype=int)]
     if n > 3:
         full = determinant_sign(np.where(value > 0.0, 1, -1), (eps > 0.0).sum(axis=1))
         sequences += [determinant_sign(np.where(values > 0.0, 1, -1), positives), full[:, None]]
-    return value, np.concatenate(sequences, axis=1), _diameter_edges(alphas), small, prefix
-
-
-def delta(alphas, eps) -> float:
-    """``sum_i eps_i tan(alpha_i)`` for half-angles strictly below pi/2."""
-    value, _, diameter, _, _ = _sign_rows(*_as_row(alphas, eps))
-    if diameter[0] is not None:
-        raise diameter[0]
-    return float(value[0])
-
-
-def sign_report(alphas, eps) -> SignReport:
-    """Determinant-sign report with a scale-aware genericity guard on delta."""
-    e, al = _as_row(alphas, eps)
-    value, _, diameter, small, _ = _sign_rows(e, al)
-    for error in (diameter[0], small[0]):
-        if error is not None:
-            raise error
-    return SignReport(delta=float(value[0]), d=1 if value[0] > 0.0 else -1,
-                      e=int((e > 0.0).sum()))
-
-
-def subconfig_sign_sequence(config: Configuration, fit: CircleFit) -> tuple:
-    """Determinant signs of the nested subconfigurations P_3 .. P_n, from the
-    orientations and half-angles measured once from the points and the circle.
-    """
-    return _sign_sequence(edge_orientations(config.points, fit.center),
-                          measure_half_angles(config.points, fit))
-
-
-def _sign_sequence(eps: OrientationString, alphas: np.ndarray) -> tuple:
-    """Sign sequence of P_3 .. P_n from prefix sums of ``(eps, alpha)``.
-
-    Entry 0 is +1 by convention.  For 4 <= i < n the closing chord of P_i is
-    read off the sums over its first i - 1 edges (see the module docstring);
-    entry n is the full polygon's sign.  Degeneracies are reported with the
-    offending subconfiguration index attached, the prefixes first.
-    """
-    n = len(eps)
-    _, sequences, diameter, small, prefix = _sign_rows(*_as_row(alphas, eps))
-    if prefix[0] is not None:
-        raise prefix[0]
-    if n > 3 and diameter[0] is not None:
-        raise diameter[0]
-    if n > 3 and small[0] is not None:
-        raise NonGenericError(f"subconfiguration P_{n}: {small[0]}", index=n) from small[0]
-    return tuple(sequences[0].tolist())
-
-
-def morse_index(config: Configuration, fit: CircleFit | None = None) -> MorseReport:
-    """Morse index of the signed area at a generic cyclic configuration.
-
-    The index equals the number of adjacent sign changes in the
-    subconfiguration sequence, always within [0, n - 3].
-    """
-    if fit is None:
-        fit = fit_circle(config.points)
-        if fit is None:
-            raise InvalidConfigurationError("configuration is not cyclic; no circumcircle fits")
-    return MorseReport(subconfig_sign_sequence(config, fit))
+    return value, np.concatenate(sequences, axis=1), polygon, prefix
 
 
 def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> list:
@@ -231,13 +140,13 @@ def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
     """
     sides, central = _orientation_rows(points, centers)
     alphas, over = _half_angle_rows(points, centers, radii)
-    value, sequences, diameter, small, prefix = _sign_rows(sides.astype(float), alphas)
+    value, sequences, polygon, prefix = _sign_rows(sides.astype(float), alphas)
     positives = (sides > 0).sum(axis=1).tolist()
     out = []
-    for row, causes in enumerate(zip(central, over, diameter, small, prefix)):
+    for row, causes in enumerate(zip(central, over, polygon, prefix)):
         refused = [cause for cause in causes if cause is not None]
         signs = None
-        if all(cause is None for cause in causes[:4]):
+        if all(cause is None for cause in causes[:3]):
             signs = SignReport(delta=float(value[row]), d=1 if value[row] > 0.0 else -1,
                                e=positives[row])
         if refused:
@@ -252,8 +161,8 @@ def closed_form(config: Configuration, fit: CircleFit):
     :class:`MorseReport` and the error text of one cyclic configuration.
 
     Orientations and half-angles are measured once, from the points and the
-    circle.  On a :class:`LinkmorseError` the reports not yet computed are
-    None and ``error`` says why; ``signs`` survives alone when only the
+    circle.  When a check refuses, the reports not yet computed are None
+    and ``error`` says why; ``signs`` survives alone when only the
     subconfiguration sequence is degenerate.
     """
     return _closed_form_rows(config.points[None], fit.center[None], np.array([fit.radius]))[0]

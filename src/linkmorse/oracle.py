@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError, NonRegularPointError
-from .geometry import Configuration, Linkage, _as_points, _dot_rows, _readonly, _refusals
+from .geometry import Configuration, Linkage, _dot_rows, _readonly, _refusals
 
 # Singular values below this multiple of the largest one count as zero when
 # deciding constraint rank and the tangent space.
@@ -46,31 +46,20 @@ class OracleVerdict:
     def is_morse(self) -> bool:
         return self.inertia[1] == 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "residual": float(self.residual),
-            "inertia": list(self.inertia),
-            "det_sign": int(self.det_sign),
-            "index": int(self.index),
-        }
-
 
 def _free_count(n: int) -> int:
     return 2 * (n - 2)
 
 
-def _check_size(n: int, linkage: Linkage):
-    if n != linkage.n:
-        raise InvalidConfigurationError("configuration and linkage sizes differ")
-
-
 # ---------------------------------------------------------------------------
-# Stacked kernels over configurations of shape (rows, n, 2).  The functions
-# of one configuration below are their one-row case.
+# Stacked kernels over configurations of shape (rows, n, 2).  oracle_index
+# is their one-row case.
 
 
 def _gradient_rows(pts: np.ndarray) -> np.ndarray:
-    """Area gradients over the free coordinates, one row per configuration."""
+    """Gradients of the shoelace area over the free coordinates (p_3..p_n),
+    one row per configuration.  The area is quadratic, so each component is
+    half a coordinate difference of the two cyclic neighbors."""
     nxt, prv = np.roll(pts, -1, axis=1)[:, 2:], pts[:, 1:-1]
     grad = np.empty((pts.shape[0], _free_count(pts.shape[1])))
     grad[:, 0::2] = 0.5 * (nxt[..., 1] - prv[..., 1])
@@ -102,8 +91,12 @@ def _regular_rows(pts: np.ndarray):
 
 
 def _stationarity_rows(pts: np.ndarray, jac: np.ndarray):
-    """Least-squares multipliers and normalized stationarity gaps per row.
-    ``lstsq`` has no stacked form, so it runs once per row."""
+    """Least-squares Lagrange multipliers and normalized stationarity gaps
+    per row: ``J^T lambda = grad A`` solved in the least-squares sense, and
+    ``||grad A - J^T lambda|| / max(1, ||grad A||)``.  At a cyclic
+    configuration the gap vanishes to solver precision; for a triangle the
+    moduli space is zero-dimensional and the system is square.  ``lstsq``
+    has no stacked form, so it runs once per row."""
     grad = _gradient_rows(pts)
     jac_t = jac.transpose(0, 2, 1)
     lam = np.empty(jac.shape[:2])
@@ -114,8 +107,14 @@ def _stationarity_rows(pts: np.ndarray, jac: np.ndarray):
 
 
 def _lagrangian_rows(lam: np.ndarray) -> np.ndarray:
-    """Lagrangian Hessians over the free coordinates, one per row of
-    multipliers (see :func:`projected_hessian`)."""
+    """Lagrangian Hessians ``hess A - sum_i lambda_i hess g_i`` over the
+    free coordinates, one per row of multipliers.
+
+    They are block tridiagonal over the free vertices p_3..p_n: vertex p_v
+    carries ``-2 (lambda_{v-1} + lambda_v) I`` (multipliers indexed by edge)
+    and each edge p_v p_{v+1} between free vertices couples them by
+    ``2 lambda_v I`` plus the area's ``+/-1/2`` cross terms.
+    """
     n = lam.shape[1] + 1
     lagrangian = np.zeros((lam.shape[0], _free_count(n), _free_count(n)))
     x = 2 * np.arange(n - 2)  # x column of each free vertex; y is x + 1
@@ -131,7 +130,9 @@ def _lagrangian_rows(lam: np.ndarray) -> np.ndarray:
 
 
 def _projected_rows(lagrangian: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``Z^T L Z`` per row, symmetrized."""
+    """``Z^T L Z`` per row, symmetrized: with Z an orthonormal tangent
+    basis, the (n-3) x (n-3) second derivative of the area along the moduli
+    space at a critical point."""
     proj = basis.transpose(0, 2, 1) @ lagrangian @ basis
     return 0.5 * (proj + proj.transpose(0, 2, 1))
 
@@ -168,110 +169,14 @@ def _verdict_rows(pts: np.ndarray) -> list:
     return out
 
 
-# ---------------------------------------------------------------------------
-# One configuration
-
-
-def area_gradient(points) -> np.ndarray:
-    """Gradient of the shoelace area over the free coordinates (p_3..p_n).
-
-    The area is quadratic, so each component is half a coordinate difference
-    of the two cyclic neighbors.
-    """
-    pts = _as_points(points)
-    if pts.shape[0] < 3:
-        raise InvalidConfigurationError("gradient needs at least 3 vertices")
-    return _gradient_rows(pts[None])[0]
-
-
-def constraint_values(points, linkage: Linkage) -> np.ndarray:
-    """Quadratic edge constraints g_i = |p_i - p_{i+1}|^2 - l_i^2, i = 2..n.
-
-    The pinned first edge is satisfied identically and contributes no row.
-    """
-    pts = _as_points(points)
-    n = pts.shape[0]
-    _check_size(n, linkage)
-    vals = np.empty(n - 1)
-    for row, i in enumerate(range(1, n)):
-        diff = pts[i] - pts[(i + 1) % n]
-        vals[row] = float(diff @ diff) - float(linkage.lengths[i]) ** 2
-    return vals
-
-
-def _regular_jacobian(points, linkage: Linkage):
-    """Constraint Jacobian and an orthonormal tangent basis from one SVD.
-
-    Raises :class:`NonRegularPointError` when the rank drops below n-1;
-    otherwise the rows of V^T past the n-1 singular values span the kernel.
-    """
-    pts = _as_points(points)
-    n = pts.shape[0]
-    _check_size(n, linkage)
-    jac, vt, errors = _regular_rows(pts[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return jac[0], vt[0, n - 1:].T
-
-
-def constraint_jacobian(points, linkage: Linkage) -> np.ndarray:
-    """Jacobian of the edge constraints over the free coordinates.
-
-    Shape (n-1, 2(n-2)); row i carries ``2(p_i - p_{i+1})`` in the columns of
-    its free endpoints.  Raises :class:`NonRegularPointError` when the rank
-    drops below n-1 (a singular point of the moduli space).
-    """
-    return _regular_jacobian(points, linkage)[0]
-
-
-def criticality_residual(config: Configuration, linkage: Linkage):
-    """Least-squares Lagrange multipliers and the normalized stationarity gap.
-
-    Solves ``J^T lambda = grad A`` in the least-squares sense and returns
-    ``(lambda, ||grad A - J^T lambda|| / max(1, ||grad A||))``.  At a cyclic
-    configuration the residual vanishes to solver precision; for a triangle
-    the moduli space is zero-dimensional and the system is square.
-    """
-    jac = constraint_jacobian(config.points, linkage)
-    lam, residual = _stationarity_rows(config.points[None], jac[None])
-    return lam[0], float(residual[0])
-
-
-def tangent_basis(points, linkage: Linkage) -> np.ndarray:
-    """Orthonormal basis of the constraint tangent space (columns), via SVD."""
-    return _regular_jacobian(points, linkage)[1]
-
-
-def projected_hessian(config: Configuration, linkage: Linkage, lam,
-                      basis: np.ndarray | None = None) -> np.ndarray:
-    """Lagrangian Hessian projected onto the constraint tangent space.
-
-    ``Z^T (hess A - sum_i lambda_i hess g_i) Z`` with Z an orthonormal
-    tangent basis; the result is the (n-3) x (n-3) second derivative of the
-    area along the moduli space at a critical point.  The Lagrangian Hessian
-    is block tridiagonal over the free vertices p_3..p_n: vertex p_v carries
-    ``-2 (lambda_{v-1} + lambda_v) I`` (multipliers indexed by edge) and
-    each edge p_v p_{v+1} between free vertices couples them by
-    ``2 lambda_v I`` plus the area's ``+/-1/2`` cross terms.
-    """
-    z = tangent_basis(config.points, linkage) if basis is None else np.asarray(basis, dtype=float)
-    lagrangian = _lagrangian_rows(np.asarray(lam, dtype=float)[None])
-    return _projected_rows(lagrangian, z[None])[0]
-
-
-def inertia(matrix) -> tuple:
-    """Eigenvalue inertia (negatives, zeros, positives) of a symmetric matrix."""
-    mat = np.asarray(matrix, dtype=float)
-    return tuple(_inertia_rows(mat.reshape((1,) + mat.shape))[0].tolist())
-
-
 def oracle_index(config: Configuration, linkage: Linkage) -> OracleVerdict:
     """Full numerical verdict: multipliers, residual, inertia, determinant sign.
 
     ``det_sign`` is 0 when any projected eigenvalue is numerically zero, in
     which case the verdict is non-Morse and excluded from sign comparisons.
     """
-    _check_size(config.n, linkage)
+    if config.n != linkage.n:
+        raise InvalidConfigurationError("configuration and linkage sizes differ")
     verdict = _verdict_rows(config.points[None])[0]
     if isinstance(verdict, NonRegularPointError):
         raise verdict

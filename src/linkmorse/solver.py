@@ -476,21 +476,6 @@ def _scan(linkage: Linkage, strings: np.ndarray, k_lo: np.ndarray, k_hi: np.ndar
     return scanned[row], k, theta
 
 
-def solve_radii(linkage: Linkage, eps, k: int) -> list:
-    """All radii solving F = 0 for one (E, k) pair, with degeneracy flags.
-
-    Returns ``[(r, DegeneracyFlags), ...]`` sorted by radius.  Sign changes of
-    the sampled closure function are refined by bracketing in theta; double
-    roots (where F and delta vanish together) are recovered by locating the
-    zeros of delta and testing |F| there, and arrive flagged ``delta_zero``.
-    """
-    e = _eps_array(eps)[None]
-    _, _, thetas = _scan(linkage, e, np.array([k]), np.array([k]))
-    rows = np.repeat(e, thetas.size, axis=0)
-    radius, alphas, _ = _root_geometry(linkage, rows, thetas[::-1])
-    return list(zip(radius.tolist(), _flag_rows(rows, alphas)))
-
-
 def enumerate_cyclic(linkage: Linkage) -> list:
     """Every cyclic configuration of the linkage.
 

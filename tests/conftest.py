@@ -1,11 +1,13 @@
-"""Shared helpers for building random linkages and valid configurations."""
+"""Shared helpers for building random linkages and valid configurations, and
+the constraint values the oracle's Jacobian is checked against."""
 
 import math
 
 import numpy as np
 
 from linkmorse import Configuration, Linkage, edge_lengths
-from linkmorse.errors import InvalidLinkageError
+from linkmorse.errors import InvalidConfigurationError, InvalidLinkageError
+from linkmorse.geometry import _as_points
 
 
 def random_linkage(rng, n, lo=0.5, hi=2.0, margin=0.98):
@@ -49,6 +51,23 @@ def random_valid_configuration(rng, n, scale=1.0):
         except InvalidLinkageError:
             continue
         return linkage, Configuration(pinned)
+
+
+def constraint_values(points, linkage: Linkage) -> np.ndarray:
+    """Quadratic edge constraints g_i = |p_i - p_{i+1}|^2 - l_i^2, i = 2..n,
+    the finite-difference reference of the oracle's constraint Jacobian.
+
+    The pinned first edge is satisfied identically and contributes no row.
+    """
+    pts = _as_points(points)
+    n = pts.shape[0]
+    if n != linkage.n:
+        raise InvalidConfigurationError("configuration and linkage sizes differ")
+    vals = np.empty(n - 1)
+    for row, i in enumerate(range(1, n)):
+        diff = pts[i] - pts[(i + 1) % n]
+        vals[row] = float(diff @ diff) - float(linkage.lengths[i]) ** 2
+    return vals
 
 
 def regular_polygon_points(n, winding=1, ccw=True):

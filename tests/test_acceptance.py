@@ -10,19 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_linkage, random_valid_configuration
+from conftest import constraint_values, random_linkage, random_valid_configuration
 from linkmorse import (
     Linkage,
     analyze_linkage,
-    area_gradient,
     check_lemmas,
-    constraint_jacobian,
-    constraint_values,
     deform,
     detect_events,
     signed_area,
 )
 from linkmorse.errors import NonGenericPathError
+from linkmorse.oracle import _gradient_rows, _regular_rows
 
 R_PENTAGON = 1.0 / (2.0 * math.sin(math.pi / 5))     # 0.85065...
 R_PENTAGRAM = 1.0 / (2.0 * math.sin(2 * math.pi / 5))  # 0.52573...
@@ -175,8 +173,8 @@ def test_criterion_6_numerical_hygiene():
             out[2:] = vec.reshape(-1, 2)
             return out
 
-        grad = area_gradient(pts)
-        jac = constraint_jacobian(pts, linkage)
+        grad = _gradient_rows(pts[None])[0]
+        jac = _regular_rows(pts[None])[0][0]
         scale_g = max(1.0, float(np.linalg.norm(grad)))
         scale_j = max(1.0, float(np.linalg.norm(jac)))
         for j in range(free.size):

@@ -8,13 +8,7 @@ import pytest
 
 from conftest import random_linkage
 from linkmorse import Linkage, analyze_linkage, index_summary, verify_enumeration
-from linkmorse.analysis import (
-    dump_json,
-    enumeration_dict,
-    load_enumeration,
-    record_dict,
-    verify_record,
-)
+from linkmorse.analysis import dump_json, enumeration_dict, load_enumeration, record_dict
 
 PENTA = Linkage([1, 1, 1, 1, 1])
 
@@ -81,9 +75,10 @@ def test_verify_rows_read_off_the_library_analysis():
     for linkage in linkages:
         analyses = analyze_linkage(linkage)
         _, records = load_enumeration(dump_json(enumeration_dict(linkage, analyses)))
-        for a, rec in zip(analyses, records):
+        rows, _, _ = verify_enumeration(linkage, records)
+        assert len(rows) == len(analyses)
+        for a, row in zip(analyses, rows):
             assert not a.flags.any
-            row = verify_record(linkage, rec)
             assert row.index == a.oracle.index
             assert row.formula_index == (None if a.morse is None else a.morse.index)
             assert row.det_sign == a.oracle.det_sign
@@ -92,23 +87,24 @@ def test_verify_rows_read_off_the_library_analysis():
             assert row.agree is a.agree is True
 
 
-def test_verify_catches_tampered_radius(pentagon_analyses):
-    envelope = enumeration_dict(PENTA, pentagon_analyses)
-    tampered = copy.deepcopy(envelope)
-    tampered["configurations"][3]["r"] *= 1.0 + 1e-3
+@pytest.mark.parametrize("field, row, change", [("r", 3, 1e-3), ("points", 0, 1e-3),
+                                                ("k", 0, 1), ("k", 0, -1)],
+                         ids=["radius", "points", "k+1", "k-1"])
+def test_verify_catches_tampered_record(pentagon_analyses, field, row, change):
+    tampered = copy.deepcopy(enumeration_dict(PENTA, pentagon_analyses))
+    record = tampered["configurations"][row]
+    if field == "r":
+        record["r"] *= 1.0 + change
+    elif field == "points":
+        record["points"][2][0] += change
+    else:
+        record["k"] += change
     linkage, records = load_enumeration(dump_json(tampered))
     rows, _, ok = verify_enumeration(linkage, records)
     assert not ok
-    assert sum(1 for r in rows if not r.agree) == 1
-
-
-def test_verify_catches_tampered_points(pentagon_analyses):
-    envelope = enumeration_dict(PENTA, pentagon_analyses)
-    tampered = copy.deepcopy(envelope)
-    tampered["configurations"][0]["points"][2][0] += 1e-3
-    linkage, records = load_enumeration(dump_json(tampered))
-    _, _, ok = verify_enumeration(linkage, records)
-    assert not ok
+    assert [j for j, r in enumerate(rows) if not r.agree] == [row]
+    if field == "k":
+        assert rows[row].note.startswith(f"recorded winding {record['k']} disagrees")
 
 
 def test_exactly_one_convex_configuration_per_linkage():

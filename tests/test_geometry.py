@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from conftest import random_valid_configuration, regular_polygon_points
 from linkmorse import (
     CircleFit,
+    Configuration,
     Linkage,
+    closed_form,
     edge_orientations,
     fit_circle,
-    is_convex_positive,
-    measure_half_angles,
     signed_area,
     validate_configuration,
 )
@@ -23,11 +23,20 @@ from linkmorse.errors import (
     DegenerateCircleError,
     InvalidConfigurationError,
     InvalidLinkageError,
-    NotInscribableError,
 )
+from linkmorse.geometry import _convex_rows, _half_angle_rows
 
 SQUARE = np.array([(0.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)])
 SQUARE_CENTER = np.array([-0.5, 0.5])
+
+
+def _half_angles(points, fit):
+    """Half-angles of one configuration on its circle, through the stacked
+    kernel, which must not refuse them."""
+    alphas, over = _half_angle_rows(np.asarray(points, dtype=float)[None], fit.center[None],
+                                    np.array([fit.radius]))
+    assert over == [None]
+    return alphas[0]
 
 
 def test_signed_area_unit_square_ccw():
@@ -159,26 +168,26 @@ def test_orientations_negate_under_reflection():
 
 def test_half_angles_square():
     fit = fit_circle(SQUARE)
-    alphas = measure_half_angles(SQUARE, fit)
+    alphas = _half_angles(SQUARE, fit)
     assert alphas == pytest.approx(np.full(4, math.pi / 4), abs=1e-12)
 
 
 def test_half_angles_regular_pentagon():
     pts, _, _ = regular_polygon_points(5)
-    alphas = measure_half_angles(pts, fit_circle(pts, tol=1e-9))
+    alphas = _half_angles(pts, fit_circle(pts, tol=1e-9))
     assert alphas == pytest.approx(np.full(5, math.pi / 5), abs=1e-9)
 
 
 def test_half_angles_regular_pentagram():
     pts, center, radius = regular_polygon_points(5, winding=2)
-    alphas = measure_half_angles(pts, CircleFit(center=center, radius=radius))
+    alphas = _half_angles(pts, CircleFit(center=center, radius=radius))
     assert alphas == pytest.approx(np.full(5, 2 * math.pi / 5), abs=1e-9)
 
 
 def test_half_angles_not_inscribable():
     fit = CircleFit(center=SQUARE_CENTER, radius=0.4)
-    with pytest.raises(NotInscribableError):
-        measure_half_angles(SQUARE, fit)
+    assert closed_form(Configuration(SQUARE), fit) == \
+        (None, None, "edge 1 (length 1) exceeds the diameter 0.8")
 
 
 def test_half_angles_reproduce_chords():
@@ -193,7 +202,7 @@ def test_half_angles_reproduce_chords():
         pts = center + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         fit = fit_circle(pts, tol=1e-9)
         assert fit is not None
-        alphas = measure_half_angles(pts, fit)
+        alphas = _half_angles(pts, fit)
         chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
         assert 2 * fit.radius * np.sin(alphas) == pytest.approx(chords, rel=1e-9)
 
@@ -204,15 +213,14 @@ def test_half_angles_near_a_diameter(d):
     # within rounding of 1 gave pi/2 - alpha_1 = 0 for d up to 1e-8
     angles = np.array([0.0, math.pi + d, 2.0, 2.8, 4.0])
     pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    alphas = measure_half_angles(pts, CircleFit(center=np.zeros(2), radius=1.0))
+    alphas = _half_angles(pts, CircleFit(center=np.zeros(2), radius=1.0))
     assert math.pi / 2 - alphas[0] == pytest.approx(d / 2, rel=1e-6)
 
 
 def test_convexity_classifier():
-    assert is_convex_positive(SQUARE)
-    assert not is_convex_positive(SQUARE[::-1])
+    assert _convex_rows(np.stack([SQUARE, SQUARE[::-1]])).tolist() == [True, False]
     star, _, _ = regular_polygon_points(5, winding=2)
-    assert not is_convex_positive(star)  # locally convex but winds twice
+    assert not _convex_rows(star[None])[0]  # locally convex but winds twice
 
 
 def test_linkage_validation():

@@ -12,22 +12,15 @@ from linkmorse import (
     Configuration,
     CyclicDescriptor,
     Linkage,
-    delta,
+    closed_form,
     edge_orientations,
     enumerate_cyclic,
-    measure_half_angles,
-    morse_index,
+    fit_circle,
     reconstruct,
-    sign_report,
-    subconfig_sign_sequence,
 )
-from linkmorse.morse import CHORD_TOL, _sign_sequence, determinant_sign
-from linkmorse.errors import (
-    CentralConfigurationError,
-    InvalidConfigurationError,
-    NonGenericError,
-    VanishingChordError,
-)
+from linkmorse.errors import CentralConfigurationError
+from linkmorse.geometry import _half_angle_rows
+from linkmorse.morse import CHORD_TOL, DELTA_REL_TOL, _sign_rows, determinant_sign
 
 PENTA_L = Linkage([1, 1, 1, 1, 1])
 
@@ -37,23 +30,35 @@ def _regular(winding=1, ccw=True):
     return Configuration(pts), CircleFit(center=center, radius=radius)
 
 
+def _polygon(alphas, eps):
+    """The full polygon's ``delta`` and refusal text (or None) for one
+    string and its half-angles, through the stacked kernel."""
+    value, _, polygon, _ = _sign_rows(np.array([eps], dtype=float), np.array([alphas], dtype=float))
+    return float(value[0]), polygon[0]
+
+
+def _half_angles(points, fit):
+    return _half_angle_rows(np.asarray(points, dtype=float)[None], fit.center[None],
+                            np.array([fit.radius]))[0][0]
+
+
 def test_delta_square():
-    assert delta([math.pi / 4] * 4, (1, 1, 1, 1)) == pytest.approx(4.0, abs=1e-12)
+    assert _polygon([math.pi / 4] * 4, (1, 1, 1, 1))[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_delta_anticonvex_square():
-    assert delta([math.pi / 4] * 4, (-1, -1, -1, -1)) == pytest.approx(-4.0, abs=1e-12)
+    assert _polygon([math.pi / 4] * 4, (-1, -1, -1, -1))[0] == pytest.approx(-4.0, abs=1e-12)
 
 
 def test_delta_pentagram():
-    value = delta([2 * math.pi / 5] * 5, (1, 1, 1, 1, 1))
+    value, refusal = _polygon([2 * math.pi / 5] * 5, (1, 1, 1, 1, 1))
+    assert refusal is None
     assert value == pytest.approx(5.0 * math.tan(math.radians(72.0)), abs=1e-9)
     assert value == pytest.approx(15.3884176858763, abs=1e-9)
 
 
 def test_delta_rejects_central_half_angle():
-    with pytest.raises(CentralConfigurationError):
-        delta([math.pi / 2, 0.3, 0.3], (1, 1, 1))
+    assert _polygon([math.pi / 2, 0.3, 0.3], (1, 1, 1))[1] == "edge 1 is (numerically) a diameter"
 
 
 @pytest.mark.parametrize("d, e, expected", [(1, 5, 1), (1, 4, -1), (-1, 0, 1)])
@@ -62,12 +67,13 @@ def test_determinant_sign_formula(d, e, expected):
 
 
 def test_sign_report_rejects_zero_delta():
-    with pytest.raises(NonGenericError):
-        sign_report([0.3, 0.5, 0.3, 0.5], (1, 1, -1, -1))
+    assert _polygon([0.3, 0.5, 0.3, 0.5], (1, 1, -1, -1))[1] == \
+        "|delta| = 0.000e+00 below 1.0e-09 * 1.711e+00"
 
 
 def test_sign_report_invariant():
-    report = sign_report([math.pi / 5] * 5, (1, 1, 1, 1, 1))
+    # every half-angle of the convex pentagon is pi/5 and every edge is +1
+    report = closed_form(*_regular())[0]
     assert report.e == 5
     assert report.d == 1
     assert report.h_sign == -report.d * (-1) ** report.e == 1
@@ -75,72 +81,68 @@ def test_sign_report_invariant():
 
 def test_regular_hexagon_p4_chord_is_diameter():
     pts, center, radius = regular_polygon_points(6)
-    with pytest.raises(CentralConfigurationError) as info:
-        subconfig_sign_sequence(Configuration(pts), CircleFit(center=center, radius=radius))
-    assert info.value.index == 4
+    signs, morse, error = closed_form(Configuration(pts), CircleFit(center=center, radius=radius))
+    assert signs is not None and morse is None
+    assert error == "chord p_4 -> p_1 is a diameter"
 
 
 def test_diameter_edge_is_refused_before_a_later_chord():
     # edge 1 passes 5e-10 r off the center, a diameter to CHORD_TOL: its
-    # measured half-angle is pi/2 - 5e-10.  From the points, edge_orientations
-    # refuses it first, since pi/2 - alpha ~ h/r is the quantity that
-    # CENTRAL_CROSS_TOL thresholds; from the prefix sums, P_4 holds the edge
-    # and is refused before P_5's diameter chord.
+    # measured half-angle is pi/2 - 5e-10.  From the points, the orientations
+    # refuse it first, since pi/2 - alpha ~ h/r is the quantity that
+    # CENTRAL_CROSS_TOL thresholds; from the half-angles, the full polygon's
+    # diameter edge is refused before P_5's diameter chord.
     fit = CircleFit(center=(0.0, 0.0), radius=1.0)
 
     def points(offset):
         theta = np.array([0.0, math.pi + offset, 2.0, 2.8, math.pi, 4.0])
         return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
-    with pytest.raises(CentralConfigurationError) as info:
-        subconfig_sign_sequence(Configuration(points(1e-9)), fit)
-    assert info.value.index == 1
-    alphas = measure_half_angles(points(1e-9), fit)
+    assert closed_form(Configuration(points(1e-9)), fit) == \
+        (None, None, "edge 1 passes through the circle center")
+    alphas = _half_angles(points(1e-9), fit)
     assert 0.5 * math.pi - alphas[0] < CHORD_TOL
-    with pytest.raises(CentralConfigurationError) as info:
-        _sign_sequence(edge_orientations(points(5e-9), fit.center), alphas)
-    assert info.value.index == 1
+    eps = edge_orientations(points(5e-9), fit.center).array
+    _, _, polygon, prefix = _sign_rows(eps[None], alphas[None])
+    assert polygon == ["edge 1 is (numerically) a diameter"]
+    assert prefix == ["chord p_5 -> p_1 is a diameter"]
 
 
 def test_sequence_convex_pentagon():
-    config, fit = _regular()
-    assert subconfig_sign_sequence(config, fit) == (1, -1, 1)
+    assert closed_form(*_regular())[1].h_sequence == (1, -1, 1)
 
 
 def test_sequence_anticonvex_pentagon():
-    config, fit = _regular(ccw=False)
-    assert subconfig_sign_sequence(config, fit) == (1, 1, 1)
+    assert closed_form(*_regular(ccw=False))[1].h_sequence == (1, 1, 1)
 
 
 def test_sequence_ccw_pentagram():
     # positively oriented star: no sign change, a local minimum (verified
     # against the numerical Hessian oracle)
-    config, fit = _regular(winding=2)
-    assert subconfig_sign_sequence(config, fit) == (1, 1, 1)
+    assert closed_form(*_regular(winding=2))[1].h_sequence == (1, 1, 1)
 
 
 def test_sequence_cw_pentagram():
-    config, fit = _regular(winding=2, ccw=False)
-    assert subconfig_sign_sequence(config, fit) == (1, -1, 1)
+    assert closed_form(*_regular(winding=2, ccw=False))[1].h_sequence == (1, -1, 1)
 
 
 def test_morse_index_pentagon_family():
-    assert morse_index(*_regular()).index == 2
-    assert morse_index(*_regular(ccw=False)).index == 0
-    assert morse_index(*_regular(winding=2)).index == 0
-    assert morse_index(*_regular(winding=2, ccw=False)).index == 2
+    assert closed_form(*_regular())[1].index == 2
+    assert closed_form(*_regular(ccw=False))[1].index == 0
+    assert closed_form(*_regular(winding=2))[1].index == 0
+    assert closed_form(*_regular(winding=2, ccw=False))[1].index == 2
 
 
 def test_morse_index_triangle():
     pts, center, radius = regular_polygon_points(3)
-    report = morse_index(Configuration(pts), CircleFit(center=center, radius=radius))
+    report = closed_form(Configuration(pts), CircleFit(center=center, radius=radius))[1]
     assert report.h_sequence == (1,)
     assert report.index == 0
 
 
 def test_morse_index_convex_square():
     pts, center, radius = regular_polygon_points(4)
-    report = morse_index(Configuration(pts), CircleFit(center=center, radius=radius))
+    report = closed_form(Configuration(pts), CircleFit(center=center, radius=radius))[1]
     assert report.h_sequence == (1, -1)
     assert report.index == 1
 
@@ -151,21 +153,20 @@ def test_aligned_pentagon_configurations_are_degenerate():
     # r = 1 / sqrt(3): every half-angle is pi/3
     desc = CyclicDescriptor.from_angle(PENTA_L, (1, 1, 1, 1, -1), 1, math.pi / 3)
     config = reconstruct(PENTA_L, desc)
-    with pytest.raises(VanishingChordError) as info:
-        subconfig_sign_sequence(config, desc.circle)
-    assert info.value.index == 4
+    _, morse, error = closed_form(config, desc.circle)
+    assert morse is None and error == "chord p_4 -> p_1 has vanishing length"
 
     desc2 = CyclicDescriptor.from_angle(PENTA_L, (-1, 1, 1, 1, 1), 1, math.pi / 3)
     config2 = reconstruct(PENTA_L, desc2)
-    with pytest.raises(NonGenericError) as info2:
-        subconfig_sign_sequence(config2, desc2.circle)
-    assert info2.value.index == 4
+    _, morse2, error2 = closed_form(config2, desc2.circle)
+    assert morse2 is None and error2.startswith("subconfiguration P_4: |delta| = ")
 
 
 def test_morse_index_requires_cyclic_input():
+    # closed_form takes the circle as an argument: a configuration without
+    # one has no index, and ``linkmorse index`` refuses it
     pts = [(0.0, 0.0), (0.0, 1.0), (-1.0, 1.2), (-1.3, 0.1)]
-    with pytest.raises(InvalidConfigurationError):
-        morse_index(Configuration(pts))
+    assert fit_circle(pts) is None
 
 
 def test_mirror_duality_on_enumerated_configurations():
@@ -176,50 +177,80 @@ def test_mirror_duality_on_enumerated_configurations():
         table = {(it.descriptor.eps.eps, it.descriptor.winding): it for it in items}
         for (eps, k), item in table.items():
             partner = table[(tuple(-v for v in eps), -k)]
-            m = morse_index(item.configuration, item.descriptor.circle).index
-            m_mirror = morse_index(partner.configuration, partner.descriptor.circle).index
+            m = closed_form(item.configuration, item.descriptor.circle)[1].index
+            m_mirror = closed_form(partner.configuration, partner.descriptor.circle)[1].index
             assert m + m_mirror == n - 3
 
 
 def _geometric_sign_sequence(config, fit):
     """The sign sequence measured the old way: each chord ``p_i -> p_1`` is
-    taken from the points and every subpolygon gets its own sign report."""
-    eps = edge_orientations(config.points, fit.center).eps
-    alphas = measure_half_angles(config.points, fit)
+    taken from the points and every subpolygon gets its own determinant
+    sign.  A refusal is returned as its text, the full polygon's before the
+    chords', in the order in which closed_form applies them."""
+    try:
+        eps = edge_orientations(config.points, fit.center).eps
+    except CentralConfigurationError as err:
+        return str(err)
+    alphas, over = _half_angle_rows(config.points[None], fit.center[None], np.array([fit.radius]))
+    if over[0] is not None:
+        return over[0]
+    alphas = alphas[0]
+
+    def sign(eps_i, alphas_i, label):
+        """``-d (-1)^e`` of one closed polygon, or its refusal text."""
+        diameter = np.flatnonzero(alphas_i >= 0.5 * math.pi - CHORD_TOL)
+        if diameter.size:
+            return f"edge {diameter[0] + 1} is (numerically) a diameter"
+        tans = np.tan(alphas_i)
+        value, scale = float(np.dot(eps_i, tans)), float(tans.sum())
+        if abs(value) < DELTA_REL_TOL * scale:
+            return f"{label}|delta| = {abs(value):.3e} below {DELTA_REL_TOL:.1e} * {scale:.3e}"
+        return -(1 if value > 0.0 else -1) * (-1) ** sum(v > 0 for v in eps_i)
+
     n, r = config.n, fit.radius
+    full = sign(eps, alphas, "")
+    if isinstance(full, str):
+        return full
     signs = [1]
-    for i in range(4, n + 1):
-        if i < n:
-            a = config.points[i - 1]
-            chord = config.points[0] - a
-            length = float(np.hypot(*chord))
-            if length <= CHORD_TOL * r:
-                raise VanishingChordError(f"chord p_{i} -> p_1 has vanishing length", index=i)
-            if abs(length - 2.0 * r) <= CHORD_TOL * r:
-                raise CentralConfigurationError(f"chord p_{i} -> p_1 is a diameter", index=i)
-            w = fit.center - a
-            cross = chord[0] * w[1] - chord[1] * w[0]
-            if abs(cross) <= CHORD_TOL * length * r:
-                raise CentralConfigurationError(f"chord p_{i} -> p_1 runs through the center",
-                                                index=i)
-            eps_i = eps[: i - 1] + ((1 if cross > 0.0 else -1),)
-            alphas_i = np.append(alphas[: i - 1], math.asin(min(length / (2.0 * r), 1.0)))
-        else:
-            eps_i, alphas_i = eps, alphas
-        try:
-            signs.append(sign_report(alphas_i, eps_i).h_sign)
-        except NonGenericError as err:
-            raise NonGenericError(f"subconfiguration P_{i}: {err}", index=i) from err
-    return tuple(signs)
+    for i in range(4, n):
+        a = config.points[i - 1]
+        chord = config.points[0] - a
+        length = float(np.hypot(*chord))
+        if length <= CHORD_TOL * r:
+            return f"chord p_{i} -> p_1 has vanishing length"
+        if abs(length - 2.0 * r) <= CHORD_TOL * r:
+            return f"chord p_{i} -> p_1 is a diameter"
+        w = fit.center - a
+        cross = chord[0] * w[1] - chord[1] * w[0]
+        if abs(cross) <= CHORD_TOL * length * r:
+            return f"chord p_{i} -> p_1 runs through the center"
+        eps_i = eps[: i - 1] + ((1 if cross > 0.0 else -1),)
+        alphas_i = np.append(alphas[: i - 1], math.asin(min(length / (2.0 * r), 1.0)))
+        h = sign(eps_i, alphas_i, f"subconfiguration P_{i}: ")
+        if isinstance(h, str):
+            return h
+        signs.append(h)
+    return tuple(signs + [full] if n > 3 else signs)
+
+
+def _closed_form_sequence(config, fit):
+    _, morse, error = closed_form(config, fit)
+    return error if morse is None else morse.h_sequence
 
 
 def _outcome(sequence, config, fit):
-    """The sequence, or the refusal: class, index and text, with the rounding
-    digits of a |delta| value masked."""
-    try:
-        return sequence(config, fit)
-    except (CentralConfigurationError, NonGenericError, VanishingChordError) as err:
-        return type(err).__name__, err.index, re.sub(r"\|delta\| = \S+", "|delta| = _", str(err))
+    """The sequence, or the refusal text with the rounding digits of a
+    |delta| value masked."""
+    out = sequence(config, fit)
+    return re.sub(r"\|delta\| = \S+", "|delta| = _", out) if isinstance(out, str) else out
+
+
+def _kind(text):
+    for kind, words in (("vanishing", "vanishing length"), ("non-generic", "|delta|"),
+                        ("central", "diameter"), ("central", "center")):
+        if words in text:
+            return kind
+    raise AssertionError(text)
 
 
 def _prefix_sum_fixtures():
@@ -237,8 +268,8 @@ def test_prefix_sums_match_geometric_chords():
                 continue
             config, fit = item.configuration, item.descriptor.circle
             expected = _outcome(_geometric_sign_sequence, config, fit)
-            assert _outcome(subconfig_sign_sequence, config, fit) == expected
+            assert _outcome(_closed_form_sequence, config, fit) == expected
             outcomes.append(expected)
-    kinds = {o[0] for o in outcomes if isinstance(o[0], str)}
+    kinds = {_kind(o) for o in outcomes if isinstance(o, str)}
     assert len(outcomes) > 900
-    assert kinds == {"CentralConfigurationError", "NonGenericError", "VanishingChordError"}
+    assert kinds == {"central", "non-generic", "vanishing"}

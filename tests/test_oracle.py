@@ -3,21 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_linkage, random_valid_configuration, regular_polygon_points
-from linkmorse import (
-    Configuration,
-    Linkage,
-    area_gradient,
-    constraint_jacobian,
+from conftest import (
     constraint_values,
-    criticality_residual,
-    enumerate_cyclic,
-    inertia,
-    oracle_index,
-    projected_hessian,
-    signed_area,
-    tangent_basis,
+    random_linkage,
+    random_valid_configuration,
+    regular_polygon_points,
 )
+from linkmorse import Configuration, Linkage, enumerate_cyclic, oracle_index, signed_area
+from linkmorse import oracle
 from linkmorse.errors import NonRegularPointError
 
 
@@ -31,9 +24,36 @@ def _with_free(points, vec):
     return pts
 
 
+# One configuration through the stacked kernels of the oracle.
+
+
+def _gradient(points):
+    return oracle._gradient_rows(np.asarray(points, dtype=float)[None])[0]
+
+
+def _jacobian(points):
+    return oracle._regular_rows(np.asarray(points, dtype=float)[None])[0][0]
+
+
+def _tangent_basis(points):
+    """Orthonormal basis of the constraint tangent space (columns): the rows
+    of V^T past the n - 1 singular values."""
+    pts = np.asarray(points, dtype=float)
+    return oracle._regular_rows(pts[None])[1][0, pts.shape[0] - 1:].T
+
+
+def _projected_hessian(lam, basis):
+    lagrangian = oracle._lagrangian_rows(np.asarray(lam, dtype=float)[None])
+    return oracle._projected_rows(lagrangian, basis[None])[0]
+
+
+def _inertia(matrix):
+    return tuple(oracle._inertia_rows(np.asarray(matrix, dtype=float)[None])[0].tolist())
+
+
 def test_area_gradient_square_entry():
     pts, _, _ = regular_polygon_points(4)
-    grad = area_gradient(pts)
+    grad = _gradient(pts)
     # d A / d x_3 = (y_4 - y_2) / 2 = (0 - 1) / 2
     assert grad[0] == pytest.approx(0.5 * (pts[3, 1] - pts[1, 1]), abs=1e-15)
     assert grad[0] == pytest.approx(-0.5, abs=1e-12)
@@ -44,7 +64,7 @@ def test_area_gradient_matches_finite_differences():
     for _ in range(10):
         _, config = random_valid_configuration(rng, int(rng.integers(4, 8)))
         pts = config.points
-        grad = area_gradient(pts)
+        grad = _gradient(pts)
         x0 = _free_vector(pts)
         fd = np.empty_like(grad)
         h = 1e-6
@@ -63,7 +83,7 @@ def test_area_gradient_translation_identities_quadrilateral():
     for _ in range(10):
         _, config = random_valid_configuration(rng, 4)
         p = config.points
-        grad = area_gradient(p)
+        grad = _gradient(p)
         dx = grad[0] + grad[2]
         dy = grad[1] + grad[3]
         assert dx == pytest.approx(0.5 * (p[3, 1] - p[1, 1] + p[0, 1] - p[2, 1]), abs=1e-12)
@@ -73,7 +93,7 @@ def test_area_gradient_translation_identities_quadrilateral():
 def test_constraint_jacobian_shape_and_fd():
     rng = np.random.default_rng(6)
     linkage, config = random_valid_configuration(rng, 5)
-    jac = constraint_jacobian(config.points, linkage)
+    jac = _jacobian(config.points)
     assert jac.shape == (4, 6)
     x0 = _free_vector(config.points)
     h = 1e-6
@@ -87,7 +107,7 @@ def test_constraint_jacobian_shape_and_fd():
 
 def test_constraint_jacobian_square_rank():
     pts, _, _ = regular_polygon_points(4)
-    jac = constraint_jacobian(pts, Linkage([1, 1, 1, 1]))
+    jac = _jacobian(pts)
     assert jac.shape == (3, 4)
     assert np.linalg.matrix_rank(jac) == 3
 
@@ -96,28 +116,25 @@ def test_collinear_configuration_is_singular():
     # flat folded square: all vertices on the pinned axis
     pts = np.array([(0.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 1.0)])
     with pytest.raises(NonRegularPointError):
-        constraint_jacobian(pts, Linkage([1, 1, 1, 1]))
+        oracle_index(Configuration(pts), Linkage([1, 1, 1, 1]))
 
 
 def test_enumerated_configurations_are_critical():
     items = enumerate_cyclic(Linkage([1, 1, 1, 1, 1]))
     for item in items:
-        _, residual = criticality_residual(item.configuration, Linkage([1, 1, 1, 1, 1]))
-        assert residual < 1e-8
+        assert oracle_index(item.configuration, Linkage([1, 1, 1, 1, 1])).residual < 1e-8
 
 
 def test_random_configurations_are_not_critical():
     rng = np.random.default_rng(8)
     for _ in range(10):
         linkage, config = random_valid_configuration(rng, 5)
-        _, residual = criticality_residual(config, linkage)
-        assert residual > 1e-2
+        assert oracle_index(config, linkage).residual > 1e-2
 
 
 def test_triangle_residual_zero_dimensional():
     pts, _, _ = regular_polygon_points(3)
-    _, residual = criticality_residual(Configuration(pts), Linkage([1, 1, 1]))
-    assert residual < 1e-12
+    assert oracle_index(Configuration(pts), Linkage([1, 1, 1])).residual < 1e-12
 
 
 def test_projected_hessian_shapes():
@@ -125,8 +142,8 @@ def test_projected_hessian_shapes():
     for n, dim in ((4, 1), (5, 2), (6, 3)):
         linkage = random_linkage(rng, n)
         item = enumerate_cyclic(linkage)[0]
-        lam, _ = criticality_residual(item.configuration, linkage)
-        proj = projected_hessian(item.configuration, linkage, lam)
+        lam = oracle_index(item.configuration, linkage).multipliers
+        proj = _projected_hessian(lam, _tangent_basis(item.configuration.points))
         assert proj.shape == (dim, dim)
         assert proj == pytest.approx(proj.T, abs=1e-12)
 
@@ -138,7 +155,7 @@ def _retract(points, linkage, max_iter=40):
         vals = constraint_values(pts, linkage)
         if np.max(np.abs(vals)) < 1e-13:
             break
-        jac = constraint_jacobian(pts, linkage)
+        jac = _jacobian(pts)
         step, *_ = np.linalg.lstsq(jac, vals, rcond=None)
         pts = _with_free(pts, _free_vector(pts) - step)
     return pts
@@ -149,9 +166,9 @@ def test_projected_hessian_matches_second_differences():
     linkage = random_linkage(rng, 5)
     item = enumerate_cyclic(linkage)[0]
     config = item.configuration
-    lam, _ = criticality_residual(config, linkage)
-    proj = projected_hessian(config, linkage, lam)
-    basis = tangent_basis(config.points, linkage)
+    lam = oracle_index(config, linkage).multipliers
+    basis = _tangent_basis(config.points)
+    proj = _projected_hessian(lam, basis)
     h = 1e-4
     a0 = signed_area(config.points)
     for col in range(basis.shape[1]):
@@ -164,9 +181,9 @@ def test_projected_hessian_matches_second_differences():
 
 
 def test_inertia_small_matrices():
-    assert inertia(np.diag([-1.0, 2.0])) == (1, 0, 1)
-    assert inertia(np.zeros((2, 2))) == (0, 2, 0)
-    assert inertia(np.array([[-3.0]])) == (1, 0, 0)
+    assert _inertia(np.diag([-1.0, 2.0])) == (1, 0, 1)
+    assert _inertia(np.zeros((2, 2))) == (0, 2, 0)
+    assert _inertia(np.array([[-3.0]])) == (1, 0, 0)
 
 
 def test_oracle_index_regular_pentagon_family():
@@ -210,12 +227,12 @@ def test_inertia_invariant_under_basis_rotation():
     rng = np.random.default_rng(18)
     linkage = random_linkage(rng, 6)
     item = enumerate_cyclic(linkage)[0]
-    lam, _ = criticality_residual(item.configuration, linkage)
-    basis = tangent_basis(item.configuration.points, linkage)
+    lam = oracle_index(item.configuration, linkage).multipliers
+    basis = _tangent_basis(item.configuration.points)
     q, _ = np.linalg.qr(rng.normal(size=(basis.shape[1], basis.shape[1])))
-    shuffled = projected_hessian(item.configuration, linkage, lam, basis=basis @ q)
-    reference = projected_hessian(item.configuration, linkage, lam)
-    assert inertia(shuffled) == inertia(reference)
+    shuffled = _projected_hessian(lam, basis @ q)
+    reference = _projected_hessian(lam, basis)
+    assert _inertia(shuffled) == _inertia(reference)
 
 
 def _dense_lagrangian(n, lam):
@@ -250,9 +267,8 @@ def test_direct_lagrangian_matches_dense_sum():
     for n in range(4, 9):
         linkage = random_linkage(rng, n)
         for item in enumerate_cyclic(linkage)[:6]:
-            lam, _ = criticality_residual(item.configuration, linkage)
-            identity = np.eye(2 * (n - 2))
-            direct = projected_hessian(item.configuration, linkage, lam, basis=identity)
+            lam = oracle_index(item.configuration, linkage).multipliers
+            direct = _projected_hessian(lam, np.eye(2 * (n - 2)))
             assert np.array_equal(direct, _dense_lagrangian(n, lam))
 
 
@@ -270,6 +286,8 @@ def test_one_svd_per_verdict(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     verdict = oracle_index(item.configuration, linkage)
     assert len(calls) == 1
-    lam, residual = criticality_residual(item.configuration, linkage)
+    pts = item.configuration.points[None]
+    lam, residual = oracle._stationarity_rows(pts, oracle._regular_rows(pts)[0])
+    lam, residual = lam[0], float(residual[0])
     assert residual == verdict.residual
     assert np.array_equal(lam, verdict.multipliers)

@@ -21,13 +21,12 @@ from linkmorse import (
     enumerate_cyclic,
     f_value,
     fit_circle,
-    measure_half_angles,
     reconstruct,
     signed_area,
-    solve_radii,
     validate_configuration,
 )
 from linkmorse import solver
+from linkmorse.geometry import _half_angle_rows
 from linkmorse.solver import MAX_EDGES, _winding_bounds
 from linkmorse.errors import CentralConfigurationError, InconsistentDescriptorError, InvalidLinkageError
 
@@ -54,6 +53,20 @@ def _windings(n, eps):
     """``range`` arguments over the feasible windings of a string."""
     lo, hi = _winding_bounds(n, sum(v > 0 for v in eps))
     return lo, hi + 1
+
+
+def _radii(linkage, eps, k):
+    """All radii solving F = 0 for one (E, k) pair, ascending, from the scan
+    of that string and winding alone."""
+    _, _, thetas = solver._scan(linkage, np.array([eps], dtype=float), np.array([k]),
+                                np.array([k]))
+    return (linkage.min_radius / np.sin(thetas[::-1])).tolist()
+
+
+def _items(linkage, eps, k):
+    """The enumerated configurations with orientation string eps and winding k."""
+    return [it for it in enumerate_cyclic(linkage)
+            if it.descriptor.eps.eps == eps and it.descriptor.winding == k]
 
 
 def test_f_value_square_root():
@@ -117,28 +130,25 @@ def test_f_derivative_zero_for_balanced_signs():
 
 
 def test_solve_radii_square():
-    roots = solve_radii(SQUARE_L, ALL_PLUS4, 1)
-    assert len(roots) == 1
-    r, flags = roots[0]
-    assert r == pytest.approx(R_SQUARE, rel=1e-12)
-    assert not flags.any
+    (item,) = _items(SQUARE_L, ALL_PLUS4, 1)
+    assert item.descriptor.radius == pytest.approx(R_SQUARE, rel=1e-12)
+    assert not item.flags.any
 
 
 def test_solve_radii_pentagram():
-    roots = solve_radii(PENTA_L, ALL_PLUS5, 2)
-    assert len(roots) == 1
-    assert roots[0][0] == pytest.approx(R_PENTAGRAM, rel=1e-12)
-    assert roots[0][0] == pytest.approx(0.5257311121191336, rel=1e-9)
+    (item,) = _items(PENTA_L, ALL_PLUS5, 2)
+    assert item.descriptor.radius == pytest.approx(R_PENTAGRAM, rel=1e-12)
+    assert item.descriptor.radius == pytest.approx(0.5257311121191336, rel=1e-9)
 
 
 def test_solve_radii_square_winding_two_empty():
-    assert solve_radii(SQUARE_L, ALL_PLUS4, 2) == []
+    assert _radii(SQUARE_L, ALL_PLUS4, 2) == []
 
 
 def test_solve_radii_identically_zero_family():
     # equal lengths with balanced signs and k = 0: F vanishes identically,
     # there is no isolated root to report
-    assert solve_radii(SQUARE_L, (1, 1, -1, -1), 0) == []
+    assert _radii(SQUARE_L, (1, 1, -1, -1), 0) == []
 
 
 def test_solve_radii_obtuse_triangle_circumradius():
@@ -149,9 +159,8 @@ def test_solve_radii_obtuse_triangle_circumradius():
     s = 0.5 * (a + b + c)
     area = math.sqrt(s * (s - a) * (s - b) * (s - c))
     expected = a * b * c / (4.0 * area)
-    roots = solve_radii(linkage, (-1, 1, 1), 0)
-    assert len(roots) == 1
-    assert roots[0][0] == pytest.approx(expected, rel=1e-12)
+    (item,) = _items(linkage, (-1, 1, 1), 0)
+    assert item.descriptor.radius == pytest.approx(expected, rel=1e-12)
 
 
 def test_degeneracy_flags_detect_each_kind():
@@ -262,8 +271,10 @@ def test_enumeration_round_trip_properties():
             assert fit.radius == pytest.approx(desc.radius, rel=1e-9)
             assert fit.center == pytest.approx(desc.center, abs=1e-9 * desc.radius)
             # half-angles and orientations reproduce the descriptor
-            alphas = measure_half_angles(config.points, fit)
-            assert alphas == pytest.approx(desc.alphas, abs=1e-9)
+            alphas, over = _half_angle_rows(config.points[None], fit.center[None],
+                                            np.array([fit.radius]))
+            assert over == [None]
+            assert alphas[0] == pytest.approx(desc.alphas, abs=1e-9)
             assert edge_orientations(config.points, desc.center).eps == desc.eps.eps
             # every edge length is realized, including the closing edge
             assert edge_lengths(config.points) == pytest.approx(
@@ -431,8 +442,8 @@ def test_solve_radii_mirror_is_exact():
             eps = (1,) + tail
             mirror = tuple(-v for v in eps)
             for k in range(*_windings(n, eps)):
-                radii = [r for r, _ in solve_radii(linkage, eps, k)]
-                assert radii == [r for r, _ in solve_radii(linkage, mirror, -k)]
+                radii = _radii(linkage, eps, k)
+                assert radii == _radii(linkage, mirror, -k)
                 found += len(radii)
     assert found > 0
 
@@ -544,7 +555,7 @@ def test_solve_radii_matches_per_string_scan():
         for k in range(-2, 3):
             (thetas,) = _string_roots(linkage, eps, np.array([k]))
             expected = [linkage.min_radius / math.sin(t) for t in reversed(thetas)]
-            assert [r for r, _ in solve_radii(linkage, eps, k)] == expected
+            assert _radii(linkage, eps, k) == expected
 
 
 def test_enumeration_memory_is_bounded():

@@ -1,6 +1,7 @@
-"""The stacked analysis kernels: each row equals its one-row call, refusals
-keep their text, the edge cases of the stack shapes, and the per-row loops
-they replaced as references."""
+"""The stacked analysis kernels: a stack's rows do not depend on what else
+it holds or where the chunks split it, refusals keep their text, the edge
+cases of the stack shapes, and the per-row loops they replaced as
+references."""
 
 import math
 
@@ -8,15 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_linkage, random_valid_configuration
-from linkmorse import (
-    Configuration,
-    CyclicConfiguration,
-    Linkage,
-    analyze_configuration,
-    analyze_linkage,
-    enumerate_cyclic,
-    oracle_index,
-)
+from linkmorse import Configuration, Linkage, analyze_linkage, enumerate_cyclic, oracle_index
 from linkmorse import analysis, geometry, morse, oracle
 from linkmorse.errors import NonRegularPointError
 
@@ -45,19 +38,15 @@ def _fields(a):
                                           verdict.inertia, verdict.det_sign, verdict.index))
 
 
-def _item(result):
-    return CyclicConfiguration(result.descriptor, result.configuration, result.flags)
-
-
 @pytest.mark.parametrize("n", sorted(MIXED))
-def test_stacked_rows_equal_one_row_calls(n):
+def test_mixed_stack_equals_per_linkage_stacks(n):
     lengths, kinds = MIXED[n]
-    pairs = [(Linkage(ls), item) for ls in lengths for item in enumerate_cyclic(Linkage(ls))]
+    items = [enumerate_cyclic(Linkage(ls)) for ls in lengths]
     # the analysis reads everything off the points, descriptors and flags,
     # so the configurations of several linkages with n edges share a stack
-    stacked = analysis._analyze_rows(pairs[0][0], [item for _, item in pairs])
-    for (linkage, item), result in zip(pairs, stacked):
-        assert _fields(result) == _fields(analyze_configuration(linkage, item))
+    stacked = analysis._analyze_rows([item for group in items for item in group])
+    per_linkage = [result for group in items for result in analysis._analyze_rows(group)]
+    assert [_fields(a) for a in stacked] == [_fields(a) for a in per_linkage]
     assert {(a.index_source, a.flags.any) for a in stacked} == kinds
     if n == 3:
         # the tangent space is empty: no eigenvalues, inertia (0, 0, 0)
@@ -67,19 +56,21 @@ def test_stacked_rows_equal_one_row_calls(n):
         assert {len(a.morse.h_sequence) for a in stacked if a.morse} == {2}
 
 
-def test_stack_across_chunk_boundaries():
+def test_stack_across_chunk_boundaries(monkeypatch):
     linkage = random_linkage(np.random.default_rng(5), 10)
-    analyses = analyze_linkage(linkage)
-    assert len(analyses) > analysis._CHUNK // (2 * (10 - 2)) ** 2
-    for result in analyses:
-        assert _fields(result) == _fields(analyze_configuration(linkage, _item(result)))
+    chunked = analyze_linkage(linkage)
+    assert len(chunked) > analysis._CHUNK // (2 * (10 - 2)) ** 2
+    # one chunk: a single stack of every configuration of the linkage
+    monkeypatch.setattr(analysis, "_CHUNK", 2 ** 40)
+    assert len(list(analysis._chunks(chunked, linkage.n))) == 1
+    assert [_fields(a) for a in chunked] == [_fields(a) for a in analyze_linkage(linkage)]
 
 
 def test_empty_stacks_and_shapes():
     assert oracle._inertia_rows(np.zeros((2, 0, 0))).tolist() == [[0, 0, 0], [0, 0, 0]]
-    value, sequences, *refusals = morse._sign_rows(np.ones((3, 4)), np.full((3, 4), 0.25 * math.pi))
+    _, sequences, _, prefix = morse._sign_rows(np.ones((3, 4)), np.full((3, 4), 0.25 * math.pi))
     assert sequences.shape == (3, 2)
-    assert refusals[2] == [None] * 3  # the prefix range is empty at n = 4
+    assert prefix == [None] * 3  # the prefix range is empty at n = 4
 
 
 def test_singular_row_keeps_its_refusal_in_a_stack():
