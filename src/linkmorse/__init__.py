@@ -23,18 +23,14 @@ from .geometry import (
     Configuration,
     Linkage,
     OrientationString,
-    Violation,
-    edge_lengths,
     edge_orientations,
     fit_circle,
     signed_area,
-    validate_configuration,
 )
 from .solver import (
     CyclicConfiguration,
     CyclicDescriptor,
     DegeneracyFlags,
-    degeneracy_flags,
     delta_at_angle,
     enumerate_cyclic,
     f_value,

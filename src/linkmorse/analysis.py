@@ -11,9 +11,10 @@ kernels of ``geometry`` (area, convexity), ``morse`` (the closed form) and
 ``oracle`` (the numerical verdict) once.  A row refused by a check keeps
 its own refusal, and a flagged row skips the closed form and the oracle.
 Chunks bound the work arrays whatever n is.  :func:`verify_enumeration`
-analyses the records that pass its per-record checks the same way.  JSON encoding and decoding
-of enumeration artifacts lives here too; :func:`write_enumeration` writes
-an artifact record by record.
+parses the fields of each outside record, checks them as one stack, and
+analyses the records that pass the same way.  JSON encoding and decoding of
+enumeration artifacts lives here too; :func:`write_enumeration` writes an
+artifact record by record.
 """
 
 from __future__ import annotations
@@ -24,16 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LinkmorseError
+from .errors import InvalidConfigurationError, LinkmorseError
 from .geometry import (
     INPUT_TOL,
     Configuration,
     Linkage,
-    OrientationString,
+    _as_points,
     _convex_rows,
+    _dot_rows,
     _orientation_rows,
+    _refusals,
     _signed_areas,
-    validate_configuration,
 )
 from .morse import MorseReport, SignReport, _closed_form_rows
 from .oracle import OracleVerdict, _verdict_rows
@@ -41,10 +43,9 @@ from .solver import (
     CLOSURE_TOL,
     DEGENERACY_TOL,
     ROOT_RTOL,
-    CyclicConfiguration,
     CyclicDescriptor,
     DegeneracyFlags,
-    degeneracy_flags,
+    _flag_rows,
     enumerate_cyclic,
 )
 
@@ -277,73 +278,121 @@ def _fail(note: str) -> VerificationRow:
                            formula_index=None, agree=False, flagged=False, note=note)
 
 
-def _check_record(linkage: Linkage, record):
-    """The :class:`CyclicConfiguration` of an outside record that passes every
-    check needing no analysis, or its failing row."""
+def _parse_record(n: int, record):
+    """The stack rows ``(points, center, radius, eps, winding, flags)`` of an
+    outside record, or its failing row: malformed when it is not an object or
+    a field is missing or mistyped (``k`` and ``eps`` take JSON integers only).
+    An ``eps`` or flags of another length than n stack as zeros or NaN, which
+    fail their checks in :func:`_check_rows`."""
     if not isinstance(record, dict):
         return _fail(f"malformed record: expected an object, got {type(record).__name__}")
     try:
-        config = Configuration(record["points"])
-        raw_flags = record["flags"]
-        recorded = DegeneracyFlags(central=tuple(raw_flags.get("central", [])),
-                                   near_flip=tuple(raw_flags.get("near_flip", [])),
-                                   delta_zero=bool(raw_flags.get("delta_zero")))
+        points = _as_points(record["points"])
+        if points.shape[0] < 3:
+            raise InvalidConfigurationError("a configuration needs at least 3 vertices")
+        raw = record["flags"]
+        central, near_flip = tuple(raw.get("central", [])), tuple(raw.get("near_flip", []))
+        delta_zero = bool(raw.get("delta_zero"))
         center = np.asarray(record["center"], dtype=float).reshape(2)
         radius = float(record["r"])
-        eps = OrientationString(tuple(record["eps"]))
-        winding = int(record["k"])
+        eps = tuple(record["eps"])
+        if not all(type(v) is int for v in eps):
+            raise TypeError("orientation entries must be JSON integers")
+        if not eps or any(v not in (-1, 1) for v in eps):
+            raise InvalidConfigurationError("orientation entries must be +1 or -1")
+        winding = record["k"]
+        if type(winding) is not int:
+            raise TypeError(f"k must be a JSON integer, got {type(winding).__name__}")
     except LinkmorseError as err:
         return _fail(str(err))
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         return _fail(f"malformed record: {type(err).__name__}: {err}")
-    try:
-        violations = validate_configuration(linkage, config.points, tol=INPUT_TOL)
-        if violations:
-            return _fail(f"constraint violations: {violations[0]}")
-        if not radius > 0.0:
-            return _fail(f"recorded radius {radius} is not positive")
-        dist = np.linalg.norm(config.points - center[None, :], axis=1)
-        worst = float(np.max(np.abs(dist - radius)))
-        if worst > INPUT_TOL * radius:
-            return _fail(f"points deviate from the recorded circle by {worst:.3e}")
-        # half-angles from the chord relation
-        alphas = np.arcsin(np.clip(linkage.lengths / (2.0 * radius), 0.0, 1.0))
-        desc = CyclicDescriptor(radius=radius, winding=winding, eps=eps,
-                                alphas=alphas, center=center)
-        flags = degeneracy_flags(eps, alphas)
-    except LinkmorseError as err:
-        return _fail(str(err))
-    if flags != recorded:
-        return _fail("recorded flags disagree with the recorded radius and orientation string")
-    closure = int(np.rint(eps.array @ alphas / math.pi))
-    if closure != winding:
-        return _fail(f"recorded winding {winding} disagrees with the closure sum "
-                     f"(winding {closure})")
-    return CyclicConfiguration(desc, config, flags)
+    if points.shape[0] != n:
+        return _fail(f"configuration has {points.shape[0]} vertices, linkage has {n}")
+    flags = [math.nan] * (2 * n)
+    if len(central) == len(near_flip) == n:
+        # an entry matches a recomputed flag when it equals it, as JSON 0 and 1 do
+        flags = [1.0 if v == True else 0.0 if v == False else math.nan  # noqa: E712
+                 for v in central + near_flip]
+    return (points, center, radius, np.array(eps, dtype=float) if len(eps) == n else np.zeros(n),
+            winding, flags + [float(delta_zero)])
 
 
-def _compared_rows(items: list) -> list:
-    """Rows of records that passed their own checks, one chunk: the oracle
-    checks the criticality of each, and an unflagged one's analysis is
-    compared with the record and with itself."""
-    points = np.stack([item.configuration.points for item in items])
-    measured, central = _orientation_rows(points, np.array([item.descriptor.center
-                                                            for item in items]))
-    # a flagged record has no analysis, only its criticality checked
-    flagged = [j for j, item in enumerate(items) if item.flags.any]
-    verdicts = dict(zip(flagged, _verdict_rows(points[flagged]))) if flagged else {}
+def _check_rows(linkage: Linkage, points, centers, radii, eps, windings, recorded):
+    """Per stacked record, the note of its first failing check (None when it
+    passes them all), and whether its recomputed flags have a true entry.
+
+    The checks, in this order: the pinning of p_1 and p_2 and the edge
+    lengths, within :data:`INPUT_TOL`; a positive radius; every point on the
+    recorded circle within ``INPUT_TOL * r`` (a non-finite deviation fails);
+    an orientation string of n entries; the flags recomputed by ``_flag_rows``
+    from the half-angles ``arcsin(l / 2r)`` equal to the recorded ones; and
+    the winding equal to ``rint(eps . alpha / pi)``.
+    """
+    n, lengths = linkage.n, linkage.lengths
+    l1 = float(lengths[0])
+    # pinned p_1 and p_2 off (0, 0) and (0, l_1), then the edge lengths
+    expected = np.concatenate([[0.0, 0.0], lengths])
+    # a record that fails a check can leave inf or NaN in the later ones
+    with np.errstate(all="ignore"):
+        measured = np.concatenate([
+            np.hypot(points[:, :1, 0], points[:, :1, 1]),
+            np.hypot(points[:, 1:2, 0], points[:, 1:2, 1] - l1),
+            np.linalg.norm(np.roll(points, -1, axis=1) - points, axis=2)], axis=1)
+        dist = np.linalg.norm(points - centers[:, None, :], axis=2)
+        worst = np.abs(dist - radii[:, None]).max(axis=1)
+        alphas = np.arcsin(np.clip(lengths / (2.0 * radii[:, None]), 0.0, 1.0))
+        central, near_flip, delta_zero = _flag_rows(eps, alphas)
+        closure = np.rint(_dot_rows(eps, alphas) / math.pi)
+    flags = np.concatenate([central, near_flip, delta_zero[:, None]], axis=1)
+    failed = np.concatenate([
+        np.abs(measured - expected) > INPUT_TOL * np.concatenate([[l1, l1], lengths]),
+        np.stack([~(radii > 0.0), ~np.isfinite(worst) | (worst > INPUT_TOL * radii),
+                  ~eps.any(axis=1), (flags != recorded).any(axis=1),
+                  closure != np.array(windings, dtype=object)], axis=1)], axis=1)
+
+    def note(row, i):
+        if i < n + 2:
+            kind, index = ("pinning", i + 1) if i < 2 else ("length", i - 1)
+            return (f"constraint violations: {kind} violation at index {index}: "
+                    f"measured {measured[row, i]:.12g}, expected {expected[i]:.12g}")
+        if i == n + 2:
+            return f"recorded radius {float(radii[row])} is not positive"
+        if i == n + 3:
+            return f"points deviate from the recorded circle by {worst[row]:.3e}"
+        if i == n + 4:
+            return "orientation string and half-angles disagree in length"
+        if i == n + 5:
+            return "recorded flags disagree with the recorded radius and orientation string"
+        return (f"recorded winding {windings[row]} disagrees with the closure sum "
+                f"(winding {int(closure[row])})")
+
+    return _refusals(failed, note), flags.any(axis=1)
+
+
+def _compared_rows(points, centers, radii, eps, flagged) -> list:
+    """Rows of records that passed their checks, one chunk of their stacked
+    fields: the oracle checks the criticality of each, and an unflagged
+    one's analysis is compared with the record and with itself."""
+    measured, central = _orientation_rows(points, centers)
+    reoriented = (measured != eps).any(axis=1)
+    # a flagged record has no closed form, only its criticality checked
+    live = np.flatnonzero(~flagged).tolist()
+    closed = dict(zip(live, _closed_form_rows(points[live], centers[live], radii[live])))
     rows = []
-    for j, (item, result) in enumerate(zip(items, _analyze_rows(items))):
-        verdict = verdicts.get(j, result.oracle)
-        if verdict is None or isinstance(verdict, LinkmorseError):
-            rows.append(_fail(result.oracle_error if verdict is None else str(verdict)))
+    for j, verdict in enumerate(_verdict_rows(points)):
+        if isinstance(verdict, LinkmorseError):
+            rows.append(_fail(str(verdict)))
             continue
         oracle_side = dict(residual=verdict.residual, inertia=verdict.inertia,
                            det_sign=verdict.det_sign, index=verdict.index, flagged=False)
+        signs, morse, error = closed.get(j, (None, None, None))
+        agree = (signs is not None and signs.h_sign == verdict.det_sign
+                 and (morse is None or morse.index == verdict.index))
         if verdict.residual > CRITICALITY_TOL:
             rows.append(_fail(f"criticality residual {verdict.residual:.3e} "
                               f"exceeds {CRITICALITY_TOL:.1e}"))
-        elif item.flags.any:
+        elif flagged[j]:
             rows.append(VerificationRow(residual=verdict.residual, inertia=None, det_sign=None,
                                         index=None, formula_index=None, agree=True,
                                         flagged=True, note="flagged, excluded"))
@@ -352,19 +401,19 @@ def _compared_rows(items: list) -> list:
                                         note="oracle found a zero eigenvalue", **oracle_side))
         elif central[j] is not None:
             rows.append(_fail(str(central[j])))
-        elif tuple(measured[j].tolist()) != item.descriptor.eps.eps:
+        elif reoriented[j]:
             rows.append(_fail("recorded orientation string disagrees with the geometry"))
-        elif result.signs is None:
-            rows.append(_fail(result.morse_error))
-        elif result.morse is None:
-            note = f"index formula not applicable ({result.morse_error})" if result.agree \
+        elif signs is None:
+            rows.append(_fail(error))
+        elif morse is None:
+            note = f"index formula not applicable ({error})" if agree \
                 else "determinant sign disagrees"
-            rows.append(VerificationRow(formula_index=None, agree=result.agree, note=note,
+            rows.append(VerificationRow(formula_index=None, agree=agree, note=note,
                                         **oracle_side))
         else:
             rows.append(VerificationRow(
-                formula_index=result.morse.index, agree=result.agree,
-                note=None if result.agree else "formula and oracle disagree", **oracle_side))
+                formula_index=morse.index, agree=agree,
+                note=None if agree else "formula and oracle disagree", **oracle_side))
     return rows
 
 
@@ -372,23 +421,31 @@ def verify_enumeration(linkage: Linkage, records: list):
     """Check each outside record, re-analyse it, and compare; returns
     (rows, summary line, all_ok).
 
-    Each record is checked on its own first.  Its points must satisfy the
-    linkage constraints and lie on the recorded circle (tamper detection for
-    r and center), its winding must be that of its closure sum, and the
-    degeneracy flags recomputed from the recorded radius and string must
-    equal the recorded ones.  The records that pass are analysed a chunk at
-    a time.  Each must be critical and reproduce the recorded orientation
-    string; flagged records are reported but exempt from the agreement
-    requirement.  Everything else is read off the record's
-    :class:`ConfigurationAnalysis`, whose ``agree`` compares the determinant
-    sign always and the index where its formula applies.  A record that is
-    not an object, or has a missing or mistyped field, fails as malformed.
+    The fields of each record are parsed on their own, then checked as one
+    stack by :func:`_check_rows`, which detects tampered points, r, center,
+    winding and flags.  The records that pass are analysed a chunk at a time:
+    each must be critical and reproduce the recorded orientation string, and
+    the closed form's determinant sign must agree with the oracle's always,
+    its index where the formula applies.  Flagged records are reported but
+    exempt from the agreement requirement.
     """
-    rows = [_check_record(linkage, record) for record in records]
-    live = [j for j, row in enumerate(rows) if isinstance(row, CyclicConfiguration)]
-    for chunk in _chunks(live, linkage.n):
-        for j, row in zip(chunk, _compared_rows([rows[j] for j in chunk])):
-            rows[j] = row
+    n = linkage.n
+    rows = [_parse_record(n, record) for record in records]
+    parsed = [j for j, row in enumerate(rows) if not isinstance(row, VerificationRow)]
+    if parsed:
+        points, centers, radii, eps, windings, recorded = zip(*(rows[j] for j in parsed))
+        points, centers, radii, eps, recorded = map(np.array, (points, centers, radii, eps,
+                                                               recorded))
+        notes, flagged = _check_rows(linkage, points, centers, radii, eps, windings, recorded)
+        for j, note in zip(parsed, notes):
+            if note is not None:
+                rows[j] = _fail(note)
+        live = [i for i, note in enumerate(notes) if note is None]
+        for chunk in _chunks(live, n):
+            compared = _compared_rows(points[chunk], centers[chunk], radii[chunk], eps[chunk],
+                                      flagged[chunk])
+            for i, row in zip(chunk, compared):
+                rows[parsed[i]] = row
     flagged = sum(1 for r in rows if r.flagged)
     good = sum(1 for r in rows if r.agree and not r.flagged)
     ok = all(r.agree for r in rows)

@@ -32,9 +32,9 @@ from .geometry import (
 from .morse import closed_form
 
 
-def _read_json(path: str):
+def _read_json(path: str, parse=json.loads):
     try:
-        return json.loads(Path(path).read_text())
+        return parse(Path(path).read_text())
     except FileNotFoundError:
         raise LinkmorseError(f"no such file: {path}")
     except json.JSONDecodeError as err:
@@ -75,10 +75,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    path = Path(args.input)
-    if not path.exists():
-        raise LinkmorseError(f"no such file: {args.input}")
-    linkage, records = analysis.load_enumeration(path.read_text())
+    linkage, records = _read_json(args.input, analysis.load_enumeration)
     rows, summary, ok = analysis.verify_enumeration(linkage, records)
     for row in rows:
         print(json.dumps(row.to_json_dict(), sort_keys=False))

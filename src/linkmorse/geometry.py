@@ -108,12 +108,8 @@ class Linkage:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Ordered planar vertex list ``p_1..p_n`` (pinning not enforced here).
-
-    Constraint and pinning conformance is checked explicitly by
-    :func:`validate_configuration`, so files can be loaded and then reported
-    against a linkage.
-    """
+    """Ordered planar vertex list ``p_1..p_n``; neither the pinning nor the
+    edge lengths of a linkage are enforced here."""
 
     points: np.ndarray
 
@@ -173,11 +169,6 @@ class OrientationString:
 
     def mirrored(self) -> "OrientationString":
         return OrientationString(tuple(-v for v in self.eps))
-
-
-def edge_lengths(points) -> np.ndarray:
-    pts = _as_points(points)
-    return np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
 
 
 def signed_area(points) -> float:
@@ -274,48 +265,6 @@ def _convex_rows(pts: np.ndarray) -> np.ndarray:
     cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
     total = np.arctan2(cross, _dot_rows(u, v)).sum(axis=1)
     return np.all(cross > 0.0, axis=1) & (np.abs(total - 2.0 * math.pi) < 1e-6)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One failed validation check: ``kind`` is 'length' or 'pinning'."""
-
-    kind: str
-    index: int
-    measured: float
-    expected: float
-
-    def __str__(self) -> str:
-        return (
-            f"{self.kind} violation at index {self.index}: "
-            f"measured {self.measured:.12g}, expected {self.expected:.12g}"
-        )
-
-
-def validate_configuration(linkage: Linkage, points, tol: float = 1e-9) -> list:
-    """Check edge lengths and pinning; return a list of violations (empty = valid).
-
-    Lengths must satisfy ``| |p_i - p_{i+1}| - l_i | <= tol * l_i``; the pinned
-    vertices must sit at ``(0, 0)`` and ``(0, l_1)`` within ``tol * l_1``.
-    """
-    pts = _as_points(points)
-    if pts.shape[0] != linkage.n:
-        raise InvalidConfigurationError(
-            f"configuration has {pts.shape[0]} vertices, linkage has {linkage.n}"
-        )
-    violations = []
-    l1 = float(linkage.lengths[0])
-    d1 = float(np.hypot(*pts[0]))
-    if d1 > tol * l1:
-        violations.append(Violation("pinning", 1, d1, 0.0))
-    d2 = float(np.hypot(pts[1, 0], pts[1, 1] - l1))
-    if d2 > tol * l1:
-        violations.append(Violation("pinning", 2, d2, 0.0))
-    measured = edge_lengths(pts)
-    for i, (m, l) in enumerate(zip(measured, linkage.lengths), start=1):
-        if abs(m - l) > tol * l:
-            violations.append(Violation("length", i, float(m), float(l)))
-    return violations
 
 
 def circumcircle(a, b, c) -> CircleFit:

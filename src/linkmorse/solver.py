@@ -110,8 +110,12 @@ CLOSURE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DegeneracyFlags:
-    """Near-degeneracy markers for one root; any true entry disables the
-    closed-form Morse analysis for that configuration."""
+    """Near-degeneracy markers for one root, by the rule of :func:`_flag_rows`
+    at :data:`DEGENERACY_TOL`: edge i is ``central`` when
+    ``2 - 2 sin(alpha_i) <= DEGENERACY_TOL`` (``cos(alpha_i) <~ 3.2e-4``) and
+    ``near_flip`` when ``alpha_i < DEGENERACY_TOL``; ``delta_zero`` holds when
+    ``|delta| < DEGENERACY_TOL * sum tan(alpha)``.  Any true entry disables
+    the closed-form Morse analysis for that configuration."""
 
     central: tuple
     near_flip: tuple
@@ -229,22 +233,13 @@ def delta_at_angle(linkage: Linkage, eps, theta: float) -> float:
     return _delta(theta, _ratios(linkage), _eps_array(eps))
 
 
-def _flag_rows(eps: np.ndarray, alphas: np.ndarray) -> list:
-    """:class:`DegeneracyFlags` of each row of stacked strings and half-angles."""
+def _flag_rows(eps: np.ndarray, alphas: np.ndarray):
+    """The :class:`DegeneracyFlags` of stacked strings and half-angles, as
+    masks: ``central`` and ``near_flip`` of shape (rows, n), ``delta_zero``."""
     tangents = np.tan(alphas)
     delta = (eps * tangents).sum(axis=1)
-    central = (2.0 - 2.0 * np.sin(alphas) <= DEGENERACY_TOL).tolist()
-    near_flip = (alphas < DEGENERACY_TOL).tolist()
-    delta_zero = (np.abs(delta) < DEGENERACY_TOL * tangents.sum(axis=1)).tolist()
-    return [DegeneracyFlags(central=tuple(c), near_flip=tuple(f), delta_zero=z)
-            for c, f, z in zip(central, near_flip, delta_zero)]
-
-
-def degeneracy_flags(eps, alphas) -> DegeneracyFlags:
-    """Deterministic near-degeneracy flags for (E, alpha) at :data:`DEGENERACY_TOL`:
-    an edge within ``DEGENERACY_TOL * r`` of a diameter, a half-angle below it,
-    or ``|delta|`` below it times ``sum tan(alpha)``."""
-    return _flag_rows(_eps_array(eps)[None], np.asarray(alphas, dtype=float)[None])[0]
+    return (2.0 - 2.0 * np.sin(alphas) <= DEGENERACY_TOL, alphas < DEGENERACY_TOL,
+            np.abs(delta) < DEGENERACY_TOL * tangents.sum(axis=1))
 
 
 def _closure_defects(eps: np.ndarray, alphas: np.ndarray, winding) -> np.ndarray:
@@ -510,7 +505,7 @@ def enumerate_cyclic(linkage: Linkage) -> list:
     if defects.size and defects.max() > CLOSURE_TOL:
         raise InconsistentDescriptorError(
             f"angular closure defect {defects.max():.3e} exceeds {CLOSURE_TOL:.0e}")
-    flags = _flag_rows(eps, alphas)
+    central, near_flip, delta_zero = (mask.tolist() for mask in _flag_rows(eps, alphas))
     mirror_center = center * np.array([-1.0, 1.0])
     points = _vertices(linkage, np.concatenate([radius, radius]),
                        np.concatenate([center, mirror_center]),
@@ -520,8 +515,10 @@ def enumerate_cyclic(linkage: Linkage) -> list:
     for j, (signs, k) in enumerate(zip(eps.astype(int).tolist(), ks.tolist())):
         desc = CyclicDescriptor(radius=radius[j], winding=k, eps=OrientationString(tuple(signs)),
                                 alphas=alphas[j], center=center[j])
+        flags = DegeneracyFlags(central=tuple(central[j]), near_flip=tuple(near_flip[j]),
+                                delta_zero=delta_zero[j])
         mirror = Configuration(points=points[len(ks) + j])
-        items.append(CyclicConfiguration(desc, Configuration(points=points[j]), flags[j]))
-        items.append(CyclicConfiguration(desc.mirrored(), mirror, flags[j]))
+        items.append(CyclicConfiguration(desc, Configuration(points=points[j]), flags))
+        items.append(CyclicConfiguration(desc.mirrored(), mirror, flags))
     items.sort(key=lambda it: (it.descriptor.winding, it.descriptor.eps.eps, it.descriptor.radius))
     return items

@@ -1,13 +1,36 @@
-"""Shared helpers for building random linkages and valid configurations, and
-the constraint values the oracle's Jacobian is checked against."""
+"""Shared helpers for building random linkages and valid configurations, the
+constraint values the oracle's Jacobian is checked against, and the
+constraint check at 1e-9 that configurations are held to."""
 
 import math
 
 import numpy as np
 
-from linkmorse import Configuration, Linkage, edge_lengths
+from linkmorse import Configuration, Linkage
 from linkmorse.errors import InvalidConfigurationError, InvalidLinkageError
 from linkmorse.geometry import _as_points
+
+
+def edge_lengths(points) -> np.ndarray:
+    """Lengths of the edges p_i -> p_{i+1}, the closing edge last."""
+    pts = _as_points(points)
+    return np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+
+
+def constraint_violations(linkage: Linkage, points) -> list:
+    """``(kind, index)`` of each constraint of the linkage that the points miss
+    by more than 1e-9 relative: ``("pinning", 1)`` and ``("pinning", 2)`` for
+    p_1 = (0, 0) and p_2 = (0, l_1), within 1e-9 l_1, then ``("length", i)``
+    for each edge i off l_i by more than 1e-9 l_i.  An empty list means the
+    configuration satisfies the linkage."""
+    pts = _as_points(points)
+    if pts.shape[0] != linkage.n:
+        raise InvalidConfigurationError("configuration and linkage sizes differ")
+    l1 = float(linkage.lengths[0])
+    pins = [np.hypot(*pts[0]), np.hypot(pts[1, 0], pts[1, 1] - l1)]
+    return ([("pinning", i) for i, d in enumerate(pins, start=1) if d > 1e-9 * l1]
+            + [("length", i) for i, (m, l) in enumerate(zip(edge_lengths(pts), linkage.lengths),
+                                                     start=1) if abs(m - l) > 1e-9 * l])
 
 
 def random_linkage(rng, n, lo=0.5, hi=2.0, margin=0.98):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from linkmorse import Linkage, analyze_linkage, index_summary, verify_enumeratio
 from linkmorse.analysis import dump_json, enumeration_dict, load_enumeration, record_dict
 
 PENTA = Linkage([1, 1, 1, 1, 1])
+IRREGULAR = Linkage([1, 1.2, 1.4, 1.1, 0.9])
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +90,8 @@ def test_verify_rows_read_off_the_library_analysis():
 
 
 @pytest.mark.parametrize("field, row, change", [("r", 3, 1e-3), ("points", 0, 1e-3),
-                                                ("k", 0, 1), ("k", 0, -1)],
-                         ids=["radius", "points", "k+1", "k-1"])
+                                                ("k", 0, 1), ("k", 0, -1), ("center", 0, math.nan)],
+                         ids=["radius", "points", "k+1", "k-1", "center-nan"])
 def test_verify_catches_tampered_record(pentagon_analyses, field, row, change):
     tampered = copy.deepcopy(enumeration_dict(PENTA, pentagon_analyses))
     record = tampered["configurations"][row]
@@ -97,6 +99,8 @@ def test_verify_catches_tampered_record(pentagon_analyses, field, row, change):
         record["r"] *= 1.0 + change
     elif field == "points":
         record["points"][2][0] += change
+    elif field == "center":
+        record["center"] = [change, change]
     else:
         record["k"] += change
     linkage, records = load_enumeration(dump_json(tampered))
@@ -105,6 +109,61 @@ def test_verify_catches_tampered_record(pentagon_analyses, field, row, change):
     assert [j for j, r in enumerate(rows) if not r.agree] == [row]
     if field == "k":
         assert rows[row].note.startswith(f"recorded winding {record['k']} disagrees")
+    if field == "center":
+        # NaN compares false with any tolerance: a non-finite deviation fails
+        assert rows[row].note == "points deviate from the recorded circle by nan"
+
+
+def _tamper(record, check):
+    """Change one field of a record so that it fails ``check``."""
+    if check == "pinning 1":
+        record["points"][0][0] += 1e-3
+    elif check == "pinning 2":
+        record["points"][1][1] += 1e-3
+    elif check == "edge 3":
+        record["points"][3][0] += 1e-3
+    elif check == "radius":
+        record["r"] = -record["r"]
+    elif check in ("off circle", "off circle and eps length"):
+        # p_3 moves out from the center by 1.5e-6 r: off the circle by more
+        # than 1e-6 r, and each of its edges by less than 1e-6 of its length
+        p, center = np.array(record["points"][2]), np.array(record["center"])
+        record["points"][2] = (p + 1.5e-6 * (p - center)).tolist()
+        if check == "off circle and eps length":
+            record["eps"].pop()
+    elif check == "vertices":
+        record["points"].pop()
+    elif check == "eps length":
+        record["eps"].pop()
+    elif check == "flags":
+        record["flags"]["delta_zero"] = True
+    else:
+        record["k"] += 1
+
+
+@pytest.mark.parametrize("check, note", [
+    ("pinning 1", "constraint violations: pinning violation at index 1: measured 0.001, "
+                  "expected 0"),
+    ("pinning 2", "constraint violations: pinning violation at index 2: measured 0.001, "
+                  "expected 0"),
+    ("edge 3", "constraint violations: length violation at index 3: measured 1.40041099508, "
+               "expected 1.4"),
+    ("radius", "recorded radius -0.9590697690580336 is not positive"),
+    ("off circle", "points deviate from the recorded circle by 1.439e-06"),
+    ("vertices", "configuration has 4 vertices, linkage has 5"),
+    ("eps length", "orientation string and half-angles disagree in length"),
+    ("flags", "recorded flags disagree with the recorded radius and orientation string"),
+    ("winding", "recorded winding 0 disagrees with the closure sum (winding -1)"),
+    # two failing checks: the note is the first one's
+    ("off circle and eps length", "points deviate from the recorded circle by 1.439e-06"),
+])
+def test_verify_note_names_the_first_failing_check(check, note):
+    tampered = enumeration_dict(IRREGULAR, analyze_linkage(IRREGULAR))
+    _tamper(tampered["configurations"][0], check)
+    rows, _, ok = verify_enumeration(*load_enumeration(dump_json(tampered)))
+    assert not ok
+    assert [j for j, r in enumerate(rows) if not r.agree] == [0]
+    assert rows[0].note == note
 
 
 def test_exactly_one_convex_configuration_per_linkage():

@@ -256,8 +256,24 @@ def _first_record(change):
     return edit
 
 
+def _record_of_winding(k, change):
+    """Move the first record of winding k to the front, changed."""
+    def edit(data):
+        records = data["configurations"]
+        records.insert(0, change(records.pop(next(j for j, rec in enumerate(records)
+                                                  if rec["k"] == k))))
+        return data
+    return edit
+
+
 MALFORMED = [
     ("verify", "no-k", _first_record(lambda rec: {f: v for f, v in rec.items() if f != "k"}), 1),
+    # k and the entries of eps must be JSON integers: int() would truncate
+    # these to the recorded values
+    ("verify", "k-not-an-integer", _record_of_winding(-1, lambda rec: dict(rec, k=-1.5)), 1),
+    ("verify", "k-a-boolean", _record_of_winding(1, lambda rec: dict(rec, k=True)), 1),
+    ("verify", "eps-not-integers",
+     _first_record(lambda rec: dict(rec, eps=[1.7 * v for v in rec["eps"]])), 1),
     ("verify", "r-not-a-number", _first_record(lambda rec: dict(rec, r="abc")), 1),
     ("verify", "record-is-a-string", _first_record(lambda rec: "abc"), 1),
     ("verify", "flags-is-a-list", _first_record(lambda rec: dict(rec, flags=[1])), 1),
@@ -284,3 +300,10 @@ def test_malformed_input_is_refused_without_traceback(pentagon_artifact, tmp_pat
 
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert main(["verify", "-i", str(tmp_path / "nope.json")]) == 2
+
+
+def test_non_json_file_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    assert main(["verify", "-i", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}: ")

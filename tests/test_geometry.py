@@ -1,4 +1,4 @@
-"""Core geometry: signed area, validation, circle fitting, orientations."""
+"""Core geometry: signed area, constraint checks, circle fitting, orientations."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_valid_configuration, regular_polygon_points
+from conftest import constraint_violations, random_valid_configuration, regular_polygon_points
 from linkmorse import (
     CircleFit,
     Configuration,
@@ -16,7 +16,7 @@ from linkmorse import (
     edge_orientations,
     fit_circle,
     signed_area,
-    validate_configuration,
+    verify_enumeration,
 )
 from linkmorse.errors import (
     CentralConfigurationError,
@@ -78,29 +78,42 @@ def test_signed_area_negates_under_reflection(pts):
     assert signed_area(mirrored) == pytest.approx(-signed_area(arr), abs=1e-9)
 
 
+def _verify_note(points):
+    """The note of ``verify`` on a record of the unit square's circle, string
+    and winding with these points."""
+    record = {"eps": [1, 1, 1, 1], "k": 1, "r": math.sqrt(2) / 2, "center": SQUARE_CENTER.tolist(),
+              "points": np.asarray(points, dtype=float).tolist(),
+              "flags": {"central": [False] * 4, "near_flip": [False] * 4, "delta_zero": False}}
+    rows, _, _ = verify_enumeration(Linkage([1, 1, 1, 1]), [record])
+    return rows[0].note
+
+
 def test_validate_exact_unit_square():
     linkage = Linkage([1, 1, 1, 1])
-    assert validate_configuration(linkage, SQUARE, tol=1e-9) == []
+    assert constraint_violations(linkage, SQUARE) == []
+    assert _verify_note(SQUARE) is None
 
 
 def test_validate_reports_length_violations():
     linkage = Linkage([1, 1, 1, 1])
     points = [(0, 0), (0, 1), (-1, 1), (-1, 0.5)]
-    violations = validate_configuration(linkage, points)
-    kinds = sorted((v.kind, v.index) for v in violations)
-    assert kinds == [("length", 3), ("length", 4)]
+    assert constraint_violations(linkage, points) == [("length", 3), ("length", 4)]
+    assert _verify_note(points) == ("constraint violations: length violation at index 3: "
+                                    "measured 0.5, expected 1")
 
 
 def test_validate_reports_pinning_violation():
     linkage = Linkage([1, 1, 1, 1])
     points = [(0.1, 0), (0, 1), (-1, 1), (-1, 0)]
-    violations = validate_configuration(linkage, points)
-    assert ("pinning", 1) in {(v.kind, v.index) for v in violations}
+    assert ("pinning", 1) in constraint_violations(linkage, points)
+    assert _verify_note(points) == ("constraint violations: pinning violation at index 1: "
+                                    "measured 0.1, expected 0")
 
 
 def test_validate_rejects_wrong_count():
     with pytest.raises(InvalidConfigurationError):
-        validate_configuration(Linkage([1, 1, 1, 1]), SQUARE[:3])
+        constraint_violations(Linkage([1, 1, 1, 1]), SQUARE[:3])
+    assert _verify_note(SQUARE[:3]) == "configuration has 3 vertices, linkage has 4"
 
 
 def test_fit_circle_unit_square():

@@ -8,26 +8,23 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import random_linkage
+from conftest import constraint_violations, edge_lengths, random_linkage
 from linkmorse import (
     CyclicDescriptor,
     DegeneracyFlags,
     Linkage,
     analyze_linkage,
-    degeneracy_flags,
     delta_at_angle,
-    edge_lengths,
     edge_orientations,
     enumerate_cyclic,
     f_value,
     fit_circle,
     reconstruct,
     signed_area,
-    validate_configuration,
 )
 from linkmorse import solver
 from linkmorse.geometry import _half_angle_rows
-from linkmorse.solver import MAX_EDGES, _winding_bounds
+from linkmorse.solver import MAX_EDGES, _flag_rows, _winding_bounds
 from linkmorse.errors import CentralConfigurationError, InconsistentDescriptorError, InvalidLinkageError
 
 SQUARE_L = Linkage([1, 1, 1, 1])
@@ -163,15 +160,23 @@ def test_solve_radii_obtuse_triangle_circumradius():
     assert item.descriptor.radius == pytest.approx(expected, rel=1e-12)
 
 
+def _flags(eps, alphas) -> DegeneracyFlags:
+    """The flags of one string and its half-angles, by ``solver._flag_rows``."""
+    central, near_flip, delta_zero = _flag_rows(np.array([eps], dtype=float),
+                                                np.asarray(alphas, dtype=float)[None])
+    return DegeneracyFlags(central=tuple(central[0].tolist()),
+                           near_flip=tuple(near_flip[0].tolist()), delta_zero=bool(delta_zero[0]))
+
+
 def test_degeneracy_flags_detect_each_kind():
     # balanced signs on equal half-angles: delta vanishes
-    flags = degeneracy_flags((1, -1, 1, -1), np.full(4, 0.3))
+    flags = _flags((1, -1, 1, -1), np.full(4, 0.3))
     assert flags.delta_zero and flags.any
     # radius a hair above the minimum: the longest edge is nearly a diameter
-    flags = degeneracy_flags(ALL_PLUS4, np.full(4, math.asin(1 / (1 + 1e-9))))
+    flags = _flags(ALL_PLUS4, np.full(4, math.asin(1 / (1 + 1e-9))))
     assert flags.central == (True, True, True, True)
     # enormous radius: every half-angle collapses toward a flip
-    flags = degeneracy_flags(ALL_PLUS4, np.full(4, 5e-9))
+    flags = _flags(ALL_PLUS4, np.full(4, 5e-9))
     assert all(flags.near_flip)
     # delta_zero is relative to sum tan(alpha): two edges one ulp apart near a
     # diameter leave |delta| ~ 2e-4, tiny next to tangents ~ 1e6; the same
@@ -179,10 +184,10 @@ def test_degeneracy_flags_detect_each_kind():
     a = 0.5 * math.pi - 1e-6
     near_diameter = np.array([a, np.nextafter(a, 0.0), 0.3, 0.3])
     assert abs(np.tan(near_diameter) @ [1, -1, 1, -1]) > 1e-4
-    assert degeneracy_flags((1, -1, 1, -1), near_diameter).delta_zero
-    assert not degeneracy_flags((1, -1, 1, -1), np.array([0.3, 0.3 + 1e-4, 0.5, 0.5])).delta_zero
+    assert _flags((1, -1, 1, -1), near_diameter).delta_zero
+    assert not _flags((1, -1, 1, -1), np.array([0.3, 0.3 + 1e-4, 0.5, 0.5])).delta_zero
     # a generic root carries no flags
-    flags = degeneracy_flags(ALL_PLUS4, np.full(4, THETA_SQUARE))
+    flags = _flags(ALL_PLUS4, np.full(4, THETA_SQUARE))
     assert not flags.any
 
 
@@ -264,7 +269,7 @@ def test_enumeration_round_trip_properties():
         for item in items:
             desc, config = item.descriptor, item.configuration
             # validation accepts every reconstruction
-            assert validate_configuration(linkage, config.points, tol=1e-9) == []
+            assert constraint_violations(linkage, config.points) == []
             # circle fit recovers the descriptor circle
             fit = fit_circle(config.points, tol=1e-7)
             assert fit is not None
