@@ -8,13 +8,14 @@ oracle verdict, and their agreement.
 The analysis is an array computation over a stack of configurations: the
 points of a chunk of them, shape (rows, n, 2), go through the stacked
 kernels of ``geometry`` (area, convexity), ``morse`` (the closed form) and
-``oracle`` (the numerical verdict) once.  A row refused by a check keeps
-its own refusal, and a flagged row skips the closed form and the oracle.
-Chunks bound the work arrays whatever n is.  :func:`verify_enumeration`
-parses the fields of each outside record, checks them as one stack, and
-analyses the records that pass the same way.  JSON encoding and decoding of
-enumeration artifacts lives here too; :func:`write_enumeration` writes an
-artifact record by record.
+``oracle`` (the numerical verdict) once, and a row refused by a check keeps
+its own refusal.  One kernel, :func:`_analyze_rows`, serves both
+:func:`analyze_linkage`, which passes its unflagged configurations, and
+:func:`verify_enumeration`, which parses the fields of each outside record,
+checks them as one stack and passes the records that pass; both compare
+formula and oracle by one rule, :func:`_agreement`.  JSON encoding and
+decoding of enumeration artifacts lives here too; :func:`write_enumeration`
+writes an artifact record by record.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .geometry import (
     _as_points,
     _convex_rows,
     _dot_rows,
-    _orientation_rows,
     _refusals,
     _signed_areas,
 )
@@ -96,12 +96,15 @@ class ConfigurationAnalysis:
 
     @property
     def agree(self) -> bool | None:
-        """Formula against oracle: the determinant sign always, the index too
-        when its formula applies.  None when either side has no sign."""
-        if self.signs is None or self.oracle is None or not self.oracle.is_morse:
-            return None
-        return (self.signs.h_sign == self.oracle.det_sign
-                and (self.morse is None or self.morse.index == self.oracle.index))
+        return _agreement(self.signs, self.morse, self.oracle)
+
+
+def _agreement(signs, morse, verdict) -> bool | None:
+    """Formula against oracle: the determinant sign always, the index too
+    when its formula applies.  None when either side has no sign."""
+    if signs is None or verdict is None or not verdict.is_morse:
+        return None
+    return signs.h_sign == verdict.det_sign and (morse is None or morse.index == verdict.index)
 
 
 def _chunks(items: list, n: int):
@@ -112,46 +115,43 @@ def _chunks(items: list, n: int):
         yield items[start:start + step]
 
 
-def _analyze_rows(items: list) -> list:
-    """:class:`ConfigurationAnalysis` of each item of one chunk, as array
-    operations over the stack of its points.  Flagged (near-degenerate)
-    items skip the closed form and the oracle: the closed-form results only
-    hold generically and the oracle comparison would be meaningless on the
-    degeneracy boundary."""
-    points = np.stack([item.configuration.points for item in items])
-    areas = _signed_areas(points).tolist()
-    convex = _convex_rows(points).tolist()
-    live = [j for j, item in enumerate(items) if not item.flags.any]
-    closed, verdicts = [], []
-    if live:
-        stack = points[live]
-        descs = [items[j].descriptor for j in live]
-        closed = _closed_form_rows(stack, np.array([d.center for d in descs]),
-                                   np.array([d.radius for d in descs]))
-        verdicts = _verdict_rows(stack)
-    results = dict(zip(live, zip(closed, verdicts)))
-    out = []
-    for j, item in enumerate(items):
-        signs = morse = oracle = None
-        morse_error = oracle_error = "flagged non-generic"
-        if j in results:
-            (signs, morse, morse_error), verdict = results[j]
-            if isinstance(verdict, LinkmorseError):
-                oracle_error = str(verdict)
-            else:
-                oracle, oracle_error = verdict, None
-        out.append(ConfigurationAnalysis(
-            descriptor=item.descriptor, configuration=item.configuration, flags=item.flags,
-            area=areas[j], convex=convex[j], signs=signs, morse=morse, morse_error=morse_error,
-            oracle=oracle, oracle_error=oracle_error))
-    return out
+def _analyze_rows(points, centers, radii, flagged) -> list:
+    """Per stacked configuration, shape (rows, n, 2), on its circle:
+    ``(eps, signs, morse, error, verdict)``.  An unflagged row gets
+    :func:`morse._closed_form_rows`, its measured orientation string first; a
+    flagged (near-degenerate) one, where the closed form does not hold, gets
+    Nones.  Every row gets the oracle's verdict or its NonRegularPointError."""
+    live = np.flatnonzero(~flagged).tolist()
+    closed = dict(zip(live, _closed_form_rows(points[live], centers[live], radii[live])))
+    return [closed.get(j, (None,) * 4) + (verdict,)
+            for j, verdict in enumerate(_verdict_rows(points))]
 
 
 def analyze_linkage(linkage: Linkage) -> list:
     """Enumerate all cyclic configurations and analyze them, a chunk of
-    configurations at a time as one stack of points."""
-    items = enumerate_cyclic(linkage)
-    return [result for chunk in _chunks(items, linkage.n) for result in _analyze_rows(chunk)]
+    configurations at a time as one stack of points.  Flagged items skip the
+    closed form and the oracle, whose comparison would be meaningless on the
+    degeneracy boundary."""
+    # a flagged item reads as refused by both sides
+    flagged = (None, None, None, "flagged non-generic", LinkmorseError("flagged non-generic"))
+    out = []
+    for chunk in _chunks(enumerate_cyclic(linkage), linkage.n):
+        points = np.stack([item.configuration.points for item in chunk])
+        live = [j for j, item in enumerate(chunk) if not item.flags.any]
+        descs = [chunk[j].descriptor for j in live]
+        results = dict(zip(live, _analyze_rows(
+            points[live], np.array([d.center for d in descs]).reshape(-1, 2),
+            np.array([d.radius for d in descs]), np.zeros(len(live), dtype=bool))))
+        for j, (item, area, convex) in enumerate(zip(chunk, _signed_areas(points).tolist(),
+                                                     _convex_rows(points).tolist())):
+            _, signs, morse, morse_error, verdict = results.get(j, flagged)
+            refused = isinstance(verdict, LinkmorseError)
+            out.append(ConfigurationAnalysis(
+                descriptor=item.descriptor, configuration=item.configuration, flags=item.flags,
+                area=area, convex=convex, signs=signs, morse=morse, morse_error=morse_error,
+                oracle=None if refused else verdict,
+                oracle_error=str(verdict) if refused else None))
+    return out
 
 
 def index_summary(analyses: list) -> str:
@@ -278,6 +278,23 @@ def _fail(note: str) -> VerificationRow:
                            formula_index=None, agree=False, flagged=False, note=note)
 
 
+def _json_eps(values) -> tuple:
+    """``eps`` read from JSON: JSON integers (not 1.7, which int() truncates), each +-1."""
+    eps = tuple(values)
+    if not all(type(v) is int for v in eps):
+        raise TypeError("orientation entries must be JSON integers")
+    if not eps or any(v not in (-1, 1) for v in eps):
+        raise InvalidConfigurationError("orientation entries must be +1 or -1")
+    return eps
+
+
+def _json_winding(value) -> int:
+    """``k`` read from JSON: a JSON integer, not a number such as -1.5, Infinity or true."""
+    if type(value) is not int:
+        raise TypeError(f"k must be a JSON integer, got {type(value).__name__}")
+    return value
+
+
 def _parse_record(n: int, record):
     """The stack rows ``(points, center, radius, eps, winding, flags)`` of an
     outside record, or its failing row: malformed when it is not an object or
@@ -295,14 +312,8 @@ def _parse_record(n: int, record):
         delta_zero = bool(raw.get("delta_zero"))
         center = np.asarray(record["center"], dtype=float).reshape(2)
         radius = float(record["r"])
-        eps = tuple(record["eps"])
-        if not all(type(v) is int for v in eps):
-            raise TypeError("orientation entries must be JSON integers")
-        if not eps or any(v not in (-1, 1) for v in eps):
-            raise InvalidConfigurationError("orientation entries must be +1 or -1")
-        winding = record["k"]
-        if type(winding) is not int:
-            raise TypeError(f"k must be a JSON integer, got {type(winding).__name__}")
+        eps = _json_eps(record["eps"])
+        winding = _json_winding(record["k"])
     except LinkmorseError as err:
         return _fail(str(err))
     except (AttributeError, KeyError, TypeError, ValueError) as err:
@@ -370,51 +381,34 @@ def _check_rows(linkage: Linkage, points, centers, radii, eps, windings, recorde
     return _refusals(failed, note), flags.any(axis=1)
 
 
-def _compared_rows(points, centers, radii, eps, flagged) -> list:
-    """Rows of records that passed their checks, one chunk of their stacked
-    fields: the oracle checks the criticality of each, and an unflagged
-    one's analysis is compared with the record and with itself."""
-    measured, central = _orientation_rows(points, centers)
-    reoriented = (measured != eps).any(axis=1)
-    # a flagged record has no closed form, only its criticality checked
-    live = np.flatnonzero(~flagged).tolist()
-    closed = dict(zip(live, _closed_form_rows(points[live], centers[live], radii[live])))
-    rows = []
-    for j, verdict in enumerate(_verdict_rows(points)):
-        if isinstance(verdict, LinkmorseError):
-            rows.append(_fail(str(verdict)))
-            continue
-        oracle_side = dict(residual=verdict.residual, inertia=verdict.inertia,
-                           det_sign=verdict.det_sign, index=verdict.index, flagged=False)
-        signs, morse, error = closed.get(j, (None, None, None))
-        agree = (signs is not None and signs.h_sign == verdict.det_sign
-                 and (morse is None or morse.index == verdict.index))
-        if verdict.residual > CRITICALITY_TOL:
-            rows.append(_fail(f"criticality residual {verdict.residual:.3e} "
-                              f"exceeds {CRITICALITY_TOL:.1e}"))
-        elif flagged[j]:
-            rows.append(VerificationRow(residual=verdict.residual, inertia=None, det_sign=None,
-                                        index=None, formula_index=None, agree=True,
-                                        flagged=True, note="flagged, excluded"))
-        elif not verdict.is_morse:
-            rows.append(VerificationRow(formula_index=None, agree=False,
-                                        note="oracle found a zero eigenvalue", **oracle_side))
-        elif central[j] is not None:
-            rows.append(_fail(str(central[j])))
-        elif reoriented[j]:
-            rows.append(_fail("recorded orientation string disagrees with the geometry"))
-        elif signs is None:
-            rows.append(_fail(error))
-        elif morse is None:
-            note = f"index formula not applicable ({error})" if agree \
-                else "determinant sign disagrees"
-            rows.append(VerificationRow(formula_index=None, agree=agree, note=note,
-                                        **oracle_side))
-        else:
-            rows.append(VerificationRow(
-                formula_index=morse.index, agree=agree,
-                note=None if agree else "formula and oracle disagree", **oracle_side))
-    return rows
+def _verification_row(recorded, flagged, measured, signs, morse, error, verdict):
+    """The row of a record that passed its checks, from its ``eps``, flag and
+    :func:`_analyze_rows` result: the oracle checks its criticality, and an
+    unflagged record's analysis is compared with the record and itself."""
+    if isinstance(verdict, LinkmorseError):
+        return _fail(str(verdict))
+    if verdict.residual > CRITICALITY_TOL:
+        return _fail(f"criticality residual {verdict.residual:.3e} exceeds {CRITICALITY_TOL:.1e}")
+    if flagged:
+        return VerificationRow(residual=verdict.residual, inertia=None, det_sign=None, index=None,
+                               formula_index=None, agree=True, flagged=True,
+                               note="flagged, excluded")
+    oracle_side = dict(residual=verdict.residual, inertia=verdict.inertia,
+                       det_sign=verdict.det_sign, index=verdict.index, flagged=False)
+    if not verdict.is_morse:
+        return VerificationRow(formula_index=None, agree=False,
+                               note="oracle found a zero eigenvalue", **oracle_side)
+    # a central edge leaves no measured string, and its refusal is the error
+    if measured is not None and measured != recorded:
+        return _fail("recorded orientation string disagrees with the geometry")
+    if signs is None:
+        return _fail(error)
+    agree = _agreement(signs, morse, verdict)
+    if morse is None:
+        note = f"index formula not applicable ({error})" if agree else "determinant sign disagrees"
+        return VerificationRow(formula_index=None, agree=agree, note=note, **oracle_side)
+    return VerificationRow(formula_index=morse.index, agree=agree,
+                           note=None if agree else "formula and oracle disagree", **oracle_side)
 
 
 def verify_enumeration(linkage: Linkage, records: list):
@@ -442,10 +436,10 @@ def verify_enumeration(linkage: Linkage, records: list):
                 rows[j] = _fail(note)
         live = [i for i, note in enumerate(notes) if note is None]
         for chunk in _chunks(live, n):
-            compared = _compared_rows(points[chunk], centers[chunk], radii[chunk], eps[chunk],
-                                      flagged[chunk])
-            for i, row in zip(chunk, compared):
-                rows[parsed[i]] = row
+            analysed = _analyze_rows(points[chunk], centers[chunk], radii[chunk], flagged[chunk])
+            for i, string, flag, result in zip(chunk, map(tuple, eps[chunk].tolist()),
+                                               flagged[chunk].tolist(), analysed):
+                rows[parsed[i]] = _verification_row(string, flag, *result)
     flagged = sum(1 for r in rows if r.flagged)
     good = sum(1 for r in rows if r.agree and not r.flagged)
     ok = all(r.agree for r in rows)

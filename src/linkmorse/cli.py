@@ -133,10 +133,8 @@ def _render_items(data) -> list:
             center = radius = None
             if "center" in rec and "r" in rec:
                 center, radius = np.asarray(rec["center"], dtype=float).reshape(2), float(rec["r"])
-            eps = rec.get("eps")
-            if eps is not None:
-                eps = [float(v) for v in eps]
-            winding = int(rec.get("k", 0))
+            eps = None if rec.get("eps") is None else analysis._json_eps(rec["eps"])
+            winding = analysis._json_winding(rec.get("k", 0))
             area = float(rec["area"]) if "area" in rec else signed_area(pts)
         except (TypeError, ValueError) as err:
             raise LinkmorseError(f"malformed record: {type(err).__name__}: {err}") from err

@@ -152,10 +152,11 @@ class OrientationString:
     eps: tuple
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.eps)
+        vals = tuple(self.eps)
+        # checked before the cast to int, which would truncate 1.7 to 1
         if not vals or any(v not in (-1, 1) for v in vals):
             raise InvalidConfigurationError("orientation entries must be +1 or -1")
-        object.__setattr__(self, "eps", vals)
+        object.__setattr__(self, "eps", tuple(int(v) for v in vals))
 
     def __len__(self) -> int:
         return len(self.eps)

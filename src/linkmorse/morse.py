@@ -132,7 +132,9 @@ def _sign_rows(eps: np.ndarray, alphas: np.ndarray):
 
 def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> list:
     """:func:`closed_form` of each stacked configuration, shape (rows, n, 2),
-    on its circle: a list of ``(signs, morse, error)``.
+    on its circle, after the orientation string it measures: a list of
+    ``(eps, signs, morse, error)``, ``eps`` a tuple of +-1 or None when an
+    edge is central.
 
     The refusals apply in this order: a central edge, an edge longer than
     the diameter, an edge that is a diameter, a small ``|delta|``, then the
@@ -143,16 +145,15 @@ def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
     value, sequences, polygon, prefix = _sign_rows(sides.astype(float), alphas)
     positives = (sides > 0).sum(axis=1).tolist()
     out = []
-    for row, causes in enumerate(zip(central, over, polygon, prefix)):
+    for row, (eps, *causes) in enumerate(zip(sides.tolist(), central, over, polygon, prefix)):
+        eps = None if causes[0] is not None else tuple(eps)
         refused = [cause for cause in causes if cause is not None]
         signs = None
         if all(cause is None for cause in causes[:3]):
             signs = SignReport(delta=float(value[row]), d=1 if value[row] > 0.0 else -1,
                                e=positives[row])
-        if refused:
-            out.append((signs, None, str(refused[0])))
-        else:
-            out.append((signs, MorseReport(tuple(sequences[row].tolist())), None))
+        morse = None if refused else MorseReport(tuple(sequences[row].tolist()))
+        out.append((eps, signs, morse, str(refused[0]) if refused else None))
     return out
 
 
@@ -165,4 +166,4 @@ def closed_form(config: Configuration, fit: CircleFit):
     and ``error`` says why; ``signs`` survives alone when only the
     subconfiguration sequence is degenerate.
     """
-    return _closed_form_rows(config.points[None], fit.center[None], np.array([fit.radius]))[0]
+    return _closed_form_rows(config.points[None], fit.center[None], np.array([fit.radius]))[0][1:]

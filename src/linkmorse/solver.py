@@ -161,6 +161,8 @@ class CyclicDescriptor:
 
     def __post_init__(self):
         object.__setattr__(self, "radius", float(self.radius))
+        if not float(self.winding).is_integer():
+            raise InconsistentDescriptorError(f"winding {self.winding} is not an integer")
         object.__setattr__(self, "winding", int(self.winding))
         object.__setattr__(self, "alphas", _readonly(np.asarray(self.alphas, dtype=float)))
         object.__setattr__(self, "center", _readonly(np.asarray(self.center, dtype=float).reshape(2)))

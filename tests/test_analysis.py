@@ -137,6 +137,11 @@ def _tamper(record, check):
         record["eps"].pop()
     elif check == "flags":
         record["flags"]["delta_zero"] = True
+    elif check == "mirrored":
+        # reflected across the pinned edge, eps and k kept: every stacked
+        # check passes, and the analysis measures the opposite string
+        record["points"] = [[-x, y] for x, y in record["points"]]
+        record["center"][0] = -record["center"][0]
     else:
         record["k"] += 1
 
@@ -154,6 +159,7 @@ def _tamper(record, check):
     ("eps length", "orientation string and half-angles disagree in length"),
     ("flags", "recorded flags disagree with the recorded radius and orientation string"),
     ("winding", "recorded winding 0 disagrees with the closure sum (winding -1)"),
+    ("mirrored", "recorded orientation string disagrees with the geometry"),
     # two failing checks: the note is the first one's
     ("off circle and eps length", "points deviate from the recorded circle by 1.439e-06"),
 ])

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import regular_polygon_points
 from linkmorse import Linkage, analyze_linkage, index_summary
-from linkmorse.analysis import dump_json, enumeration_dict, write_enumeration
+from linkmorse.analysis import CRITICALITY_TOL, dump_json, enumeration_dict, write_enumeration
 from linkmorse.cli import main
 
 
@@ -247,6 +247,11 @@ def test_verify_flags_near_central_artifact(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "(2 flagged)" in captured.out
+    # a flagged record is checked for criticality alone, and agrees
+    row = json.loads(captured.out.splitlines()[0])
+    assert 0.0 <= row.pop("residual") <= CRITICALITY_TOL
+    assert row == {"inertia": None, "det_sign": None, "index": None, "formula_index": None,
+                   "agree": True, "flagged": True, "note": "flagged, excluded"}
 
 
 def _first_record(change):
@@ -282,6 +287,12 @@ MALFORMED = [
     ("render", "point-not-a-number", lambda data: {"points": [["x", 1], [0, 1], [1, 1]]}, 2),
     ("render", "record-is-a-string", _first_record(lambda rec: "abc"), 2),
     ("render", "r-not-a-number", _first_record(lambda rec: dict(rec, r="abc")), 2),
+    # render reads k and eps by verify's rules: int() overflowed on Infinity
+    # and truncated -1.5, and float() drew 1.7 as +
+    ("render", "k-infinite", _first_record(lambda rec: dict(rec, k=math.inf)), 2),
+    ("render", "k-not-an-integer", _first_record(lambda rec: dict(rec, k=-1.5)), 2),
+    ("render", "eps-not-integers",
+     _first_record(lambda rec: dict(rec, eps=[1.7 * v for v in rec["eps"]])), 2),
 ]
 
 

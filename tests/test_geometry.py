@@ -12,6 +12,7 @@ from linkmorse import (
     CircleFit,
     Configuration,
     Linkage,
+    OrientationString,
     closed_form,
     edge_orientations,
     fit_circle,
@@ -177,6 +178,13 @@ def test_orientations_negate_under_reflection():
             continue
         mirrored = edge_orientations(config.points * [-1, 1], center * [-1, 1])
         assert mirrored.eps == tuple(-v for v in eps.eps)
+
+
+def test_orientation_string_refuses_non_integral_entries():
+    # int() would truncate these to (1, -1, 1)
+    with pytest.raises(InvalidConfigurationError):
+        OrientationString((1.7, -1.7, 1))
+    assert OrientationString((1.0, -1, 1)).eps == (1, -1, 1)
 
 
 def test_half_angles_square():

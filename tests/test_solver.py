@@ -225,6 +225,16 @@ def test_reconstruct_rejects_broken_closure():
         reconstruct(SQUARE_L, bad)
 
 
+def test_descriptor_refuses_non_integral_winding():
+    desc = CyclicDescriptor.from_angle(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE)
+    # int() would truncate -1.5 to -1
+    with pytest.raises(InconsistentDescriptorError):
+        CyclicDescriptor(radius=desc.radius, winding=-1.5, eps=desc.eps,
+                         alphas=desc.alphas, center=desc.center)
+    assert CyclicDescriptor(radius=desc.radius, winding=1.0, eps=desc.eps,
+                            alphas=desc.alphas, center=desc.center).winding == 1
+
+
 def test_enumerate_equilateral_pentagon_count():
     items = enumerate_cyclic(PENTA_L)
     assert len(items) == 14

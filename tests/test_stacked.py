@@ -30,30 +30,46 @@ MIXED = {
 }
 
 
+def _verdict_fields(verdict):
+    if isinstance(verdict, NonRegularPointError):
+        return str(verdict)
+    return (verdict.multipliers.tolist(), verdict.residual, verdict.inertia, verdict.det_sign,
+            verdict.index)
+
+
 def _fields(a):
     """Every field of an analysis as plain comparable values."""
-    verdict = a.oracle
     return (a.area, a.convex, a.flags, a.signs, a.morse, a.morse_error, a.oracle_error,
-            None if verdict is None else (verdict.multipliers.tolist(), verdict.residual,
-                                          verdict.inertia, verdict.det_sign, verdict.index))
+            None if a.oracle is None else _verdict_fields(a.oracle))
+
+
+def _kernel(items):
+    """The analysis kernel's results for a stack of enumerated items, their
+    verdicts as plain comparable values."""
+    descs = [item.descriptor for item in items]
+    results = analysis._analyze_rows(
+        np.stack([item.configuration.points for item in items]),
+        np.array([d.center for d in descs]), np.array([d.radius for d in descs]),
+        np.array([item.flags.any for item in items]))
+    return [result[:-1] + (_verdict_fields(result[-1]),) for result in results]
 
 
 @pytest.mark.parametrize("n", sorted(MIXED))
 def test_mixed_stack_equals_per_linkage_stacks(n):
     lengths, kinds = MIXED[n]
     items = [enumerate_cyclic(Linkage(ls)) for ls in lengths]
-    # the analysis reads everything off the points, descriptors and flags,
-    # so the configurations of several linkages with n edges share a stack
-    stacked = analysis._analyze_rows([item for group in items for item in group])
-    per_linkage = [result for group in items for result in analysis._analyze_rows(group)]
-    assert [_fields(a) for a in stacked] == [_fields(a) for a in per_linkage]
-    assert {(a.index_source, a.flags.any) for a in stacked} == kinds
+    # the kernel reads everything off the points, circles and flags, so the
+    # configurations of several linkages with n edges share a stack
+    stacked = _kernel([item for group in items for item in group])
+    assert stacked == [result for group in items for result in _kernel(group)]
+    analyses = [a for ls in lengths for a in analyze_linkage(Linkage(ls))]
+    assert {(a.index_source, a.flags.any) for a in analyses} == kinds
     if n == 3:
         # the tangent space is empty: no eigenvalues, inertia (0, 0, 0)
-        assert {a.oracle.inertia for a in stacked} == {(0, 0, 0)}
+        assert {verdict[2] for *_, verdict in stacked} == {(0, 0, 0)}
     if n == 4:
         # no prefix subconfiguration: the sequence is P_3 and P_4 alone
-        assert {len(a.morse.h_sequence) for a in stacked if a.morse} == {2}
+        assert {len(morse.h_sequence) for _, _, morse, *_ in stacked if morse} == {2}
 
 
 def test_stack_across_chunk_boundaries(monkeypatch):
