@@ -122,7 +122,8 @@ def _analyze_rows(points, centers, radii, flagged) -> list:
     flagged (near-degenerate) one, where the closed form does not hold, gets
     Nones.  Every row gets the oracle's verdict or its NonRegularPointError."""
     live = np.flatnonzero(~flagged).tolist()
-    closed = dict(zip(live, _closed_form_rows(points[live], centers[live], radii[live])))
+    closed = {j: (eps, *rest) for j, (eps, _, *rest)
+              in zip(live, _closed_form_rows(points[live], centers[live], radii[live]))}
     return [closed.get(j, (None,) * 4) + (verdict,)
             for j, verdict in enumerate(_verdict_rows(points))]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,16 +21,8 @@ import numpy as np
 from . import analysis, render
 from .deform import check_lemmas, deform as make_path, detect_events, vertex_angles
 from .errors import LinkmorseError
-from .geometry import (
-    INPUT_TOL,
-    CircleFit,
-    Configuration,
-    Linkage,
-    edge_orientations,
-    fit_circle,
-    signed_area,
-)
-from .morse import closed_form
+from .geometry import INPUT_TOL, Configuration, Linkage, fit_circle, signed_area
+from .morse import _closed_form_rows, closed_form
 
 
 def _read_json(path: str, parse=json.loads):
@@ -124,17 +117,18 @@ def _render_items(data) -> list:
     else:
         raise LinkmorseError("render input must be an enumeration artifact or a configuration")
     items = []
-    for rec in source:
+    for j, rec in enumerate(source):
         if not isinstance(rec, dict) or "points" not in rec:
             raise LinkmorseError("malformed record: expected an object with 'points'")
-        config = Configuration(rec["points"])
-        pts = config.points
+        pts = Configuration(rec["points"]).points
         try:
             center = radius = None
             if "center" in rec and "r" in rec:
                 center, radius = np.asarray(rec["center"], dtype=float).reshape(2), float(rec["r"])
+                if not (np.isfinite(center).all() and 0.0 < radius < math.inf):
+                    raise ValueError("center must be finite and r finite and positive")
             eps = None if rec.get("eps") is None else analysis._json_eps(rec["eps"])
-            winding = analysis._json_winding(rec.get("k", 0))
+            winding = None if "k" not in rec else analysis._json_winding(rec["k"])
             area = float(rec["area"]) if "area" in rec else signed_area(pts)
         except (TypeError, ValueError) as err:
             raise LinkmorseError(f"malformed record: {type(err).__name__}: {err}") from err
@@ -143,11 +137,23 @@ def _render_items(data) -> list:
             if fit is None:
                 raise LinkmorseError("configuration is not cyclic; cannot draw its circle")
             center, radius = fit.center, fit.radius
-        if eps is None:
-            eps = list(edge_orientations(pts, center).eps)
-        _, report, _ = closed_form(config, CircleFit(center=center, radius=radius))
+        # the label is the measured string and winding; recorded ones must match
+        measured, k, _, report, error = _closed_form_rows(pts[None], center[None],
+                                                          np.array([radius]))[0]
+        if measured is None:
+            # an edge through the center leaves no string to measure: only a
+            # recorded one can be drawn
+            if eps is None:
+                raise LinkmorseError(error)
+            k = 0 if winding is None else winding
+        elif eps not in (None, measured):
+            raise LinkmorseError(f"record {j}: recorded orientation string disagrees with the "
+                                 "geometry")
+        elif winding not in (None, k):
+            raise LinkmorseError(f"record {j}: recorded winding {winding} disagrees with the "
+                                 f"geometry (winding {k})")
         idx = None if report is None else report.index
-        label = render.annotation(eps, winding, radius, idx, area)
+        label = render.annotation(eps or measured, k, radius, idx, area)
         items.append(render.RenderItem(points=pts, center=center, radius=radius, label=label))
     return items
 

@@ -132,9 +132,9 @@ def _sign_rows(eps: np.ndarray, alphas: np.ndarray):
 
 def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> list:
     """:func:`closed_form` of each stacked configuration, shape (rows, n, 2),
-    on its circle, after the orientation string it measures: a list of
-    ``(eps, signs, morse, error)``, ``eps`` a tuple of +-1 or None when an
-    edge is central.
+    on its circle, after the orientation string and the winding it measures:
+    a list of ``(eps, k, signs, morse, error)``, ``eps`` a tuple of +-1 and
+    ``k = rint(eps . alpha / pi)``, both None when an edge is central.
 
     The refusals apply in this order: a central edge, an edge longer than
     the diameter, an edge that is a diameter, a small ``|delta|``, then the
@@ -142,18 +142,21 @@ def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
     """
     sides, central = _orientation_rows(points, centers)
     alphas, over = _half_angle_rows(points, centers, radii)
-    value, sequences, polygon, prefix = _sign_rows(sides.astype(float), alphas)
+    strings = sides.astype(float)
+    value, sequences, polygon, prefix = _sign_rows(strings, alphas)
     positives = (sides > 0).sum(axis=1).tolist()
+    windings = np.rint(_dot_rows(strings, alphas) / math.pi).astype(int).tolist()
     out = []
-    for row, (eps, *causes) in enumerate(zip(sides.tolist(), central, over, polygon, prefix)):
-        eps = None if causes[0] is not None else tuple(eps)
+    for row, (eps, k, *causes) in enumerate(zip(sides.tolist(), windings, central, over, polygon,
+                                                 prefix)):
+        eps, k = (None, None) if causes[0] is not None else (tuple(eps), k)
         refused = [cause for cause in causes if cause is not None]
         signs = None
         if all(cause is None for cause in causes[:3]):
             signs = SignReport(delta=float(value[row]), d=1 if value[row] > 0.0 else -1,
                                e=positives[row])
         morse = None if refused else MorseReport(tuple(sequences[row].tolist()))
-        out.append((eps, signs, morse, str(refused[0]) if refused else None))
+        out.append((eps, k, signs, morse, str(refused[0]) if refused else None))
     return out
 
 
@@ -166,4 +169,4 @@ def closed_form(config: Configuration, fit: CircleFit):
     and ``error`` says why; ``signs`` survives alone when only the
     subconfiguration sequence is degenerate.
     """
-    return _closed_form_rows(config.points[None], fit.center[None], np.array([fit.radius]))[0][1:]
+    return _closed_form_rows(config.points[None], fit.center[None], np.array([fit.radius]))[0][2:]

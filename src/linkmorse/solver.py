@@ -24,7 +24,9 @@ windings at once: a sign change of ``C - pi k`` brackets a root, an isolated
 exact zero is one, and a run of exact zeros (a family on which F vanishes
 identically) yields none.  A string whose +1 and -1 edges carry the same
 lengths is such a family for every winding and is not scanned.  Brackets are
-refined in theta with ``brentq``.
+refined in theta by :func:`brentq`, one Brent's method that steps over every
+closure bracket ``(E, k, cell)`` of the linkage at once, evaluating F as
+stacked rows, and once more over every bracket of delta.
 Double roots hide at zeros of delta, the extrema of F; one is accepted when
 ``|F| <= RESIDUAL_TOL * (sum alpha_i + pi |k|)``, and a root is flagged
 ``delta_zero`` when ``|delta| < DEGENERACY_TOL * sum tan(alpha_i)``, so both
@@ -45,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InconsistentDescriptorError, InvalidLinkageError
 from .geometry import (
@@ -53,6 +54,7 @@ from .geometry import (
     Configuration,
     Linkage,
     OrientationString,
+    _dot_rows,
     _readonly,
 )
 
@@ -76,12 +78,12 @@ _LEVEL_SLACK = 1e-9
 
 # Largest number of edges enumerate_cyclic accepts.  The scan covers
 # 2^(n-1) strings and the number of configurations grows about as fast:
-# ``linkmorse enumerate -o`` on random lengths in [0.5, 2] took 1.2-2.3 s
-# at n = 12, 3.1-3.8 s at n = 14 and 20 s at n = 16 (37796 configurations,
-# 188 MB peak: 4.7 s scan, 6.6 s analysis, 8.0 s writing 88 MB of JSON,
-# 0.9 s import) on a 2-core x86-64 host with Python 3.11.  Each edge more
-# about doubles the scan and the configurations, so n = 17 would take about
-# 40 s.
+# ``linkmorse enumerate -o`` on random lengths in [0.5, 2] took 1.0 s at
+# n = 12, 1.7 s at n = 13, 2.7 s at n = 14 and 17.5 s at n = 16 (37796
+# configurations, 140 MB peak: 3.3 s scan, 7.1 s analysis, 7.6 s writing
+# 88 MB of JSON, 0.15 s import) on a 2-core x86-64 host with Python 3.11.
+# Each edge more about doubles the scan and the configurations, so n = 17
+# would take about 35 s.
 MAX_EDGES = 16
 
 # First grid point, standing in for theta = 0 (r = inf): F has the sign of its
@@ -89,9 +91,12 @@ MAX_EDGES = 16
 # ``xtol``, so roots are refined to ROOT_RTOL relative however far out.
 _FAR_ANGLE = 1e-200
 
-# Relative accuracy of refined roots in theta, passed to brentq as ``rtol``
-# (which must be at least 4 machine epsilons).
+# Relative accuracy of refined roots in theta, brentq's ``rtol`` (at least
+# 4 machine epsilons, as scipy requires of it).
 ROOT_RTOL = 1e-14
+
+# Iterations after which brentq gives a bracket up, scipy's default.
+_MAXITER = 100
 
 # Roots of one (E, k) pair closer than this (relative, in theta) are merged.
 MERGE_RTOL = 1e-10
@@ -216,23 +221,104 @@ def _eps_array(eps) -> np.ndarray:
     return OrientationString(tuple(eps)).array
 
 
-def _closure(theta: float, rho: np.ndarray, e: np.ndarray, k: int) -> float:
-    return float(e @ _half_angles(rho, theta)) - math.pi * k
+def _closure_rows(theta: np.ndarray, rho: np.ndarray, eps: np.ndarray, k) -> np.ndarray:
+    """``F = sum_i eps_i alpha_i(theta) - pi k`` of each row: one angle, one
+    string (a row of ``eps``) and one winding per row."""
+    return _dot_rows(eps, _half_angles(rho, theta)) - math.pi * k
 
 
-def _delta(theta: float, rho: np.ndarray, e: np.ndarray) -> float:
-    return float(e @ np.tan(_half_angles(rho, theta)))
+def _delta_rows(theta: np.ndarray, rho: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """``delta = sum_i eps_i tan(alpha_i(theta))`` of each row."""
+    return _dot_rows(eps, np.tan(_half_angles(rho, theta)))
 
 
 def f_value(linkage: Linkage, eps, k: int, theta: float) -> float:
     """Closure function ``sum_i eps_i alpha_i(theta) - pi k``."""
-    return _closure(theta, _ratios(linkage), _eps_array(eps), k)
+    return float(_closure_rows(np.array([theta]), _ratios(linkage), _eps_array(eps)[None], k)[0])
 
 
 def delta_at_angle(linkage: Linkage, eps, theta: float) -> float:
     """``delta = sum_i eps_i tan(alpha_i)`` at the angle theta; the theta
     derivative of :func:`f_value` is ``cot(theta) * delta``."""
-    return _delta(theta, _ratios(linkage), _eps_array(eps))
+    return float(_delta_rows(np.array([theta]), _ratios(linkage), _eps_array(eps)[None])[0])
+
+
+def brentq(f, a: np.ndarray, b: np.ndarray, args=()) -> np.ndarray:
+    """Roots of ``f`` in the brackets ``[a_j, b_j]``, all refined at once by
+    Brent's method.
+
+    ``f(x, *rows)`` is evaluated on stacked rows: ``x`` holds one point per
+    bracket still open and ``rows`` the matching rows of each array in
+    ``args``.  Every bracket takes the steps of scipy's ``brentq`` (its C
+    ``brentq.c``: inverse quadratic or linear interpolation, else bisection)
+    with ``xtol`` :data:`_FAR_ANGLE`, ``rtol`` :data:`ROOT_RTOL` and at most
+    :data:`_MAXITER` iterations, so each root has the same digits as a
+    scipy call on its bracket.  Like scipy, raises ``ValueError`` for a NaN
+    value of ``f`` or for a bracket whose ends have the same sign, and
+    ``RuntimeError`` for a bracket not converged after :data:`_MAXITER`
+    iterations.
+    """
+    def evaluate(x, open_):
+        fx = np.asarray(f(x, *(arg[open_] for arg in args)), dtype=float)
+        if np.isnan(fx).any():
+            raise ValueError(f"the function value at x={x[np.isnan(fx)][0]} is NaN; "
+                             "solver cannot continue")
+        return fx
+
+    xa, xb = np.array(a, dtype=float), np.array(b, dtype=float)
+    fa = evaluate(xa, slice(None))
+    fb = evaluate(xb, slice(None))
+    roots = np.where(fa == 0.0, xa, xb)
+    open_ = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    if (np.signbit(fa[open_]) == np.signbit(fb[open_])).any():
+        raise ValueError("f(a) and f(b) must have different signs")
+    # The variables of brentq.c, one row each, one column per open bracket:
+    # the previous and the current point, the contrapoint xblk across the
+    # root from xcur, their values of f, and the last two steps.
+    state = np.zeros((8, open_.size))
+    state[0], state[1], state[3], state[4] = xa[open_], xb[open_], fa[open_], fb[open_]
+    xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
+    for _ in range(_MAXITER):
+        if not open_.size:
+            break
+        # fpre is never 0 here, and a zero fcur ends the bracket below
+        # whatever this step does, so comparing sign bits suffices
+        new = np.signbit(fpre) != np.signbit(fcur)
+        step = xcur - xpre
+        for row, value in ((xblk, xpre), (fblk, fpre), (spre, step), (scur, step)):
+            np.copyto(row, value, where=new)
+        # xcur becomes the point with the smaller |f|: xpre and xblk take
+        # the old xcur, xcur the old xblk
+        np.copyto(state[:6], state[[1, 2, 1, 4, 5, 4]], where=np.abs(fblk) < np.abs(fcur))
+
+        delta = (_FAR_ANGLE + ROOT_RTOL * np.abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[open_[done]] = xcur[done]
+            going = ~done
+            open_, state, delta, sbis = open_[going], state[:, going], delta[going], sbis[going]
+            xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
+
+        # Interpolate through the last two points when the previous one is
+        # the contrapoint, else extrapolate through all three.  The step is
+        # computed on every bracket and dropped where it is not taken, so a
+        # division by zero there is no error, as in the C code.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2.0 * np.abs(stry) < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)))
+        state[6], state[7] = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        state[0], state[3] = xcur, fcur
+        # sbis is never 0 on an open bracket, so its sign picks +-delta
+        xcur += np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
+        state[4] = evaluate(xcur, open_)
+    if open_.size:
+        raise RuntimeError(f"failed to converge after {_MAXITER} iterations")
+    return roots
 
 
 def _flag_rows(eps: np.ndarray, alphas: np.ndarray):
@@ -443,24 +529,25 @@ def _scan(linkage: Linkage, strings: np.ndarray, k_lo: np.ndarray, k_hi: np.ndar
     row, i, here, after = row[known], i[known], here[known], after[known]
     lo = np.floor(np.minimum(here, after) / math.pi)
     hi = np.floor(np.maximum(here, after) / math.pi) + 1.0
+    brackets = [(row[:0], lo[:0], i[:0])]  # typed empty arrays if there is no step
     for step in range(int(np.max(hi - lo, initial=-1.0)) + 1):
         k = lo + step
         change = _sign_change(here, after, math.pi * k)
         change &= (k <= hi) & (k >= k_lo[row]) & (k <= k_hi[row])
-        brackets = zip(row[change].tolist(), k[change].tolist(), i[change].tolist())
-        refined = [brentq(_closure, grid[c], grid[c + 1], args=(rho, strings[r], kk),
-                          xtol=_FAR_ANGLE, rtol=ROOT_RTOL) for r, kk, c in brackets]
-        found.append((row[change], k[change], np.array(refined, dtype=float)))
+        brackets.append((row[change], k[change], i[change]))
+    row, k, i = (np.concatenate(v) for v in zip(*brackets))
+    found.append((row, k, brentq(lambda t, e, kk: _closure_rows(t, rho, e, kk),
+                                 grid[i], grid[i + 1], args=(strings[row], k))))
 
     # Double roots hide at interior extrema of F, i.e. zeros of delta; each
     # is tested against the level nearest to F there.
     row, i, prev, here, after = sign_cells
     zero = _isolated_zero(i, prev, here, after, 0.0, last)
     change = (i < last) & _sign_change(here, after, 0.0)
-    refined = [brentq(_delta, grid[c], grid[c + 1], args=(rho, strings[r]), xtol=_FAR_ANGLE,
-                      rtol=ROOT_RTOL) for r, c in zip(row[change].tolist(), i[change].tolist())]
+    refined = brentq(lambda t, e: _delta_rows(t, rho, e), grid[i[change]], grid[i[change] + 1],
+                     args=(strings[row[change]],))
     row = np.concatenate([row[zero], row[change]])
-    theta = np.concatenate([grid[i[zero]], np.array(refined, dtype=float)])
+    theta = np.concatenate([grid[i[zero]], refined])
     alphas = _half_angles(rho, theta)
     closure = (strings[row] * alphas).sum(axis=1)
     k = np.rint(closure / math.pi)

@@ -224,6 +224,42 @@ def test_render_single_file(tmp_path):
     assert 'marker-end="url(#arrow)"' in text
 
 
+def test_render_labels_a_configuration_with_its_measured_winding(tmp_path):
+    # no eps or k recorded: both are measured, the square's winding is 1
+    pts, _, _ = regular_polygon_points(4)
+    config_file = _write(tmp_path / "square.json", {"points": pts.tolist()})
+    out = tmp_path / "square.svg"
+    assert main(["render", "-i", config_file, "-o", str(out)]) == 0
+    assert "E=++++ k=1 " in out.read_text()
+
+
+def _mirror_and_pop(rec):
+    """The record mirrored across the pinned edge, one eps entry dropped."""
+    return dict(rec, eps=rec["eps"][:-1], points=[[-x, y] for x, y in rec["points"]],
+                center=[-rec["center"][0], rec["center"][1]])
+
+
+@pytest.mark.parametrize("change, message", [
+    # drawn as E=---- k=-1 before: the points are the mirror, +++++ at k = 1
+    (_mirror_and_pop, "record 0: recorded orientation string disagrees with the geometry"),
+    (lambda rec: dict(rec, eps=[-v for v in rec["eps"]]),
+     "record 0: recorded orientation string disagrees with the geometry"),
+    (lambda rec: dict(rec, k=rec["k"] + 1),
+     "record 0: recorded winding 0 disagrees with the geometry (winding -1)"),
+], ids=["mirrored-eps-popped", "eps-flipped", "k+1"])
+def test_render_refuses_a_label_the_points_contradict(tmp_path, capsys, change, message):
+    linkage_file = _write(tmp_path / "linkage.json", {"lengths": [1.0, 1.2, 1.4, 1.1, 0.9]})
+    artifact = tmp_path / "enum.json"
+    assert main(["enumerate", "-i", linkage_file, "-o", str(artifact)]) == 0
+    data = json.loads(artifact.read_text())
+    data["configurations"][0] = change(data["configurations"][0])
+    bad = _write(tmp_path / "bad.json", data)
+    capsys.readouterr()
+    assert main(["render", "-i", bad, "-o", str(tmp_path / "bad.svg")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "bad.svg").exists()
+
+
 def test_render_empty_artifact(tmp_path):
     artifact = _write(tmp_path / "empty.json",
                       {"lengths": [1, 1, 1], "configurations": []})
@@ -287,6 +323,8 @@ MALFORMED = [
     ("render", "point-not-a-number", lambda data: {"points": [["x", 1], [0, 1], [1, 1]]}, 2),
     ("render", "record-is-a-string", _first_record(lambda rec: "abc"), 2),
     ("render", "r-not-a-number", _first_record(lambda rec: dict(rec, r="abc")), 2),
+    ("render", "r-negative", _first_record(lambda rec: dict(rec, r=-rec["r"])), 2),
+    ("render", "center-nan", _first_record(lambda rec: dict(rec, center=[math.nan, 0.5])), 2),
     # render reads k and eps by verify's rules: int() overflowed on Infinity
     # and truncated -1.5, and float() drew 1.7 as +
     ("render", "k-infinite", _first_record(lambda rec: dict(rec, k=math.inf)), 2),

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -560,6 +564,83 @@ def test_block_scan_matches_per_string_scan(linkage):
     assert [(it.descriptor.winding, it.descriptor.eps.eps, it.flags) for it in items] == \
         [(k, eps, flags) for k, eps, flags, _ in expected]
     assert [it.descriptor.radius for it in items] == [r for *_, r in expected]
+
+
+def _brentq_fixtures():
+    rng = np.random.default_rng(47)
+    yield from (pytest.param(random_linkage(rng, n), id=f"seeded_{n}") for n in range(4, 13))
+    yield pytest.param(Linkage(QUAD_WALL_8), id="quad_wall_1e-8")
+    yield pytest.param(Linkage(QUAD_WALL_6), id="quad_wall_1e-6")
+
+
+def _alone(f, rows=()):
+    """f of one bracket's rows as a function of a float, for scipy."""
+    return lambda t: float(f(np.array([t]), *rows)[0])
+
+
+@pytest.mark.parametrize("linkage", list(_brentq_fixtures()))
+def test_brentq_matches_scipy_on_every_bracket(linkage, monkeypatch):
+    """The scan refines its closure brackets in one batched call and its
+    delta brackets in another; each root is the one scipy's brentq finds on
+    that bracket alone, bit for bit."""
+    calls = []
+    batched = solver.brentq
+
+    def recording(f, a, b, args=()):
+        roots = batched(f, a, b, args)
+        calls.append((f, a, b, args, roots))
+        return roots
+
+    monkeypatch.setattr(solver, "brentq", recording)
+    enumerate_cyclic(linkage)
+    assert len(calls) == 2 and calls[0][4].size > 0 and calls[1][4].size > 0
+    for f, a, b, args, roots in calls:
+        for j, root in enumerate(roots.tolist()):
+            assert root == brentq(_alone(f, [arg[j:j + 1] for arg in args]), a[j], b[j],
+                                  xtol=solver._FAR_ANGLE, rtol=solver.ROOT_RTOL,
+                                  maxiter=solver._MAXITER)
+
+
+def test_brentq_rows_end_alone():
+    # an exact zero at either end is the root; the other rows go on without it
+    a, b = np.array([0.0, 0.0, 1.0, -1.0]), np.array([1.0, 2.0, 3.0, 0.5])
+    shift = np.array([0.0, 0.3, 27.0, -0.5])
+
+    def f(x, c):
+        return x ** 3 - c
+
+    roots = solver.brentq(f, a, b, args=(shift,))
+    assert roots.tolist() == [brentq(_alone(f, [shift[j:j + 1]]), a[j], b[j],
+                                     xtol=solver._FAR_ANGLE, rtol=solver.ROOT_RTOL)
+                              for j in range(4)]
+    assert roots[0] == 0.0 and roots[2] == 3.0
+
+
+@pytest.mark.parametrize("f, a, b, error, match", [
+    # bisection lands on the NaN at 0.5
+    (lambda x: np.where(np.abs(x - 0.5) < 0.01, np.nan, x - 0.5), 0.0, 1.0, ValueError, "NaN"),
+    (lambda x: x + 1.0, 0.0, 1.0, ValueError, "different signs"),
+    # a step at 0 takes about 660 bisections to close in to xtol = 1e-200
+    (lambda x: np.where(x >= 0.0, 1.0, -1.0), -1.0, 2.0, RuntimeError, "converge"),
+], ids=["nan", "same-sign", "no-convergence"])
+def test_brentq_refuses_as_scipy_does(f, a, b, error, match):
+    with pytest.raises(error, match=match):
+        solver.brentq(f, np.array([a]), np.array([b]))
+    with pytest.raises(error, match=match):
+        brentq(_alone(f), a, b, xtol=solver._FAR_ANGLE, rtol=solver.ROOT_RTOL,
+               maxiter=solver._MAXITER)
+
+
+def test_import_loads_numpy_only():
+    # scipy is a test dependency: the package itself must not import it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, linkmorse; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_solve_radii_matches_per_string_scan():
