@@ -68,8 +68,9 @@ def _gradient_rows(pts: np.ndarray) -> np.ndarray:
 
 
 def _regular_rows(pts: np.ndarray):
-    """Constraint Jacobians, the V^T factors of one batched SVD, and per row
-    the :class:`NonRegularPointError` of a rank below n-1 (or None).
+    """Constraint Jacobians, the factors ``(U, s, V^T)`` of one batched SVD
+    of them, and per row the :class:`NonRegularPointError` of a rank below
+    n-1 (or None).
 
     Jacobian row i - 1 (edge i = 1..n-1) carries ``2(p_i - p_{i+1})`` in the
     columns of p_i and its negative in those of p_{i+1}, where free.
@@ -82,26 +83,27 @@ def _regular_rows(pts: np.ndarray):
     jac[:, tail[:, None] - 1, 2 * (tail[:, None] - 2) + pair] += d[:, tail]
     head = np.arange(1, n - 1)  # edges whose second endpoint is free
     jac[:, head[:, None] - 1, 2 * (head[:, None] - 1) + pair] -= d[:, head]
-    _, svals, vt = np.linalg.svd(jac, full_matrices=True)
+    u, svals, vt = np.linalg.svd(jac, full_matrices=True)
     errors = _refusals((svals[:, -1] <= RANK_TOL * svals[:, 0])[:, None],
                        lambda row, _: NonRegularPointError(
                            f"constraint Jacobian rank deficient (sigma_min/sigma_max = "
                            f"{svals[row, -1] / svals[row, 0]:.3e})"))
-    return jac, vt, errors
+    return jac, (u, svals, vt), errors
 
 
-def _stationarity_rows(pts: np.ndarray, jac: np.ndarray):
+def _stationarity_rows(pts: np.ndarray, jac: np.ndarray, u: np.ndarray, svals: np.ndarray,
+                       vt: np.ndarray):
     """Least-squares Lagrange multipliers and normalized stationarity gaps
-    per row: ``J^T lambda = grad A`` solved in the least-squares sense, and
-    ``||grad A - J^T lambda|| / max(1, ||grad A||)``.  At a cyclic
-    configuration the gap vanishes to solver precision; for a triangle the
-    moduli space is zero-dimensional and the system is square.  ``lstsq``
-    has no stacked form, so it runs once per row."""
+    per row of full rank, from the SVD ``J = U diag(s) V^T`` of its
+    Jacobian: ``J^T lambda = grad A`` solved in the least-squares sense,
+    ``lambda = U diag(1/s) V_1^T grad A`` with ``V_1^T`` the first n-1 rows
+    of ``V^T``, and ``||grad A - J^T lambda|| / max(1, ||grad A||)``
+    against the explicit Jacobian.  At a cyclic configuration the gap
+    vanishes to solver precision; for a triangle the moduli space is
+    zero-dimensional and the system is square."""
     grad = _gradient_rows(pts)
     jac_t = jac.transpose(0, 2, 1)
-    lam = np.empty(jac.shape[:2])
-    for row in range(lam.shape[0]):
-        lam[row] = np.linalg.lstsq(jac_t[row], grad[row], rcond=None)[0]
+    lam = (u @ ((vt[:, :jac.shape[1]] @ grad[:, :, None]) / svals[:, :, None]))[:, :, 0]
     gap = grad - (jac_t @ lam[:, :, None])[:, :, 0]
     return lam, np.sqrt(_dot_rows(gap, gap)) / np.maximum(1.0, np.sqrt(_dot_rows(grad, grad)))
 
@@ -138,12 +140,13 @@ def _projected_rows(lagrangian: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def _inertia_rows(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalue inertia (negatives, zeros, positives) of stacked symmetric
-    matrices, shape (rows, 3)."""
+    """Eigenvalue inertia (negatives, zeros, positives) of stacked matrices,
+    shape (rows, 3).  The matrices must be exactly symmetric, as
+    :func:`_projected_rows` makes them."""
     rows, k = mats.shape[:2]
     if k == 0:
         return np.zeros((rows, 3), dtype=int)
-    evals = np.linalg.eigvalsh(0.5 * (mats + mats.transpose(0, 2, 1)))
+    evals = np.linalg.eigvalsh(mats)
     scale = np.abs(evals).max(axis=1)
     cutoff = np.where(scale > 0.0, EIGEN_ZERO_TOL * scale, EIGEN_ZERO_TOL)[:, None]
     neg = (evals < -cutoff).sum(axis=1)
@@ -156,10 +159,11 @@ def _verdict_rows(pts: np.ndarray) -> list:
     :class:`OracleVerdict`, or the :class:`NonRegularPointError` of a
     singular point."""
     n = pts.shape[1]
-    jac, vt, out = _regular_rows(pts)
+    jac, svd, out = _regular_rows(pts)
     regular = np.array([error is None for error in out], dtype=bool)
-    lam, residual = _stationarity_rows(pts[regular], jac[regular])
-    basis = vt[regular, n - 1:].transpose(0, 2, 1)
+    u, svals, vt = (factor[regular] for factor in svd)
+    lam, residual = _stationarity_rows(pts[regular], jac[regular], u, svals, vt)
+    basis = vt[:, n - 1:].transpose(0, 2, 1)
     inertias = _inertia_rows(_projected_rows(_lagrangian_rows(lam), basis)).tolist()
     for row, multipliers, gap, (neg, zer, pos) in zip(np.flatnonzero(regular).tolist(), lam,
                                                       residual.tolist(), inertias):

@@ -32,14 +32,16 @@ def _gradient(points):
 
 
 def _jacobian(points):
-    return oracle._regular_rows(np.asarray(points, dtype=float)[None])[0][0]
+    jac, _, _ = oracle._regular_rows(np.asarray(points, dtype=float)[None])
+    return jac[0]
 
 
 def _tangent_basis(points):
     """Orthonormal basis of the constraint tangent space (columns): the rows
     of V^T past the n - 1 singular values."""
     pts = np.asarray(points, dtype=float)
-    return oracle._regular_rows(pts[None])[1][0, pts.shape[0] - 1:].T
+    _, (_, _, vt), _ = oracle._regular_rows(pts[None])
+    return vt[0, pts.shape[0] - 1:].T
 
 
 def _projected_hessian(lam, basis):
@@ -283,11 +285,16 @@ def test_one_svd_per_verdict(monkeypatch):
         calls.append(1)
         return svd(*args, **kwargs)
 
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("the multipliers come from the SVD, not lstsq")
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
     verdict = oracle_index(item.configuration, linkage)
     assert len(calls) == 1
     pts = item.configuration.points[None]
-    lam, residual = oracle._stationarity_rows(pts, oracle._regular_rows(pts)[0])
+    jac, factors, _ = oracle._regular_rows(pts)
+    lam, residual = oracle._stationarity_rows(pts, jac, *factors)
     lam, residual = lam[0], float(residual[0])
     assert residual == verdict.residual
     assert np.array_equal(lam, verdict.multipliers)

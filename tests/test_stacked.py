@@ -4,11 +4,12 @@ cases of the stack shapes, and the per-row loops they replaced as
 references."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_linkage, random_valid_configuration
+from conftest import edge_lengths, pin_points, random_linkage, random_valid_configuration
 from linkmorse import Configuration, Linkage, analyze_linkage, enumerate_cyclic, oracle_index
 from linkmorse import analysis, geometry, morse, oracle
 from linkmorse.errors import NonRegularPointError
@@ -105,9 +106,36 @@ def test_singular_row_keeps_its_refusal_in_a_stack():
             (one.residual, one.inertia, one.det_sign)
 
 
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_rank_deficient_row_among_regular_rows(n):
+    # folded flat onto the pinned edge: every edge is parallel to it, and the
+    # Jacobian's smallest singular value is exactly 0
+    flat = np.zeros((n, 2))
+    flat[1::2, 1] = 1.0
+    if n % 2:
+        flat[-1, 1] = 0.5
+    rng = np.random.default_rng(n)
+    regular = [item.configuration.points for item in enumerate_cyclic(random_linkage(rng, n))][:6]
+    regular += [random_valid_configuration(rng, n)[1].points for _ in range(3)]
+    middle = len(regular) // 2
+    pts = np.stack(regular[:middle] + [flat] + regular[middle:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        verdicts = oracle._verdict_rows(pts)
+    (alone,) = oracle._verdict_rows(flat[None])
+    assert isinstance(verdicts[middle], NonRegularPointError)
+    assert "sigma_min/sigma_max = 0.000e+00" in str(alone)
+    assert str(verdicts[middle]) == str(alone)
+    for verdict, points in zip(verdicts[:middle] + verdicts[middle + 1:], regular):
+        assert _verdict_fields(verdict) == _verdict_fields(oracle._verdict_rows(points[None])[0])
+
+
 # ---------------------------------------------------------------------------
-# The per-row loops the kernels replaced, kept as references: the arithmetic
-# is unchanged, so the values must be equal, not close.
+# The per-row loops the kernels replaced, kept as references.  The area,
+# convexity and Jacobian kernels do the loops' arithmetic, so their values
+# must be equal, not close.  The multipliers come from the Jacobian's SVD
+# instead of one least-squares solve per row: they must agree to 1e-12
+# relative, the stationarity gaps to 1e-13 absolute, and the inertia exactly.
 
 
 def _loop_area(pts):
@@ -153,22 +181,41 @@ def _loop_stationarity(pts, jac):
     return lam, residual
 
 
+def _cyclic_configuration(rng, n):
+    """Vertices at random angles on the unit circle, in the pinned frame: a
+    cyclic configuration, so a critical point of the area, at any n without
+    an enumeration."""
+    while True:
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        pts = pin_points(np.stack([np.cos(theta), np.sin(theta)], axis=1))
+        if edge_lengths(pts).min() > 0.1:
+            return pts
+
+
 def test_kernels_match_the_per_row_loops():
     rng = np.random.default_rng(37)
-    for n in (3, 4, 5, 8, 11):
-        linkage = random_linkage(rng, n)
-        stacks = [np.stack([item.configuration.points for item in enumerate_cyclic(linkage)]),
+    for n in range(3, 17):
+        stacks = [np.stack([_cyclic_configuration(rng, n) for _ in range(20)]),
                   np.stack([random_valid_configuration(rng, n)[1].points for _ in range(20)])]
+        if n <= 11:
+            items = enumerate_cyclic(random_linkage(rng, n))
+            stacks.append(np.stack([item.configuration.points for item in items]))
         for pts in stacks:
             assert geometry._signed_areas(pts).tolist() == [_loop_area(p) for p in pts]
             assert geometry._convex_rows(pts).tolist() == [_loop_convex(p) for p in pts]
-            jac, _, errors = oracle._regular_rows(pts)
+            jac, svd, errors = oracle._regular_rows(pts)
+            assert errors == [None] * len(pts)
             assert all(np.array_equal(j, _loop_jacobian(p)) for j, p in zip(jac, pts))
-            lam, residual = oracle._stationarity_rows(pts, jac)
-            for p, j, row, gap in zip(pts, jac, lam, residual.tolist()):
-                loop_lam, loop_gap = _loop_stationarity(p, j)
-                assert row.tolist() == loop_lam.tolist()
-                assert gap == loop_gap
+            lam, residual = oracle._stationarity_rows(pts, jac, *svd)
+            loop_lam, loop_gap = map(np.array, zip(*map(_loop_stationarity, pts, jac)))
+            assert np.all(np.abs(lam - loop_lam).max(axis=1)
+                          <= 1e-12 * np.abs(loop_lam).max(axis=1))
+            assert np.all(np.abs(residual - loop_gap) <= 1e-13)
+            basis = svd[2][:, n - 1:].transpose(0, 2, 1)
+            loop_inertia = oracle._inertia_rows(
+                oracle._projected_rows(oracle._lagrangian_rows(loop_lam), basis))
+            assert [verdict.inertia for verdict in oracle._verdict_rows(pts)] == \
+                list(map(tuple, loop_inertia.tolist()))
 
 
 # ---------------------------------------------------------------------------
