@@ -30,6 +30,7 @@ from .geometry import (
 from .solver import (
     CyclicConfiguration,
     CyclicDescriptor,
+    CyclicTable,
     DegeneracyFlags,
     delta_at_angle,
     enumerate_cyclic,
@@ -56,6 +57,7 @@ from .deform import (
     vertex_angles,
 )
 from .analysis import (
+    AnalysisTable,
     ConfigurationAnalysis,
     analyze_linkage,
     index_summary,

@@ -1,9 +1,10 @@
 """Pipeline gluing enumeration, the sign formulas, and the numerical oracle.
 
-One :class:`ConfigurationAnalysis` per enumerated cyclic configuration holds
-the descriptor, coordinates, degeneracy flags, signed area, closed-form
-Morse data (when the configuration is generic enough for the formulas), the
-oracle verdict, and their agreement.
+:func:`analyze_linkage` adds to the columns of the enumeration the signed
+area, convexity, closed-form Morse data (when the configuration is generic
+enough for the formulas), the oracle verdict, and their agreement, as one
+:class:`AnalysisTable`; a :class:`ConfigurationAnalysis` is a view of one
+of its rows, built on demand.
 
 The analysis is an array computation over a stack of configurations: the
 points of a chunk of them, shape (rows, n, 2), go through the stacked
@@ -15,14 +16,15 @@ its own refusal.  One kernel, :func:`_analyze_rows`, serves both
 checks them as one stack and passes the records that pass; both compare
 formula and oracle by one rule, :func:`_agreement`.  JSON encoding and
 decoding of enumeration artifacts lives here too; :func:`write_enumeration`
-writes an artifact record by record.
+formats an artifact from the columns, a chunk of records at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,13 +39,14 @@ from .geometry import (
     _refusals,
     _signed_areas,
 )
-from .morse import MorseReport, SignReport, _closed_form_rows
-from .oracle import OracleVerdict, _verdict_rows
+from .morse import MorseReport, SignReport, _closed_form_rows, _reports
+from .oracle import OracleVerdict, _verdict, _verdict_rows
 from .solver import (
     CLOSURE_TOL,
     DEGENERACY_TOL,
     ROOT_RTOL,
     CyclicDescriptor,
+    CyclicTable,
     DegeneracyFlags,
     _flag_rows,
     enumerate_cyclic,
@@ -59,10 +62,23 @@ CRITICALITY_TOL = 1e-8
 # is, as solver._BLOCK bounds the scan's tables.
 _CHUNK = 2 ** 16
 
+# The refusal of both sides on a flagged (near-degenerate) configuration.
+_FLAGGED = "flagged non-generic"
+
+# index_source by code: no index, the oracle's, the formula's.
+_INDEX_SOURCES = np.array([None, "oracle", "formula"], dtype=object)
+
 
 @dataclass(frozen=True)
 class ConfigurationAnalysis:
-    """Everything computed about one enumerated configuration."""
+    """Everything computed about one enumerated configuration: a view of
+    one row of an :class:`AnalysisTable`.
+
+    ``index`` is the Morse index: the closed-form value when available,
+    otherwise the oracle count of negative eigenvalues (used for
+    configurations whose subconfiguration sequence is degenerate), and
+    ``index_source`` says which; ``agree`` is :func:`_agreement`'s verdict.
+    """
 
     descriptor: CyclicDescriptor
     configuration: Configuration
@@ -74,40 +90,93 @@ class ConfigurationAnalysis:
     morse_error: str | None
     oracle: OracleVerdict | None
     oracle_error: str | None
-
-    @property
-    def index(self) -> int | None:
-        """Morse index: the closed-form value when available, otherwise the
-        oracle count of negative eigenvalues (used for configurations whose
-        subconfiguration sequence is degenerate)."""
-        if self.morse is not None:
-            return self.morse.index
-        if self.oracle is not None and self.oracle.is_morse:
-            return self.oracle.index
-        return None
-
-    @property
-    def index_source(self) -> str | None:
-        if self.morse is not None:
-            return "formula"
-        if self.oracle is not None and self.oracle.is_morse:
-            return "oracle"
-        return None
-
-    @property
-    def agree(self) -> bool | None:
-        return _agreement(self.signs, self.morse, self.oracle)
+    index: int | None
+    index_source: str | None
+    agree: bool | None
 
 
-def _agreement(signs, morse, verdict) -> bool | None:
-    """Formula against oracle: the determinant sign always, the index too
-    when its formula applies.  None when either side has no sign."""
-    if signs is None or verdict is None or not verdict.is_morse:
-        return None
-    return signs.h_sign == verdict.det_sign and (morse is None or morse.index == verdict.index)
+@dataclass(frozen=True)
+class AnalysisTable(CyclicTable):
+    """The columns of :class:`CyclicTable` and, per row, the analysis.
+
+    ``area`` and ``convex``; the closed form: ``signed`` (whether the sign
+    data exists), ``delta``, ``positives``, ``h_sign``, ``h_sequence``,
+    ``formula_index`` and ``morse_error``; the oracle: ``multipliers``,
+    ``residual``, ``inertia``, ``det_sign``, ``oracle_index`` and
+    ``oracle_error``; and ``index``, ``index_source`` and ``agree``.  Error
+    texts, ``index_source`` and ``agree`` are object columns holding None
+    where a row has no value; a missing index is -1, and a row refused by
+    a side holds NaN or 0 in that side's numeric columns.  An integer index
+    gives the row's :class:`ConfigurationAnalysis` view.
+    """
+
+    area: np.ndarray
+    convex: np.ndarray
+    signed: np.ndarray
+    delta: np.ndarray
+    positives: np.ndarray
+    h_sign: np.ndarray
+    h_sequence: np.ndarray
+    formula_index: np.ndarray
+    morse_error: np.ndarray
+    multipliers: np.ndarray
+    residual: np.ndarray
+    inertia: np.ndarray
+    det_sign: np.ndarray
+    oracle_index: np.ndarray
+    oracle_error: np.ndarray
+    index: np.ndarray
+    index_source: np.ndarray
+    agree: np.ndarray
+
+    def _row(self, j: int) -> ConfigurationAnalysis:
+        item = super()._row(j)
+        signs, morse = _reports(self.delta[j], self.positives[j], self.h_sequence[j],
+                                self.signed[j], self.morse_error[j])
+        oracle = None
+        if self.oracle_error[j] is None:
+            oracle = _verdict(self.multipliers[j], self.residual[j], self.inertia[j],
+                              self.det_sign[j])
+        index = int(self.index[j])
+        return ConfigurationAnalysis(
+            descriptor=item.descriptor, configuration=item.configuration, flags=item.flags,
+            area=float(self.area[j]), convex=bool(self.convex[j]), signs=signs, morse=morse,
+            morse_error=self.morse_error[j], oracle=oracle, oracle_error=self.oracle_error[j],
+            index=None if index < 0 else index, index_source=self.index_source[j],
+            agree=self.agree[j])
 
 
-def _chunks(items: list, n: int):
+def _refused_columns(rows: int, n: int) -> dict:
+    """The analysis columns of ``rows`` flagged configurations, on which
+    both sides refused."""
+    return dict(
+        signed=np.zeros(rows, dtype=bool), delta=np.full(rows, np.nan),
+        positives=np.zeros(rows, dtype=int), h_sign=np.zeros(rows, dtype=int),
+        h_sequence=np.zeros((rows, n - 2), dtype=int),
+        formula_index=np.full(rows, -1), morse_error=np.full(rows, _FLAGGED, dtype=object),
+        multipliers=np.full((rows, n - 1), np.nan), residual=np.full(rows, np.nan),
+        inertia=np.zeros((rows, 3), dtype=int), det_sign=np.zeros(rows, dtype=int),
+        oracle_index=np.full(rows, -1), oracle_error=np.full(rows, _FLAGGED, dtype=object),
+        index=np.full(rows, -1), index_source=np.full(rows, None, dtype=object),
+        agree=np.full(rows, None, dtype=object))
+
+
+def _agreement(cols: dict):
+    """Formula against oracle, per row of analysis columns: the determinant
+    sign always, the index too when its formula applies; None when either
+    side has no sign.  Returns the ``agree``, ``index`` and ``index_source``
+    columns."""
+    formula = cols["signed"] & (cols["morse_error"] == None)  # noqa: E711
+    morse = (cols["oracle_error"] == None) & (cols["inertia"][:, 1] == 0)  # noqa: E711
+    both = cols["signed"] & morse
+    agree = np.full(both.size, None, dtype=object)
+    agree[both] = ((cols["h_sign"] == cols["det_sign"])
+                   & (~formula | (cols["formula_index"] == cols["oracle_index"])))[both].tolist()
+    index = np.where(formula, cols["formula_index"], np.where(morse, cols["oracle_index"], -1))
+    return agree, index, _INDEX_SOURCES[np.where(formula, 2, morse.astype(int))]
+
+
+def _chunks(items, n: int):
     """Consecutive slices of ``items`` of at most ``_CHUNK // m^2`` rows,
     ``m = 2(n - 2)`` free coordinates."""
     step = max(1, _CHUNK // (2 * (n - 2)) ** 2)
@@ -115,65 +184,64 @@ def _chunks(items: list, n: int):
         yield items[start:start + step]
 
 
-def _analyze_rows(points, centers, radii, flagged) -> list:
-    """Per stacked configuration, shape (rows, n, 2), on its circle:
-    ``(eps, signs, morse, error, verdict)``.  An unflagged row gets
-    :func:`morse._closed_form_rows`, its measured orientation string first; a
-    flagged (near-degenerate) one, where the closed form does not hold, gets
-    Nones.  Every row gets the oracle's verdict or its NonRegularPointError."""
-    live = np.flatnonzero(~flagged).tolist()
-    closed = {j: (eps, *rest) for j, (eps, _, *rest)
-              in zip(live, _closed_form_rows(points[live], centers[live], radii[live]))}
-    return [closed.get(j, (None,) * 4) + (verdict,)
-            for j, verdict in enumerate(_verdict_rows(points))]
+def _analyze_rows(points, centers, radii, flagged):
+    """The analysis of stacked configurations, shape (rows, n, 2), on their
+    circles: the orientation strings the closed form measures (a row of
+    zeros where it measures none), and a dict of :class:`AnalysisTable`
+    columns but area and convexity.  An unflagged row gets
+    :func:`morse._closed_form_rows`; a flagged (near-degenerate) one, where
+    the closed form does not hold, is refused as flagged.  Every row gets
+    the oracle's verdict or its NonRegularPointError."""
+    rows, n = points.shape[:2]
+    cols = _refused_columns(rows, n)
+    measured = np.zeros((rows, n), dtype=int)
+    live = np.flatnonzero(~flagged)
+    form = _closed_form_rows(points[live], centers[live], radii[live])
+    unmeasured = np.array([cause is not None for cause in form.central], dtype=bool)
+    measured[live] = np.where(unmeasured[:, None], 0, form.eps)
+    cols["signed"][live] = [cause is None for cause in form.sign_errors]
+    for name, value in (("delta", form.delta), ("positives", form.positives),
+                        ("h_sign", form.h_sign), ("h_sequence", form.h_sequence),
+                        ("formula_index", form.index), ("morse_error", form.errors)):
+        cols[name][live] = value
+    (cols["multipliers"], cols["residual"], cols["inertia"], cols["det_sign"],
+     errors) = _verdict_rows(points)
+    regular = np.array([error is None for error in errors], dtype=bool)
+    cols["oracle_index"] = np.where(regular, cols["inertia"][:, 0], -1)
+    cols["oracle_error"] = np.array([None if error is None else str(error) for error in errors],
+                                    dtype=object)
+    cols["agree"], cols["index"], cols["index_source"] = _agreement(cols)
+    return measured, cols
 
 
-def analyze_linkage(linkage: Linkage) -> list:
+def analyze_linkage(linkage: Linkage) -> AnalysisTable:
     """Enumerate all cyclic configurations and analyze them, a chunk of
-    configurations at a time as one stack of points.  Flagged items skip the
+    configurations at a time as one stack of points.  Flagged rows skip the
     closed form and the oracle, whose comparison would be meaningless on the
-    degeneracy boundary."""
-    # a flagged item reads as refused by both sides
-    flagged = (None, None, None, "flagged non-generic", LinkmorseError("flagged non-generic"))
-    out = []
-    for chunk in _chunks(enumerate_cyclic(linkage), linkage.n):
-        points = np.stack([item.configuration.points for item in chunk])
-        live = [j for j, item in enumerate(chunk) if not item.flags.any]
-        descs = [chunk[j].descriptor for j in live]
-        results = dict(zip(live, _analyze_rows(
-            points[live], np.array([d.center for d in descs]).reshape(-1, 2),
-            np.array([d.radius for d in descs]), np.zeros(len(live), dtype=bool))))
-        for j, (item, area, convex) in enumerate(zip(chunk, _signed_areas(points).tolist(),
-                                                     _convex_rows(points).tolist())):
-            _, signs, morse, morse_error, verdict = results.get(j, flagged)
-            refused = isinstance(verdict, LinkmorseError)
-            out.append(ConfigurationAnalysis(
-                descriptor=item.descriptor, configuration=item.configuration, flags=item.flags,
-                area=area, convex=convex, signs=signs, morse=morse, morse_error=morse_error,
-                oracle=None if refused else verdict,
-                oracle_error=str(verdict) if refused else None))
-    return out
+    degeneracy boundary, and read as refused by both sides.  Returns an
+    :class:`AnalysisTable` in the order of :func:`enumerate_cyclic`."""
+    table = enumerate_cyclic(linkage)
+    cols = _refused_columns(len(table), linkage.n)
+    for rows in _chunks(np.flatnonzero(~table.flagged), linkage.n):
+        _, chunk = _analyze_rows(table.points[rows], table.center[rows], table.radius[rows],
+                                 np.zeros(rows.size, dtype=bool))
+        for name, value in chunk.items():
+            cols[name][rows] = value
+    return AnalysisTable(**{f.name: getattr(table, f.name) for f in fields(table)},
+                         area=_signed_areas(table.points), convex=_convex_rows(table.points),
+                         **cols)
 
 
-def index_summary(analyses: list) -> str:
+def index_summary(analyses: AnalysisTable) -> str:
     """Human-readable count per Morse index, e.g.
     '14 configurations: index 0 x2, index 1 x10, index 2 x2'."""
-    counts: dict = {}
-    flagged = 0
-    unknown = 0
-    for a in analyses:
-        if a.flags.any:
-            flagged += 1
-        idx = a.index
-        if idx is None:
-            if not a.flags.any:
-                unknown += 1
-            continue
-        counts[idx] = counts.get(idx, 0) + 1
-    parts = [f"index {m} x{counts[m]}" for m in sorted(counts)]
+    counts = np.bincount(analyses.index[analyses.index >= 0])
+    parts = [f"index {m} x{c}" for m, c in enumerate(counts.tolist()) if c]
     text = f"{len(analyses)} configurations"
     if parts:
         text += ": " + ", ".join(parts)
+    flagged = int(analyses.flagged.sum())
+    unknown = int((~analyses.flagged & (analyses.index < 0)).sum())
     if flagged:
         text += f" ({flagged} flagged)"
     if unknown:
@@ -184,52 +252,85 @@ def index_summary(analyses: list) -> str:
 # ---------------------------------------------------------------------------
 # JSON artifacts
 
+# Values formatted per chunk of artifact records: the chunk's text is a few
+# MB whatever the number of records.
+_WRITE_CHUNK = 2 ** 15
 
-def record_dict(analysis: ConfigurationAnalysis) -> dict:
-    """The wire record of one configuration."""
-    desc = analysis.descriptor
-    return {
-        "eps": list(desc.eps.eps),
-        "k": desc.winding,
-        "r": float(desc.radius),
-        "center": [float(v) for v in desc.center],
-        "points": [[float(x), float(y)] for x, y in analysis.configuration.points],
-        "area": float(analysis.area),
-        "flags": analysis.flags.to_json_dict(),
-    }
-
-
-def enumeration_dict(linkage: Linkage, analyses: list, seed: int | None = None) -> dict:
-    """Envelope around the record array: linkage, seed, and the solver's
-    tolerances are recorded so runs are reproducible from the artifact alone."""
-    return {
-        "lengths": [float(v) for v in linkage.lengths],
-        "seed": seed,
-        "tolerances": {
-            "root_rtol": ROOT_RTOL,
-            "degeneracy": DEGENERACY_TOL,
-            "closure": CLOSURE_TOL,
-        },
-        "configurations": [record_dict(a) for a in analyses],
-    }
+# The JSON text of False and True, indexed by the bytes of a mask.
+_JSON_BOOLS = np.array(["false", "true"], dtype=object)
 
 
 def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
-def write_enumeration(stream, linkage: Linkage, analyses, seed: int | None = None) -> None:
-    """Write the artifact of ``analyses`` to ``stream`` record by record: the
-    text of ``dump_json(enumeration_dict(linkage, analyses, seed))``, without
-    holding the envelope or the whole text."""
-    head, tail = dump_json(enumeration_dict(linkage, [], seed)).rsplit("[]", 1)
+@functools.lru_cache(maxsize=None)
+def _record_template(n: int) -> str:
+    """The text ``json.dumps(record, indent=2)`` gives a wire record of n
+    edges nested in the envelope's list, with a ``{}`` field for each value,
+    in the order eps, k, r, center, points, area, central, near_flip,
+    delta_zero."""
+    value = "\0"
+    record = {"eps": [value] * n, "k": value, "r": value, "center": [value] * 2,
+              "points": [[value] * 2] * n, "area": value,
+              "flags": {"central": [value] * n, "near_flip": [value] * n, "delta_zero": value}}
+    text = json.dumps(record, indent=2).replace("{", "{{").replace("}", "}}")
+    return "    " + text.replace(json.dumps(value), "{}").replace("\n", "\n    ")
+
+
+def _nonfinite_refusal(analyses: AnalysisTable):
+    """The refusal of the first record with a NaN or infinite value, None
+    when every written float is finite: JSON has no text for them."""
+    bad = [(name, ~np.isfinite(column).all(axis=tuple(range(1, column.ndim))))
+           for name, column in (("r", analyses.radius), ("center", analyses.center),
+                                ("points", analyses.points), ("area", analyses.area))]
+    worst = [(int(mask.argmax()), order, name) for order, (name, mask) in enumerate(bad)
+             if mask.any()]
+    if worst:
+        row, _, name = min(worst)
+        return LinkmorseError(f"record {row}: field {name!r} is not finite")
+    return None
+
+
+def write_enumeration(stream, linkage: Linkage, analyses: AnalysisTable,
+                      seed: int | None = None) -> None:
+    """Write the enumeration artifact of ``analyses`` to ``stream``: the
+    envelope ``dump_json`` gives the linkage, the seed, the solver's
+    tolerances and the wire record of every row, so runs are reproducible
+    from the artifact alone.
+
+    The records are formatted from the columns by one template, a chunk of
+    :data:`_WRITE_CHUNK` values at a time, so the whole text is never held:
+    ``str.format`` writes a Python float as ``float.__repr__``, json's own
+    float encoder.  Raises :class:`LinkmorseError` before writing anything
+    when a record holds a NaN or infinite value, which JSON cannot carry.
+    """
+    refusal = _nonfinite_refusal(analyses)
+    if refusal is not None:
+        raise refusal
+    n, rows = linkage.n, len(analyses)
+    head, tail = dump_json({
+        "lengths": [float(v) for v in linkage.lengths],
+        "seed": seed,
+        "tolerances": {"root_rtol": ROOT_RTOL, "degeneracy": DEGENERACY_TOL,
+                       "closure": CLOSURE_TOL},
+        "configurations": [],
+    }).rsplit("[]", 1)
     stream.write(head + "[")
-    sep = "\n"
-    for analysis in analyses:
-        record = json.dumps(record_dict(analysis), indent=2)
-        stream.write(sep + "    " + record.replace("\n", "\n    "))
-        sep = ",\n"
-    stream.write(("]" if sep == "\n" else "\n  ]") + tail)
+    template = _record_template(n)
+    step = max(1, _WRITE_CHUNK // (5 * n + 6))
+    for start in range(0, rows, step):
+        part = slice(start, start + step)
+        # the values of each record in the template's order, as Python objects
+        numbers = [analyses.eps[part], analyses.k[part, None], analyses.radius[part, None],
+                   analyses.center[part], analyses.points[part].reshape(-1, 2 * n),
+                   analyses.area[part, None]]
+        flags = [analyses.central[part], analyses.near_flip[part], analyses.delta_zero[part, None]]
+        values = np.concatenate([column.astype(object) for column in numbers]
+                                + [_JSON_BOOLS[mask.view(np.uint8)] for mask in flags], axis=1)
+        records = ",\n".join([template] * len(values)).format(*values.ravel().tolist())
+        stream.write(("\n" if start == 0 else ",\n") + records)
+    stream.write(("]" if rows == 0 else "\n  ]") + tail)
 
 
 def load_enumeration(text: str):
@@ -382,33 +483,35 @@ def _check_rows(linkage: Linkage, points, centers, radii, eps, windings, recorde
     return _refusals(failed, note), flags.any(axis=1)
 
 
-def _verification_row(recorded, flagged, measured, signs, morse, error, verdict):
-    """The row of a record that passed its checks, from its ``eps``, flag and
-    :func:`_analyze_rows` result: the oracle checks its criticality, and an
-    unflagged record's analysis is compared with the record and itself."""
-    if isinstance(verdict, LinkmorseError):
-        return _fail(str(verdict))
-    if verdict.residual > CRITICALITY_TOL:
-        return _fail(f"criticality residual {verdict.residual:.3e} exceeds {CRITICALITY_TOL:.1e}")
+def _verification_row(flagged, disagree, residual, inertia, det_sign, index, oracle_error,
+                       signed, formula_index, morse_error, agree):
+    """The row of a record that passed its checks, from its flag, whether its
+    string disagrees with the measured one, and its :func:`_analyze_rows`
+    columns: the oracle checks its criticality, and an unflagged record's
+    analysis is compared with the record and itself."""
+    if oracle_error is not None:
+        return _fail(oracle_error)
+    if residual > CRITICALITY_TOL:
+        return _fail(f"criticality residual {residual:.3e} exceeds {CRITICALITY_TOL:.1e}")
     if flagged:
-        return VerificationRow(residual=verdict.residual, inertia=None, det_sign=None, index=None,
+        return VerificationRow(residual=residual, inertia=None, det_sign=None, index=None,
                                formula_index=None, agree=True, flagged=True,
                                note="flagged, excluded")
-    oracle_side = dict(residual=verdict.residual, inertia=verdict.inertia,
-                       det_sign=verdict.det_sign, index=verdict.index, flagged=False)
-    if not verdict.is_morse:
+    oracle_side = dict(residual=residual, inertia=tuple(inertia), det_sign=det_sign,
+                       index=index, flagged=False)
+    if inertia[1]:
         return VerificationRow(formula_index=None, agree=False,
                                note="oracle found a zero eigenvalue", **oracle_side)
     # a central edge leaves no measured string, and its refusal is the error
-    if measured is not None and measured != recorded:
+    if disagree:
         return _fail("recorded orientation string disagrees with the geometry")
-    if signs is None:
-        return _fail(error)
-    agree = _agreement(signs, morse, verdict)
-    if morse is None:
-        note = f"index formula not applicable ({error})" if agree else "determinant sign disagrees"
+    if not signed:
+        return _fail(morse_error)
+    if morse_error is not None:
+        note = (f"index formula not applicable ({morse_error})" if agree
+                else "determinant sign disagrees")
         return VerificationRow(formula_index=None, agree=agree, note=note, **oracle_side)
-    return VerificationRow(formula_index=morse.index, agree=agree,
+    return VerificationRow(formula_index=formula_index, agree=agree,
                            note=None if agree else "formula and oracle disagree", **oracle_side)
 
 
@@ -437,10 +540,14 @@ def verify_enumeration(linkage: Linkage, records: list):
                 rows[j] = _fail(note)
         live = [i for i, note in enumerate(notes) if note is None]
         for chunk in _chunks(live, n):
-            analysed = _analyze_rows(points[chunk], centers[chunk], radii[chunk], flagged[chunk])
-            for i, string, flag, result in zip(chunk, map(tuple, eps[chunk].tolist()),
-                                               flagged[chunk].tolist(), analysed):
-                rows[parsed[i]] = _verification_row(string, flag, *result)
+            measured, cols = _analyze_rows(points[chunk], centers[chunk], radii[chunk],
+                                           flagged[chunk])
+            disagree = measured.any(axis=1) & (measured != eps[chunk]).any(axis=1)
+            columns = [flagged[chunk], disagree] + [cols[name] for name in (
+                "residual", "inertia", "det_sign", "oracle_index", "oracle_error", "signed",
+                "formula_index", "morse_error", "agree")]
+            for i, values in zip(chunk, zip(*(column.tolist() for column in columns))):
+                rows[parsed[i]] = _verification_row(*values)
     flagged = sum(1 for r in rows if r.flagged)
     good = sum(1 for r in rows if r.agree and not r.flagged)
     ok = all(r.agree for r in rows)

@@ -138,13 +138,13 @@ def _render_items(data) -> list:
                 raise LinkmorseError("configuration is not cyclic; cannot draw its circle")
             center, radius = fit.center, fit.radius
         # the label is the measured string and winding; recorded ones must match
-        measured, k, _, report, error = _closed_form_rows(pts[None], center[None],
-                                                          np.array([radius]))[0]
-        if measured is None:
+        form = _closed_form_rows(pts[None], center[None], np.array([radius]))
+        measured, k = tuple(form.eps[0].tolist()), int(form.k[0])
+        if form.central[0] is not None:
             # an edge through the center leaves no string to measure: only a
             # recorded one can be drawn
             if eps is None:
-                raise LinkmorseError(error)
+                raise LinkmorseError(form.errors[0])
             k = 0 if winding is None else winding
         elif eps not in (None, measured):
             raise LinkmorseError(f"record {j}: recorded orientation string disagrees with the "
@@ -152,7 +152,7 @@ def _render_items(data) -> list:
         elif winding not in (None, k):
             raise LinkmorseError(f"record {j}: recorded winding {winding} disagrees with the "
                                  f"geometry (winding {k})")
-        idx = None if report is None else report.index
+        idx = None if form.errors[0] is not None else int(form.index[0])
         label = render.annotation(eps or measured, k, radius, idx, area)
         items.append(render.RenderItem(points=pts, center=center, radius=radius, label=label))
     return items

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,34 +131,71 @@ def _sign_rows(eps: np.ndarray, alphas: np.ndarray):
     return value, np.concatenate(sequences, axis=1), polygon, prefix
 
 
-def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> list:
+class ClosedForm(NamedTuple):
+    """:func:`closed_form` of stacked configurations, as columns.
+
+    ``eps`` holds the measured orientation strings (int rows of +-1) and
+    ``k`` the measured windings ``rint(eps . alpha / pi)``; ``delta``,
+    ``positives`` (``e``) and ``h_sign`` are the full polygon's sign data,
+    ``h_sequence`` the rows of sign sequences and ``index`` their sign
+    changes.  Three lists give per row the refusal (None where there is
+    none) of a central edge, which leaves no measured string; the first
+    refusal before the sign data, which leaves no :class:`SignReport`; and
+    the first refusal of all, which leaves no :class:`MorseReport`.
+    """
+
+    eps: np.ndarray
+    k: np.ndarray
+    delta: np.ndarray
+    positives: np.ndarray
+    h_sign: np.ndarray
+    h_sequence: np.ndarray
+    index: np.ndarray
+    central: list
+    sign_errors: list
+    errors: list
+
+
+def _first_refusals(*causes) -> list:
+    """Per row, the text of the first of the refusals ``causes`` (lists
+    over the same rows) that is not None."""
+    out = [None] * len(causes[0])
+    for refusals in reversed(causes):
+        for row, cause in enumerate(refusals):
+            if cause is not None:
+                out[row] = str(cause)
+    return out
+
+
+def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> ClosedForm:
     """:func:`closed_form` of each stacked configuration, shape (rows, n, 2),
-    on its circle, after the orientation string and the winding it measures:
-    a list of ``(eps, k, signs, morse, error)``, ``eps`` a tuple of +-1 and
-    ``k = rint(eps . alpha / pi)``, both None when an edge is central.
+    on its circle, after the orientation string and the winding it
+    measures, as :class:`ClosedForm` columns.
 
     The refusals apply in this order: a central edge, an edge longer than
     the diameter, an edge that is a diameter, a small ``|delta|``, then the
-    first degenerate subconfiguration, which alone leaves ``signs``.
+    first degenerate subconfiguration, which alone leaves the sign data.
     """
     sides, central = _orientation_rows(points, centers)
     alphas, over = _half_angle_rows(points, centers, radii)
     strings = sides.astype(float)
     value, sequences, polygon, prefix = _sign_rows(strings, alphas)
-    positives = (sides > 0).sum(axis=1).tolist()
-    windings = np.rint(_dot_rows(strings, alphas) / math.pi).astype(int).tolist()
-    out = []
-    for row, (eps, k, *causes) in enumerate(zip(sides.tolist(), windings, central, over, polygon,
-                                                 prefix)):
-        eps, k = (None, None) if causes[0] is not None else (tuple(eps), k)
-        refused = [cause for cause in causes if cause is not None]
-        signs = None
-        if all(cause is None for cause in causes[:3]):
-            signs = SignReport(delta=float(value[row]), d=1 if value[row] > 0.0 else -1,
-                               e=positives[row])
-        morse = None if refused else MorseReport(tuple(sequences[row].tolist()))
-        out.append((eps, k, signs, morse, str(refused[0]) if refused else None))
-    return out
+    positives = (sides > 0).sum(axis=1)
+    return ClosedForm(
+        eps=sides, k=np.rint(_dot_rows(strings, alphas) / math.pi).astype(int), delta=value,
+        positives=positives, h_sign=determinant_sign(np.where(value > 0.0, 1, -1), positives),
+        h_sequence=sequences, index=(sequences[:, 1:] != sequences[:, :-1]).sum(axis=1),
+        central=central, sign_errors=_first_refusals(central, over, polygon),
+        errors=_first_refusals(central, over, polygon, prefix))
+
+
+def _reports(delta: float, positives: int, h_sequence: np.ndarray, signed: bool, error):
+    """The :class:`SignReport` (None unless ``signed``) and the
+    :class:`MorseReport` (None when ``error`` refuses it) of one row of sign
+    data."""
+    signs = SignReport(delta=float(delta), d=1 if delta > 0.0 else -1,
+                       e=int(positives)) if signed else None
+    return signs, None if error is not None else MorseReport(tuple(h_sequence.tolist()))
 
 
 def closed_form(config: Configuration, fit: CircleFit):
@@ -169,4 +207,7 @@ def closed_form(config: Configuration, fit: CircleFit):
     and ``error`` says why; ``signs`` survives alone when only the
     subconfiguration sequence is degenerate.
     """
-    return _closed_form_rows(config.points[None], fit.center[None], np.array([fit.radius]))[0][2:]
+    form = _closed_form_rows(config.points[None], fit.center[None], np.array([fit.radius]))
+    error = form.errors[0]
+    return (*_reports(form.delta[0], form.positives[0], form.h_sequence[0],
+                      form.sign_errors[0] is None, error), error)

@@ -154,23 +154,35 @@ def _inertia_rows(mats: np.ndarray) -> np.ndarray:
     return np.stack([neg, zer, k - neg - zer], axis=1)
 
 
-def _verdict_rows(pts: np.ndarray) -> list:
-    """:func:`oracle_index` of each stacked configuration: an
-    :class:`OracleVerdict`, or the :class:`NonRegularPointError` of a
-    singular point."""
-    n = pts.shape[1]
-    jac, svd, out = _regular_rows(pts)
-    regular = np.array([error is None for error in out], dtype=bool)
+def _verdict_rows(pts: np.ndarray):
+    """:func:`oracle_index` of each stacked configuration, as columns:
+    ``(multipliers, residuals, inertias, det_signs, errors)``, the inertias
+    of shape (rows, 3) and ``errors`` a list holding per row the
+    :class:`NonRegularPointError` of a singular point, or None.  A refused
+    row has NaN multipliers and residual, inertia (0, 0, 0) and
+    ``det_sign`` 0; the index of a row is its count of negatives."""
+    rows, n = pts.shape[:2]
+    jac, svd, errors = _regular_rows(pts)
+    regular = np.array([error is None for error in errors], dtype=bool)
     u, svals, vt = (factor[regular] for factor in svd)
-    lam, residual = _stationarity_rows(pts[regular], jac[regular], u, svals, vt)
+    multipliers, residual = np.full((rows, n - 1), np.nan), np.full(rows, np.nan)
+    inertia = np.zeros((rows, 3), dtype=int)
+    multipliers[regular], residual[regular] = _stationarity_rows(pts[regular], jac[regular],
+                                                                 u, svals, vt)
     basis = vt[:, n - 1:].transpose(0, 2, 1)
-    inertias = _inertia_rows(_projected_rows(_lagrangian_rows(lam), basis)).tolist()
-    for row, multipliers, gap, (neg, zer, pos) in zip(np.flatnonzero(regular).tolist(), lam,
-                                                      residual.tolist(), inertias):
-        det_sign = 0 if zer else (1 if neg % 2 == 0 else -1)
-        out[row] = OracleVerdict(multipliers=multipliers, residual=gap, inertia=(neg, zer, pos),
-                                 det_sign=det_sign, index=neg)
-    return out
+    inertia[regular] = _inertia_rows(_projected_rows(_lagrangian_rows(multipliers[regular]),
+                                                     basis))
+    det_sign = np.where(~regular | (inertia[:, 1] > 0), 0, 1 - 2 * (inertia[:, 0] % 2))
+    return multipliers, residual, inertia, det_sign, errors
+
+
+def _verdict(multipliers: np.ndarray, residual: float, inertia: np.ndarray,
+             det_sign: int) -> OracleVerdict:
+    """The :class:`OracleVerdict` of one unrefused row of
+    :func:`_verdict_rows` columns."""
+    inertia = tuple(inertia.tolist())
+    return OracleVerdict(multipliers=multipliers, residual=float(residual), inertia=inertia,
+                         det_sign=int(det_sign), index=inertia[0])
 
 
 def oracle_index(config: Configuration, linkage: Linkage) -> OracleVerdict:
@@ -181,7 +193,7 @@ def oracle_index(config: Configuration, linkage: Linkage) -> OracleVerdict:
     """
     if config.n != linkage.n:
         raise InvalidConfigurationError("configuration and linkage sizes differ")
-    verdict = _verdict_rows(config.points[None])[0]
-    if isinstance(verdict, NonRegularPointError):
-        raise verdict
-    return verdict
+    multipliers, residual, inertia, det_sign, errors = _verdict_rows(config.points[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return _verdict(multipliers[0], residual[0], inertia[0], det_sign[0])

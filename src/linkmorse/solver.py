@@ -36,15 +36,17 @@ in floating point, so it reuses the same roots, descriptors and flags.
 
 The per-root tail is batched too: half-angles, radii, centers, flags, the
 closure check and the vertices of every root and its mirror are array
-operations over all roots of the linkage, and the result objects are built
-last.  The scan covers ``2^(n-1)`` strings, so linkages with more than
-:data:`MAX_EDGES` edges are refused before it starts.
+operations over all roots of the linkage, and they are returned as the
+columns of one :class:`CyclicTable`; the per-item objects are views of a
+row, built only when a row is asked for.  The scan covers ``2^(n-1)``
+strings, so linkages with more than :data:`MAX_EDGES` edges are refused
+before it starts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -78,12 +80,12 @@ _LEVEL_SLACK = 1e-9
 
 # Largest number of edges enumerate_cyclic accepts.  The scan covers
 # 2^(n-1) strings and the number of configurations grows about as fast:
-# ``linkmorse enumerate -o`` on random lengths in [0.5, 2] took 1.0 s at
-# n = 12, 1.7 s at n = 13, 2.7 s at n = 14 and 17.5 s at n = 16 (37796
-# configurations, 140 MB peak: 3.3 s scan, 7.1 s analysis, 7.6 s writing
-# 88 MB of JSON, 0.15 s import) on a 2-core x86-64 host with Python 3.11.
-# Each edge more about doubles the scan and the configurations, so n = 17
-# would take about 35 s.
+# ``linkmorse enumerate -o`` on random lengths in [0.5, 2] took 0.6 s at
+# n = 12, 2.6-3.0 s at n = 14 and 7.9-10.2 s at n = 16 (37796
+# configurations, 118 MB peak: 1.2-2.1 s scan, 0.15 s per-root tail, 4.1-4.3 s
+# analysis, 2.1-2.2 s writing 84 MB of JSON, 0.15 s import) on a 2-core x86-64
+# host with Python 3.11 (BENCH_columns.json).  Each edge more about doubles
+# the scan and the configurations, so n = 17 would take about 20 s.
 MAX_EDGES = 16
 
 # First grid point, standing in for theta = 0 (r = inf): F has the sign of its
@@ -129,13 +131,6 @@ class DegeneracyFlags:
     @property
     def any(self) -> bool:
         return bool(self.delta_zero or any(self.central) or any(self.near_flip))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "central": [bool(v) for v in self.central],
-            "near_flip": [bool(v) for v in self.near_flip],
-            "delta_zero": bool(self.delta_zero),
-        }
 
 
 def _ratios(linkage: Linkage) -> np.ndarray:
@@ -208,11 +203,62 @@ class CyclicDescriptor:
 
 @dataclass(frozen=True)
 class CyclicConfiguration:
-    """One enumerated critical point: descriptor, vertex coordinates, flags."""
+    """One enumerated critical point: descriptor, vertex coordinates, flags.
+    A view of one row of a :class:`CyclicTable`."""
 
     descriptor: CyclicDescriptor
     configuration: Configuration
     flags: DegeneracyFlags
+
+
+@dataclass(frozen=True)
+class CyclicTable:
+    """Every cyclic configuration of a linkage, one row each, as read-only
+    columns: the orientation strings ``eps`` (int rows of +-1), windings
+    ``k``, radii, half-angles ``alphas``, centers, vertices ``points`` of
+    shape (rows, n, 2), the :class:`DegeneracyFlags` masks ``central``,
+    ``near_flip`` and ``delta_zero``, and ``flagged``, whether a row has any
+    of them.
+
+    ``len()``, iteration, integer and slice indexing work as on a list: an
+    integer gives the row's :class:`CyclicConfiguration` view, built on
+    demand, and a slice a table of the same class over those rows.
+    """
+
+    eps: np.ndarray
+    k: np.ndarray
+    radius: np.ndarray
+    alphas: np.ndarray
+    center: np.ndarray
+    points: np.ndarray
+    central: np.ndarray
+    near_flip: np.ndarray
+    delta_zero: np.ndarray
+    flagged: np.ndarray
+
+    def __post_init__(self):
+        for field in fields(self):
+            getattr(self, field.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.k.size
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return replace(self, **{f.name: getattr(self, f.name)[key] for f in fields(self)})
+        return self._row(range(len(self))[key])
+
+    def _row(self, j: int) -> CyclicConfiguration:
+        desc = CyclicDescriptor(radius=self.radius[j], winding=int(self.k[j]),
+                                eps=OrientationString(tuple(self.eps[j].tolist())),
+                                alphas=self.alphas[j], center=self.center[j])
+        flags = DegeneracyFlags(central=tuple(self.central[j].tolist()),
+                                near_flip=tuple(self.near_flip[j].tolist()),
+                                delta_zero=bool(self.delta_zero[j]))
+        return CyclicConfiguration(desc, Configuration(points=self.points[j]), flags)
 
 
 def _eps_array(eps) -> np.ndarray:
@@ -560,23 +606,30 @@ def _scan(linkage: Linkage, strings: np.ndarray, k_lo: np.ndarray, k_hi: np.ndar
     return scanned[row], k, theta
 
 
-def enumerate_cyclic(linkage: Linkage) -> list:
+def _pairs(roots: np.ndarray, mirrors: np.ndarray) -> np.ndarray:
+    """Rows of ``roots`` and ``mirrors`` interleaved: root j, then its mirror."""
+    return np.stack([roots, mirrors], axis=1).reshape(-1, *roots.shape[1:])
+
+
+def enumerate_cyclic(linkage: Linkage) -> CyclicTable:
     """Every cyclic configuration of the linkage.
 
     Scans the 2^(n-1) orientation strings with ``eps_1 = +1`` against all
     their feasible winding numbers at once and reuses each string's roots for
     its mirror ``(-E, -k)``: ``F_{-E,-k} = -F_{E,k}`` holds exactly in
     floating point, so the mirror's brackets and refined roots are
-    bit-identical.  Each root is flagged and described once; the mirror item
-    takes :meth:`CyclicDescriptor.mirrored` and the same flags, since
-    ``central`` and ``near_flip`` depend on the half-angles alone and
-    ``delta_zero`` on ``|delta|``.  Both items are reconstructed; the rebuilt
-    vertices keep the string's orientations, since ``reconstruct`` steps by
-    ``2 eps_i alpha_i`` with ``alpha_i < pi/2`` on every edge not flagged
-    central.  Results are sorted by (winding, orientation string, radius).
+    bit-identical.  Each root is flagged and described once; its mirror row
+    takes the negated string and winding, the center reflected across the
+    pinned edge, and the same half-angles and flags, since ``central`` and
+    ``near_flip`` depend on the half-angles alone and ``delta_zero`` on
+    ``|delta|``.  The vertices of every row are rebuilt; they keep the
+    string's orientations, since they step by ``2 eps_i alpha_i`` with
+    ``alpha_i < pi/2`` on every edge not flagged central.  Rows are sorted
+    by (winding, orientation string, radius), a root before its mirror
+    where all three tie.
 
     Raises :class:`InvalidLinkageError` for more than :data:`MAX_EDGES`
-    edges.  Returns a list of :class:`CyclicConfiguration`.
+    edges.  Returns a :class:`CyclicTable`.
     """
     n = linkage.n
     if n > MAX_EDGES:
@@ -594,20 +647,15 @@ def enumerate_cyclic(linkage: Linkage) -> list:
     if defects.size and defects.max() > CLOSURE_TOL:
         raise InconsistentDescriptorError(
             f"angular closure defect {defects.max():.3e} exceeds {CLOSURE_TOL:.0e}")
-    central, near_flip, delta_zero = (mask.tolist() for mask in _flag_rows(eps, alphas))
-    mirror_center = center * np.array([-1.0, 1.0])
-    points = _vertices(linkage, np.concatenate([radius, radius]),
-                       np.concatenate([center, mirror_center]),
-                       np.concatenate([eps, -eps]), np.concatenate([alphas, alphas]))
-
-    items = []
-    for j, (signs, k) in enumerate(zip(eps.astype(int).tolist(), ks.tolist())):
-        desc = CyclicDescriptor(radius=radius[j], winding=k, eps=OrientationString(tuple(signs)),
-                                alphas=alphas[j], center=center[j])
-        flags = DegeneracyFlags(central=tuple(central[j]), near_flip=tuple(near_flip[j]),
-                                delta_zero=delta_zero[j])
-        mirror = Configuration(points=points[len(ks) + j])
-        items.append(CyclicConfiguration(desc, Configuration(points=points[j]), flags))
-        items.append(CyclicConfiguration(desc.mirrored(), mirror, flags))
-    items.sort(key=lambda it: (it.descriptor.winding, it.descriptor.eps.eps, it.descriptor.radius))
-    return items
+    flags = [_pairs(mask, mask) for mask in _flag_rows(eps, alphas)]
+    eps, ks = _pairs(eps, -eps).astype(int), _pairs(ks, -ks)
+    radius, alphas = _pairs(radius, radius), _pairs(alphas, alphas)
+    center = _pairs(center, center * np.array([-1.0, 1.0]))
+    # lexsort is stable and its last key sorts first
+    order = np.lexsort((radius, *eps.T[::-1], ks))
+    eps, ks, radius, alphas, center = (col[order] for col in (eps, ks, radius, alphas, center))
+    central, near_flip, delta_zero = (mask[order] for mask in flags)
+    return CyclicTable(eps=eps, k=ks, radius=radius, alphas=alphas, center=center,
+                       points=_vertices(linkage, radius, center, eps, alphas),
+                       central=central, near_flip=near_flip, delta_zero=delta_zero,
+                       flagged=delta_zero | central.any(axis=1) | near_flip.any(axis=1))

@@ -1,6 +1,6 @@
 """Pipeline records, JSON artifacts, and artifact verification."""
 
-import copy
+import io
 import json
 import math
 
@@ -8,8 +8,19 @@ import numpy as np
 import pytest
 
 from conftest import random_linkage
-from linkmorse import Linkage, analyze_linkage, index_summary, verify_enumeration
-from linkmorse.analysis import dump_json, enumeration_dict, load_enumeration, record_dict
+from linkmorse import (
+    DegeneracyFlags,
+    Linkage,
+    analyze_linkage,
+    enumerate_cyclic,
+    index_summary,
+    verify_enumeration,
+)
+from linkmorse.analysis import dump_json, load_enumeration, write_enumeration
+from linkmorse.geometry import _signed_areas
+from linkmorse.morse import _closed_form_rows
+from linkmorse.oracle import _verdict_rows
+from linkmorse.solver import _flag_rows
 
 PENTA = Linkage([1, 1, 1, 1, 1])
 IRREGULAR = Linkage([1, 1.2, 1.4, 1.1, 0.9])
@@ -18,6 +29,18 @@ IRREGULAR = Linkage([1, 1.2, 1.4, 1.1, 0.9])
 @pytest.fixture(scope="module")
 def pentagon_analyses():
     return analyze_linkage(PENTA)
+
+
+def _artifact(linkage, analyses, seed=None) -> str:
+    """The text of the enumeration artifact the writer gives."""
+    stream = io.StringIO()
+    write_enumeration(stream, linkage, analyses, seed=seed)
+    return stream.getvalue()
+
+
+def _envelope(linkage, analyses, seed=None) -> dict:
+    """The enumeration artifact, parsed."""
+    return json.loads(_artifact(linkage, analyses, seed))
 
 
 def test_pentagon_summary_line(pentagon_analyses):
@@ -38,7 +61,7 @@ def test_aligned_configurations_use_oracle_fallback(pentagon_analyses):
 
 
 def test_record_schema(pentagon_analyses):
-    rec = record_dict(pentagon_analyses[0])
+    rec = _envelope(PENTA, pentagon_analyses)["configurations"][0]
     assert set(rec) == {"eps", "k", "r", "center", "points", "area", "flags"}
     assert set(rec["flags"]) == {"central", "near_flip", "delta_zero"}
     assert len(rec["points"]) == 5
@@ -46,26 +69,30 @@ def test_record_schema(pentagon_analyses):
 
 
 def test_artifact_round_trip_is_lossless(pentagon_analyses):
-    envelope = enumeration_dict(PENTA, pentagon_analyses, seed=7)
-    text = dump_json(envelope)
+    a = pentagon_analyses
+    text = _artifact(PENTA, a, seed=7)
     linkage, records = load_enumeration(text)
     assert np.array_equal(linkage.lengths, PENTA.lengths)
     assert len(records) == 14
     # floats survive the decimal round trip bit for bit
-    assert records == envelope["configurations"]
+    columns = {"eps": a.eps, "k": a.k, "r": a.radius, "center": a.center, "points": a.points,
+               "area": a.area}
+    for field, column in columns.items():
+        assert [rec[field] for rec in records] == column.tolist()
+    for field in ("central", "near_flip", "delta_zero"):
+        assert [rec["flags"][field] for rec in records] == getattr(a, field).tolist()
     assert json.loads(text)["seed"] == 7
 
 
 def test_artifact_output_is_deterministic():
-    first = dump_json(enumeration_dict(PENTA, analyze_linkage(PENTA), seed=1))
-    second = dump_json(enumeration_dict(PENTA, analyze_linkage(PENTA), seed=1))
+    first = _artifact(PENTA, analyze_linkage(PENTA), seed=1)
+    second = _artifact(PENTA, analyze_linkage(PENTA), seed=1)
     assert first == second
     assert json.loads(first)["tolerances"] == {"root_rtol": 1e-14, "degeneracy": 1e-07, "closure": 1e-09}
 
 
 def test_verify_accepts_clean_artifact(pentagon_analyses):
-    envelope = enumeration_dict(PENTA, pentagon_analyses)
-    linkage, records = load_enumeration(dump_json(envelope))
+    linkage, records = load_enumeration(_artifact(PENTA, pentagon_analyses))
     rows, summary, ok = verify_enumeration(linkage, records)
     assert ok
     assert summary == "14/14 agree (0 flagged)"
@@ -76,7 +103,7 @@ def test_verify_rows_read_off_the_library_analysis():
     linkages = [PENTA] + [random_linkage(rng, n) for n in (5, 6, 7, 8)]
     for linkage in linkages:
         analyses = analyze_linkage(linkage)
-        _, records = load_enumeration(dump_json(enumeration_dict(linkage, analyses)))
+        _, records = load_enumeration(_artifact(linkage, analyses))
         rows, _, _ = verify_enumeration(linkage, records)
         assert len(rows) == len(analyses)
         for a, row in zip(analyses, rows):
@@ -93,7 +120,7 @@ def test_verify_rows_read_off_the_library_analysis():
                                                 ("k", 0, 1), ("k", 0, -1), ("center", 0, math.nan)],
                          ids=["radius", "points", "k+1", "k-1", "center-nan"])
 def test_verify_catches_tampered_record(pentagon_analyses, field, row, change):
-    tampered = copy.deepcopy(enumeration_dict(PENTA, pentagon_analyses))
+    tampered = _envelope(PENTA, pentagon_analyses)
     record = tampered["configurations"][row]
     if field == "r":
         record["r"] *= 1.0 + change
@@ -164,7 +191,7 @@ def _tamper(record, check):
     ("off circle and eps length", "points deviate from the recorded circle by 1.439e-06"),
 ])
 def test_verify_note_names_the_first_failing_check(check, note):
-    tampered = enumeration_dict(IRREGULAR, analyze_linkage(IRREGULAR))
+    tampered = _envelope(IRREGULAR, analyze_linkage(IRREGULAR))
     _tamper(tampered["configurations"][0], check)
     rows, _, ok = verify_enumeration(*load_enumeration(dump_json(tampered)))
     assert not ok
@@ -181,3 +208,78 @@ def test_exactly_one_convex_configuration_per_linkage():
         assert len(convex) == 1
         areas = [a.area for a in analyses]
         assert convex[0].area == pytest.approx(max(areas), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The tables of enumerate_cyclic and analyze_linkage, and their row views
+
+
+def _view_fields(view):
+    """The fields of a row view as plain comparable values."""
+    desc = view.descriptor
+    fields = (desc.eps.eps, desc.winding, desc.radius, desc.alphas.tolist(), desc.center.tolist(),
+              view.configuration.points.tolist(), view.flags)
+    if hasattr(view, "area"):
+        fields += (view.area, view.index, view.index_source, view.agree,
+                   None if view.oracle is None else view.oracle.residual)
+    return fields
+
+
+def _kernel_fields(table, analysed: bool):
+    """The same fields recomputed from the table's points, strings and
+    half-angles through the stacked kernels alone."""
+    eps = table.eps.astype(float)
+    central, near_flip, delta_zero = _flag_rows(eps, table.alphas)
+    form = _closed_form_rows(table.points, table.center, table.radius)
+    _, residual, inertia, det_sign, errors = _verdict_rows(table.points)
+    areas = _signed_areas(table.points)
+    out = []
+    for j in range(len(table)):
+        flags = DegeneracyFlags(tuple(central[j].tolist()), tuple(near_flip[j].tolist()),
+                                bool(delta_zero[j]))
+        if not flags.any:
+            # the enumerated string and winding are the ones the points measure
+            assert tuple(form.eps[j].tolist()) == tuple(table.eps[j].tolist())
+            assert form.k[j] == table.k[j]
+        fields = (tuple(table.eps[j].tolist()), int(table.k[j]), float(table.radius[j]),
+                  table.alphas[j].tolist(), table.center[j].tolist(), table.points[j].tolist(),
+                  flags)
+        if analysed:
+            index = source = agree = verdict = None
+            if not flags.any:
+                morse = errors[j] is None and inertia[j, 1] == 0
+                if form.errors[j] is None:
+                    index, source = int(form.index[j]), "formula"
+                elif morse:
+                    index, source = int(inertia[j, 0]), "oracle"
+                if morse and form.sign_errors[j] is None:
+                    agree = bool(form.h_sign[j] == det_sign[j]) and (
+                        form.errors[j] is not None or index == inertia[j, 0])
+                verdict = None if errors[j] is not None else float(residual[j])
+            fields += (float(areas[j]), index, source, agree, verdict)
+        out.append(fields)
+    return out
+
+
+def _view_linkages():
+    yield PENTA
+    rng = np.random.default_rng(67)
+    yield from (random_linkage(rng, n) for n in range(6, 11))
+
+
+@pytest.mark.parametrize("linkage", list(_view_linkages()),
+                         ids=["pentagon"] + [f"seeded_{n}" for n in range(6, 11)])
+def test_table_views_match_the_stacked_kernels(linkage):
+    for table, analysed in ((enumerate_cyclic(linkage), False), (analyze_linkage(linkage), True)):
+        expected = _kernel_fields(table, analysed)
+        assert len(table) == len(expected) == table.k.size > 6
+        assert [_view_fields(view) for view in table] == expected
+        assert [_view_fields(table[j]) for j in range(len(table))] == expected
+        assert _view_fields(table[0]) == expected[0]
+        assert _view_fields(table[-1]) == expected[-1]
+        head = table[:6]
+        assert type(head) is type(table) and len(head) == 6
+        assert [_view_fields(view) for view in head] == expected[:6]
+        for key in (len(table), -len(table) - 1):
+            with pytest.raises(IndexError):
+                table[key]

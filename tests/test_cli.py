@@ -1,15 +1,18 @@
 """End-to-end command-line checks through main()."""
 
+import dataclasses
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from conftest import regular_polygon_points
-from linkmorse import Linkage, analyze_linkage, index_summary
-from linkmorse.analysis import CRITICALITY_TOL, dump_json, enumeration_dict, write_enumeration
+from conftest import random_linkage, regular_polygon_points
+from linkmorse import Linkage, analyze_linkage, analysis, index_summary
+from linkmorse.analysis import CRITICALITY_TOL, dump_json, write_enumeration
 from linkmorse.cli import main
+from linkmorse.errors import LinkmorseError
 
 
 def _write(path, obj):
@@ -48,15 +51,86 @@ def test_enumerate_triangle(tmp_path, capsys):
     assert captured.out.startswith("2 configurations")
 
 
+# The artifact writer and summary as they were before the columnar table:
+# one dict per record, encoded by json.dumps inside the dump_json envelope,
+# and one pass over the per-row views for the summary.  They are the
+# references the template writer and index_summary must equal byte for byte.
+
+
+def _reference_record(a) -> dict:
+    desc = a.descriptor
+    return {
+        "eps": list(desc.eps.eps),
+        "k": desc.winding,
+        "r": float(desc.radius),
+        "center": [float(v) for v in desc.center],
+        "points": [[float(x), float(y)] for x, y in a.configuration.points],
+        "area": float(a.area),
+        "flags": {"central": [bool(v) for v in a.flags.central],
+                  "near_flip": [bool(v) for v in a.flags.near_flip],
+                  "delta_zero": bool(a.flags.delta_zero)},
+    }
+
+
+def _reference_envelope(linkage, analyses, seed=None) -> dict:
+    return {
+        "lengths": [float(v) for v in linkage.lengths],
+        "seed": seed,
+        "tolerances": {"root_rtol": 1e-14, "degeneracy": 1e-07, "closure": 1e-09},
+        "configurations": [_reference_record(a) for a in analyses],
+    }
+
+
+def _reference_artifact(linkage, analyses, seed=None) -> str:
+    """The artifact streamed record by record with json.dumps, asserted equal
+    to the whole envelope dumped at once."""
+    envelope = _reference_envelope(linkage, analyses, seed)
+    head, tail = dump_json(dict(envelope, configurations=[])).rsplit("[]", 1)
+    parts = [head + "["]
+    sep = "\n"
+    for record in envelope["configurations"]:
+        parts.append(sep + "    " + json.dumps(record, indent=2).replace("\n", "\n    "))
+        sep = ",\n"
+    parts.append(("]" if sep == "\n" else "\n  ]") + tail)
+    text = "".join(parts)
+    assert text == dump_json(envelope)
+    return text
+
+
+def _reference_summary(analyses) -> str:
+    counts, flagged, unknown = {}, 0, 0
+    for a in analyses:
+        flagged += a.flags.any
+        if a.index is None:
+            unknown += not a.flags.any
+        else:
+            counts[a.index] = counts.get(a.index, 0) + 1
+    text = f"{len(analyses)} configurations"
+    if counts:
+        text += ": " + ", ".join(f"index {m} x{counts[m]}" for m in sorted(counts))
+    if flagged:
+        text += f" ({flagged} flagged)"
+    if unknown:
+        text += f" ({unknown} without index)"
+    return text
+
+
+def _seeded_lengths():
+    rng = np.random.default_rng(61)
+    return [random_linkage(rng, n).lengths.tolist() for n in range(3, 13) for _ in range(4)]
+
+
 @pytest.mark.parametrize("lengths", [[1, 1, 1], [1, 1, 1, 1, 1], [1, 2, 1, 2, 1, 2],
-                                     [1, 2, 1.5, 2.5 - 1e-8], [1.0, 1.2, 1.4, 1.1, 0.9]])
+                                     [1, 2, 1.5, 2.5 - 1e-8], [1.0, 1.2, 1.4, 1.1, 0.9]]
+                         + _seeded_lengths())
 def test_enumerate_streams_the_artifact_text(tmp_path, capsys, lengths):
-    # the artifact is written record by record; it must be the text of the
-    # whole envelope dumped at once, on stdout and with -o
+    # the artifact is formatted from the columns by a template; it must be
+    # the text of the per-record json encoder, on stdout and with -o
     linkage = Linkage(lengths)
     analyses = analyze_linkage(linkage)
-    expected = dump_json(enumeration_dict(linkage, analyses, seed=3))
-    summary = index_summary(analyses) + "\n"
+    expected = _reference_artifact(linkage, analyses, seed=3)
+    summary = _reference_summary(analyses) + "\n"
+    assert index_summary(analyses) + "\n" == summary
     linkage_file = _write(tmp_path / "linkage.json", {"lengths": lengths})
     capsys.readouterr()
     assert main(["enumerate", "-i", linkage_file, "--seed", "3"]) == 0
@@ -68,9 +142,56 @@ def test_enumerate_streams_the_artifact_text(tmp_path, capsys, lengths):
 
 
 def test_streamed_artifact_without_records():
+    linkage = Linkage([1, 1, 1])
     stream = io.StringIO()
-    write_enumeration(stream, Linkage([1, 1, 1]), [], seed=None)
-    assert stream.getvalue() == dump_json(enumeration_dict(Linkage([1, 1, 1]), []))
+    write_enumeration(stream, linkage, analyze_linkage(linkage)[:0], seed=None)
+    assert stream.getvalue() == _reference_artifact(linkage, [])
+
+
+def test_artifact_spans_several_chunks(monkeypatch):
+    linkage = Linkage([1.0, 1.2, 1.4, 1.1, 0.9])
+    analyses = analyze_linkage(linkage)
+    # 3 records per chunk of 3 * (5 n + 6) values, 10 records
+    monkeypatch.setattr(analysis, "_WRITE_CHUNK", 3 * 31)
+    stream = io.StringIO()
+    write_enumeration(stream, linkage, analyses, seed=5)
+    assert stream.getvalue() == _reference_artifact(linkage, analyses, seed=5)
+
+
+@pytest.mark.parametrize("field, entry, value, message", [
+    ("radius", 3, math.nan, "record 3: field 'r' is not finite"),
+    ("points", (5, 2, 1), math.inf, "record 5: field 'points' is not finite"),
+    ("area", -1, -math.inf, "record 9: field 'area' is not finite"),
+])
+def test_writer_refuses_non_finite_values(field, entry, value, message):
+    # json.dumps would write NaN or Infinity, which is not JSON; nothing is
+    # written before the refusal
+    linkage = Linkage([1.0, 1.2, 1.4, 1.1, 0.9])
+    analyses = analyze_linkage(linkage)
+    column = getattr(analyses, field).copy()
+    column[entry] = value
+    stream = io.StringIO()
+    with pytest.raises(LinkmorseError, match=f"^{message}$"):
+        write_enumeration(stream, linkage, dataclasses.replace(analyses, **{field: column}))
+    assert stream.getvalue() == ""
+
+
+def test_enumerate_exits_2_on_a_non_finite_value(tmp_path, capsys, monkeypatch):
+    analyze = analysis.analyze_linkage
+
+    def nan_radius(linkage):
+        analyses = analyze(linkage)
+        radius = analyses.radius.copy()
+        radius[0] = math.nan
+        return dataclasses.replace(analyses, radius=radius)
+
+    monkeypatch.setattr(analysis, "analyze_linkage", nan_radius)
+    linkage_file = _write(tmp_path / "linkage.json", {"lengths": [1, 1, 1, 1, 1]})
+    capsys.readouterr()
+    assert main(["enumerate", "-i", linkage_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: record 0: field 'r' is not finite\n"
 
 
 def test_enumerate_rejects_malformed_json(tmp_path, capsys):

@@ -31,6 +31,14 @@ MIXED = {
 }
 
 
+def _verdicts(pts):
+    """The per-row verdicts of a stack's oracle columns: an OracleVerdict,
+    or the row's NonRegularPointError."""
+    multipliers, residual, inertia, det_sign, errors = oracle._verdict_rows(pts)
+    return [oracle._verdict(multipliers[j], residual[j], inertia[j], det_sign[j])
+            if error is None else error for j, error in enumerate(errors)]
+
+
 def _verdict_fields(verdict):
     if isinstance(verdict, NonRegularPointError):
         return str(verdict)
@@ -44,33 +52,39 @@ def _fields(a):
             None if a.oracle is None else _verdict_fields(a.oracle))
 
 
-def _kernel(items):
-    """The analysis kernel's results for a stack of enumerated items, their
-    verdicts as plain comparable values."""
-    descs = [item.descriptor for item in items]
-    results = analysis._analyze_rows(
-        np.stack([item.configuration.points for item in items]),
-        np.array([d.center for d in descs]), np.array([d.radius for d in descs]),
-        np.array([item.flags.any for item in items]))
-    return [result[:-1] + (_verdict_fields(result[-1]),) for result in results]
+def _kernel(points, centers, radii, flagged):
+    """The analysis kernel's columns for a stack, the measured strings among
+    them."""
+    measured, columns = analysis._analyze_rows(points, centers, radii, flagged)
+    return dict(columns, measured=measured)
+
+
+def _same(a, b) -> bool:
+    """Columns equal entry for entry, NaN equal to NaN."""
+    if a.dtype == object:
+        return a.tolist() == b.tolist()
+    return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
 
 
 @pytest.mark.parametrize("n", sorted(MIXED))
 def test_mixed_stack_equals_per_linkage_stacks(n):
     lengths, kinds = MIXED[n]
-    items = [enumerate_cyclic(Linkage(ls)) for ls in lengths]
+    tables = [enumerate_cyclic(Linkage(ls)) for ls in lengths]
+    fields = ("points", "center", "radius", "flagged")
     # the kernel reads everything off the points, circles and flags, so the
     # configurations of several linkages with n edges share a stack
-    stacked = _kernel([item for group in items for item in group])
-    assert stacked == [result for group in items for result in _kernel(group)]
+    stacked = _kernel(*(np.concatenate([getattr(t, f) for t in tables]) for f in fields))
+    groups = [_kernel(*(getattr(t, f) for f in fields)) for t in tables]
+    for name, column in stacked.items():
+        assert _same(column, np.concatenate([group[name] for group in groups])), name
     analyses = [a for ls in lengths for a in analyze_linkage(Linkage(ls))]
     assert {(a.index_source, a.flags.any) for a in analyses} == kinds
     if n == 3:
         # the tangent space is empty: no eigenvalues, inertia (0, 0, 0)
-        assert {verdict[2] for *_, verdict in stacked} == {(0, 0, 0)}
+        assert not stacked["inertia"].any()
     if n == 4:
         # no prefix subconfiguration: the sequence is P_3 and P_4 alone
-        assert {len(morse.h_sequence) for _, _, morse, *_ in stacked if morse} == {2}
+        assert stacked["h_sequence"].shape[1] == 2
 
 
 def test_stack_across_chunk_boundaries(monkeypatch):
@@ -94,7 +108,7 @@ def test_singular_row_keeps_its_refusal_in_a_stack():
     linkage = Linkage([1, 1, 1, 1])
     flat = np.array([(0.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 1.0)])
     good = [item.configuration.points for item in enumerate_cyclic(linkage)]
-    verdicts = oracle._verdict_rows(np.stack([good[0], flat, good[1]]))
+    verdicts = _verdicts(np.stack([good[0], flat, good[1]]))
     with pytest.raises(NonRegularPointError) as info:
         oracle_index(Configuration(flat), linkage)
     assert isinstance(verdicts[1], NonRegularPointError)
@@ -121,13 +135,13 @@ def test_rank_deficient_row_among_regular_rows(n):
     pts = np.stack(regular[:middle] + [flat] + regular[middle:])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        verdicts = oracle._verdict_rows(pts)
-    (alone,) = oracle._verdict_rows(flat[None])
+        verdicts = _verdicts(pts)
+    (alone,) = _verdicts(flat[None])
     assert isinstance(verdicts[middle], NonRegularPointError)
     assert "sigma_min/sigma_max = 0.000e+00" in str(alone)
     assert str(verdicts[middle]) == str(alone)
     for verdict, points in zip(verdicts[:middle] + verdicts[middle + 1:], regular):
-        assert _verdict_fields(verdict) == _verdict_fields(oracle._verdict_rows(points[None])[0])
+        assert _verdict_fields(verdict) == _verdict_fields(_verdicts(points[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +228,7 @@ def test_kernels_match_the_per_row_loops():
             basis = svd[2][:, n - 1:].transpose(0, 2, 1)
             loop_inertia = oracle._inertia_rows(
                 oracle._projected_rows(oracle._lagrangian_rows(loop_lam), basis))
-            assert [verdict.inertia for verdict in oracle._verdict_rows(pts)] == \
+            assert [verdict.inertia for verdict in _verdicts(pts)] == \
                 list(map(tuple, loop_inertia.tolist()))
 
 
