@@ -9,7 +9,6 @@ a fixed circle.
 """
 
 from .errors import (
-    CentralConfigurationError,
     DegenerateCircleError,
     InconsistentDescriptorError,
     InvalidConfigurationError,
@@ -23,7 +22,6 @@ from .geometry import (
     Configuration,
     Linkage,
     OrientationString,
-    edge_orientations,
     fit_circle,
     signed_area,
 )
@@ -32,10 +30,7 @@ from .solver import (
     CyclicDescriptor,
     CyclicTable,
     DegeneracyFlags,
-    delta_at_angle,
     enumerate_cyclic,
-    f_value,
-    reconstruct,
 )
 from .morse import (
     MorseReport,

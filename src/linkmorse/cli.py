@@ -11,6 +11,7 @@ a fixed-circle deformation between two cyclic configurations), ``render``
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -175,7 +176,10 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: each ``parse_args`` returns a fresh
+    namespace with its own defaults, so calls of :func:`main` share it."""
     parser = argparse.ArgumentParser(
         prog="linkmorse",
         description="Cyclic configurations of planar linkages and signed-area Morse data",
@@ -216,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (LinkmorseError, OSError) as err:

@@ -116,12 +116,14 @@ class AngularPath:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         angles = np.asarray(self.angles, dtype=float)
-        if times.ndim != 1 or times.size < 2 or angles.shape != (times.size, angles.shape[1]):
+        if times.ndim != 1 or times.size < 2 or angles.ndim != 2 or angles.shape[0] != times.size:
             raise InvalidConfigurationError("path needs matching times and angle rows")
         if angles.shape[1] < 3:
             raise InvalidConfigurationError("path needs at least 3 vertices")
         if np.any(np.diff(times) <= 0.0):
             raise InvalidConfigurationError("times must increase strictly")
+        if not (self.radius > 0.0 and math.isfinite(self.radius)):
+            raise InvalidConfigurationError("path radius must be positive and finite")
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "times", _readonly(times))
         object.__setattr__(self, "angles", _readonly(angles))

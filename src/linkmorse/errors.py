@@ -22,18 +22,6 @@ class DegenerateCircleError(LinkmorseError):
     """The first three vertices are collinear; no circumcircle exists."""
 
 
-class CentralConfigurationError(LinkmorseError):
-    """An edge passes through the circle center (a diameter).
-
-    Orientation signs are undefined there and the half-angle tangent blows up.
-    ``index`` records the offending edge, counted from 1.
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
-
 class InconsistentDescriptorError(LinkmorseError):
     """Cyclic descriptor violates the angular closure condition."""
 

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CentralConfigurationError,
-    DegenerateCircleError,
-    InvalidConfigurationError,
-    InvalidLinkageError,
-)
+from .errors import DegenerateCircleError, InvalidConfigurationError, InvalidLinkageError
 
 # Scale-invariant threshold: a directed edge counts as passing through the
 # circle center when |cross| / (|edge| * r) falls below this.
@@ -168,9 +163,6 @@ class OrientationString:
     def array(self) -> np.ndarray:
         return np.array(self.eps, dtype=float)
 
-    def mirrored(self) -> "OrientationString":
-        return OrientationString(tuple(-v for v in self.eps))
-
 
 def signed_area(points) -> float:
     """Shoelace area of the closed vertex cycle.
@@ -186,8 +178,8 @@ def signed_area(points) -> float:
 
 # ---------------------------------------------------------------------------
 # Stacked kernels: the same quantities for a stack of configurations, shape
-# (rows, n, 2), which the caller has validated.  signed_area and
-# edge_orientations are their one-row case.
+# (rows, n, 2), which the caller has validated.  signed_area is their
+# one-row case.
 
 
 def _dot_rows(a, b) -> np.ndarray:
@@ -214,16 +206,17 @@ def _signed_areas(pts: np.ndarray) -> np.ndarray:
 
 
 def _orientation_rows(pts: np.ndarray, centers: np.ndarray):
-    """Orientation strings, an int array of rows of +-1, of stacked
-    configurations about their centers, and per row the refusal of its first
-    central edge (None if it has none)."""
+    """Orientation strings, an int array of rows of +-1 (+1 where the center
+    lies strictly left of the directed edge), of stacked configurations about
+    their centers, and per row the refusal text of its first central edge,
+    whose line passes the center within :data:`CENTRAL_CROSS_TOL` (None if it
+    has none)."""
     e = np.roll(pts, -1, axis=1) - pts
     w = centers[:, None, :] - pts
     cross = e[..., 0] * w[..., 1] - e[..., 1] * w[..., 0]
     norm = np.linalg.norm(e, axis=2) * np.linalg.norm(w, axis=2)
     central = (norm == 0.0) | (np.abs(cross) <= CENTRAL_CROSS_TOL * norm)
-    errors = _refusals(central, lambda row, i: CentralConfigurationError(
-        f"edge {i + 1} passes through the circle center", index=i + 1))
+    errors = _refusals(central, lambda row, i: f"edge {i + 1} passes through the circle center")
     return np.where(cross > 0, 1, -1), errors
 
 
@@ -300,18 +293,3 @@ def fit_circle(points, tol: float = 1e-9):
         return None
     return fit
 
-
-def edge_orientations(points, center) -> OrientationString:
-    """Side of the circle center relative to each directed edge.
-
-    ``eps_i = +1`` when the center is strictly left of ``p_i -> p_{i+1}``,
-    ``-1`` when strictly right.  An edge whose supporting line passes through
-    the center (normalized cross below :data:`CENTRAL_CROSS_TOL`) makes the
-    configuration central and raises.
-    """
-    pts = _as_points(points)
-    ctr = np.asarray(center, dtype=float).reshape(2)
-    sides, errors = _orientation_rows(pts[None], ctr[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return OrientationString(tuple(sides[0].tolist()))

@@ -163,7 +163,7 @@ def _first_refusals(*causes) -> list:
     for refusals in reversed(causes):
         for row, cause in enumerate(refusals):
             if cause is not None:
-                out[row] = str(cause)
+                out[row] = cause
     return out
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 CELL = 260.0
 PAD = 26.0
-FONT = "10px monospace"
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ DEGENERACY_TOL = 1e-7
 RESIDUAL_TOL = 1e-12
 
 # Allowed absolute defect of the angular closure sum(2 eps_i alpha_i) = 2 pi k
-# when rebuilding vertices from a descriptor.
+# of a root before its vertices are rebuilt.
 CLOSURE_TOL = 1e-9
 
 
@@ -170,35 +170,8 @@ class CyclicDescriptor:
             raise InconsistentDescriptorError("orientation string and half-angles disagree in length")
 
     @property
-    def n(self) -> int:
-        return len(self.eps)
-
-    @property
     def circle(self) -> CircleFit:
         return CircleFit(center=self.center, radius=self.radius)
-
-    def closure_defect(self) -> float:
-        """Absolute defect of the angular closure sum(2 eps_i alpha_i) = 2 pi k."""
-        return float(_closure_defects(self.eps.array[None], self.alphas[None], self.winding)[0])
-
-    @classmethod
-    def from_angle(cls, linkage: Linkage, eps, winding: int, theta: float) -> "CyclicDescriptor":
-        """Build the descriptor for a root angle ``theta`` in ``(0, pi/2]``:
-        radius ``r_min / sin theta``, the half-angles, and the center placed
-        left/right of the pinned first edge according to ``eps_1``."""
-        eps = eps if isinstance(eps, OrientationString) else OrientationString(tuple(eps))
-        radius, alphas, center = _root_geometry(linkage, eps.array[None], np.array([theta]))
-        return cls(radius=radius[0], winding=winding, eps=eps, alphas=alphas[0], center=center[0])
-
-    def mirrored(self) -> "CyclicDescriptor":
-        """Reflection across the pinned edge: all signs and the winding flip."""
-        return CyclicDescriptor(
-            radius=self.radius,
-            winding=-self.winding,
-            eps=self.eps.mirrored(),
-            alphas=self.alphas,
-            center=self.center * np.array([-1.0, 1.0]),
-        )
 
 
 @dataclass(frozen=True)
@@ -261,12 +234,6 @@ class CyclicTable:
         return CyclicConfiguration(desc, Configuration(points=self.points[j]), flags)
 
 
-def _eps_array(eps) -> np.ndarray:
-    if isinstance(eps, OrientationString):
-        return eps.array
-    return OrientationString(tuple(eps)).array
-
-
 def _closure_rows(theta: np.ndarray, rho: np.ndarray, eps: np.ndarray, k) -> np.ndarray:
     """``F = sum_i eps_i alpha_i(theta) - pi k`` of each row: one angle, one
     string (a row of ``eps``) and one winding per row."""
@@ -276,17 +243,6 @@ def _closure_rows(theta: np.ndarray, rho: np.ndarray, eps: np.ndarray, k) -> np.
 def _delta_rows(theta: np.ndarray, rho: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """``delta = sum_i eps_i tan(alpha_i(theta))`` of each row."""
     return _dot_rows(eps, np.tan(_half_angles(rho, theta)))
-
-
-def f_value(linkage: Linkage, eps, k: int, theta: float) -> float:
-    """Closure function ``sum_i eps_i alpha_i(theta) - pi k``."""
-    return float(_closure_rows(np.array([theta]), _ratios(linkage), _eps_array(eps)[None], k)[0])
-
-
-def delta_at_angle(linkage: Linkage, eps, theta: float) -> float:
-    """``delta = sum_i eps_i tan(alpha_i)`` at the angle theta; the theta
-    derivative of :func:`f_value` is ``cot(theta) * delta``."""
-    return float(_delta_rows(np.array([theta]), _ratios(linkage), _eps_array(eps)[None])[0])
 
 
 def brentq(f, a: np.ndarray, b: np.ndarray, args=()) -> np.ndarray:
@@ -411,23 +367,6 @@ def _vertices(linkage: Linkage, radius: np.ndarray, center: np.ndarray,
     pts[:, 0] = (0.0, 0.0)
     pts[:, 1] = (0.0, float(linkage.lengths[0]))
     return pts
-
-
-def reconstruct(linkage: Linkage, desc: CyclicDescriptor) -> Configuration:
-    """Vertex coordinates on the descriptor's circle in the pinned frame.
-
-    Successive vertex angles advance by ``2 eps_i alpha_i``; the pinned
-    vertices are snapped exactly to ``(0,0)`` and ``(0, l_1)``.
-    """
-    if desc.closure_defect() > CLOSURE_TOL:
-        raise InconsistentDescriptorError(
-            f"angular closure defect {desc.closure_defect():.3e} exceeds {CLOSURE_TOL:.0e}"
-        )
-    if desc.n != linkage.n:
-        raise InconsistentDescriptorError("descriptor size does not match the linkage")
-    pts = _vertices(linkage, np.array([desc.radius]), desc.center[None],
-                    desc.eps.array[None], desc.alphas[None])
-    return Configuration(points=pts[0])
 
 
 def _angle_grid() -> np.ndarray:

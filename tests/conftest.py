@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from linkmorse import Configuration, Linkage
+from linkmorse import Configuration, Linkage, solver
 from linkmorse.errors import InvalidConfigurationError, InvalidLinkageError
 from linkmorse.geometry import _as_points
 
@@ -109,3 +109,13 @@ def regular_polygon_points(n, winding=1, ccw=True):
     pts[0] = (0.0, 0.0)
     pts[1] = (0.0, 1.0)
     return pts, center, radius
+
+
+def root_row(linkage: Linkage, eps, theta):
+    """Radius, half-angles, center and vertices of the root ``theta`` of the
+    orientation string ``eps``, by the per-root kernels of the enumeration
+    (``solver._root_geometry`` and ``solver._vertices``) on one row."""
+    rows = np.array([eps], dtype=float)
+    radius, alphas, center = solver._root_geometry(linkage, rows, np.array([theta]))
+    points = solver._vertices(linkage, radius, center, rows, alphas)
+    return float(radius[0]), alphas[0], center[0], points[0]

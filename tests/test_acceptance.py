@@ -193,7 +193,10 @@ def test_criterion_6_numerical_hygiene():
     worst_closure = 0.0
     for n, linkage, analyses in batch:
         for a in analyses:
-            defect = a.descriptor.closure_defect() * a.descriptor.radius
+            desc = a.descriptor
+            # the angular closure |sum 2 eps_i alpha_i - 2 pi k|, scaled to a length
+            defect = abs(2.0 * float(desc.eps.array @ desc.alphas) - 2.0 * math.pi * desc.winding)
+            defect *= desc.radius
             worst_closure = max(worst_closure, defect / linkage.perimeter)
     assert worst_closure < 1e-9, f"closure defect {worst_closure:.2e} of perimeter"
     print(f"ACCEPTANCE 6: PASS - FD gradient {worst_grad:.1e}, FD jacobian {worst_jac:.1e}, "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_linkage, regular_polygon_points
-from linkmorse import Linkage, analyze_linkage, analysis, index_summary
+from linkmorse import Linkage, analyze_linkage, analysis, cli, index_summary
 from linkmorse.analysis import CRITICALITY_TOL, dump_json, write_enumeration
 from linkmorse.cli import main
 from linkmorse.errors import LinkmorseError
@@ -49,6 +49,18 @@ def test_enumerate_triangle(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.startswith("2 configurations")
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    # main reuses one parser; a --seed given to one call must not leak into
+    # the next, which writes the default
+    assert cli.build_parser() is cli.build_parser()
+    linkage_file = _write(tmp_path / "linkage.json", {"lengths": [1, 1, 1]})
+    out = tmp_path / "out.json"
+    assert main(["enumerate", "-i", linkage_file, "-o", str(out), "--seed", "3"]) == 0
+    assert json.loads(out.read_text())["seed"] == 3
+    assert main(["enumerate", "-i", linkage_file, "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] is None
 
 
 # The artifact writer and summary as they were before the columnar table:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import constraint_violations, random_linkage, regular_polygon_points
 from linkmorse import (
+    AngularPath,
     CircleFit,
     Configuration,
     Linkage,
@@ -157,6 +158,13 @@ def test_deform_validates_inputs():
         deform([0.0, 1.0, 2.0], [0.0, 1.0], 1.0)
     with pytest.raises(InvalidConfigurationError):
         deform([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], 1.0, steps=1)
+    # a single row of angles, not one row per frame
+    with pytest.raises(InvalidConfigurationError, match="matching times"):
+        AngularPath(radius=1.0, times=[0.0, 1.0], angles=[0.0, 1.0, 2.0])
+    # a radius that is not finite and positive would give negative or NaN lengths
+    for radius in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(InvalidConfigurationError, match="radius"):
+            deform([0.0, 1.0, 2.0], [0.0, 1.5, 2.0], radius, steps=4)
 
 
 def _line_gaps(theta):

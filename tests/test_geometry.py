@@ -14,18 +14,12 @@ from linkmorse import (
     Linkage,
     OrientationString,
     closed_form,
-    edge_orientations,
     fit_circle,
     signed_area,
     verify_enumeration,
 )
-from linkmorse.errors import (
-    CentralConfigurationError,
-    DegenerateCircleError,
-    InvalidConfigurationError,
-    InvalidLinkageError,
-)
-from linkmorse.geometry import _convex_rows, _half_angle_rows
+from linkmorse.errors import DegenerateCircleError, InvalidConfigurationError, InvalidLinkageError
+from linkmorse.geometry import _convex_rows, _half_angle_rows, _orientation_rows
 
 SQUARE = np.array([(0.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)])
 SQUARE_CENTER = np.array([-0.5, 0.5])
@@ -38,6 +32,14 @@ def _half_angles(points, fit):
                                     np.array([fit.radius]))
     assert over == [None]
     return alphas[0]
+
+
+def _orientations(points, center):
+    """Orientation string of one configuration about a center, and the
+    refusal text of its first central edge, through the stacked kernel."""
+    sides, central = _orientation_rows(np.asarray(points, dtype=float)[None],
+                                       np.asarray(center, dtype=float)[None])
+    return tuple(sides[0].tolist()), central[0]
 
 
 def test_signed_area_unit_square_ccw():
@@ -146,25 +148,24 @@ def test_fit_circle_collinear_raises():
 
 
 def test_edge_orientations_ccw_square():
-    assert edge_orientations(SQUARE, SQUARE_CENTER).eps == (1, 1, 1, 1)
+    assert _orientations(SQUARE, SQUARE_CENTER) == ((1, 1, 1, 1), None)
 
 
 def test_edge_orientations_cw_square():
     cw = SQUARE[::-1]
-    assert edge_orientations(cw, SQUARE_CENTER).eps == (-1, -1, -1, -1)
+    assert _orientations(cw, SQUARE_CENTER) == ((-1, -1, -1, -1), None)
 
 
 def test_edge_orientation_single_edge_sign():
     # directed edge (1,0) -> (0,1) with the center at the origin: cross = +1
     pts = [(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)]
-    eps = edge_orientations(pts, (0.0, 0.0))
-    assert eps.eps[0] == 1
+    eps, central = _orientations(pts, (0.0, 0.0))
+    assert eps[0] == 1 and central is None
 
 
 def test_edge_orientations_center_on_edge_raises():
-    with pytest.raises(CentralConfigurationError) as info:
-        edge_orientations(SQUARE, (0.0, 0.5))
-    assert info.value.index == 1
+    _, central = _orientations(SQUARE, (0.0, 0.5))
+    assert central == "edge 1 passes through the circle center"
 
 
 def test_orientations_negate_under_reflection():
@@ -172,12 +173,11 @@ def test_orientations_negate_under_reflection():
     for _ in range(20):
         _, config = random_valid_configuration(rng, 5)
         center = config.points.mean(axis=0) + rng.normal(scale=0.1, size=2)
-        try:
-            eps = edge_orientations(config.points, center)
-        except CentralConfigurationError:
+        eps, central = _orientations(config.points, center)
+        if central is not None:
             continue
-        mirrored = edge_orientations(config.points * [-1, 1], center * [-1, 1])
-        assert mirrored.eps == tuple(-v for v in eps.eps)
+        assert _orientations(config.points * [-1, 1], center * [-1, 1]) == \
+            (tuple(-v for v in eps), None)
 
 
 def test_orientation_string_refuses_non_integral_entries():

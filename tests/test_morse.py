@@ -6,20 +6,16 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_linkage, regular_polygon_points
+from conftest import random_linkage, regular_polygon_points, root_row
 from linkmorse import (
     CircleFit,
     Configuration,
-    CyclicDescriptor,
     Linkage,
     closed_form,
-    edge_orientations,
     enumerate_cyclic,
     fit_circle,
-    reconstruct,
 )
-from linkmorse.errors import CentralConfigurationError
-from linkmorse.geometry import _half_angle_rows
+from linkmorse.geometry import _half_angle_rows, _orientation_rows
 from linkmorse.morse import CHORD_TOL, DELTA_REL_TOL, _sign_rows, determinant_sign
 
 PENTA_L = Linkage([1, 1, 1, 1, 1])
@@ -102,8 +98,9 @@ def test_diameter_edge_is_refused_before_a_later_chord():
         (None, None, "edge 1 passes through the circle center")
     alphas = _half_angles(points(1e-9), fit)
     assert 0.5 * math.pi - alphas[0] < CHORD_TOL
-    eps = edge_orientations(points(5e-9), fit.center).array
-    _, _, polygon, prefix = _sign_rows(eps[None], alphas[None])
+    sides, central = _orientation_rows(points(5e-9)[None], fit.center[None])
+    assert central == [None]
+    _, _, polygon, prefix = _sign_rows(sides.astype(float), alphas[None])
     assert polygon == ["edge 1 is (numerically) a diameter"]
     assert prefix == ["chord p_5 -> p_1 is a diameter"]
 
@@ -151,14 +148,14 @@ def test_aligned_pentagon_configurations_are_degenerate():
     # three consecutive edges on one line: the subconfiguration sequence hits
     # a vanishing chord or a delta zero depending on the backtracking edge
     # r = 1 / sqrt(3): every half-angle is pi/3
-    desc = CyclicDescriptor.from_angle(PENTA_L, (1, 1, 1, 1, -1), 1, math.pi / 3)
-    config = reconstruct(PENTA_L, desc)
-    _, morse, error = closed_form(config, desc.circle)
+    def rebuilt(eps):
+        radius, _, center, points = root_row(PENTA_L, eps, math.pi / 3)
+        return Configuration(points), CircleFit(center=center, radius=radius)
+
+    _, morse, error = closed_form(*rebuilt((1, 1, 1, 1, -1)))
     assert morse is None and error == "chord p_4 -> p_1 has vanishing length"
 
-    desc2 = CyclicDescriptor.from_angle(PENTA_L, (-1, 1, 1, 1, 1), 1, math.pi / 3)
-    config2 = reconstruct(PENTA_L, desc2)
-    _, morse2, error2 = closed_form(config2, desc2.circle)
+    _, morse2, error2 = closed_form(*rebuilt((-1, 1, 1, 1, 1)))
     assert morse2 is None and error2.startswith("subconfiguration P_4: |delta| = ")
 
 
@@ -187,10 +184,10 @@ def _geometric_sign_sequence(config, fit):
     taken from the points and every subpolygon gets its own determinant
     sign.  A refusal is returned as its text, the full polygon's before the
     chords', in the order in which closed_form applies them."""
-    try:
-        eps = edge_orientations(config.points, fit.center).eps
-    except CentralConfigurationError as err:
-        return str(err)
+    sides, central = _orientation_rows(config.points[None], fit.center[None])
+    if central[0] is not None:
+        return central[0]
+    eps = tuple(sides[0].tolist())
     alphas, over = _half_angle_rows(config.points[None], fit.center[None], np.array([fit.radius]))
     if over[0] is not None:
         return over[0]

@@ -12,24 +12,20 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import constraint_violations, edge_lengths, random_linkage
+from conftest import constraint_violations, edge_lengths, random_linkage, root_row
 from linkmorse import (
     CyclicDescriptor,
     DegeneracyFlags,
     Linkage,
     analyze_linkage,
-    delta_at_angle,
-    edge_orientations,
     enumerate_cyclic,
-    f_value,
     fit_circle,
-    reconstruct,
     signed_area,
 )
 from linkmorse import solver
-from linkmorse.geometry import _half_angle_rows
-from linkmorse.solver import MAX_EDGES, _flag_rows, _winding_bounds
-from linkmorse.errors import CentralConfigurationError, InconsistentDescriptorError, InvalidLinkageError
+from linkmorse.geometry import _half_angle_rows, _orientation_rows
+from linkmorse.solver import MAX_EDGES, _closure_defects, _flag_rows, _winding_bounds
+from linkmorse.errors import InconsistentDescriptorError, InvalidLinkageError
 
 SQUARE_L = Linkage([1, 1, 1, 1])
 PENTA_L = Linkage([1, 1, 1, 1, 1])
@@ -70,19 +66,33 @@ def _items(linkage, eps, k):
             if it.descriptor.eps.eps == eps and it.descriptor.winding == k]
 
 
+def _closure(linkage, eps, k, theta):
+    """``F = sum_i eps_i alpha_i(theta) - pi k`` of one string, winding and
+    angle, by the scan's ``solver._closure_rows`` on one row."""
+    return float(solver._closure_rows(np.array([theta]), solver._ratios(linkage),
+                                      np.array([eps], dtype=float), k)[0])
+
+
+def _delta(linkage, eps, theta):
+    """``delta = sum_i eps_i tan(alpha_i(theta))`` of one string and angle,
+    by the scan's ``solver._delta_rows`` on one row."""
+    return float(solver._delta_rows(np.array([theta]), solver._ratios(linkage),
+                                    np.array([eps], dtype=float))[0])
+
+
 def test_f_value_square_root():
-    assert f_value(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE) == pytest.approx(0.0, abs=1e-12)
+    assert _closure(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_f_value_regular_pentagon_root():
-    assert f_value(PENTA_L, ALL_PLUS5, 1, THETA_PENTAGON) == pytest.approx(0.0, abs=1e-12)
+    assert _closure(PENTA_L, ALL_PLUS5, 1, THETA_PENTAGON) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_f_value_asymptotic_limit():
     # theta -> 0 is r -> inf, where every half-angle vanishes
-    assert f_value(SQUARE_L, ALL_PLUS4, 2, 1e-6) == pytest.approx(-2 * math.pi, abs=1e-5)
-    assert f_value(SQUARE_L, ALL_PLUS4, 2, 1e-200) == -2 * math.pi
-    assert f_value(Linkage([3, 1, 1, 2]), (1, -1, 1, -1), 0, 1e-200) > 0.0
+    assert _closure(SQUARE_L, ALL_PLUS4, 2, 1e-6) == pytest.approx(-2 * math.pi, abs=1e-5)
+    assert _closure(SQUARE_L, ALL_PLUS4, 2, 1e-200) == -2 * math.pi
+    assert _closure(Linkage([3, 1, 1, 2]), (1, -1, 1, -1), 0, 1e-200) > 0.0
 
 
 def test_f_derivative_matches_finite_difference():
@@ -94,21 +104,21 @@ def test_f_derivative_matches_finite_difference():
     h = 1e-6
     for linkage, eps in cases:
         for theta in (0.01, 0.4, 1.0, 1.5):
-            fd = (f_value(linkage, eps, 0, theta + h) - f_value(linkage, eps, 0, theta - h)) / (2 * h)
-            assert fd == pytest.approx(delta_at_angle(linkage, eps, theta) / math.tan(theta),
+            fd = (_closure(linkage, eps, 0, theta + h) - _closure(linkage, eps, 0, theta - h)) / (2 * h)
+            assert fd == pytest.approx(_delta(linkage, eps, theta) / math.tan(theta),
                                        rel=1e-7, abs=1e-8)
 
 
 def test_f_derivative_square_value():
     # every half-angle is pi/4, so delta = 4 and dF/dtheta = cot(pi/4) * 4 = 4;
     # with dtheta/dr = -tan(theta)/r this is the radius derivative -delta/r = -4 sqrt(2)
-    delta = delta_at_angle(SQUARE_L, ALL_PLUS4, THETA_SQUARE)
+    delta = _delta(SQUARE_L, ALL_PLUS4, THETA_SQUARE)
     assert delta == pytest.approx(4.0, abs=1e-12)
     assert delta / math.tan(THETA_SQUARE) == pytest.approx(4.0, abs=1e-12)
     assert -delta / R_SQUARE == pytest.approx(-4 * math.sqrt(2), abs=1e-12)
     h = 1e-6
-    fd = (f_value(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE + h)
-          - f_value(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE - h)) / (2 * h)
+    fd = (_closure(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE + h)
+          - _closure(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE - h)) / (2 * h)
     assert fd == pytest.approx(4.0, abs=1e-6)
 
 
@@ -116,18 +126,18 @@ def test_f_derivative_vanishes_at_infinity():
     # as theta -> 0 (r -> inf) dF/dtheta tends to sum(eps_i l_i) / l_max = 4,
     # so the radius derivative -delta/r vanishes from below
     for theta in (math.asin(0.5 / 1e9), 1e-200):
-        delta = delta_at_angle(SQUARE_L, ALL_PLUS4, theta)
+        delta = _delta(SQUARE_L, ALL_PLUS4, theta)
         assert delta / math.tan(theta) == pytest.approx(4.0, rel=1e-12)
     theta = math.asin(0.5 / 1e9)
-    value = -delta_at_angle(SQUARE_L, ALL_PLUS4, theta) / (0.5 / math.sin(theta))
+    value = -_delta(SQUARE_L, ALL_PLUS4, theta) / (0.5 / math.sin(theta))
     assert -1e-8 < value < 0.0
 
 
 def test_f_derivative_zero_for_balanced_signs():
     # eps = (+,-,+,-) on equal lengths cancels delta identically, and F is flat
     for theta in (1e-200, 0.01, 0.7, math.pi / 2):
-        assert delta_at_angle(SQUARE_L, (1, -1, 1, -1), theta) == 0.0
-    assert f_value(SQUARE_L, (1, -1, 1, -1), 0, 0.3) == f_value(SQUARE_L, (1, -1, 1, -1), 0, 1.2)
+        assert _delta(SQUARE_L, (1, -1, 1, -1), theta) == 0.0
+    assert _closure(SQUARE_L, (1, -1, 1, -1), 0, 0.3) == _closure(SQUARE_L, (1, -1, 1, -1), 0, 1.2)
 
 
 def test_solve_radii_square():
@@ -196,41 +206,47 @@ def test_degeneracy_flags_detect_each_kind():
 
 
 def test_reconstruct_unit_square():
-    desc = CyclicDescriptor.from_angle(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE)
-    config = reconstruct(SQUARE_L, desc)
+    _, _, center, points = root_row(SQUARE_L, ALL_PLUS4, THETA_SQUARE)
     expected = [(0, 0), (0, 1), (-1, 1), (-1, 0)]
-    assert config.points == pytest.approx(np.asarray(expected, dtype=float), abs=1e-12)
-    assert desc.center == pytest.approx([-0.5, 0.5], abs=1e-12)
-    assert config.points[0] @ config.points[0] == 0.0  # pinning is exact
-    assert config.points[1, 0] == 0.0 and config.points[1, 1] == 1.0
+    assert points == pytest.approx(np.asarray(expected, dtype=float), abs=1e-12)
+    assert center == pytest.approx([-0.5, 0.5], abs=1e-12)
+    assert points[0] @ points[0] == 0.0  # pinning is exact
+    assert points[1, 0] == 0.0 and points[1, 1] == 1.0
 
 
 def test_reconstruct_regular_pentagon_area():
-    desc = CyclicDescriptor.from_angle(PENTA_L, ALL_PLUS5, 1, THETA_PENTAGON)
-    config = reconstruct(PENTA_L, desc)
+    points = root_row(PENTA_L, ALL_PLUS5, THETA_PENTAGON)[3]
     expected = 1.25 * math.tan(math.radians(54.0))  # regular unit pentagon
-    assert signed_area(config.points) == pytest.approx(expected, abs=1e-9)
+    assert signed_area(points) == pytest.approx(expected, abs=1e-9)
 
 
 def test_reconstruct_mirror_negates_area():
-    desc = CyclicDescriptor.from_angle(PENTA_L, ALL_PLUS5, 1, THETA_PENTAGON)
-    mirror = desc.mirrored()
-    config = reconstruct(PENTA_L, desc)
-    mirrored = reconstruct(PENTA_L, mirror)
-    assert mirrored.points == pytest.approx(config.points * np.array([-1.0, 1.0]), abs=1e-12)
-    assert signed_area(mirrored.points) == pytest.approx(-signed_area(config.points), abs=1e-12)
+    # the enumeration rebuilds the mirror row (-E, -k) from the reflected
+    # center: its vertices are the reflection across the pinned edge
+    (item,) = _items(PENTA_L, ALL_PLUS5, 1)
+    (mirror,) = _items(PENTA_L, tuple(-v for v in ALL_PLUS5), -1)
+    points, mirrored = item.configuration.points, mirror.configuration.points
+    assert mirrored == pytest.approx(points * np.array([-1.0, 1.0]), abs=1e-12)
+    assert signed_area(mirrored) == pytest.approx(-signed_area(points), abs=1e-12)
 
 
-def test_reconstruct_rejects_broken_closure():
-    desc = CyclicDescriptor.from_angle(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE)
-    bad = CyclicDescriptor(radius=desc.radius, winding=2, eps=desc.eps,
-                           alphas=desc.alphas, center=desc.center)
-    with pytest.raises(InconsistentDescriptorError):
-        reconstruct(SQUARE_L, bad)
+def test_reconstruct_rejects_broken_closure(monkeypatch):
+    # a root reported with a winding off by one fails the closure check
+    # before any vertex is rebuilt
+    scan = solver._scan
+
+    def off_by_one(*args):
+        rows, ks, thetas = scan(*args)
+        return rows, ks + 1, thetas
+
+    monkeypatch.setattr(solver, "_scan", off_by_one)
+    with pytest.raises(InconsistentDescriptorError, match="angular closure defect"):
+        enumerate_cyclic(SQUARE_L)
 
 
 def test_descriptor_refuses_non_integral_winding():
-    desc = CyclicDescriptor.from_angle(SQUARE_L, ALL_PLUS4, 1, THETA_SQUARE)
+    (item,) = _items(SQUARE_L, ALL_PLUS4, 1)
+    desc = item.descriptor
     # int() would truncate -1.5 to -1
     with pytest.raises(InconsistentDescriptorError):
         CyclicDescriptor(radius=desc.radius, winding=-1.5, eps=desc.eps,
@@ -294,7 +310,9 @@ def test_enumeration_round_trip_properties():
                                             np.array([fit.radius]))
             assert over == [None]
             assert alphas[0] == pytest.approx(desc.alphas, abs=1e-9)
-            assert edge_orientations(config.points, desc.center).eps == desc.eps.eps
+            sides, central = _orientation_rows(config.points[None], desc.center[None])
+            assert central == [None]
+            assert tuple(sides[0].tolist()) == desc.eps.eps
             # every edge length is realized, including the closing edge
             assert edge_lengths(config.points) == pytest.approx(
                 linkage.lengths, rel=1e-9)
@@ -317,19 +335,19 @@ def test_enumeration_mirror_pairing():
 def test_enumeration_closure_defects_small():
     rng = np.random.default_rng(33)
     linkage = random_linkage(rng, 6)
-    for item in enumerate_cyclic(linkage):
-        defect = item.descriptor.closure_defect()
-        assert defect * item.descriptor.radius < 1e-9 * linkage.perimeter
+    table = enumerate_cyclic(linkage)
+    defects = _closure_defects(table.eps, table.alphas, table.k)
+    assert np.all(defects * table.radius < 1e-9 * linkage.perimeter)
 
 
-def _orientation_consistent(config, desc, flags):
+def _orientation_consistent(points, center, eps, flags):
     """The orientation filter the enumeration used to apply: the rebuilt
-    vertices must reproduce the descriptor's string, central edges exempt."""
-    try:
-        geo = edge_orientations(config.points, desc.center)
-    except CentralConfigurationError as err:
-        return flags.central[err.index - 1] if err.index else False
-    return all(g == d or c for g, d, c in zip(geo.eps, desc.eps.eps, flags.central))
+    vertices must reproduce the string, central edges exempt."""
+    sides, central = _orientation_rows(points[None], center[None])
+    if central[0] is not None:
+        # the refusal reads "edge i passes through the circle center"
+        return flags.central[int(central[0].split()[1]) - 1]
+    return all(g == d or c for g, d, c in zip(sides[0].tolist(), eps, flags.central))
 
 
 def _radius_scan(linkage):
@@ -380,10 +398,11 @@ def _radius_scan(linkage):
                 flags = DegeneracyFlags(central=tuple(bool(2.0 * r - l <= tol * r) for l in lengths),
                                         near_flip=tuple(bool(a < tol) for a in np.arcsin(ratios(r))),
                                         delta_zero=bool(abs(delta(e, r)) < tol))
-                desc = CyclicDescriptor.from_angle(linkage, eps, k, math.asin(r_min / r))
-                config = reconstruct(linkage, desc)
-                if _orientation_consistent(config, desc, flags):
-                    items.append((k, eps, r, flags, config.points))
+                _, alphas, center, points = root_row(linkage, eps, math.asin(r_min / r))
+                # the closure check the vertices used to be rebuilt under
+                assert _closure_defects(e[None], alphas[None], k)[0] <= solver.CLOSURE_TOL
+                if _orientation_consistent(points, center, eps, flags):
+                    items.append((k, eps, r, flags, points))
     items.sort(key=lambda it: it[:3])
     unique = []
     for item in items:
@@ -442,11 +461,11 @@ def test_quad_wall_1e6_roots_are_generic_and_agree():
 
 def test_pentagon_near_minimum_radius_closes():
     # refined in r, a root near r_min left a closure defect of 3.3e-9 and
-    # reconstruct raised InconsistentDescriptorError
+    # the closure check raised InconsistentDescriptorError
     linkage = Linkage(PENTAGON_NEAR_RMIN)
     items = enumerate_cyclic(linkage)
     assert len(items) == 6
-    assert max(it.descriptor.closure_defect() for it in items) < 1e-10
+    assert _closure_defects(items.eps, items.alphas, items.k).max() < 1e-10
     near = [it for it in items if it.descriptor.radius < linkage.min_radius * (1 + 1e-11)]
     assert len(near) == 2
     assert all(any(it.flags.central) for it in near)
@@ -470,8 +489,9 @@ def test_solve_radii_mirror_is_exact():
 def _string_roots(linkage, eps, ks):
     """The per-string scan the solver ran before it scanned blocks of
     strings: one windings x grid table for one string, exact zeros and sign
-    changes per winding, brackets refined with brentq on f_value, double
-    roots tested at the zeros of delta, one merged root list per winding."""
+    changes per winding, brackets refined with scipy's brentq on one row of
+    ``_closure_rows``, double roots tested at the zeros of ``_delta_rows``,
+    one merged root list per winding."""
     rho = linkage.lengths / linkage.lengths.max()
 
     def half_angles(theta):
@@ -498,11 +518,11 @@ def _string_roots(linkage, eps, ks):
         thetas[j].append(float(grid[i]))
     for j, i in zip(*np.nonzero(changes)):
         k = int(ks[j])
-        thetas[j].append(float(brentq(lambda t: f_value(linkage, eps, k, t), grid[i], grid[i + 1],
+        thetas[j].append(float(brentq(lambda t: _closure(linkage, eps, k, t), grid[i], grid[i + 1],
                                       xtol=1e-200, rtol=1e-14)))
     zeros, changes = masks(deltas)
     extrema = [float(t) for t in grid[zeros]]
-    extrema.extend(float(brentq(lambda t: delta_at_angle(linkage, eps, t), grid[i], grid[i + 1],
+    extrema.extend(float(brentq(lambda t: _delta(linkage, eps, t), grid[i], grid[i + 1],
                                 xtol=1e-200, rtol=1e-14))
                    for i in np.flatnonzero(changes))
     for t in extrema:
