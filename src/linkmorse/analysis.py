@@ -59,7 +59,7 @@ CRITICALITY_TOL = 1e-8
 # Work-array budget of the stacked analysis, in float64 entries.  A chunk of
 # configurations takes _CHUNK // m^2 rows, m = 2(n - 2) free coordinates, so
 # each of the oracle's (rows, m, m) arrays takes at most 512 kB whatever n
-# is, as solver._BLOCK bounds the scan's tables.
+# is, as solver._BLOCK and solver._WINDOWS bound the scan's tables.
 _CHUNK = 2 ** 16
 
 # The refusal of both sides on a flagged (near-degenerate) configuration.

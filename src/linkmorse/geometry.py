@@ -83,10 +83,6 @@ class Linkage:
         return self.lengths.size
 
     @property
-    def perimeter(self) -> float:
-        return float(self.lengths.sum())
-
-    @property
     def min_radius(self) -> float:
         """Smallest radius of any circle inscribing all edges as chords."""
         return float(self.lengths.max()) / 2.0

@@ -14,19 +14,25 @@ with ``dF/dtheta = cot(theta) * delta`` where ``delta = sum_i eps_i tan(alpha_i)
 one grid of :data:`SAMPLES` points uniform in theta covers every radius: there
 is no radius cap.
 
-The scan runs once per linkage, over blocks of orientation strings.  For a
-block, one matrix product tabulates the closure sums ``C = sum eps_i alpha_i``
-and one the deltas ``D`` on the grid, for every string at once.  A level
+The scan runs once per linkage, over blocks of orientation strings, and
+tabulates the closure sums ``C = sum eps_i alpha_i`` and the deltas ``D``
+coarse to fine.  Every ``alpha_i`` and every ``tan(alpha_i)`` increases with
+theta, so with P the sum over the +1 edges and N over the -1 edges, C = P - N
+lies in [P(a) - N(b), P(b) - N(a)] on a cell [a, b], and D likewise.  These
+bounds, taken from every :data:`_STEP`-th grid point, prove about 90% of the
+cells free of any level ``pi k`` or of a zero of D; only the other cells are
+tabulated at every grid point, a chunk of them per matrix product.  A level
 ``pi k`` can only be crossed in a cell where ``floor(C / pi)`` changes or next
-to a sample within a slack of a level, so one pass over the block picks these
-candidate cells, and the exact test runs on them alone, for all feasible
-windings at once: a sign change of ``C - pi k`` brackets a root, an isolated
-exact zero is one, and a run of exact zeros (a family on which F vanishes
-identically) yields none.  A string whose +1 and -1 edges carry the same
-lengths is such a family for every winding and is not scanned.  Brackets are
-refined in theta by :func:`brentq`, one Brent's method that steps over every
-closure bracket ``(E, k, cell)`` of the linkage at once, evaluating F as
-stacked rows, and once more over every bracket of delta.
+to a sample within a slack of a level, so one pass over the tabulated cells
+picks these candidate cells, and the exact test runs on them alone, for all
+feasible windings at once: a sign change of ``C - pi k`` brackets a root, an
+isolated exact zero is one, and a run of exact zeros (a family on which F
+vanishes identically) yields none.  The bounds are widened past the slack, so
+the candidates are those of the whole table.  A string whose +1 and -1 edges
+carry the same lengths is such a family for every winding and is not
+scanned.  Brackets are refined in theta by :func:`brentq`, one Brent's method
+that steps over every closure bracket ``(E, k, cell)`` of the linkage at once,
+evaluating F as stacked rows, and once more over every bracket of delta.
 Double roots hide at zeros of delta, the extrema of F; one is accepted when
 ``|F| <= RESIDUAL_TOL * (sum alpha_i + pi |k|)``, and a root is flagged
 ``delta_zero`` when ``|delta| < DEGENERACY_TOL * sum tan(alpha_i)``, so both
@@ -52,7 +58,6 @@ import numpy as np
 
 from .errors import InconsistentDescriptorError, InvalidLinkageError
 from .geometry import (
-    CircleFit,
     Configuration,
     Linkage,
     OrientationString,
@@ -67,11 +72,25 @@ _RMIN_MARGIN = 1e-12
 # Grid points of the scan, uniform in theta.
 SAMPLES = 4096
 
-# Orientation strings per block of the scan.  Each of the block's four work
-# tables (strings x grid points) then takes about 512 kB, which bounds the
-# scan's working set whatever n is.  At n = 10, blocks of 8 strings took
-# 14% longer and blocks of 32 grew the peak memory by another 2.7 MB.
-_BLOCK = max(1, 2 ** 16 // SAMPLES)
+# Grid samples per coarse cell of the scan: the cells are bounded from every
+# _STEP-th sample, and only those that may hold a candidate are tabulated in
+# full.
+_STEP = 64
+
+# Orientation strings per block of the scan: the block's coarse tables
+# (strings x cells + 1) take at most 2^16 values (512 kB) whatever n is.
+_BLOCK = 2 ** 16 // (SAMPLES // _STEP + 1)
+
+# Windows per chunk of the fine scan: a window holds one cell's samples, one
+# more on each side and a NaN after them, and a chunk with its spare window
+# (see _windows) at most 2^16 values (512 kB), however many cells a block
+# keeps.
+_WINDOWS = 2 ** 16 // (_STEP + 3) - 1
+
+# Relative allowance for rounding in the cell bounds, against the sum over
+# all edges of the table bounded: far above the n machine epsilons (3.6e-15
+# at n = 16) by which rounding can move a sum of n terms.
+_BOUND_RTOL = 1e-12
 
 # Distance, in units of pi, within which a sample of C counts as near a level
 # pi k.  It is far above the rounding of C / pi, so a sign change of C - pi k
@@ -80,12 +99,12 @@ _LEVEL_SLACK = 1e-9
 
 # Largest number of edges enumerate_cyclic accepts.  The scan covers
 # 2^(n-1) strings and the number of configurations grows about as fast:
-# ``linkmorse enumerate -o`` on random lengths in [0.5, 2] took 0.6 s at
-# n = 12, 2.6-3.0 s at n = 14 and 7.9-10.2 s at n = 16 (37796
-# configurations, 118 MB peak: 1.2-2.1 s scan, 0.15 s per-root tail, 4.1-4.3 s
-# analysis, 2.1-2.2 s writing 84 MB of JSON, 0.15 s import) on a 2-core x86-64
-# host with Python 3.11 (BENCH_columns.json).  Each edge more about doubles
-# the scan and the configurations, so n = 17 would take about 20 s.
+# ``linkmorse enumerate -o`` on random lengths in [0.5, 2] took 0.4 s at
+# n = 12, 1.0 s at n = 14 and 5.5-5.6 s at n = 16 (37796 configurations,
+# 117 MB peak; 0.6 s of it enumerate_cyclic, 0.31-0.39 s of that the scan's
+# table) on a 2-core x86-64 host with Python 3.11 (BENCH_scan.json).  Each
+# edge more about doubles the scan and the configurations, so n = 17 would
+# take about 12 s.
 MAX_EDGES = 16
 
 # First grid point, standing in for theta = 0 (r = inf): F has the sign of its
@@ -168,10 +187,6 @@ class CyclicDescriptor:
         object.__setattr__(self, "center", _readonly(np.asarray(self.center, dtype=float).reshape(2)))
         if len(self.eps) != self.alphas.size:
             raise InconsistentDescriptorError("orientation string and half-angles disagree in length")
-
-    @property
-    def circle(self) -> CircleFit:
-        return CircleFit(center=self.center, radius=self.radius)
 
 
 @dataclass(frozen=True)
@@ -393,16 +408,6 @@ def _vanishing(lengths: np.ndarray, strings: np.ndarray) -> np.ndarray:
     return ~(strings @ np.eye(group.max() + 1)[group]).any(axis=1)
 
 
-def _candidates(table: np.ndarray, offset: int, cells: np.ndarray):
-    """Row (plus ``offset``), column and the values before, at and after each
-    candidate sample of a block table; ``cells`` marks the candidates."""
-    flat = np.flatnonzero(cells)
-    values = table.ravel()
-    row, i = np.divmod(flat, table.shape[1])
-    return (row + offset, i, values.take(flat - 1, mode="clip"), values[flat],
-            values.take(flat + 1, mode="clip"))
-
-
 def _level_cells(closures: np.ndarray, levels: np.ndarray, floors: np.ndarray) -> np.ndarray:
     """Samples of a block of closure sums next to which a level ``pi k`` may
     be met: where ``floor(C / pi)`` changes before the next sample, or where
@@ -439,37 +444,120 @@ def _sign_change(here, after, level):
     return ((here < level) & (after > level)) | ((here > level) & (after < level))
 
 
+def _bounds(coarse: np.ndarray, positive: np.ndarray, widen: float):
+    """Bounds ``(lo, hi)``, one row per coarse cell and one column per
+    string, on the sums ``P - N`` of a table over each cell, where P sums
+    the +1 edges of the string and N the -1 edges.  ``coarse`` holds the
+    table at the coarse points (one row each) and ``positive`` the +1 edges
+    of each string (one column each, 1.0 or 0.0).  P and N increase with
+    theta, so over a cell [a, b] ``P - N`` lies in [P(a) - N(b), P(b) - N(a)].
+    The bounds are widened by ``widen`` and by :data:`_BOUND_RTOL` of the
+    sum over all edges at b, for the rounding of the sums."""
+    partial = coarse @ positive
+    total = coarse.sum(axis=1)
+    margin = widen + _BOUND_RTOL * total[1:]
+    ends = partial[:-1] + partial[1:]
+    return ends - (total[1:] + margin)[:, None], ends - (total[:-1] - margin)[:, None]
+
+
+def _meets_level(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Cells whose bound [lo, hi] holds a level ``pi k``."""
+    return np.ceil(lo / math.pi) <= np.floor(hi / math.pi)
+
+
+def _meets_zero(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Cells whose bound [lo, hi] holds 0."""
+    return (lo <= 0.0) & (hi >= 0.0)
+
+
+def _windows(table: np.ndarray, eps: np.ndarray, cells: np.ndarray, out: np.ndarray):
+    """Fill ``out[p, :-1]`` with the sums ``eps[p] . table[i]`` over the
+    window of samples ``i = cells[p] * _STEP - 1 ... (cells[p] + 1) * _STEP``
+    of a table padded with one sample before the first.  Rows come sorted by
+    cell, and one matrix product serves each cell.
+
+    ``eps`` and ``out`` carry one spare row after the last window.  A product
+    of one row would run BLAS's matrix-vector kernel, which sums the edges in
+    another order than the matrix kernel, so a cell kept by one string takes
+    two rows: the next cell's first row, which that cell's product then
+    overwrites, or the spare one.  Every window thus holds the sums the
+    matrix kernel gives, edge by edge in order, whoever keeps the cell."""
+    ends = (np.flatnonzero(cells[1:] != cells[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + ends, ends + [cells.size]):
+        first, hi = int(cells[lo]) * _STEP, max(hi, lo + 2)
+        np.matmul(eps[lo:hi], table[first:first + _STEP + 2].T, out=out[lo:hi, :-1])
+
+
+def _window_candidates(table, rows, offset: int, kept, wall, marks, work):
+    """Candidate samples of the kept cells (``kept``: cells x strings) of a
+    block of strings, chunk by chunk of windows, as tuples of the row (plus
+    ``offset``), the sample and the values before, at and after it.
+    ``marks`` picks the candidates of a table of windows."""
+    last = kept.shape[0] - 1
+    cell, row = np.divmod(np.flatnonzero(kept), kept.shape[1])
+    for first in range(0, cell.size, _WINDOWS):
+        cells, string = cell[first:first + _WINDOWS], row[first:first + _WINDOWS]
+        _windows(table, rows[np.append(string, 0)], cells, work)
+        values = work[:cells.size]
+        values[(cells == 0) & wall[string], 1] = np.nan
+        marked = marks(values[:, :-1])
+        # A window's first sample belongs to the cell before it and its
+        # last to the next, except at the end of the grid.
+        marked[:, 0] = False
+        marked[cells < last, -1] = False
+        j, col = np.divmod(np.flatnonzero(marked), _STEP + 2)
+        at, flat = j * (_STEP + 3) + col, values.ravel()
+        yield (string[j] + offset, cells[j] * _STEP + col - 1,
+               flat[at - 1], flat[at], flat[at + 1])
+
+
 def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
     """Candidate samples of the closure sums and of the deltas of every
-    string on the grid, as :func:`_candidates` tuples over all blocks."""
-    alphas_tab = _half_angles(rho, grid)
+    string on the grid, as tuples of the row, the sample and the values
+    before, at and after it (NaN past either end of the grid).
+
+    Both tables are built coarse to fine, a block of strings at a time.  The
+    sums over the +1 edges at every :data:`_STEP`-th sample bound each
+    string's cells (:func:`_bounds`).  Only a cell whose widened bound meets
+    a level ``pi k`` (closures) or 0 (deltas), and the first cell, is
+    tabulated at every sample, with one sample more on each side, and
+    searched by the rules of the whole table.  A cell left out holds no
+    sample these rules would mark, so the candidates are the whole table's.
+    """
+    alphas_tab = _half_angles(rho, np.concatenate([[np.nan], grid]))
     tangents_tab = np.tan(alphas_tab)
-    wall_tol = RESIDUAL_TOL * alphas_tab[0].sum()
-    level_cells, sign_cells = [], []
-    # Work tables reused by every block: a fresh array of this size per
-    # operation costs more in page faults than the arithmetic on it.  They
-    # are four allocations, not one, so that none exceeds a block table:
-    # freeing a larger one would raise the allocator's threshold for mapping
-    # memory and change the cost of later allocations in the process.
-    work = [np.empty((min(_BLOCK, len(strings)), grid.size)) for _ in range(4)]
+    wall_tol = RESIDUAL_TOL * alphas_tab[1].sum()
+    # Work tables reused by every chunk of windows, each of at most 2^16
+    # values (512 kB) whatever n is and however many cells are kept: freeing
+    # a larger array would raise the allocator's threshold for mapping memory
+    # and change the cost of later allocations in the process.  A window's
+    # last column stays NaN, the value after the grid's last sample.
+    work = np.empty((_WINDOWS + 1, _STEP + 3))
+    work[:, -1] = np.nan
+    levels, floors = np.empty((_WINDOWS, _STEP + 2)), np.empty((_WINDOWS, _STEP + 2))
+    # A closure sum within _LEVEL_SLACK pi of a level marks a candidate: the
+    # closures' bounds are widened by twice that distance, far more than the
+    # rounding of C / pi can move a sample.
+    kinds = ((alphas_tab, 2.0 * _LEVEL_SLACK * math.pi, _meets_level,
+              lambda values: _level_cells(values, levels[:len(values)], floors[:len(values)])),
+             (tangents_tab, 0.0, _meets_zero, _sign_cells))
+    found = ([], [])
     for start in range(0, len(strings), _BLOCK):
         rows = strings[start:start + _BLOCK]
-        closures, deltas, levels, floors = (table[:len(rows)] for table in work)
-        np.matmul(rows, alphas_tab.T, out=closures)
-        np.matmul(rows, tangents_tab.T, out=deltas)
         # The first point stands in for r = inf.  On a wall (sum eps_i l_i = 0,
         # to RESIDUAL_TOL) F and delta both vanish in that limit, which is no
         # configuration, and their signs next to it are rounding: NaN there
         # is neither a zero nor a sign, so such a string's scan starts at the
         # second point.
-        wall = np.abs(closures[:, 0]) <= wall_tol
-        closures[wall, 0] = np.nan
-        deltas[wall, 0] = np.nan
-        level_cells.append(_candidates(closures, start, _level_cells(closures, levels, floors)))
-        sign_cells.append(_candidates(deltas, start, _sign_cells(deltas)))
+        wall = np.abs(rows @ alphas_tab[1]) <= wall_tol
+        positive = (rows > 0.0).T.astype(float)
+        for (table, widen, meets, marks), cands in zip(kinds, found):
+            kept = meets(*_bounds(table[1::_STEP], positive, widen))
+            # the first cell holds a wall's NaN, which no bound sees
+            kept[0] = True
+            cands.extend(_window_candidates(table, rows, start, kept, wall, marks, work))
     none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 3
-    return ([np.concatenate(v) for v in zip(none, *level_cells)],
-            [np.concatenate(v) for v in zip(none, *sign_cells)])
+    return tuple([np.concatenate(v) for v in zip(none, *cands)] for cands in found)
 
 
 def _merge(row: np.ndarray, k: np.ndarray, theta: np.ndarray):

@@ -121,7 +121,7 @@ def test_criterion_4_convex_maximality():
         assert len(convex) == 1, f"{linkage.lengths}: {len(convex)} convex configurations"
         best = convex[0]
         areas = [a.area for a in analyses]
-        assert best.area == pytest.approx(max(areas), abs=1e-12 * linkage.perimeter ** 2)
+        assert best.area == pytest.approx(max(areas), abs=1e-12 * linkage.lengths.sum() ** 2)
         assert best.index == n - 3
         lowest = min(analyses, key=lambda a: a.area)
         assert lowest.index == 0
@@ -197,7 +197,7 @@ def test_criterion_6_numerical_hygiene():
             # the angular closure |sum 2 eps_i alpha_i - 2 pi k|, scaled to a length
             defect = abs(2.0 * float(desc.eps.array @ desc.alphas) - 2.0 * math.pi * desc.winding)
             defect *= desc.radius
-            worst_closure = max(worst_closure, defect / linkage.perimeter)
+            worst_closure = max(worst_closure, defect / linkage.lengths.sum())
     assert worst_closure < 1e-9, f"closure defect {worst_closure:.2e} of perimeter"
     print(f"ACCEPTANCE 6: PASS - FD gradient {worst_grad:.1e}, FD jacobian {worst_jac:.1e}, "
           f"closure {worst_closure:.1e} of perimeter")

@@ -84,7 +84,8 @@ def test_full_turn_of_one_vertex_generic_quadrilateral():
     rng = np.random.default_rng(100)
     linkage = random_linkage(rng, 4)
     item = enumerate_cyclic(linkage)[0]
-    theta = vertex_angles(item.configuration, item.descriptor.circle)
+    theta = vertex_angles(item.configuration,
+                          CircleFit(center=item.descriptor.center, radius=item.descriptor.radius))
     end = theta.copy()
     end[3] += 2.0 * math.pi
     path = deform(theta, end, item.descriptor.radius, steps=2000)

@@ -174,8 +174,10 @@ def test_mirror_duality_on_enumerated_configurations():
         table = {(it.descriptor.eps.eps, it.descriptor.winding): it for it in items}
         for (eps, k), item in table.items():
             partner = table[(tuple(-v for v in eps), -k)]
-            m = closed_form(item.configuration, item.descriptor.circle)[1].index
-            m_mirror = closed_form(partner.configuration, partner.descriptor.circle)[1].index
+            fit, fit_mirror = (CircleFit(center=it.descriptor.center, radius=it.descriptor.radius)
+                               for it in (item, partner))
+            m = closed_form(item.configuration, fit)[1].index
+            m_mirror = closed_form(partner.configuration, fit_mirror)[1].index
             assert m + m_mirror == n - 3
 
 
@@ -263,7 +265,8 @@ def test_prefix_sums_match_geometric_chords():
         for item in enumerate_cyclic(linkage):
             if item.flags.any:
                 continue
-            config, fit = item.configuration, item.descriptor.circle
+            config = item.configuration
+            fit = CircleFit(center=item.descriptor.center, radius=item.descriptor.radius)
             expected = _outcome(_geometric_sign_sequence, config, fit)
             assert _outcome(_closed_form_sequence, config, fit) == expected
             outcomes.append(expected)

@@ -6,10 +6,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import constraint_violations, edge_lengths, random_linkage, root_row
@@ -337,7 +340,7 @@ def test_enumeration_closure_defects_small():
     linkage = random_linkage(rng, 6)
     table = enumerate_cyclic(linkage)
     defects = _closure_defects(table.eps, table.alphas, table.k)
-    assert np.all(defects * table.radius < 1e-9 * linkage.perimeter)
+    assert np.all(defects * table.radius < 1e-9 * linkage.lengths.sum())
 
 
 def _orientation_consistent(points, center, eps, flags):
@@ -406,7 +409,7 @@ def _radius_scan(linkage):
     items.sort(key=lambda it: it[:3])
     unique = []
     for item in items:
-        if not any(np.max(np.abs(other[4] - item[4])) < 1e-8 * linkage.perimeter for other in unique):
+        if not any(np.max(np.abs(other[4] - item[4])) < 1e-8 * linkage.lengths.sum() for other in unique):
             unique.append(item)
     return [item[:4] for item in unique]
 
@@ -584,6 +587,151 @@ def test_block_scan_matches_per_string_scan(linkage):
     assert [(it.descriptor.winding, it.descriptor.eps.eps, it.flags) for it in items] == \
         [(k, eps, flags) for k, eps, flags, _ in expected]
     assert [it.descriptor.radius for it in items] == [r for *_, r in expected]
+
+
+def _full_table(rho, grid, strings):
+    """The scan's candidate samples as it found them before it pruned cells:
+    the closure sums and the deltas of 16 strings at a time tabulated at
+    every grid point, searched by the same rules.  A candidate at either end
+    of a row reads its value before or after from the neighbouring row of
+    the flat table, which the rules ignore."""
+    alphas_tab = solver._half_angles(rho, grid)
+    tangents_tab = np.tan(alphas_tab)
+    wall_tol = solver.RESIDUAL_TOL * alphas_tab[0].sum()
+
+    def candidates(table, offset, cells):
+        flat = np.flatnonzero(cells)
+        values = table.ravel()
+        row, i = np.divmod(flat, table.shape[1])
+        return (row + offset, i, values.take(flat - 1, mode="clip"), values[flat],
+                values.take(flat + 1, mode="clip"))
+
+    level_cells, sign_cells = [], []
+    for start in range(0, len(strings), 16):
+        rows = strings[start:start + 16]
+        closures, deltas = rows @ alphas_tab.T, rows @ tangents_tab.T
+        wall = np.abs(closures[:, 0]) <= wall_tol
+        closures[wall, 0] = np.nan
+        deltas[wall, 0] = np.nan
+        work = np.empty_like(closures), np.empty_like(closures)
+        level_cells.append(candidates(closures, start, solver._level_cells(closures, *work)))
+        sign_cells.append(candidates(deltas, start, solver._sign_cells(deltas)))
+    none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 3
+    return ([np.concatenate(v) for v in zip(none, *level_cells)],
+            [np.concatenate(v) for v in zip(none, *sign_cells)])
+
+
+def _candidate_lists(candidates):
+    """Sorted ``(row, sample, value)`` of each candidate list, NaN as None."""
+    return [sorted((r, i, None if math.isnan(v) else v)
+                   for r, i, v in zip(row.tolist(), i.tolist(), here.tolist()))
+            for row, i, _, here, _ in candidates]
+
+
+def _scan_trace(linkage, monkeypatch, tabulate):
+    """enumerate_cyclic with ``tabulate`` in place of the scan's table: the
+    sorted ``(row, sample, value)`` candidates of the closures and of the
+    deltas (NaN as None), the sorted closure brackets ``(row, k, sample)``,
+    and the table it returns."""
+    seen, brackets = {}, []
+    batched = solver.brentq
+
+    def recording_tabulate(rho, grid, strings):
+        seen["grid"], seen["strings"] = grid, strings
+        seen["candidates"] = tabulate(rho, grid, strings)
+        return seen["candidates"]
+
+    def recording_brentq(f, a, b, args=()):
+        brackets.append((a, args))
+        return batched(f, a, b, args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_tabulate", recording_tabulate)
+        patch.setattr(solver, "brentq", recording_brentq)
+        table = enumerate_cyclic(linkage)
+    rows = {tuple(eps): j for j, eps in enumerate(seen["strings"].tolist())}
+    candidates = _candidate_lists(seen["candidates"])
+    a, (eps, k) = brackets[0]
+    closure_brackets = sorted(zip([rows[tuple(e)] for e in eps.tolist()], k.tolist(),
+                                  np.searchsorted(seen["grid"], a).tolist()))
+    return candidates, closure_brackets, table
+
+
+def _pruned_scan_fixtures():
+    yield from _block_scan_fixtures()
+    rng = np.random.default_rng(53)
+    yield from (pytest.param(random_linkage(rng, n), id=f"random_{n}") for n in range(4, 14))
+
+
+@pytest.mark.parametrize("linkage", list(_pruned_scan_fixtures()))
+def test_pruned_scan_matches_full_table(linkage, monkeypatch):
+    """The cells the scan leaves out hold no candidate: its candidate
+    samples, their values, its closure brackets and its table are the full
+    table's."""
+    (closures, deltas), brackets, table = _scan_trace(linkage, monkeypatch, solver._tabulate)
+    expected = _scan_trace(linkage, monkeypatch, _full_table)
+    assert closures == expected[0][0]
+    assert deltas == expected[0][1]
+    assert brackets == expected[1]
+    assert all(np.array_equal(getattr(table, f.name), getattr(expected[2], f.name))
+               for f in fields(table))
+
+
+def test_pruned_scan_keeping_every_cell_is_the_full_table(monkeypatch):
+    # every cell kept, as an adversarial linkage might have it: the windows
+    # then tile the full table and are searched a bounded chunk at a time,
+    # within the bound of test_enumeration_memory_is_bounded
+    linkage = random_linkage(np.random.default_rng(12), 12)
+    expected = _scan_trace(linkage, monkeypatch, _full_table)
+    for name in ("_meets_level", "_meets_zero"):
+        monkeypatch.setattr(solver, name, lambda lo, hi: np.ones(lo.shape, dtype=bool))
+    tracemalloc.start()
+    try:
+        candidates, brackets, table = _scan_trace(linkage, monkeypatch, solver._tabulate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert candidates == expected[0]
+    assert brackets == expected[1]
+    assert all(np.array_equal(getattr(table, f.name), getattr(expected[2], f.name))
+               for f in fields(table))
+
+
+def test_pruned_scan_takes_a_cell_end_once():
+    # with three equal edges and eps = (1, 1, -1), C is theta exactly; on a
+    # grid that puts pi on the first cell's last sample, C - pi has an exact
+    # zero there, which only the next cell may report (the grid runs past
+    # pi/2, where delta = tan(theta) is no longer monotone: it is not compared)
+    grid = np.linspace(0.0, math.pi * solver.SAMPLES / solver._STEP, solver.SAMPLES + 1)
+    grid[solver._STEP] = math.pi
+    rho, strings = np.ones(3), np.array([[1.0, 1.0, -1.0]])
+    closures = _candidate_lists(solver._tabulate(rho, grid, strings))[0]
+    assert (0, solver._STEP, math.pi) in closures
+    assert closures == _candidate_lists(_full_table(rho, grid, strings))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=16),
+       st.lists(st.integers(0, 2 ** 16 - 1), min_size=1, max_size=8))
+def test_cell_bounds_hold_every_sample(lengths, codes):
+    """Every value of C and of delta that the scan tabulates in a cell,
+    both ends included, lies in that cell's bound, widened only for the
+    rounding of the sums."""
+    rho = np.array(lengths) / max(lengths)
+    n, step = rho.size, solver._STEP
+    strings = 1.0 - 2.0 * ((np.array(codes)[:, None] >> np.arange(n)) & 1)
+    alphas_tab = solver._half_angles(rho, np.concatenate([[np.nan], solver._angle_grid()]))
+    cells = solver.SAMPLES // step
+    for table in (alphas_tab, np.tan(alphas_tab)):
+        lo, hi = solver._bounds(table[1::step], (strings > 0.0).T.astype(float), 0.0)
+        windows = np.empty((cells * len(strings) + 1, step + 3))
+        eps = np.concatenate([np.tile(strings, (cells, 1)), strings[:1]])
+        solver._windows(table, eps, np.repeat(np.arange(cells), len(strings)), windows)
+        # columns 1 .. step + 1 are the samples of the cell, both ends
+        values = windows[:-1, 1:-1].reshape(cells, len(strings), step + 1)
+        assert np.all(lo[:, :, None] <= values)
+        assert np.all(values <= hi[:, :, None])
 
 
 def _brentq_fixtures():
