@@ -411,7 +411,7 @@ def _parse_record(n: int, record):
             raise InvalidConfigurationError("a configuration needs at least 3 vertices")
         raw = record["flags"]
         central, near_flip = tuple(raw.get("central", [])), tuple(raw.get("near_flip", []))
-        delta_zero = bool(raw.get("delta_zero"))
+        delta_zero = raw.get("delta_zero")
         center = np.asarray(record["center"], dtype=float).reshape(2)
         radius = float(record["r"])
         eps = _json_eps(record["eps"])
@@ -422,13 +422,12 @@ def _parse_record(n: int, record):
         return _fail(f"malformed record: {type(err).__name__}: {err}")
     if points.shape[0] != n:
         return _fail(f"configuration has {points.shape[0]} vertices, linkage has {n}")
-    flags = [math.nan] * (2 * n)
-    if len(central) == len(near_flip) == n:
-        # an entry matches a recomputed flag when it equals it, as JSON 0 and 1 do
-        flags = [1.0 if v == True else 0.0 if v == False else math.nan  # noqa: E712
-                 for v in central + near_flip]
+    flags = central + near_flip if len(central) == len(near_flip) == n else (math.nan,) * (2 * n)
+    # an entry matches a recomputed flag when it equals it, as JSON 0 and 1 do
+    flags = [1.0 if v == True else 0.0 if v == False else math.nan  # noqa: E712
+             for v in flags + (delta_zero,)]
     return (points, center, radius, np.array(eps, dtype=float) if len(eps) == n else np.zeros(n),
-            winding, flags + [float(delta_zero)])
+            winding, flags)
 
 
 def _check_rows(linkage: Linkage, points, centers, radii, eps, windings, recorded):

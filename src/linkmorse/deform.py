@@ -19,7 +19,8 @@ Between frames each gap is linear in t, so edge events have a closed form:
 if ``sin D_i`` changes sign from frame j to j + 1, with gaps ``g0``, ``g1``,
 the crossed multiple of pi is ``m = round((g0 + g1) / 2pi)`` and the event
 is at ``t_j + (m pi - g0) / (g1 - g0) * (t_{j+1} - t_j)``, a flip for even m
-and a central crossing for odd m.  Delta zeros are bisected.
+and a central crossing for odd m.  Delta zeros are refined in time by
+``solver.brentq``; an event's sign data are those of the frames around it.
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ from .errors import (
 )
 from .geometry import INPUT_TOL, CircleFit, Configuration, _as_points, _readonly
 from .morse import determinant_sign
-
-# Delta zeros are bisected in time until the bracket shrinks below this.
-EVENT_REFINE_TOL = 1e-10
+from .solver import brentq
 
 # Frames within this many resolutions of a central crossing are ignored when
 # scanning for delta zeros: the tangent pole produces a sign jump there that
@@ -67,7 +66,7 @@ def vertex_angles(config: Configuration, fit: CircleFit) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathSnapshot:
-    """Sign data of one generic frame: orientations, delta, and derived signs."""
+    """Sign data of one frame: orientations, delta, and derived signs."""
 
     t: float
     eps: tuple
@@ -82,7 +81,8 @@ class Event:
     """One isolated sign event on a deformation path.
 
     ``edge`` is the 1-based index of the edge involved (None for delta-zero
-    events); ``before``/``after`` are snapshots straddling the event.
+    events); ``before``/``after`` are the snapshots of the two frames that
+    bracket the event.
     """
 
     kind: str
@@ -120,6 +120,8 @@ class AngularPath:
             raise InvalidConfigurationError("path needs matching times and angle rows")
         if angles.shape[1] < 3:
             raise InvalidConfigurationError("path needs at least 3 vertices")
+        if not (np.isfinite(times).all() and np.isfinite(angles).all()):
+            raise InvalidConfigurationError("path times and angles must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise InvalidConfigurationError("times must increase strictly")
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
@@ -140,13 +142,15 @@ class AngularPath:
     def resolution(self) -> float:
         return float(np.max(np.diff(self.times)))
 
-    def gaps_at(self, t: float) -> np.ndarray:
-        """Lifted gaps at time t, linear between the two frames bracketing it."""
+    def gaps_at(self, t: np.ndarray) -> np.ndarray:
+        """Lifted gaps at each of the times t, one row per time, linear
+        between the two frames around it."""
         times = self.times
-        t = float(np.clip(t, times[0], times[-1]))
-        j = int(np.clip(np.searchsorted(times, t) - 1, 0, times.size - 2))
-        w = (t - times[j]) / (times[j + 1] - times[j])
-        return _gaps(self.angles[j] + w * (self.angles[j + 1] - self.angles[j]))
+        t = np.clip(np.asarray(t, dtype=float), times[0], times[-1])
+        j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
+        w = ((t - times[j]) / (times[j + 1] - times[j]))[:, None]
+        # exact at w = 0 and w = 1: at a frame's time, the frame's gaps
+        return _gaps((1.0 - w) * self.angles[j] + w * self.angles[j + 1])
 
     def gap_table(self) -> np.ndarray:
         """(frames, n) lifted angular gaps, closing edge included."""
@@ -156,14 +160,6 @@ class AngularPath:
         """Edge lengths of the deformed linkage at one frame."""
         gaps = _gaps(self.angles[frame])
         return 2.0 * self.radius * np.abs(np.sin(0.5 * gaps))
-
-    def snapshot(self, t: float) -> PathSnapshot:
-        gaps = self.gaps_at(t)
-        eps = tuple(1 if s > 0 else -1 for s in np.sin(gaps))
-        delta = float(np.sum(np.tan(0.5 * gaps)))
-        d = 1 if delta > 0 else -1
-        e = sum(1 for v in eps if v > 0)
-        return PathSnapshot(t=t, eps=eps, delta=delta, d=d, e=e, h_sign=determinant_sign(d, e))
 
     def configuration_at(self, frame: int):
         """Re-pinned configuration and circle of one frame.
@@ -197,6 +193,26 @@ def _gaps(theta: np.ndarray) -> np.ndarray:
     return gaps
 
 
+def _delta(gaps: np.ndarray) -> np.ndarray:
+    """``delta = sum tan(D_i / 2)`` along the last axis."""
+    return np.sum(np.tan(0.5 * gaps), axis=-1)
+
+
+def _frame_table(path: AngularPath):
+    """Gaps, their sines and delta of every frame of the path."""
+    gaps = path.gap_table()
+    return gaps, np.sin(gaps), _delta(gaps)
+
+
+def _snapshots(times, sines, deltas, frames) -> list:
+    """The sign data of the given frames, one :class:`PathSnapshot` each."""
+    eps = np.where(sines[frames] > 0.0, 1, -1)
+    e, d = (eps > 0).sum(axis=1), np.where(deltas[frames] > 0.0, 1, -1)
+    columns = (times[frames], eps, deltas[frames], d, e, determinant_sign(d, e))
+    return [PathSnapshot(t, tuple(row), *rest)
+            for t, row, *rest in zip(*(column.tolist() for column in columns))]
+
+
 def deform(theta_start, theta_end, radius: float, steps: int = 2000) -> AngularPath:
     """Linear interpolation between two lifted angle vectors on one circle.
 
@@ -214,74 +230,56 @@ def deform(theta_start, theta_end, radius: float, steps: int = 2000) -> AngularP
     return AngularPath(radius=float(radius), times=ts, angles=angles)
 
 
-def _bisect(func, lo: float, hi: float) -> float:
-    flo = func(lo)
-    if flo == 0.0:
-        return lo
-    while hi - lo > EVENT_REFINE_TOL:
-        mid = 0.5 * (lo + hi)
-        fmid = func(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo > 0.0) != (fmid > 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
 def detect_events(path: AngularPath) -> list:
     """All flip / central / delta-zero events on the path, sorted by time.
 
     Edge events are sign changes of ``sin(D_i)`` between frames, timed in
     closed form on their frame segment (see the module docstring); the
     parity of the crossed multiple of pi tells a flip from a central
-    crossing.  Delta zeros are sign changes of ``delta(t)`` outside masked
-    windows around central crossings, where the tangent pole flips the sign
-    without a zero; they are bisected.  Two events closer than the frame
-    resolution violate the genericity assumption and raise.
+    crossing.  Delta zeros are sign changes of ``delta`` between frames
+    outside masked windows around central crossings, where the tangent pole
+    flips the sign without a zero; one :func:`brentq` call refines them all
+    on their frame intervals.  Two events closer than the frame resolution
+    violate the genericity assumption and raise, so each frame interval
+    holds at most one event, and its two frames give the event's ``before``
+    and ``after``.
     """
-    gaps = path.gap_table()
     times = path.times
     res = path.resolution
+    gaps, sines, deltas = _frame_table(path)
 
-    signs = np.sign(np.sin(gaps))
+    signs = np.sign(sines)
     # edge-major, so the stable sort below lists simultaneous events by edge
     edges, rows = np.nonzero((signs[:-1] * signs[1:] < 0.0).T)
     g0, g1 = gaps[rows, edges], gaps[rows + 1, edges]
     multiples = np.rint((g0 + g1) / (2.0 * math.pi))
     t_edge = times[rows] + (multiples * math.pi - g0) / (g1 - g0) * (times[rows + 1] - times[rows])
-    events = [(float(t), "central" if m % 2 else "flip", int(edge))
-              for t, m, edge in zip(t_edge, multiples, edges)]
+    central = multiples % 2 == 1
 
-    central_ts = [t for t, kind, _ in events if kind == "central"]
     mask = POLE_MASK_FACTOR * res
-    delta_col = np.sum(np.tan(0.5 * gaps), axis=1)
-    dsigns = np.sign(delta_col)
-    for j in np.nonzero(dsigns[:-1] * dsigns[1:] < 0.0)[0]:
-        lo, hi = float(times[j]), float(times[j + 1])
-        if any(lo - mask <= tc <= hi + mask for tc in central_ts):
-            continue
-        t_star = _bisect(lambda t: float(np.sum(np.tan(0.5 * path.gaps_at(t)))),
-                         lo, hi)
-        events.append((t_star, "delta_zero", None))
+    t_central = t_edge[central]
+    dsigns = np.sign(deltas)
+    lo = np.flatnonzero(dsigns[:-1] * dsigns[1:] < 0.0)
+    lo = lo[~((times[lo, None] - mask <= t_central)
+              & (t_central <= times[lo + 1, None] + mask)).any(axis=1)]
+    t_delta = brentq(lambda t: _delta(path.gaps_at(t)), times[lo], times[lo + 1])
 
-    events.sort(key=lambda item: item[0])
-    for (t0, k0, e0), (t1, k1, e1) in zip(events, events[1:]):
-        if t1 - t0 < res:
-            raise NonGenericPathError(
-                f"{k0} and {k1} events coincide near t = {0.5 * (t0 + t1):.6f}"
-            )
-
-    out = []
-    for t_star, kind, edge in events:
-        gap = min(0.5 * res, t_star - times[0], times[-1] - t_star)
-        gap = max(gap, EVENT_REFINE_TOL)
-        before = path.snapshot(t_star - gap)
-        after = path.snapshot(t_star + gap)
-        out.append(Event(kind=kind, edge=None if edge is None else edge + 1,
-                         t=t_star, before=before, after=after))
-    return out
+    t_all = np.concatenate([t_edge, t_delta])
+    order = np.argsort(t_all, kind="stable")
+    t_all, frames = t_all[order], np.concatenate([rows, lo])[order]
+    kinds = np.concatenate([np.where(central, "central", "flip"),
+                            np.full(lo.size, "delta_zero")])[order].tolist()
+    close = np.flatnonzero(np.diff(t_all) < res)
+    if close.size:
+        j = close[0]
+        raise NonGenericPathError(f"{kinds[j]} and {kinds[j + 1]} events coincide near "
+                                  f"t = {0.5 * (t_all[j] + t_all[j + 1]):.6f}")
+    # 1-based edges, 0 for a delta zero
+    labels = np.concatenate([edges + 1, np.zeros(lo.size, dtype=int)])[order].tolist()
+    return [Event(kind, edge or None, t, before, after)
+            for kind, edge, t, before, after in zip(
+                kinds, labels, t_all.tolist(), _snapshots(times, sines, deltas, frames),
+                _snapshots(times, sines, deltas, frames + 1))]
 
 
 @dataclass(frozen=True)
@@ -345,9 +343,9 @@ def check_lemmas(path: AngularPath, events: list | None = None) -> LemmaReport:
     times = path.times
     res = path.resolution
     bounds = [float(times[0])] + [e.t for e in events] + [float(times[-1])]
-    gaps = path.gap_table()
+    _, sines, deltas = _frame_table(path)
     # one row of sign data per frame: eps_i > 0 for each edge, then d > 0
-    table = np.column_stack([np.sin(gaps) > 0.0, np.sum(np.tan(0.5 * gaps), axis=1) > 0.0])
+    table = np.column_stack([sines > 0.0, deltas > 0.0])
     checked = 0
     for lo, hi in zip(bounds, bounds[1:]):
         rows = table[(times > lo + res) & (times < hi - res)]

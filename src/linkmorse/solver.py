@@ -270,7 +270,9 @@ def brentq(f, a: np.ndarray, b: np.ndarray, args=()) -> np.ndarray:
     ``brentq.c``: inverse quadratic or linear interpolation, else bisection)
     with ``xtol`` :data:`_FAR_ANGLE`, ``rtol`` :data:`ROOT_RTOL` and at most
     :data:`_MAXITER` iterations, so each root has the same digits as a
-    scipy call on its bracket.  Like scipy, raises ``ValueError`` for a NaN
+    scipy call on its bracket.  It refines the roots of the enumeration in
+    theta and the delta zeros of a deformation path in time (see
+    :mod:`linkmorse.deform`).  Like scipy, raises ``ValueError`` for a NaN
     value of ``f`` or for a bracket whose ends have the same sign, and
     ``RuntimeError`` for a bracket not converged after :data:`_MAXITER`
     iterations.

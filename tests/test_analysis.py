@@ -141,6 +141,15 @@ def test_verify_catches_tampered_record(pentagon_analyses, field, row, change):
         assert rows[row].note == "points deviate from the recorded circle by nan"
 
 
+# Recorded flags that are not the recomputed ones: a wrong value, values that
+# equal neither true nor false (JSON 1 and 0 do), a missing entry, and a
+# mistyped central entry.
+_BAD_FLAGS = {"flags": ("delta_zero", True), "delta_zero ''": ("delta_zero", ""),
+              "delta_zero []": ("delta_zero", []), "delta_zero {}": ("delta_zero", {}),
+              "delta_zero null": ("delta_zero", None), "delta_zero missing": ("delta_zero", ...),
+              "central 'false'": ("central", ["false"] * 5)}
+
+
 def _tamper(record, check):
     """Change one field of a record so that it fails ``check``."""
     if check == "pinning 1":
@@ -162,8 +171,12 @@ def _tamper(record, check):
         record["points"].pop()
     elif check == "eps length":
         record["eps"].pop()
-    elif check == "flags":
-        record["flags"]["delta_zero"] = True
+    elif check in _BAD_FLAGS:
+        field, value = _BAD_FLAGS[check]
+        if value is ...:
+            del record["flags"][field]
+        else:
+            record["flags"][field] = value
     elif check == "mirrored":
         # reflected across the pinned edge, eps and k kept: every stacked
         # check passes, and the analysis measures the opposite string
@@ -184,7 +197,8 @@ def _tamper(record, check):
     ("off circle", "points deviate from the recorded circle by 1.439e-06"),
     ("vertices", "configuration has 4 vertices, linkage has 5"),
     ("eps length", "orientation string and half-angles disagree in length"),
-    ("flags", "recorded flags disagree with the recorded radius and orientation string"),
+    *((check, "recorded flags disagree with the recorded radius and orientation string")
+      for check in _BAD_FLAGS),
     ("winding", "recorded winding 0 disagrees with the closure sum (winding -1)"),
     ("mirrored", "recorded orientation string disagrees with the geometry"),
     # two failing checks: the note is the first one's

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import constraint_violations, random_linkage, regular_polygon_points
 from linkmorse import (
@@ -18,7 +19,6 @@ from linkmorse import (
     vertex_angles,
 )
 from linkmorse.deform import (
-    EVENT_REFINE_TOL,
     POLE_MASK_FACTOR,
     Event,
     PathSnapshot,
@@ -26,6 +26,7 @@ from linkmorse.deform import (
 )
 from linkmorse.errors import InvalidConfigurationError, NonGenericPathError
 from linkmorse.morse import determinant_sign
+from linkmorse.solver import _FAR_ANGLE, ROOT_RTOL
 
 
 def _pentagon_path(winding=1, steps=400):
@@ -166,6 +167,12 @@ def test_deform_validates_inputs():
     for radius in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(InvalidConfigurationError, match="radius"):
             deform([0.0, 1.0, 2.0], [0.0, 1.5, 2.0], radius, steps=4)
+    # a NaN time would pass the check that times increase, and a NaN angle
+    # would make every sign test false, so no event would be found
+    with pytest.raises(InvalidConfigurationError, match="finite"):
+        AngularPath(radius=1.0, times=[0.0, math.nan, 1.0], angles=np.zeros((3, 3)))
+    with pytest.raises(InvalidConfigurationError, match="finite"):
+        deform([math.nan, 1.0, 2.0], [0.0, 1.5, 2.0], 1.0)
 
 
 def _line_gaps(theta):
@@ -204,6 +211,11 @@ def _interp_gaps(path, t):
     t = float(np.clip(t, path.times[0], path.times[-1]))
     return _line_gaps(np.array([np.interp(t, path.times, path.angles[:, i])
                                 for i in range(path.n)]))
+
+
+# The reference detector bisects until its bracket is this short; it is also
+# the bound on how far its times may lie from detect_events's.
+EVENT_REFINE_TOL = 1e-10
 
 
 def _bisect(func, lo, hi):
@@ -317,3 +329,58 @@ def test_events_match_bisection_detector():
             violated += not report.ok
     assert refused >= 3
     assert violated >= 100
+
+
+def _generic_random_paths(seed, count):
+    """Events of random 2000-frame paths, n = 4..8, the refused ones skipped."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        path = deform(*_random_endpoints(rng, 4 + i % 5), 1.0, steps=2000)
+        try:
+            yield path, detect_events(path)
+        except NonGenericPathError:
+            continue
+
+
+def _frame_of(path, event):
+    """The frame j with t_j <= t <= t_{j+1} for the time t of an event."""
+    j = int(np.searchsorted(path.times, event.t, side="right")) - 1
+    j = min(j, path.frames - 2)
+    assert path.times[j] <= event.t <= path.times[j + 1]
+    return j
+
+
+def test_delta_zero_times_are_scipy_brentq_roots():
+    checked = 0
+    for path, events in _generic_random_paths(13, 120):
+        def delta(t):
+            return float(np.sum(np.tan(0.5 * path.gaps_at(np.array([t]))), axis=1)[0])
+
+        for event in events:
+            if event.kind == "delta_zero":
+                j = _frame_of(path, event)
+                root = brentq(delta, path.times[j], path.times[j + 1], xtol=_FAR_ANGLE,
+                              rtol=ROOT_RTOL)
+                assert event.t == root
+                checked += 1
+    assert checked > 50
+
+
+def test_event_sign_data_are_the_bracketing_frames():
+    checked = 0
+    for path, events in _generic_random_paths(14, 60):
+        for event in events:
+            j = _frame_of(path, event)
+            assert event.before == _sign_data(path, path.times[j])
+            assert event.after == _sign_data(path, path.times[j + 1])
+            checked += 1
+    assert checked > 100
+
+
+def test_gaps_at_is_exact_at_frames_and_linear_between():
+    theta_a, theta_b = _random_endpoints(np.random.default_rng(15), 6)
+    path = deform(theta_a, theta_b, 1.0, steps=50)
+    assert np.array_equal(path.gaps_at(path.times), path.gap_table())
+    mid = 0.5 * (path.times[:-1] + path.times[1:])
+    assert path.gaps_at(mid) == pytest.approx(_line_gaps(0.5 * (path.angles[:-1] + path.angles[1:])),
+                                              abs=1e-12)
