@@ -57,9 +57,9 @@ from .solver import (
 CRITICALITY_TOL = 1e-8
 
 # Work-array budget of the stacked analysis, in float64 entries.  A chunk of
-# configurations takes _CHUNK // m^2 rows, m = 2(n - 2) free coordinates, so
-# each of the oracle's (rows, m, m) arrays takes at most 512 kB whatever n
-# is, as solver._BLOCK and solver._WINDOWS bound the scan's tables.
+# configurations takes _CHUNK // n^2 rows, so each of the oracle's (rows, n, n)
+# Hessians over the edge angles takes at most 512 kB whatever n is, as
+# solver._BLOCK and solver._WINDOWS bound the scan's tables.
 _CHUNK = 2 ** 16
 
 # The refusal of both sides on a flagged (near-degenerate) configuration.
@@ -154,7 +154,7 @@ def _refused_columns(rows: int, n: int) -> dict:
         positives=np.zeros(rows, dtype=int), h_sign=np.zeros(rows, dtype=int),
         h_sequence=np.zeros((rows, n - 2), dtype=int),
         formula_index=np.full(rows, -1), morse_error=np.full(rows, _FLAGGED, dtype=object),
-        multipliers=np.full((rows, n - 1), np.nan), residual=np.full(rows, np.nan),
+        multipliers=np.full((rows, 2), np.nan), residual=np.full(rows, np.nan),
         inertia=np.zeros((rows, 3), dtype=int), det_sign=np.zeros(rows, dtype=int),
         oracle_index=np.full(rows, -1), oracle_error=np.full(rows, _FLAGGED, dtype=object),
         index=np.full(rows, -1), index_source=np.full(rows, None, dtype=object),
@@ -177,9 +177,8 @@ def _agreement(cols: dict):
 
 
 def _chunks(items, n: int):
-    """Consecutive slices of ``items`` of at most ``_CHUNK // m^2`` rows,
-    ``m = 2(n - 2)`` free coordinates."""
-    step = max(1, _CHUNK // (2 * (n - 2)) ** 2)
+    """Consecutive slices of ``items`` of at most ``_CHUNK // n^2`` rows."""
+    step = max(1, _CHUNK // n ** 2)
     for start in range(0, len(items), step):
         yield items[start:start + step]
 

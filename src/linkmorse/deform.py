@@ -25,6 +25,7 @@ and a central crossing for odd m.  Delta zeros are refined in time by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,9 +153,16 @@ class AngularPath:
         # exact at w = 0 and w = 1: at a frame's time, the frame's gaps
         return _gaps((1.0 - w) * self.angles[j] + w * self.angles[j + 1])
 
-    def gap_table(self) -> np.ndarray:
-        """(frames, n) lifted angular gaps, closing edge included."""
-        return _gaps(self.angles)
+    @functools.cached_property
+    def frame_table(self):
+        """Read-only (frames, n) lifted gaps, closing edge included, their
+        sines, and delta per frame; built on first use and kept, so
+        :func:`detect_events` and :func:`check_lemmas` build it once."""
+        gaps = _gaps(self.angles)
+        table = (gaps, np.sin(gaps), _delta(gaps))
+        for column in table:
+            column.setflags(write=False)
+        return table
 
     def derived_lengths(self, frame: int) -> np.ndarray:
         """Edge lengths of the deformed linkage at one frame."""
@@ -196,12 +204,6 @@ def _gaps(theta: np.ndarray) -> np.ndarray:
 def _delta(gaps: np.ndarray) -> np.ndarray:
     """``delta = sum tan(D_i / 2)`` along the last axis."""
     return np.sum(np.tan(0.5 * gaps), axis=-1)
-
-
-def _frame_table(path: AngularPath):
-    """Gaps, their sines and delta of every frame of the path."""
-    gaps = path.gap_table()
-    return gaps, np.sin(gaps), _delta(gaps)
 
 
 def _snapshots(times, sines, deltas, frames) -> list:
@@ -246,7 +248,7 @@ def detect_events(path: AngularPath) -> list:
     """
     times = path.times
     res = path.resolution
-    gaps, sines, deltas = _frame_table(path)
+    gaps, sines, deltas = path.frame_table
 
     signs = np.sign(sines)
     # edge-major, so the stable sort below lists simultaneous events by edge
@@ -343,7 +345,7 @@ def check_lemmas(path: AngularPath, events: list | None = None) -> LemmaReport:
     times = path.times
     res = path.resolution
     bounds = [float(times[0])] + [e.t for e in events] + [float(times[-1])]
-    _, sines, deltas = _frame_table(path)
+    _, sines, deltas = path.frame_table
     # one row of sign data per frame: eps_i > 0 for each edge, then d > 0
     table = np.column_stack([sines > 0.0, deltas > 0.0])
     checked = 0

@@ -1,13 +1,15 @@
 """Independent numerical verification via the constrained Hessian.
 
 The signed area restricted to the constraint manifold (all configurations of
-the linkage, with the first two vertices pinned) has its critical points at
-the cyclic configurations.  This module confirms criticality through
-Lagrange multipliers and computes the true Morse data: the Lagrangian
-Hessian projected onto the constraint tangent space, its eigenvalue inertia,
-and the determinant sign.  Constraints are kept quadratic,
-``g_i = |p_i - p_{i+1}|^2 - l_i^2``, so their second derivatives are exact
-constant matrices and the Lagrangian Hessian is assembled in closed form.
+the linkage, with the first edge pinned) has its critical points at the
+cyclic configurations.  This module confirms criticality through Lagrange
+multipliers and computes the true Morse data: the Lagrangian Hessian
+projected onto the constraint tangent space, its eigenvalue inertia, and the
+determinant sign.  The chart is the edge directions: with the lengths fixed,
+a configuration is its angles phi_2..phi_n about the pinned phi_1, under the
+closure ``sum_k l_k (cos phi_k, sin phi_k) = 0``, two equations whatever n
+is.  Area and closure are trigonometric sums, so every derivative is a
+closed form in the edge vectors.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from .errors import InvalidConfigurationError, NonRegularPointError
 from .geometry import Configuration, Linkage, _dot_rows, _readonly, _refusals
 
-# Singular values below this multiple of the largest one count as zero when
-# deciding constraint rank and the tangent space.
+# Singular values of the 2 x (n-1) constraint matrix below this multiple of
+# the largest one count as zero when deciding its rank and the tangent space.
 RANK_TOL = 1e-9
 
 # Eigenvalues below this multiple of the spectral norm count as zero; any
@@ -47,42 +49,40 @@ class OracleVerdict:
         return self.inertia[1] == 0
 
 
-def _free_count(n: int) -> int:
-    return 2 * (n - 2)
-
-
 # ---------------------------------------------------------------------------
 # Stacked kernels over configurations of shape (rows, n, 2).  oracle_index
-# is their one-row case.
+# is their one-row case.  The chart: edge k = 1..n of a configuration is
+# ``e_k = p_{k+1} - p_k = l_k (cos phi_k, sin phi_k)``, with the lengths
+# fixed, phi_1 pinned and phi_2..phi_n free.
+
+
+def _normals(pts: np.ndarray):
+    """Edges and their quarter turns ``d e_k / d phi_k = l_k (-sin phi_k,
+    cos phi_k)``, each of shape (rows, n, 2)."""
+    edges = np.roll(pts, -1, axis=1) - pts
+    return edges, np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
 
 
 def _gradient_rows(pts: np.ndarray) -> np.ndarray:
-    """Gradients of the shoelace area over the free coordinates (p_3..p_n),
-    one row per configuration.  The area is quadratic, so each component is
-    half a coordinate difference of the two cyclic neighbors."""
-    nxt, prv = np.roll(pts, -1, axis=1)[:, 2:], pts[:, 1:-1]
-    grad = np.empty((pts.shape[0], _free_count(pts.shape[1])))
-    grad[:, 0::2] = 0.5 * (nxt[..., 1] - prv[..., 1])
-    grad[:, 1::2] = 0.5 * (prv[..., 0] - nxt[..., 0])
-    return grad
+    """Gradients of the area ``A = 1/2 sum_{i<j} l_i l_j sin(phi_j - phi_i)``
+    over the free angles, one row per configuration: ``dA/dphi_k =
+    1/2 [sum_{i<k} e_i . e_k - sum_{j>k} e_k . e_j]``, which, as the edges
+    before e_k sum to ``p_k - p_1`` and those after it to ``p_1 - p_{k+1}``,
+    is ``1/2 e_k . (p_k + p_{k+1} - 2 p_1)``."""
+    nxt = np.roll(pts, -1, axis=1)
+    return 0.5 * _dot_rows(nxt - pts, pts + nxt - 2.0 * pts[:, :1])[:, 1:]
 
 
 def _regular_rows(pts: np.ndarray):
-    """Constraint Jacobians, the factors ``(U, s, V^T)`` of one batched SVD
+    """Constraint matrices, the factors ``(U, s, V^T)`` of one batched SVD
     of them, and per row the :class:`NonRegularPointError` of a rank below
-    n-1 (or None).
+    2 (or None).
 
-    Jacobian row i - 1 (edge i = 1..n-1) carries ``2(p_i - p_{i+1})`` in the
-    columns of p_i and its negative in those of p_{i+1}, where free.
+    The closure ``g = sum_k e_k = 0`` has the 2 x (n-1) Jacobian whose
+    column k is ``l_k (-sin phi_k, cos phi_k)``, k = 2..n; its rank is 2
+    unless every free edge is parallel.
     """
-    n = pts.shape[1]
-    d = 2.0 * (pts - np.roll(pts, -1, axis=1))
-    jac = np.zeros((pts.shape[0], n - 1, _free_count(n)))
-    pair = np.arange(2)
-    tail = np.arange(2, n)  # edges whose first endpoint is free
-    jac[:, tail[:, None] - 1, 2 * (tail[:, None] - 2) + pair] += d[:, tail]
-    head = np.arange(1, n - 1)  # edges whose second endpoint is free
-    jac[:, head[:, None] - 1, 2 * (head[:, None] - 1) + pair] -= d[:, head]
+    jac = _normals(pts)[1][:, 1:].transpose(0, 2, 1)
     u, svals, vt = np.linalg.svd(jac, full_matrices=True)
     errors = _refusals((svals[:, -1] <= RANK_TOL * svals[:, 0])[:, None],
                        lambda row, _: NonRegularPointError(
@@ -95,11 +95,12 @@ def _stationarity_rows(pts: np.ndarray, jac: np.ndarray, u: np.ndarray, svals: n
                        vt: np.ndarray):
     """Least-squares Lagrange multipliers and normalized stationarity gaps
     per row of full rank, from the SVD ``J = U diag(s) V^T`` of its
-    Jacobian: ``J^T lambda = grad A`` solved in the least-squares sense,
-    ``lambda = U diag(1/s) V_1^T grad A`` with ``V_1^T`` the first n-1 rows
-    of ``V^T``, and ``||grad A - J^T lambda|| / max(1, ||grad A||)``
-    against the explicit Jacobian.  At a cyclic configuration the gap
-    vanishes to solver precision; for a triangle the moduli space is
+    constraint matrix: ``J^T lambda = grad A`` solved in the least-squares
+    sense, ``lambda = U diag(1/s) V_1^T grad A`` with ``V_1^T`` the first 2
+    rows of ``V^T``, and ``||grad A - J^T lambda|| / max(1, ||grad A||)``
+    against the explicit matrix.  At a cyclic configuration the gap
+    vanishes to solver precision and ``lambda = (-c_y, c_x)`` for the
+    circle's center c relative to p_1; for a triangle the moduli space is
     zero-dimensional and the system is square."""
     grad = _gradient_rows(pts)
     jac_t = jac.transpose(0, 2, 1)
@@ -108,26 +109,22 @@ def _stationarity_rows(pts: np.ndarray, jac: np.ndarray, u: np.ndarray, svals: n
     return lam, np.sqrt(_dot_rows(gap, gap)) / np.maximum(1.0, np.sqrt(_dot_rows(grad, grad)))
 
 
-def _lagrangian_rows(lam: np.ndarray) -> np.ndarray:
-    """Lagrangian Hessians ``hess A - sum_i lambda_i hess g_i`` over the
-    free coordinates, one per row of multipliers.
+def _lagrangian_rows(pts: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Lagrangian Hessians ``hess A - lambda . hess g`` over the free
+    angles, one per row of multipliers.
 
-    They are block tridiagonal over the free vertices p_3..p_n: vertex p_v
-    carries ``-2 (lambda_{v-1} + lambda_v) I`` (multipliers indexed by edge)
-    and each edge p_v p_{v+1} between free vertices couples them by
-    ``2 lambda_v I`` plus the area's ``+/-1/2`` cross terms.
+    Over all n angles the area's Hessian is ``H_jk = 1/2 e_j x e_k =
+    1/2 l_j l_k sin(phi_k - phi_j)`` for j < k, symmetric, with
+    ``H_kk = -sum_{j != k} H_jk``, the pinned edge included; as
+    ``d^2 e_k / d phi_k^2 = -e_k``, the closure adds ``lambda . e_k`` on the
+    diagonal.
     """
-    n = lam.shape[1] + 1
-    lagrangian = np.zeros((lam.shape[0], _free_count(n), _free_count(n)))
-    x = 2 * np.arange(n - 2)  # x column of each free vertex; y is x + 1
-    diag = -2.0 * lam[:, :-1] - 2.0 * lam[:, 1:]
-    lagrangian[:, x, x] = lagrangian[:, x + 1, x + 1] = diag
-    a, b = x[:-1], x[1:]  # consecutive free vertices
-    couple = 2.0 * lam[:, 1:-1]
-    lagrangian[:, a, b] = lagrangian[:, b, a] = couple
-    lagrangian[:, a + 1, b + 1] = lagrangian[:, b + 1, a + 1] = couple
-    lagrangian[:, a, b + 1] = lagrangian[:, b + 1, a] = 0.5
-    lagrangian[:, a + 1, b] = lagrangian[:, b, a + 1] = -0.5
+    edges, normals = _normals(pts)
+    order = np.arange(pts.shape[1])
+    hess = 0.5 * (normals @ edges.transpose(0, 2, 1)) * np.sign(order - order[:, None])
+    diag = (edges @ lam[:, :, None])[..., 0] - hess.sum(axis=1)
+    lagrangian = hess[:, 1:, 1:]
+    lagrangian[:, order[:-1], order[:-1]] = diag[:, 1:]
     return lagrangian
 
 
@@ -161,17 +158,17 @@ def _verdict_rows(pts: np.ndarray):
     :class:`NonRegularPointError` of a singular point, or None.  A refused
     row has NaN multipliers and residual, inertia (0, 0, 0) and
     ``det_sign`` 0; the index of a row is its count of negatives."""
-    rows, n = pts.shape[:2]
+    rows = pts.shape[0]
     jac, svd, errors = _regular_rows(pts)
     regular = np.array([error is None for error in errors], dtype=bool)
     u, svals, vt = (factor[regular] for factor in svd)
-    multipliers, residual = np.full((rows, n - 1), np.nan), np.full(rows, np.nan)
+    multipliers, residual = np.full((rows, 2), np.nan), np.full(rows, np.nan)
     inertia = np.zeros((rows, 3), dtype=int)
     multipliers[regular], residual[regular] = _stationarity_rows(pts[regular], jac[regular],
                                                                  u, svals, vt)
-    basis = vt[:, n - 1:].transpose(0, 2, 1)
-    inertia[regular] = _inertia_rows(_projected_rows(_lagrangian_rows(multipliers[regular]),
-                                                     basis))
+    basis = vt[:, 2:].transpose(0, 2, 1)
+    inertia[regular] = _inertia_rows(_projected_rows(
+        _lagrangian_rows(pts[regular], multipliers[regular]), basis))
     det_sign = np.where(~regular | (inertia[:, 1] > 0), 0, 1 - 2 * (inertia[:, 0] % 2))
     return multipliers, residual, inertia, det_sign, errors
 

@@ -1,12 +1,13 @@
 """Shared helpers for building random linkages and valid configurations, the
-constraint values the oracle's Jacobian is checked against, and the
+edge-angle chart the oracle's derivatives are checked against, and the
 constraint check at 1e-9 that configurations are held to."""
 
 import math
 
 import numpy as np
+import pytest
 
-from linkmorse import Configuration, Linkage, solver
+from linkmorse import Configuration, Linkage, analyze_linkage, solver
 from linkmorse.errors import InvalidConfigurationError, InvalidLinkageError
 from linkmorse.geometry import _as_points
 
@@ -39,6 +40,15 @@ def random_linkage(rng, n, lo=0.5, hi=2.0, margin=0.98):
         lengths = rng.uniform(lo, hi, size=n)
         if 2.0 * lengths.max() < margin * lengths.sum():
             return Linkage(lengths)
+
+
+@pytest.fixture(scope="session")
+def random_tables():
+    """``(linkage, analyze_linkage(linkage))`` for random lengths with
+    n = 4..16 edges, from ``default_rng(3 + n)``: up to 37782 unflagged
+    configurations at n = 16."""
+    linkages = [random_linkage(np.random.default_rng(3 + n), n) for n in range(4, 17)]
+    return [(linkage, analyze_linkage(linkage)) for linkage in linkages]
 
 
 def pin_points(points):
@@ -76,21 +86,37 @@ def random_valid_configuration(rng, n, scale=1.0):
         return linkage, Configuration(pinned)
 
 
-def constraint_values(points, linkage: Linkage) -> np.ndarray:
-    """Quadratic edge constraints g_i = |p_i - p_{i+1}|^2 - l_i^2, i = 2..n,
-    the finite-difference reference of the oracle's constraint Jacobian.
-
-    The pinned first edge is satisfied identically and contributes no row.
-    """
+def edge_angles(points) -> np.ndarray:
+    """Directions ``phi_k`` of the edges p_k -> p_{k+1}, the closing edge
+    last: the oracle's chart, of which phi_2..phi_n are free."""
     pts = _as_points(points)
-    n = pts.shape[0]
-    if n != linkage.n:
-        raise InvalidConfigurationError("configuration and linkage sizes differ")
-    vals = np.empty(n - 1)
-    for row, i in enumerate(range(1, n)):
-        diff = pts[i] - pts[(i + 1) % n]
-        vals[row] = float(diff @ diff) - float(linkage.lengths[i]) ** 2
-    return vals
+    e = np.roll(pts, -1, axis=0) - pts
+    return np.arctan2(e[:, 1], e[:, 0])
+
+
+def chain_points(lengths, phi) -> np.ndarray:
+    """Vertices ``p_1 = 0``, ``p_{k+1} = p_k + l_k (cos phi_k, sin phi_k)``
+    for k < n: the configuration of edge angles that close."""
+    steps = np.asarray(lengths, dtype=float)[:, None] * np.stack([np.cos(phi), np.sin(phi)],
+                                                                 axis=1)
+    return np.concatenate([np.zeros((1, 2)), np.cumsum(steps[:-1], axis=0)])
+
+
+def closure_values(lengths, phi) -> np.ndarray:
+    """The closure ``g = sum_k l_k (cos phi_k, sin phi_k)``, zero on the
+    configurations of the linkage: the finite-difference reference of the
+    oracle's constraint matrix."""
+    lengths = np.asarray(lengths, dtype=float)
+    return np.array([float(lengths @ np.cos(phi)), float(lengths @ np.sin(phi))])
+
+
+def chart_area(lengths, phi) -> float:
+    """``A = 1/2 sum_{i<j} l_i l_j sin(phi_j - phi_i)`` by a double loop:
+    the shoelace area on closed configurations, and the finite-difference
+    reference of the oracle's area gradient and Hessian."""
+    n = len(phi)
+    return 0.5 * sum(float(lengths[i] * lengths[j] * math.sin(phi[j] - phi[i]))
+                     for i in range(n) for j in range(i + 1, n))
 
 
 def regular_polygon_points(n, winding=1, ccw=True):

@@ -10,7 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import constraint_values, random_linkage, random_valid_configuration
+from conftest import (
+    chart_area,
+    closure_values,
+    edge_angles,
+    random_linkage,
+    random_valid_configuration,
+)
 from linkmorse import (
     Linkage,
     analyze_linkage,
@@ -166,25 +172,26 @@ def test_criterion_6_numerical_hygiene():
         n = int(rng.integers(4, 8))
         linkage, config = random_valid_configuration(rng, n)
         pts = config.points
-        free = pts[2:].ravel().copy()
+        # the oracle's chart: the edge angles phi_2..phi_n about the pinned phi_1
+        phi = edge_angles(pts)
 
         def with_free(vec):
-            out = pts.copy()
-            out[2:] = vec.reshape(-1, 2)
+            out = phi.copy()
+            out[1:] = vec
             return out
 
         grad = _gradient_rows(pts[None])[0]
         jac = _regular_rows(pts[None])[0][0]
         scale_g = max(1.0, float(np.linalg.norm(grad)))
         scale_j = max(1.0, float(np.linalg.norm(jac)))
-        for j in range(free.size):
-            step = np.zeros_like(free)
+        for j in range(phi.size - 1):
+            step = np.zeros(phi.size - 1)
             step[j] = h
-            fd_g = (signed_area(with_free(free + step))
-                    - signed_area(with_free(free - step))) / (2 * h)
+            fd_g = (chart_area(linkage.lengths, with_free(phi[1:] + step))
+                    - chart_area(linkage.lengths, with_free(phi[1:] - step))) / (2 * h)
             worst_grad = max(worst_grad, abs(fd_g - grad[j]) / scale_g)
-            fd_col = (constraint_values(with_free(free + step), linkage)
-                      - constraint_values(with_free(free - step), linkage)) / (2 * h)
+            fd_col = (closure_values(linkage.lengths, with_free(phi[1:] + step))
+                      - closure_values(linkage.lengths, with_free(phi[1:] - step))) / (2 * h)
             worst_jac = max(worst_jac, float(np.max(np.abs(fd_col - jac[:, j]))) / scale_j)
     assert worst_grad < 1e-8, f"gradient FD mismatch {worst_grad:.2e}"
     assert worst_jac < 1e-8, f"jacobian FD mismatch {worst_jac:.2e}"

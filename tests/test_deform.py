@@ -1,6 +1,7 @@
 """Fixed-circle deformations: angle lifts, event detection, sign dynamics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -380,7 +381,25 @@ def test_event_sign_data_are_the_bracketing_frames():
 def test_gaps_at_is_exact_at_frames_and_linear_between():
     theta_a, theta_b = _random_endpoints(np.random.default_rng(15), 6)
     path = deform(theta_a, theta_b, 1.0, steps=50)
-    assert np.array_equal(path.gaps_at(path.times), path.gap_table())
+    assert np.array_equal(path.gaps_at(path.times), path.frame_table[0])
     mid = 0.5 * (path.times[:-1] + path.times[1:])
     assert path.gaps_at(mid) == pytest.approx(_line_gaps(0.5 * (path.angles[:-1] + path.angles[1:])),
                                               abs=1e-12)
+
+
+def test_frame_table_is_built_once_per_path(monkeypatch):
+    # the package re-exports the function deform under the module's name
+    deform_module = sys.modules["linkmorse.deform"]
+    theta_a, theta_b = _random_endpoints(np.random.default_rng(17), 7)
+    path = deform(theta_a, theta_b, 1.0, steps=2000)
+    # not built by the constructor: a path that is never scanned costs nothing
+    assert "frame_table" not in vars(path)
+    shapes = []
+    delta = deform_module._delta
+    monkeypatch.setattr(deform_module, "_delta",
+                        lambda gaps: shapes.append(gaps.shape) or delta(gaps))
+    report = check_lemmas(path, detect_events(path))
+    assert report.ok and report.events
+    assert shapes.count(path.angles.shape) == 1
+    assert path.frame_table is path.frame_table
+    assert not any(column.flags.writeable for column in path.frame_table)

@@ -1,10 +1,16 @@
 """Numerical constrained-Hessian oracle: gradients, criticality, inertia."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import (
-    constraint_values,
+    chain_points,
+    chart_area,
+    closure_values,
+    edge_angles,
+    pin_points,
     random_linkage,
     random_valid_configuration,
     regular_polygon_points,
@@ -14,14 +20,11 @@ from linkmorse import oracle
 from linkmorse.errors import NonRegularPointError
 
 
-def _free_vector(points):
-    return np.asarray(points, dtype=float)[2:].ravel()
-
-
-def _with_free(points, vec):
-    pts = np.asarray(points, dtype=float).copy()
-    pts[2:] = np.asarray(vec, dtype=float).reshape(-1, 2)
-    return pts
+def _with_free(phi, vec):
+    """The edge angles with phi_2..phi_n replaced."""
+    out = np.asarray(phi, dtype=float).copy()
+    out[1:] = vec
+    return out
 
 
 # One configuration through the stacked kernels of the oracle.
@@ -38,14 +41,14 @@ def _jacobian(points):
 
 def _tangent_basis(points):
     """Orthonormal basis of the constraint tangent space (columns): the rows
-    of V^T past the n - 1 singular values."""
-    pts = np.asarray(points, dtype=float)
-    _, (_, _, vt), _ = oracle._regular_rows(pts[None])
-    return vt[0, pts.shape[0] - 1:].T
+    of V^T past the 2 singular values."""
+    _, (_, _, vt), _ = oracle._regular_rows(np.asarray(points, dtype=float)[None])
+    return vt[0, 2:].T
 
 
-def _projected_hessian(lam, basis):
-    lagrangian = oracle._lagrangian_rows(np.asarray(lam, dtype=float)[None])
+def _projected_hessian(points, lam, basis):
+    lagrangian = oracle._lagrangian_rows(np.asarray(points, dtype=float)[None],
+                                         np.asarray(lam, dtype=float)[None])
     return oracle._projected_rows(lagrangian, basis[None])[0]
 
 
@@ -56,62 +59,63 @@ def _inertia(matrix):
 def test_area_gradient_square_entry():
     pts, _, _ = regular_polygon_points(4)
     grad = _gradient(pts)
-    # d A / d x_3 = (y_4 - y_2) / 2 = (0 - 1) / 2
-    assert grad[0] == pytest.approx(0.5 * (pts[3, 1] - pts[1, 1]), abs=1e-15)
-    assert grad[0] == pytest.approx(-0.5, abs=1e-12)
+    phi = edge_angles(pts)
+    # dA/dphi_2 = 1/2 [l_1 l_2 cos(phi_2 - phi_1) - sum_{j>2} l_2 l_j cos(phi_j - phi_2)]
+    expected = 0.5 * (math.cos(phi[1] - phi[0]) - math.cos(phi[2] - phi[1])
+                      - math.cos(phi[3] - phi[1]))
+    assert grad[0] == pytest.approx(expected, abs=1e-15)
+    assert grad[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_area_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        _, config = random_valid_configuration(rng, int(rng.integers(4, 8)))
+        linkage, config = random_valid_configuration(rng, int(rng.integers(4, 8)))
         pts = config.points
         grad = _gradient(pts)
-        x0 = _free_vector(pts)
+        phi = edge_angles(pts)
+        assert chart_area(linkage.lengths, phi) == pytest.approx(signed_area(pts), abs=1e-12)
         fd = np.empty_like(grad)
         h = 1e-6
-        for j in range(x0.size):
-            step = np.zeros_like(x0)
+        for j in range(grad.size):
+            step = np.zeros_like(grad)
             step[j] = h
-            fd[j] = (signed_area(_with_free(pts, x0 + step))
-                     - signed_area(_with_free(pts, x0 - step))) / (2 * h)
+            fd[j] = (chart_area(linkage.lengths, _with_free(phi, phi[1:] + step))
+                     - chart_area(linkage.lengths, _with_free(phi, phi[1:] - step))) / (2 * h)
         assert np.max(np.abs(fd - grad)) <= 1e-8 * max(1.0, float(np.linalg.norm(grad)))
 
 
-def test_area_gradient_translation_identities_quadrilateral():
-    # uniform translation of the free vertices changes the area only through
-    # the boundary terms involving the pinned edge
+def test_area_gradient_rotation_identity():
+    # turning every edge by one angle leaves the area as it is, so the free
+    # components sum to minus the pinned one, dA/dphi_1 = l_1^2 / 2
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        _, config = random_valid_configuration(rng, 4)
-        p = config.points
-        grad = _gradient(p)
-        dx = grad[0] + grad[2]
-        dy = grad[1] + grad[3]
-        assert dx == pytest.approx(0.5 * (p[3, 1] - p[1, 1] + p[0, 1] - p[2, 1]), abs=1e-12)
-        assert dy == pytest.approx(0.5 * (p[1, 0] - p[3, 0] + p[2, 0] - p[0, 0]), abs=1e-12)
+    for n in (4, 5, 7):
+        for _ in range(5):
+            linkage, config = random_valid_configuration(rng, n)
+            grad = _gradient(config.points)
+            assert grad.sum() == pytest.approx(-0.5 * linkage.lengths[0] ** 2, abs=1e-12)
 
 
 def test_constraint_jacobian_shape_and_fd():
     rng = np.random.default_rng(6)
     linkage, config = random_valid_configuration(rng, 5)
     jac = _jacobian(config.points)
-    assert jac.shape == (4, 6)
-    x0 = _free_vector(config.points)
+    assert jac.shape == (2, 4)
+    phi = edge_angles(config.points)
     h = 1e-6
-    for j in range(x0.size):
-        step = np.zeros_like(x0)
+    for j in range(jac.shape[1]):
+        step = np.zeros(phi.size - 1)
         step[j] = h
-        col = (constraint_values(_with_free(config.points, x0 + step), linkage)
-               - constraint_values(_with_free(config.points, x0 - step), linkage)) / (2 * h)
+        col = (closure_values(linkage.lengths, _with_free(phi, phi[1:] + step))
+               - closure_values(linkage.lengths, _with_free(phi, phi[1:] - step))) / (2 * h)
         assert col == pytest.approx(jac[:, j], abs=1e-7)
 
 
 def test_constraint_jacobian_square_rank():
     pts, _, _ = regular_polygon_points(4)
     jac = _jacobian(pts)
-    assert jac.shape == (3, 4)
-    assert np.linalg.matrix_rank(jac) == 3
+    assert jac.shape == (2, 3)
+    assert np.linalg.matrix_rank(jac) == 2
 
 
 def test_collinear_configuration_is_singular():
@@ -125,6 +129,32 @@ def test_enumerated_configurations_are_critical():
     items = enumerate_cyclic(Linkage([1, 1, 1, 1, 1]))
     for item in items:
         assert oracle_index(item.configuration, Linkage([1, 1, 1, 1, 1])).residual < 1e-8
+
+
+def test_multipliers_are_the_center_turned_a_quarter(random_tables):
+    # on a circle about c, e_k . (p_k + p_{k+1}) / 2 = e_k . c, so
+    # dA/dphi_k = e_k . (c - p_1) = lambda . (-e_k,y, e_k,x) with
+    # lambda = (-c_y, c_x), as p_1 = 0
+    for linkage, table in random_tables:
+        live = ~table.flagged
+        assert all(error is None for error in table.oracle_error[live])
+        c = table.center[live]
+        gap = np.abs(table.multipliers[live] - np.stack([-c[:, 1], c[:, 0]], axis=1)).max(axis=1)
+        assert np.all(gap <= 1e-12 * np.maximum(1.0, np.hypot(c[:, 0], c[:, 1]))), linkage.n
+
+
+def test_critical_family_point_has_a_zero_eigenvalue():
+    # E = (+,+,+,-,-,-) on the equilateral hexagon closes with k = 0 on every
+    # circle, since sum eps_i alpha_i = 0 whatever r is: the critical points
+    # form a curve, along which the projected Hessian has a zero eigenvalue
+    eps, radius = np.array([1, 1, 1, -1, -1, -1]), 1.5
+    theta = np.concatenate([[0.0], np.cumsum(2.0 * eps * math.asin(0.5 / radius))[:-1]])
+    pts = pin_points(radius * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    verdict = oracle_index(Configuration(pts), Linkage([1] * 6))
+    assert verdict.residual < 1e-12
+    assert verdict.inertia == (1, 1, 1)
+    assert verdict.det_sign == 0
+    assert not verdict.is_morse
 
 
 def test_random_configurations_are_not_critical():
@@ -144,23 +174,25 @@ def test_projected_hessian_shapes():
     for n, dim in ((4, 1), (5, 2), (6, 3)):
         linkage = random_linkage(rng, n)
         item = enumerate_cyclic(linkage)[0]
+        pts = item.configuration.points
         lam = oracle_index(item.configuration, linkage).multipliers
-        proj = _projected_hessian(lam, _tangent_basis(item.configuration.points))
+        proj = _projected_hessian(pts, lam, _tangent_basis(pts))
         assert proj.shape == (dim, dim)
         assert proj == pytest.approx(proj.T, abs=1e-12)
 
 
-def _retract(points, linkage, max_iter=40):
-    """Gauss-Newton projection of the free vertices back onto the constraints."""
-    pts = np.asarray(points, dtype=float).copy()
+def _retract(lengths, phi, max_iter=40):
+    """Gauss-Newton projection of the free angles back onto the closure, by
+    least-norm steps, which are normal to the constraint tangent space."""
+    phi = np.asarray(phi, dtype=float).copy()
     for _ in range(max_iter):
-        vals = constraint_values(pts, linkage)
+        vals = closure_values(lengths, phi)
         if np.max(np.abs(vals)) < 1e-13:
             break
-        jac = _jacobian(pts)
+        jac = lengths[1:] * np.stack([-np.sin(phi[1:]), np.cos(phi[1:])])
         step, *_ = np.linalg.lstsq(jac, vals, rcond=None)
-        pts = _with_free(pts, _free_vector(pts) - step)
-    return pts
+        phi[1:] -= step
+    return phi
 
 
 def test_projected_hessian_matches_second_differences():
@@ -170,15 +202,17 @@ def test_projected_hessian_matches_second_differences():
     config = item.configuration
     lam = oracle_index(config, linkage).multipliers
     basis = _tangent_basis(config.points)
-    proj = _projected_hessian(lam, basis)
+    proj = _projected_hessian(config.points, lam, basis)
+    phi = edge_angles(config.points)
     h = 1e-4
     a0 = signed_area(config.points)
     for col in range(basis.shape[1]):
         v = basis[:, col]
-        plus = _retract(_with_free(config.points, _free_vector(config.points) + h * v), linkage)
-        minus = _retract(_with_free(config.points, _free_vector(config.points) - h * v), linkage)
-        second = (signed_area(plus) - 2.0 * a0 + signed_area(minus)) / (h * h)
-        expected = float(proj[col, col])  # v is basis column col in free coords
+        plus = _retract(linkage.lengths, _with_free(phi, phi[1:] + h * v))
+        minus = _retract(linkage.lengths, _with_free(phi, phi[1:] - h * v))
+        second = (signed_area(chain_points(linkage.lengths, plus)) - 2.0 * a0
+                  + signed_area(chain_points(linkage.lengths, minus))) / (h * h)
+        expected = float(proj[col, col])  # v is basis column col in the free angles
         assert abs(second - expected) < 5e-2 * max(1.0, abs(expected))
 
 
@@ -229,39 +263,33 @@ def test_inertia_invariant_under_basis_rotation():
     rng = np.random.default_rng(18)
     linkage = random_linkage(rng, 6)
     item = enumerate_cyclic(linkage)[0]
+    pts = item.configuration.points
     lam = oracle_index(item.configuration, linkage).multipliers
-    basis = _tangent_basis(item.configuration.points)
+    basis = _tangent_basis(pts)
     q, _ = np.linalg.qr(rng.normal(size=(basis.shape[1], basis.shape[1])))
-    shuffled = _projected_hessian(lam, basis @ q)
-    reference = _projected_hessian(lam, basis)
+    shuffled = _projected_hessian(pts, lam, basis @ q)
+    reference = _projected_hessian(pts, lam, basis)
     assert _inertia(shuffled) == _inertia(reference)
 
 
-def _dense_lagrangian(n, lam):
-    """The Lagrangian Hessian as a sum of dense m x m matrices: the area's
-    constant Hessian minus lambda_i times each constraint's."""
-    m = 2 * (n - 2)
-    hess = np.zeros((m, m))
+def _dense_lagrangian(lengths, phi, lam):
+    """The Lagrangian Hessian over the free angles as a sum of dense n x n
+    matrices, from the angles: each term ``1/2 l_i l_j sin(phi_j - phi_i)``
+    of the area, minus lambda times the closure's, whose k-th diagonal entry
+    is ``-l_k (cos phi_k, sin phi_k)``; then the pinned angle's row and
+    column dropped."""
+    n = len(phi)
+    hess = np.zeros((n, n))
     for i in range(n):
-        j = (i + 1) % n
-        if i >= 2 and j >= 2:
-            xi, yi, xj, yj = 2 * (i - 2), 2 * (i - 2) + 1, 2 * (j - 2), 2 * (j - 2) + 1
-            hess[xi, yj] += 0.5
-            hess[yj, xi] += 0.5
-            hess[yi, xj] -= 0.5
-            hess[xj, yi] -= 0.5
-    for row in range(n - 1):
-        i = row + 1
-        j = (i + 1) % n
-        g = np.zeros((m, m))
-        for a, sa in ((i, 1.0), (j, -1.0)):
-            for b, sb in ((i, 1.0), (j, -1.0)):
-                if a >= 2 and b >= 2:
-                    g[2 * (a - 2): 2 * (a - 2) + 2, 2 * (b - 2): 2 * (b - 2) + 2] += \
-                        2.0 * sa * sb * np.eye(2)
-        if lam[row] != 0.0:
-            hess -= lam[row] * g
-    return hess
+        for j in range(i + 1, n):
+            s = 0.5 * lengths[i] * lengths[j] * math.sin(phi[j] - phi[i])
+            term = np.zeros((n, n))
+            term[i, i] = term[j, j] = -s
+            term[i, j] = term[j, i] = s
+            hess += term
+    for k in range(n):
+        hess[k, k] += lengths[k] * (lam[0] * math.cos(phi[k]) + lam[1] * math.sin(phi[k]))
+    return hess[1:, 1:]
 
 
 def test_direct_lagrangian_matches_dense_sum():
@@ -269,9 +297,11 @@ def test_direct_lagrangian_matches_dense_sum():
     for n in range(4, 9):
         linkage = random_linkage(rng, n)
         for item in enumerate_cyclic(linkage)[:6]:
+            pts = item.configuration.points
             lam = oracle_index(item.configuration, linkage).multipliers
-            direct = _projected_hessian(lam, np.eye(2 * (n - 2)))
-            assert np.array_equal(direct, _dense_lagrangian(n, lam))
+            direct = _projected_hessian(pts, lam, np.eye(n - 1))
+            dense = _dense_lagrangian(linkage.lengths, edge_angles(pts), lam)
+            assert np.abs(direct - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_one_svd_per_verdict(monkeypatch):

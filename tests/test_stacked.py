@@ -146,10 +146,12 @@ def test_rank_deficient_row_among_regular_rows(n):
 
 # ---------------------------------------------------------------------------
 # The per-row loops the kernels replaced, kept as references.  The area,
-# convexity and Jacobian kernels do the loops' arithmetic, so their values
-# must be equal, not close.  The multipliers come from the Jacobian's SVD
-# instead of one least-squares solve per row: they must agree to 1e-12
-# relative, the stationarity gaps to 1e-13 absolute, and the inertia exactly.
+# convexity and constraint kernels do the loops' arithmetic, so their values
+# must be equal, not close.  The gradient is summed otherwise (as edge dot
+# products, not as one dot product with the vertices) and the multipliers
+# come from the constraint matrix's SVD instead of one least-squares solve
+# per row: they must agree to 1e-12 relative, the stationarity gaps to 1e-13
+# absolute, and the inertia exactly.
 
 
 def _loop_area(pts):
@@ -170,29 +172,42 @@ def _loop_convex(pts):
     return abs(total - 2.0 * math.pi) < 1e-6
 
 
-def _loop_jacobian(pts):
+def _loop_edges(pts):
     n = pts.shape[0]
-    jac = np.zeros((n - 1, 2 * (n - 2)))
-    for row, i in enumerate(range(1, n)):
-        j = (i + 1) % n
-        d = 2.0 * (pts[i] - pts[j])
-        if i >= 2:
-            jac[row, 2 * (i - 2): 2 * (i - 2) + 2] += d
-        if j >= 2:
-            jac[row, 2 * (j - 2): 2 * (j - 2) + 2] -= d
+    return [pts[(k + 1) % n] - pts[k] for k in range(n)]
+
+
+def _loop_constraints(pts):
+    """Column k - 2 is ``d e_k / d phi_k = (-e_k,y, e_k,x)``, k = 2..n."""
+    edges = _loop_edges(pts)
+    jac = np.zeros((2, len(edges) - 1))
+    for k in range(1, len(edges)):
+        jac[:, k - 1] = (-edges[k][1], edges[k][0])
     return jac
 
 
 def _loop_stationarity(pts, jac):
-    n = pts.shape[0]
-    grad = np.empty(2 * (n - 2))
-    for i in range(2, n):
-        nxt, prv = pts[(i + 1) % n], pts[i - 1]
-        grad[2 * (i - 2)] = 0.5 * (nxt[1] - prv[1])
-        grad[2 * (i - 2) + 1] = 0.5 * (prv[0] - nxt[0])
+    edges = _loop_edges(pts)
+    n = len(edges)
+    grad = np.array([0.5 * (sum(float(edges[i] @ edges[k]) for i in range(k))
+                            - sum(float(edges[k] @ edges[j]) for j in range(k + 1, n)))
+                     for k in range(1, n)])
     lam, *_ = np.linalg.lstsq(jac.T, grad, rcond=None)
     residual = float(np.linalg.norm(grad - jac.T @ lam)) / max(1.0, float(np.linalg.norm(grad)))
     return lam, residual
+
+
+def _loop_lagrangian(pts, lam):
+    edges = _loop_edges(pts)
+    n = len(edges)
+    hess = np.zeros((n, n))
+    for j in range(n):
+        for k in range(j + 1, n):
+            hess[j, k] = hess[k, j] = 0.5 * (edges[j][0] * edges[k][1] - edges[j][1] * edges[k][0])
+    pinned_sums = hess.sum(axis=0)
+    for k in range(n):
+        hess[k, k] = float(lam @ edges[k]) - pinned_sums[k]
+    return hess[1:, 1:]
 
 
 def _cyclic_configuration(rng, n):
@@ -219,17 +234,95 @@ def test_kernels_match_the_per_row_loops():
             assert geometry._convex_rows(pts).tolist() == [_loop_convex(p) for p in pts]
             jac, svd, errors = oracle._regular_rows(pts)
             assert errors == [None] * len(pts)
-            assert all(np.array_equal(j, _loop_jacobian(p)) for j, p in zip(jac, pts))
+            assert all(np.array_equal(j, _loop_constraints(p)) for j, p in zip(jac, pts))
             lam, residual = oracle._stationarity_rows(pts, jac, *svd)
             loop_lam, loop_gap = map(np.array, zip(*map(_loop_stationarity, pts, jac)))
             assert np.all(np.abs(lam - loop_lam).max(axis=1)
                           <= 1e-12 * np.abs(loop_lam).max(axis=1))
             assert np.all(np.abs(residual - loop_gap) <= 1e-13)
-            basis = svd[2][:, n - 1:].transpose(0, 2, 1)
-            loop_inertia = oracle._inertia_rows(
-                oracle._projected_rows(oracle._lagrangian_rows(loop_lam), basis))
+            basis = svd[2][:, 2:].transpose(0, 2, 1)
+            loop_inertia = oracle._inertia_rows(oracle._projected_rows(
+                np.stack([_loop_lagrangian(p, m) for p, m in zip(pts, loop_lam)]), basis))
             assert [verdict.inertia for verdict in _verdicts(pts)] == \
                 list(map(tuple, loop_inertia.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# The oracle in the vertex chart, kept as the reference of the edge-angle
+# chart: the free coordinates are the vertices p_3..p_n, the constraints the
+# n - 1 quadratic edge lengths g_i = |p_i - p_{i+1}|^2 - l_i^2, i = 2..n.  At
+# a critical point the Morse data do not depend on the chart, so the index,
+# the inertia and the determinant sign must be equal.
+
+
+def _vertex_chart_verdict_rows(pts):
+    """Per row of stacked configurations: the inertia, the determinant sign
+    and whether the constraint Jacobian has full rank."""
+    rows, n = pts.shape[:2]
+    m = 2 * (n - 2)
+    nxt, prv = np.roll(pts, -1, axis=1)[:, 2:], pts[:, 1:-1]
+    grad = np.empty((rows, m))
+    grad[:, 0::2] = 0.5 * (nxt[..., 1] - prv[..., 1])
+    grad[:, 1::2] = 0.5 * (prv[..., 0] - nxt[..., 0])
+    d = 2.0 * (pts - np.roll(pts, -1, axis=1))
+    jac = np.zeros((rows, n - 1, m))
+    pair = np.arange(2)
+    tail = np.arange(2, n)  # edges whose first endpoint is free
+    jac[:, tail[:, None] - 1, 2 * (tail[:, None] - 2) + pair] += d[:, tail]
+    head = np.arange(1, n - 1)  # edges whose second endpoint is free
+    jac[:, head[:, None] - 1, 2 * (head[:, None] - 1) + pair] -= d[:, head]
+    u, svals, vt = np.linalg.svd(jac, full_matrices=True)
+    regular = svals[:, -1] > oracle.RANK_TOL * svals[:, 0]
+    u, svals, vt = u[regular], svals[regular], vt[regular]
+    lam = (u @ ((vt[:, :n - 1] @ grad[regular][:, :, None]) / svals[:, :, None]))[:, :, 0]
+    # block tridiagonal over the free vertices
+    lagrangian = np.zeros((lam.shape[0], m, m))
+    x = 2 * np.arange(n - 2)
+    lagrangian[:, x, x] = lagrangian[:, x + 1, x + 1] = -2.0 * lam[:, :-1] - 2.0 * lam[:, 1:]
+    a, b = x[:-1], x[1:]
+    couple = 2.0 * lam[:, 1:-1]
+    lagrangian[:, a, b] = lagrangian[:, b, a] = couple
+    lagrangian[:, a + 1, b + 1] = lagrangian[:, b + 1, a + 1] = couple
+    lagrangian[:, a, b + 1] = lagrangian[:, b + 1, a] = 0.5
+    lagrangian[:, a + 1, b] = lagrangian[:, b, a + 1] = -0.5
+    inertia = np.zeros((rows, 3), dtype=int)
+    inertia[regular] = oracle._inertia_rows(
+        oracle._projected_rows(lagrangian, vt[:, n - 1:].transpose(0, 2, 1)))
+    det_sign = np.where(~regular | (inertia[:, 1] > 0), 0, 1 - 2 * (inertia[:, 0] % 2))
+    return inertia, det_sign, regular
+
+
+def _assert_same_as_the_vertex_chart(pts):
+    _, _, inertia, det_sign, errors = oracle._verdict_rows(pts)
+    ref_inertia, ref_det_sign, ref_regular = _vertex_chart_verdict_rows(pts)
+    assert [error is None for error in errors] == ref_regular.tolist()
+    assert np.array_equal(inertia, ref_inertia)
+    assert np.array_equal(det_sign, ref_det_sign)
+
+
+def _fixture_linkages():
+    yield from (Linkage(ls) for lengths, _ in MIXED.values() for ls in lengths)
+    yield from _symmetry_linkages()
+    # the solver's quadrilaterals, a wall 1e-6 away and pentagon with roots
+    # near r_min, and the CLI's pentagon
+    yield from (Linkage(ls) for ls in ([1, 1, 2, 2], [1, 1, 1.5, 1.5], [1, 2, 1.5, 2.5 - 1e-6],
+                                       [0.7573611128687527, 1.2164402726063217, 0.6733244298490622,
+                                        1.6753095409833882, 1.082692365727465],
+                                       [1.0, 1.2, 1.4, 1.1, 0.9]))
+
+
+def test_oracle_matches_the_vertex_chart_oracle(random_tables):
+    # every enumerated row, flagged ones included, as verify passes them all
+    for linkage in _fixture_linkages():
+        _assert_same_as_the_vertex_chart(enumerate_cyclic(linkage).points)
+    rng = np.random.default_rng(41)
+    for n in (3, 9, 16):
+        _assert_same_as_the_vertex_chart(np.stack([_cyclic_configuration(rng, n)
+                                                   for _ in range(100)]))
+    for linkage, table in random_tables:
+        # at most 1500 rows per linkage, spread over the table
+        rows = np.arange(0, len(table), max(1, len(table) // 1500))
+        _assert_same_as_the_vertex_chart(table.points[rows])
 
 
 # ---------------------------------------------------------------------------
