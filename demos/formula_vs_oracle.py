@@ -36,14 +36,12 @@ def main():
         worst_residual = 0.0
         for _ in range(12):
             analyses = analyze_linkage(random_linkage(rng, n))
-            for a in analyses:
-                configs += 1
-                if a.flags.any:
-                    flagged += 1
-                    continue
-                worst_residual = max(worst_residual, a.oracle.residual)
-                det_ok += a.signs.h_sign == a.oracle.det_sign
-                idx_ok += a.morse.index == a.oracle.index
+            live = ~analyses.flagged
+            configs += len(analyses)
+            flagged += int(analyses.flagged.sum())
+            worst_residual = max(worst_residual, analyses.residual[live].max(initial=0.0))
+            det_ok += int((analyses.h_sign == analyses.det_sign)[live].sum())
+            idx_ok += int((analyses.formula_index == analyses.oracle_index)[live].sum())
         grand_total += configs
         print(f"{n:>2} {12:>9} {configs:>8} {flagged:>8} "
               f"{det_ok:>6}/{configs - flagged:<8} {idx_ok:>5}/{configs - flagged:<6} "

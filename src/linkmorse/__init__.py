@@ -32,15 +32,7 @@ from .solver import (
     DegeneracyFlags,
     enumerate_cyclic,
 )
-from .morse import (
-    MorseReport,
-    SignReport,
-    closed_form,
-)
-from .oracle import (
-    OracleVerdict,
-    oracle_index,
-)
+from .morse import closed_form
 from .deform import (
     AngularPath,
     Event,

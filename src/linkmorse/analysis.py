@@ -39,8 +39,8 @@ from .geometry import (
     _refusals,
     _signed_areas,
 )
-from .morse import MorseReport, SignReport, _closed_form_rows, _reports
-from .oracle import OracleVerdict, _verdict, _verdict_rows
+from .morse import _closed_form_rows
+from .oracle import _verdict_rows
 from .solver import (
     CLOSURE_TOL,
     DEGENERACY_TOL,
@@ -71,13 +71,15 @@ _INDEX_SOURCES = np.array([None, "oracle", "formula"], dtype=object)
 
 @dataclass(frozen=True)
 class ConfigurationAnalysis:
-    """Everything computed about one enumerated configuration: a view of
-    one row of an :class:`AnalysisTable`.
+    """One enumerated configuration and its Morse index: a view of one row
+    of an :class:`AnalysisTable`, whose columns hold the closed-form and
+    oracle data.
 
     ``index`` is the Morse index: the closed-form value when available,
     otherwise the oracle count of negative eigenvalues (used for
-    configurations whose subconfiguration sequence is degenerate), and
-    ``index_source`` says which; ``agree`` is :func:`_agreement`'s verdict.
+    configurations whose subconfiguration sequence is degenerate), None
+    when neither has one, and ``index_source`` says which; ``agree`` is
+    :func:`_agreement`'s verdict.
     """
 
     descriptor: CyclicDescriptor
@@ -85,11 +87,6 @@ class ConfigurationAnalysis:
     flags: DegeneracyFlags
     area: float
     convex: bool
-    signs: SignReport | None
-    morse: MorseReport | None
-    morse_error: str | None
-    oracle: OracleVerdict | None
-    oracle_error: str | None
     index: int | None
     index_source: str | None
     agree: bool | None
@@ -131,17 +128,10 @@ class AnalysisTable(CyclicTable):
 
     def _row(self, j: int) -> ConfigurationAnalysis:
         item = super()._row(j)
-        signs, morse = _reports(self.delta[j], self.positives[j], self.h_sequence[j],
-                                self.signed[j], self.morse_error[j])
-        oracle = None
-        if self.oracle_error[j] is None:
-            oracle = _verdict(self.multipliers[j], self.residual[j], self.inertia[j],
-                              self.det_sign[j])
         index = int(self.index[j])
         return ConfigurationAnalysis(
             descriptor=item.descriptor, configuration=item.configuration, flags=item.flags,
-            area=float(self.area[j]), convex=bool(self.convex[j]), signs=signs, morse=morse,
-            morse_error=self.morse_error[j], oracle=oracle, oracle_error=self.oracle_error[j],
+            area=float(self.area[j]), convex=bool(self.convex[j]),
             index=None if index < 0 else index, index_source=self.index_source[j],
             agree=self.agree[j])
 
@@ -309,7 +299,7 @@ def write_enumeration(stream, linkage: Linkage, analyses: AnalysisTable,
         raise refusal
     n, rows = linkage.n, len(analyses)
     head, tail = dump_json({
-        "lengths": [float(v) for v in linkage.lengths],
+        **linkage.to_json_dict(),
         "seed": seed,
         "tolerances": {"root_rtol": ROOT_RTOL, "degeneracy": DEGENERACY_TOL,
                        "closure": CLOSURE_TOL},

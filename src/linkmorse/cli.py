@@ -22,8 +22,8 @@ import numpy as np
 from . import analysis, render
 from .deform import check_lemmas, deform as make_path, detect_events, vertex_angles
 from .errors import LinkmorseError
-from .geometry import INPUT_TOL, Configuration, Linkage, fit_circle, signed_area
-from .morse import _closed_form_rows, closed_form
+from .geometry import INPUT_TOL, CircleFit, Configuration, Linkage, fit_circle, signed_area
+from .morse import closed_form
 
 
 def _read_json(path: str, parse=json.loads):
@@ -52,13 +52,14 @@ def cmd_index(args) -> int:
     fit = fit_circle(config.points, tol=INPUT_TOL)
     if fit is None:
         raise LinkmorseError("configuration is not cyclic at the fit tolerance")
-    signs, report, error = closed_form(config, fit)
-    if error is not None:
-        raise LinkmorseError(error)
+    form = closed_form(config, fit)
+    if form.errors is not None:
+        raise LinkmorseError(form.errors)
     payload = {
-        "h_sequence": list(report.h_sequence),
-        "index": report.index,
-        "sign_report": signs.to_json_dict(),
+        "h_sequence": form.h_sequence.tolist(),
+        "index": int(form.index),
+        "sign_report": {"delta": float(form.delta), "d": 1 if form.delta > 0.0 else -1,
+                        "e": int(form.positives), "h_sign": int(form.h_sign)},
     }
     text = analysis.dump_json(payload)
     if args.output:
@@ -121,31 +122,32 @@ def _render_items(data) -> list:
     for j, rec in enumerate(source):
         if not isinstance(rec, dict) or "points" not in rec:
             raise LinkmorseError("malformed record: expected an object with 'points'")
-        pts = Configuration(rec["points"]).points
+        config = Configuration(rec["points"])
+        pts = config.points
         try:
-            center = radius = None
+            fit = None
             if "center" in rec and "r" in rec:
                 center, radius = np.asarray(rec["center"], dtype=float).reshape(2), float(rec["r"])
                 if not (np.isfinite(center).all() and 0.0 < radius < math.inf):
                     raise ValueError("center must be finite and r finite and positive")
+                fit = CircleFit(center=center, radius=radius)
             eps = None if rec.get("eps") is None else analysis._json_eps(rec["eps"])
             winding = None if "k" not in rec else analysis._json_winding(rec["k"])
             area = float(rec["area"]) if "area" in rec else signed_area(pts)
         except (TypeError, ValueError) as err:
             raise LinkmorseError(f"malformed record: {type(err).__name__}: {err}") from err
-        if center is None:
+        if fit is None:
             fit = fit_circle(pts, tol=INPUT_TOL)
             if fit is None:
                 raise LinkmorseError("configuration is not cyclic; cannot draw its circle")
-            center, radius = fit.center, fit.radius
         # the label is the measured string and winding; recorded ones must match
-        form = _closed_form_rows(pts[None], center[None], np.array([radius]))
-        measured, k = tuple(form.eps[0].tolist()), int(form.k[0])
-        if form.central[0] is not None:
+        form = closed_form(config, fit)
+        measured, k = tuple(form.eps.tolist()), int(form.k)
+        if form.central is not None:
             # an edge through the center leaves no string to measure: only a
             # recorded one can be drawn
             if eps is None:
-                raise LinkmorseError(form.errors[0])
+                raise LinkmorseError(form.errors)
             k = 0 if winding is None else winding
         elif eps not in (None, measured):
             raise LinkmorseError(f"record {j}: recorded orientation string disagrees with the "
@@ -153,9 +155,10 @@ def _render_items(data) -> list:
         elif winding not in (None, k):
             raise LinkmorseError(f"record {j}: recorded winding {winding} disagrees with the "
                                  f"geometry (winding {k})")
-        idx = None if form.errors[0] is not None else int(form.index[0])
-        label = render.annotation(eps or measured, k, radius, idx, area)
-        items.append(render.RenderItem(points=pts, center=center, radius=radius, label=label))
+        idx = None if form.errors is not None else int(form.index)
+        label = render.annotation(eps or measured, k, fit.radius, idx, area)
+        items.append(render.RenderItem(points=pts, center=fit.center, radius=fit.radius,
+                                       label=label))
     return items
 
 

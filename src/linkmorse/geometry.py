@@ -155,10 +155,6 @@ class OrientationString:
     def __iter__(self):
         return iter(self.eps)
 
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.eps, dtype=float)
-
 
 def signed_area(points) -> float:
     """Shoelace area of the closed vertex cycle.

@@ -25,7 +25,6 @@ edge and uses the full sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,34 +51,6 @@ def determinant_sign(d: int, e: int) -> int:
     """The sign rule ``-d * (-1)**e`` for ``d = sign(delta)`` and ``e``
     positive orientations."""
     return -d * (-1) ** e
-
-
-@dataclass(frozen=True)
-class SignReport:
-    """Determinant-sign data of one closed cyclic polygon."""
-
-    delta: float
-    d: int
-    e: int
-
-    @property
-    def h_sign(self) -> int:
-        return determinant_sign(self.d, self.e)
-
-    def to_json_dict(self) -> dict:
-        return {"delta": float(self.delta), "d": self.d, "e": self.e, "h_sign": self.h_sign}
-
-
-@dataclass(frozen=True)
-class MorseReport:
-    """Subconfiguration sign sequence; the Morse index counts its sign changes."""
-
-    h_sequence: tuple
-
-    @property
-    def index(self) -> int:
-        seq = self.h_sequence
-        return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
 
 
 def _delta_text(value, scale) -> str:
@@ -140,8 +111,9 @@ class ClosedForm(NamedTuple):
     ``h_sequence`` the rows of sign sequences and ``index`` their sign
     changes.  Three lists give per row the refusal (None where there is
     none) of a central edge, which leaves no measured string; the first
-    refusal before the sign data, which leaves no :class:`SignReport`; and
-    the first refusal of all, which leaves no :class:`MorseReport`.
+    refusal before the sign data, which leaves no ``delta``, ``positives``
+    and ``h_sign``; and the first refusal of all, which leaves no
+    ``h_sequence`` and ``index``.
     """
 
     eps: np.ndarray
@@ -189,25 +161,13 @@ def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
         errors=_first_refusals(central, over, polygon, prefix))
 
 
-def _reports(delta: float, positives: int, h_sequence: np.ndarray, signed: bool, error):
-    """The :class:`SignReport` (None unless ``signed``) and the
-    :class:`MorseReport` (None when ``error`` refuses it) of one row of sign
-    data."""
-    signs = SignReport(delta=float(delta), d=1 if delta > 0.0 else -1,
-                       e=int(positives)) if signed else None
-    return signs, None if error is not None else MorseReport(tuple(h_sequence.tolist()))
-
-
-def closed_form(config: Configuration, fit: CircleFit):
-    """``(signs, morse, error)``: the full-polygon :class:`SignReport`, the
-    :class:`MorseReport` and the error text of one cyclic configuration.
+def closed_form(config: Configuration, fit: CircleFit) -> ClosedForm:
+    """The :class:`ClosedForm` of one cyclic configuration on its circle:
+    row 0 of :func:`_closed_form_rows`, each field that row's entry.
 
     Orientations and half-angles are measured once, from the points and the
-    circle.  When a check refuses, the reports not yet computed are None
-    and ``error`` says why; ``signs`` survives alone when only the
-    subconfiguration sequence is degenerate.
+    circle.  The sign data hold where ``sign_errors`` is None, the sequence
+    and the index where ``errors`` is; otherwise that text says why not.
     """
     form = _closed_form_rows(config.points[None], fit.center[None], np.array([fit.radius]))
-    error = form.errors[0]
-    return (*_reports(form.delta[0], form.positives[0], form.h_sequence[0],
-                      form.sign_errors[0] is None, error), error)
+    return ClosedForm(*(column[0] for column in form))

@@ -14,12 +14,10 @@ closed form in the edge vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidConfigurationError, NonRegularPointError
-from .geometry import Configuration, Linkage, _dot_rows, _readonly, _refusals
+from .errors import NonRegularPointError
+from .geometry import _dot_rows, _refusals
 
 # Singular values of the 2 x (n-1) constraint matrix below this multiple of
 # the largest one count as zero when deciding its rank and the tangent space.
@@ -30,30 +28,11 @@ RANK_TOL = 1e-9
 EIGEN_ZERO_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    """Numerical Morse data of one configuration."""
-
-    multipliers: np.ndarray
-    residual: float
-    inertia: tuple
-    det_sign: int
-    index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "multipliers", _readonly(np.asarray(self.multipliers, dtype=float)))
-        object.__setattr__(self, "inertia", tuple(int(v) for v in self.inertia))
-
-    @property
-    def is_morse(self) -> bool:
-        return self.inertia[1] == 0
-
-
 # ---------------------------------------------------------------------------
-# Stacked kernels over configurations of shape (rows, n, 2).  oracle_index
-# is their one-row case.  The chart: edge k = 1..n of a configuration is
-# ``e_k = p_{k+1} - p_k = l_k (cos phi_k, sin phi_k)``, with the lengths
-# fixed, phi_1 pinned and phi_2..phi_n free.
+# Stacked kernels over configurations of shape (rows, n, 2).  The chart:
+# edge k = 1..n of a configuration is ``e_k = p_{k+1} - p_k =
+# l_k (cos phi_k, sin phi_k)``, with the lengths fixed, phi_1 pinned and
+# phi_2..phi_n free.
 
 
 def _normals(pts: np.ndarray):
@@ -152,12 +131,14 @@ def _inertia_rows(mats: np.ndarray) -> np.ndarray:
 
 
 def _verdict_rows(pts: np.ndarray):
-    """:func:`oracle_index` of each stacked configuration, as columns:
+    """The numerical verdict of each stacked configuration, as columns:
     ``(multipliers, residuals, inertias, det_signs, errors)``, the inertias
     of shape (rows, 3) and ``errors`` a list holding per row the
     :class:`NonRegularPointError` of a singular point, or None.  A refused
     row has NaN multipliers and residual, inertia (0, 0, 0) and
-    ``det_sign`` 0; the index of a row is its count of negatives."""
+    ``det_sign`` 0; the index of a row is its count of negatives.
+    ``det_sign`` is 0 too when a projected eigenvalue is numerically zero:
+    the point is not Morse and is left out of sign comparisons."""
     rows = pts.shape[0]
     jac, svd, errors = _regular_rows(pts)
     regular = np.array([error is None for error in errors], dtype=bool)
@@ -171,26 +152,3 @@ def _verdict_rows(pts: np.ndarray):
         _lagrangian_rows(pts[regular], multipliers[regular]), basis))
     det_sign = np.where(~regular | (inertia[:, 1] > 0), 0, 1 - 2 * (inertia[:, 0] % 2))
     return multipliers, residual, inertia, det_sign, errors
-
-
-def _verdict(multipliers: np.ndarray, residual: float, inertia: np.ndarray,
-             det_sign: int) -> OracleVerdict:
-    """The :class:`OracleVerdict` of one unrefused row of
-    :func:`_verdict_rows` columns."""
-    inertia = tuple(inertia.tolist())
-    return OracleVerdict(multipliers=multipliers, residual=float(residual), inertia=inertia,
-                         det_sign=int(det_sign), index=inertia[0])
-
-
-def oracle_index(config: Configuration, linkage: Linkage) -> OracleVerdict:
-    """Full numerical verdict: multipliers, residual, inertia, determinant sign.
-
-    ``det_sign`` is 0 when any projected eigenvalue is numerically zero, in
-    which case the verdict is non-Morse and excluded from sign comparisons.
-    """
-    if config.n != linkage.n:
-        raise InvalidConfigurationError("configuration and linkage sizes differ")
-    multipliers, residual, inertia, det_sign, errors = _verdict_rows(config.points[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return _verdict(multipliers[0], residual[0], inertia[0], det_sign[0])

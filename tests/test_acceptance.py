@@ -99,20 +99,18 @@ def test_criterion_3_formula_oracle_equivalence():
     total = 0
     flagged = 0
     for n, linkage, analyses in batch:
-        for a in analyses:
-            total += 1
-            if a.flags.any:
-                flagged += 1
-                continue
-            assert a.oracle is not None and a.oracle.is_morse, \
+        total += len(analyses)
+        flagged += int(analyses.flagged.sum())
+        for j in np.flatnonzero(~analyses.flagged):
+            assert analyses.oracle_error[j] is None and analyses.inertia[j, 1] == 0, \
                 f"oracle degenerate on unflagged configuration of {linkage.lengths}"
-            assert a.oracle.residual < 1e-8, \
-                f"criticality residual {a.oracle.residual:.2e}"
-            assert a.morse is not None, \
-                f"formula failed on unflagged configuration: {a.morse_error}"
-            assert a.signs.h_sign == a.oracle.det_sign, \
+            assert analyses.residual[j] < 1e-8, \
+                f"criticality residual {analyses.residual[j]:.2e}"
+            assert analyses.morse_error[j] is None, \
+                f"formula failed on unflagged configuration: {analyses.morse_error[j]}"
+            assert analyses.h_sign[j] == analyses.det_sign[j], \
                 f"determinant sign mismatch on {linkage.lengths}"
-            assert a.morse.index == a.oracle.index, \
+            assert analyses.formula_index[j] == analyses.oracle_index[j], \
                 f"index mismatch on {linkage.lengths}"
     assert flagged <= 0.05 * total, f"{flagged}/{total} flagged"
     assert elapsed < 60.0, f"criterion 3 batch took {elapsed:.1f}s"
@@ -199,12 +197,10 @@ def test_criterion_6_numerical_hygiene():
     batch, _ = _batch_random_linkages()
     worst_closure = 0.0
     for n, linkage, analyses in batch:
-        for a in analyses:
-            desc = a.descriptor
-            # the angular closure |sum 2 eps_i alpha_i - 2 pi k|, scaled to a length
-            defect = abs(2.0 * float(desc.eps.array @ desc.alphas) - 2.0 * math.pi * desc.winding)
-            defect *= desc.radius
-            worst_closure = max(worst_closure, defect / linkage.lengths.sum())
+        # the angular closure |sum 2 eps_i alpha_i - 2 pi k|, scaled to a length
+        turns = (analyses.eps * analyses.alphas).sum(axis=1)
+        defect = np.abs(2.0 * turns - 2.0 * math.pi * analyses.k) * analyses.radius
+        worst_closure = max(worst_closure, float(defect.max()) / linkage.lengths.sum())
     assert worst_closure < 1e-9, f"closure defect {worst_closure:.2e} of perimeter"
     print(f"ACCEPTANCE 6: PASS - FD gradient {worst_grad:.1e}, FD jacobian {worst_jac:.1e}, "
           f"closure {worst_closure:.1e} of perimeter")

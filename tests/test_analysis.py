@@ -52,7 +52,8 @@ def test_aligned_configurations_use_oracle_fallback(pentagon_analyses):
     fallback = [a for a in pentagon_analyses if a.index_source == "oracle"]
     assert len(fallback) == 10
     assert all(a.index == 1 for a in fallback)
-    assert all(a.morse_error is not None for a in fallback)
+    oracle_rows = pentagon_analyses.index_source == "oracle"
+    assert all(error is not None for error in pentagon_analyses.morse_error[oracle_rows])
     # the determinant sign is still compared where the index formula fails
     assert all(a.agree is True for a in fallback)
     formula = [a for a in pentagon_analyses if a.index_source == "formula"]
@@ -106,13 +107,15 @@ def test_verify_rows_read_off_the_library_analysis():
         _, records = load_enumeration(_artifact(linkage, analyses))
         rows, _, _ = verify_enumeration(linkage, records)
         assert len(rows) == len(analyses)
-        for a, row in zip(analyses, rows):
+        for j, (a, row) in enumerate(zip(analyses, rows)):
             assert not a.flags.any
-            assert row.index == a.oracle.index
-            assert row.formula_index == (None if a.morse is None else a.morse.index)
-            assert row.det_sign == a.oracle.det_sign
-            assert row.inertia == a.oracle.inertia
-            assert row.residual == a.oracle.residual
+            assert analyses.oracle_error[j] is None
+            assert row.index == analyses.oracle_index[j]
+            assert row.formula_index == (None if analyses.morse_error[j] is not None
+                                         else analyses.formula_index[j])
+            assert row.det_sign == analyses.det_sign[j]
+            assert row.inertia == tuple(analyses.inertia[j].tolist())
+            assert row.residual == analyses.residual[j]
             assert row.agree is a.agree is True
 
 
@@ -234,8 +237,7 @@ def _view_fields(view):
     fields = (desc.eps.eps, desc.winding, desc.radius, desc.alphas.tolist(), desc.center.tolist(),
               view.configuration.points.tolist(), view.flags)
     if hasattr(view, "area"):
-        fields += (view.area, view.index, view.index_source, view.agree,
-                   None if view.oracle is None else view.oracle.residual)
+        fields += (view.area, view.index, view.index_source, view.agree)
     return fields
 
 
@@ -245,7 +247,7 @@ def _kernel_fields(table, analysed: bool):
     eps = table.eps.astype(float)
     central, near_flip, delta_zero = _flag_rows(eps, table.alphas)
     form = _closed_form_rows(table.points, table.center, table.radius)
-    _, residual, inertia, det_sign, errors = _verdict_rows(table.points)
+    _, _, inertia, det_sign, errors = _verdict_rows(table.points)
     areas = _signed_areas(table.points)
     out = []
     for j in range(len(table)):
@@ -259,7 +261,7 @@ def _kernel_fields(table, analysed: bool):
                   table.alphas[j].tolist(), table.center[j].tolist(), table.points[j].tolist(),
                   flags)
         if analysed:
-            index = source = agree = verdict = None
+            index = source = agree = None
             if not flags.any:
                 morse = errors[j] is None and inertia[j, 1] == 0
                 if form.errors[j] is None:
@@ -269,8 +271,7 @@ def _kernel_fields(table, analysed: bool):
                 if morse and form.sign_errors[j] is None:
                     agree = bool(form.h_sign[j] == det_sign[j]) and (
                         form.errors[j] is not None or index == inertia[j, 0])
-                verdict = None if errors[j] is not None else float(residual[j])
-            fields += (float(areas[j]), index, source, agree, verdict)
+            fields += (float(areas[j]), index, source, agree)
         out.append(fields)
     return out
 
@@ -288,6 +289,11 @@ def test_table_views_match_the_stacked_kernels(linkage):
         expected = _kernel_fields(table, analysed)
         assert len(table) == len(expected) == table.k.size > 6
         assert [_view_fields(view) for view in table] == expected
+        if analysed:
+            # the residual column: the oracle's where it ran and did not refuse
+            _, residual, _, _, errors = _verdict_rows(table.points)
+            ran = ~table.flagged & np.array([error is None for error in errors])
+            assert np.array_equal(table.residual, np.where(ran, residual, np.nan), equal_nan=True)
         assert [_view_fields(table[j]) for j in range(len(table))] == expected
         assert _view_fields(table[0]) == expected[0]
         assert _view_fields(table[-1]) == expected[-1]

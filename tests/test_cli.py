@@ -224,17 +224,39 @@ def test_enumerate_refuses_too_many_edges(tmp_path, capsys):
     assert "enumeration budget" in capsys.readouterr().err
 
 
-def test_index_command_square(tmp_path, capsys):
-    pts, _, _ = regular_polygon_points(4)
-    config_file = _write(tmp_path / "square.json", {"points": pts.tolist()})
+def _index_payload(tmp_path, capsys, n):
+    """The parsed output of ``linkmorse index`` on the regular n-gon, whose
+    keys are pinned."""
+    pts, _, _ = regular_polygon_points(n)
+    config_file = _write(tmp_path / f"polygon_{n}.json", {"points": pts.tolist()})
     code = main(["index", "-i", config_file])
     captured = capsys.readouterr()
     assert code == 0
     payload = json.loads(captured.out)
+    assert list(payload) == ["h_sequence", "index", "sign_report"]
+    assert list(payload["sign_report"]) == ["delta", "d", "e", "h_sign"]
+    return payload
+
+
+def test_index_command_square(tmp_path, capsys):
+    payload = _index_payload(tmp_path, capsys, 4)
     assert payload["h_sequence"] == [1, -1]
     assert payload["index"] == 1
     assert payload["sign_report"]["e"] == 4
     assert payload["sign_report"]["d"] == 1
+    assert payload["sign_report"]["h_sign"] == -1
+    # delta = sum tan(pi/4) over the four edges
+    assert payload["sign_report"]["delta"] == pytest.approx(4.0)
+
+
+def test_index_command_pentagon(tmp_path, capsys):
+    payload = _index_payload(tmp_path, capsys, 5)
+    assert payload["h_sequence"] == [1, -1, 1]
+    assert payload["index"] == 2
+    assert payload["sign_report"]["e"] == 5
+    assert payload["sign_report"]["d"] == 1
+    assert payload["sign_report"]["h_sign"] == 1
+    assert payload["sign_report"]["delta"] == pytest.approx(5.0 * math.tan(math.pi / 5))
 
 
 def test_index_command_rejects_non_cyclic(tmp_path, capsys):

@@ -207,8 +207,9 @@ def test_half_angles_regular_pentagram():
 
 def test_half_angles_not_inscribable():
     fit = CircleFit(center=SQUARE_CENTER, radius=0.4)
-    assert closed_form(Configuration(SQUARE), fit) == \
-        (None, None, "edge 1 (length 1) exceeds the diameter 0.8")
+    form = closed_form(Configuration(SQUARE), fit)
+    assert form.central is None
+    assert form.sign_errors == form.errors == "edge 1 (length 1) exceeds the diameter 0.8"
 
 
 def test_half_angles_reproduce_chords():

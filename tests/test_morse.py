@@ -69,17 +69,19 @@ def test_sign_report_rejects_zero_delta():
 
 def test_sign_report_invariant():
     # every half-angle of the convex pentagon is pi/5 and every edge is +1
-    report = closed_form(*_regular())[0]
-    assert report.e == 5
-    assert report.d == 1
-    assert report.h_sign == -report.d * (-1) ** report.e == 1
+    form = closed_form(*_regular())
+    d = 1 if form.delta > 0.0 else -1
+    assert form.sign_errors is None
+    assert form.positives == 5
+    assert d == 1
+    assert form.h_sign == -d * (-1) ** form.positives == 1
 
 
 def test_regular_hexagon_p4_chord_is_diameter():
     pts, center, radius = regular_polygon_points(6)
-    signs, morse, error = closed_form(Configuration(pts), CircleFit(center=center, radius=radius))
-    assert signs is not None and morse is None
-    assert error == "chord p_4 -> p_1 is a diameter"
+    form = closed_form(Configuration(pts), CircleFit(center=center, radius=radius))
+    assert form.sign_errors is None
+    assert form.errors == "chord p_4 -> p_1 is a diameter"
 
 
 def test_diameter_edge_is_refused_before_a_later_chord():
@@ -94,8 +96,9 @@ def test_diameter_edge_is_refused_before_a_later_chord():
         theta = np.array([0.0, math.pi + offset, 2.0, 2.8, math.pi, 4.0])
         return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
-    assert closed_form(Configuration(points(1e-9)), fit) == \
-        (None, None, "edge 1 passes through the circle center")
+    form = closed_form(Configuration(points(1e-9)), fit)
+    assert form.central == form.sign_errors == form.errors == \
+        "edge 1 passes through the circle center"
     alphas = _half_angles(points(1e-9), fit)
     assert 0.5 * math.pi - alphas[0] < CHORD_TOL
     sides, central = _orientation_rows(points(5e-9)[None], fit.center[None])
@@ -105,43 +108,50 @@ def test_diameter_edge_is_refused_before_a_later_chord():
     assert prefix == ["chord p_5 -> p_1 is a diameter"]
 
 
+def _sequence(config, fit):
+    """The sign sequence of one configuration, which must not be refused."""
+    form = closed_form(config, fit)
+    assert form.errors is None
+    return tuple(form.h_sequence.tolist())
+
+
 def test_sequence_convex_pentagon():
-    assert closed_form(*_regular())[1].h_sequence == (1, -1, 1)
+    assert _sequence(*_regular()) == (1, -1, 1)
 
 
 def test_sequence_anticonvex_pentagon():
-    assert closed_form(*_regular(ccw=False))[1].h_sequence == (1, 1, 1)
+    assert _sequence(*_regular(ccw=False)) == (1, 1, 1)
 
 
 def test_sequence_ccw_pentagram():
     # positively oriented star: no sign change, a local minimum (verified
     # against the numerical Hessian oracle)
-    assert closed_form(*_regular(winding=2))[1].h_sequence == (1, 1, 1)
+    assert _sequence(*_regular(winding=2)) == (1, 1, 1)
 
 
 def test_sequence_cw_pentagram():
-    assert closed_form(*_regular(winding=2, ccw=False))[1].h_sequence == (1, -1, 1)
+    assert _sequence(*_regular(winding=2, ccw=False)) == (1, -1, 1)
 
 
 def test_morse_index_pentagon_family():
-    assert closed_form(*_regular())[1].index == 2
-    assert closed_form(*_regular(ccw=False))[1].index == 0
-    assert closed_form(*_regular(winding=2))[1].index == 0
-    assert closed_form(*_regular(winding=2, ccw=False))[1].index == 2
+    assert closed_form(*_regular()).index == 2
+    assert closed_form(*_regular(ccw=False)).index == 0
+    assert closed_form(*_regular(winding=2)).index == 0
+    assert closed_form(*_regular(winding=2, ccw=False)).index == 2
 
 
 def test_morse_index_triangle():
     pts, center, radius = regular_polygon_points(3)
-    report = closed_form(Configuration(pts), CircleFit(center=center, radius=radius))[1]
-    assert report.h_sequence == (1,)
-    assert report.index == 0
+    fit = CircleFit(center=center, radius=radius)
+    assert _sequence(Configuration(pts), fit) == (1,)
+    assert closed_form(Configuration(pts), fit).index == 0
 
 
 def test_morse_index_convex_square():
     pts, center, radius = regular_polygon_points(4)
-    report = closed_form(Configuration(pts), CircleFit(center=center, radius=radius))[1]
-    assert report.h_sequence == (1, -1)
-    assert report.index == 1
+    fit = CircleFit(center=center, radius=radius)
+    assert _sequence(Configuration(pts), fit) == (1, -1)
+    assert closed_form(Configuration(pts), fit).index == 1
 
 
 def test_aligned_pentagon_configurations_are_degenerate():
@@ -152,11 +162,10 @@ def test_aligned_pentagon_configurations_are_degenerate():
         radius, _, center, points = root_row(PENTA_L, eps, math.pi / 3)
         return Configuration(points), CircleFit(center=center, radius=radius)
 
-    _, morse, error = closed_form(*rebuilt((1, 1, 1, 1, -1)))
-    assert morse is None and error == "chord p_4 -> p_1 has vanishing length"
-
-    _, morse2, error2 = closed_form(*rebuilt((-1, 1, 1, 1, 1)))
-    assert morse2 is None and error2.startswith("subconfiguration P_4: |delta| = ")
+    assert closed_form(*rebuilt((1, 1, 1, 1, -1))).errors == \
+        "chord p_4 -> p_1 has vanishing length"
+    assert closed_form(*rebuilt((-1, 1, 1, 1, 1))).errors.startswith(
+        "subconfiguration P_4: |delta| = ")
 
 
 def test_morse_index_requires_cyclic_input():
@@ -176,9 +185,10 @@ def test_mirror_duality_on_enumerated_configurations():
             partner = table[(tuple(-v for v in eps), -k)]
             fit, fit_mirror = (CircleFit(center=it.descriptor.center, radius=it.descriptor.radius)
                                for it in (item, partner))
-            m = closed_form(item.configuration, fit)[1].index
-            m_mirror = closed_form(partner.configuration, fit_mirror)[1].index
-            assert m + m_mirror == n - 3
+            form = closed_form(item.configuration, fit)
+            mirror = closed_form(partner.configuration, fit_mirror)
+            assert form.errors is None and mirror.errors is None
+            assert form.index + mirror.index == n - 3
 
 
 def _geometric_sign_sequence(config, fit):
@@ -233,8 +243,8 @@ def _geometric_sign_sequence(config, fit):
 
 
 def _closed_form_sequence(config, fit):
-    _, morse, error = closed_form(config, fit)
-    return error if morse is None else morse.h_sequence
+    form = closed_form(config, fit)
+    return form.errors if form.errors is not None else tuple(form.h_sequence.tolist())
 
 
 def _outcome(sequence, config, fit):

@@ -15,7 +15,7 @@ from conftest import (
     random_valid_configuration,
     regular_polygon_points,
 )
-from linkmorse import Configuration, Linkage, enumerate_cyclic, oracle_index, signed_area
+from linkmorse import Linkage, enumerate_cyclic, signed_area
 from linkmorse import oracle
 from linkmorse.errors import NonRegularPointError
 
@@ -54,6 +54,20 @@ def _projected_hessian(points, lam, basis):
 
 def _inertia(matrix):
     return tuple(oracle._inertia_rows(np.asarray(matrix, dtype=float)[None])[0].tolist())
+
+
+def _verdict(points):
+    """The verdict of one configuration: ``(multipliers, residual, inertia,
+    det_sign)``, the inertia a tuple, or its NonRegularPointError raised."""
+    multipliers, residual, inertia, det_sign, errors = oracle._verdict_rows(
+        np.asarray(points, dtype=float)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return multipliers[0], float(residual[0]), tuple(inertia[0].tolist()), int(det_sign[0])
+
+
+def _multipliers(points):
+    return _verdict(points)[0]
 
 
 def test_area_gradient_square_entry():
@@ -122,13 +136,13 @@ def test_collinear_configuration_is_singular():
     # flat folded square: all vertices on the pinned axis
     pts = np.array([(0.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 1.0)])
     with pytest.raises(NonRegularPointError):
-        oracle_index(Configuration(pts), Linkage([1, 1, 1, 1]))
+        _verdict(pts)
 
 
 def test_enumerated_configurations_are_critical():
-    items = enumerate_cyclic(Linkage([1, 1, 1, 1, 1]))
-    for item in items:
-        assert oracle_index(item.configuration, Linkage([1, 1, 1, 1, 1])).residual < 1e-8
+    _, residual, _, _, errors = oracle._verdict_rows(enumerate_cyclic(Linkage([1] * 5)).points)
+    assert errors == [None] * 14
+    assert np.all(residual < 1e-8)
 
 
 def test_multipliers_are_the_center_turned_a_quarter(random_tables):
@@ -150,23 +164,22 @@ def test_critical_family_point_has_a_zero_eigenvalue():
     eps, radius = np.array([1, 1, 1, -1, -1, -1]), 1.5
     theta = np.concatenate([[0.0], np.cumsum(2.0 * eps * math.asin(0.5 / radius))[:-1]])
     pts = pin_points(radius * np.stack([np.cos(theta), np.sin(theta)], axis=1))
-    verdict = oracle_index(Configuration(pts), Linkage([1] * 6))
-    assert verdict.residual < 1e-12
-    assert verdict.inertia == (1, 1, 1)
-    assert verdict.det_sign == 0
-    assert not verdict.is_morse
+    _, residual, inertia, det_sign = _verdict(pts)
+    assert residual < 1e-12
+    assert inertia == (1, 1, 1)
+    assert det_sign == 0
 
 
 def test_random_configurations_are_not_critical():
     rng = np.random.default_rng(8)
     for _ in range(10):
         linkage, config = random_valid_configuration(rng, 5)
-        assert oracle_index(config, linkage).residual > 1e-2
+        assert _verdict(config.points)[1] > 1e-2
 
 
 def test_triangle_residual_zero_dimensional():
     pts, _, _ = regular_polygon_points(3)
-    assert oracle_index(Configuration(pts), Linkage([1, 1, 1])).residual < 1e-12
+    assert _verdict(pts)[1] < 1e-12
 
 
 def test_projected_hessian_shapes():
@@ -175,7 +188,7 @@ def test_projected_hessian_shapes():
         linkage = random_linkage(rng, n)
         item = enumerate_cyclic(linkage)[0]
         pts = item.configuration.points
-        lam = oracle_index(item.configuration, linkage).multipliers
+        lam = _multipliers(pts)
         proj = _projected_hessian(pts, lam, _tangent_basis(pts))
         assert proj.shape == (dim, dim)
         assert proj == pytest.approx(proj.T, abs=1e-12)
@@ -200,7 +213,7 @@ def test_projected_hessian_matches_second_differences():
     linkage = random_linkage(rng, 5)
     item = enumerate_cyclic(linkage)[0]
     config = item.configuration
-    lam = oracle_index(config, linkage).multipliers
+    lam = _multipliers(config.points)
     basis = _tangent_basis(config.points)
     proj = _projected_hessian(config.points, lam, basis)
     phi = edge_angles(config.points)
@@ -223,18 +236,16 @@ def test_inertia_small_matrices():
 
 
 def test_oracle_index_regular_pentagon_family():
-    linkage = Linkage([1, 1, 1, 1, 1])
     pts, center, radius = regular_polygon_points(5)
-    verdict = oracle_index(Configuration(pts), linkage)
-    assert verdict.index == 2
-    assert verdict.det_sign == 1
-    assert verdict.inertia == (2, 0, 0)
-    assert verdict.residual < 1e-10
+    _, residual, inertia, det_sign = _verdict(pts)
+    assert inertia == (2, 0, 0)  # index 2
+    assert det_sign == 1
+    assert residual < 1e-10
 
     anti, center_a, radius_a = regular_polygon_points(5, ccw=False)
-    verdict_anti = oracle_index(Configuration(anti), linkage)
-    assert verdict_anti.index == 0
-    assert verdict_anti.det_sign == 1
+    _, _, inertia_anti, det_sign_anti = _verdict(anti)
+    assert inertia_anti[0] == 0
+    assert det_sign_anti == 1
 
 
 def test_oracle_index_convex_quadrilateral():
@@ -242,21 +253,20 @@ def test_oracle_index_convex_quadrilateral():
     linkage = random_linkage(rng, 4)
     items = enumerate_cyclic(linkage)
     best = max(items, key=lambda it: signed_area(it.configuration.points))
-    verdict = oracle_index(best.configuration, linkage)
-    assert verdict.index == 1
-    assert verdict.det_sign == -1
+    _, _, inertia, det_sign = _verdict(best.configuration.points)
+    assert inertia[0] == 1
+    assert det_sign == -1
 
 
 def test_oracle_verdict_invariants():
     rng = np.random.default_rng(16)
     for n in (4, 5, 6):
         linkage = random_linkage(rng, n)
-        for item in enumerate_cyclic(linkage):
-            verdict = oracle_index(item.configuration, linkage)
-            assert sum(verdict.inertia) == n - 3
-            assert 0 <= verdict.index <= n - 3
-            if verdict.is_morse:
-                assert verdict.det_sign == (-1) ** verdict.index
+        _, _, inertia, det_sign, errors = oracle._verdict_rows(enumerate_cyclic(linkage).points)
+        assert errors == [None] * len(errors)
+        assert np.all(inertia.sum(axis=1) == n - 3)
+        morse = inertia[:, 1] == 0
+        assert np.array_equal(det_sign[morse], (-1) ** inertia[morse, 0])
 
 
 def test_inertia_invariant_under_basis_rotation():
@@ -264,7 +274,7 @@ def test_inertia_invariant_under_basis_rotation():
     linkage = random_linkage(rng, 6)
     item = enumerate_cyclic(linkage)[0]
     pts = item.configuration.points
-    lam = oracle_index(item.configuration, linkage).multipliers
+    lam = _multipliers(pts)
     basis = _tangent_basis(pts)
     q, _ = np.linalg.qr(rng.normal(size=(basis.shape[1], basis.shape[1])))
     shuffled = _projected_hessian(pts, lam, basis @ q)
@@ -298,7 +308,7 @@ def test_direct_lagrangian_matches_dense_sum():
         linkage = random_linkage(rng, n)
         for item in enumerate_cyclic(linkage)[:6]:
             pts = item.configuration.points
-            lam = oracle_index(item.configuration, linkage).multipliers
+            lam = _multipliers(pts)
             direct = _projected_hessian(pts, lam, np.eye(n - 1))
             dense = _dense_lagrangian(linkage.lengths, edge_angles(pts), lam)
             assert np.abs(direct - dense).max() <= 1e-12 * np.abs(dense).max()
@@ -320,11 +330,11 @@ def test_one_svd_per_verdict(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
-    verdict = oracle_index(item.configuration, linkage)
+    multipliers, verdict_residual, _, _ = _verdict(item.configuration.points)
     assert len(calls) == 1
     pts = item.configuration.points[None]
     jac, factors, _ = oracle._regular_rows(pts)
     lam, residual = oracle._stationarity_rows(pts, jac, *factors)
     lam, residual = lam[0], float(residual[0])
-    assert residual == verdict.residual
-    assert np.array_equal(lam, verdict.multipliers)
+    assert residual == verdict_residual
+    assert np.array_equal(lam, multipliers)

@@ -3,6 +3,7 @@ it holds or where the chunks split it, refusals keep their text, the edge
 cases of the stack shapes, and the per-row loops they replaced as
 references."""
 
+import dataclasses
 import math
 import warnings
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import edge_lengths, pin_points, random_linkage, random_valid_configuration
-from linkmorse import Configuration, Linkage, analyze_linkage, enumerate_cyclic, oracle_index
+from linkmorse import Linkage, analyze_linkage, enumerate_cyclic
 from linkmorse import analysis, geometry, morse, oracle
 from linkmorse.errors import NonRegularPointError
 
@@ -32,24 +33,16 @@ MIXED = {
 
 
 def _verdicts(pts):
-    """The per-row verdicts of a stack's oracle columns: an OracleVerdict,
-    or the row's NonRegularPointError."""
+    """The per-row verdicts of a stack's oracle columns as plain comparable
+    values: ``(multipliers, residual, inertia, det_sign)``, or the row's
+    NonRegularPointError."""
     multipliers, residual, inertia, det_sign, errors = oracle._verdict_rows(pts)
-    return [oracle._verdict(multipliers[j], residual[j], inertia[j], det_sign[j])
-            if error is None else error for j, error in enumerate(errors)]
+    return [(multipliers[j].tolist(), float(residual[j]), tuple(inertia[j].tolist()),
+             int(det_sign[j])) if error is None else error for j, error in enumerate(errors)]
 
 
 def _verdict_fields(verdict):
-    if isinstance(verdict, NonRegularPointError):
-        return str(verdict)
-    return (verdict.multipliers.tolist(), verdict.residual, verdict.inertia, verdict.det_sign,
-            verdict.index)
-
-
-def _fields(a):
-    """Every field of an analysis as plain comparable values."""
-    return (a.area, a.convex, a.flags, a.signs, a.morse, a.morse_error, a.oracle_error,
-            None if a.oracle is None else _verdict_fields(a.oracle))
+    return str(verdict) if isinstance(verdict, NonRegularPointError) else verdict
 
 
 def _kernel(points, centers, radii, flagged):
@@ -94,7 +87,9 @@ def test_stack_across_chunk_boundaries(monkeypatch):
     # one chunk: a single stack of every configuration of the linkage
     monkeypatch.setattr(analysis, "_CHUNK", 2 ** 40)
     assert len(list(analysis._chunks(chunked, linkage.n))) == 1
-    assert [_fields(a) for a in chunked] == [_fields(a) for a in analyze_linkage(linkage)]
+    whole = analyze_linkage(linkage)
+    for field in dataclasses.fields(whole):
+        assert _same(getattr(chunked, field.name), getattr(whole, field.name)), field.name
 
 
 def test_empty_stacks_and_shapes():
@@ -109,15 +104,12 @@ def test_singular_row_keeps_its_refusal_in_a_stack():
     flat = np.array([(0.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, 1.0)])
     good = [item.configuration.points for item in enumerate_cyclic(linkage)]
     verdicts = _verdicts(np.stack([good[0], flat, good[1]]))
-    with pytest.raises(NonRegularPointError) as info:
-        oracle_index(Configuration(flat), linkage)
+    (alone,) = _verdicts(flat[None])
     assert isinstance(verdicts[1], NonRegularPointError)
-    assert str(verdicts[1]) == str(info.value)
+    assert isinstance(alone, NonRegularPointError)
+    assert str(verdicts[1]) == str(alone)
     for verdict, points in zip(verdicts[::2], good):
-        one = oracle_index(Configuration(points), linkage)
-        assert verdict.multipliers.tolist() == one.multipliers.tolist()
-        assert (verdict.residual, verdict.inertia, verdict.det_sign) == \
-            (one.residual, one.inertia, one.det_sign)
+        assert verdict == _verdicts(points[None])[0]
 
 
 @pytest.mark.parametrize("n", [3, 7, 12])
@@ -243,7 +235,7 @@ def test_kernels_match_the_per_row_loops():
             basis = svd[2][:, 2:].transpose(0, 2, 1)
             loop_inertia = oracle._inertia_rows(oracle._projected_rows(
                 np.stack([_loop_lagrangian(p, m) for p, m in zip(pts, loop_lam)]), basis))
-            assert [verdict.inertia for verdict in _verdicts(pts)] == \
+            assert [verdict[2] for verdict in _verdicts(pts)] == \
                 list(map(tuple, loop_inertia.tolist()))
 
 
