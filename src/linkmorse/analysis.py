@@ -188,11 +188,14 @@ def _analyze_rows(points, centers, radii, flagged):
     form = _closed_form_rows(points[live], centers[live], radii[live])
     unmeasured = np.array([cause is not None for cause in form.central], dtype=bool)
     measured[live] = np.where(unmeasured[:, None], 0, form.eps)
-    cols["signed"][live] = [cause is None for cause in form.sign_errors]
-    for name, value in (("delta", form.delta), ("positives", form.positives),
-                        ("h_sign", form.h_sign), ("h_sequence", form.h_sequence),
-                        ("formula_index", form.index), ("morse_error", form.errors)):
-        cols[name][live] = value
+    signed = np.array([cause is None for cause in form.sign_errors], dtype=bool)
+    formula = np.array([cause is None for cause in form.errors], dtype=bool)
+    cols["signed"][live], cols["morse_error"][live] = signed, form.errors
+    # a refused side keeps the NaN, 0 and -1 of _refused_columns
+    for name, value, ok in (("delta", form.delta, signed), ("positives", form.positives, signed),
+                            ("h_sign", form.h_sign, signed), ("formula_index", form.index, formula),
+                            ("h_sequence", form.h_sequence, formula)):
+        cols[name][live[ok]] = value[ok]
     (cols["multipliers"], cols["residual"], cols["inertia"], cols["det_sign"],
      errors) = _verdict_rows(points)
     regular = np.array([error is None for error in errors], dtype=bool)

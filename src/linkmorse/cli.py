@@ -49,7 +49,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_index(args) -> int:
     config = Configuration.from_json_dict(_read_json(args.input))
-    fit = fit_circle(config.points, tol=INPUT_TOL)
+    fit = fit_circle(config.points)
     if fit is None:
         raise LinkmorseError("configuration is not cyclic at the fit tolerance")
     form = closed_form(config, fit)
@@ -85,8 +85,8 @@ def cmd_verify(args) -> int:
 def cmd_deform(args) -> int:
     cfg_a = Configuration.from_json_dict(_read_json(args.start))
     cfg_b = Configuration.from_json_dict(_read_json(args.end))
-    fit_a = fit_circle(cfg_a.points, tol=INPUT_TOL)
-    fit_b = fit_circle(cfg_b.points, tol=INPUT_TOL)
+    fit_a = fit_circle(cfg_a.points)
+    fit_b = fit_circle(cfg_b.points)
     if fit_a is None or fit_b is None:
         raise LinkmorseError("both endpoint configurations must be cyclic")
     if cfg_a.n != cfg_b.n:
@@ -137,7 +137,7 @@ def _render_items(data) -> list:
         except (TypeError, ValueError) as err:
             raise LinkmorseError(f"malformed record: {type(err).__name__}: {err}") from err
         if fit is None:
-            fit = fit_circle(pts, tol=INPUT_TOL)
+            fit = fit_circle(pts)
             if fit is None:
                 raise LinkmorseError("configuration is not cyclic; cannot draw its circle")
         # the label is the measured string and winding; recorded ones must match

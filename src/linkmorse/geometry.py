@@ -269,19 +269,19 @@ def circumcircle(a, b, c) -> CircleFit:
     return CircleFit(center=center, radius=float(np.hypot(cx, cy)))
 
 
-def fit_circle(points, tol: float = 1e-9):
+def fit_circle(points):
     """Fit the circle through the first three vertices and test the rest.
 
     Returns a :class:`CircleFit` when every remaining vertex lies on that
-    circle within ``tol * r``, otherwise ``None`` (the configuration is not
-    cyclic at this tolerance).
+    circle within ``INPUT_TOL * r``, otherwise ``None`` (the configuration
+    is not cyclic at this tolerance).
     """
     pts = _as_points(points)
     if pts.shape[0] < 3:
         raise InvalidConfigurationError("circle fitting needs at least 3 points")
     fit = circumcircle(pts[0], pts[1], pts[2])
     dist = np.linalg.norm(pts - fit.center, axis=1)
-    if np.any(np.abs(dist - fit.radius) > tol * fit.radius):
+    if np.any(np.abs(dist - fit.radius) > INPUT_TOL * fit.radius):
         return None
     return fit
 

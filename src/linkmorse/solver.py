@@ -16,25 +16,25 @@ is no radius cap.
 
 The scan runs once per linkage, over blocks of orientation strings, and
 tabulates the closure sums ``C = sum eps_i alpha_i`` and the deltas ``D``
-coarse to fine.  Every ``alpha_i`` and every ``tan(alpha_i)`` increases with
-theta, so with P the sum over the +1 edges and N over the -1 edges, C = P - N
-lies in [P(a) - N(b), P(b) - N(a)] on a cell [a, b], and D likewise.  These
-bounds, taken from every :data:`_STEP`-th grid point, prove about 90% of the
-cells free of any level ``pi k`` or of a zero of D; only the other cells are
-tabulated at every grid point, a chunk of them per matrix product.  A level
-``pi k`` can only be crossed in a cell where ``floor(C / pi)`` changes or next
-to a sample within a slack of a level, so one pass over the tabulated cells
-picks these candidate cells, and the exact test runs on them alone, for all
-feasible windings at once: a sign change of ``C - pi k`` brackets a root, an
-isolated exact zero is one, and a run of exact zeros (a family on which F
-vanishes identically) yields none.  The bounds are widened past the slack, so
-the candidates are those of the whole table.  A string whose +1 and -1 edges
+coarse to fine.  Every ``alpha_i`` increases with theta, so with P the sum
+over the +1 edges and N over the -1 edges, C = P - N lies in
+[P(a) - N(b), P(b) - N(a)] on a cell [a, b].  These bounds, taken from every
+:data:`_STEP`-th grid point, prove about 90% of the cells free of any level
+``pi k``; only the other cells are tabulated at every grid point, C and D
+alike, a chunk of them per matrix product.  A level ``pi k`` can only be
+crossed in a cell where ``floor(C / pi)`` changes or next to a sample within
+a slack of a level, so one pass over the tabulated cells picks these
+candidate cells, and the exact test runs on them alone, for all feasible
+windings at once: a sign change of ``C - pi k`` brackets a root, an isolated
+exact zero is one, and a run of exact zeros (a family on which F vanishes
+identically) yields none.  The bounds are widened past the slack, so the
+candidates are those of the whole table.  A string whose +1 and -1 edges
 carry the same lengths is such a family for every winding and is not
-scanned.  Brackets are refined in theta by :func:`brentq`, one Brent's method
-that steps over every closure bracket ``(E, k, cell)`` of the linkage at once,
-evaluating F as stacked rows, and once more over every bracket of delta.
-Double roots hide at zeros of delta, the extrema of F; one is accepted when
-``|F| <= RESIDUAL_TOL * (sum alpha_i + pi |k|)``, and a root is flagged
+scanned.  Double roots hide at zeros of delta, the extrema of F; one is
+accepted when ``|F| <= RESIDUAL_TOL * (sum alpha_i + pi |k|)``, far inside
+the widening, so no cell left out holds one.  One call of :func:`brentq`, a
+Brent's method over stacked rows of :func:`_scan_rows`, refines every
+bracket of F and of delta at once.  A root is flagged
 ``delta_zero`` when ``|delta| < DEGENERACY_TOL * sum tan(alpha_i)``, so both
 tests scale with the problem.  Only the strings with ``eps_1 = +1`` are
 scanned: the mirror string ``(-E, -k)`` has ``F_{-E,-k} = -F_{E,k}`` exactly
@@ -249,15 +249,14 @@ class CyclicTable:
         return CyclicConfiguration(desc, Configuration(points=self.points[j]), flags)
 
 
-def _closure_rows(theta: np.ndarray, rho: np.ndarray, eps: np.ndarray, k) -> np.ndarray:
-    """``F = sum_i eps_i alpha_i(theta) - pi k`` of each row: one angle, one
-    string (a row of ``eps``) and one winding per row."""
-    return _dot_rows(eps, _half_angles(rho, theta)) - math.pi * k
-
-
-def _delta_rows(theta: np.ndarray, rho: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """``delta = sum_i eps_i tan(alpha_i(theta))`` of each row."""
-    return _dot_rows(eps, np.tan(_half_angles(rho, theta)))
+def _scan_rows(theta: np.ndarray, rho: np.ndarray, eps: np.ndarray, k, delta) -> np.ndarray:
+    """``F = sum_i eps_i alpha_i(theta) - pi k`` of each row (one angle,
+    string and winding per row), or ``delta = sum_i eps_i tan(alpha_i)``
+    where ``delta`` is True: those rows take k = 0, and ``- pi * 0.0``
+    leaves delta bit for bit."""
+    values = _half_angles(rho, theta)
+    values[delta] = np.tan(values[delta])
+    return _dot_rows(eps, values) - math.pi * k
 
 
 def brentq(f, a: np.ndarray, b: np.ndarray, args=()) -> np.ndarray:
@@ -270,9 +269,10 @@ def brentq(f, a: np.ndarray, b: np.ndarray, args=()) -> np.ndarray:
     ``brentq.c``: inverse quadratic or linear interpolation, else bisection)
     with ``xtol`` :data:`_FAR_ANGLE`, ``rtol`` :data:`ROOT_RTOL` and at most
     :data:`_MAXITER` iterations, so each root has the same digits as a
-    scipy call on its bracket.  It refines the roots of the enumeration in
-    theta and the delta zeros of a deformation path in time (see
-    :mod:`linkmorse.deform`).  Like scipy, raises ``ValueError`` for a NaN
+    scipy call on that bracket alone.  One call refines every root of F and
+    zero of delta of an enumeration in theta, another the delta zeros of a
+    deformation path in time (see :mod:`linkmorse.deform`).  Like scipy,
+    raises ``ValueError`` for a NaN
     value of ``f`` or for a bracket whose ends have the same sign, and
     ``RuntimeError`` for a bracket not converged after :data:`_MAXITER`
     iterations.
@@ -467,11 +467,6 @@ def _meets_level(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.ceil(lo / math.pi) <= np.floor(hi / math.pi)
 
 
-def _meets_zero(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Cells whose bound [lo, hi] holds 0."""
-    return (lo <= 0.0) & (hi >= 0.0)
-
-
 def _windows(table: np.ndarray, eps: np.ndarray, cells: np.ndarray, out: np.ndarray):
     """Fill ``out[p, :-1]`` with the sums ``eps[p] . table[i]`` over the
     window of samples ``i = cells[p] * _STEP - 1 ... (cells[p] + 1) * _STEP``
@@ -519,12 +514,12 @@ def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
     before, at and after it (NaN past either end of the grid).
 
     Both tables are built coarse to fine, a block of strings at a time.  The
-    sums over the +1 edges at every :data:`_STEP`-th sample bound each
-    string's cells (:func:`_bounds`).  Only a cell whose widened bound meets
-    a level ``pi k`` (closures) or 0 (deltas), and the first cell, is
-    tabulated at every sample, with one sample more on each side, and
-    searched by the rules of the whole table.  A cell left out holds no
-    sample these rules would mark, so the candidates are the whole table's.
+    closure sums over the +1 edges at every :data:`_STEP`-th sample bound
+    each string's cells (:func:`_bounds`).  Only a cell whose widened bound
+    meets a level ``pi k``, and the first cell, is tabulated at every
+    sample, with one more on each side, in both tables.  A cell left out
+    holds no closure candidate, and no zero of delta near enough to a level
+    to be a double root.
     """
     alphas_tab = _half_angles(rho, np.concatenate([[np.nan], grid]))
     tangents_tab = np.tan(alphas_tab)
@@ -537,13 +532,9 @@ def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
     work = np.empty((_WINDOWS + 1, _STEP + 3))
     work[:, -1] = np.nan
     levels, floors = np.empty((_WINDOWS, _STEP + 2)), np.empty((_WINDOWS, _STEP + 2))
-    # A closure sum within _LEVEL_SLACK pi of a level marks a candidate: the
-    # closures' bounds are widened by twice that distance, far more than the
-    # rounding of C / pi can move a sample.
-    kinds = ((alphas_tab, 2.0 * _LEVEL_SLACK * math.pi, _meets_level,
-              lambda values: _level_cells(values, levels[:len(values)], floors[:len(values)])),
-             (tangents_tab, 0.0, _meets_zero, _sign_cells))
-    found = ([], [])
+    def level_marks(values):
+        return _level_cells(values, levels[:len(values)], floors[:len(values)])
+    closures, deltas = [], []
     for start in range(0, len(strings), _BLOCK):
         rows = strings[start:start + _BLOCK]
         # The first point stands in for r = inf.  On a wall (sum eps_i l_i = 0,
@@ -552,14 +543,17 @@ def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
         # is neither a zero nor a sign, so such a string's scan starts at the
         # second point.
         wall = np.abs(rows @ alphas_tab[1]) <= wall_tol
-        positive = (rows > 0.0).T.astype(float)
-        for (table, widen, meets, marks), cands in zip(kinds, found):
-            kept = meets(*_bounds(table[1::_STEP], positive, widen))
-            # the first cell holds a wall's NaN, which no bound sees
-            kept[0] = True
-            cands.extend(_window_candidates(table, rows, start, kept, wall, marks, work))
+        # A closure sum within _LEVEL_SLACK pi of a level marks a candidate:
+        # the bounds are widened by twice that, far more than the rounding of
+        # C / pi or a double root's RESIDUAL_TOL (at most about 5e-11).
+        kept = _meets_level(*_bounds(alphas_tab[1::_STEP], (rows > 0.0).T.astype(float),
+                                     2.0 * _LEVEL_SLACK * math.pi))
+        # the first cell holds a wall's NaN, which no bound sees
+        kept[0] = True
+        closures.extend(_window_candidates(alphas_tab, rows, start, kept, wall, level_marks, work))
+        deltas.extend(_window_candidates(tangents_tab, rows, start, kept, wall, _sign_cells, work))
     none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 3
-    return tuple([np.concatenate(v) for v in zip(none, *cands)] for cands in found)
+    return tuple([np.concatenate(v) for v in zip(none, *cands)] for cands in (closures, deltas))
 
 
 def _merge(row: np.ndarray, k: np.ndarray, theta: np.ndarray):
@@ -610,19 +604,21 @@ def _scan(linkage: Linkage, strings: np.ndarray, k_lo: np.ndarray, k_hi: np.ndar
         change = _sign_change(here, after, math.pi * k)
         change &= (k <= hi) & (k >= k_lo[row]) & (k <= k_hi[row])
         brackets.append((row[change], k[change], i[change]))
+    # Double roots hide at interior extrema of F, i.e. zeros of delta, whose
+    # sign changes are refined with the closure brackets as delta rows.
+    d_row, d_i, d_prev, d_here, d_after = sign_cells
+    change = (d_i < last) & _sign_change(d_here, d_after, 0.0)
+    brackets.append((d_row[change], np.zeros(int(change.sum())), d_i[change]))
     row, k, i = (np.concatenate(v) for v in zip(*brackets))
-    found.append((row, k, brentq(lambda t, e, kk: _closure_rows(t, rho, e, kk),
-                                 grid[i], grid[i + 1], args=(strings[row], k))))
+    delta = np.arange(row.size) >= row.size - int(change.sum())
+    roots = brentq(lambda t, e, kk, d: _scan_rows(t, rho, e, kk, d), grid[i], grid[i + 1],
+                   args=(strings[row], k, delta))
+    found.append((row[~delta], k[~delta], roots[~delta]))
 
-    # Double roots hide at interior extrema of F, i.e. zeros of delta; each
-    # is tested against the level nearest to F there.
-    row, i, prev, here, after = sign_cells
-    zero = _isolated_zero(i, prev, here, after, 0.0, last)
-    change = (i < last) & _sign_change(here, after, 0.0)
-    refined = brentq(lambda t, e: _delta_rows(t, rho, e), grid[i[change]], grid[i[change] + 1],
-                     args=(strings[row[change]],))
-    row = np.concatenate([row[zero], row[change]])
-    theta = np.concatenate([grid[i[zero]], refined])
+    # Each zero of delta is tested against the level nearest to F there.
+    zero = _isolated_zero(d_i, d_prev, d_here, d_after, 0.0, last)
+    row = np.concatenate([d_row[zero], row[delta]])
+    theta = np.concatenate([grid[d_i[zero]], roots[delta]])
     alphas = _half_angles(rho, theta)
     closure = (strings[row] * alphas).sum(axis=1)
     k = np.rint(closure / math.pi)

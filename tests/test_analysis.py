@@ -61,6 +61,21 @@ def test_aligned_configurations_use_oracle_fallback(pentagon_analyses):
     assert all(a.agree for a in formula)
 
 
+def test_refused_closed_form_leaves_its_columns_empty(pentagon_analyses):
+    # the 10 aligned configurations keep their sign data but not the index
+    # formula: the formula's columns read as refused, as flagged rows do
+    refused = pentagon_analyses.morse_error != None  # noqa: E711
+    assert refused.sum() == 10 and not pentagon_analyses.flagged[refused].any()
+    assert (pentagon_analyses.formula_index[refused] == -1).all()
+    assert (pentagon_analyses.h_sequence[refused] == 0).all()
+    assert (pentagon_analyses.formula_index[~refused] >= 0).all()
+    unsigned = ~pentagon_analyses.signed
+    assert np.isnan(pentagon_analyses.delta[unsigned]).all()
+    assert (pentagon_analyses.positives[unsigned] == 0).all()
+    assert (pentagon_analyses.h_sign[unsigned] == 0).all()
+    assert np.isfinite(pentagon_analyses.delta[~unsigned]).all()
+
+
 def test_record_schema(pentagon_analyses):
     rec = _envelope(PENTA, pentagon_analyses)["configurations"][0]
     assert set(rec) == {"eps", "k", "r", "center", "points", "area", "flags"}

@@ -128,7 +128,7 @@ def test_fit_circle_unit_square():
 
 def test_fit_circle_regular_pentagon():
     pts, center, radius = regular_polygon_points(5)
-    fit = fit_circle(pts, tol=1e-9)
+    fit = fit_circle(pts)
     assert fit is not None
     assert fit.radius == pytest.approx(radius, abs=1e-9)
     assert fit.center == pytest.approx(center, abs=1e-9)
@@ -139,7 +139,7 @@ def test_fit_circle_rejects_perturbed_vertex():
     pts = SQUARE.copy()
     out = pts[3] - SQUARE_CENTER
     pts[3] = SQUARE_CENTER + out * (1.0 + 1e-3)
-    assert fit_circle(pts, tol=1e-6) is None
+    assert fit_circle(pts) is None
 
 
 def test_fit_circle_collinear_raises():
@@ -195,7 +195,7 @@ def test_half_angles_square():
 
 def test_half_angles_regular_pentagon():
     pts, _, _ = regular_polygon_points(5)
-    alphas = _half_angles(pts, fit_circle(pts, tol=1e-9))
+    alphas = _half_angles(pts, fit_circle(pts))
     assert alphas == pytest.approx(np.full(5, math.pi / 5), abs=1e-9)
 
 
@@ -222,7 +222,7 @@ def test_half_angles_reproduce_chords():
             continue
         center = rng.uniform(-1, 1, size=2)
         pts = center + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        fit = fit_circle(pts, tol=1e-9)
+        fit = fit_circle(pts)
         assert fit is not None
         alphas = _half_angles(pts, fit)
         chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)

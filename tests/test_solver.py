@@ -69,18 +69,23 @@ def _items(linkage, eps, k):
             if it.descriptor.eps.eps == eps and it.descriptor.winding == k]
 
 
+def _scan_row(linkage, eps, k, theta, delta):
+    """The scan's ``solver._scan_rows`` on one row."""
+    return float(solver._scan_rows(np.array([theta]), solver._ratios(linkage),
+                                   np.array([eps], dtype=float), np.array([k]),
+                                   np.array([delta]))[0])
+
+
 def _closure(linkage, eps, k, theta):
     """``F = sum_i eps_i alpha_i(theta) - pi k`` of one string, winding and
-    angle, by the scan's ``solver._closure_rows`` on one row."""
-    return float(solver._closure_rows(np.array([theta]), solver._ratios(linkage),
-                                      np.array([eps], dtype=float), k)[0])
+    angle, by the scan's row kernel."""
+    return _scan_row(linkage, eps, k, theta, False)
 
 
 def _delta(linkage, eps, theta):
     """``delta = sum_i eps_i tan(alpha_i(theta))`` of one string and angle,
-    by the scan's ``solver._delta_rows`` on one row."""
-    return float(solver._delta_rows(np.array([theta]), solver._ratios(linkage),
-                                    np.array([eps], dtype=float))[0])
+    by the scan's row kernel."""
+    return _scan_row(linkage, eps, 0, theta, True)
 
 
 def test_f_value_square_root():
@@ -304,7 +309,7 @@ def test_enumeration_round_trip_properties():
             # validation accepts every reconstruction
             assert constraint_violations(linkage, config.points) == []
             # circle fit recovers the descriptor circle
-            fit = fit_circle(config.points, tol=1e-7)
+            fit = fit_circle(config.points)
             assert fit is not None
             assert fit.radius == pytest.approx(desc.radius, rel=1e-9)
             assert fit.center == pytest.approx(desc.center, abs=1e-9 * desc.radius)
@@ -493,8 +498,8 @@ def _string_roots(linkage, eps, ks):
     """The per-string scan the solver ran before it scanned blocks of
     strings: one windings x grid table for one string, exact zeros and sign
     changes per winding, brackets refined with scipy's brentq on one row of
-    ``_closure_rows``, double roots tested at the zeros of ``_delta_rows``,
-    one merged root list per winding."""
+    the scan's kernel, double roots tested at the zeros of delta, one merged
+    root list per winding."""
     rho = linkage.lengths / linkage.lengths.max()
 
     def half_angles(theta):
@@ -632,7 +637,7 @@ def _scan_trace(linkage, monkeypatch, tabulate):
     """enumerate_cyclic with ``tabulate`` in place of the scan's table: the
     sorted ``(row, sample, value)`` candidates of the closures and of the
     deltas (NaN as None), the sorted closure brackets ``(row, k, sample)``,
-    and the table it returns."""
+    the table it returns, and the grid and strings it scanned."""
     seen, brackets = {}, []
     batched = solver.brentq
 
@@ -651,10 +656,11 @@ def _scan_trace(linkage, monkeypatch, tabulate):
         table = enumerate_cyclic(linkage)
     rows = {tuple(eps): j for j, eps in enumerate(seen["strings"].tolist())}
     candidates = _candidate_lists(seen["candidates"])
-    a, (eps, k) = brackets[0]
-    closure_brackets = sorted(zip([rows[tuple(e)] for e in eps.tolist()], k.tolist(),
-                                  np.searchsorted(seen["grid"], a).tolist()))
-    return candidates, closure_brackets, table
+    a, (eps, k, delta) = brackets[0]
+    closure_brackets = sorted(zip([rows[tuple(e)] for e in eps[~delta].tolist()],
+                                  k[~delta].tolist(),
+                                  np.searchsorted(seen["grid"], a[~delta]).tolist()))
+    return candidates, closure_brackets, table, seen["grid"], seen["strings"]
 
 
 def _pruned_scan_fixtures():
@@ -665,16 +671,33 @@ def _pruned_scan_fixtures():
 
 @pytest.mark.parametrize("linkage", list(_pruned_scan_fixtures()))
 def test_pruned_scan_matches_full_table(linkage, monkeypatch):
-    """The cells the scan leaves out hold no candidate: its candidate
-    samples, their values, its closure brackets and its table are the full
-    table's."""
-    (closures, deltas), brackets, table = _scan_trace(linkage, monkeypatch, solver._tabulate)
-    expected = _scan_trace(linkage, monkeypatch, _full_table)
-    assert closures == expected[0][0]
-    assert deltas == expected[0][1]
-    assert brackets == expected[1]
-    assert all(np.array_equal(getattr(table, f.name), getattr(expected[2], f.name))
+    """The cells the scan leaves out hold no closure candidate and no double
+    root: its closure candidates, their values, its closure brackets and its
+    table are the full table's, and each delta candidate of the full table
+    that it drops, once scipy refines it, lies too far from every level
+    ``pi k`` to pass the double-root test."""
+    (closures, deltas), brackets, table, grid, strings = _scan_trace(linkage, monkeypatch,
+                                                                     solver._tabulate)
+    (full_closures, full_deltas), *expected, _, _ = _scan_trace(linkage, monkeypatch, _full_table)
+    assert closures == full_closures
+    assert brackets == expected[0]
+    assert all(np.array_equal(getattr(table, f.name), getattr(expected[1], f.name))
                for f in fields(table))
+    assert set(deltas) <= set(full_deltas)
+    rho = solver._ratios(linkage)
+    for row, i, value in set(full_deltas) - set(deltas):
+        eps = tuple(strings[row].tolist())
+        if value == 0.0:
+            theta = grid[i]
+        else:
+            # a sample is a candidate next to a sign change of delta
+            assert value * _delta(linkage, eps, grid[i + 1]) < 0.0
+            theta = brentq(lambda t: _delta(linkage, eps, t), grid[i], grid[i + 1],
+                           xtol=solver._FAR_ANGLE, rtol=solver.ROOT_RTOL)
+        alphas = solver._half_angles(rho, theta)
+        closure = float(strings[row] @ alphas)
+        k = round(closure / math.pi)
+        assert abs(closure - math.pi * k) > solver.RESIDUAL_TOL * (alphas.sum() + math.pi * abs(k))
 
 
 def test_pruned_scan_keeping_every_cell_is_the_full_table(monkeypatch):
@@ -683,11 +706,10 @@ def test_pruned_scan_keeping_every_cell_is_the_full_table(monkeypatch):
     # within the bound of test_enumeration_memory_is_bounded
     linkage = random_linkage(np.random.default_rng(12), 12)
     expected = _scan_trace(linkage, monkeypatch, _full_table)
-    for name in ("_meets_level", "_meets_zero"):
-        monkeypatch.setattr(solver, name, lambda lo, hi: np.ones(lo.shape, dtype=bool))
+    monkeypatch.setattr(solver, "_meets_level", lambda lo, hi: np.ones(lo.shape, dtype=bool))
     tracemalloc.start()
     try:
-        candidates, brackets, table = _scan_trace(linkage, monkeypatch, solver._tabulate)
+        candidates, brackets, table, _, _ = _scan_trace(linkage, monkeypatch, solver._tabulate)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -748,9 +770,9 @@ def _alone(f, rows=()):
 
 @pytest.mark.parametrize("linkage", list(_brentq_fixtures()))
 def test_brentq_matches_scipy_on_every_bracket(linkage, monkeypatch):
-    """The scan refines its closure brackets in one batched call and its
-    delta brackets in another; each root is the one scipy's brentq finds on
-    that bracket alone, bit for bit."""
+    """The scan refines its closure brackets and its delta brackets in one
+    batched call; each root is the one scipy's brentq finds on that bracket
+    alone, bit for bit."""
     calls = []
     batched = solver.brentq
 
@@ -761,12 +783,15 @@ def test_brentq_matches_scipy_on_every_bracket(linkage, monkeypatch):
 
     monkeypatch.setattr(solver, "brentq", recording)
     enumerate_cyclic(linkage)
-    assert len(calls) == 2 and calls[0][4].size > 0 and calls[1][4].size > 0
-    for f, a, b, args, roots in calls:
-        for j, root in enumerate(roots.tolist()):
-            assert root == brentq(_alone(f, [arg[j:j + 1] for arg in args]), a[j], b[j],
-                                  xtol=solver._FAR_ANGLE, rtol=solver.ROOT_RTOL,
-                                  maxiter=solver._MAXITER)
+    assert len(calls) == 1
+    f, a, b, args, roots = calls[0]
+    delta = args[-1]
+    # the lengths at n = 4 and 5 keep no cell that holds a zero of delta
+    assert (delta.any() or linkage.n < 6) and not delta.all()
+    for j, root in enumerate(roots.tolist()):
+        assert root == brentq(_alone(f, [arg[j:j + 1] for arg in args]), a[j], b[j],
+                              xtol=solver._FAR_ANGLE, rtol=solver.ROOT_RTOL,
+                              maxiter=solver._MAXITER)
 
 
 def test_brentq_rows_end_alone():
