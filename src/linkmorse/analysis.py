@@ -12,11 +12,13 @@ kernels of ``geometry`` (area, convexity), ``morse`` (the closed form) and
 ``oracle`` (the numerical verdict) once, and a row refused by a check keeps
 its own refusal.  One kernel, :func:`_analyze_rows`, serves both
 :func:`analyze_linkage`, which passes its unflagged configurations, and
-:func:`verify_enumeration`, which parses the fields of each outside record,
-checks them as one stack and passes the records that pass; both compare
-formula and oracle by one rule, :func:`_agreement`.  JSON encoding and
-decoding of enumeration artifacts lives here too; :func:`write_enumeration`
-formats an artifact from the columns, a chunk of records at a time.
+:func:`verify_enumeration`, which stacks the fields of the outside records
+as columns, checks them as one stack and passes the records that pass;
+both compare formula and oracle by one rule, :func:`_agreement`, and
+verification returns a :class:`VerificationTable` of columns.  JSON
+encoding and decoding of enumeration artifacts lives here too:
+:func:`write_enumeration` formats an artifact from the columns, a chunk of
+records at a time, and :func:`write_verification` the lines of ``verify``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .geometry import (
     _as_points,
     _convex_rows,
     _dot_rows,
+    _json_numbers,
     _refusals,
     _signed_areas,
 )
@@ -48,6 +52,7 @@ from .solver import (
     CyclicDescriptor,
     CyclicTable,
     DegeneracyFlags,
+    _Table,
     _flag_rows,
     enumerate_cyclic,
 )
@@ -330,7 +335,7 @@ def load_enumeration(text: str):
     data = json.loads(text)
     if not isinstance(data, dict) or "lengths" not in data or "configurations" not in data:
         raise LinkmorseError("enumeration JSON must carry 'lengths' and 'configurations'")
-    linkage = Linkage(data["lengths"])
+    linkage = Linkage.from_json_dict(data)
     records = data["configurations"]
     if not isinstance(records, list):
         raise LinkmorseError("'configurations' must be an array")
@@ -343,7 +348,8 @@ def load_enumeration(text: str):
 
 @dataclass(frozen=True)
 class VerificationRow:
-    """Per-record verification outcome."""
+    """One record's verification outcome: a view of one row of a
+    :class:`VerificationTable`."""
 
     residual: float | None
     inertia: tuple | None
@@ -354,22 +360,39 @@ class VerificationRow:
     flagged: bool
     note: str | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "inertia": None if self.inertia is None else list(self.inertia),
-            "det_sign": self.det_sign,
-            "index": self.index,
-            "formula_index": self.formula_index,
-            "agree": self.agree,
-            "flagged": self.flagged,
-            "note": self.note,
-        }
 
+@dataclass(frozen=True)
+class VerificationTable(_Table):
+    """The verification outcome of each record of an artifact, as columns.
 
-def _fail(note: str) -> VerificationRow:
-    return VerificationRow(residual=None, inertia=None, det_sign=None, index=None,
-                           formula_index=None, agree=False, flagged=False, note=note)
+    ``residual`` is the oracle's criticality residual, NaN where a record
+    failed before the oracle judged it; ``inertia``, ``det_sign`` and
+    ``index`` are the oracle's, reported where ``index >= 0``;
+    ``formula_index`` is the closed form's, -1 where it has none; ``agree``
+    and ``flagged`` are masks, and ``note`` an object column holding None
+    where there is nothing to say.  An integer index gives the row's
+    :class:`VerificationRow` view, with None for each missing value.
+    """
+
+    residual: np.ndarray
+    inertia: np.ndarray
+    det_sign: np.ndarray
+    index: np.ndarray
+    formula_index: np.ndarray
+    agree: np.ndarray
+    flagged: np.ndarray
+    note: np.ndarray
+
+    def _row(self, j: int) -> VerificationRow:
+        residual, index = float(self.residual[j]), int(self.index[j])
+        formula_index, judged = int(self.formula_index[j]), index >= 0
+        return VerificationRow(
+            residual=None if math.isnan(residual) else residual,
+            inertia=tuple(self.inertia[j].tolist()) if judged else None,
+            det_sign=int(self.det_sign[j]) if judged else None,
+            index=index if judged else None,
+            formula_index=None if formula_index < 0 else formula_index,
+            agree=bool(self.agree[j]), flagged=bool(self.flagged[j]), note=self.note[j])
 
 
 def _json_eps(values) -> tuple:
@@ -389,37 +412,86 @@ def _json_winding(value) -> int:
     return value
 
 
-def _parse_record(n: int, record):
-    """The stack rows ``(points, center, radius, eps, winding, flags)`` of an
-    outside record, or its failing row: malformed when it is not an object or
-    a field is missing or mistyped (``k`` and ``eps`` take JSON integers only).
-    An ``eps`` or flags of another length than n stack as zeros or NaN, which
-    fail their checks in :func:`_check_rows`."""
+def _record_note(n: int, record) -> str | None:
+    """The note of an outside record that :func:`_columns` cannot stack, None
+    when it can: the record is not an object, a field is missing or mistyped
+    (``k`` and ``eps`` take JSON integers only, ``points``, ``center`` and
+    ``r`` JSON numbers only), or its points are not n finite vertices.  The
+    fields are read in the order points, flags, center, r, eps, k, and the
+    note is the first refusal's."""
     if not isinstance(record, dict):
-        return _fail(f"malformed record: expected an object, got {type(record).__name__}")
+        return f"malformed record: expected an object, got {type(record).__name__}"
     try:
         points = _as_points(record["points"])
+        _json_numbers([v for point in record["points"] for v in point], "points")
         if points.shape[0] < 3:
             raise InvalidConfigurationError("a configuration needs at least 3 vertices")
-        raw = record["flags"]
-        central, near_flip = tuple(raw.get("central", [])), tuple(raw.get("near_flip", []))
-        delta_zero = raw.get("delta_zero")
-        center = np.asarray(record["center"], dtype=float).reshape(2)
-        radius = float(record["r"])
-        eps = _json_eps(record["eps"])
-        winding = _json_winding(record["k"])
+        flags = record["flags"]
+        for name in ("central", "near_flip"):
+            iter(flags.get(name, []))
+        np.asarray(record["center"], dtype=float).reshape(2)
+        _json_numbers(record["center"], "center")
+        float(record["r"])
+        _json_numbers([record["r"]], "r")
+        _json_eps(record["eps"])
+        _json_winding(record["k"])
     except LinkmorseError as err:
-        return _fail(str(err))
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
-        return _fail(f"malformed record: {type(err).__name__}: {err}")
+        return str(err)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
+        return f"malformed record: {type(err).__name__}: {err}"
     if points.shape[0] != n:
-        return _fail(f"configuration has {points.shape[0]} vertices, linkage has {n}")
-    flags = central + near_flip if len(central) == len(near_flip) == n else (math.nan,) * (2 * n)
-    # an entry matches a recomputed flag when it equals it, as JSON 0 and 1 do
-    flags = [1.0 if v == True else 0.0 if v == False else math.nan  # noqa: E712
-             for v in flags + (delta_zero,)]
-    return (points, center, radius, np.array(eps, dtype=float) if len(eps) == n else np.zeros(n),
-            winding, flags)
+        return f"configuration has {points.shape[0]} vertices, linkage has {n}"
+    return None
+
+
+def _columns(n: int, records: list):
+    """The fields of outside records stacked for :func:`_check_rows` as
+    ``(points, centers, radii, eps, windings, recorded)``, or None when a
+    record has a note from :func:`_record_note`.  Each field is gathered
+    across the records by one comprehension, its values are type-checked in
+    one pass and converted by one ``np.array``.
+
+    An ``eps`` of another length than n stacks as zeros, and recorded
+    ``central`` and ``near_flip`` flags of other lengths as NaN.  A flag
+    entry stacks as 1 or 0 when it equals true or false, as JSON 1 and 0 do,
+    and as NaN otherwise.  These fail their checks in :func:`_check_rows`.
+    """
+    rows = len(records)
+    try:
+        points, flags, centers, radii, eps, windings = (
+            [record[field] for record in records]
+            for field in ("points", "flags", "center", "r", "eps", "k"))
+        pairs = list(chain.from_iterable(points))
+        coords = list(chain.from_iterable(pairs))
+        center_coords = list(chain.from_iterable(centers))
+        signs = list(chain.from_iterable(eps))
+        central, near_flip, delta_zero = (
+            [flag.get(name, default) for flag in flags]
+            for name, default in (("central", []), ("near_flip", []), ("delta_zero", None)))
+        unknown = (math.nan,) * (2 * n)
+        recorded = [(*c, *f, d) if len(c) == len(f) == n else (*unknown, d)
+                    for c, f, d in zip(central, near_flip, delta_zero)]
+        if not (set(map(len, points)) <= {n} and set(map(len, pairs)) <= {2}
+                and set(map(len, centers)) <= {2} and 0 not in map(len, eps)
+                and set(map(type, coords + center_coords + radii)) <= {int, float}
+                and set(map(type, signs + windings)) <= {int} and set(signs) <= {-1, 1}):
+            return None
+        points = np.array(coords, dtype=float).reshape(rows, n, 2)
+        centers = np.array(center_coords, dtype=float).reshape(rows, 2)
+        radii = np.array(radii, dtype=float)
+    except (AttributeError, KeyError, OverflowError, TypeError):
+        return None
+    if not np.isfinite(points).all():
+        return None
+    eps = np.array([row if len(row) == n else (0,) * n for row in eps],
+                   dtype=float).reshape(rows, n)
+    entries = list(chain.from_iterable(recorded))
+    if not set(map(type, entries)) <= {bool}:
+        # an entry matches a recomputed flag when it equals it, as JSON 0 and 1 do
+        entries = [1.0 if v == True else 0.0 if v == False else math.nan  # noqa: E712
+                   for v in entries]
+    recorded = np.array(entries, dtype=float).reshape(rows, 2 * n + 1)
+    return points, centers, radii, eps, windings, recorded
 
 
 def _check_rows(linkage: Linkage, points, centers, radii, eps, windings, recorded):
@@ -474,73 +546,115 @@ def _check_rows(linkage: Linkage, points, centers, radii, eps, windings, recorde
     return _refusals(failed, note), flags.any(axis=1)
 
 
-def _verification_row(flagged, disagree, residual, inertia, det_sign, index, oracle_error,
-                       signed, formula_index, morse_error, agree):
-    """The row of a record that passed its checks, from its flag, whether its
-    string disagrees with the measured one, and its :func:`_analyze_rows`
-    columns: the oracle checks its criticality, and an unflagged record's
-    analysis is compared with the record and itself."""
-    if oracle_error is not None:
-        return _fail(oracle_error)
-    if residual > CRITICALITY_TOL:
-        return _fail(f"criticality residual {residual:.3e} exceeds {CRITICALITY_TOL:.1e}")
-    if flagged:
-        return VerificationRow(residual=residual, inertia=None, det_sign=None, index=None,
-                               formula_index=None, agree=True, flagged=True,
-                               note="flagged, excluded")
-    oracle_side = dict(residual=residual, inertia=tuple(inertia), det_sign=det_sign,
-                       index=index, flagged=False)
-    if inertia[1]:
-        return VerificationRow(formula_index=None, agree=False,
-                               note="oracle found a zero eigenvalue", **oracle_side)
-    # a central edge leaves no measured string, and its refusal is the error
-    if disagree:
-        return _fail("recorded orientation string disagrees with the geometry")
-    if not signed:
-        return _fail(morse_error)
-    if morse_error is not None:
-        note = (f"index formula not applicable ({morse_error})" if agree
-                else "determinant sign disagrees")
-        return VerificationRow(formula_index=None, agree=agree, note=note, **oracle_side)
-    return VerificationRow(formula_index=formula_index, agree=agree,
-                           note=None if agree else "formula and oracle disagree", **oracle_side)
+def _judge(out: dict, rows, flagged, disagree, cols) -> None:
+    """Write into the verification columns ``out``, at ``rows``, the verdict
+    on analysed records, from their flags, whether their recorded string
+    disagrees with the measured one, and their :func:`_analyze_rows` columns.
+
+    Each record takes the note of the first rule it meets, in this order:
+    an oracle refusal and a criticality residual above
+    :data:`CRITICALITY_TOL` fail it; a flag excludes it from the comparison,
+    and it agrees; a zero eigenvalue, a recorded string the geometry
+    contradicts and a refused sign formula fail it.  The rest compare the
+    closed form's determinant sign with the oracle's always, and its index
+    where the formula applies.
+    """
+    error, residual, morse_error = cols["oracle_error"], cols["residual"], cols["morse_error"]
+    pending = np.equal(error, None)
+    critical = pending & (residual > CRITICALITY_TOL)
+    pending &= ~critical
+    excluded = pending & flagged
+    pending &= ~flagged
+    zero = pending & (cols["inertia"][:, 1] != 0)
+    pending &= ~zero
+    contradicted = pending & disagree
+    pending &= ~disagree
+    unsigned = pending & ~cols["signed"]
+    compared = pending & cols["signed"]
+    applies = compared & np.equal(morse_error, None)
+    agree = compared & np.equal(cols["agree"], True)
+    inapplicable = compared & ~applies
+    note = error.copy()
+    note[critical] = [f"criticality residual {value:.3e} exceeds {CRITICALITY_TOL:.1e}"
+                      for value in residual[critical].tolist()]
+    note[excluded] = "flagged, excluded"
+    note[zero] = "oracle found a zero eigenvalue"
+    note[contradicted] = "recorded orientation string disagrees with the geometry"
+    note[unsigned] = morse_error[unsigned]
+    note[inapplicable & agree] = [f"index formula not applicable ({cause})"
+                                  for cause in morse_error[inapplicable & agree].tolist()]
+    note[inapplicable & ~agree] = "determinant sign disagrees"
+    note[applies & ~agree] = "formula and oracle disagree"
+    judged = zero | compared
+    out["residual"][rows[judged | excluded]] = residual[judged | excluded]
+    out["inertia"][rows[judged]] = cols["inertia"][judged]
+    out["det_sign"][rows[judged]] = cols["det_sign"][judged]
+    out["index"][rows[judged]] = cols["oracle_index"][judged]
+    out["formula_index"][rows[applies]] = cols["formula_index"][applies]
+    out["agree"][rows] = excluded | agree
+    out["flagged"][rows] = excluded
+    out["note"][rows] = note
 
 
 def verify_enumeration(linkage: Linkage, records: list):
     """Check each outside record, re-analyse it, and compare; returns
-    (rows, summary line, all_ok).
+    (table, summary line, all_ok), the table a :class:`VerificationTable`.
 
-    The fields of each record are parsed on their own, then checked as one
-    stack by :func:`_check_rows`, which detects tampered points, r, center,
-    winding and flags.  The records that pass are analysed a chunk at a time:
-    each must be critical and reproduce the recorded orientation string, and
-    the closed form's determinant sign must agree with the oracle's always,
-    its index where the formula applies.  Flagged records are reported but
-    exempt from the agreement requirement.
+    The fields of the records are stacked as columns by :func:`_columns`.
+    When a record cannot be stacked, :func:`_record_note` reads each record
+    on its own to give the bad ones their notes, and the others are stacked.
+    The stack is checked by :func:`_check_rows`, which detects tampered
+    points, r, center, winding and flags.  The records that pass are
+    analysed a chunk at a time and judged by :func:`_judge`: each must be
+    critical and reproduce the recorded orientation string, and the closed
+    form's determinant sign must agree with the oracle's always, its index
+    where the formula applies.  Flagged records are reported but exempt from
+    the agreement requirement.
     """
-    n = linkage.n
-    rows = [_parse_record(n, record) for record in records]
-    parsed = [j for j, row in enumerate(rows) if not isinstance(row, VerificationRow)]
-    if parsed:
-        points, centers, radii, eps, windings, recorded = zip(*(rows[j] for j in parsed))
-        points, centers, radii, eps, recorded = map(np.array, (points, centers, radii, eps,
-                                                               recorded))
-        notes, flagged = _check_rows(linkage, points, centers, radii, eps, windings, recorded)
-        for j, note in zip(parsed, notes):
-            if note is not None:
-                rows[j] = _fail(note)
-        live = [i for i, note in enumerate(notes) if note is None]
-        for chunk in _chunks(live, n):
-            measured, cols = _analyze_rows(points[chunk], centers[chunk], radii[chunk],
-                                           flagged[chunk])
-            disagree = measured.any(axis=1) & (measured != eps[chunk]).any(axis=1)
-            columns = [flagged[chunk], disagree] + [cols[name] for name in (
-                "residual", "inertia", "det_sign", "oracle_index", "oracle_error", "signed",
-                "formula_index", "morse_error", "agree")]
-            for i, values in zip(chunk, zip(*(column.tolist() for column in columns))):
-                rows[parsed[i]] = _verification_row(*values)
-    flagged = sum(1 for r in rows if r.flagged)
-    good = sum(1 for r in rows if r.agree and not r.flagged)
-    ok = all(r.agree for r in rows)
-    summary = f"{good}/{len(rows) - flagged} agree ({flagged} flagged)"
-    return rows, summary, ok
+    n, rows = linkage.n, len(records)
+    out = dict(residual=np.full(rows, np.nan), inertia=np.zeros((rows, 3), dtype=int),
+               det_sign=np.zeros(rows, dtype=int), index=np.full(rows, -1),
+               formula_index=np.full(rows, -1), agree=np.zeros(rows, dtype=bool),
+               flagged=np.zeros(rows, dtype=bool), note=np.full(rows, None, dtype=object))
+    parsed, columns = np.arange(rows), _columns(n, records)
+    if columns is None:
+        out["note"][:] = [_record_note(n, record) for record in records]
+        parsed = np.flatnonzero(np.equal(out["note"], None))
+        columns = _columns(n, [records[j] for j in parsed.tolist()])
+    points, centers, radii, eps, _, _ = columns
+    notes, flagged = _check_rows(linkage, *columns)
+    out["note"][parsed] = notes
+    live = [i for i, note in enumerate(notes) if note is None]
+    for chunk in _chunks(live, n):
+        measured, cols = _analyze_rows(points[chunk], centers[chunk], radii[chunk],
+                                       flagged[chunk])
+        disagree = measured.any(axis=1) & (measured != eps[chunk]).any(axis=1)
+        _judge(out, parsed[chunk], flagged[chunk], disagree, cols)
+    table = VerificationTable(**out)
+    excluded = int(table.flagged.sum())
+    good = int((table.agree & ~table.flagged).sum())
+    return table, f"{good}/{rows - excluded} agree ({excluded} flagged)", bool(table.agree.all())
+
+
+# The line json.dumps gives a VerificationRow's fields, a value per {}.
+_VERIFY_LINE = ('{{"residual": {}, "inertia": {}, "det_sign": {}, "index": {}, '
+                '"formula_index": {}, "agree": {}, "flagged": {}, "note": {}}}\n')
+
+
+def write_verification(stream, table: VerificationTable) -> None:
+    """Write one JSON line per row of ``table``, formatted from the columns
+    by one template: the text ``json.dumps`` gives the row's fields in the
+    order residual, inertia, det_sign, index, formula_index, agree, flagged,
+    note, with null for each missing value."""
+    judged = table.index >= 0
+    values = [table.residual.astype(object), np.array([f"[{a}, {b}, {c}]" for a, b, c
+                                                       in table.inertia.tolist()], dtype=object),
+              table.det_sign.astype(object), table.index.astype(object),
+              table.formula_index.astype(object)]
+    for column, present in zip(values, (~np.isnan(table.residual), judged, judged, judged,
+                                        table.formula_index >= 0)):
+        column[~present] = "null"
+    texts = {note: json.dumps(note) for note in set(table.note.tolist())}
+    values += [_JSON_BOOLS[table.agree.view(np.uint8)], _JSON_BOOLS[table.flagged.view(np.uint8)],
+               np.array([texts[note] for note in table.note.tolist()], dtype=object)]
+    stream.write((_VERIFY_LINE * len(table)).format(*np.stack(values, axis=1).ravel().tolist()))

@@ -22,7 +22,8 @@ import numpy as np
 from . import analysis, render
 from .deform import check_lemmas, deform as make_path, detect_events, vertex_angles
 from .errors import LinkmorseError
-from .geometry import INPUT_TOL, CircleFit, Configuration, Linkage, fit_circle, signed_area
+from .geometry import (INPUT_TOL, CircleFit, Configuration, Linkage, _json_numbers, fit_circle,
+                       signed_area)
 from .morse import closed_form
 
 
@@ -71,13 +72,12 @@ def cmd_index(args) -> int:
 
 def cmd_verify(args) -> int:
     linkage, records = _read_json(args.input, analysis.load_enumeration)
-    rows, summary, ok = analysis.verify_enumeration(linkage, records)
-    for row in rows:
-        print(json.dumps(row.to_json_dict(), sort_keys=False))
+    table, summary, ok = analysis.verify_enumeration(linkage, records)
+    analysis.write_verification(sys.stdout, table)
     print(summary)
     if not ok:
-        bad = next(i for i, r in enumerate(rows) if not r.agree)
-        print(f"verification failed at record {bad}: {rows[bad].note}", file=sys.stderr)
+        bad = int(table.agree.argmin())
+        print(f"verification failed at record {bad}: {table.note[bad]}", file=sys.stderr)
         return 1
     return 0
 
@@ -122,19 +122,23 @@ def _render_items(data) -> list:
     for j, rec in enumerate(source):
         if not isinstance(rec, dict) or "points" not in rec:
             raise LinkmorseError("malformed record: expected an object with 'points'")
-        config = Configuration(rec["points"])
+        config = Configuration.from_json_dict(rec)
         pts = config.points
         try:
             fit = None
             if "center" in rec and "r" in rec:
                 center, radius = np.asarray(rec["center"], dtype=float).reshape(2), float(rec["r"])
+                _json_numbers(rec["center"], "center")
+                _json_numbers([rec["r"]], "r")
                 if not (np.isfinite(center).all() and 0.0 < radius < math.inf):
                     raise ValueError("center must be finite and r finite and positive")
                 fit = CircleFit(center=center, radius=radius)
             eps = None if rec.get("eps") is None else analysis._json_eps(rec["eps"])
             winding = None if "k" not in rec else analysis._json_winding(rec["k"])
             area = float(rec["area"]) if "area" in rec else signed_area(pts)
-        except (TypeError, ValueError) as err:
+            if "area" in rec:
+                _json_numbers([rec["area"]], "area")
+        except (OverflowError, TypeError, ValueError) as err:
             raise LinkmorseError(f"malformed record: {type(err).__name__}: {err}") from err
         if fit is None:
             fit = fit_circle(pts)

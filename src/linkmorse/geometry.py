@@ -46,6 +46,17 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _json_numbers(values, field: str) -> None:
+    """Raise TypeError unless each of ``values`` is a JSON number, which
+    ``json.loads`` reads as an int or a float: ``float()`` and numpy would
+    also take a string such as "1.5" or a boolean, which are not numbers.
+    Callers run it after their own conversion, whose refusals keep their
+    texts."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise TypeError(f"{field}: expected a JSON number, got {type(bad).__name__}")
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
@@ -94,7 +105,12 @@ class Linkage:
     def from_json_dict(cls, data: dict) -> "Linkage":
         if not isinstance(data, dict) or "lengths" not in data:
             raise InvalidLinkageError('linkage JSON must be {"lengths": [...]}')
-        return cls(data["lengths"])
+        linkage = cls(data["lengths"])
+        try:
+            _json_numbers(data["lengths"], "lengths")
+        except TypeError as err:
+            raise InvalidLinkageError(str(err)) from None
+        return linkage
 
 
 @dataclass(frozen=True)
@@ -118,7 +134,12 @@ class Configuration:
     def from_json_dict(cls, data: dict) -> "Configuration":
         if not isinstance(data, dict) or "points" not in data:
             raise InvalidConfigurationError('configuration JSON must be {"points": [[x, y], ...]}')
-        return cls(data["points"])
+        config = cls(data["points"])
+        try:
+            _json_numbers([v for point in data["points"] for v in point], "points")
+        except TypeError as err:
+            raise InvalidConfigurationError(str(err)) from None
+        return config
 
 
 @dataclass(frozen=True)

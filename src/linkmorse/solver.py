@@ -199,18 +199,39 @@ class CyclicConfiguration:
     flags: DegeneracyFlags
 
 
+class _Table:
+    """Dataclass columns of equal length, one row per item, made read-only.
+
+    ``len()``, iteration, integer and slice indexing work as on a list: an
+    integer gives the row view that ``_row`` builds on demand, and a slice a
+    table of the same class over those rows.
+    """
+
+    def __post_init__(self):
+        for field in fields(self):
+            getattr(self, field.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return replace(self, **{f.name: getattr(self, f.name)[key] for f in fields(self)})
+        return self._row(range(len(self))[key])
+
+
 @dataclass(frozen=True)
-class CyclicTable:
+class CyclicTable(_Table):
     """Every cyclic configuration of a linkage, one row each, as read-only
     columns: the orientation strings ``eps`` (int rows of +-1), windings
     ``k``, radii, half-angles ``alphas``, centers, vertices ``points`` of
     shape (rows, n, 2), the :class:`DegeneracyFlags` masks ``central``,
     ``near_flip`` and ``delta_zero``, and ``flagged``, whether a row has any
-    of them.
-
-    ``len()``, iteration, integer and slice indexing work as on a list: an
-    integer gives the row's :class:`CyclicConfiguration` view, built on
-    demand, and a slice a table of the same class over those rows.
+    of them.  An integer index gives the row's :class:`CyclicConfiguration`
+    view.
     """
 
     eps: np.ndarray
@@ -223,21 +244,6 @@ class CyclicTable:
     near_flip: np.ndarray
     delta_zero: np.ndarray
     flagged: np.ndarray
-
-    def __post_init__(self):
-        for field in fields(self):
-            getattr(self, field.name).flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.k.size
-
-    def __iter__(self):
-        return map(self._row, range(len(self)))
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return replace(self, **{f.name: getattr(self, f.name)[key] for f in fields(self)})
-        return self._row(range(len(self))[key])
 
     def _row(self, j: int) -> CyclicConfiguration:
         desc = CyclicDescriptor(radius=self.radius[j], winding=int(self.k[j]),

@@ -16,7 +16,13 @@ from linkmorse import (
     index_summary,
     verify_enumeration,
 )
-from linkmorse.analysis import dump_json, load_enumeration, write_enumeration
+from linkmorse.analysis import (
+    _columns,
+    _record_note,
+    dump_json,
+    load_enumeration,
+    write_enumeration,
+)
 from linkmorse.geometry import _signed_areas
 from linkmorse.morse import _closed_form_rows
 from linkmorse.oracle import _verdict_rows
@@ -204,7 +210,8 @@ def _tamper(record, check):
         record["k"] += 1
 
 
-@pytest.mark.parametrize("check, note", [
+# Each tampering of _tamper and the note verify gives it.
+TAMPERED_NOTES = [
     ("pinning 1", "constraint violations: pinning violation at index 1: measured 0.001, "
                   "expected 0"),
     ("pinning 2", "constraint violations: pinning violation at index 2: measured 0.001, "
@@ -221,7 +228,10 @@ def _tamper(record, check):
     ("mirrored", "recorded orientation string disagrees with the geometry"),
     # two failing checks: the note is the first one's
     ("off circle and eps length", "points deviate from the recorded circle by 1.439e-06"),
-])
+]
+
+
+@pytest.mark.parametrize("check, note", TAMPERED_NOTES)
 def test_verify_note_names_the_first_failing_check(check, note):
     tampered = _envelope(IRREGULAR, analyze_linkage(IRREGULAR))
     _tamper(tampered["configurations"][0], check)
@@ -229,6 +239,47 @@ def test_verify_note_names_the_first_failing_check(check, note):
     assert not ok
     assert [j for j, r in enumerate(rows) if not r.agree] == [0]
     assert rows[0].note == note
+
+
+# JSON values put in place of a field, a part of one, or a record.
+_PALETTE = [None, True, False, 0, 1, -1, 2, 1.5, -1.5, math.nan, math.inf, 10 ** 400, "", "abc",
+            "1.5", "+-+-+", [], {}, {"a": 1}, [1], [1, 2], [1.0, 2.0, 3.0], [True, False],
+            ["1", "2"], [[1, 2]], [[1], [2]], [[0, 0]] * 5, [1, -1, 1, -1]]
+
+
+def _edits(record):
+    """Copies of ``record`` with one field, entry or flag removed or replaced
+    by each value of the palette, and each palette value as the record."""
+    yield from _PALETTE
+    for path in (("points",), ("points", 2), ("points", 2, 0), ("center",), ("center", 1),
+                 ("r",), ("eps",), ("eps", 0), ("k",), ("flags",), ("flags", "central"),
+                 ("flags", "central", 0), ("flags", "near_flip"), ("flags", "delta_zero")):
+        for value in [...] + _PALETTE:
+            edited = json.loads(json.dumps(record))
+            *parents, last = path
+            target = edited
+            for key in parents:
+                target = target[key]
+            if value is ...:
+                if isinstance(last, str):
+                    del target[last]
+                else:
+                    target.pop(last)
+            else:
+                target[last] = value
+            yield edited
+
+
+def test_columns_refuse_exactly_the_records_with_a_note():
+    # verify stacks the records a note lets through: a record refused by
+    # one and not the other would crash verify or go unchecked
+    n = IRREGULAR.n
+    record = _envelope(IRREGULAR, analyze_linkage(IRREGULAR))["configurations"][0]
+    assert _record_note(n, record) is None and _columns(n, [record]) is not None
+    mismatched = [edited for edited in _edits(record)
+                  if (_record_note(n, edited) is None) != (_columns(n, [edited]) is not None)
+                  or (_columns(n, [record, edited]) is None) != (_columns(n, [edited]) is None)]
+    assert mismatched == []
 
 
 def test_exactly_one_convex_configuration_per_linkage():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_linkage, regular_polygon_points
+from test_analysis import IRREGULAR, TAMPERED_NOTES, _envelope, _tamper
 from linkmorse import Linkage, analyze_linkage, analysis, cli, index_summary
 from linkmorse.analysis import CRITICALITY_TOL, dump_json, write_enumeration
 from linkmorse.cli import main
@@ -424,13 +425,17 @@ def test_render_empty_artifact(tmp_path):
     assert text.startswith("<svg") and "<g>" not in text
 
 
-def test_verify_flags_near_central_artifact(tmp_path, capsys):
+def _near_central_quadrilateral():
     # a quadrilateral whose long edge is within the degeneracy tolerance of a
-    # diameter: both configurations arrive flagged and are excluded
+    # diameter
     gap = 1e-4
-    lengths = [2 * math.sin(math.pi / 2 - gap), 2 * math.sin(0.2),
-               2 * math.sin(0.2), 2 * math.sin(math.pi / 2 - 0.4 - gap)]
-    linkage_file = _write(tmp_path / "thin.json", {"lengths": lengths})
+    return [2 * math.sin(math.pi / 2 - gap), 2 * math.sin(0.2),
+            2 * math.sin(0.2), 2 * math.sin(math.pi / 2 - 0.4 - gap)]
+
+
+def test_verify_flags_near_central_artifact(tmp_path, capsys):
+    # both configurations arrive flagged and are excluded
+    linkage_file = _write(tmp_path / "thin.json", {"lengths": _near_central_quadrilateral()})
     artifact = tmp_path / "thin_enum.json"
     assert main(["enumerate", "-i", linkage_file, "-o", str(artifact)]) == 0
     capsys.readouterr()
@@ -473,11 +478,21 @@ MALFORMED = [
     ("verify", "r-not-a-number", _first_record(lambda rec: dict(rec, r="abc")), 1),
     ("verify", "record-is-a-string", _first_record(lambda rec: "abc"), 1),
     ("verify", "flags-is-a-list", _first_record(lambda rec: dict(rec, flags=[1])), 1),
+    # float() and numpy take "1.5" and true for numbers: these passed with
+    # agree true before JSON numbers were required
+    ("verify", "r-a-string", _first_record(lambda rec: dict(rec, r=str(rec["r"]))), 1),
+    ("verify", "center-strings",
+     _first_record(lambda rec: dict(rec, center=[str(v) for v in rec["center"]])), 1),
+    ("verify", "point-a-boolean",
+     _first_record(lambda rec: dict(rec, points=[[False, 0]] + rec["points"][1:])), 1),
     ("enumerate", "lengths-not-numbers", lambda data: {"lengths": "abc"}, 2),
+    ("enumerate", "lengths-strings",
+     lambda data: {"lengths": ["1", "1.2", "1.4", "1.1", True]}, 2),
     ("index", "point-not-a-number", lambda data: {"points": [["x", 1], [0, 1], [1, 1]]}, 2),
     ("render", "point-not-a-number", lambda data: {"points": [["x", 1], [0, 1], [1, 1]]}, 2),
     ("render", "record-is-a-string", _first_record(lambda rec: "abc"), 2),
     ("render", "r-not-a-number", _first_record(lambda rec: dict(rec, r="abc")), 2),
+    ("render", "r-a-string", _first_record(lambda rec: dict(rec, r=str(rec["r"]))), 2),
     ("render", "r-negative", _first_record(lambda rec: dict(rec, r=-rec["r"])), 2),
     ("render", "center-nan", _first_record(lambda rec: dict(rec, center=[math.nan, 0.5])), 2),
     # render reads k and eps by verify's rules: int() overflowed on Infinity
@@ -500,6 +515,82 @@ def test_malformed_input_is_refused_without_traceback(pentagon_artifact, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("verification failed at record 0: malformed record" if code == 1
                           else "error: ")
+
+
+def _reference_stdout(linkage, records):
+    """What ``linkmorse verify`` printed when it encoded each row on its own:
+    ``json.dumps`` of the row's fields, then the summary line."""
+    rows, summary, ok = analysis.verify_enumeration(linkage, records)
+    lines = [json.dumps({"residual": row.residual,
+                         "inertia": None if row.inertia is None else list(row.inertia),
+                         "det_sign": row.det_sign, "index": row.index,
+                         "formula_index": row.formula_index, "agree": row.agree,
+                         "flagged": row.flagged, "note": row.note}, sort_keys=False)
+             for row in rows]
+    return "".join(line + "\n" for line in lines) + summary + "\n", 0 if ok else 1
+
+
+def _artifact_data(lengths):
+    linkage = Linkage(lengths)
+    return _envelope(linkage, analyze_linkage(linkage))
+
+
+def _seeded(n):
+    return lambda: _artifact_data(random_linkage(np.random.default_rng(40 + n), n).lengths)
+
+
+def _tampered(check):
+    def make():
+        data = _artifact_data(IRREGULAR.lengths)
+        _tamper(data["configurations"][0], check)
+        return data
+    return make
+
+
+def _malformed(edit):
+    return lambda: edit(_artifact_data([1.0] * 5))
+
+
+def _no_records():
+    return {**_artifact_data([1.0] * 5), "configurations": []}
+
+
+def _escaped_note():
+    # float() quotes the string in its refusal: the note holds '"', a
+    # backslash and a non-ASCII character, which json.dumps escapes
+    data = _artifact_data(IRREGULAR.lengths)
+    data["configurations"][1]["r"] = 'é"\\'
+    return data
+
+
+VERIFY_STDOUT = [
+    *((f"clean-n{n}", _seeded(n)) for n in range(5, 10)),
+    ("near-central", lambda: _artifact_data(_near_central_quadrilateral())),
+    *((f"tampered-{check}", _tampered(check)) for check, _ in TAMPERED_NOTES),
+    *((f"malformed-{name}", _malformed(edit)) for command, name, edit, _ in MALFORMED
+      if command == "verify"),
+    ("no-records", _no_records),
+    ("escaped-note", _escaped_note),
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in VERIFY_STDOUT],
+                         ids=[name for name, _ in VERIFY_STDOUT])
+def test_verify_stdout_is_json_dumps_of_each_row(tmp_path, capsys, make):
+    data = make()
+    path = _write(tmp_path / "artifact.json", data)
+    expected, code = _reference_stdout(*analysis.load_enumeration(json.dumps(data)))
+    capsys.readouterr()
+    assert main(["verify", "-i", path]) == code
+    assert capsys.readouterr().out == expected
+
+
+def test_verify_stdout_of_special_artifacts(tmp_path, capsys):
+    assert main(["verify", "-i", _write(tmp_path / "empty.json", _no_records())]) == 0
+    assert capsys.readouterr().out == "0/0 agree (0 flagged)\n"
+    assert main(["verify", "-i", _write(tmp_path / "quoted.json", _escaped_note())]) == 1
+    note = r"""malformed record: ValueError: could not convert string to float: '\u00e9\"\\\\'"""
+    assert f'"note": "{note}"}}\n' in capsys.readouterr().out
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):
