@@ -17,7 +17,10 @@ from linkmorse import (
     verify_enumeration,
 )
 from linkmorse.analysis import (
+    VerificationRow,
+    VerificationTable,
     _columns,
+    _judge,
     _record_note,
     dump_json,
     load_enumeration,
@@ -280,6 +283,79 @@ def test_columns_refuse_exactly_the_records_with_a_note():
                   if (_record_note(n, edited) is None) != (_columns(n, [edited]) is not None)
                   or (_columns(n, [record, edited]) is None) != (_columns(n, [edited]) is None)]
     assert mismatched == []
+
+
+# A record that passes every rule of _judge, as _analyze_rows columns plus
+# its recomputed flag and whether its recorded string disagrees.
+_JUDGED = dict(oracle_error=None, residual=1e-13, flagged=False, inertia=(1, 0, 1), det_sign=-1,
+               oracle_index=1, disagree=False, signed=True, morse_error=None, agree=True,
+               formula_index=1)
+_RANK = "constraint Jacobian rank deficient (sigma_min/sigma_max = 1.000e-12)"
+_CHORD = "chord p_4 -> p_1 is a diameter"
+
+# Per row: the fields that differ from _JUDGED, and the VerificationRow that
+# _judge reports, the residual, inertia, det_sign and index being the row's
+# own where they are reported.  One row per rule, in _judge's order, then
+# rows that meet two rules, which take the first one's note.
+JUDGE_CASES = [
+    ({}, dict(judged=True, formula=True, agree=True, note=None)),
+    (dict(oracle_error=_RANK, residual=math.nan, inertia=(0, 0, 0), det_sign=0, oracle_index=-1),
+     dict(note=_RANK)),
+    (dict(residual=2e-8), dict(note="criticality residual 2.000e-08 exceeds 1.0e-08")),
+    (dict(flagged=True, signed=False, morse_error="flagged non-generic", agree=None),
+     dict(residual=True, agree=True, flagged=True, note="flagged, excluded")),
+    (dict(inertia=(1, 1, 0), det_sign=0),
+     dict(judged=True, note="oracle found a zero eigenvalue")),
+    (dict(disagree=True), dict(note="recorded orientation string disagrees with the geometry")),
+    (dict(signed=False, morse_error="edge 2 passes through the circle center", agree=None),
+     dict(note="edge 2 passes through the circle center")),
+    (dict(morse_error=_CHORD, formula_index=-1),
+     dict(judged=True, agree=True, note=f"index formula not applicable ({_CHORD})")),
+    (dict(morse_error=_CHORD, formula_index=-1, agree=False),
+     dict(judged=True, note="determinant sign disagrees")),
+    (dict(formula_index=3, agree=False),
+     dict(judged=True, formula=True, note="formula and oracle disagree")),
+    (dict(oracle_error=_RANK, residual=1.0), dict(note=_RANK)),
+    (dict(residual=2e-8, flagged=True),
+     dict(note="criticality residual 2.000e-08 exceeds 1.0e-08")),
+    (dict(flagged=True, inertia=(1, 1, 0), det_sign=0),
+     dict(residual=True, agree=True, flagged=True, note="flagged, excluded")),
+    (dict(inertia=(1, 1, 0), det_sign=0, disagree=True),
+     dict(judged=True, note="oracle found a zero eigenvalue")),
+    (dict(disagree=True, signed=False, morse_error=_CHORD, agree=None),
+     dict(note="recorded orientation string disagrees with the geometry")),
+    (dict(disagree=True, formula_index=3, agree=False),
+     dict(note="recorded orientation string disagrees with the geometry")),
+]
+
+
+def test_judge_reports_the_first_rule_each_record_meets():
+    rows = len(JUDGE_CASES)
+    specs = [{**_JUDGED, **change, "residual": change.get("residual", (j + 1) * 1e-13),
+              "oracle_index": change.get("oracle_index", j % 4)}
+             for j, (change, _) in enumerate(JUDGE_CASES)]
+    column = {name: [spec[name] for spec in specs] for name in _JUDGED}
+    cols = {name: np.array(column[name], dtype=object)
+            for name in ("oracle_error", "morse_error", "agree")}
+    cols.update({name: np.array(column[name]) for name in
+                 ("residual", "inertia", "det_sign", "oracle_index", "signed", "formula_index")})
+    out = dict(residual=np.full(rows, np.nan), inertia=np.zeros((rows, 3), dtype=int),
+               det_sign=np.zeros(rows, dtype=int), index=np.full(rows, -1),
+               formula_index=np.full(rows, -1), agree=np.zeros(rows, dtype=bool),
+               flagged=np.zeros(rows, dtype=bool), note=np.full(rows, None, dtype=object))
+    _judge(out, np.arange(rows), np.array(column["flagged"]), np.array(column["disagree"]), cols)
+    expected = []
+    for spec, (_, report) in zip(specs, JUDGE_CASES):
+        judged = report.get("judged", False)
+        expected.append(VerificationRow(
+            residual=spec["residual"] if judged or report.get("residual") else None,
+            inertia=spec["inertia"] if judged else None,
+            det_sign=spec["det_sign"] if judged else None,
+            index=spec["oracle_index"] if judged else None,
+            formula_index=spec["formula_index"] if report.get("formula") else None,
+            agree=report.get("agree", False), flagged=report.get("flagged", False),
+            note=report["note"]))
+    assert list(VerificationTable(**out)) == expected
 
 
 def test_exactly_one_convex_configuration_per_linkage():
