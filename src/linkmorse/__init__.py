@@ -15,7 +15,6 @@ from .errors import (
     InvalidLinkageError,
     LinkmorseError,
     NonGenericPathError,
-    NonRegularPointError,
 )
 from .geometry import (
     CircleFit,

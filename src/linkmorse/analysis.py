@@ -185,16 +185,14 @@ def _analyze_rows(points, centers, radii, flagged):
     columns but area and convexity.  An unflagged row gets
     :func:`morse._closed_form_rows`; a flagged (near-degenerate) one, where
     the closed form does not hold, is refused as flagged.  Every row gets
-    the oracle's verdict or its NonRegularPointError."""
+    the oracle's verdict or its refusal."""
     rows, n = points.shape[:2]
     cols = _refused_columns(rows, n)
     measured = np.zeros((rows, n), dtype=int)
     live = np.flatnonzero(~flagged)
     form = _closed_form_rows(points[live], centers[live], radii[live])
-    unmeasured = np.array([cause is not None for cause in form.central], dtype=bool)
-    measured[live] = np.where(unmeasured[:, None], 0, form.eps)
-    signed = np.array([cause is None for cause in form.sign_errors], dtype=bool)
-    formula = np.array([cause is None for cause in form.errors], dtype=bool)
+    measured[live] = np.where(np.equal(form.central, None)[:, None], form.eps, 0)
+    signed, formula = np.equal(form.sign_errors, None), np.equal(form.errors, None)
     cols["signed"][live], cols["morse_error"][live] = signed, form.errors
     # a refused side keeps the NaN, 0 and -1 of _refused_columns
     for name, value, ok in (("delta", form.delta, signed), ("positives", form.positives, signed),
@@ -202,11 +200,8 @@ def _analyze_rows(points, centers, radii, flagged):
                             ("h_sequence", form.h_sequence, formula)):
         cols[name][live[ok]] = value[ok]
     (cols["multipliers"], cols["residual"], cols["inertia"], cols["det_sign"],
-     errors) = _verdict_rows(points)
-    regular = np.array([error is None for error in errors], dtype=bool)
-    cols["oracle_index"] = np.where(regular, cols["inertia"][:, 0], -1)
-    cols["oracle_error"] = np.array([None if error is None else str(error) for error in errors],
-                                    dtype=object)
+     cols["oracle_error"]) = _verdict_rows(points)
+    cols["oracle_index"] = np.where(np.equal(cols["oracle_error"], None), cols["inertia"][:, 0], -1)
     cols["agree"], cols["index"], cols["index_source"] = _agreement(cols)
     return measured, cols
 
@@ -415,10 +410,10 @@ def _json_winding(value) -> int:
 def _record_note(n: int, record) -> str | None:
     """The note of an outside record that :func:`_columns` cannot stack, None
     when it can: the record is not an object, a field is missing or mistyped
-    (``k`` and ``eps`` take JSON integers only, ``points``, ``center`` and
-    ``r`` JSON numbers only), or its points are not n finite vertices.  The
-    fields are read in the order points, flags, center, r, eps, k, and the
-    note is the first refusal's."""
+    (``k`` and ``eps`` take JSON integers only, ``points``, ``center``,
+    ``r`` and ``area`` JSON numbers only), or its points are not n finite
+    vertices.  The fields are read in the order points, flags, center, r,
+    eps, k, area, and the note is the first refusal's."""
     if not isinstance(record, dict):
         return f"malformed record: expected an object, got {type(record).__name__}"
     try:
@@ -435,6 +430,8 @@ def _record_note(n: int, record) -> str | None:
         _json_numbers([record["r"]], "r")
         _json_eps(record["eps"])
         _json_winding(record["k"])
+        float(record["area"])
+        _json_numbers([record["area"]], "area")
     except LinkmorseError as err:
         return str(err)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
@@ -446,10 +443,10 @@ def _record_note(n: int, record) -> str | None:
 
 def _columns(n: int, records: list):
     """The fields of outside records stacked for :func:`_check_rows` as
-    ``(points, centers, radii, eps, windings, recorded)``, or None when a
-    record has a note from :func:`_record_note`.  Each field is gathered
-    across the records by one comprehension, its values are type-checked in
-    one pass and converted by one ``np.array``.
+    ``(points, centers, radii, eps, windings, recorded, areas)``, or None
+    when a record has a note from :func:`_record_note`.  Each field is
+    gathered across the records by one comprehension, its values are
+    type-checked in one pass and converted by one ``np.array``.
 
     An ``eps`` of another length than n stacks as zeros, and recorded
     ``central`` and ``near_flip`` flags of other lengths as NaN.  A flag
@@ -458,9 +455,9 @@ def _columns(n: int, records: list):
     """
     rows = len(records)
     try:
-        points, flags, centers, radii, eps, windings = (
+        points, flags, centers, radii, eps, windings, areas = (
             [record[field] for record in records]
-            for field in ("points", "flags", "center", "r", "eps", "k"))
+            for field in ("points", "flags", "center", "r", "eps", "k", "area"))
         pairs = list(chain.from_iterable(points))
         coords = list(chain.from_iterable(pairs))
         center_coords = list(chain.from_iterable(centers))
@@ -473,12 +470,12 @@ def _columns(n: int, records: list):
                     for c, f, d in zip(central, near_flip, delta_zero)]
         if not (set(map(len, points)) <= {n} and set(map(len, pairs)) <= {2}
                 and set(map(len, centers)) <= {2} and 0 not in map(len, eps)
-                and set(map(type, coords + center_coords + radii)) <= {int, float}
+                and set(map(type, coords + center_coords + radii + areas)) <= {int, float}
                 and set(map(type, signs + windings)) <= {int} and set(signs) <= {-1, 1}):
             return None
         points = np.array(coords, dtype=float).reshape(rows, n, 2)
         centers = np.array(center_coords, dtype=float).reshape(rows, 2)
-        radii = np.array(radii, dtype=float)
+        radii, areas = np.array(radii, dtype=float), np.array(areas, dtype=float)
     except (AttributeError, KeyError, OverflowError, TypeError):
         return None
     if not np.isfinite(points).all():
@@ -491,10 +488,10 @@ def _columns(n: int, records: list):
         entries = [1.0 if v == True else 0.0 if v == False else math.nan  # noqa: E712
                    for v in entries]
     recorded = np.array(entries, dtype=float).reshape(rows, 2 * n + 1)
-    return points, centers, radii, eps, windings, recorded
+    return points, centers, radii, eps, windings, recorded, areas
 
 
-def _check_rows(linkage: Linkage, points, centers, radii, eps, windings, recorded):
+def _check_rows(linkage: Linkage, points, centers, radii, eps, windings, recorded, areas):
     """Per stacked record, the note of its first failing check (None when it
     passes them all), and whether its recomputed flags have a true entry.
 
@@ -502,8 +499,11 @@ def _check_rows(linkage: Linkage, points, centers, radii, eps, windings, recorde
     lengths, within :data:`INPUT_TOL`; a positive radius; every point on the
     recorded circle within ``INPUT_TOL * r`` (a non-finite deviation fails);
     an orientation string of n entries; the flags recomputed by ``_flag_rows``
-    from the half-angles ``arcsin(l / 2r)`` equal to the recorded ones; and
-    the winding equal to ``rint(eps . alpha / pi)``.
+    from the half-angles ``arcsin(l / 2r)`` equal to the recorded ones; the
+    winding equal to ``rint(eps . alpha / pi)``; and the area equal to the
+    shoelace area of the points within ``INPUT_TOL * r * sum(l)``, as moving
+    a vertex by ``delta`` moves that area by at most
+    ``|delta| (l_{i-1} + l_i) / 2``.
     """
     n, lengths = linkage.n, linkage.lengths
     l1 = float(lengths[0])
@@ -520,12 +520,15 @@ def _check_rows(linkage: Linkage, points, centers, radii, eps, windings, recorde
         alphas = np.arcsin(np.clip(lengths / (2.0 * radii[:, None]), 0.0, 1.0))
         central, near_flip, delta_zero = _flag_rows(eps, alphas)
         closure = np.rint(_dot_rows(eps, alphas) / math.pi)
+        shoelace = _signed_areas(points)
     flags = np.concatenate([central, near_flip, delta_zero[:, None]], axis=1)
     failed = np.concatenate([
         np.abs(measured - expected) > INPUT_TOL * np.concatenate([[l1, l1], lengths]),
         np.stack([~(radii > 0.0), ~np.isfinite(worst) | (worst > INPUT_TOL * radii),
                   ~eps.any(axis=1), (flags != recorded).any(axis=1),
-                  closure != np.array(windings, dtype=object)], axis=1)], axis=1)
+                  closure != np.array(windings, dtype=object),
+                  ~(np.abs(areas - shoelace) <= INPUT_TOL * radii * lengths.sum())], axis=1)],
+        axis=1)
 
     def note(row, i):
         if i < n + 2:
@@ -540,8 +543,11 @@ def _check_rows(linkage: Linkage, points, centers, radii, eps, windings, recorde
             return "orientation string and half-angles disagree in length"
         if i == n + 5:
             return "recorded flags disagree with the recorded radius and orientation string"
-        return (f"recorded winding {windings[row]} disagrees with the closure sum "
-                f"(winding {int(closure[row])})")
+        if i == n + 6:
+            return (f"recorded winding {windings[row]} disagrees with the closure sum "
+                    f"(winding {int(closure[row])})")
+        return (f"recorded area {float(areas[row])} disagrees with the shoelace area of the "
+                f"points ({shoelace[row]:.12g})")
 
     return _refusals(failed, note), flags.any(axis=1)
 
@@ -552,48 +558,48 @@ def _judge(out: dict, rows, flagged, disagree, cols) -> None:
     disagrees with the measured one, and their :func:`_analyze_rows` columns.
 
     Each record takes the note of the first rule it meets, in this order:
-    an oracle refusal and a criticality residual above
-    :data:`CRITICALITY_TOL` fail it; a flag excludes it from the comparison,
-    and it agrees; a zero eigenvalue, a recorded string the geometry
-    contradicts and a refused sign formula fail it.  The rest compare the
-    closed form's determinant sign with the oracle's always, and its index
-    where the formula applies.
+    (0) an oracle refusal and (1) a criticality residual above
+    :data:`CRITICALITY_TOL` fail it; (2) a flag excludes it from the
+    comparison, and it agrees; (3) a zero eigenvalue, (4) a recorded string
+    the geometry contradicts and (5) a refused sign formula fail it.  The
+    rest compare the closed form's determinant sign with the oracle's
+    always, and its index where the formula applies: (6) an inapplicable
+    formula whose sign agrees agrees, with a note, and (7) one whose sign
+    disagrees and (8) an applicable formula that disagrees fail it; a record
+    that meets no rule agrees.  The rule met also decides which columns are
+    reported.
     """
     error, residual, morse_error = cols["oracle_error"], cols["residual"], cols["morse_error"]
-    pending = np.equal(error, None)
-    critical = pending & (residual > CRITICALITY_TOL)
-    pending &= ~critical
-    excluded = pending & flagged
-    pending &= ~flagged
-    zero = pending & (cols["inertia"][:, 1] != 0)
-    pending &= ~zero
-    contradicted = pending & disagree
-    pending &= ~disagree
-    unsigned = pending & ~cols["signed"]
-    compared = pending & cols["signed"]
-    applies = compared & np.equal(morse_error, None)
-    agree = compared & np.equal(cols["agree"], True)
-    inapplicable = compared & ~applies
-    note = error.copy()
-    note[critical] = [f"criticality residual {value:.3e} exceeds {CRITICALITY_TOL:.1e}"
-                      for value in residual[critical].tolist()]
-    note[excluded] = "flagged, excluded"
-    note[zero] = "oracle found a zero eigenvalue"
-    note[contradicted] = "recorded orientation string disagrees with the geometry"
-    note[unsigned] = morse_error[unsigned]
-    note[inapplicable & agree] = [f"index formula not applicable ({cause})"
-                                  for cause in morse_error[inapplicable & agree].tolist()]
-    note[inapplicable & ~agree] = "determinant sign disagrees"
-    note[applies & ~agree] = "formula and oracle disagree"
-    judged = zero | compared
-    out["residual"][rows[judged | excluded]] = residual[judged | excluded]
+    inapplicable, agree = np.not_equal(morse_error, None), np.equal(cols["agree"], True)
+    failed = np.stack([np.not_equal(error, None), residual > CRITICALITY_TOL, flagged,
+                       cols["inertia"][:, 1] != 0, disagree, ~cols["signed"],
+                       inapplicable & agree, inapplicable, ~agree], axis=1)
+
+    def note(row, rule):
+        if rule == 1:
+            return f"criticality residual {residual[row]:.3e} exceeds {CRITICALITY_TOL:.1e}"
+        if rule == 6:
+            return f"index formula not applicable ({morse_error[row]})"
+        return (error[row], None, "flagged, excluded", "oracle found a zero eigenvalue",
+                "recorded orientation string disagrees with the geometry", morse_error[row],
+                None, "determinant sign disagrees", "formula and oracle disagree")[rule]
+
+    first = np.where(failed.any(axis=1), failed.argmax(axis=1), failed.shape[1])
+    # per rule met, in the order above and then none:
+    shown, judged, formula, agreed = np.array([
+        [0, 0, 1, 1, 0, 0, 1, 1, 1, 1],  # the residual reported
+        [0, 0, 0, 1, 0, 0, 1, 1, 1, 1],  # the oracle's inertia, det_sign and index reported
+        [0, 0, 0, 0, 0, 0, 0, 0, 1, 1],  # the formula's index reported
+        [0, 0, 1, 0, 0, 0, 1, 0, 0, 1],  # the record agrees
+    ], dtype=bool)[:, first]
+    out["residual"][rows[shown]] = residual[shown]
     out["inertia"][rows[judged]] = cols["inertia"][judged]
     out["det_sign"][rows[judged]] = cols["det_sign"][judged]
     out["index"][rows[judged]] = cols["oracle_index"][judged]
-    out["formula_index"][rows[applies]] = cols["formula_index"][applies]
-    out["agree"][rows] = excluded | agree
-    out["flagged"][rows] = excluded
-    out["note"][rows] = note
+    out["formula_index"][rows[formula]] = cols["formula_index"][formula]
+    out["agree"][rows] = agreed
+    out["flagged"][rows] = first == 2
+    out["note"][rows] = _refusals(failed, note)
 
 
 def verify_enumeration(linkage: Linkage, records: list):
@@ -621,10 +627,10 @@ def verify_enumeration(linkage: Linkage, records: list):
         out["note"][:] = [_record_note(n, record) for record in records]
         parsed = np.flatnonzero(np.equal(out["note"], None))
         columns = _columns(n, [records[j] for j in parsed.tolist()])
-    points, centers, radii, eps, _, _ = columns
+    points, centers, radii, eps = columns[:4]
     notes, flagged = _check_rows(linkage, *columns)
     out["note"][parsed] = notes
-    live = [i for i, note in enumerate(notes) if note is None]
+    live = np.flatnonzero(np.equal(notes, None))
     for chunk in _chunks(live, n):
         measured, cols = _analyze_rows(points[chunk], centers[chunk], radii[chunk],
                                        flagged[chunk])

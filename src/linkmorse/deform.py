@@ -329,15 +329,14 @@ def _planned_transition(event: Event) -> list:
     return problems
 
 
-def check_lemmas(path: AngularPath, events: list | None = None) -> LemmaReport:
-    """Verify the event transition table and piecewise constancy of the signs.
+def check_lemmas(path: AngularPath, events: list) -> LemmaReport:
+    """Verify the event transition table of ``events``, the
+    :func:`detect_events` of ``path``, and piecewise constancy of the signs.
 
     Between consecutive events every frame must carry identical (eps, d),
     hence an identical determinant sign.  Violations are returned, not
     raised.
     """
-    if events is None:
-        events = detect_events(path)
     violations = []
     for event in events:
         violations.extend(_planned_transition(event))

@@ -26,9 +26,5 @@ class InconsistentDescriptorError(LinkmorseError):
     """Cyclic descriptor violates the angular closure condition."""
 
 
-class NonRegularPointError(LinkmorseError):
-    """Constraint Jacobian is rank deficient; the moduli space is singular here."""
-
-
 class NonGenericPathError(LinkmorseError):
     """Two deformation events coincide within the path resolution."""

@@ -203,10 +203,10 @@ def _dot_rows(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _refusals(mask: np.ndarray, make) -> list:
-    """Per row of a (rows, items) mask: None, or ``make(row, item)`` for its
-    first true item."""
-    errors = [None] * mask.shape[0]
+def _refusals(mask: np.ndarray, make) -> np.ndarray:
+    """The refusal column of a (rows, items) mask of failed checks: per row,
+    None, or the text ``make(row, item)`` of its first failed check."""
+    errors = np.full(mask.shape[0], None, dtype=object)
     for row in np.flatnonzero(mask.any(axis=1)).tolist():
         errors[row] = make(row, int(mask[row].argmax()))
     return errors

@@ -63,8 +63,8 @@ def _sign_rows(eps: np.ndarray, alphas: np.ndarray):
     Returns ``(delta, sequences, polygon, prefix)``: the full polygon's
     ``delta`` per row; the sign sequences of P_3 .. P_n, one row each, read
     off prefix sums as in the module docstring, with the full polygon's sign
-    last; and two lists of per-row refusal texts (None where the checks
-    pass): the full polygon's, its first edge that is a diameter or else
+    last; and two refusal columns (None where the checks pass): the full
+    polygon's, its first edge that is a diameter or else
     ``|delta|`` below :data:`DELTA_REL_TOL` times ``sum tan(alpha)``, and
     the first degenerate P_i, 4 <= i < n.
     """
@@ -109,11 +109,11 @@ class ClosedForm(NamedTuple):
     ``k`` the measured windings ``rint(eps . alpha / pi)``; ``delta``,
     ``positives`` (``e``) and ``h_sign`` are the full polygon's sign data,
     ``h_sequence`` the rows of sign sequences and ``index`` their sign
-    changes.  Three lists give per row the refusal (None where there is
-    none) of a central edge, which leaves no measured string; the first
-    refusal before the sign data, which leaves no ``delta``, ``positives``
-    and ``h_sign``; and the first refusal of all, which leaves no
-    ``h_sequence`` and ``index``.
+    changes.  Three object columns give per row the refusal (None where
+    there is none) of a central edge, which leaves no measured string; the
+    first refusal before the sign data, which leaves no ``delta``,
+    ``positives`` and ``h_sign``; and the first refusal of all, which leaves
+    no ``h_sequence`` and ``index``.
     """
 
     eps: np.ndarray
@@ -123,20 +123,9 @@ class ClosedForm(NamedTuple):
     h_sign: np.ndarray
     h_sequence: np.ndarray
     index: np.ndarray
-    central: list
-    sign_errors: list
-    errors: list
-
-
-def _first_refusals(*causes) -> list:
-    """Per row, the text of the first of the refusals ``causes`` (lists
-    over the same rows) that is not None."""
-    out = [None] * len(causes[0])
-    for refusals in reversed(causes):
-        for row, cause in enumerate(refusals):
-            if cause is not None:
-                out[row] = cause
-    return out
+    central: np.ndarray
+    sign_errors: np.ndarray
+    errors: np.ndarray
 
 
 def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> ClosedForm:
@@ -153,12 +142,14 @@ def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
     strings = sides.astype(float)
     value, sequences, polygon, prefix = _sign_rows(strings, alphas)
     positives = (sides > 0).sum(axis=1)
+    causes = np.stack([central, over, polygon, prefix], axis=1)
+    refused = np.not_equal(causes, None)
     return ClosedForm(
         eps=sides, k=np.rint(_dot_rows(strings, alphas) / math.pi).astype(int), delta=value,
         positives=positives, h_sign=determinant_sign(np.where(value > 0.0, 1, -1), positives),
         h_sequence=sequences, index=(sequences[:, 1:] != sequences[:, :-1]).sum(axis=1),
-        central=central, sign_errors=_first_refusals(central, over, polygon),
-        errors=_first_refusals(central, over, polygon, prefix))
+        central=central, sign_errors=_refusals(refused[:, :3], lambda row, i: causes[row, i]),
+        errors=_refusals(refused, lambda row, i: causes[row, i]))
 
 
 def closed_form(config: Configuration, fit: CircleFit) -> ClosedForm:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonRegularPointError
 from .geometry import _dot_rows, _refusals
 
 # Singular values of the 2 x (n-1) constraint matrix below this multiple of
@@ -54,8 +53,8 @@ def _gradient_rows(pts: np.ndarray) -> np.ndarray:
 
 def _regular_rows(pts: np.ndarray):
     """Constraint matrices, the factors ``(U, s, V^T)`` of one batched SVD
-    of them, and per row the :class:`NonRegularPointError` of a rank below
-    2 (or None).
+    of them, and the refusal column of a rank below 2 (None where the rank
+    is 2).
 
     The closure ``g = sum_k e_k = 0`` has the 2 x (n-1) Jacobian whose
     column k is ``l_k (-sin phi_k, cos phi_k)``, k = 2..n; its rank is 2
@@ -64,9 +63,8 @@ def _regular_rows(pts: np.ndarray):
     jac = _normals(pts)[1][:, 1:].transpose(0, 2, 1)
     u, svals, vt = np.linalg.svd(jac, full_matrices=True)
     errors = _refusals((svals[:, -1] <= RANK_TOL * svals[:, 0])[:, None],
-                       lambda row, _: NonRegularPointError(
-                           f"constraint Jacobian rank deficient (sigma_min/sigma_max = "
-                           f"{svals[row, -1] / svals[row, 0]:.3e})"))
+                       lambda row, _: f"constraint Jacobian rank deficient (sigma_min/sigma_max "
+                                      f"= {svals[row, -1] / svals[row, 0]:.3e})")
     return jac, (u, svals, vt), errors
 
 
@@ -133,15 +131,15 @@ def _inertia_rows(mats: np.ndarray) -> np.ndarray:
 def _verdict_rows(pts: np.ndarray):
     """The numerical verdict of each stacked configuration, as columns:
     ``(multipliers, residuals, inertias, det_signs, errors)``, the inertias
-    of shape (rows, 3) and ``errors`` a list holding per row the
-    :class:`NonRegularPointError` of a singular point, or None.  A refused
+    of shape (rows, 3) and ``errors`` the refusal column of
+    :func:`_regular_rows`, the text of a singular point or None.  A refused
     row has NaN multipliers and residual, inertia (0, 0, 0) and
     ``det_sign`` 0; the index of a row is its count of negatives.
     ``det_sign`` is 0 too when a projected eigenvalue is numerically zero:
     the point is not Morse and is left out of sign comparisons."""
     rows = pts.shape[0]
     jac, svd, errors = _regular_rows(pts)
-    regular = np.array([error is None for error in errors], dtype=bool)
+    regular = np.equal(errors, None)
     u, svals, vt = (factor[regular] for factor in svd)
     multipliers, residual = np.full((rows, 2), np.nan), np.full(rows, np.nan)
     inertia = np.zeros((rows, 3), dtype=int)

@@ -552,10 +552,11 @@ def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
         # A closure sum within _LEVEL_SLACK pi of a level marks a candidate:
         # the bounds are widened by twice that, far more than the rounding of
         # C / pi or a double root's RESIDUAL_TOL (at most about 5e-11).
+        # The first cell, which holds a wall's NaN, is always kept: it starts
+        # at _FAR_ANGLE, where P and N are about 1e-200, so its widened bound
+        # holds the level 0.
         kept = _meets_level(*_bounds(alphas_tab[1::_STEP], (rows > 0.0).T.astype(float),
                                      2.0 * _LEVEL_SLACK * math.pi))
-        # the first cell holds a wall's NaN, which no bound sees
-        kept[0] = True
         closures.extend(_window_candidates(alphas_tab, rows, start, kept, wall, level_marks, work))
         deltas.extend(_window_candidates(tangents_tab, rows, start, kept, wall, _sign_cells, work))
     none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 3

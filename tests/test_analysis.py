@@ -205,10 +205,14 @@ def _tamper(record, check):
         else:
             record["flags"][field] = value
     elif check == "mirrored":
-        # reflected across the pinned edge, eps and k kept: every stacked
-        # check passes, and the analysis measures the opposite string
+        # reflected across the pinned edge, which negates the area, eps and k
+        # kept: every stacked check passes, and the analysis measures the
+        # opposite string
         record["points"] = [[-x, y] for x, y in record["points"]]
         record["center"][0] = -record["center"][0]
+        record["area"] = -record["area"]
+    elif check == "area":
+        record["area"] += 1.0
     else:
         record["k"] += 1
 
@@ -229,6 +233,8 @@ TAMPERED_NOTES = [
       for check in _BAD_FLAGS),
     ("winding", "recorded winding 0 disagrees with the closure sum (winding -1)"),
     ("mirrored", "recorded orientation string disagrees with the geometry"),
+    ("area", "recorded area -1.1303141664890526 disagrees with the shoelace area of the "
+             "points (-2.13031416649)"),
     # two failing checks: the note is the first one's
     ("off circle and eps length", "points deviate from the recorded circle by 1.439e-06"),
 ]
@@ -255,7 +261,7 @@ def _edits(record):
     by each value of the palette, and each palette value as the record."""
     yield from _PALETTE
     for path in (("points",), ("points", 2), ("points", 2, 0), ("center",), ("center", 1),
-                 ("r",), ("eps",), ("eps", 0), ("k",), ("flags",), ("flags", "central"),
+                 ("r",), ("eps",), ("eps", 0), ("k",), ("area",), ("flags",), ("flags", "central"),
                  ("flags", "central", 0), ("flags", "near_flip"), ("flags", "delta_zero")):
         for value in [...] + _PALETTE:
             edited = json.loads(json.dumps(record))

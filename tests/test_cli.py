@@ -485,6 +485,9 @@ MALFORMED = [
      _first_record(lambda rec: dict(rec, center=[str(v) for v in rec["center"]])), 1),
     ("verify", "point-a-boolean",
      _first_record(lambda rec: dict(rec, points=[[False, 0]] + rec["points"][1:])), 1),
+    ("verify", "no-area", _first_record(lambda rec: {f: v for f, v in rec.items() if f != "area"}),
+     1),
+    ("verify", "area-a-string", _first_record(lambda rec: dict(rec, area=str(rec["area"]))), 1),
     ("enumerate", "lengths-not-numbers", lambda data: {"lengths": "abc"}, 2),
     ("enumerate", "lengths-strings",
      lambda data: {"lengths": ["1", "1.2", "1.4", "1.1", True]}, 2),

@@ -60,7 +60,7 @@ def test_constant_path_has_no_events():
     theta, radius = _pentagon_path()
     path = deform(theta, theta, radius, steps=200)
     assert detect_events(path) == []
-    report = check_lemmas(path)
+    report = check_lemmas(path, detect_events(path))
     assert report.ok
     assert report.frames_checked > 0
 

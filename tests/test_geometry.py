@@ -83,9 +83,9 @@ def test_signed_area_negates_under_reflection(pts):
 
 def _verify_note(points):
     """The note of ``verify`` on a record of the unit square's circle, string
-    and winding with these points."""
+    and winding with these points and their area."""
     record = {"eps": [1, 1, 1, 1], "k": 1, "r": math.sqrt(2) / 2, "center": SQUARE_CENTER.tolist(),
-              "points": np.asarray(points, dtype=float).tolist(),
+              "points": np.asarray(points, dtype=float).tolist(), "area": signed_area(points),
               "flags": {"central": [False] * 4, "near_flip": [False] * 4, "delta_zero": False}}
     rows, _, _ = verify_enumeration(Linkage([1, 1, 1, 1]), [record])
     return rows[0].note
