@@ -11,7 +11,8 @@ points of a chunk of them, shape (rows, n, 2), go through the stacked
 kernels of ``geometry`` (area, convexity), ``morse`` (the closed form) and
 ``oracle`` (the numerical verdict) once, and a row refused by a check keeps
 its own refusal.  One kernel, :func:`_analyze_rows`, serves both
-:func:`analyze_linkage`, which passes its unflagged configurations, and
+:func:`analyze_linkage`, which passes its unflagged configurations with the
+oracle's verdicts taken on one row of each mirror pair, and
 :func:`verify_enumeration`, which stacks the fields of the outside records
 as columns, checks them as one stack and passes the records that pass;
 both compare formula and oracle by one rule, :func:`_agreement`, and
@@ -44,7 +45,7 @@ from .geometry import (
     _signed_areas,
 )
 from .morse import _closed_form_rows
-from .oracle import _verdict_rows
+from .oracle import _mirror_rows, _verdict_rows
 from .solver import (
     CLOSURE_TOL,
     DEGENERACY_TOL,
@@ -69,6 +70,9 @@ _CHUNK = 2 ** 16
 
 # The refusal of both sides on a flagged (near-degenerate) configuration.
 _FLAGGED = "flagged non-generic"
+
+# The AnalysisTable columns of oracle._verdict_rows, in its order.
+_VERDICT = ("multipliers", "residual", "inertia", "det_sign", "oracle_error")
 
 # index_source by code: no index, the oracle's, the formula's.
 _INDEX_SOURCES = np.array([None, "oracle", "formula"], dtype=object)
@@ -178,14 +182,15 @@ def _chunks(items, n: int):
         yield items[start:start + step]
 
 
-def _analyze_rows(points, centers, radii, flagged):
+def _analyze_rows(points, centers, radii, flagged, verdict=None):
     """The analysis of stacked configurations, shape (rows, n, 2), on their
     circles: the orientation strings the closed form measures (a row of
     zeros where it measures none), and a dict of :class:`AnalysisTable`
     columns but area and convexity.  An unflagged row gets
     :func:`morse._closed_form_rows`; a flagged (near-degenerate) one, where
     the closed form does not hold, is refused as flagged.  Every row gets
-    the oracle's verdict or its refusal."""
+    the oracle's verdict or its refusal: the columns of
+    :func:`oracle._verdict_rows`, run here unless ``verdict`` holds them."""
     rows, n = points.shape[:2]
     cols = _refused_columns(rows, n)
     measured = np.zeros((rows, n), dtype=int)
@@ -199,11 +204,30 @@ def _analyze_rows(points, centers, radii, flagged):
                             ("h_sign", form.h_sign, signed), ("formula_index", form.index, formula),
                             ("h_sequence", form.h_sequence, formula)):
         cols[name][live[ok]] = value[ok]
-    (cols["multipliers"], cols["residual"], cols["inertia"], cols["det_sign"],
-     cols["oracle_error"]) = _verdict_rows(points)
+    cols.update(zip(_VERDICT, _verdict_rows(points) if verdict is None else verdict))
     cols["oracle_index"] = np.where(np.equal(cols["oracle_error"], None), cols["inertia"][:, 0], -1)
     cols["agree"], cols["index"], cols["index_source"] = _agreement(cols)
     return measured, cols
+
+
+def _mirror_pairs(table: CyclicTable, rows: np.ndarray):
+    """The rows among ``rows`` that are mirrors ``(-E, -k)`` of others among
+    them, and the rows of their roots, in matching order.
+
+    A root's string starts with +1, its mirror's with -1, and the mirror has
+    the same radius bit for bit, so a pair is equal keys (root string,
+    winding of the root, radius); after one sort by that key and by side,
+    each pair is adjacent, its root first."""
+    eps, first = table.eps[rows], table.eps[rows, :1]
+    side = (first < 0).ravel()
+    code = ((eps * first > 0) << np.arange(eps.shape[1])).sum(axis=1)
+    winding, radius = table.k[rows] * first.ravel(), table.radius[rows]
+    order = np.lexsort((side, radius, winding, code))
+    code, winding, radius, side = code[order], winding[order], radius[order], side[order]
+    pair = np.flatnonzero((code[1:] == code[:-1]) & (winding[1:] == winding[:-1])
+                          & (radius[1:] == radius[:-1]) & side[1:] & ~side[:-1])
+    ranked = rows[order]
+    return ranked[pair + 1], ranked[pair]
 
 
 def analyze_linkage(linkage: Linkage) -> AnalysisTable:
@@ -211,12 +235,33 @@ def analyze_linkage(linkage: Linkage) -> AnalysisTable:
     configurations at a time as one stack of points.  Flagged rows skip the
     closed form and the oracle, whose comparison would be meaningless on the
     degeneracy boundary, and read as refused by both sides.  Returns an
-    :class:`AnalysisTable` in the order of :func:`enumerate_cyclic`."""
+    :class:`AnalysisTable` in the order of :func:`enumerate_cyclic`.
+
+    The oracle runs on one row of each mirror pair (:func:`_mirror_pairs`).
+    A mirror ``(-E, -k)`` is its root reflected across the pinned edge, with
+    area ``-A``, so its verdict is derived from its root's by
+    :func:`oracle._mirror_rows`.  The closed form still runs on every row,
+    so every mirror is still a comparison of formula against oracle.  The
+    oracle's index counts are then mirror-symmetric by construction: the
+    symmetry ``c_m = c_{n-3-m}`` of the counts tests the closed form's
+    indices alone.  ``verify`` analyses every record on its own.
+    """
     table = enumerate_cyclic(linkage)
-    cols = _refused_columns(len(table), linkage.n)
-    for rows in _chunks(np.flatnonzero(~table.flagged), linkage.n):
+    n = linkage.n
+    cols = _refused_columns(len(table), n)
+    live = np.flatnonzero(~table.flagged)
+    mirrors, roots = _mirror_pairs(table, live)
+    judged = ~table.flagged
+    judged[mirrors] = False
+    for rows in _chunks(np.flatnonzero(judged), n):
+        for name, value in zip(_VERDICT, _verdict_rows(table.points[rows])):
+            cols[name][rows] = value
+    for name, value in zip(_VERDICT, _mirror_rows(n, *(cols[name][roots] for name in _VERDICT))):
+        cols[name][mirrors] = value
+    for rows in _chunks(live, n):
         _, chunk = _analyze_rows(table.points[rows], table.center[rows], table.radius[rows],
-                                 np.zeros(rows.size, dtype=bool))
+                                 np.zeros(rows.size, dtype=bool),
+                                 [cols[name][rows] for name in _VERDICT])
         for name, value in chunk.items():
             cols[name][rows] = value
     return AnalysisTable(**{f.name: getattr(table, f.name) for f in fields(table)},

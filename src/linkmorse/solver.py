@@ -100,9 +100,9 @@ _LEVEL_SLACK = 1e-9
 # Largest number of edges enumerate_cyclic accepts.  The scan covers
 # 2^(n-1) strings and the number of configurations grows about as fast:
 # ``linkmorse enumerate -o`` on random lengths in [0.5, 2] took 0.3-0.7 s at
-# n = 12, 0.6-0.7 s at n = 14 and 2.9-3.7 s at n = 16 (37796
-# configurations, 117 MB peak; 1.5-1.9 s of it analyze_linkage, 0.7 s of
-# that the oracle) on a 2-core x86-64 host with Python 3.11
+# n = 12, 0.6-0.7 s at n = 14 and 2.7-3.6 s at n = 16 (37796
+# configurations, 116 MB peak; 1.0-1.5 s of it analyze_linkage, 0.3-0.4 s
+# of that the oracle) on a 2-core x86-64 host with Python 3.11
 # (BENCH_oracle.json).  Each edge more about doubles the scan and the
 # configurations, and so the time.
 MAX_EDGES = 16

@@ -26,7 +26,7 @@ from linkmorse import (
     signed_area,
 )
 from linkmorse.errors import NonGenericPathError
-from linkmorse.oracle import _gradient_rows, _regular_rows
+from linkmorse.oracle import _cross_rows, _gradient_rows, _jacobian_rows
 
 R_PENTAGON = 1.0 / (2.0 * math.sin(math.pi / 5))     # 0.85065...
 R_PENTAGRAM = 1.0 / (2.0 * math.sin(2 * math.pi / 5))  # 0.52573...
@@ -179,7 +179,7 @@ def test_criterion_6_numerical_hygiene():
             return out
 
         grad = _gradient_rows(pts[None])[0]
-        jac = _regular_rows(pts[None])[0][0]
+        jac = _jacobian_rows(_cross_rows(pts[None])[0])[0]
         scale_g = max(1.0, float(np.linalg.norm(grad)))
         scale_j = max(1.0, float(np.linalg.norm(jac)))
         for j in range(phi.size - 1):

@@ -139,7 +139,12 @@ def test_verify_rows_read_off_the_library_analysis():
                                          else analyses.formula_index[j])
             assert row.det_sign == analyses.det_sign[j]
             assert row.inertia == tuple(analyses.inertia[j].tolist())
-            assert row.residual == analyses.residual[j]
+            # a mirror's library residual is its root's; verify runs the
+            # oracle on the mirror's own points
+            if analyses.eps[j, 0] > 0:
+                assert row.residual == analyses.residual[j]
+            else:
+                assert abs(row.residual - analyses.residual[j]) <= 1e-13
             assert row.agree is a.agree is True
 
 
@@ -438,10 +443,16 @@ def test_table_views_match_the_stacked_kernels(linkage):
         assert len(table) == len(expected) == table.k.size > 6
         assert [_view_fields(view) for view in table] == expected
         if analysed:
-            # the residual column: the oracle's where it ran and did not refuse
+            # the residual column: the oracle's where it ran and did not
+            # refuse, exactly on the roots, and up to rounding on their
+            # mirrors, whose residual is their root's
             _, residual, _, _, errors = _verdict_rows(table.points)
             ran = ~table.flagged & np.array([error is None for error in errors])
-            assert np.array_equal(table.residual, np.where(ran, residual, np.nan), equal_nan=True)
+            expected_residual = np.where(ran, residual, np.nan)
+            root = table.eps[:, 0] > 0
+            assert np.array_equal(table.residual[root], expected_residual[root], equal_nan=True)
+            assert np.allclose(table.residual[~root], expected_residual[~root], rtol=0.0,
+                               atol=1e-13, equal_nan=True)
         assert [_view_fields(table[j]) for j in range(len(table))] == expected
         assert _view_fields(table[0]) == expected[0]
         assert _view_fields(table[-1]) == expected[-1]

@@ -33,21 +33,23 @@ def _gradient(points):
     return oracle._gradient_rows(np.asarray(points, dtype=float)[None])[0]
 
 
+def _edges(points):
+    """Edges and cross matrix of one configuration, as a stack of one."""
+    return oracle._cross_rows(np.asarray(points, dtype=float)[None])
+
+
 def _jacobian(points):
-    jac, _, _ = oracle._regular_rows(np.asarray(points, dtype=float)[None])
-    return jac[0]
+    return oracle._jacobian_rows(_edges(points)[0])[0]
 
 
 def _tangent_basis(points):
     """Orthonormal basis of the constraint tangent space (columns): the rows
     of V^T past the 2 singular values."""
-    _, (_, _, vt), _ = oracle._regular_rows(np.asarray(points, dtype=float)[None])
-    return vt[0, 2:].T
+    return np.linalg.svd(_jacobian(points), full_matrices=True)[2][2:].T
 
 
 def _projected_hessian(points, lam, basis):
-    lagrangian = oracle._lagrangian_rows(np.asarray(points, dtype=float)[None],
-                                         np.asarray(lam, dtype=float)[None])
+    lagrangian = oracle._lagrangian_rows(*_edges(points), np.asarray(lam, dtype=float)[None])
     return oracle._projected_rows(lagrangian, basis[None])[0]
 
 
@@ -160,14 +162,18 @@ def test_multipliers_are_the_center_turned_a_quarter(random_tables):
         assert np.all(gap <= 1e-12 * np.maximum(1.0, np.hypot(c[:, 0], c[:, 1]))), linkage.n
 
 
-def test_critical_family_point_has_a_zero_eigenvalue():
-    # E = (+,+,+,-,-,-) on the equilateral hexagon closes with k = 0 on every
-    # circle, since sum eps_i alpha_i = 0 whatever r is: the critical points
-    # form a curve, along which the projected Hessian has a zero eigenvalue
+def _hexagon_family_point():
+    """E = (+,+,+,-,-,-) on the equilateral hexagon closes with k = 0 on
+    every circle, since sum eps_i alpha_i = 0 whatever r is: the critical
+    points form a curve, along which the projected Hessian has a zero
+    eigenvalue.  Its point on the circle of radius 1.5."""
     eps, radius = np.array([1, 1, 1, -1, -1, -1]), 1.5
     theta = np.concatenate([[0.0], np.cumsum(2.0 * eps * math.asin(0.5 / radius))[:-1]])
-    pts = pin_points(radius * np.stack([np.cos(theta), np.sin(theta)], axis=1))
-    _, residual, inertia, det_sign = _verdict(pts)
+    return pin_points(radius * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+
+
+def test_critical_family_point_has_a_zero_eigenvalue():
+    _, residual, inertia, det_sign = _verdict(_hexagon_family_point())
     assert residual < 1e-12
     assert inertia == (1, 1, 1)
     assert det_sign == 0
@@ -317,27 +323,85 @@ def test_direct_lagrangian_matches_dense_sum():
             assert np.abs(direct - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-def test_one_svd_per_verdict(monkeypatch):
+def _forbid(monkeypatch, *names):
+    """Make each named ``np.linalg`` function raise when called."""
+    for name in names:
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"np.linalg.{name} called")
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+def test_generic_stack_calls_no_svd_or_eigvalsh(monkeypatch):
     rng = np.random.default_rng(22)
-    linkage = random_linkage(rng, 6)
-    item = enumerate_cyclic(linkage)[0]
-    calls = []
-    svd = np.linalg.svd
+    pts = np.concatenate([enumerate_cyclic(random_linkage(rng, n)).points for n in (6, 6, 6)])
+    expected = oracle._verdict_rows(pts)
+    # the multipliers come from the 2 x 2 normal equations, the inertia from
+    # the pivots: no SVD, no eigenvalues, no least-squares solver
+    _forbid(monkeypatch, "svd", "eigvalsh", "eigh", "lstsq")
+    verdict = oracle._verdict_rows(pts)
+    for column, reference in zip(verdict, expected):
+        assert column.tolist() == reference.tolist()
+    edges, cross = oracle._cross_rows(pts)
+    det, _ = oracle._regular_rows(edges, cross)
+    lam, residual = oracle._stationarity_rows(pts, oracle._jacobian_rows(edges), det)
+    assert np.array_equal(residual, verdict[1])
+    assert np.array_equal(lam, verdict[0])
 
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
 
-    def no_lstsq(*args, **kwargs):
-        raise AssertionError("the multipliers come from the SVD, not lstsq")
+def test_zero_eigenvalue_row_alone_takes_the_reference_path(monkeypatch):
+    rng = np.random.default_rng(24)
+    generic = enumerate_cyclic(random_linkage(rng, 6)).points
+    middle = len(generic) // 2
+    pts = np.concatenate([generic[:middle], _hexagon_family_point()[None], generic[middle:]])
+    seen = []
+    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+
+    def counting_svd(a, *args, **kwargs):
+        seen.append(("svd", a.shape[0]))
+        return svd(a, *args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        seen.append(("eigvalsh", a.shape[0]))
+        return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
-    multipliers, verdict_residual, _, _ = _verdict(item.configuration.points)
-    assert len(calls) == 1
-    pts = item.configuration.points[None]
-    jac, factors, _ = oracle._regular_rows(pts)
-    lam, residual = oracle._stationarity_rows(pts, jac, *factors)
-    lam, residual = lam[0], float(residual[0])
-    assert residual == verdict_residual
-    assert np.array_equal(lam, multipliers)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    _, _, inertia, det_sign, errors = oracle._verdict_rows(pts)
+    # only the family point is not certified by the pivots
+    assert seen == [("svd", 1), ("eigvalsh", 1)]
+    assert errors.tolist() == [None] * len(pts)
+    assert inertia[middle].tolist() == [1, 1, 1] and det_sign[middle] == 0
+    _, _, alone, alone_sign, _ = oracle._verdict_rows(generic)
+    assert np.array_equal(np.delete(inertia, middle, axis=0), alone)
+    assert np.array_equal(np.delete(det_sign, middle), alone_sign)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_equilateral_rows_on_the_reference_path(n):
+    # the equilateral polygons' symmetric configurations give exactly zero
+    # pivots, so some of their rows need the reference path; the verdict is
+    # that of the reference on every row
+    pts = enumerate_cyclic(Linkage([1] * n)).points
+    edges, cross = oracle._cross_rows(pts)
+    det, _ = oracle._regular_rows(edges, cross)
+    jac = oracle._jacobian_rows(edges)
+    lam, _ = oracle._stationarity_rows(pts, jac, det)
+    lagrangian = oracle._lagrangian_rows(edges, cross, lam)
+    _, certified = oracle._ldl_rows(*oracle._tangent_rows(cross, lagrangian))
+    assert 0 < (~certified).sum() < len(pts)
+    basis = np.linalg.svd(jac, full_matrices=True)[2][:, 2:].transpose(0, 2, 1)
+    reference = oracle._inertia_rows(oracle._projected_rows(lagrangian, basis))
+    assert np.array_equal(oracle._verdict_rows(pts)[2], reference)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_empty_and_all_refused_stacks(n):
+    multipliers, residual, inertia, det_sign, errors = oracle._verdict_rows(np.zeros((0, n, 2)))
+    assert multipliers.shape == (0, 2) and residual.shape == (0,) and inertia.shape == (0, 3)
+    assert det_sign.shape == (0,) and errors.tolist() == []
+    flat = np.zeros((3, n, 2))
+    flat[:, 1::2, 1] = 1.0
+    multipliers, residual, inertia, det_sign, errors = oracle._verdict_rows(flat)
+    assert all(error.startswith("constraint Jacobian rank deficient") for error in errors)
+    assert np.isnan(multipliers).all() and np.isnan(residual).all()
+    assert not inertia.any() and not det_sign.any()

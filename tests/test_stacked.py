@@ -85,6 +85,20 @@ def test_stack_across_chunk_boundaries(monkeypatch):
     whole = analyze_linkage(linkage)
     for field in dataclasses.fields(whole):
         assert _same(getattr(chunked, field.name), getattr(whole, field.name)), field.name
+    # the kernel on the whole stack runs the oracle on every row: the root
+    # rows equal it exactly, and the mirror rows, whose verdicts analyze_linkage
+    # derives from their roots', equal it up to their residual and multipliers
+    live = ~whole.flagged
+    _, kernel = analysis._analyze_rows(whole.points[live], whole.center[live],
+                                       whole.radius[live], np.zeros(live.sum(), dtype=bool))
+    root = whole.eps[live, 0] > 0
+    for name, column in kernel.items():
+        if name in ("residual", "multipliers"):
+            assert _same(column[root], getattr(whole, name)[live][root]), name
+            assert np.allclose(column[~root], getattr(whole, name)[live][~root],
+                               rtol=1e-13, atol=1e-13), name
+        else:
+            assert _same(column, getattr(whole, name)[live]), name
 
 
 def test_empty_stacks_and_shapes():
@@ -135,9 +149,10 @@ def test_rank_deficient_row_among_regular_rows(n):
 # convexity and constraint kernels do the loops' arithmetic, so their values
 # must be equal, not close.  The gradient is summed otherwise (as edge dot
 # products, not as one dot product with the vertices) and the multipliers
-# come from the constraint matrix's SVD instead of one least-squares solve
+# come from the 2 x 2 normal equations instead of one least-squares solve
 # per row: they must agree to 1e-12 relative, the stationarity gaps to 1e-13
-# absolute, and the inertia exactly.
+# absolute, and the inertia, counted by pivots, must equal the eigenvalues'
+# of the loop's Hessian in an orthonormal basis exactly.
 
 
 def _loop_area(pts):
@@ -218,15 +233,17 @@ def test_kernels_match_the_per_row_loops():
         for pts in stacks:
             assert geometry._signed_areas(pts).tolist() == [_loop_area(p) for p in pts]
             assert geometry._convex_rows(pts).tolist() == [_loop_convex(p) for p in pts]
-            jac, svd, errors = oracle._regular_rows(pts)
+            edges, cross = oracle._cross_rows(pts)
+            det, errors = oracle._regular_rows(edges, cross)
             assert errors.dtype == object and errors.tolist() == [None] * len(pts)
+            jac = oracle._jacobian_rows(edges)
             assert all(np.array_equal(j, _loop_constraints(p)) for j, p in zip(jac, pts))
-            lam, residual = oracle._stationarity_rows(pts, jac, *svd)
+            lam, residual = oracle._stationarity_rows(pts, jac, det)
             loop_lam, loop_gap = map(np.array, zip(*map(_loop_stationarity, pts, jac)))
             assert np.all(np.abs(lam - loop_lam).max(axis=1)
                           <= 1e-12 * np.abs(loop_lam).max(axis=1))
             assert np.all(np.abs(residual - loop_gap) <= 1e-13)
-            basis = svd[2][:, 2:].transpose(0, 2, 1)
+            basis = np.linalg.svd(jac, full_matrices=True)[2][:, 2:].transpose(0, 2, 1)
             loop_inertia = oracle._inertia_rows(oracle._projected_rows(
                 np.stack([_loop_lagrangian(p, m) for p, m in zip(pts, loop_lam)]), basis))
             assert [verdict[2] for verdict in _verdicts(pts)] == \
@@ -338,3 +355,61 @@ def test_mirror_pairs_have_symmetric_formula_indices():
             assert a.index + mirror.index == linkage.n - 3
             pairs += 1
     assert pairs > 500
+
+
+def _seeded_linkages():
+    rng = np.random.default_rng(47)
+    yield from (random_linkage(rng, n) for n in range(4, 13))
+
+
+def test_mirror_rows_take_their_roots_verdicts():
+    # analyze_linkage runs the oracle on the root of each mirror pair and
+    # derives the mirror's verdict; the oracle on the mirror's own points
+    # gives the same inertia, det_sign and refusal, and the same residual and
+    # multipliers up to rounding
+    pairs = 0
+    for linkage in [*_fixture_linkages(), *_seeded_linkages()]:
+        table = analyze_linkage(linkage)
+        live = np.flatnonzero(~table.flagged)
+        mirrors, roots = analysis._mirror_pairs(table, live)
+        # every unflagged row is a root or the mirror of one
+        assert 2 * mirrors.size == live.size
+        assert np.array_equal(np.sort(np.concatenate([mirrors, roots])), live)
+        assert np.array_equal(table.eps[mirrors], -table.eps[roots])
+        multipliers, residual, inertia, det_sign, errors = oracle._verdict_rows(
+            table.points[mirrors])
+        assert np.array_equal(table.inertia[mirrors], inertia)
+        assert np.array_equal(table.inertia[mirrors], table.inertia[roots][:, ::-1])
+        assert np.array_equal(table.det_sign[mirrors], det_sign)
+        assert table.oracle_error[mirrors].tolist() == errors.tolist()
+        assert np.all(np.abs(table.residual[mirrors] - residual) <= 1e-13)
+        assert np.all(np.abs(table.multipliers[mirrors] - multipliers)
+                      <= 1e-13 * np.maximum(1.0, np.abs(multipliers)))
+        pairs += mirrors.size
+    assert pairs > 2000
+
+
+# ---------------------------------------------------------------------------
+# The paper's sign sequence term by term: h_i is the determinant sign of the
+# subconfiguration P_i = (p_1..p_i) closed by its chord, itself a cyclic
+# configuration of the linkage (l_1, ..., l_{i-1}, |p_i - p_1|), so the
+# oracle on the stacked slice points[:, :i] gives an independent h_i, and
+# its index must be the sign changes of h_3..h_i.
+
+
+def test_sign_sequence_terms_match_the_oracle_on_each_subconfiguration():
+    terms = 0
+    for linkage in [*_fixture_linkages(), *(random_linkage(np.random.default_rng(53 + n), n)
+                                            for n in range(5, 13))]:
+        table = analyze_linkage(linkage)
+        # rows where the formula applies, as _agreement reads them
+        rows = np.flatnonzero(np.equal(table.morse_error, None))
+        sequence = table.h_sequence[rows]
+        for i in range(3, linkage.n + 1):
+            _, _, inertia, det_sign, errors = oracle._verdict_rows(table.points[rows, :i])
+            assert errors.tolist() == [None] * rows.size
+            assert np.array_equal(det_sign, sequence[:, i - 3]), (linkage.lengths, i)
+            changes = (sequence[:, 1:i - 2] != sequence[:, :i - 3]).sum(axis=1)
+            assert np.array_equal(inertia[:, 0], changes), (linkage.lengths, i)
+            terms += rows.size
+    assert terms > 20000
