@@ -10,13 +10,21 @@ For every cyclic configuration two sign quantities are computed twice:
 
 This script samples random linkages of 4..7 edges and tallies the agreement,
 which is exact on every configuration away from the flagged degeneracies.
+It also checks the sign sequence term by term: ``h_i`` is the determinant
+sign of the subconfiguration ``P_i = (p_1..p_i)`` closed by its chord, itself
+a cyclic configuration, so the oracle's determinant sign on the first i
+vertices is an independent value of it.  It exits 1 unless every unflagged
+configuration agrees and every term matches.
 
 Run:  python demos/formula_vs_oracle.py
 """
 
+import sys
+
 import numpy as np
 
 from linkmorse import Linkage, analyze_linkage
+from linkmorse.oracle import _verdict_rows
 
 
 def random_linkage(rng, n):
@@ -26,13 +34,24 @@ def random_linkage(rng, n):
             return Linkage(lengths)
 
 
+def sign_terms(analyses):
+    """Terms ``h_3..h_n`` compared with the oracle's determinant sign on
+    ``points[:, :i]``, and how many match, over the rows where the formula
+    applies."""
+    rows = np.flatnonzero(np.equal(analyses.morse_error, None))
+    points, sequence = analyses.points[rows], analyses.h_sequence[rows]
+    matched = sum(int((_verdict_rows(points[:, :i])[3] == sequence[:, i - 3]).sum())
+                  for i in range(3, points.shape[1] + 1))
+    return sequence.size, matched
+
+
 def main():
     rng = np.random.default_rng(31)
-    grand_total = 0
+    grand_total = disagreements = terms = matched = 0
     print(f"{'n':>2} {'linkages':>9} {'configs':>8} {'flagged':>8} "
-          f"{'det-sign match':>15} {'index match':>12} {'max residual':>13}")
+          f"{'det-sign match':>15} {'index match':>12} {'h_i match':>14} {'max residual':>13}")
     for n in (4, 5, 6, 7):
-        configs = flagged = det_ok = idx_ok = 0
+        configs = flagged = det_ok = idx_ok = n_terms = n_matched = 0
         worst_residual = 0.0
         for _ in range(12):
             analyses = analyze_linkage(random_linkage(rng, n))
@@ -42,14 +61,26 @@ def main():
             worst_residual = max(worst_residual, analyses.residual[live].max(initial=0.0))
             det_ok += int((analyses.h_sign == analyses.det_sign)[live].sum())
             idx_ok += int((analyses.formula_index == analyses.oracle_index)[live].sum())
+            disagreements += int(np.not_equal(analyses.agree[live], True).sum())
+            compared, same = sign_terms(analyses)
+            n_terms += compared
+            n_matched += same
         grand_total += configs
+        terms += n_terms
+        matched += n_matched
         print(f"{n:>2} {12:>9} {configs:>8} {flagged:>8} "
               f"{det_ok:>6}/{configs - flagged:<8} {idx_ok:>5}/{configs - flagged:<6} "
-              f"{worst_residual:>13.2e}")
+              f"{n_matched:>6}/{n_terms:<7} {worst_residual:>13.2e}")
+    if disagreements or matched != terms:
+        print(f"\n{disagreements} non-flagged configurations disagree, "
+              f"{terms - matched} of {terms} sign-sequence terms differ.")
+        sys.exit(1)
     print(f"\n{grand_total} configurations checked; both routes agreed on every")
-    print("non-flagged one.  The residual column is the stationarity gap of the")
-    print("area gradient against the constraint normals, confirming that the")
-    print("enumerated configurations really are the critical points.")
+    print(f"non-flagged one, and all {terms} sign-sequence terms h_i equal the")
+    print("oracle's determinant sign on their subconfiguration.  The residual")
+    print("column is the stationarity gap of the area gradient against the")
+    print("constraint normals, confirming that the enumerated configurations")
+    print("really are the critical points.")
 
 
 if __name__ == "__main__":

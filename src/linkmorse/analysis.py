@@ -54,8 +54,8 @@ from .solver import (
     CyclicTable,
     DegeneracyFlags,
     _Table,
+    _enumerate,
     _flag_rows,
-    enumerate_cyclic,
 )
 
 # Residual above which an allegedly cyclic configuration is not accepted as a
@@ -182,15 +182,15 @@ def _chunks(items, n: int):
         yield items[start:start + step]
 
 
-def _analyze_rows(points, centers, radii, flagged, verdict=None):
+def _analyze_rows(points, centers, radii, flagged, verdict):
     """The analysis of stacked configurations, shape (rows, n, 2), on their
     circles: the orientation strings the closed form measures (a row of
     zeros where it measures none), and a dict of :class:`AnalysisTable`
     columns but area and convexity.  An unflagged row gets
     :func:`morse._closed_form_rows`; a flagged (near-degenerate) one, where
     the closed form does not hold, is refused as flagged.  Every row gets
-    the oracle's verdict or its refusal: the columns of
-    :func:`oracle._verdict_rows`, run here unless ``verdict`` holds them."""
+    the oracle's verdict or its refusal, ``verdict``: the columns of
+    :func:`oracle._verdict_rows`, which the caller runs or derives."""
     rows, n = points.shape[:2]
     cols = _refused_columns(rows, n)
     measured = np.zeros((rows, n), dtype=int)
@@ -204,30 +204,10 @@ def _analyze_rows(points, centers, radii, flagged, verdict=None):
                             ("h_sign", form.h_sign, signed), ("formula_index", form.index, formula),
                             ("h_sequence", form.h_sequence, formula)):
         cols[name][live[ok]] = value[ok]
-    cols.update(zip(_VERDICT, _verdict_rows(points) if verdict is None else verdict))
+    cols.update(zip(_VERDICT, verdict))
     cols["oracle_index"] = np.where(np.equal(cols["oracle_error"], None), cols["inertia"][:, 0], -1)
     cols["agree"], cols["index"], cols["index_source"] = _agreement(cols)
     return measured, cols
-
-
-def _mirror_pairs(table: CyclicTable, rows: np.ndarray):
-    """The rows among ``rows`` that are mirrors ``(-E, -k)`` of others among
-    them, and the rows of their roots, in matching order.
-
-    A root's string starts with +1, its mirror's with -1, and the mirror has
-    the same radius bit for bit, so a pair is equal keys (root string,
-    winding of the root, radius); after one sort by that key and by side,
-    each pair is adjacent, its root first."""
-    eps, first = table.eps[rows], table.eps[rows, :1]
-    side = (first < 0).ravel()
-    code = ((eps * first > 0) << np.arange(eps.shape[1])).sum(axis=1)
-    winding, radius = table.k[rows] * first.ravel(), table.radius[rows]
-    order = np.lexsort((side, radius, winding, code))
-    code, winding, radius, side = code[order], winding[order], radius[order], side[order]
-    pair = np.flatnonzero((code[1:] == code[:-1]) & (winding[1:] == winding[:-1])
-                          & (radius[1:] == radius[:-1]) & side[1:] & ~side[:-1])
-    ranked = rows[order]
-    return ranked[pair + 1], ranked[pair]
 
 
 def analyze_linkage(linkage: Linkage) -> AnalysisTable:
@@ -237,8 +217,9 @@ def analyze_linkage(linkage: Linkage) -> AnalysisTable:
     degeneracy boundary, and read as refused by both sides.  Returns an
     :class:`AnalysisTable` in the order of :func:`enumerate_cyclic`.
 
-    The oracle runs on one row of each mirror pair (:func:`_mirror_pairs`).
-    A mirror ``(-E, -k)`` is its root reflected across the pinned edge, with
+    The oracle runs on the root of each mirror pair, the row whose string
+    starts with +1; :func:`solver._enumerate` gives each row its mirror.  A
+    mirror ``(-E, -k)`` is its root reflected across the pinned edge, with
     area ``-A``, so its verdict is derived from its root's by
     :func:`oracle._mirror_rows`.  The closed form still runs on every row,
     so every mirror is still a comparison of formula against oracle.  The
@@ -246,14 +227,14 @@ def analyze_linkage(linkage: Linkage) -> AnalysisTable:
     symmetry ``c_m = c_{n-3-m}`` of the counts tests the closed form's
     indices alone.  ``verify`` analyses every record on its own.
     """
-    table = enumerate_cyclic(linkage)
+    table, mirror = _enumerate(linkage)
     n = linkage.n
     cols = _refused_columns(len(table), n)
     live = np.flatnonzero(~table.flagged)
-    mirrors, roots = _mirror_pairs(table, live)
-    judged = ~table.flagged
-    judged[mirrors] = False
-    for rows in _chunks(np.flatnonzero(judged), n):
+    # a mirror has its root's flags, so it is live with it
+    roots = live[table.eps[live, 0] > 0]
+    mirrors = mirror[roots]
+    for rows in _chunks(roots, n):
         for name, value in zip(_VERDICT, _verdict_rows(table.points[rows])):
             cols[name][rows] = value
     for name, value in zip(_VERDICT, _mirror_rows(n, *(cols[name][roots] for name in _VERDICT))):
@@ -678,7 +659,7 @@ def verify_enumeration(linkage: Linkage, records: list):
     live = np.flatnonzero(np.equal(notes, None))
     for chunk in _chunks(live, n):
         measured, cols = _analyze_rows(points[chunk], centers[chunk], radii[chunk],
-                                       flagged[chunk])
+                                       flagged[chunk], _verdict_rows(points[chunk]))
         disagree = measured.any(axis=1) & (measured != eps[chunk]).any(axis=1)
         _judge(out, parsed[chunk], flagged[chunk], disagree, cols)
     table = VerificationTable(**out)

@@ -24,10 +24,10 @@ over the +1 edges and N over the -1 edges, C = P - N lies in
 alike, a chunk of them per matrix product.  A level ``pi k`` can only be
 crossed in a cell where ``floor(C / pi)`` changes or next to a sample within
 a slack of a level, so one pass over the tabulated cells picks these
-candidate cells, and the exact test runs on them alone, for all feasible
-windings at once: a sign change of ``C - pi k`` brackets a root, an isolated
-exact zero is one, and a run of exact zeros (a family on which F vanishes
-identically) yields none.  The bounds are widened past the slack, so the
+candidate cells, and the exact test runs on them alone, at every winding
+the closure range admits at once: a sign change of ``C - pi k`` brackets a
+root, an isolated exact zero is one, and a run of exact zeros (a family on
+which F vanishes identically) yields none.  The bounds are widened past the slack, so the
 candidates are those of the whole table.  A string whose +1 and -1 edges
 carry the same lengths is such a family for every winding and is not
 scanned.  Double roots hide at zeros of delta, the extrema of F; one is
@@ -40,11 +40,12 @@ tests scale with the problem.  Only the strings with ``eps_1 = +1`` are
 scanned: the mirror string ``(-E, -k)`` has ``F_{-E,-k} = -F_{E,k}`` exactly
 in floating point, so it reuses the same roots, descriptors and flags.
 
-The per-root tail is batched too: half-angles, radii, centers, flags, the
-closure check and the vertices of every root and its mirror are array
-operations over all roots of the linkage, and they are returned as the
-columns of one :class:`CyclicTable`; the per-item objects are views of a
-row, built only when a row is asked for.  The scan covers ``2^(n-1)``
+The per-root tail is batched too: the roots' geometry, flags and closure
+check are array operations, and one sort orders roots and mirrors into the
+columns of one :class:`CyclicTable`, whose per-item objects are views of a
+row, built only when a row is asked for.  The solver is the one module that
+knows the pairing: :func:`_enumerate` returns each row's mirror row with
+the table.  The scan covers ``2^(n-1)``
 strings, so linkages with more than :data:`MAX_EDGES` edges are refused
 before it starts.
 """
@@ -230,8 +231,10 @@ class CyclicTable(_Table):
     ``k``, radii, half-angles ``alphas``, centers, vertices ``points`` of
     shape (rows, n, 2), the :class:`DegeneracyFlags` masks ``central``,
     ``near_flip`` and ``delta_zero``, and ``flagged``, whether a row has any
-    of them.  An integer index gives the row's :class:`CyclicConfiguration`
-    view.
+    of them.  The mirror ``(-E, -k)`` of every row is a row too, with the
+    same radius, half-angles and flags and the center reflected across the
+    pinned edge.  An integer index gives the row's
+    :class:`CyclicConfiguration` view.
     """
 
     eps: np.ndarray
@@ -401,14 +404,6 @@ def _angle_grid() -> np.ndarray:
     return grid
 
 
-def _winding_bounds(n: int, positives):
-    """Least and greatest winding number k compatible with an orientation
-    string having ``positives`` entries equal to +1 (an int or an array): the
-    closure sum is confined to the open interval (-(n - e) pi/2, e pi/2), so
-    -(n - e) < 2k < e."""
-    return -(n - positives) // 2 + 1, (positives + 1) // 2 - 1
-
-
 def _vanishing(lengths: np.ndarray, strings: np.ndarray) -> np.ndarray:
     """Strings whose +1 and -1 edges carry the same multiset of lengths: on
     them sum(eps_i alpha_i) and delta vanish identically."""
@@ -576,9 +571,18 @@ def _merge(row: np.ndarray, k: np.ndarray, theta: np.ndarray):
     return row[keep].astype(int), k[keep].astype(int), theta[keep]
 
 
-def _scan(linkage: Linkage, strings: np.ndarray, k_lo: np.ndarray, k_hi: np.ndarray):
+def _scan(linkage: Linkage, strings: np.ndarray):
     """Merged roots of F for the orientation strings ``strings`` (rows of
-    +-1) and the windings ``k_lo <= k <= k_hi`` of each row.
+    +-1), at every winding the closure range admits.
+
+    No winding needs a filter.  The grid stops at ``r_min (1 +
+    _RMIN_MARGIN)``, so each ``alpha_i`` lies in ``(0, pi/2 - 1.4e-6]``, and
+    a string with e entries +1 has its closure sum strictly inside
+    ``(-(n - e) pi/2, e pi/2)``, a margin far above the rounding of a sum of
+    n terms.  An exact zero or a strict sign change of ``C - pi k`` puts
+    ``pi k`` in that range, and so does a double root, within
+    :data:`RESIDUAL_TOL` of ``pi k`` (at most about 5e-11), so each has a
+    winding with ``-(n - e) < 2k < e``.
 
     Returns arrays ``(row, k, theta)`` sorted by row, then k, then theta.
     """
@@ -587,7 +591,7 @@ def _scan(linkage: Linkage, strings: np.ndarray, k_lo: np.ndarray, k_hi: np.ndar
     # matrix product would leave rounding residues of either sign in its
     # tables, not exact zeros.
     scanned = np.flatnonzero(~_vanishing(linkage.lengths, strings))
-    strings, k_lo, k_hi = strings[scanned], k_lo[scanned], k_hi[scanned]
+    strings = strings[scanned]
     rho = _ratios(linkage)
     grid = _angle_grid()
     last = grid.size - 1
@@ -599,7 +603,6 @@ def _scan(linkage: Linkage, strings: np.ndarray, k_lo: np.ndarray, k_hi: np.ndar
     row, i, prev, here, after = level_cells
     k = np.rint(here / math.pi)
     zero = _isolated_zero(i, prev, here, after, math.pi * k, last)
-    zero &= (k >= k_lo[row]) & (k <= k_hi[row])
     found = [(row[zero], k[zero], grid[i[zero]])]
     known = (i < last) & ~np.isnan(here)
     row, i, here, after = row[known], i[known], here[known], after[known]
@@ -609,7 +612,6 @@ def _scan(linkage: Linkage, strings: np.ndarray, k_lo: np.ndarray, k_hi: np.ndar
     for step in range(int(np.max(hi - lo, initial=-1.0)) + 1):
         k = lo + step
         change = _sign_change(here, after, math.pi * k)
-        change &= (k <= hi) & (k >= k_lo[row]) & (k <= k_hi[row])
         brackets.append((row[change], k[change], i[change]))
     # Double roots hide at interior extrema of F, i.e. zeros of delta, whose
     # sign changes are refined with the closure brackets as delta rows.
@@ -630,39 +632,16 @@ def _scan(linkage: Linkage, strings: np.ndarray, k_lo: np.ndarray, k_hi: np.ndar
     closure = (strings[row] * alphas).sum(axis=1)
     k = np.rint(closure / math.pi)
     scale = alphas.sum(axis=1) + math.pi * np.abs(k)
-    double = ((k >= k_lo[row]) & (k <= k_hi[row])
-              & (np.abs(closure - math.pi * k) <= RESIDUAL_TOL * scale))
+    double = np.abs(closure - math.pi * k) <= RESIDUAL_TOL * scale
     found.append((row[double], k[double], theta[double]))
 
     row, k, theta = _merge(*(np.concatenate(v) for v in zip(*found)))
     return scanned[row], k, theta
 
 
-def _pairs(roots: np.ndarray, mirrors: np.ndarray) -> np.ndarray:
-    """Rows of ``roots`` and ``mirrors`` interleaved: root j, then its mirror."""
-    return np.stack([roots, mirrors], axis=1).reshape(-1, *roots.shape[1:])
-
-
-def enumerate_cyclic(linkage: Linkage) -> CyclicTable:
-    """Every cyclic configuration of the linkage.
-
-    Scans the 2^(n-1) orientation strings with ``eps_1 = +1`` against all
-    their feasible winding numbers at once and reuses each string's roots for
-    its mirror ``(-E, -k)``: ``F_{-E,-k} = -F_{E,k}`` holds exactly in
-    floating point, so the mirror's brackets and refined roots are
-    bit-identical.  Each root is flagged and described once; its mirror row
-    takes the negated string and winding, the center reflected across the
-    pinned edge, and the same half-angles and flags, since ``central`` and
-    ``near_flip`` depend on the half-angles alone and ``delta_zero`` on
-    ``|delta|``.  The vertices of every row are rebuilt; they keep the
-    string's orientations, since they step by ``2 eps_i alpha_i`` with
-    ``alpha_i < pi/2`` on every edge not flagged central.  Rows are sorted
-    by (winding, orientation string, radius), a root before its mirror
-    where all three tie.
-
-    Raises :class:`InvalidLinkageError` for more than :data:`MAX_EDGES`
-    edges.  Returns a :class:`CyclicTable`.
-    """
+def _enumerate(linkage: Linkage):
+    """The :class:`CyclicTable` of :func:`enumerate_cyclic` and, per row, the
+    row of its mirror ``(-E, -k)``: an involution with no fixed point."""
     n = linkage.n
     if n > MAX_EDGES:
         raise InvalidLinkageError(
@@ -670,8 +649,7 @@ def enumerate_cyclic(linkage: Linkage) -> CyclicTable:
             f"the scan covers 2^(n-1) orientation strings")
     bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 2, -1, -1)) & 1
     strings = np.concatenate([np.ones((bits.shape[0], 1)), 1.0 - 2.0 * bits], axis=1)
-    positives = n - bits.sum(axis=1)
-    rows, ks, thetas = _scan(linkage, strings, *_winding_bounds(n, positives))
+    rows, ks, thetas = _scan(linkage, strings)
 
     eps = strings[rows]
     radius, alphas, center = _root_geometry(linkage, eps, thetas)
@@ -679,15 +657,45 @@ def enumerate_cyclic(linkage: Linkage) -> CyclicTable:
     if defects.size and defects.max() > CLOSURE_TOL:
         raise InconsistentDescriptorError(
             f"angular closure defect {defects.max():.3e} exceeds {CLOSURE_TOL:.0e}")
-    flags = [_pairs(mask, mask) for mask in _flag_rows(eps, alphas)]
-    eps, ks = _pairs(eps, -eps).astype(int), _pairs(ks, -ks)
-    radius, alphas = _pairs(radius, radius), _pairs(alphas, alphas)
-    center = _pairs(center, center * np.array([-1.0, 1.0]))
-    # lexsort is stable and its last key sorts first
-    order = np.lexsort((radius, *eps.T[::-1], ks))
-    eps, ks, radius, alphas, center = (col[order] for col in (eps, ks, radius, alphas, center))
-    central, near_flip, delta_zero = (mask[order] for mask in flags)
-    return CyclicTable(eps=eps, k=ks, radius=radius, alphas=alphas, center=center,
-                       points=_vertices(linkage, radius, center, eps, alphas),
-                       central=central, near_flip=near_flip, delta_zero=delta_zero,
-                       flagged=delta_zero | central.any(axis=1) | near_flip.any(axis=1))
+    # Pair 2j is root j and pair 2j + 1 its mirror.  A string's code reads
+    # its +1 entries as bits, eps_1 the highest, so codes sort as strings do,
+    # and a mirror's code is the complement of its root's.
+    code = (eps > 0) @ (1 << np.arange(n - 1, -1, -1))
+    order = np.lexsort((np.repeat(radius, 2), np.stack([code, 2 ** n - 1 - code], axis=1).ravel(),
+                        np.stack([ks, -ks], axis=1).ravel()))
+    root, sign = order >> 1, 1 - 2 * (order & 1)
+    central, near_flip, delta_zero = (mask[root] for mask in _flag_rows(eps, alphas))
+    eps, ks, center = eps[root].astype(int) * sign[:, None], ks[root] * sign, center[root]
+    radius, alphas = radius[root], alphas[root]
+    center[:, 0] *= sign
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    table = CyclicTable(eps=eps, k=ks, radius=radius, alphas=alphas, center=center,
+                        points=_vertices(linkage, radius, center, eps, alphas),
+                        central=central, near_flip=near_flip, delta_zero=delta_zero,
+                        flagged=delta_zero | central.any(axis=1) | near_flip.any(axis=1))
+    return table, rank[order ^ 1]
+
+
+def enumerate_cyclic(linkage: Linkage) -> CyclicTable:
+    """Every cyclic configuration of the linkage.
+
+    Scans the 2^(n-1) orientation strings with ``eps_1 = +1`` at every
+    winding the closure range admits (see :func:`_scan`) and reuses each
+    string's roots for its mirror ``(-E, -k)``: ``F_{-E,-k} = -F_{E,k}``
+    holds exactly in floating point, so the mirror's brackets and refined
+    roots are bit-identical.  Each root is flagged and described once; its
+    mirror row takes the negated string and winding, the center reflected
+    across the pinned edge, and the same radius, half-angles and flags,
+    since ``central`` and ``near_flip`` depend on the half-angles alone and
+    ``delta_zero`` on ``|delta|``.  Every row thus has its mirror in the
+    table, and no two rows share (winding, orientation string, radius): the
+    rows are sorted by that key, root and mirror rows in one sort.  The
+    vertices of every row are rebuilt; they keep the string's orientations,
+    since they step by ``2 eps_i alpha_i`` with ``alpha_i < pi/2`` on every
+    edge not flagged central.
+
+    Raises :class:`InvalidLinkageError` for more than :data:`MAX_EDGES`
+    edges.  Returns a :class:`CyclicTable`.
+    """
+    return _enumerate(linkage)[0]

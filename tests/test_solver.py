@@ -27,7 +27,7 @@ from linkmorse import (
 )
 from linkmorse import solver
 from linkmorse.geometry import _half_angle_rows, _orientation_rows
-from linkmorse.solver import MAX_EDGES, _closure_defects, _flag_rows, _winding_bounds
+from linkmorse.solver import MAX_EDGES, _closure_defects, _flag_rows
 from linkmorse.errors import InconsistentDescriptorError, InvalidLinkageError
 
 SQUARE_L = Linkage([1, 1, 1, 1])
@@ -50,17 +50,18 @@ PENTAGON_NEAR_RMIN = [0.7573611128687527, 1.2164402726063217, 0.6733244298490622
 
 
 def _windings(n, eps):
-    """``range`` arguments over the feasible windings of a string."""
-    lo, hi = _winding_bounds(n, sum(v > 0 for v in eps))
-    return lo, hi + 1
+    """``range`` arguments over the windings a string admits: with e entries
+    +1 and every half-angle in (0, pi/2), its closure sum lies strictly
+    inside (-(n - e) pi/2, e pi/2), so -(n - e) < 2k < e."""
+    e = sum(v > 0 for v in eps)
+    return -(n - e) // 2 + 1, (e + 1) // 2
 
 
 def _radii(linkage, eps, k):
     """All radii solving F = 0 for one (E, k) pair, ascending, from the scan
-    of that string and winding alone."""
-    _, _, thetas = solver._scan(linkage, np.array([eps], dtype=float), np.array([k]),
-                                np.array([k]))
-    return (linkage.min_radius / np.sin(thetas[::-1])).tolist()
+    of that string alone."""
+    _, ks, thetas = solver._scan(linkage, np.array([eps], dtype=float))
+    return (linkage.min_radius / np.sin(thetas[ks == k][::-1])).tolist()
 
 
 def _items(linkage, eps, k):
@@ -592,6 +593,99 @@ def test_block_scan_matches_per_string_scan(linkage):
     assert [(it.descriptor.winding, it.descriptor.eps.eps, it.flags) for it in items] == \
         [(k, eps, flags) for k, eps, flags, _ in expected]
     assert [it.descriptor.radius for it in items] == [r for *_, r in expected]
+
+
+def _paired_tail(linkage):
+    """enumerate_cyclic's per-root tail as it was before one sort took root
+    and mirror rows together: each root's columns next to its mirror's,
+    then a lexsort on the winding, the n entries of the string and the
+    radius.  Returns the :class:`CyclicTable` columns by name."""
+    n = linkage.n
+    bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 2, -1, -1)) & 1
+    strings = np.concatenate([np.ones((bits.shape[0], 1)), 1.0 - 2.0 * bits], axis=1)
+    rows, ks, thetas = solver._scan(linkage, strings)
+    eps = strings[rows]
+    radius, alphas, center = solver._root_geometry(linkage, eps, thetas)
+
+    def pairs(roots, mirrors):
+        return np.stack([roots, mirrors], axis=1).reshape(-1, *roots.shape[1:])
+
+    flags = [pairs(mask, mask) for mask in _flag_rows(eps, alphas)]
+    eps, ks = pairs(eps, -eps).astype(int), pairs(ks, -ks)
+    radius, alphas = pairs(radius, radius), pairs(alphas, alphas)
+    center = pairs(center, center * np.array([-1.0, 1.0]))
+    order = np.lexsort((radius, *eps.T[::-1], ks))
+    eps, ks, radius, alphas, center = (col[order] for col in (eps, ks, radius, alphas, center))
+    central, near_flip, delta_zero = (mask[order] for mask in flags)
+    return dict(eps=eps, k=ks, radius=radius, alphas=alphas, center=center,
+                points=solver._vertices(linkage, radius, center, eps, alphas),
+                central=central, near_flip=near_flip, delta_zero=delta_zero,
+                flagged=delta_zero | central.any(axis=1) | near_flip.any(axis=1))
+
+
+def _matched_mirrors(table):
+    """The mirror of every row, found as analysis matched the pairs before
+    the enumeration handed them over: one lexsort on the root's string code,
+    the root's winding, the radius and the side, after which each pair is
+    adjacent with its root first, the radii equal bit for bit."""
+    eps, first = table.eps, table.eps[:, :1]
+    side = (first < 0).ravel()
+    code = ((eps * first > 0) << np.arange(eps.shape[1])).sum(axis=1)
+    winding, radius = table.k * first.ravel(), table.radius
+    order = np.lexsort((side, radius, winding, code))
+    code, winding, radius, side = code[order], winding[order], radius[order], side[order]
+    pair = np.flatnonzero((code[1:] == code[:-1]) & (winding[1:] == winding[:-1])
+                          & (radius[1:] == radius[:-1]) & side[1:] & ~side[:-1])
+    mirror = np.full(len(table), -1)
+    mirror[order[pair]], mirror[order[pair + 1]] = order[pair + 1], order[pair]
+    return mirror
+
+
+def _tail_fixtures():
+    yield from _block_scan_fixtures()
+    rng = np.random.default_rng(59)
+    yield from (pytest.param(random_linkage(rng, n), id=f"seeded_{n}") for n in range(3, 13))
+
+
+@pytest.mark.parametrize("linkage", list(_tail_fixtures()))
+def test_one_sort_pairs_every_row_with_its_mirror(linkage):
+    """The tail sorts root and mirror rows in one lexsort on (winding,
+    string code, radius): every column equals the paired tail's, byte for
+    byte, and the mirror index is the pairing analysis used to recover."""
+    table, mirror = solver._enumerate(linkage)
+    expected = _paired_tail(linkage)
+    for field in fields(table):
+        column = getattr(table, field.name)
+        assert column.dtype == expected[field.name].dtype, field.name
+        assert column.tobytes() == expected[field.name].tobytes(), field.name
+    rows = np.arange(len(table))
+    assert np.array_equal(mirror[mirror], rows) and not (mirror == rows).any()
+    assert np.array_equal(mirror, _matched_mirrors(table))
+    assert np.array_equal(table.eps[mirror], -table.eps)
+    assert np.array_equal(table.k[mirror], -table.k)
+    for name in ("radius", "alphas", "central", "near_flip", "delta_zero", "flagged"):
+        assert getattr(table, name)[mirror].tobytes() == getattr(table, name).tobytes(), name
+    assert table.center[mirror].tobytes() == (table.center * [-1.0, 1.0]).tobytes()
+
+
+def _winding_fixtures():
+    yield from _exact_fixtures()
+    yield from (pytest.param(Linkage([1, 2, 1.5, 2.5 - d]), id=f"quad_wall_{d:.0e}")
+                for d in 10.0 ** -np.arange(3, 13))
+    yield pytest.param(Linkage(PENTAGON_NEAR_RMIN), id="pentagon_near_rmin")
+    rng = np.random.default_rng(61)
+    yield from (pytest.param(random_linkage(rng, n), id=f"seeded_{n}") for n in range(3, 13))
+
+
+@pytest.mark.parametrize("linkage", list(_winding_fixtures()))
+def test_every_winding_lies_in_the_closure_range(linkage):
+    """The scan keeps no winding filter: each row's closure sum lies
+    strictly inside (-(n - e) pi/2, e pi/2), e its +1 entries, so its
+    winding satisfies -(n - e) < 2k < e."""
+    table = enumerate_cyclic(linkage)
+    assert len(table)
+    e = (table.eps > 0).sum(axis=1)
+    assert np.all((-(linkage.n - e) < 2 * table.k) & (2 * table.k < e))
 
 
 def _full_table(rho, grid, strings):

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import edge_lengths, pin_points, random_linkage, random_valid_configuration
 from linkmorse import Linkage, analyze_linkage, enumerate_cyclic
-from linkmorse import analysis, geometry, morse, oracle
+from linkmorse import analysis, geometry, morse, oracle, solver
 
 GAP = 1e-4
 # Near-central hexagon: its longest edge is within the degeneracy tolerance
@@ -43,7 +43,8 @@ def _verdicts(pts):
 def _kernel(points, centers, radii, flagged):
     """The analysis kernel's columns for a stack, the measured strings among
     them."""
-    measured, columns = analysis._analyze_rows(points, centers, radii, flagged)
+    measured, columns = analysis._analyze_rows(points, centers, radii, flagged,
+                                               oracle._verdict_rows(points))
     return dict(columns, measured=measured)
 
 
@@ -90,7 +91,8 @@ def test_stack_across_chunk_boundaries(monkeypatch):
     # derives from their roots', equal it up to their residual and multipliers
     live = ~whole.flagged
     _, kernel = analysis._analyze_rows(whole.points[live], whole.center[live],
-                                       whole.radius[live], np.zeros(live.sum(), dtype=bool))
+                                       whole.radius[live], np.zeros(live.sum(), dtype=bool),
+                                       oracle._verdict_rows(whole.points[live]))
     root = whole.eps[live, 0] > 0
     for name, column in kernel.items():
         if name in ("residual", "multipliers"):
@@ -371,7 +373,8 @@ def test_mirror_rows_take_their_roots_verdicts():
     for linkage in [*_fixture_linkages(), *_seeded_linkages()]:
         table = analyze_linkage(linkage)
         live = np.flatnonzero(~table.flagged)
-        mirrors, roots = analysis._mirror_pairs(table, live)
+        roots = live[table.eps[live, 0] > 0]
+        mirrors = solver._enumerate(linkage)[1][roots]
         # every unflagged row is a root or the mirror of one
         assert 2 * mirrors.size == live.size
         assert np.array_equal(np.sort(np.concatenate([mirrors, roots])), live)
