@@ -16,10 +16,11 @@ is no radius cap.
 
 The scan runs once per linkage, over blocks of orientation strings, and
 tabulates the closure sums ``C = sum eps_i alpha_i`` and the deltas ``D``
-coarse to fine.  Every ``alpha_i`` increases with theta, so with P the sum
-over the +1 edges and N over the -1 edges, C = P - N lies in
-[P(a) - N(b), P(b) - N(a)] on a cell [a, b].  These bounds, taken from every
-:data:`_STEP`-th grid point, prove about 90% of the cells free of any level
+coarse to fine.  Every ``alpha_i`` is increasing and concave in theta, so
+on a cell [a, b] C lies within a gap G of its chord, where G is the
+tangent gap of the total ``T = sum alpha_i`` and so the same for every
+string (:func:`_cell_gaps`).  These bounds, taken from every
+:data:`_STEP`-th grid point, prove about 98% of the cells free of any level
 ``pi k``; only the other cells are tabulated at every grid point, C and D
 alike, a chunk of them per matrix product.  A level ``pi k`` can only be
 crossed in a cell where ``floor(C / pi)`` changes or next to a sample within
@@ -88,9 +89,11 @@ _BLOCK = 2 ** 16 // (SAMPLES // _STEP + 1)
 # keeps.
 _WINDOWS = 2 ** 16 // (_STEP + 3) - 1
 
-# Relative allowance for rounding in the cell bounds, against the sum over
-# all edges of the table bounded: far above the n machine epsilons (3.6e-15
-# at n = 16) by which rounding can move a sum of n terms.
+# Relative allowance for rounding in the cell bounds, against the sum of the
+# half-angles at the cell's upper end: far above the n machine epsilons
+# (3.6e-15 at n = 16) by which rounding can move a sum of n terms, and above
+# the 3e-13 by which a rounded arcsin input can move a half-angle near pi/2
+# (see tests/test_solver.py::test_cell_bounds_hold_every_sample).
 _BOUND_RTOL = 1e-12
 
 # Distance, in units of pi, within which a sample of C counts as near a level
@@ -100,11 +103,11 @@ _LEVEL_SLACK = 1e-9
 
 # Largest number of edges enumerate_cyclic accepts.  The scan covers
 # 2^(n-1) strings and the number of configurations grows about as fast:
-# ``linkmorse enumerate -o`` on random lengths in [0.5, 2] took 0.3-0.7 s at
-# n = 12, 0.6-0.7 s at n = 14 and 2.7-3.6 s at n = 16 (37796
-# configurations, 116 MB peak; 1.0-1.5 s of it analyze_linkage, 0.3-0.4 s
-# of that the oracle) on a 2-core x86-64 host with Python 3.11
-# (BENCH_oracle.json).  Each edge more about doubles the scan and the
+# ``linkmorse enumerate -o`` on random lengths in [0.5, 2] took 0.3-0.4 s at
+# n = 12, 0.5-0.8 s at n = 14 and 2.4-2.8 s at n = 16 (37796
+# configurations, 114 MB peak; 0.9-1.2 s of it analyze_linkage, 0.31-0.36 s
+# of that enumerate_cyclic) on a 2-core x86-64 host with Python 3.11
+# (BENCH_scan.json).  Each edge more about doubles the scan and the
 # configurations, and so the time.
 MAX_EDGES = 16
 
@@ -447,20 +450,32 @@ def _sign_change(here, after, level):
     return ((here < level) & (after > level)) | ((here > level) & (after < level))
 
 
-def _bounds(coarse: np.ndarray, positive: np.ndarray, widen: float):
+def _cell_gaps(rho: np.ndarray, theta: np.ndarray, coarse: np.ndarray, widen: float) -> np.ndarray:
+    """Half-width G of each cell's second-order bound (see :func:`_bounds`),
+    from the half-angles ``coarse`` at the coarse points ``theta`` (one row
+    each).  Every ``alpha_i`` is increasing and concave in theta, so on a
+    cell [a, b] of width h each lies between its chord and its tangents, and
+    the tangent gaps of P and of N, both non-negative, add up to that of the
+    total T: the gap of ``C = P - N`` over its chord is at most
+    ``G = min(T(a) + T'(a) h - T(b), T(b) - T'(b) h - T(a))``, where
+    ``T' = sum rho_i cos theta / cos alpha_i``, 1 on the longest edges.  G
+    is widened by ``widen`` and by :data:`_BOUND_RTOL` of T(b), for the
+    rounding of the sums."""
+    slope = (rho * np.cos(theta)[:, None] / np.cos(coarse)).sum(axis=1)
+    total, h = coarse.sum(axis=1), np.diff(theta)
+    gap = np.minimum(total[:-1] + slope[:-1] * h - total[1:], total[1:] - slope[1:] * h - total[:-1])
+    return gap + widen + _BOUND_RTOL * total[1:]
+
+
+def _bounds(coarse: np.ndarray, rows: np.ndarray, gaps: np.ndarray):
     """Bounds ``(lo, hi)``, one row per coarse cell and one column per
-    string, on the sums ``P - N`` of a table over each cell, where P sums
-    the +1 edges of the string and N the -1 edges.  ``coarse`` holds the
-    table at the coarse points (one row each) and ``positive`` the +1 edges
-    of each string (one column each, 1.0 or 0.0).  P and N increase with
-    theta, so over a cell [a, b] ``P - N`` lies in [P(a) - N(b), P(b) - N(a)].
-    The bounds are widened by ``widen`` and by :data:`_BOUND_RTOL` of the
-    sum over all edges at b, for the rounding of the sums."""
-    partial = coarse @ positive
-    total = coarse.sum(axis=1)
-    margin = widen + _BOUND_RTOL * total[1:]
-    ends = partial[:-1] + partial[1:]
-    return ends - (total[1:] + margin)[:, None], ends - (total[:-1] - margin)[:, None]
+    string, on the closure sums ``C = rows . alpha`` over each cell:
+    ``[min(C(a), C(b)) - G, max(C(a), C(b)) + G]`` on a cell [a, b], with
+    the half-angles ``coarse`` at the coarse points (one row each) and the
+    cells' half-widths ``gaps`` from :func:`_cell_gaps`."""
+    ends = coarse @ rows.T
+    gaps = gaps[:, None]
+    return (np.minimum(ends[:-1], ends[1:]) - gaps, np.maximum(ends[:-1], ends[1:]) + gaps)
 
 
 def _meets_level(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -515,16 +530,21 @@ def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
     before, at and after it (NaN past either end of the grid).
 
     Both tables are built coarse to fine, a block of strings at a time.  The
-    closure sums over the +1 edges at every :data:`_STEP`-th sample bound
-    each string's cells (:func:`_bounds`).  Only a cell whose widened bound
-    meets a level ``pi k``, and the first cell, is tabulated at every
-    sample, with one more on each side, in both tables.  A cell left out
-    holds no closure candidate, and no zero of delta near enough to a level
-    to be a double root.
+    closure sums at every :data:`_STEP`-th sample and the gaps of the cells,
+    computed once, bound each string's cells (:func:`_bounds`).  Only a cell
+    whose widened bound meets a level ``pi k``, and the first cell, is
+    tabulated at every sample, with one more on each side, in both tables.
+    A cell left out holds no closure candidate, and no zero of delta near
+    enough to a level to be a double root.
     """
     alphas_tab = _half_angles(rho, np.concatenate([[np.nan], grid]))
     tangents_tab = np.tan(alphas_tab)
     wall_tol = RESIDUAL_TOL * alphas_tab[1].sum()
+    # A closure sum within _LEVEL_SLACK pi of a level marks a candidate: the
+    # bounds are widened by twice that, far more than the rounding of C / pi
+    # or a double root's RESIDUAL_TOL (at most about 5e-11).
+    coarse = alphas_tab[1::_STEP]
+    gaps = _cell_gaps(rho, grid[::_STEP], coarse, 2.0 * _LEVEL_SLACK * math.pi)
     # Work tables reused by every chunk of windows, each of at most 2^16
     # values (512 kB) whatever n is and however many cells are kept: freeing
     # a larger array would raise the allocator's threshold for mapping memory
@@ -544,14 +564,10 @@ def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
         # is neither a zero nor a sign, so such a string's scan starts at the
         # second point.
         wall = np.abs(rows @ alphas_tab[1]) <= wall_tol
-        # A closure sum within _LEVEL_SLACK pi of a level marks a candidate:
-        # the bounds are widened by twice that, far more than the rounding of
-        # C / pi or a double root's RESIDUAL_TOL (at most about 5e-11).
         # The first cell, which holds a wall's NaN, is always kept: it starts
-        # at _FAR_ANGLE, where P and N are about 1e-200, so its widened bound
-        # holds the level 0.
-        kept = _meets_level(*_bounds(alphas_tab[1::_STEP], (rows > 0.0).T.astype(float),
-                                     2.0 * _LEVEL_SLACK * math.pi))
+        # at _FAR_ANGLE, where C is about 1e-200, so its widened bound holds
+        # the level 0.
+        kept = _meets_level(*_bounds(coarse, rows, gaps))
         closures.extend(_window_candidates(alphas_tab, rows, start, kept, wall, level_marks, work))
         deltas.extend(_window_candidates(tangents_tab, rows, start, kept, wall, _sign_cells, work))
     none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 3

@@ -827,27 +827,84 @@ def test_pruned_scan_takes_a_cell_end_once():
     assert closures == _candidate_lists(_full_table(rho, grid, strings))[0]
 
 
+def _kept_cells(monkeypatch, scan):
+    """The kept-cell masks (cells x strings) of every block that ``scan()``
+    bounds."""
+    kept, meets = [], solver._meets_level
+
+    def recording(lo, hi):
+        kept.append(meets(lo, hi))
+        return kept[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_meets_level", recording)
+        scan()
+    return kept
+
+
+@pytest.mark.parametrize("linkage", [pytest.param(Linkage(lengths), id=name) for name, lengths in (
+    ("wall_5", [1, 2, 3, 2.5, 1.5]), ("wall_6", [1, 1, 1, 1, 2, 2]),
+    ("hex_121212", [1, 2, 1, 2, 1, 2]), ("equilateral_6", [1] * 6),
+    ("quad_wall_1e-8", QUAD_WALL_8))])
+def test_first_cell_is_kept_on_walls(linkage, monkeypatch):
+    """The first cell, where a wall string's scan starts with NaN at
+    r = inf, is tabulated for every string: it starts at _FAR_ANGLE, where
+    C is about 1e-200, so its widened bound holds the level 0."""
+    kept = _kept_cells(monkeypatch, lambda: enumerate_cyclic(linkage))
+    assert kept and all(mask[0].all() for mask in kept)
+
+
+def test_first_cell_is_kept_on_random_strings(monkeypatch):
+    rng = np.random.default_rng(67)
+    grid = solver._angle_grid()
+    for n in range(2, MAX_EDGES + 1):
+        rho = rng.uniform(0.05, 1.0, n)
+        strings = rng.choice([-1.0, 1.0], (300, n))
+        kept = _kept_cells(monkeypatch, lambda: solver._tabulate(rho / rho.max(), grid, strings))
+        assert sum(mask.shape[1] for mask in kept) == len(strings)
+        assert all(mask[0].all() for mask in kept)
+
+
+# Lengths next to the longest one, where alpha'' peaks next to theta_max:
+# 1 - k 2^-53 are the ratios closest to 1.
+_NEAR_ONE = st.one_of(st.integers(1, 64).map(lambda k: 1.0 - k * 2.0 ** -53),
+                      st.integers(1, 15).map(lambda u: 1.0 - 10.0 ** -u))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=16),
+@given(st.lists(st.one_of(st.floats(0.05, 1.0), _NEAR_ONE), min_size=2, max_size=16),
        st.lists(st.integers(0, 2 ** 16 - 1), min_size=1, max_size=8))
 def test_cell_bounds_hold_every_sample(lengths, codes):
-    """Every value of C and of delta that the scan tabulates in a cell,
-    both ends included, lies in that cell's bound, widened only for the
-    rounding of the sums."""
+    """Every closure sum that the scan tabulates in a cell, both ends
+    included, lies in that cell's second-order bound, widened only by
+    _BOUND_RTOL for the rounding of the sums.
+
+    Rounding could break it only next to theta_max, where a ratio
+    ``rho = 1 - k 2^-53`` bends alpha within the last cell and its gap G
+    is about ``k 2^-53 tan(theta_max)`` (7.9e-11 k): an arcsin input off by
+    half an ulp would move alpha by 2^-54 tan(theta_max), half that much.
+    It is not off.  ``sin(theta_max)`` is the double ``1 - m 2^-53``
+    (m = 9008) to within 1e-6 of an ulp, since theta_max is the arcsin of
+    that double and sin is flat there, and the product of the two doubles,
+    ``1 - (k + m) 2^-53 + k m 2^-106``, rounds by at most ``k m 2^-106``,
+    ``m 2^-53`` (1e-12) of G.  At the other samples ``cos theta >= 3.8e-4``,
+    so an arcsin input rounded by an ulp moves alpha by at most 3e-13 per
+    edge, below _BOUND_RTOL times the edge's share of the total."""
     rho = np.array(lengths) / max(lengths)
     n, step = rho.size, solver._STEP
     strings = 1.0 - 2.0 * ((np.array(codes)[:, None] >> np.arange(n)) & 1)
-    alphas_tab = solver._half_angles(rho, np.concatenate([[np.nan], solver._angle_grid()]))
+    grid = solver._angle_grid()
+    table = solver._half_angles(rho, np.concatenate([[np.nan], grid]))
+    coarse = table[1::step]
+    lo, hi = solver._bounds(coarse, strings, solver._cell_gaps(rho, grid[::step], coarse, 0.0))
     cells = solver.SAMPLES // step
-    for table in (alphas_tab, np.tan(alphas_tab)):
-        lo, hi = solver._bounds(table[1::step], (strings > 0.0).T.astype(float), 0.0)
-        windows = np.empty((cells * len(strings) + 1, step + 3))
-        eps = np.concatenate([np.tile(strings, (cells, 1)), strings[:1]])
-        solver._windows(table, eps, np.repeat(np.arange(cells), len(strings)), windows)
-        # columns 1 .. step + 1 are the samples of the cell, both ends
-        values = windows[:-1, 1:-1].reshape(cells, len(strings), step + 1)
-        assert np.all(lo[:, :, None] <= values)
-        assert np.all(values <= hi[:, :, None])
+    windows = np.empty((cells * len(strings) + 1, step + 3))
+    eps = np.concatenate([np.tile(strings, (cells, 1)), strings[:1]])
+    solver._windows(table, eps, np.repeat(np.arange(cells), len(strings)), windows)
+    # columns 1 .. step + 1 are the samples of the cell, both ends
+    values = windows[:-1, 1:-1].reshape(cells, len(strings), step + 1)
+    assert np.all(lo[:, :, None] <= values)
+    assert np.all(values <= hi[:, :, None])
 
 
 def _brentq_fixtures():
@@ -880,8 +937,9 @@ def test_brentq_matches_scipy_on_every_bracket(linkage, monkeypatch):
     assert len(calls) == 1
     f, a, b, args, roots = calls[0]
     delta = args[-1]
-    # the lengths at n = 4 and 5 keep no cell that holds a zero of delta
-    assert (delta.any() or linkage.n < 6) and not delta.all()
+    # the lengths at n = 4 to 11 keep no cell that holds a zero of delta:
+    # at each of them the closure sum lies at least 9e-5 from every level
+    assert (delta.any() or linkage.n < 12) and not delta.all()
     for j, root in enumerate(roots.tolist()):
         assert root == brentq(_alone(f, [arg[j:j + 1] for arg in args]), a[j], b[j],
                               xtol=solver._FAR_ANGLE, rtol=solver.ROOT_RTOL,
