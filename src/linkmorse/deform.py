@@ -19,8 +19,11 @@ Between frames each gap is linear in t, so edge events have a closed form:
 if ``sin D_i`` changes sign from frame j to j + 1, with gaps ``g0``, ``g1``,
 the crossed multiple of pi is ``m = round((g0 + g1) / 2pi)`` and the event
 is at ``t_j + (m pi - g0) / (g1 - g0) * (t_{j+1} - t_j)``, a flip for even m
-and a central crossing for odd m.  Delta zeros are refined in time by
-``solver.brentq``; an event's sign data are those of the frames around it.
+and a central crossing for odd m.  ``tan(D_i / 2)`` has its poles where
+``D_i`` crosses pi mod 2pi, so delta changes sign between two frames at a
+zero or at the pole of a central crossing between them.  Delta zeros are
+refined in time by ``solver.brentq``; an event's sign data are those of
+the frames around it.
 """
 
 from __future__ import annotations
@@ -38,11 +41,6 @@ from .errors import (
 from .geometry import INPUT_TOL, CircleFit, Configuration, _as_points, _readonly
 from .morse import determinant_sign
 from .solver import brentq
-
-# Frames within this many resolutions of a central crossing are ignored when
-# scanning for delta zeros: the tangent pole produces a sign jump there that
-# is not a zero crossing.
-POLE_MASK_FACTOR = 10
 
 
 def vertex_angles(config: Configuration, fit: CircleFit) -> np.ndarray:
@@ -238,13 +236,13 @@ def detect_events(path: AngularPath) -> list:
     Edge events are sign changes of ``sin(D_i)`` between frames, timed in
     closed form on their frame segment (see the module docstring); the
     parity of the crossed multiple of pi tells a flip from a central
-    crossing.  Delta zeros are sign changes of ``delta`` between frames
-    outside masked windows around central crossings, where the tangent pole
-    flips the sign without a zero; one :func:`brentq` call refines them all
-    on their frame intervals.  Two events closer than the frame resolution
-    violate the genericity assumption and raise, so each frame interval
-    holds at most one event, and its two frames give the event's ``before``
-    and ``after``.
+    crossing.  Delta zeros are the sign changes of ``delta`` between frames
+    j and j + 1, except where that interval holds a central crossing: there
+    the tangent pole of the crossing edge flips the sign without a zero.
+    One :func:`brentq` call refines them all on their frame intervals.
+    Two events closer than the frame resolution violate the genericity
+    assumption and raise, so each frame interval holds at most one event,
+    and its two frames give the event's ``before`` and ``after``.
     """
     times = path.times
     res = path.resolution
@@ -258,12 +256,9 @@ def detect_events(path: AngularPath) -> list:
     t_edge = times[rows] + (multiples * math.pi - g0) / (g1 - g0) * (times[rows + 1] - times[rows])
     central = multiples % 2 == 1
 
-    mask = POLE_MASK_FACTOR * res
-    t_central = t_edge[central]
     dsigns = np.sign(deltas)
     lo = np.flatnonzero(dsigns[:-1] * dsigns[1:] < 0.0)
-    lo = lo[~((times[lo, None] - mask <= t_central)
-              & (t_central <= times[lo + 1, None] + mask)).any(axis=1)]
+    lo = lo[~np.isin(lo, rows[central])]
     t_delta = brentq(lambda t: _delta(path.gaps_at(t)), times[lo], times[lo + 1])
 
     t_all = np.concatenate([t_edge, t_delta])
@@ -298,34 +293,22 @@ class LemmaReport:
 
 
 def _planned_transition(event: Event) -> list:
-    """Expected before/after differences for each event kind:
-    flip    -> h_sign toggles, exactly its eps entry toggles, d constant;
-    central -> d toggles, exactly its eps entry toggles, h_sign constant;
-    delta 0 -> h_sign and d toggle, eps constant."""
+    """Expected before/after differences: eps toggles at the event's edge
+    alone (nowhere at a delta zero), d toggles unless the event is a flip,
+    and h_sign toggles unless it is a central crossing."""
     b, a = event.before, event.after
+    at = f"{event.kind.replace('_', ' ')} at t={event.t:.6f}"
+    flip, central = event.kind == "flip", event.kind == "central"
     toggled = [i + 1 for i, (x, y) in enumerate(zip(b.eps, a.eps)) if x != y]
+    planned = [event.edge] if flip or central else []
     problems = []
-    if event.kind == "flip":
-        if toggled != [event.edge]:
-            problems.append(f"flip at t={event.t:.6f}: toggled eps {toggled} != [{event.edge}]")
-        if b.d != a.d:
-            problems.append(f"flip at t={event.t:.6f}: d changed {b.d} -> {a.d}")
-        if b.h_sign != -a.h_sign:
-            problems.append(f"flip at t={event.t:.6f}: h_sign did not toggle")
-    elif event.kind == "central":
-        if toggled != [event.edge]:
-            problems.append(f"central at t={event.t:.6f}: toggled eps {toggled} != [{event.edge}]")
-        if b.d != -a.d:
-            problems.append(f"central at t={event.t:.6f}: d did not toggle")
-        if b.h_sign != a.h_sign:
-            problems.append(f"central at t={event.t:.6f}: h_sign changed")
-    else:
-        if toggled:
-            problems.append(f"delta zero at t={event.t:.6f}: eps toggled {toggled}")
-        if b.d != -a.d:
-            problems.append(f"delta zero at t={event.t:.6f}: d did not toggle")
-        if b.h_sign != -a.h_sign:
-            problems.append(f"delta zero at t={event.t:.6f}: h_sign did not toggle")
+    if toggled != planned:
+        problems.append(f"{at}: toggled eps {toggled} != {planned}" if planned
+                        else f"{at}: eps toggled {toggled}")
+    if (b.d != a.d) == flip:
+        problems.append(f"{at}: d changed {b.d} -> {a.d}" if flip else f"{at}: d did not toggle")
+    if (b.h_sign != a.h_sign) == central:
+        problems.append(f"{at}: h_sign changed" if central else f"{at}: h_sign did not toggle")
     return problems
 
 

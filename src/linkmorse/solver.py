@@ -123,9 +123,6 @@ ROOT_RTOL = 1e-14
 # Iterations after which brentq gives a bracket up, scipy's default.
 _MAXITER = 100
 
-# Roots of one (E, k) pair closer than this (relative, in theta) are merged.
-MERGE_RTOL = 1e-10
-
 # Flag threshold for central edges, near-flipped edges and delta zeros
 # (|delta| against sum tan(alpha)).
 DEGENERACY_TOL = 1e-7
@@ -388,11 +385,17 @@ def _vertices(linkage: Linkage, radius: np.ndarray, center: np.ndarray,
     # math.atan2, not np.arctan2: the two differ in the last bit on some
     # inputs, and the vertices would move with it.
     first = np.array([math.atan2(-y, -x) for x, y in center.tolist()])
-    steps = 2.0 * eps * alphas
-    angles = first[:, None] + np.concatenate(
-        [np.zeros((first.size, 1)), np.cumsum(steps[:, :-1], axis=1)], axis=1)
-    unit = np.stack([np.cos(angles), np.sin(angles)], axis=2)
-    pts = center[:, None, :] + radius[:, None, None] * unit
+    # In place: the temporaries of one stacked expression, each as large as
+    # the angles or the points, set the peak memory of enumerate_cyclic.
+    angles = 2.0 * eps * alphas
+    np.cumsum(angles[:, :-1], axis=1, out=angles[:, 1:])
+    angles[:, 0] = 0.0
+    angles += first[:, None]
+    pts = np.empty(alphas.shape + (2,))
+    np.cos(angles, out=pts[..., 0])
+    np.sin(angles, out=pts[..., 1])
+    pts *= radius[:, None, None]
+    pts += center[:, None, :]
     pts[:, 0] = (0.0, 0.0)
     pts[:, 1] = (0.0, float(linkage.lengths[0]))
     return pts
@@ -575,21 +578,20 @@ def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
 
 
 def _merge(row: np.ndarray, k: np.ndarray, theta: np.ndarray):
-    """Sort roots by (row, k, theta) and drop each root closer than
-    :data:`MERGE_RTOL` (relative) to the last one kept for its (row, k)."""
+    """Sort roots by (row, k, theta) and drop each root equal to the one
+    before it.  Two rules can find one root, say an exact zero of F at a
+    sample that is also a zero of delta, and they give the same theta; two
+    distinct roots are kept however close they lie."""
     order = np.lexsort((theta, k, row))
     row, k, theta = row[order], k[order], theta[order]
-    keep, kept = [], None
-    for j, root in enumerate(zip(row.tolist(), k.tolist(), theta.tolist())):
-        if kept is None or root[:2] != kept[:2] or abs(root[2] - kept[2]) > MERGE_RTOL * root[2]:
-            keep.append(j)
-            kept = root
+    keep = np.ones(row.size, dtype=bool)
+    keep[1:] = (row[1:] != row[:-1]) | (k[1:] != k[:-1]) | (theta[1:] != theta[:-1])
     return row[keep].astype(int), k[keep].astype(int), theta[keep]
 
 
 def _scan(linkage: Linkage, strings: np.ndarray):
-    """Merged roots of F for the orientation strings ``strings`` (rows of
-    +-1), at every winding the closure range admits.
+    """The roots of F, each once, for the orientation strings ``strings``
+    (rows of +-1), at every winding the closure range admits.
 
     No winding needs a filter.  The grid stops at ``r_min (1 +
     _RMIN_MARGIN)``, so each ``alpha_i`` lies in ``(0, pi/2 - 1.4e-6]``, and

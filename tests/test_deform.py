@@ -20,7 +20,6 @@ from linkmorse import (
     vertex_angles,
 )
 from linkmorse.deform import (
-    POLE_MASK_FACTOR,
     Event,
     PathSnapshot,
     _planned_transition,
@@ -132,6 +131,61 @@ def test_random_paths_obey_transition_table():
         paths_done += 1
     assert "flip" in kinds_seen
     assert "central" in kinds_seen
+
+
+def _synthetic_event(kind, edge, eps, d, h_sign):
+    """An event at t = 1/4 from eps (1, 1, 1, 1), d = 1 and H = 1 to the
+    given sign data."""
+    before = PathSnapshot(t=0.0, eps=(1, 1, 1, 1), delta=1.0, d=1, e=4, h_sign=1)
+    after = PathSnapshot(t=0.5, eps=eps, delta=float(d), d=d, e=eps.count(1), h_sign=h_sign)
+    return Event(kind, edge, 0.25, before, after)
+
+
+@pytest.mark.parametrize("kind, edge, eps, d, h_sign, expected", [
+    ("flip", 2, (1, -1, 1, 1), 1, -1, []),
+    ("flip", 2, (1, 1, -1, 1), 1, -1, ["toggled eps [3] != [2]"]),
+    ("flip", 2, (1, -1, 1, 1), -1, -1, ["d changed 1 -> -1"]),
+    ("flip", 2, (1, -1, 1, 1), 1, 1, ["h_sign did not toggle"]),
+    ("flip", 2, (1, 1, 1, 1), -1, 1,
+     ["toggled eps [] != [2]", "d changed 1 -> -1", "h_sign did not toggle"]),
+    ("central", 3, (1, 1, -1, 1), -1, 1, []),
+    ("central", 3, (-1, 1, -1, 1), -1, 1, ["toggled eps [1, 3] != [3]"]),
+    ("central", 3, (1, 1, -1, 1), 1, 1, ["d did not toggle"]),
+    ("central", 3, (1, 1, -1, 1), -1, -1, ["h_sign changed"]),
+    ("central", 3, (1, 1, 1, 1), 1, -1,
+     ["toggled eps [] != [3]", "d did not toggle", "h_sign changed"]),
+    ("delta_zero", None, (1, 1, 1, 1), -1, -1, []),
+    ("delta_zero", None, (1, 1, -1, -1), -1, -1, ["eps toggled [3, 4]"]),
+    ("delta_zero", None, (1, 1, 1, 1), 1, -1, ["d did not toggle"]),
+    ("delta_zero", None, (1, 1, 1, 1), -1, 1, ["h_sign did not toggle"]),
+    ("delta_zero", None, (1, -1, 1, 1), 1, 1,
+     ["eps toggled [2]", "d did not toggle", "h_sign did not toggle"]),
+])
+def test_planned_transition_names_each_broken_rule(kind, edge, eps, d, h_sign, expected):
+    # eps toggles at the event's edge alone (nowhere at a delta zero), d
+    # toggles unless the event is a flip, H unless it is a central crossing;
+    # a broken rule is named in that order, with the event's kind and time
+    problems = _planned_transition(_synthetic_event(kind, edge, eps, d, h_sign))
+    prefix = f"{kind.replace('_', ' ')} at t=0.250000: "
+    assert problems == [prefix + text for text in expected]
+
+
+def test_coarse_frames_keep_a_delta_zero_near_a_central_crossing():
+    # edge 5 sweeps a diameter at t = 0.3875 and delta vanishes at t = 0.557:
+    # at 50 frames that zero lies eight frame widths from the crossing, not
+    # on its frame interval, so it is no tangent pole and must be logged
+    a = [0.97, 3.31, 4.02, 4.38, 6.2]
+    b = [-1.13, 0.78, -1.42, -2.85, -1.29]
+    fine = detect_events(deform(a, b, 1.0, steps=2000))
+    path = deform(a, b, 1.0, steps=50)
+    events = detect_events(path)
+    assert [(e.kind, e.edge) for e in events] == [(e.kind, e.edge) for e in fine]
+    assert [e.t for e in events] == pytest.approx([e.t for e in fine], abs=1e-9)
+    central, zero = events[2], events[3]
+    assert (central.kind, central.edge, zero.kind) == ("central", 5, "delta_zero")
+    assert abs(central.t - 0.3875) < 1e-4 and abs(zero.t - 0.557) < 1e-3
+    report = check_lemmas(path, events)
+    assert report.ok, report.violations
 
 
 def test_delta_zero_event_dynamics():
@@ -260,11 +314,11 @@ def _bisection_events(path):
             kind = "flip" if math.cos(float(_interp_gaps(path, t_star)[edge])) > 0.0 else "central"
             events.append((t_star, kind, edge))
     central_ts = [t for t, kind, _ in events if kind == "central"]
-    mask = POLE_MASK_FACTOR * res
     dsigns = np.sign(np.sum(np.tan(0.5 * gaps), axis=1))
     for j in np.nonzero(dsigns[:-1] * dsigns[1:] < 0.0)[0]:
         lo, hi = float(times[j]), float(times[j + 1])
-        if any(lo - mask <= tc <= hi + mask for tc in central_ts):
+        # the tangent pole of a central crossing, not a zero
+        if any(lo <= tc <= hi for tc in central_ts):
             continue
         events.append((_bisect(lambda t: float(np.sum(np.tan(0.5 * _interp_gaps(path, t)))), lo, hi),
                        "delta_zero", None))

@@ -827,6 +827,20 @@ def test_pruned_scan_takes_a_cell_end_once():
     assert closures == _candidate_lists(_full_table(rho, grid, strings))[0]
 
 
+def test_merge_drops_repeated_roots_only():
+    # a root found by two rules comes twice with the same theta and is kept
+    # once; two roots of one (E, k) 1e-12 apart (relative) are both roots,
+    # and so are equal thetas of another string or winding
+    near = 0.7 * (1.0 + 1e-12)
+    assert near != 0.7
+    row, k, theta = solver._merge(np.array([1, 0, 1, 0, 0, 0]),
+                                  np.array([0.0, 1.0, 0.0, 1.0, 1.0, 2.0]),
+                                  np.array([0.7, 0.7, 0.7, near, 0.7, 0.7]))
+    assert (row.tolist(), k.tolist(), theta.tolist()) == \
+        ([0, 0, 0, 1], [1, 1, 2, 0], [0.7, near, 0.7, 0.7])
+    assert row.dtype.kind == k.dtype.kind == "i"
+
+
 def _kept_cells(monkeypatch, scan):
     """The kept-cell masks (cells x strings) of every block that ``scan()``
     bounds."""
