@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import DegenerateCircleError, InvalidConfigurationError, InvalidLinkageError
 
-# Scale-invariant threshold: a directed edge counts as passing through the
-# circle center when |cross| / (|edge| * r) falls below this.
+# The one threshold of "passes through the circle center": an edge, or in morse
+# a subconfiguration's closing chord, does when its distance from the center
+# over r (|cross| / (|edge| * r) here, |cos S| there) is at most this.
 CENTRAL_CROSS_TOL = 1e-9
 
 # Relative slack for configurations read from outside the program (files,

@@ -17,9 +17,9 @@ and ``eps_c = +1`` iff ``(-S) mod pi < pi/2``; hence
 
     h_i = -sign(T - tan S) * (-1)**(P + [(-S) mod pi < pi/2]).
 
-Its length is ``2 r |sin S|``: it vanishes at ``S = 0`` and is a diameter at
-``S = pi/2`` (mod pi), and both are refused.  ``P_n`` closes with its own last
-edge and uses the full sums.
+Its length is ``2 r |sin S|``, its distance from the center ``r |cos S|``: it
+vanishes at ``S = 0``, is a diameter at ``S = pi/2`` (mod pi), and both are
+refused.  ``P_n`` closes with its own last edge and uses the full sums.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (
+    CENTRAL_CROSS_TOL,
     CircleFit,
     Configuration,
     _dot_rows,
@@ -42,8 +43,7 @@ from .geometry import (
 # determinant sign rule is undefined on the delta = 0 boundary.
 DELTA_REL_TOL = 1e-9
 
-# Relative slack for chord degeneracy tests (vanishing or diametral chords),
-# and the distance below pi/2 at which a half-angle makes its edge a diameter.
+# A closing chord vanishes when 2 |sin S|, its length over r, is at most this.
 CHORD_TOL = 1e-9
 
 
@@ -64,26 +64,23 @@ def _sign_rows(eps: np.ndarray, alphas: np.ndarray):
     ``delta`` per row; the sign sequences of P_3 .. P_n, one row each, read
     off prefix sums as in the module docstring, with the full polygon's sign
     last; and two refusal columns (None where the checks pass): the full
-    polygon's, its first edge that is a diameter or else
-    ``|delta|`` below :data:`DELTA_REL_TOL` times ``sum tan(alpha)``, and
+    polygon's, ``|delta|`` below :data:`DELTA_REL_TOL` times
+    ``sum tan(alpha)`` (a central edge is the caller's to refuse first), and
     the first degenerate P_i, 4 <= i < n.
     """
     n = eps.shape[1]
     tans = np.tan(alphas)
     value = _dot_rows(eps, tans)
     scale = tans.sum(axis=1)
-    diameter_edge = alphas >= 0.5 * math.pi - CHORD_TOL
     small = np.abs(value) < DELTA_REL_TOL * scale
-    polygon = _refusals(np.concatenate([diameter_edge, small[:, None]], axis=1), lambda row, i: (
-        f"edge {i + 1} is (numerically) a diameter" if i < n
-        else _delta_text(value[row], scale[row])))
+    polygon = _refusals(small[:, None], lambda row, i: _delta_text(value[row], scale[row]))
     first = slice(2, n - 2)  # sums over the first i - 1 edges, i = 4 .. n - 1
     s = np.cumsum(eps * alphas, axis=1)[:, first]
-    sin_s, tan_s = np.abs(np.sin(s)), np.tan(s)
+    tan_s = np.tan(s)
     values = np.cumsum(eps * tans, axis=1)[:, first] - tan_s
     scales = np.cumsum(tans, axis=1)[:, first] + np.abs(tan_s)
-    vanishing = 2.0 * sin_s <= CHORD_TOL
-    diameter = 2.0 * (1.0 - sin_s) <= CHORD_TOL
+    vanishing = 2.0 * np.abs(np.sin(s)) <= CHORD_TOL
+    diameter = np.abs(np.cos(s)) <= CENTRAL_CROSS_TOL
 
     def refuse(row, j):
         i = j + 4
@@ -133,8 +130,8 @@ def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
     on its circle, after the orientation string and the winding it
     measures, as :class:`ClosedForm` columns.
 
-    The refusals apply in this order: a central edge, an edge longer than
-    the diameter, an edge that is a diameter, a small ``|delta|``, then the
+    The refusals apply in this order: a central edge (a diameter among
+    them), an edge longer than the diameter, a small ``|delta|``, then the
     first degenerate subconfiguration, which alone leaves the sign data.
     """
     sides, central = _orientation_rows(points, centers)

@@ -123,8 +123,10 @@ ROOT_RTOL = 1e-14
 # Iterations after which brentq gives a bracket up, scipy's default.
 _MAXITER = 100
 
-# Flag threshold for central edges, near-flipped edges and delta zeros
-# (|delta| against sum tan(alpha)).
+# Flag threshold for central edges (cos alpha), near-flipped edges and delta
+# zeros (|delta| against sum tan(alpha)).  verify recomputes arcsin(l / 2r)
+# from a recorded r, which resolves cos alpha to 3e-16 / cos alpha, so it stays
+# far above geometry.CENTRAL_CROSS_TOL, the refusal measured from the points.
 DEGENERACY_TOL = 1e-7
 
 # |F| accepted at a double (delta-zero) root, relative to sum(alpha) + pi |k|.
@@ -139,7 +141,7 @@ CLOSURE_TOL = 1e-9
 class DegeneracyFlags:
     """Near-degeneracy markers for one root, by the rule of :func:`_flag_rows`
     at :data:`DEGENERACY_TOL`: edge i is ``central`` when
-    ``2 - 2 sin(alpha_i) <= DEGENERACY_TOL`` (``cos(alpha_i) <~ 3.2e-4``) and
+    ``cos(alpha_i) <= DEGENERACY_TOL``, its distance from the center over r, and
     ``near_flip`` when ``alpha_i < DEGENERACY_TOL``; ``delta_zero`` holds when
     ``|delta| < DEGENERACY_TOL * sum tan(alpha)``.  Any true entry disables
     the closed-form Morse analysis for that configuration."""
@@ -354,7 +356,7 @@ def _flag_rows(eps: np.ndarray, alphas: np.ndarray):
     masks: ``central`` and ``near_flip`` of shape (rows, n), ``delta_zero``."""
     tangents = np.tan(alphas)
     delta = (eps * tangents).sum(axis=1)
-    return (2.0 - 2.0 * np.sin(alphas) <= DEGENERACY_TOL, alphas < DEGENERACY_TOL,
+    return (np.cos(alphas) <= DEGENERACY_TOL, alphas < DEGENERACY_TOL,
             np.abs(delta) < DEGENERACY_TOL * tangents.sum(axis=1))
 
 
@@ -711,7 +713,7 @@ def enumerate_cyclic(linkage: Linkage) -> CyclicTable:
     rows are sorted by that key, root and mirror rows in one sort.  The
     vertices of every row are rebuilt; they keep the string's orientations,
     since they step by ``2 eps_i alpha_i`` with ``alpha_i < pi/2`` on every
-    edge not flagged central.
+    edge: the grid stops short of the minimum radius (see :func:`_scan`).
 
     Raises :class:`InvalidLinkageError` for more than :data:`MAX_EDGES`
     edges.  Returns a :class:`CyclicTable`.

@@ -425,29 +425,67 @@ def test_render_empty_artifact(tmp_path):
     assert text.startswith("<svg") and "<g>" not in text
 
 
-def _near_central_quadrilateral():
-    # a quadrilateral whose long edge is within the degeneracy tolerance of a
-    # diameter
-    gap = 1e-4
-    return [2 * math.sin(math.pi / 2 - gap), 2 * math.sin(0.2),
-            2 * math.sin(0.2), 2 * math.sin(math.pi / 2 - 0.4 - gap)]
+def _near_central_quadrilateral(gap=1e-4, half=0.2):
+    # a quadrilateral whose long edges are about gap from a diameter at both
+    # roots: cos(alpha_1) is about gap
+    return [2 * math.sin(math.pi / 2 - gap), 2 * math.sin(half),
+            2 * math.sin(half), 2 * math.sin(math.pi / 2 - 2 * half - gap)]
+
+
+def _at_minimum_radius(data):
+    """A near-central quadrilateral's artifact with every record moved to
+    r = l_1 / 2, where edge 1 is a diameter, and that flag recorded: each
+    point stays on the recorded circle within 1e-8 r."""
+    for record in data["configurations"]:
+        record["r"] = data["lengths"][0] / 2
+        record["flags"]["central"] = [True, False, False, False]
+    return data
+
+
+def _verify_text(tmp_path, capsys, data):
+    """Exit code and stdout of ``linkmorse verify`` on an artifact."""
+    capsys.readouterr()
+    code = main(["verify", "-i", _write(tmp_path / "artifact.json", data)])
+    return code, capsys.readouterr().out
 
 
 def test_verify_flags_near_central_artifact(tmp_path, capsys):
-    # both configurations arrive flagged and are excluded
+    # cos(alpha_1) ~ 1e-4 is far above the flag: enumerate analyses both
+    # configurations, and verify agrees with each
     linkage_file = _write(tmp_path / "thin.json", {"lengths": _near_central_quadrilateral()})
     artifact = tmp_path / "thin_enum.json"
     assert main(["enumerate", "-i", linkage_file, "-o", str(artifact)]) == 0
-    capsys.readouterr()
-    code = main(["verify", "-i", str(artifact)])
-    captured = capsys.readouterr()
+    code, out = _verify_text(tmp_path, capsys, json.loads(artifact.read_text()))
     assert code == 0
-    assert "(2 flagged)" in captured.out
+    assert out.endswith("2/2 agree (0 flagged)\n")
+    # the scan stops short of the minimum radius, so only an outside record
+    # can carry a central flag; with that flag recorded each is excluded
+    data = _at_minimum_radius(json.loads(artifact.read_text()))
+    code, out = _verify_text(tmp_path, capsys, data)
+    assert code == 0
+    assert out.endswith("0/0 agree (2 flagged)\n")
     # a flagged record is checked for criticality alone, and agrees
-    row = json.loads(captured.out.splitlines()[0])
+    row = json.loads(out.splitlines()[0])
     assert 0.0 <= row.pop("residual") <= CRITICALITY_TOL
     assert row == {"inertia": None, "det_sign": None, "index": None, "formula_index": None,
                    "agree": True, "flagged": True, "note": "flagged, excluded"}
+
+
+def test_verify_refuses_an_outside_record_whose_edge_meets_the_center(tmp_path, capsys):
+    # both roots lie within 2e-6 of the diameter wall, unflagged, and agree
+    data = _artifact_data(_near_central_quadrilateral(gap=2e-6, half=0.05))
+    assert [record["flags"]["central"] for record in data["configurations"]] == \
+        [[False] * 4] * 2
+    code, out = _verify_text(tmp_path, capsys, data)
+    assert code == 0
+    assert out.endswith("2/2 agree (0 flagged)\n")
+    # moved onto the line of edge 1, the center still passes every record
+    # check: it is geometry's central refusal that fails the record
+    data["configurations"][0]["center"][0] = 0.0
+    code, out = _verify_text(tmp_path, capsys, data)
+    assert code == 1
+    assert json.loads(out.splitlines()[0])["note"] == "edge 1 passes through the circle center"
+    assert out.endswith("1/2 agree (0 flagged)\n")
 
 
 def _first_record(change):
@@ -569,6 +607,7 @@ def _escaped_note():
 VERIFY_STDOUT = [
     *((f"clean-n{n}", _seeded(n)) for n in range(5, 10)),
     ("near-central", lambda: _artifact_data(_near_central_quadrilateral())),
+    ("central-flagged", lambda: _at_minimum_radius(_artifact_data(_near_central_quadrilateral()))),
     *((f"tampered-{check}", _tampered(check)) for check, _ in TAMPERED_NOTES),
     *((f"malformed-{name}", _malformed(edit)) for command, name, edit, _ in MALFORMED
       if command == "verify"),

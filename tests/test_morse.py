@@ -15,7 +15,7 @@ from linkmorse import (
     enumerate_cyclic,
     fit_circle,
 )
-from linkmorse.geometry import _half_angle_rows, _orientation_rows
+from linkmorse.geometry import CENTRAL_CROSS_TOL, _half_angle_rows, _orientation_rows
 from linkmorse.morse import CHORD_TOL, DELTA_REL_TOL, _sign_rows, determinant_sign
 
 PENTA_L = Linkage([1, 1, 1, 1, 1])
@@ -54,7 +54,12 @@ def test_delta_pentagram():
 
 
 def test_delta_rejects_central_half_angle():
-    assert _polygon([math.pi / 2, 0.3, 0.3], (1, 1, 1))[1] == "edge 1 is (numerically) a diameter"
+    # a diameter edge is refused from the points, by its distance from the
+    # center, before delta is formed
+    pts = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)]
+    form = closed_form(Configuration(pts), CircleFit(center=(0.0, 0.0), radius=1.0))
+    assert form.central == form.sign_errors == form.errors == \
+        "edge 1 passes through the circle center"
 
 
 @pytest.mark.parametrize("d, e, expected", [(1, 5, 1), (1, 4, -1), (-1, 0, 1)])
@@ -85,11 +90,11 @@ def test_regular_hexagon_p4_chord_is_diameter():
 
 
 def test_diameter_edge_is_refused_before_a_later_chord():
-    # edge 1 passes 5e-10 r off the center, a diameter to CHORD_TOL: its
-    # measured half-angle is pi/2 - 5e-10.  From the points, the orientations
-    # refuse it first, since pi/2 - alpha ~ h/r is the quantity that
-    # CENTRAL_CROSS_TOL thresholds; from the half-angles, the full polygon's
-    # diameter edge is refused before P_5's diameter chord.
+    # edge 1 passes h = offset r / 2 off the center, and P_5's chord
+    # p_5 -> p_1 is a diameter.  Within CENTRAL_CROSS_TOL the orientations
+    # refuse the edge first; just outside it the edge is a chord like any
+    # other (alpha_1 = pi/2 - h / r), and only the chord is refused, by the
+    # same threshold on its own h / r.
     fit = CircleFit(center=(0.0, 0.0), radius=1.0)
 
     def points(offset):
@@ -99,13 +104,10 @@ def test_diameter_edge_is_refused_before_a_later_chord():
     form = closed_form(Configuration(points(1e-9)), fit)
     assert form.central == form.sign_errors == form.errors == \
         "edge 1 passes through the circle center"
-    alphas = _half_angles(points(1e-9), fit)
-    assert 0.5 * math.pi - alphas[0] < CHORD_TOL
-    sides, central = _orientation_rows(points(5e-9)[None], fit.center[None])
-    assert central == [None]
-    _, _, polygon, prefix = _sign_rows(sides.astype(float), alphas[None])
-    assert polygon == ["edge 1 is (numerically) a diameter"]
-    assert prefix == ["chord p_5 -> p_1 is a diameter"]
+    assert 0.5 * math.pi - _half_angles(points(1e-9), fit)[0] < CENTRAL_CROSS_TOL
+    form = closed_form(Configuration(points(5e-9)), fit)
+    assert form.central is None and form.sign_errors is None
+    assert form.errors == "chord p_5 -> p_1 is a diameter"
 
 
 def _sequence(config, fit):
@@ -207,9 +209,6 @@ def _geometric_sign_sequence(config, fit):
 
     def sign(eps_i, alphas_i, label):
         """``-d (-1)^e`` of one closed polygon, or its refusal text."""
-        diameter = np.flatnonzero(alphas_i >= 0.5 * math.pi - CHORD_TOL)
-        if diameter.size:
-            return f"edge {diameter[0] + 1} is (numerically) a diameter"
         tans = np.tan(alphas_i)
         value, scale = float(np.dot(eps_i, tans)), float(tans.sum())
         if abs(value) < DELTA_REL_TOL * scale:
@@ -227,12 +226,10 @@ def _geometric_sign_sequence(config, fit):
         length = float(np.hypot(*chord))
         if length <= CHORD_TOL * r:
             return f"chord p_{i} -> p_1 has vanishing length"
-        if abs(length - 2.0 * r) <= CHORD_TOL * r:
-            return f"chord p_{i} -> p_1 is a diameter"
         w = fit.center - a
         cross = chord[0] * w[1] - chord[1] * w[0]
-        if abs(cross) <= CHORD_TOL * length * r:
-            return f"chord p_{i} -> p_1 runs through the center"
+        if abs(cross) <= CENTRAL_CROSS_TOL * length * r:
+            return f"chord p_{i} -> p_1 is a diameter"
         eps_i = eps[: i - 1] + ((1 if cross > 0.0 else -1),)
         alphas_i = np.append(alphas[: i - 1], math.asin(min(length / (2.0 * r), 1.0)))
         h = sign(eps_i, alphas_i, f"subconfiguration P_{i}: ")

@@ -195,9 +195,10 @@ def test_degeneracy_flags_detect_each_kind():
     # balanced signs on equal half-angles: delta vanishes
     flags = _flags((1, -1, 1, -1), np.full(4, 0.3))
     assert flags.delta_zero and flags.any
-    # radius a hair above the minimum: the longest edge is nearly a diameter
-    flags = _flags(ALL_PLUS4, np.full(4, math.asin(1 / (1 + 1e-9))))
-    assert flags.central == (True, True, True, True)
+    # an edge is central when its distance from the center, r cos(alpha), is
+    # within DEGENERACY_TOL of r: cos(alpha) = 1e-8 is, 1e-6 is not
+    flags = _flags(ALL_PLUS4, np.array([math.acos(1e-8), math.acos(1e-6), 0.3, 0.3]))
+    assert flags.central == (True, False, False, False)
     # enormous radius: every half-angle collapses toward a flip
     flags = _flags(ALL_PLUS4, np.full(4, 5e-9))
     assert all(flags.near_flip)
@@ -475,9 +476,12 @@ def test_pentagon_near_minimum_radius_closes():
     items = enumerate_cyclic(linkage)
     assert len(items) == 6
     assert _closure_defects(items.eps, items.alphas, items.k).max() < 1e-10
-    near = [it for it in items if it.descriptor.radius < linkage.min_radius * (1 + 1e-11)]
+    # the near pair's longest edge is no diameter: its cos(alpha) is above
+    # DEGENERACY_TOL, so it is analysed, and the formula agrees with the oracle
+    near = [a for a in analyze_linkage(linkage)
+            if a.descriptor.radius < linkage.min_radius * (1 + 1e-11)]
     assert len(near) == 2
-    assert all(any(it.flags.central) for it in near)
+    assert all(not a.flags.any and a.agree and a.index_source == "formula" for a in near)
 
 
 def test_solve_radii_mirror_is_exact():
@@ -564,7 +568,7 @@ def _per_string_enumeration(linkage):
                 alphas = np.where(rho == 1.0, t, np.arcsin(rho * np.sin(t)))
                 tangents = np.tan(alphas)
                 flags = DegeneracyFlags(
-                    central=tuple((2.0 - 2.0 * np.sin(alphas) <= 1e-7).tolist()),
+                    central=tuple((np.cos(alphas) <= 1e-7).tolist()),
                     near_flip=tuple((alphas < 1e-7).tolist()),
                     delta_zero=bool(abs(float(np.array(eps, dtype=float) @ tangents))
                                     < 1e-7 * float(tangents.sum())))

@@ -15,8 +15,8 @@ from linkmorse import Linkage, analyze_linkage, enumerate_cyclic
 from linkmorse import analysis, geometry, morse, oracle, solver
 
 GAP = 1e-4
-# Near-central hexagon: its longest edge is within the degeneracy tolerance
-# of a diameter at two roots, which arrive flagged.
+# Near-central hexagon: its longest edge is about GAP from a diameter at two
+# roots (cos(alpha_1) ~ 1e-4), far above the central flag, so they are analysed.
 THIN_HEXAGON = [2 * math.sin(math.pi / 2 - GAP), 2 * math.sin(0.2), 2 * math.sin(0.2),
                 2 * math.sin(0.3), 2 * math.sin(0.3), 2 * math.sin(math.pi / 2 - 1.0 - GAP)]
 
@@ -26,7 +26,7 @@ MIXED = {
     3: ([[1, 1, 1], [1.9, 1.0, 1.0]], {("formula", False)}),
     4: ([[1, 2, 1.5, 2.5 - 1e-8], [1, 1, 1, 1], [3, 1, 1, 2]],
         {("formula", False), (None, True)}),
-    6: ([[1] * 6, [1, 2, 1, 2, 1, 2], THIN_HEXAGON],
+    6: ([[1] * 6, [1, 2, 1, 2, 1, 2], THIN_HEXAGON, [1, 2, 1.5, 2.5 - 1e-8, 1, 1]],
         {("formula", False), ("oracle", False), (None, True)}),
 }
 
