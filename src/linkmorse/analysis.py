@@ -64,8 +64,8 @@ CRITICALITY_TOL = 1e-8
 
 # Work-array budget of the stacked analysis, in float64 entries.  A chunk of
 # configurations takes _CHUNK // n^2 rows, so each of the oracle's (rows, n, n)
-# Hessians over the edge angles takes at most 512 kB whatever n is, as
-# solver._BLOCK and solver._WINDOWS bound the scan's tables.
+# Hessians over the edge angles takes at most 512 kB whatever n is, below the
+# 655 kB under which solver._BLOCK and solver._WINDOWS keep the scan's tables.
 _CHUNK = 2 ** 16
 
 # The refusal of both sides on a flagged (near-degenerate) configuration.

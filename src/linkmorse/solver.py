@@ -80,14 +80,17 @@ SAMPLES = 4096
 _STEP = 64
 
 # Orientation strings per block of the scan: the block's coarse tables
-# (strings x cells + 1) take at most 2^16 values (512 kB) whatever n is.
+# (strings x cells + 1) take at most 2^16 values (512 kB) whatever n is.  No
+# table of the scan reaches 655 kB (those of kept cells take 528 kB at n = 16):
+# freeing one would raise the allocator's threshold for mapping memory.
 _BLOCK = 2 ** 16 // (SAMPLES // _STEP + 1)
 
 # Windows per chunk of the fine scan: a window holds one cell's samples, one
 # more on each side and a NaN after them, and a chunk with its spare window
-# (see _windows) at most 2^16 values (512 kB), however many cells a block
-# keeps.
-_WINDOWS = 2 ** 16 // (_STEP + 3) - 1
+# at most 3 x 2^12 values (96 kB) in each of its three work arrays.  Measured
+# at n = 10 and 16 together (BENCH_scan.json): fewer cost time at n = 16, more
+# make a call at n = 10 grow the heap past what the call before it left.
+_WINDOWS = 3 * 2 ** 12 // (_STEP + 3) - 1
 
 # Relative allowance for rounding in the cell bounds, against the sum of the
 # half-angles at the cell's upper end: far above the n machine epsilons
@@ -479,54 +482,61 @@ def _bounds(coarse: np.ndarray, rows: np.ndarray, gaps: np.ndarray):
     the half-angles ``coarse`` at the coarse points (one row each) and the
     cells' half-widths ``gaps`` from :func:`_cell_gaps`."""
     ends = coarse @ rows.T
-    gaps = gaps[:, None]
-    return (np.minimum(ends[:-1], ends[1:]) - gaps, np.maximum(ends[:-1], ends[1:]) + gaps)
+    lo, hi = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
+    return np.subtract(lo, gaps[:, None], out=lo), np.add(hi, gaps[:, None], out=hi)
 
 
 def _meets_level(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Cells whose bound [lo, hi] holds a level ``pi k``."""
-    return np.ceil(lo / math.pi) <= np.floor(hi / math.pi)
+    """Cells whose bound [lo, hi] holds a level ``pi k``, computed in place."""
+    return (np.ceil(np.divide(lo, math.pi, out=lo), out=lo)
+            <= np.floor(np.divide(hi, math.pi, out=hi), out=hi))
 
 
-def _windows(table: np.ndarray, eps: np.ndarray, cells: np.ndarray, out: np.ndarray):
-    """Fill ``out[p, :-1]`` with the sums ``eps[p] . table[i]`` over the
-    window of samples ``i = cells[p] * _STEP - 1 ... (cells[p] + 1) * _STEP``
-    of a table padded with one sample before the first.  Rows come sorted by
-    cell, and one matrix product serves each cell.
+def _windows(table: np.ndarray, eps: np.ndarray, slots: np.ndarray, out: np.ndarray):
+    """Fill ``out[p, :-1]`` with the sums ``eps[p] . table[slots[p]]`` over
+    the window at slot ``slots[p]`` of a table of windows, the samples of
+    one cell with one more on each side.  Rows come sorted by slot, and one
+    matrix product serves each slot.
 
     ``eps`` and ``out`` carry one spare row after the last window.  A product
     of one row would run BLAS's matrix-vector kernel, which sums the edges in
-    another order than the matrix kernel, so a cell kept by one string takes
-    two rows: the next cell's first row, which that cell's product then
-    overwrites, or the spare one.  Every window thus holds the sums the
+    another order than the matrix kernel, so a slot taken by one string
+    takes two rows: the next slot's first row, which that slot's product
+    then overwrites, or the spare one.  Every window thus holds the sums the
     matrix kernel gives, edge by edge in order, whoever keeps the cell."""
-    ends = (np.flatnonzero(cells[1:] != cells[:-1]) + 1).tolist()
-    for lo, hi in zip([0] + ends, ends + [cells.size]):
-        first, hi = int(cells[lo]) * _STEP, max(hi, lo + 2)
-        np.matmul(eps[lo:hi], table[first:first + _STEP + 2].T, out=out[lo:hi, :-1])
+    ends = (np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + ends, ends + [slots.size]):
+        hi = max(hi, lo + 2)
+        np.matmul(eps[lo:hi], table[slots[lo]].T, out=out[lo:hi, :-1])
 
 
-def _window_candidates(table, rows, offset: int, kept, wall, marks, work):
+def _window_candidates(tables, rows, offset: int, kept, slot, wall, marks, work):
     """Candidate samples of the kept cells (``kept``: cells x strings) of a
-    block of strings, chunk by chunk of windows, as tuples of the row (plus
-    ``offset``), the sample and the values before, at and after it.
-    ``marks`` picks the candidates of a table of windows."""
-    last = kept.shape[0] - 1
+    block of strings in each of ``tables``, chunk by chunk of windows: per
+    chunk, one tuple per table of the row (plus ``offset``), the sample and
+    the values before, at and after it.  ``slot`` maps a cell to its window
+    in the tables, and ``marks`` picks each table's candidates in a table of
+    windows."""
+    last, size = kept.shape[0] - 1, len(work) - 1
     cell, row = np.divmod(np.flatnonzero(kept), kept.shape[1])
-    for first in range(0, cell.size, _WINDOWS):
-        cells, string = cell[first:first + _WINDOWS], row[first:first + _WINDOWS]
-        _windows(table, rows[np.append(string, 0)], cells, work)
-        values = work[:cells.size]
-        values[(cells == 0) & wall[string], 1] = np.nan
-        marked = marks(values[:, :-1])
-        # A window's first sample belongs to the cell before it and its
-        # last to the next, except at the end of the grid.
-        marked[:, 0] = False
-        marked[cells < last, -1] = False
-        j, col = np.divmod(np.flatnonzero(marked), _STEP + 2)
-        at, flat = j * (_STEP + 3) + col, values.ravel()
-        yield (string[j] + offset, cells[j] * _STEP + col - 1,
-               flat[at - 1], flat[at], flat[at + 1])
+    row = np.append(row, 0)  # the spare row after the last window
+    for first in range(0, cell.size, size):
+        cells, string = cell[first:first + size], row[first:first + size + 1]
+        eps, slots, values = rows[string], slot[cells], work[:cells.size]
+        start, inner, found = (cells == 0) & wall[string[:-1]], cells < last, []
+        for table, mark in zip(tables, marks):
+            _windows(table, eps, slots, work)
+            values[start, 1] = np.nan
+            marked = mark(values[:, :-1])
+            # A window's first sample belongs to the cell before it and its
+            # last to the next, except at the end of the grid.
+            marked[:, 0] = False
+            marked[inner, -1] = False
+            j, col = np.divmod(np.flatnonzero(marked), _STEP + 2)
+            at, flat = j * (_STEP + 3) + col, values.ravel()
+            found.append((string[j] + offset, cells[j] * _STEP + col - 1,
+                          flat[at - 1], flat[at], flat[at + 1]))
+        yield found
 
 
 def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
@@ -534,49 +544,56 @@ def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
     string on the grid, as tuples of the row, the sample and the values
     before, at and after it (NaN past either end of the grid).
 
-    Both tables are built coarse to fine, a block of strings at a time.  The
-    closure sums at every :data:`_STEP`-th sample and the gaps of the cells,
-    computed once, bound each string's cells (:func:`_bounds`).  Only a cell
-    whose widened bound meets a level ``pi k``, and the first cell, is
-    tabulated at every sample, with one more on each side, in both tables.
-    A cell left out holds no closure candidate, and no zero of delta near
-    enough to a level to be a double root.
+    Both tables are built coarse to fine.  The closure sums at every
+    :data:`_STEP`-th sample and the gaps of the cells, computed once, bound
+    each string's cells (:func:`_bounds`), a block of strings at a time.
+    Only a cell whose widened bound meets a level ``pi k``, and the first
+    cell, is tabulated at every sample, with one more on each side, in both
+    tables.  A cell left out holds no closure candidate, and no zero of
+    delta near enough to a level to be a double root.  Half-angles and
+    tangents are computed on kept cells alone, and the work arrays hold the
+    windows a block keeps, :data:`_WINDOWS` at most.
     """
-    alphas_tab = _half_angles(rho, np.concatenate([[np.nan], grid]))
-    tangents_tab = np.tan(alphas_tab)
-    wall_tol = RESIDUAL_TOL * alphas_tab[1].sum()
+    coarse = _half_angles(rho, grid[::_STEP])
+    wall_tol = RESIDUAL_TOL * coarse[0].sum()
     # A closure sum within _LEVEL_SLACK pi of a level marks a candidate: the
     # bounds are widened by twice that, far more than the rounding of C / pi
     # or a double root's RESIDUAL_TOL (at most about 5e-11).
-    coarse = alphas_tab[1::_STEP]
     gaps = _cell_gaps(rho, grid[::_STEP], coarse, 2.0 * _LEVEL_SLACK * math.pi)
-    # Work tables reused by every chunk of windows, each of at most 2^16
-    # values (512 kB) whatever n is and however many cells are kept: freeing
-    # a larger array would raise the allocator's threshold for mapping memory
-    # and change the cost of later allocations in the process.  A window's
-    # last column stays NaN, the value after the grid's last sample.
-    work = np.empty((_WINDOWS + 1, _STEP + 3))
+    # The first cell, which holds a wall's NaN, is always kept: it starts at
+    # _FAR_ANGLE, where C is about 1e-200, so its widened bound holds the
+    # level 0.
+    used, blocks = np.zeros(len(gaps), dtype=bool), []
+    for start in range(0, len(strings), _BLOCK):
+        blocks.append((start, _meets_level(*_bounds(coarse, strings[start:start + _BLOCK], gaps))))
+        used |= blocks[-1][1].any(axis=1)
+    # The tables of kept cells: a window per cell some string keeps, at the
+    # cell's slot, its samples and one more on each side (NaN before the grid).
+    slot, index = np.cumsum(used) - 1, np.flatnonzero(used)[:, None] * _STEP + np.arange(_STEP + 2)
+    alphas = _half_angles(rho, np.concatenate([[np.nan], grid])[index])
+    tables = alphas, np.tan(alphas)
+    # Work tables reused by every chunk of windows, sized by the windows a
+    # block keeps (see _BLOCK and _WINDOWS).  A window's last column stays
+    # NaN, the value after the grid's last sample.
+    size = min(max((np.count_nonzero(kept) for _, kept in blocks), default=0), _WINDOWS)
+    work = np.empty((size + 1, _STEP + 3))
     work[:, -1] = np.nan
-    levels, floors = np.empty((_WINDOWS, _STEP + 2)), np.empty((_WINDOWS, _STEP + 2))
+    levels, floors = np.empty((size, _STEP + 2)), np.empty((size, _STEP + 2))
     def level_marks(values):
         return _level_cells(values, levels[:len(values)], floors[:len(values)])
-    closures, deltas = [], []
-    for start in range(0, len(strings), _BLOCK):
+    none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 3
+    found = [(none, none)]
+    for start, kept in blocks:
         rows = strings[start:start + _BLOCK]
         # The first point stands in for r = inf.  On a wall (sum eps_i l_i = 0,
         # to RESIDUAL_TOL) F and delta both vanish in that limit, which is no
         # configuration, and their signs next to it are rounding: NaN there
         # is neither a zero nor a sign, so such a string's scan starts at the
         # second point.
-        wall = np.abs(rows @ alphas_tab[1]) <= wall_tol
-        # The first cell, which holds a wall's NaN, is always kept: it starts
-        # at _FAR_ANGLE, where C is about 1e-200, so its widened bound holds
-        # the level 0.
-        kept = _meets_level(*_bounds(coarse, rows, gaps))
-        closures.extend(_window_candidates(alphas_tab, rows, start, kept, wall, level_marks, work))
-        deltas.extend(_window_candidates(tangents_tab, rows, start, kept, wall, _sign_cells, work))
-    none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 3
-    return tuple([np.concatenate(v) for v in zip(none, *cands)] for cands in (closures, deltas))
+        wall = np.abs(rows @ coarse[0]) <= wall_tol
+        found.extend(_window_candidates(tables, rows, start, kept, slot, wall,
+                                        (level_marks, _sign_cells), work))
+    return tuple([np.concatenate(v) for v in zip(*cands)] for cands in zip(*found))
 
 
 def _merge(row: np.ndarray, k: np.ndarray, theta: np.ndarray):

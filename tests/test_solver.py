@@ -801,7 +801,7 @@ def test_pruned_scan_matches_full_table(linkage, monkeypatch):
 def test_pruned_scan_keeping_every_cell_is_the_full_table(monkeypatch):
     # every cell kept, as an adversarial linkage might have it: the windows
     # then tile the full table and are searched a bounded chunk at a time,
-    # within the bound of test_enumeration_memory_is_bounded
+    # within the n = 12 bound of test_enumeration_memory_is_bounded
     linkage = random_linkage(np.random.default_rng(12), 12)
     expected = _scan_trace(linkage, monkeypatch, _full_table)
     monkeypatch.setattr(solver, "_meets_level", lambda lo, hi: np.ones(lo.shape, dtype=bool))
@@ -918,6 +918,8 @@ def test_cell_bounds_hold_every_sample(lengths, codes):
     cells = solver.SAMPLES // step
     windows = np.empty((cells * len(strings) + 1, step + 3))
     eps = np.concatenate([np.tile(strings, (cells, 1)), strings[:1]])
+    # the table of every cell's window: its samples and one more on each side
+    table = table[np.arange(cells)[:, None] * step + np.arange(step + 2)]
     solver._windows(table, eps, np.repeat(np.arange(cells), len(strings)), windows)
     # columns 1 .. step + 1 are the samples of the cell, both ends
     values = windows[:-1, 1:-1].reshape(cells, len(strings), step + 1)
@@ -1017,10 +1019,15 @@ def test_solve_radii_matches_per_string_scan():
             assert _radii(linkage, eps, k) == expected
 
 
-def test_enumeration_memory_is_bounded():
+@pytest.mark.parametrize("n, bound", [(6, 2 ** 19), (10, 2 * 2 ** 20), (12, 8 * 2 ** 20)],
+                         ids=["n6", "n10", "n12"])
+def test_enumeration_memory_is_bounded(n, bound):
     # the scan works on blocks of strings, so its working set does not grow
-    # with 2^n; the items returned at n = 12 take about 2 MB
-    linkage = random_linkage(np.random.default_rng(12), 12)
+    # with 2^n, and it sizes its tables and work arrays by the cells the
+    # strings keep: the peak reads about 0.2 MB at n = 6 and 1.4 MB at n = 10,
+    # where full 4097-sample tables and fixed 512 kB work arrays would read
+    # 2.0 and 3.5 MB; the items returned at n = 12 take about 2 MB
+    linkage = random_linkage(np.random.default_rng(n), n)
     tracemalloc.start()
     try:
         items = enumerate_cyclic(linkage)
@@ -1028,7 +1035,7 @@ def test_enumeration_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert items
-    assert peak < 8 * 2 ** 20
+    assert peak < bound
 
 
 def test_enumeration_refuses_beyond_edge_budget(monkeypatch):
