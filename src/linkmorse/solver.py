@@ -27,15 +27,15 @@ crossed in a cell where ``floor(C / pi)`` changes or next to a sample within
 a slack of a level, so one pass over the tabulated cells picks these
 candidate cells, and the exact test runs on them alone, at every winding
 the closure range admits at once: a sign change of ``C - pi k`` brackets a
-root, an isolated exact zero is one, and a run of exact zeros (a family on
-which F vanishes identically) yields none.  The bounds are widened past the slack, so the
-candidates are those of the whole table.  A string whose +1 and -1 edges
-carry the same lengths is such a family for every winding and is not
-scanned.  Double roots hide at zeros of delta, the extrema of F; one is
-accepted when ``|F| <= RESIDUAL_TOL * (sum alpha_i + pi |k|)``, far inside
-the widening, so no cell left out holds one.  One call of :func:`brentq`, a
-Brent's method over stacked rows of :func:`_scan_rows`, refines every
-bracket of F and of delta at once.  A root is flagged
+root, and an exact zero is one.  The bounds are widened past the slack, so
+the candidates are those of the whole table.  F and delta are analytic in
+theta, and vanish identically only on a string whose +1 and -1 edges carry
+the same lengths; such a string has no root and is not scanned (see
+:func:`_vanishing`).  Double roots hide at zeros of delta, the extrema of
+F; one is accepted when ``|F| <= RESIDUAL_TOL * (sum alpha_i + pi |k|)``,
+far inside the widening, so no cell left out holds one.  One call of
+:func:`brentq`, a Brent's method over stacked rows of :func:`_scan_rows`,
+refines every bracket of F and of delta at once.  A root is flagged
 ``delta_zero`` when ``|delta| < DEGENERACY_TOL * sum tan(alpha_i)``, so both
 tests scale with the problem.  Only the strings with ``eps_1 = +1`` are
 scanned: the mirror string ``(-E, -k)`` has ``F_{-E,-k} = -F_{E,k}`` exactly
@@ -81,16 +81,16 @@ _STEP = 64
 
 # Orientation strings per block of the scan: the block's coarse tables
 # (strings x cells + 1) take at most 2^16 values (512 kB) whatever n is.  No
-# table of the scan reaches 655 kB (those of kept cells take 528 kB at n = 16):
+# table of the scan reaches 655 kB (those of kept cells take 520 kB at n = 16):
 # freeing one would raise the allocator's threshold for mapping memory.
 _BLOCK = 2 ** 16 // (SAMPLES // _STEP + 1)
 
-# Windows per chunk of the fine scan: a window holds one cell's samples, one
-# more on each side and a NaN after them, and a chunk with its spare window
-# at most 3 x 2^12 values (96 kB) in each of its three work arrays.  Measured
-# at n = 10 and 16 together (BENCH_scan.json): fewer cost time at n = 16, more
-# make a call at n = 10 grow the heap past what the call before it left.
-_WINDOWS = 3 * 2 ** 12 // (_STEP + 3) - 1
+# Windows per chunk of the fine scan: a window holds one cell's samples and
+# a NaN after them, and a chunk with its spare window at most 3 x 2^12 values
+# (96 kB) in each of its three work arrays.  Measured at n = 10 and 16
+# together (BENCH_scan.json): fewer cost time at n = 16, more make a call at
+# n = 10 grow the heap past what the call before it left.
+_WINDOWS = 182
 
 # Relative allowance for rounding in the cell bounds, against the sum of the
 # half-angles at the cell's upper end: far above the n machine epsilons
@@ -437,20 +437,12 @@ def _level_cells(closures: np.ndarray, levels: np.ndarray, floors: np.ndarray) -
 
 
 def _sign_cells(deltas: np.ndarray) -> np.ndarray:
-    """Samples of a block of deltas that are not of one strict sign, or whose
-    sign differs from the next sample's."""
+    """Samples of a block of deltas that are exact zeros, or whose strict
+    sign differs from the next sample's.  NaN is neither."""
     pos, neg = deltas > 0.0, deltas < 0.0
-    cells = ~(pos | neg)
+    cells = deltas == 0.0
     cells[:, :-1] |= (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
     return cells
-
-
-def _isolated_zero(i, prev, here, after, level, last: int):
-    """Candidate samples where the table equals the level and its neighbours
-    along the row do not: a run of exact zeros is a family on which the
-    function vanishes identically, which yields no root."""
-    return ((here == level) & ((i == 0) | (prev != level))
-            & ((i == last) | (after != level)))
 
 
 def _sign_change(here, after, level):
@@ -495,8 +487,8 @@ def _meets_level(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _windows(table: np.ndarray, eps: np.ndarray, slots: np.ndarray, out: np.ndarray):
     """Fill ``out[p, :-1]`` with the sums ``eps[p] . table[slots[p]]`` over
     the window at slot ``slots[p]`` of a table of windows, the samples of
-    one cell with one more on each side.  Rows come sorted by slot, and one
-    matrix product serves each slot.
+    one cell, both ends included.  Rows come sorted by slot, and one matrix
+    product serves each slot.
 
     ``eps`` and ``out`` carry one spare row after the last window.  A product
     of one row would run BLAS's matrix-vector kernel, which sums the edges in
@@ -513,9 +505,9 @@ def _windows(table: np.ndarray, eps: np.ndarray, slots: np.ndarray, out: np.ndar
 def _window_candidates(tables, rows, offset: int, kept, slot, wall, marks, work):
     """Candidate samples of the kept cells (``kept``: cells x strings) of a
     block of strings in each of ``tables``, chunk by chunk of windows: per
-    chunk, one tuple per table of the row (plus ``offset``), the sample and
-    the values before, at and after it.  ``slot`` maps a cell to its window
-    in the tables, and ``marks`` picks each table's candidates in a table of
+    chunk, one tuple per table of the row (plus ``offset``), the sample, its
+    value and the next one.  ``slot`` maps a cell to its window in the
+    tables, and ``marks`` picks each table's candidates in a table of
     windows."""
     last, size = kept.shape[0] - 1, len(work) - 1
     cell, row = np.divmod(np.flatnonzero(kept), kept.shape[1])
@@ -526,33 +518,32 @@ def _window_candidates(tables, rows, offset: int, kept, slot, wall, marks, work)
         start, inner, found = (cells == 0) & wall[string[:-1]], cells < last, []
         for table, mark in zip(tables, marks):
             _windows(table, eps, slots, work)
-            values[start, 1] = np.nan
+            values[start, 0] = np.nan
             marked = mark(values[:, :-1])
-            # A window's first sample belongs to the cell before it and its
-            # last to the next, except at the end of the grid.
-            marked[:, 0] = False
+            # A window's last sample belongs to the next cell, except at the
+            # end of the grid.
             marked[inner, -1] = False
-            j, col = np.divmod(np.flatnonzero(marked), _STEP + 2)
-            at, flat = j * (_STEP + 3) + col, values.ravel()
-            found.append((string[j] + offset, cells[j] * _STEP + col - 1,
-                          flat[at - 1], flat[at], flat[at + 1]))
+            j, col = np.divmod(np.flatnonzero(marked), _STEP + 1)
+            at, flat = j * (_STEP + 2) + col, values.ravel()
+            found.append((string[j] + offset, cells[j] * _STEP + col, flat[at], flat[at + 1]))
         yield found
 
 
 def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
     """Candidate samples of the closure sums and of the deltas of every
-    string on the grid, as tuples of the row, the sample and the values
-    before, at and after it (NaN past either end of the grid).
+    string on the grid, as tuples of the row, the sample, its value and the
+    next one (NaN past the end of the grid).
 
     Both tables are built coarse to fine.  The closure sums at every
     :data:`_STEP`-th sample and the gaps of the cells, computed once, bound
     each string's cells (:func:`_bounds`), a block of strings at a time.
     Only a cell whose widened bound meets a level ``pi k``, and the first
-    cell, is tabulated at every sample, with one more on each side, in both
-    tables.  A cell left out holds no closure candidate, and no zero of
-    delta near enough to a level to be a double root.  Half-angles and
-    tangents are computed on kept cells alone, and the work arrays hold the
-    windows a block keeps, :data:`_WINDOWS` at most.
+    cell, is tabulated at every sample, both ends included, in both tables:
+    a window is its cell's samples and the NaN after them.  A cell left out
+    holds no closure candidate, and no zero of delta near enough to a level
+    to be a double root.  Half-angles and tangents are computed on kept
+    cells alone, and the work arrays hold the windows a block keeps,
+    :data:`_WINDOWS` at most.
     """
     coarse = _half_angles(rho, grid[::_STEP])
     wall_tol = RESIDUAL_TOL * coarse[0].sum()
@@ -568,20 +559,20 @@ def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
         blocks.append((start, _meets_level(*_bounds(coarse, strings[start:start + _BLOCK], gaps))))
         used |= blocks[-1][1].any(axis=1)
     # The tables of kept cells: a window per cell some string keeps, at the
-    # cell's slot, its samples and one more on each side (NaN before the grid).
-    slot, index = np.cumsum(used) - 1, np.flatnonzero(used)[:, None] * _STEP + np.arange(_STEP + 2)
-    alphas = _half_angles(rho, np.concatenate([[np.nan], grid])[index])
+    # cell's slot, its samples, both ends included.
+    slot, index = np.cumsum(used) - 1, np.flatnonzero(used)[:, None] * _STEP + np.arange(_STEP + 1)
+    alphas = _half_angles(rho, grid[index])
     tables = alphas, np.tan(alphas)
     # Work tables reused by every chunk of windows, sized by the windows a
     # block keeps (see _BLOCK and _WINDOWS).  A window's last column stays
     # NaN, the value after the grid's last sample.
     size = min(max((np.count_nonzero(kept) for _, kept in blocks), default=0), _WINDOWS)
-    work = np.empty((size + 1, _STEP + 3))
+    work = np.empty((size + 1, _STEP + 2))
     work[:, -1] = np.nan
-    levels, floors = np.empty((size, _STEP + 2)), np.empty((size, _STEP + 2))
+    levels, floors = np.empty((size, _STEP + 1)), np.empty((size, _STEP + 1))
     def level_marks(values):
         return _level_cells(values, levels[:len(values)], floors[:len(values)])
-    none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 3
+    none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 2
     found = [(none, none)]
     for start, kept in blocks:
         rows = strings[start:start + _BLOCK]
@@ -631,17 +622,16 @@ def _scan(linkage: Linkage, strings: np.ndarray):
     strings = strings[scanned]
     rho = _ratios(linkage)
     grid = _angle_grid()
-    last = grid.size - 1
     level_cells, sign_cells = _tabulate(rho, grid, strings)
 
     # Roots of F: exact zeros at the level nearest a candidate sample, and
     # sign changes across the cell to the next sample for every level from
     # floor(C / pi) at the lower end to floor(C / pi) + 1 at the upper end.
-    row, i, prev, here, after = level_cells
+    row, i, here, after = level_cells
     k = np.rint(here / math.pi)
-    zero = _isolated_zero(i, prev, here, after, math.pi * k, last)
+    zero = here == math.pi * k
     found = [(row[zero], k[zero], grid[i[zero]])]
-    known = (i < last) & ~np.isnan(here)
+    known = (i < grid.size - 1) & ~np.isnan(here)
     row, i, here, after = row[known], i[known], here[known], after[known]
     lo = np.floor(np.minimum(here, after) / math.pi)
     hi = np.floor(np.maximum(here, after) / math.pi) + 1.0
@@ -652,8 +642,9 @@ def _scan(linkage: Linkage, strings: np.ndarray):
         brackets.append((row[change], k[change], i[change]))
     # Double roots hide at interior extrema of F, i.e. zeros of delta, whose
     # sign changes are refined with the closure brackets as delta rows.
-    d_row, d_i, d_prev, d_here, d_after = sign_cells
-    change = (d_i < last) & _sign_change(d_here, d_after, 0.0)
+    # At the grid's last sample d_after is NaN, which changes no sign.
+    d_row, d_i, d_here, d_after = sign_cells
+    change = _sign_change(d_here, d_after, 0.0)
     brackets.append((d_row[change], np.zeros(int(change.sum())), d_i[change]))
     row, k, i = (np.concatenate(v) for v in zip(*brackets))
     delta = np.arange(row.size) >= row.size - int(change.sum())
@@ -662,7 +653,7 @@ def _scan(linkage: Linkage, strings: np.ndarray):
     found.append((row[~delta], k[~delta], roots[~delta]))
 
     # Each zero of delta is tested against the level nearest to F there.
-    zero = _isolated_zero(d_i, d_prev, d_here, d_after, 0.0, last)
+    zero = d_here == 0.0
     row = np.concatenate([d_row[zero], row[delta]])
     theta = np.concatenate([grid[d_i[zero]], roots[delta]])
     alphas = _half_angles(rho, theta)

@@ -167,7 +167,7 @@ def test_solve_radii_square_winding_two_empty():
 
 def test_solve_radii_identically_zero_family():
     # equal lengths with balanced signs and k = 0: F vanishes identically,
-    # there is no isolated root to report
+    # which yields no root, and the scan leaves the string out
     assert _radii(SQUARE_L, (1, 1, -1, -1), 0) == []
 
 
@@ -695,9 +695,10 @@ def test_every_winding_lies_in_the_closure_range(linkage):
 def _full_table(rho, grid, strings):
     """The scan's candidate samples as it found them before it pruned cells:
     the closure sums and the deltas of 16 strings at a time tabulated at
-    every grid point, searched by the same rules.  A candidate at either end
-    of a row reads its value before or after from the neighbouring row of
-    the flat table, which the rules ignore."""
+    every grid point, searched by the same rules, as tuples of the row, the
+    sample, its value and the next one.  A candidate at the end of a row
+    reads its next value from the next row of the flat table, which the
+    rules ignore."""
     alphas_tab = solver._half_angles(rho, grid)
     tangents_tab = np.tan(alphas_tab)
     wall_tol = solver.RESIDUAL_TOL * alphas_tab[0].sum()
@@ -706,8 +707,7 @@ def _full_table(rho, grid, strings):
         flat = np.flatnonzero(cells)
         values = table.ravel()
         row, i = np.divmod(flat, table.shape[1])
-        return (row + offset, i, values.take(flat - 1, mode="clip"), values[flat],
-                values.take(flat + 1, mode="clip"))
+        return row + offset, i, values[flat], values.take(flat + 1, mode="clip")
 
     level_cells, sign_cells = [], []
     for start in range(0, len(strings), 16):
@@ -719,7 +719,7 @@ def _full_table(rho, grid, strings):
         work = np.empty_like(closures), np.empty_like(closures)
         level_cells.append(candidates(closures, start, solver._level_cells(closures, *work)))
         sign_cells.append(candidates(deltas, start, solver._sign_cells(deltas)))
-    none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 3
+    none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 2
     return ([np.concatenate(v) for v in zip(none, *level_cells)],
             [np.concatenate(v) for v in zip(none, *sign_cells)])
 
@@ -728,7 +728,7 @@ def _candidate_lists(candidates):
     """Sorted ``(row, sample, value)`` of each candidate list, NaN as None."""
     return [sorted((r, i, None if math.isnan(v) else v)
                    for r, i, v in zip(row.tolist(), i.tolist(), here.tolist()))
-            for row, i, _, here, _ in candidates]
+            for row, i, here, _ in candidates]
 
 
 def _scan_trace(linkage, monkeypatch, tabulate):
@@ -829,6 +829,25 @@ def test_pruned_scan_takes_a_cell_end_once():
     closures = _candidate_lists(solver._tabulate(rho, grid, strings))[0]
     assert (0, solver._STEP, math.pi) in closures
     assert closures == _candidate_lists(_full_table(rho, grid, strings))[0]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_vanishing_strings_are_the_identically_zero_ones(n):
+    """The scan reads every exact zero of F or delta as a root, since only
+    the strings it leaves out vanish identically.  Both are odd power series
+    in sin theta with positive coefficients, ``arcsin x`` and
+    ``tan(arcsin x)``, times the power sums ``P_m = sum eps_i l_i^(2m+1)``,
+    so they vanish identically exactly when every P_m does, and m = 0 .. n-1
+    suffice: the squares of distinct lengths make a Vandermonde system for
+    the signed count of each length.  Exact integers test it here."""
+    rng = np.random.default_rng(71 + n)
+    strings = np.array(list(itertools.product([1, -1], repeat=n)))
+    for _ in range(20):
+        lengths = rng.integers(1, 4, n)
+        exact = [all(sum(e * l ** (2 * m + 1) for e, l in zip(eps, lengths.tolist())) == 0
+                     for m in range(n))
+                 for eps in strings.tolist()]
+        assert solver._vanishing(lengths.astype(float), strings.astype(float)).tolist() == exact
 
 
 def test_merge_drops_repeated_roots_only():
