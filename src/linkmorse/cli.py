@@ -29,10 +29,10 @@ from .morse import closed_form
 
 def _read_json(path: str, parse=json.loads):
     try:
-        return parse(Path(path).read_text())
+        return parse(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise LinkmorseError(f"no such file: {path}")
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise LinkmorseError(f"invalid JSON in {path}: {err}")
 
 

@@ -25,15 +25,17 @@ string (:func:`_cell_gaps`).  These bounds, taken from every
 alike, a chunk of them per matrix product.  A level ``pi k`` can only be
 crossed in a cell where ``floor(C / pi)`` changes or next to a sample within
 a slack of a level, so one pass over the tabulated cells picks these
-candidate cells, and the exact test runs on them alone, at every winding
-the closure range admits at once: a sign change of ``C - pi k`` brackets a
-root, and an exact zero is one.  The bounds are widened past the slack, so
-the candidates are those of the whole table.  F and delta are analytic in
-theta, and vanish identically only on a string whose +1 and -1 edges carry
-the same lengths; such a string has no root and is not scanned (see
-:func:`_vanishing`).  Double roots hide at zeros of delta, the extrema of
-F; one is accepted when ``|F| <= RESIDUAL_TOL * (sum alpha_i + pi |k|)``,
-far inside the widening, so no cell left out holds one.  One call of
+candidate cells.  The tables only mark them: the exact test runs on the
+values of :func:`_scan_rows` at their ends, those :func:`brentq` starts
+from, at every winding the closure range admits at once: a sign change of
+``C - pi k`` brackets a root, and an exact zero is one.  The bounds are
+widened past the slack, so the candidates are those of the whole table.
+F and delta are analytic in theta, and vanish identically only on a
+string whose +1 and -1 edges carry the same lengths; such a string has no
+root and is not scanned (see :func:`_vanishing`).  Double roots hide at
+zeros of delta, the extrema of F; one is accepted when ``|F| <=
+RESIDUAL_TOL * (sum alpha_i + pi |k|)``, far inside the widening, so no
+cell left out holds one.  One call of
 :func:`brentq`, a Brent's method over stacked rows of :func:`_scan_rows`,
 refines every bracket of F and of delta at once.  A root is flagged
 ``delta_zero`` when ``|delta| < DEGENERACY_TOL * sum tan(alpha_i)``, so both
@@ -85,11 +87,11 @@ _STEP = 64
 # freeing one would raise the allocator's threshold for mapping memory.
 _BLOCK = 2 ** 16 // (SAMPLES // _STEP + 1)
 
-# Windows per chunk of the fine scan: a window holds one cell's samples and
-# a NaN after them, and a chunk with its spare window at most 3 x 2^12 values
-# (96 kB) in each of its three work arrays.  Measured at n = 10 and 16
-# together (BENCH_scan.json): fewer cost time at n = 16, more make a call at
-# n = 10 grow the heap past what the call before it left.
+# Windows per chunk of the fine scan: a window holds one cell's samples, and
+# a chunk at most 3 x 2^12 values (96 kB) in each of its three work arrays.
+# Measured at n = 10 and 16 together (BENCH_scan.json): fewer cost time at
+# n = 16, more make a call at n = 10 grow the heap past what the call before
+# it left.
 _WINDOWS = 182
 
 # Relative allowance for rounding in the cell bounds, against the sum of the
@@ -100,8 +102,9 @@ _WINDOWS = 182
 _BOUND_RTOL = 1e-12
 
 # Distance, in units of pi, within which a sample of C counts as near a level
-# pi k.  It is far above the rounding of C / pi, so a sign change of C - pi k
-# across a cell where floor(C / pi) stays the same has an endpoint this near.
+# pi k.  It is far above the rounding of C / pi and the last-bit gap between
+# the tables and _scan_rows, so where _scan_rows' C - pi k changes sign in a
+# cell whose tables' floor(C / pi) stays the same, an endpoint is this near.
 _LEVEL_SLACK = 1e-9
 
 # Largest number of edges enumerate_cyclic accepts.  The scan covers
@@ -168,7 +171,8 @@ def _half_angles(rho: np.ndarray, theta) -> np.ndarray:
     an array of them (one row each).  The longest edges take theta itself:
     ``arcsin(sin theta)`` loses half the digits near pi/2."""
     theta = np.asarray(theta, dtype=float)[..., None]
-    alphas = np.arcsin(rho * np.sin(theta))
+    alphas = rho * np.sin(theta)
+    np.arcsin(alphas, out=alphas)
     np.copyto(alphas, theta, where=rho == 1.0)
     return alphas
 
@@ -438,7 +442,7 @@ def _level_cells(closures: np.ndarray, levels: np.ndarray, floors: np.ndarray) -
 
 def _sign_cells(deltas: np.ndarray) -> np.ndarray:
     """Samples of a block of deltas that are exact zeros, or whose strict
-    sign differs from the next sample's.  NaN is neither."""
+    sign differs from the next sample's."""
     pos, neg = deltas > 0.0, deltas < 0.0
     cells = deltas == 0.0
     cells[:, :-1] |= (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
@@ -446,7 +450,7 @@ def _sign_cells(deltas: np.ndarray) -> np.ndarray:
 
 
 def _sign_change(here, after, level):
-    """Candidate cells across which the table minus the level changes sign."""
+    """Cells across which the values at their ends minus the level change sign."""
     return ((here < level) & (after > level)) | ((here > level) & (after < level))
 
 
@@ -485,75 +489,63 @@ def _meets_level(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _windows(table: np.ndarray, eps: np.ndarray, slots: np.ndarray, out: np.ndarray):
-    """Fill ``out[p, :-1]`` with the sums ``eps[p] . table[slots[p]]`` over
-    the window at slot ``slots[p]`` of a table of windows, the samples of
-    one cell, both ends included.  Rows come sorted by slot, and one matrix
-    product serves each slot.
-
-    ``eps`` and ``out`` carry one spare row after the last window.  A product
-    of one row would run BLAS's matrix-vector kernel, which sums the edges in
-    another order than the matrix kernel, so a slot taken by one string
-    takes two rows: the next slot's first row, which that slot's product
-    then overwrites, or the spare one.  Every window thus holds the sums the
-    matrix kernel gives, edge by edge in order, whoever keeps the cell."""
+    """Fill ``out[p]`` with the sums ``eps[p] . table[slots[p]]`` over the
+    window at slot ``slots[p]`` of a table of windows, the samples of one
+    cell, both ends included.  Rows come sorted by slot, and one matrix
+    product serves each slot.  The sums only mark candidates, so the order
+    in which a product sums the edges, which BLAS picks by its shape, does
+    not matter."""
     ends = (np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist()
     for lo, hi in zip([0] + ends, ends + [slots.size]):
-        hi = max(hi, lo + 2)
-        np.matmul(eps[lo:hi], table[slots[lo]].T, out=out[lo:hi, :-1])
+        np.matmul(eps[lo:hi], table[slots[lo]].T, out=out[lo:hi])
 
 
-def _window_candidates(tables, rows, offset: int, kept, slot, wall, marks, work):
+def _window_candidates(tables, rows, offset: int, kept, slot, marks, work):
     """Candidate samples of the kept cells (``kept``: cells x strings) of a
     block of strings in each of ``tables``, chunk by chunk of windows: per
-    chunk, one tuple per table of the row (plus ``offset``), the sample, its
-    value and the next one.  ``slot`` maps a cell to its window in the
-    tables, and ``marks`` picks each table's candidates in a table of
-    windows."""
-    last, size = kept.shape[0] - 1, len(work) - 1
+    chunk, one pair per table of the row (plus ``offset``) and the sample.
+    ``slot`` maps a cell to its window in the tables, and ``marks`` picks
+    each table's candidates in a table of windows."""
+    last, size = kept.shape[0] - 1, len(work)
     cell, row = np.divmod(np.flatnonzero(kept), kept.shape[1])
-    row = np.append(row, 0)  # the spare row after the last window
     for first in range(0, cell.size, size):
-        cells, string = cell[first:first + size], row[first:first + size + 1]
+        cells, string = cell[first:first + size], row[first:first + size]
         eps, slots, values = rows[string], slot[cells], work[:cells.size]
-        start, inner, found = (cells == 0) & wall[string[:-1]], cells < last, []
+        inner, found = cells < last, []
         for table, mark in zip(tables, marks):
-            _windows(table, eps, slots, work)
-            values[start, 0] = np.nan
-            marked = mark(values[:, :-1])
+            _windows(table, eps, slots, values)
+            marked = mark(values)
             # A window's last sample belongs to the next cell, except at the
             # end of the grid.
             marked[inner, -1] = False
             j, col = np.divmod(np.flatnonzero(marked), _STEP + 1)
-            at, flat = j * (_STEP + 2) + col, values.ravel()
-            found.append((string[j] + offset, cells[j] * _STEP + col, flat[at], flat[at + 1]))
+            found.append((string[j] + offset, cells[j] * _STEP + col))
         yield found
 
 
 def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
     """Candidate samples of the closure sums and of the deltas of every
-    string on the grid, as tuples of the row, the sample, its value and the
-    next one (NaN past the end of the grid).
+    string on the grid, as a pair of arrays each: the row and the sample.
 
     Both tables are built coarse to fine.  The closure sums at every
     :data:`_STEP`-th sample and the gaps of the cells, computed once, bound
     each string's cells (:func:`_bounds`), a block of strings at a time.
     Only a cell whose widened bound meets a level ``pi k``, and the first
     cell, is tabulated at every sample, both ends included, in both tables:
-    a window is its cell's samples and the NaN after them.  A cell left out
-    holds no closure candidate, and no zero of delta near enough to a level
-    to be a double root.  Half-angles and tangents are computed on kept
-    cells alone, and the work arrays hold the windows a block keeps,
-    :data:`_WINDOWS` at most.
+    a window is its cell's samples.  A cell left out holds no closure
+    candidate, and no zero of delta near enough to a level to be a double
+    root.  Half-angles and tangents are computed on kept cells alone, and
+    the work arrays hold the windows a block keeps, :data:`_WINDOWS` at
+    most.  The tables only mark candidates (see :func:`_scan`).
     """
     coarse = _half_angles(rho, grid[::_STEP])
-    wall_tol = RESIDUAL_TOL * coarse[0].sum()
     # A closure sum within _LEVEL_SLACK pi of a level marks a candidate: the
     # bounds are widened by twice that, far more than the rounding of C / pi
     # or a double root's RESIDUAL_TOL (at most about 5e-11).
     gaps = _cell_gaps(rho, grid[::_STEP], coarse, 2.0 * _LEVEL_SLACK * math.pi)
-    # The first cell, which holds a wall's NaN, is always kept: it starts at
-    # _FAR_ANGLE, where C is about 1e-200, so its widened bound holds the
-    # level 0.
+    # The first cell, where a wall string's scan starts (see _scan), is
+    # always kept: it starts at _FAR_ANGLE, where C is about 1e-200, so its
+    # widened bound holds the level 0.
     used, blocks = np.zeros(len(gaps), dtype=bool), []
     for start in range(0, len(strings), _BLOCK):
         blocks.append((start, _meets_level(*_bounds(coarse, strings[start:start + _BLOCK], gaps))))
@@ -564,25 +556,15 @@ def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
     alphas = _half_angles(rho, grid[index])
     tables = alphas, np.tan(alphas)
     # Work tables reused by every chunk of windows, sized by the windows a
-    # block keeps (see _BLOCK and _WINDOWS).  A window's last column stays
-    # NaN, the value after the grid's last sample.
+    # block keeps (see _BLOCK and _WINDOWS).
     size = min(max((np.count_nonzero(kept) for _, kept in blocks), default=0), _WINDOWS)
-    work = np.empty((size + 1, _STEP + 2))
-    work[:, -1] = np.nan
-    levels, floors = np.empty((size, _STEP + 1)), np.empty((size, _STEP + 1))
+    work = np.empty((size, _STEP + 1))
+    levels, floors = np.empty_like(work), np.empty_like(work)
     def level_marks(values):
         return _level_cells(values, levels[:len(values)], floors[:len(values)])
-    none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 2
-    found = [(none, none)]
+    found = [((np.zeros(0, dtype=int),) * 2,) * 2]
     for start, kept in blocks:
-        rows = strings[start:start + _BLOCK]
-        # The first point stands in for r = inf.  On a wall (sum eps_i l_i = 0,
-        # to RESIDUAL_TOL) F and delta both vanish in that limit, which is no
-        # configuration, and their signs next to it are rounding: NaN there
-        # is neither a zero nor a sign, so such a string's scan starts at the
-        # second point.
-        wall = np.abs(rows @ coarse[0]) <= wall_tol
-        found.extend(_window_candidates(tables, rows, start, kept, slot, wall,
+        found.extend(_window_candidates(tables, strings[start:start + _BLOCK], start, kept, slot,
                                         (level_marks, _sign_cells), work))
     return tuple([np.concatenate(v) for v in zip(*cands)] for cands in zip(*found))
 
@@ -612,27 +594,42 @@ def _scan(linkage: Linkage, strings: np.ndarray):
     :data:`RESIDUAL_TOL` of ``pi k`` (at most about 5e-11), so each has a
     winding with ``-(n - e) < 2k < e``.
 
+    The tables of :func:`_tabulate` only mark candidates: every decision
+    reads :func:`_scan_rows` values, those :func:`brentq` starts from.
+
     Returns arrays ``(row, k, theta)`` sorted by row, then k, then theta.
     """
     # A string whose +1 and -1 edges carry the same lengths has F = -pi k and
-    # delta = 0 for every theta, which yields no root.  It is not scanned: a
-    # matrix product would leave rounding residues of either sign in its
-    # tables, not exact zeros.
+    # delta = 0 for every theta, which yields no root.  It is not scanned: its
+    # sums would leave rounding residues of either sign, not exact zeros.
     scanned = np.flatnonzero(~_vanishing(linkage.lengths, strings))
     strings = strings[scanned]
     rho = _ratios(linkage)
     grid = _angle_grid()
-    level_cells, sign_cells = _tabulate(rho, grid, strings)
+    (row, i), (d_row, d_i) = _tabulate(rho, grid, strings)
+
+    # F (at k = 0) and delta at each candidate sample and the next (itself at
+    # the grid's end, where no sign changes).  On a wall (sum eps_i l_i = 0 to
+    # RESIDUAL_TOL) both vanish at r = inf, the first point, where their signs
+    # are rounding and no configuration lies: a wall string's scan starts at
+    # the second point.
+    first = _half_angles(rho, grid[0])
+    wall = np.abs(strings @ first) <= RESIDUAL_TOL * first.sum()
+    row, i = np.concatenate([row, d_row]), np.concatenate([i, d_i])
+    delta = np.arange(row.size) >= row.size - d_row.size
+    keep = (i > 0) | ~wall[row]
+    row, i, delta = row[keep], i[keep], delta[keep]
+    here, after = _scan_rows(grid[np.stack([i, np.minimum(i + 1, grid.size - 1)])], rho,
+                             strings[row], 0, np.stack([delta, delta]))
+    (row, i, here, after), (d_row, d_i, d_here, d_after) = (
+        (row[rows], i[rows], here[rows], after[rows]) for rows in (~delta, delta))
 
     # Roots of F: exact zeros at the level nearest a candidate sample, and
     # sign changes across the cell to the next sample for every level from
     # floor(C / pi) at the lower end to floor(C / pi) + 1 at the upper end.
-    row, i, here, after = level_cells
     k = np.rint(here / math.pi)
     zero = here == math.pi * k
     found = [(row[zero], k[zero], grid[i[zero]])]
-    known = (i < grid.size - 1) & ~np.isnan(here)
-    row, i, here, after = row[known], i[known], here[known], after[known]
     lo = np.floor(np.minimum(here, after) / math.pi)
     hi = np.floor(np.maximum(here, after) / math.pi) + 1.0
     brackets = [(row[:0], lo[:0], i[:0])]  # typed empty arrays if there is no step
@@ -642,8 +639,6 @@ def _scan(linkage: Linkage, strings: np.ndarray):
         brackets.append((row[change], k[change], i[change]))
     # Double roots hide at interior extrema of F, i.e. zeros of delta, whose
     # sign changes are refined with the closure brackets as delta rows.
-    # At the grid's last sample d_after is NaN, which changes no sign.
-    d_row, d_i, d_here, d_after = sign_cells
     change = _sign_change(d_here, d_after, 0.0)
     brackets.append((d_row[change], np.zeros(int(change.sum())), d_i[change]))
     row, k, i = (np.concatenate(v) for v in zip(*brackets))
@@ -657,7 +652,7 @@ def _scan(linkage: Linkage, strings: np.ndarray):
     row = np.concatenate([d_row[zero], row[delta]])
     theta = np.concatenate([grid[d_i[zero]], roots[delta]])
     alphas = _half_angles(rho, theta)
-    closure = (strings[row] * alphas).sum(axis=1)
+    closure = _dot_rows(strings[row], alphas)
     k = np.rint(closure / math.pi)
     scale = alphas.sum(axis=1) + math.pi * np.abs(k)
     double = np.abs(closure - math.pi * k) <= RESIDUAL_TOL * scale

@@ -639,8 +639,26 @@ def test_missing_file_is_input_error(tmp_path, capsys):
     assert main(["verify", "-i", str(tmp_path / "nope.json")]) == 2
 
 
-def test_non_json_file_is_input_error(tmp_path, capsys):
+# Files that are not JSON: plain text, the start of an ELF executable and a
+# UTF-16 byte-order mark (neither is UTF-8), and arrays nested past the
+# parser's recursion limit.
+_NOT_JSON = {
+    "text": b"not json",
+    "elf": b"\x7fELF\x02\x01\x01\x00" + bytes(range(192)),
+    "utf16": "\ufeff{}".encode("utf-16-le"),
+    "nested": b"[" * 200000,
+}
+
+
+@pytest.mark.parametrize("command", [["enumerate", "-i", "{bad}"], ["index", "-i", "{bad}"],
+                                     ["verify", "-i", "{bad}"],
+                                     ["deform", "-a", "{bad}", "-b", "{bad}"],
+                                     ["render", "-i", "{bad}", "-o", "{out}"]],
+                         ids=lambda command: command[0])
+@pytest.mark.parametrize("content", _NOT_JSON.values(), ids=_NOT_JSON.keys())
+def test_non_json_file_is_input_error(tmp_path, capsys, command, content):
     bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    assert main(["verify", "-i", str(bad)]) == 2
+    bad.write_bytes(content)
+    argv = [arg.format(bad=bad, out=tmp_path / "out.svg") for arg in command]
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}: ")

@@ -695,46 +695,36 @@ def test_every_winding_lies_in_the_closure_range(linkage):
 def _full_table(rho, grid, strings):
     """The scan's candidate samples as it found them before it pruned cells:
     the closure sums and the deltas of 16 strings at a time tabulated at
-    every grid point, searched by the same rules, as tuples of the row, the
-    sample, its value and the next one.  A candidate at the end of a row
-    reads its next value from the next row of the flat table, which the
-    rules ignore."""
+    every grid point and searched by the same rules, as pairs of the row
+    and the sample."""
     alphas_tab = solver._half_angles(rho, grid)
     tangents_tab = np.tan(alphas_tab)
-    wall_tol = solver.RESIDUAL_TOL * alphas_tab[0].sum()
 
-    def candidates(table, offset, cells):
-        flat = np.flatnonzero(cells)
-        values = table.ravel()
-        row, i = np.divmod(flat, table.shape[1])
-        return row + offset, i, values[flat], values.take(flat + 1, mode="clip")
+    def candidates(cells, offset):
+        row, i = np.divmod(np.flatnonzero(cells), cells.shape[1])
+        return row + offset, i
 
     level_cells, sign_cells = [], []
     for start in range(0, len(strings), 16):
         rows = strings[start:start + 16]
         closures, deltas = rows @ alphas_tab.T, rows @ tangents_tab.T
-        wall = np.abs(closures[:, 0]) <= wall_tol
-        closures[wall, 0] = np.nan
-        deltas[wall, 0] = np.nan
         work = np.empty_like(closures), np.empty_like(closures)
-        level_cells.append(candidates(closures, start, solver._level_cells(closures, *work)))
-        sign_cells.append(candidates(deltas, start, solver._sign_cells(deltas)))
-    none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 2
+        level_cells.append(candidates(solver._level_cells(closures, *work), start))
+        sign_cells.append(candidates(solver._sign_cells(deltas), start))
+    none = (np.zeros(0, dtype=int),) * 2
     return ([np.concatenate(v) for v in zip(none, *level_cells)],
             [np.concatenate(v) for v in zip(none, *sign_cells)])
 
 
 def _candidate_lists(candidates):
-    """Sorted ``(row, sample, value)`` of each candidate list, NaN as None."""
-    return [sorted((r, i, None if math.isnan(v) else v)
-                   for r, i, v in zip(row.tolist(), i.tolist(), here.tolist()))
-            for row, i, here, _ in candidates]
+    """Sorted ``(row, sample)`` of each candidate list."""
+    return [sorted(zip(row.tolist(), i.tolist())) for row, i in candidates]
 
 
 def _scan_trace(linkage, monkeypatch, tabulate):
     """enumerate_cyclic with ``tabulate`` in place of the scan's table: the
-    sorted ``(row, sample, value)`` candidates of the closures and of the
-    deltas (NaN as None), the sorted closure brackets ``(row, k, sample)``,
+    sorted ``(row, sample)`` candidates of the closures and of the deltas,
+    the sorted closure brackets ``(row, k, sample)``,
     the table it returns, and the grid and strings it scanned."""
     seen, brackets = {}, []
     batched = solver.brentq
@@ -770,10 +760,10 @@ def _pruned_scan_fixtures():
 @pytest.mark.parametrize("linkage", list(_pruned_scan_fixtures()))
 def test_pruned_scan_matches_full_table(linkage, monkeypatch):
     """The cells the scan leaves out hold no closure candidate and no double
-    root: its closure candidates, their values, its closure brackets and its
-    table are the full table's, and each delta candidate of the full table
-    that it drops, once scipy refines it, lies too far from every level
-    ``pi k`` to pass the double-root test."""
+    root: its closure candidates, its closure brackets and its table are the
+    full table's, and each delta candidate of the full table that it drops,
+    once scipy refines it, lies too far from every level ``pi k`` to pass
+    the double-root test."""
     (closures, deltas), brackets, table, grid, strings = _scan_trace(linkage, monkeypatch,
                                                                      solver._tabulate)
     (full_closures, full_deltas), *expected, _, _ = _scan_trace(linkage, monkeypatch, _full_table)
@@ -783,8 +773,9 @@ def test_pruned_scan_matches_full_table(linkage, monkeypatch):
                for f in fields(table))
     assert set(deltas) <= set(full_deltas)
     rho = solver._ratios(linkage)
-    for row, i, value in set(full_deltas) - set(deltas):
+    for row, i in set(full_deltas) - set(deltas):
         eps = tuple(strings[row].tolist())
+        value = _delta(linkage, eps, grid[i])
         if value == 0.0:
             theta = grid[i]
         else:
@@ -827,8 +818,29 @@ def test_pruned_scan_takes_a_cell_end_once():
     grid[solver._STEP] = math.pi
     rho, strings = np.ones(3), np.array([[1.0, 1.0, -1.0]])
     closures = _candidate_lists(solver._tabulate(rho, grid, strings))[0]
-    assert (0, solver._STEP, math.pi) in closures
+    assert (0, solver._STEP) in closures
     assert closures == _candidate_lists(_full_table(rho, grid, strings))[0]
+
+
+def test_last_bits_of_the_tables_move_no_root(monkeypatch):
+    # C = theta exactly, as above, on a grid whose sample _STEP lies one ulp
+    # above pi, so C - pi changes sign in the first cell.  The tables sum
+    # the edges in another order than _scan_rows, here two ulps low within
+    # 1e-12 of pi: the candidates they mark still hold the root, which is
+    # decided on the values brentq starts from, not on the tables'.
+    grid = np.linspace(0.0, math.pi * solver.SAMPLES / solver._STEP, solver.SAMPLES + 1)
+    grid[solver._STEP] = np.nextafter(math.pi, 4.0)
+    windows = solver._windows
+
+    def low_near_pi(table, eps, slots, out):
+        windows(table, eps, slots, out)
+        near = np.abs(out - math.pi) <= 1e-12
+        out[near] = np.nextafter(np.nextafter(out[near], 0.0), 0.0)
+
+    monkeypatch.setattr(solver, "_angle_grid", lambda: grid)
+    monkeypatch.setattr(solver, "_windows", low_near_pi)
+    _, k, theta = solver._scan(Linkage([1, 1, 1]), np.array([[1.0, 1.0, -1.0]]))
+    assert theta[k == 1].tolist() == [grid[solver._STEP]]
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -931,17 +943,16 @@ def test_cell_bounds_hold_every_sample(lengths, codes):
     n, step = rho.size, solver._STEP
     strings = 1.0 - 2.0 * ((np.array(codes)[:, None] >> np.arange(n)) & 1)
     grid = solver._angle_grid()
-    table = solver._half_angles(rho, np.concatenate([[np.nan], grid]))
-    coarse = table[1::step]
+    table = solver._half_angles(rho, grid)
+    coarse = table[::step]
     lo, hi = solver._bounds(coarse, strings, solver._cell_gaps(rho, grid[::step], coarse, 0.0))
     cells = solver.SAMPLES // step
-    windows = np.empty((cells * len(strings) + 1, step + 3))
-    eps = np.concatenate([np.tile(strings, (cells, 1)), strings[:1]])
-    # the table of every cell's window: its samples and one more on each side
-    table = table[np.arange(cells)[:, None] * step + np.arange(step + 2)]
-    solver._windows(table, eps, np.repeat(np.arange(cells), len(strings)), windows)
-    # columns 1 .. step + 1 are the samples of the cell, both ends
-    values = windows[:-1, 1:-1].reshape(cells, len(strings), step + 1)
+    windows = np.empty((cells * len(strings), step + 1))
+    # the table of every cell's window: its samples, both ends included
+    table = table[np.arange(cells)[:, None] * step + np.arange(step + 1)]
+    solver._windows(table, np.tile(strings, (cells, 1)), np.repeat(np.arange(cells), len(strings)),
+                    windows)
+    values = windows.reshape(cells, len(strings), step + 1)
     assert np.all(lo[:, :, None] <= values)
     assert np.all(values <= hi[:, :, None])
 
