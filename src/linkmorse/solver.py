@@ -15,27 +15,27 @@ one grid of :data:`SAMPLES` points uniform in theta covers every radius: there
 is no radius cap.
 
 The scan runs once per linkage, over blocks of orientation strings, and
-tabulates the closure sums ``C = sum eps_i alpha_i`` and the deltas ``D``
-coarse to fine.  Every ``alpha_i`` is increasing and concave in theta, so
-on a cell [a, b] C lies within a gap G of its chord, where G is the
-tangent gap of the total ``T = sum alpha_i`` and so the same for every
-string (:func:`_cell_gaps`).  These bounds, taken from every
-:data:`_STEP`-th grid point, prove about 98% of the cells free of any level
-``pi k``; only the other cells are tabulated at every grid point, C and D
-alike, a chunk of them per matrix product.  A level ``pi k`` can only be
-crossed in a cell where ``floor(C / pi)`` changes or next to a sample within
-a slack of a level, so one pass over the tabulated cells picks these
-candidate cells.  The tables only mark them: the exact test runs on the
-values of :func:`_scan_rows` at their ends, those :func:`brentq` starts
-from, at every winding the closure range admits at once: a sign change of
-``C - pi k`` brackets a root, and an exact zero is one.  The bounds are
-widened past the slack, so the candidates are those of the whole table.
-F and delta are analytic in theta, and vanish identically only on a
-string whose +1 and -1 edges carry the same lengths; such a string has no
-root and is not scanned (see :func:`_vanishing`).  Double roots hide at
-zeros of delta, the extrema of F; one is accepted when ``|F| <=
-RESIDUAL_TOL * (sum alpha_i + pi |k|)``, far inside the widening, so no
-cell left out holds one.  One call of
+bounds the closure sums ``C = sum eps_i alpha_i`` coarse to fine by one
+rule.  Every ``alpha_i`` is increasing and concave in theta, so on a cell
+[a, b] C lies within a gap G of its chord, where G is the tangent gap of
+the total ``T = sum alpha_i`` and so the same for every string
+(:func:`_cell_gaps`).  These bounds, taken from every :data:`_STEP`-th grid
+point, prove about 98% of the coarse cells free of any level ``pi k``; only
+the other cells are tabulated at every grid point, a chunk of them per
+matrix product, and each of their grid cells is bounded by the same rule
+from its own ends.  A grid cell whose bound, widened past a slack, meets a
+level is a candidate.  The sums only mark candidates: the exact test runs
+on the values of :func:`_scan_rows` at both ends of each candidate cell,
+those :func:`brentq` starts from, at every winding the closure range
+admits at once: a sign change of ``C - pi k`` brackets a root, and an exact
+zero is one.  F and delta are analytic in theta, and vanish identically
+only on a string whose +1 and -1 edges carry the same lengths; such a
+string has no root and is not scanned (see :func:`_vanishing`).  A double
+root lies at a zero of delta, an extremum of F, where F can touch a level
+between two samples without changing sign; one is accepted when ``|F| <=
+RESIDUAL_TOL * (sum alpha_i + pi |k|)``, far inside the widening, so the
+bound that holds C on the whole cell marks it, and delta is only
+evaluated at the ends of candidate cells.  One call of
 :func:`brentq`, a Brent's method over stacked rows of :func:`_scan_rows`,
 refines every bracket of F and of delta at once.  A root is flagged
 ``delta_zero`` when ``|delta| < DEGENERACY_TOL * sum tan(alpha_i)``, so both
@@ -83,8 +83,9 @@ _STEP = 64
 
 # Orientation strings per block of the scan: the block's coarse tables
 # (strings x cells + 1) take at most 2^16 values (512 kB) whatever n is.  No
-# table of the scan reaches 655 kB (those of kept cells take 520 kB at n = 16):
-# freeing one would raise the allocator's threshold for mapping memory.
+# table of the scan reaches 655 kB (the half-angles of kept cells, and the
+# temporaries of their gaps, take 520 kB at n = 16): freeing one would raise
+# the allocator's threshold for mapping memory.
 _BLOCK = 2 ** 16 // (SAMPLES // _STEP + 1)
 
 # Windows per chunk of the fine scan: a window holds one cell's samples, and
@@ -101,10 +102,12 @@ _WINDOWS = 182
 # (see tests/test_solver.py::test_cell_bounds_hold_every_sample).
 _BOUND_RTOL = 1e-12
 
-# Distance, in units of pi, within which a sample of C counts as near a level
-# pi k.  It is far above the rounding of C / pi and the last-bit gap between
-# the tables and _scan_rows, so where _scan_rows' C - pi k changes sign in a
-# cell whose tables' floor(C / pi) stays the same, an endpoint is this near.
+# Widening of the cell bounds, coarse and fine alike, in units of pi: each
+# bound is widened by twice it.  It is far above the rounding of C / pi, the
+# last-bit gap between the sums that mark candidates and _scan_rows, and the
+# |F| a double root may have (at most about 5e-11, see RESIDUAL_TOL), so a
+# cell where _scan_rows' C - pi k vanishes or changes sign at its ends, or
+# where F touches a level at a zero of delta, is a candidate.
 _LEVEL_SLACK = 1e-9
 
 # Largest number of edges enumerate_cyclic accepts.  The scan covers
@@ -277,6 +280,16 @@ def _scan_rows(theta: np.ndarray, rho: np.ndarray, eps: np.ndarray, k, delta) ->
     return _dot_rows(eps, values) - math.pi * k
 
 
+def _closures_and_deltas(rho: np.ndarray, theta: np.ndarray, eps: np.ndarray):
+    """``C = sum_i eps_i alpha_i`` and ``delta`` of each row, bit for bit as
+    :func:`_scan_rows` gives F at k = 0 and delta, from one set of
+    half-angles: the tangents overwrite them, so the largest array of the
+    scan is made once."""
+    values = _half_angles(rho, theta)
+    closure = _dot_rows(eps, values)
+    return closure, _dot_rows(eps, np.tan(values, out=values))
+
+
 def brentq(f, a: np.ndarray, b: np.ndarray, args=()) -> np.ndarray:
     """Roots of ``f`` in the brackets ``[a_j, b_j]``, all refined at once by
     Brent's method.
@@ -426,66 +439,51 @@ def _vanishing(lengths: np.ndarray, strings: np.ndarray) -> np.ndarray:
     return ~(strings @ np.eye(group.max() + 1)[group]).any(axis=1)
 
 
-def _level_cells(closures: np.ndarray, levels: np.ndarray, floors: np.ndarray) -> np.ndarray:
-    """Samples of a block of closure sums next to which a level ``pi k`` may
-    be met: where ``floor(C / pi)`` changes before the next sample, or where
-    this sample or the next lies within :data:`_LEVEL_SLACK` of a level.
-    ``levels`` and ``floors`` are work arrays of the block's shape."""
-    np.multiply(closures, 1.0 / math.pi, out=levels)
-    np.floor(levels, out=floors)
-    fraction = np.subtract(levels, floors, out=levels)
-    cells = (fraction <= _LEVEL_SLACK) | (fraction >= 1.0 - _LEVEL_SLACK)
-    cells[:, :-1] |= cells[:, 1:]
-    cells[:, :-1] |= floors[:, :-1] != floors[:, 1:]
-    return cells
-
-
-def _sign_cells(deltas: np.ndarray) -> np.ndarray:
-    """Samples of a block of deltas that are exact zeros, or whose strict
-    sign differs from the next sample's."""
-    pos, neg = deltas > 0.0, deltas < 0.0
-    cells = deltas == 0.0
-    cells[:, :-1] |= (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
-    return cells
-
-
 def _sign_change(here, after, level):
     """Cells across which the values at their ends minus the level change sign."""
     return ((here < level) & (after > level)) | ((here > level) & (after < level))
 
 
-def _cell_gaps(rho: np.ndarray, theta: np.ndarray, coarse: np.ndarray, widen: float) -> np.ndarray:
+def _cell_gaps(rho: np.ndarray, theta: np.ndarray, alphas: np.ndarray, widen: float) -> np.ndarray:
     """Half-width G of each cell's second-order bound (see :func:`_bounds`),
-    from the half-angles ``coarse`` at the coarse points ``theta`` (one row
-    each).  Every ``alpha_i`` is increasing and concave in theta, so on a
-    cell [a, b] of width h each lies between its chord and its tangents, and
-    the tangent gaps of P and of N, both non-negative, add up to that of the
-    total T: the gap of ``C = P - N`` over its chord is at most
-    ``G = min(T(a) + T'(a) h - T(b), T(b) - T'(b) h - T(a))``, where
+    from the half-angles ``alphas`` at the points ``theta`` (one row each),
+    the cells' ends along the last axis of ``theta``: the coarse points, or
+    the samples of each window.  Every ``alpha_i`` is increasing and concave
+    in theta, so on a cell [a, b] of width h each lies between its chord and
+    its tangents, and the tangent gaps of P and of N, both non-negative, add
+    up to that of the total T: the gap of ``C = P - N`` over its chord is at
+    most ``G = min(T(a) + T'(a) h - T(b), T(b) - T'(b) h - T(a))``, where
     ``T' = sum rho_i cos theta / cos alpha_i``, 1 on the longest edges.  G
     is widened by ``widen`` and by :data:`_BOUND_RTOL` of T(b), for the
     rounding of the sums."""
-    slope = (rho * np.cos(theta)[:, None] / np.cos(coarse)).sum(axis=1)
-    total, h = coarse.sum(axis=1), np.diff(theta)
-    gap = np.minimum(total[:-1] + slope[:-1] * h - total[1:], total[1:] - slope[1:] * h - total[:-1])
-    return gap + widen + _BOUND_RTOL * total[1:]
+    slope = (rho * np.cos(theta)[..., None] / np.cos(alphas)).sum(axis=-1)
+    total, h = alphas.sum(axis=-1), np.diff(theta, axis=-1)
+    gap = np.minimum(total[..., :-1] + slope[..., :-1] * h - total[..., 1:],
+                     total[..., 1:] - slope[..., 1:] * h - total[..., :-1])
+    return gap + widen + _BOUND_RTOL * total[..., 1:]
 
 
-def _bounds(coarse: np.ndarray, rows: np.ndarray, gaps: np.ndarray):
-    """Bounds ``(lo, hi)``, one row per coarse cell and one column per
-    string, on the closure sums ``C = rows . alpha`` over each cell:
-    ``[min(C(a), C(b)) - G, max(C(a), C(b)) + G]`` on a cell [a, b], with
-    the half-angles ``coarse`` at the coarse points (one row each) and the
-    cells' half-widths ``gaps`` from :func:`_cell_gaps`."""
-    ends = coarse @ rows.T
-    lo, hi = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
-    return np.subtract(lo, gaps[:, None], out=lo), np.add(hi, gaps[:, None], out=hi)
+def _bounds(a: np.ndarray, b: np.ndarray, gaps: np.ndarray, lo=None, hi=None):
+    """Bounds ``(lo, hi)`` on the closure sums C over cells [a, b], from C at
+    their ends ``a`` and ``b`` and their half-widths ``gaps`` from
+    :func:`_cell_gaps`: ``[min(C(a), C(b)) - G, max(C(a), C(b)) + G]``, into
+    ``lo`` and ``hi`` if given."""
+    lo, hi = np.minimum(a, b, out=lo), np.maximum(a, b, out=hi)
+    return np.subtract(lo, gaps, out=lo), np.add(hi, gaps, out=hi)
 
 
 def _meets_level(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Cells whose bound [lo, hi] holds a level ``pi k``, computed in place."""
     return (np.ceil(np.divide(lo, math.pi, out=lo), out=lo)
             <= np.floor(np.divide(hi, math.pi, out=hi), out=hi))
+
+
+def _coarse_cells(coarse: np.ndarray, rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Coarse cells (cells x strings) of the strings ``rows`` whose bound
+    meets a level, from the half-angles ``coarse`` at the coarse points (one
+    row each) and the cells' ``gaps``."""
+    ends = coarse @ rows.T
+    return _meets_level(*_bounds(ends[:-1], ends[1:], gaps[:, None]))
 
 
 def _windows(table: np.ndarray, eps: np.ndarray, slots: np.ndarray, out: np.ndarray):
@@ -500,73 +498,68 @@ def _windows(table: np.ndarray, eps: np.ndarray, slots: np.ndarray, out: np.ndar
         np.matmul(eps[lo:hi], table[slots[lo]].T, out=out[lo:hi])
 
 
-def _window_candidates(tables, rows, offset: int, kept, slot, marks, work):
-    """Candidate samples of the kept cells (``kept``: cells x strings) of a
-    block of strings in each of ``tables``, chunk by chunk of windows: per
-    chunk, one pair per table of the row (plus ``offset``) and the sample.
-    ``slot`` maps a cell to its window in the tables, and ``marks`` picks
-    each table's candidates in a table of windows."""
-    last, size = kept.shape[0] - 1, len(work)
+def _window_candidates(table, gaps, rows, offset: int, kept, slot, work):
+    """Candidate cells of the kept coarse cells (``kept``: cells x strings)
+    of a block of strings, chunk by chunk of windows: per chunk, the row
+    (plus ``offset``) and the first sample of each grid cell whose bound
+    meets a level.  ``slot`` maps a coarse cell to its window in ``table``
+    and in ``gaps``, the grid cells' half-widths, and ``work`` holds the
+    closure sums and the bounds of a chunk."""
+    values, lo, hi = work
+    chunk = len(values)
     cell, row = np.divmod(np.flatnonzero(kept), kept.shape[1])
-    for first in range(0, cell.size, size):
-        cells, string = cell[first:first + size], row[first:first + size]
-        eps, slots, values = rows[string], slot[cells], work[:cells.size]
-        inner, found = cells < last, []
-        for table, mark in zip(tables, marks):
-            _windows(table, eps, slots, values)
-            marked = mark(values)
-            # A window's last sample belongs to the next cell, except at the
-            # end of the grid.
-            marked[inner, -1] = False
-            j, col = np.divmod(np.flatnonzero(marked), _STEP + 1)
-            found.append((string[j] + offset, cells[j] * _STEP + col))
-        yield found
+    for first in range(0, cell.size, chunk):
+        cells, string = cell[first:first + chunk], row[first:first + chunk]
+        slots, m = slot[cells], cells.size
+        _windows(table, rows[string], slots, values[:m])
+        bound = _bounds(values[:m, :-1], values[:m, 1:], gaps[slots], lo[:m], hi[:m])
+        j, col = np.divmod(np.flatnonzero(_meets_level(*bound)), _STEP)
+        yield string[j] + offset, cells[j] * _STEP + col
 
 
 def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
-    """Candidate samples of the closure sums and of the deltas of every
-    string on the grid, as a pair of arrays each: the row and the sample.
+    """Candidate cells of every string on the grid, as a pair of arrays: the
+    row and the cell's first sample.
 
-    Both tables are built coarse to fine.  The closure sums at every
-    :data:`_STEP`-th sample and the gaps of the cells, computed once, bound
-    each string's cells (:func:`_bounds`), a block of strings at a time.
-    Only a cell whose widened bound meets a level ``pi k``, and the first
-    cell, is tabulated at every sample, both ends included, in both tables:
-    a window is its cell's samples.  A cell left out holds no closure
-    candidate, and no zero of delta near enough to a level to be a double
-    root.  Half-angles and tangents are computed on kept cells alone, and
-    the work arrays hold the windows a block keeps, :data:`_WINDOWS` at
-    most.  The tables only mark candidates (see :func:`_scan`).
+    One bound rule marks them, coarse to fine (:func:`_bounds`).  The
+    closure sums at every :data:`_STEP`-th sample and the gaps of the coarse
+    cells, computed once, bound each string's coarse cells, a block of
+    strings at a time.  Only a coarse cell whose widened bound meets a
+    level ``pi k``, and the first cell, is tabulated at every sample, both
+    ends included: a window is its cell's samples.  Each grid cell of a
+    window is bounded the same way, from the closure sums at its ends and
+    its own gap, and is a candidate when that bound meets a level.  A bound
+    holds C on its whole cell, so a cell left out at either resolution
+    holds no root of F, and no zero of delta near enough to a level to be a
+    double root.  Half-angles and gaps are computed on kept cells alone, one
+    row per window for every string, and the work arrays hold the windows a
+    block keeps, :data:`_WINDOWS` at most.
     """
     coarse = _half_angles(rho, grid[::_STEP])
-    # A closure sum within _LEVEL_SLACK pi of a level marks a candidate: the
-    # bounds are widened by twice that, far more than the rounding of C / pi
-    # or a double root's RESIDUAL_TOL (at most about 5e-11).
-    gaps = _cell_gaps(rho, grid[::_STEP], coarse, 2.0 * _LEVEL_SLACK * math.pi)
+    widen = 2.0 * _LEVEL_SLACK * math.pi
+    gaps = _cell_gaps(rho, grid[::_STEP], coarse, widen)
     # The first cell, where a wall string's scan starts (see _scan), is
     # always kept: it starts at _FAR_ANGLE, where C is about 1e-200, so its
     # widened bound holds the level 0.
     used, blocks = np.zeros(len(gaps), dtype=bool), []
     for start in range(0, len(strings), _BLOCK):
-        blocks.append((start, _meets_level(*_bounds(coarse, strings[start:start + _BLOCK], gaps))))
+        blocks.append((start, _coarse_cells(coarse, strings[start:start + _BLOCK], gaps)))
         used |= blocks[-1][1].any(axis=1)
-    # The tables of kept cells: a window per cell some string keeps, at the
-    # cell's slot, its samples, both ends included.
+    # The table of kept cells: a window per cell some string keeps, at the
+    # cell's slot, its samples, both ends included, and the gaps of its grid
+    # cells.
     slot, index = np.cumsum(used) - 1, np.flatnonzero(used)[:, None] * _STEP + np.arange(_STEP + 1)
-    alphas = _half_angles(rho, grid[index])
-    tables = alphas, np.tan(alphas)
-    # Work tables reused by every chunk of windows, sized by the windows a
+    table = _half_angles(rho, grid[index])
+    gaps = _cell_gaps(rho, grid[index], table, widen)
+    # Work arrays reused by every chunk of windows, sized by the windows a
     # block keeps (see _BLOCK and _WINDOWS).
     size = min(max((np.count_nonzero(kept) for _, kept in blocks), default=0), _WINDOWS)
-    work = np.empty((size, _STEP + 1))
-    levels, floors = np.empty_like(work), np.empty_like(work)
-    def level_marks(values):
-        return _level_cells(values, levels[:len(values)], floors[:len(values)])
-    found = [((np.zeros(0, dtype=int),) * 2,) * 2]
+    work = np.empty((size, _STEP + 1)), np.empty((size, _STEP)), np.empty((size, _STEP))
+    found = [(np.zeros(0, dtype=int),) * 2]
     for start, kept in blocks:
-        found.extend(_window_candidates(tables, strings[start:start + _BLOCK], start, kept, slot,
-                                        (level_marks, _sign_cells), work))
-    return tuple([np.concatenate(v) for v in zip(*cands)] for cands in zip(*found))
+        found.extend(_window_candidates(table, gaps, strings[start:start + _BLOCK], start, kept,
+                                        slot, work))
+    return tuple(np.concatenate(v) for v in zip(*found))
 
 
 def _merge(row: np.ndarray, k: np.ndarray, theta: np.ndarray):
@@ -594,8 +587,9 @@ def _scan(linkage: Linkage, strings: np.ndarray):
     :data:`RESIDUAL_TOL` of ``pi k`` (at most about 5e-11), so each has a
     winding with ``-(n - e) < 2k < e``.
 
-    The tables of :func:`_tabulate` only mark candidates: every decision
-    reads :func:`_scan_rows` values, those :func:`brentq` starts from.
+    The sums of :func:`_tabulate` only mark candidate cells: every decision
+    reads :func:`_scan_rows` values at their ends, those :func:`brentq`
+    starts from.
 
     Returns arrays ``(row, k, theta)`` sorted by row, then k, then theta.
     """
@@ -606,30 +600,29 @@ def _scan(linkage: Linkage, strings: np.ndarray):
     strings = strings[scanned]
     rho = _ratios(linkage)
     grid = _angle_grid()
-    (row, i), (d_row, d_i) = _tabulate(rho, grid, strings)
+    row, i = _tabulate(rho, grid, strings)
 
-    # F (at k = 0) and delta at each candidate sample and the next (itself at
-    # the grid's end, where no sign changes).  On a wall (sum eps_i l_i = 0 to
-    # RESIDUAL_TOL) both vanish at r = inf, the first point, where their signs
-    # are rounding and no configuration lies: a wall string's scan starts at
-    # the second point.
+    # On a wall (sum eps_i l_i = 0 to RESIDUAL_TOL) F and delta vanish at
+    # r = inf, the first point, where their signs are rounding and no
+    # configuration lies: a wall string's scan starts at the second point, and
+    # its first cell is dropped.
     first = _half_angles(rho, grid[0])
     wall = np.abs(strings @ first) <= RESIDUAL_TOL * first.sum()
-    row, i = np.concatenate([row, d_row]), np.concatenate([i, d_i])
-    delta = np.arange(row.size) >= row.size - d_row.size
     keep = (i > 0) | ~wall[row]
-    row, i, delta = row[keep], i[keep], delta[keep]
-    here, after = _scan_rows(grid[np.stack([i, np.minimum(i + 1, grid.size - 1)])], rho,
-                             strings[row], 0, np.stack([delta, delta]))
-    (row, i, here, after), (d_row, d_i, d_here, d_after) = (
-        (row[rows], i[rows], here[rows], after[rows]) for rows in (~delta, delta))
+    row, i = row[keep], i[keep]
+    # F (at k = 0) and delta at both ends of each candidate cell.
+    ends = np.stack([i, i + 1])
+    closure, deltas = _closures_and_deltas(rho, grid[ends], strings[row])
+    rows = np.broadcast_to(row, ends.shape)
 
-    # Roots of F: exact zeros at the level nearest a candidate sample, and
-    # sign changes across the cell to the next sample for every level from
-    # floor(C / pi) at the lower end to floor(C / pi) + 1 at the upper end.
-    k = np.rint(here / math.pi)
-    zero = here == math.pi * k
-    found = [(row[zero], k[zero], grid[i[zero]])]
+    # Roots of F: exact zeros at the level nearest either end, and sign
+    # changes across the cell for every level from floor(C / pi) at the
+    # lower end to floor(C / pi) + 1 at the upper end.  A zero on the end
+    # two cells share is found twice, and _merge keeps it once.
+    k = np.rint(closure / math.pi)
+    zero = closure == math.pi * k
+    found = [(rows[zero], k[zero], grid[ends[zero]])]
+    here, after = closure
     lo = np.floor(np.minimum(here, after) / math.pi)
     hi = np.floor(np.maximum(here, after) / math.pi) + 1.0
     brackets = [(row[:0], lo[:0], i[:0])]  # typed empty arrays if there is no step
@@ -639,18 +632,19 @@ def _scan(linkage: Linkage, strings: np.ndarray):
         brackets.append((row[change], k[change], i[change]))
     # Double roots hide at interior extrema of F, i.e. zeros of delta, whose
     # sign changes are refined with the closure brackets as delta rows.
-    change = _sign_change(d_here, d_after, 0.0)
-    brackets.append((d_row[change], np.zeros(int(change.sum())), d_i[change]))
+    change = _sign_change(*deltas, 0.0)
+    brackets.append((row[change], np.zeros(int(change.sum())), i[change]))
     row, k, i = (np.concatenate(v) for v in zip(*brackets))
     delta = np.arange(row.size) >= row.size - int(change.sum())
     roots = brentq(lambda t, e, kk, d: _scan_rows(t, rho, e, kk, d), grid[i], grid[i + 1],
                    args=(strings[row], k, delta))
     found.append((row[~delta], k[~delta], roots[~delta]))
 
-    # Each zero of delta is tested against the level nearest to F there.
-    zero = d_here == 0.0
-    row = np.concatenate([d_row[zero], row[delta]])
-    theta = np.concatenate([grid[d_i[zero]], roots[delta]])
+    # Each zero of delta, exact at a cell's end or refined, is tested against
+    # the level nearest to F there.
+    zero = deltas == 0.0
+    row = np.concatenate([rows[zero], row[delta]])
+    theta = np.concatenate([grid[ends[zero]], roots[delta]])
     alphas = _half_angles(rho, theta)
     closure = _dot_rows(strings[row], alphas)
     k = np.rint(closure / math.pi)

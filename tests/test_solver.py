@@ -693,39 +693,32 @@ def test_every_winding_lies_in_the_closure_range(linkage):
 
 
 def _full_table(rho, grid, strings):
-    """The scan's candidate samples as it found them before it pruned cells:
-    the closure sums and the deltas of 16 strings at a time tabulated at
-    every grid point and searched by the same rules, as pairs of the row
-    and the sample."""
+    """The scan's candidate cells as it would find them without pruning
+    coarse cells: the closure sums of 16 strings at a time tabulated at
+    every grid point, and every grid cell bounded by the scan's rule, as
+    the row and the cell's first sample."""
     alphas_tab = solver._half_angles(rho, grid)
-    tangents_tab = np.tan(alphas_tab)
-
-    def candidates(cells, offset):
-        row, i = np.divmod(np.flatnonzero(cells), cells.shape[1])
-        return row + offset, i
-
-    level_cells, sign_cells = [], []
+    gaps = solver._cell_gaps(rho, grid, alphas_tab, 2.0 * solver._LEVEL_SLACK * math.pi)
+    found = [(np.zeros(0, dtype=int),) * 2]
     for start in range(0, len(strings), 16):
-        rows = strings[start:start + 16]
-        closures, deltas = rows @ alphas_tab.T, rows @ tangents_tab.T
-        work = np.empty_like(closures), np.empty_like(closures)
-        level_cells.append(candidates(solver._level_cells(closures, *work), start))
-        sign_cells.append(candidates(solver._sign_cells(deltas), start))
-    none = (np.zeros(0, dtype=int),) * 2
-    return ([np.concatenate(v) for v in zip(none, *level_cells)],
-            [np.concatenate(v) for v in zip(none, *sign_cells)])
+        closures = strings[start:start + 16] @ alphas_tab.T
+        marked = solver._meets_level(*solver._bounds(closures[:, :-1], closures[:, 1:], gaps))
+        row, i = np.divmod(np.flatnonzero(marked), marked.shape[1])
+        found.append((row + start, i))
+    return tuple(np.concatenate(v) for v in zip(*found))
 
 
-def _candidate_lists(candidates):
-    """Sorted ``(row, sample)`` of each candidate list."""
-    return [sorted(zip(row.tolist(), i.tolist())) for row, i in candidates]
+def _candidate_cells(candidates):
+    """Sorted ``(row, sample)`` of the candidate cells."""
+    row, i = candidates
+    return sorted(zip(row.tolist(), i.tolist()))
 
 
 def _scan_trace(linkage, monkeypatch, tabulate):
     """enumerate_cyclic with ``tabulate`` in place of the scan's table: the
-    sorted ``(row, sample)`` candidates of the closures and of the deltas,
-    the sorted closure brackets ``(row, k, sample)``,
-    the table it returns, and the grid and strings it scanned."""
+    sorted ``(row, sample)`` candidate cells, the sorted closure brackets
+    ``(row, k, sample)``, the table it returns, and the grid and strings it
+    scanned."""
     seen, brackets = {}, []
     batched = solver.brentq
 
@@ -743,7 +736,7 @@ def _scan_trace(linkage, monkeypatch, tabulate):
         patch.setattr(solver, "brentq", recording_brentq)
         table = enumerate_cyclic(linkage)
     rows = {tuple(eps): j for j, eps in enumerate(seen["strings"].tolist())}
-    candidates = _candidate_lists(seen["candidates"])
+    candidates = _candidate_cells(seen["candidates"])
     a, (eps, k, delta) = brackets[0]
     closure_brackets = sorted(zip([rows[tuple(e)] for e in eps[~delta].tolist()],
                                   k[~delta].tolist(),
@@ -759,43 +752,28 @@ def _pruned_scan_fixtures():
 
 @pytest.mark.parametrize("linkage", list(_pruned_scan_fixtures()))
 def test_pruned_scan_matches_full_table(linkage, monkeypatch):
-    """The cells the scan leaves out hold no closure candidate and no double
-    root: its closure candidates, its closure brackets and its table are the
-    full table's, and each delta candidate of the full table that it drops,
-    once scipy refines it, lies too far from every level ``pi k`` to pass
-    the double-root test."""
-    (closures, deltas), brackets, table, grid, strings = _scan_trace(linkage, monkeypatch,
-                                                                     solver._tabulate)
-    (full_closures, full_deltas), *expected, _, _ = _scan_trace(linkage, monkeypatch, _full_table)
-    assert closures == full_closures
+    """The coarse cells the scan leaves out hold no candidate: its
+    candidate cells are among the full table's, and its closure brackets
+    and its table are the full table's.  The full table may mark more: a
+    fine bound reaches past C by its gap, so it can meet a level in a cell
+    whose coarse bound does not."""
+    candidates, brackets, table, _, _ = _scan_trace(linkage, monkeypatch, solver._tabulate)
+    full, *expected, _, _ = _scan_trace(linkage, monkeypatch, _full_table)
+    assert set(candidates) <= set(full)
     assert brackets == expected[0]
     assert all(np.array_equal(getattr(table, f.name), getattr(expected[1], f.name))
                for f in fields(table))
-    assert set(deltas) <= set(full_deltas)
-    rho = solver._ratios(linkage)
-    for row, i in set(full_deltas) - set(deltas):
-        eps = tuple(strings[row].tolist())
-        value = _delta(linkage, eps, grid[i])
-        if value == 0.0:
-            theta = grid[i]
-        else:
-            # a sample is a candidate next to a sign change of delta
-            assert value * _delta(linkage, eps, grid[i + 1]) < 0.0
-            theta = brentq(lambda t: _delta(linkage, eps, t), grid[i], grid[i + 1],
-                           xtol=solver._FAR_ANGLE, rtol=solver.ROOT_RTOL)
-        alphas = solver._half_angles(rho, theta)
-        closure = float(strings[row] @ alphas)
-        k = round(closure / math.pi)
-        assert abs(closure - math.pi * k) > solver.RESIDUAL_TOL * (alphas.sum() + math.pi * abs(k))
 
 
 def test_pruned_scan_keeping_every_cell_is_the_full_table(monkeypatch):
-    # every cell kept, as an adversarial linkage might have it: the windows
-    # then tile the full table and are searched a bounded chunk at a time,
-    # within the n = 12 bound of test_enumeration_memory_is_bounded
+    # every coarse cell kept, as an adversarial linkage might have it: the
+    # windows then tile the full table, each grid cell is bounded as the
+    # full table bounds it, and they are searched a bounded chunk at a
+    # time, within the n = 12 bound of test_enumeration_memory_is_bounded
     linkage = random_linkage(np.random.default_rng(12), 12)
     expected = _scan_trace(linkage, monkeypatch, _full_table)
-    monkeypatch.setattr(solver, "_meets_level", lambda lo, hi: np.ones(lo.shape, dtype=bool))
+    monkeypatch.setattr(solver, "_coarse_cells",
+                        lambda coarse, rows, gaps: np.ones((len(gaps), len(rows)), dtype=bool))
     tracemalloc.start()
     try:
         candidates, brackets, table, _, _ = _scan_trace(linkage, monkeypatch, solver._tabulate)
@@ -809,17 +787,20 @@ def test_pruned_scan_keeping_every_cell_is_the_full_table(monkeypatch):
                for f in fields(table))
 
 
-def test_pruned_scan_takes_a_cell_end_once():
+def test_pruned_scan_takes_a_cell_end_once(monkeypatch):
     # with three equal edges and eps = (1, 1, -1), C is theta exactly; on a
-    # grid that puts pi on the first cell's last sample, C - pi has an exact
-    # zero there, which only the next cell may report (the grid runs past
-    # pi/2, where delta = tan(theta) is no longer monotone: it is not compared)
+    # grid that puts pi on the first coarse cell's last sample, C - pi has an
+    # exact zero there, so both grid cells that share that sample are
+    # candidates, each tests it, and the scan reports it once
     grid = np.linspace(0.0, math.pi * solver.SAMPLES / solver._STEP, solver.SAMPLES + 1)
     grid[solver._STEP] = math.pi
     rho, strings = np.ones(3), np.array([[1.0, 1.0, -1.0]])
-    closures = _candidate_lists(solver._tabulate(rho, grid, strings))[0]
-    assert (0, solver._STEP) in closures
-    assert closures == _candidate_lists(_full_table(rho, grid, strings))[0]
+    candidates = _candidate_cells(solver._tabulate(rho, grid, strings))
+    assert {(0, solver._STEP - 1), (0, solver._STEP)} <= set(candidates)
+    assert candidates == _candidate_cells(_full_table(rho, grid, strings))
+    monkeypatch.setattr(solver, "_angle_grid", lambda: grid)
+    _, k, theta = solver._scan(Linkage([1, 1, 1]), strings)
+    assert theta[k == 1].tolist() == [math.pi]
 
 
 def test_last_bits_of_the_tables_move_no_root(monkeypatch):
@@ -877,16 +858,16 @@ def test_merge_drops_repeated_roots_only():
 
 
 def _kept_cells(monkeypatch, scan):
-    """The kept-cell masks (cells x strings) of every block that ``scan()``
-    bounds."""
-    kept, meets = [], solver._meets_level
+    """The coarse kept-cell masks (cells x strings) of every block that
+    ``scan()`` bounds."""
+    kept, cells = [], solver._coarse_cells
 
-    def recording(lo, hi):
-        kept.append(meets(lo, hi))
+    def recording(coarse, rows, gaps):
+        kept.append(cells(coarse, rows, gaps))
         return kept[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_meets_level", recording)
+        patch.setattr(solver, "_coarse_cells", recording)
         scan()
     return kept
 
@@ -896,9 +877,10 @@ def _kept_cells(monkeypatch, scan):
     ("hex_121212", [1, 2, 1, 2, 1, 2]), ("equilateral_6", [1] * 6),
     ("quad_wall_1e-8", QUAD_WALL_8))])
 def test_first_cell_is_kept_on_walls(linkage, monkeypatch):
-    """The first cell, where a wall string's scan starts with NaN at
-    r = inf, is tabulated for every string: it starts at _FAR_ANGLE, where
-    C is about 1e-200, so its widened bound holds the level 0."""
+    """The first coarse cell, where a wall string's scan starts at the
+    second grid point, is tabulated for every string: it starts at
+    _FAR_ANGLE, where C is about 1e-200, so its widened bound holds the
+    level 0."""
     kept = _kept_cells(monkeypatch, lambda: enumerate_cyclic(linkage))
     assert kept and all(mask[0].all() for mask in kept)
 
@@ -945,7 +927,9 @@ def test_cell_bounds_hold_every_sample(lengths, codes):
     grid = solver._angle_grid()
     table = solver._half_angles(rho, grid)
     coarse = table[::step]
-    lo, hi = solver._bounds(coarse, strings, solver._cell_gaps(rho, grid[::step], coarse, 0.0))
+    ends = coarse @ strings.T
+    lo, hi = solver._bounds(ends[:-1], ends[1:],
+                            solver._cell_gaps(rho, grid[::step], coarse, 0.0)[:, None])
     cells = solver.SAMPLES // step
     windows = np.empty((cells * len(strings), step + 1))
     # the table of every cell's window: its samples, both ends included
@@ -957,11 +941,85 @@ def test_cell_bounds_hold_every_sample(lengths, codes):
     assert np.all(values <= hi[:, :, None])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.05, 1.0), _NEAR_ONE), min_size=2, max_size=16),
+       st.lists(st.integers(0, 2 ** 16 - 1), min_size=1, max_size=8))
+def test_fine_bounds_hold_between_samples(lengths, codes):
+    """The closure sum at 7 interior points of each grid cell lies in that
+    cell's second-order bound, widened only by _BOUND_RTOL: the bound holds
+    C on the whole cell, so a zero of delta, where F may touch a level
+    between two samples, lies in a cell the bound marks.  The interior
+    points lie at least h / 8 from theta_max, where an arcsin input rounded
+    by half an ulp moves a half-angle by at most 1.2e-12."""
+    rho = np.array(lengths) / max(lengths)
+    strings = 1.0 - 2.0 * ((np.array(codes)[:, None] >> np.arange(rho.size)) & 1)
+    grid = solver._angle_grid()
+    table = solver._half_angles(rho, grid)
+    ends = solver._dot_rows(strings[:, None, :], table)
+    lo, hi = solver._bounds(ends[:, :-1], ends[:, 1:], solver._cell_gaps(rho, grid, table, 0.0))
+    inner = grid[:-1, None] + np.diff(grid)[:, None] * (np.arange(1, 8) / 8.0)
+    values = solver._dot_rows(strings[:, None, None, :], solver._half_angles(rho, inner))
+    assert np.all(lo[..., None] <= values)
+    assert np.all(values <= hi[..., None])
+
+
+def test_double_root_is_found_at_a_zero_of_delta():
+    """On [1, 2, 1.5, 2.5 - 1e-11] the string (1, -1, -1, 1) at k = 0 has
+    two roots in the first grid cell: a sign change of F at about
+    118323 r_min, and a zero of delta at about 204936 r_min where F touches
+    the level within RESIDUAL_TOL.  The outer root is the brentq root of
+    delta on its cell, accepted as a double root, and its mirror is a row
+    too.  All four rows of the pair are flagged delta_zero."""
+    linkage = Linkage([1, 2, 1.5, 2.5 - 1e-11])
+    table = enumerate_cyclic(linkage)
+    assert len(table) == 6 and table.delta_zero.sum() == 4
+    eps = (1, -1, -1, 1)
+    rows = np.flatnonzero((table.eps == eps).all(axis=1) & (table.k == 0))
+    assert np.allclose(table.radius[rows] / linkage.min_radius, [118323, 204936], rtol=1e-5)
+    _, k, theta = solver._scan(linkage, np.array([eps], dtype=float))
+    outer = theta[(k == 0) & (theta == theta.min())][0]
+    assert table.radius[rows[1]] == linkage.min_radius / np.sin(outer)
+    grid = solver._angle_grid()
+    cell = np.searchsorted(grid, outer) - 1
+    assert outer == brentq(lambda t: _delta(linkage, eps, t), grid[cell], grid[cell + 1],
+                           xtol=solver._FAR_ANGLE, rtol=solver.ROOT_RTOL)
+    mirror = np.flatnonzero((table.eps == [-v for v in eps]).all(axis=1) & (table.k == 0))
+    assert table.radius[mirror].tolist() == table.radius[rows].tolist()
+
+
+def test_double_root_between_samples_is_marked_by_the_gap():
+    """F of (1, -1, -1, -1, 1) at k = 0 touches the level 0 between two grid
+    samples without crossing it: the fourth length was solved (scipy's
+    brentq on the length) so that F vanishes at its zero of delta near
+    theta = 1.4223.  At both ends of that cell F lies below the level by
+    more than the widening, so only the fine bound's gap marks the cell.
+    The root is the zero of delta refined on it, the one row of (E, 0),
+    and it and its mirror are the two rows flagged delta_zero."""
+    linkage = Linkage([1.704728292993807, 1.2441486794842471, 1.8220027041691074,
+                       0.7380304274238483, 1.8135507946732425])
+    eps = (1, -1, -1, -1, 1)
+    table = enumerate_cyclic(linkage)
+    rows = np.flatnonzero((table.eps == eps).all(axis=1) & (table.k == 0))
+    mirror = np.flatnonzero((table.eps == [-v for v in eps]).all(axis=1) & (table.k == 0))
+    assert len(rows) == len(mirror) == 1 and table.delta_zero[rows].all()
+    assert table.delta_zero.sum() == 2
+    _, k, theta = solver._scan(linkage, np.array([eps], dtype=float))
+    (root,) = theta[k == 0]
+    assert table.radius[rows[0]] == table.radius[mirror[0]] == linkage.min_radius / np.sin(root)
+    grid = solver._angle_grid()
+    cell = np.searchsorted(grid, root) - 1
+    assert root == brentq(lambda t: _delta(linkage, eps, t), grid[cell], grid[cell + 1],
+                          xtol=solver._FAR_ANGLE, rtol=solver.ROOT_RTOL)
+    widen = 2.0 * solver._LEVEL_SLACK * math.pi
+    assert max(_closure(linkage, eps, 0, grid[j]) for j in (cell, cell + 1)) < -widen
+
+
 def _brentq_fixtures():
+    # the linkage, and whether the scan brackets a zero of delta
     rng = np.random.default_rng(47)
-    yield from (pytest.param(random_linkage(rng, n), id=f"seeded_{n}") for n in range(4, 13))
-    yield pytest.param(Linkage(QUAD_WALL_8), id="quad_wall_1e-8")
-    yield pytest.param(Linkage(QUAD_WALL_6), id="quad_wall_1e-6")
+    yield from (pytest.param(random_linkage(rng, n), False, id=f"seeded_{n}") for n in range(4, 13))
+    yield pytest.param(Linkage(QUAD_WALL_8), True, id="quad_wall_1e-8")
+    yield pytest.param(Linkage(QUAD_WALL_6), True, id="quad_wall_1e-6")
 
 
 def _alone(f, rows=()):
@@ -969,8 +1027,8 @@ def _alone(f, rows=()):
     return lambda t: float(f(np.array([t]), *rows)[0])
 
 
-@pytest.mark.parametrize("linkage", list(_brentq_fixtures()))
-def test_brentq_matches_scipy_on_every_bracket(linkage, monkeypatch):
+@pytest.mark.parametrize("linkage, delta_rows", list(_brentq_fixtures()))
+def test_brentq_matches_scipy_on_every_bracket(linkage, delta_rows, monkeypatch):
     """The scan refines its closure brackets and its delta brackets in one
     batched call; each root is the one scipy's brentq finds on that bracket
     alone, bit for bit."""
@@ -987,9 +1045,10 @@ def test_brentq_matches_scipy_on_every_bracket(linkage, monkeypatch):
     assert len(calls) == 1
     f, a, b, args, roots = calls[0]
     delta = args[-1]
-    # the lengths at n = 4 to 11 keep no cell that holds a zero of delta:
-    # at each of them the closure sum lies at least 9e-5 from every level
-    assert (delta.any() or linkage.n < 12) and not delta.all()
+    # a zero of delta is bracketed only in a candidate cell, one whose
+    # bound meets a level: the near-wall quadrilaterals have one, the
+    # random lengths none
+    assert delta.any() == delta_rows and not delta.all()
     for j, root in enumerate(roots.tolist()):
         assert root == brentq(_alone(f, [arg[j:j + 1] for arg in args]), a[j], b[j],
                               xtol=solver._FAR_ANGLE, rtol=solver.ROOT_RTOL,
