@@ -20,28 +20,31 @@ rule.  Every ``alpha_i`` is increasing and concave in theta, so on a cell
 [a, b] C lies within a gap G of its chord, where G is the tangent gap of
 the total ``T = sum alpha_i`` and so the same for every string
 (:func:`_cell_gaps`).  These bounds, taken from every :data:`_STEP`-th grid
-point, prove about 98% of the coarse cells free of any level ``pi k``; only
-the other cells are tabulated at every grid point, a chunk of them per
-matrix product, and each of their grid cells is bounded by the same rule
-from its own ends.  A grid cell whose bound, widened past a slack, meets a
-level is a candidate.  The sums only mark candidates: the exact test runs
-on the values of :func:`_scan_rows` at both ends of each candidate cell,
-those :func:`brentq` starts from, at every winding the closure range
-admits at once: a sign change of ``C - pi k`` brackets a root, and an exact
-zero is one.  F and delta are analytic in theta, and vanish identically
-only on a string whose +1 and -1 edges carry the same lengths; such a
-string has no root and is not scanned (see :func:`_vanishing`).  A double
-root lies at a zero of delta, an extremum of F, where F can touch a level
-between two samples without changing sign; one is accepted when ``|F| <=
-RESIDUAL_TOL * (sum alpha_i + pi |k|)``, far inside the widening, so the
-bound that holds C on the whole cell marks it, and delta is only
-evaluated at the ends of candidate cells.  One call of
+point, prove about 99% of the coarse cells free of any level ``pi k``: the
+first cell, which reaches r = inf where C tends to the level 0, by a rule
+of its own, unless the string lies near a wall (:func:`_coarse_cells`).
+Only the other cells are tabulated at every grid point, a chunk of them
+per matrix product, and each of their grid cells is bounded by the same
+rule from its own ends.  A grid cell whose bound, widened past a slack,
+meets a level is a candidate.  The sums only mark candidates: the exact
+test runs on the values of :func:`_scan_rows` at both ends of each
+candidate cell, those :func:`brentq` starts from, at every winding the
+closure range admits at once: a sign change of ``C - pi k`` brackets a
+root, and an exact zero is one.  F and delta are analytic in theta, and
+vanish identically only on a string whose +1 and -1 edges carry the same
+lengths; such a string has no root and is not scanned (see
+:func:`_vanishing`).  A double root lies at a zero of delta, an extremum of
+F, where F can touch a level between two samples without changing sign; one
+is accepted when ``|F| <= RESIDUAL_TOL * (sum alpha_i + pi |k|)``, far
+inside the widening, so the bound that holds C on the whole cell marks it,
+and delta is only evaluated at the ends of candidate cells.  One call of
 :func:`brentq`, a Brent's method over stacked rows of :func:`_scan_rows`,
 refines every bracket of F and of delta at once.  A root is flagged
-``delta_zero`` when ``|delta| < DEGENERACY_TOL * sum tan(alpha_i)``, so both
-tests scale with the problem.  Only the strings with ``eps_1 = +1`` are
-scanned: the mirror string ``(-E, -k)`` has ``F_{-E,-k} = -F_{E,k}`` exactly
-in floating point, so it reuses the same roots, descriptors and flags.
+``delta_zero`` when ``|delta| < DEGENERACY_TOL * sum tan(alpha_i)``, so
+both tests scale with the problem.  Only the strings with ``eps_1 = +1``
+are scanned: the mirror string ``(-E, -k)`` has ``F_{-E,-k} = -F_{E,k}``
+exactly in floating point, so it reuses the same roots, descriptors and
+flags.
 
 The per-root tail is batched too: the roots' geometry, flags and closure
 check are array operations, and one sort orders roots and mirrors into the
@@ -444,7 +447,7 @@ def _sign_change(here, after, level):
     return ((here < level) & (after > level)) | ((here > level) & (after < level))
 
 
-def _cell_gaps(rho: np.ndarray, theta: np.ndarray, alphas: np.ndarray, widen: float) -> np.ndarray:
+def _cell_gaps(theta: np.ndarray, alphas: np.ndarray, widen: float) -> np.ndarray:
     """Half-width G of each cell's second-order bound (see :func:`_bounds`),
     from the half-angles ``alphas`` at the points ``theta`` (one row each),
     the cells' ends along the last axis of ``theta``: the coarse points, or
@@ -453,10 +456,10 @@ def _cell_gaps(rho: np.ndarray, theta: np.ndarray, alphas: np.ndarray, widen: fl
     its tangents, and the tangent gaps of P and of N, both non-negative, add
     up to that of the total T: the gap of ``C = P - N`` over its chord is at
     most ``G = min(T(a) + T'(a) h - T(b), T(b) - T'(b) h - T(a))``, where
-    ``T' = sum rho_i cos theta / cos alpha_i``, 1 on the longest edges.  G
-    is widened by ``widen`` and by :data:`_BOUND_RTOL` of T(b), for the
-    rounding of the sums."""
-    slope = (rho * np.cos(theta)[..., None] / np.cos(alphas)).sum(axis=-1)
+    ``T' = sum tan(alpha_i) / tan(theta)``, which is ``sum rho_i cos theta /
+    cos alpha_i`` without a cosine.  G is widened by ``widen`` and by
+    :data:`_BOUND_RTOL` of T(b), for the rounding of the sums."""
+    slope = np.tan(alphas).sum(axis=-1) / np.tan(theta)
     total, h = alphas.sum(axis=-1), np.diff(theta, axis=-1)
     gap = np.minimum(total[..., :-1] + slope[..., :-1] * h - total[..., 1:],
                      total[..., 1:] - slope[..., 1:] * h - total[..., :-1])
@@ -481,9 +484,33 @@ def _meets_level(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _coarse_cells(coarse: np.ndarray, rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """Coarse cells (cells x strings) of the strings ``rows`` whose bound
     meets a level, from the half-angles ``coarse`` at the coarse points (one
-    row each) and the cells' ``gaps``."""
+    row each) and the cells' ``gaps``.
+
+    The first cell (0, b] reaches r = inf, where C tends to 0, so its bound
+    always holds the level 0.  The far-cell rule drops it where C and delta
+    keep the strict sign of ``s_0 = sum eps_i rho_i`` on the whole cell.
+    With ``u = sin theta``, ``alpha_i / u - rho_i`` and ``tan(alpha_i) / u -
+    rho_i`` are power series in u with non-negative coefficients, and
+    ``alpha_i <= tan(alpha_i)``, so on the cell both lie in ``[0,
+    tan(alpha_i(b)) / sin b - rho_i]``: ``C / u`` and ``delta / u`` lie
+    within ``R = sum_i tan(alpha_i(b)) / sin b - sum_i rho_i`` of s_0.  A
+    string with ``|s_0| > R``, tested times ``sin b`` as ``|sum eps_i sin
+    alpha_i(b)| > sum_i (tan alpha_i(b) - sin alpha_i(b))``, therefore has
+    no root and no zero of delta there, and C meets no other level, since
+    ``|C| <= n b < pi`` (b is about 0.0245).  The rule holds for ``b <
+    pi/2``.  The test's
+    slack, :data:`_BOUND_RTOL` of ``sum sin alpha_i(b)``, is far above the
+    rounding of both sides and of the F and delta of :func:`_scan_rows` on
+    the cell: each is a sum of n terms of a few ulps each, off by at most
+    ``(n + 4)`` machine epsilons of ``sin theta sum rho_i`` (4.4e-15 at
+    n = 16), and the margin the test leaves scales with ``sin theta``
+    along the whole cell."""
     ends = coarse @ rows.T
-    return _meets_level(*_bounds(ends[:-1], ends[1:], gaps[:, None]))
+    kept = _meets_level(*_bounds(ends[:-1], ends[1:], gaps[:, None]))
+    sines = np.sin(coarse[1])
+    reach = (np.tan(coarse[1]) - sines).sum() + _BOUND_RTOL * sines.sum()
+    kept[0] &= np.abs(rows @ sines) <= reach
+    return kept
 
 
 def _windows(table: np.ndarray, eps: np.ndarray, slots: np.ndarray, out: np.ndarray):
@@ -499,15 +526,16 @@ def _windows(table: np.ndarray, eps: np.ndarray, slots: np.ndarray, out: np.ndar
 
 
 def _window_candidates(table, gaps, rows, offset: int, kept, slot, work):
-    """Candidate cells of the kept coarse cells (``kept``: cells x strings)
-    of a block of strings, chunk by chunk of windows: per chunk, the row
-    (plus ``offset``) and the first sample of each grid cell whose bound
-    meets a level.  ``slot`` maps a coarse cell to its window in ``table``
-    and in ``gaps``, the grid cells' half-widths, and ``work`` holds the
-    closure sums and the bounds of a chunk."""
+    """Candidate cells of the kept coarse cells of a block of strings
+    (``kept``: flat indices ``cell * len(rows) + row``), chunk by chunk of
+    windows: per chunk, the row (plus ``offset``) and the first sample of
+    each grid cell whose bound meets a level.  ``slot`` maps a coarse cell
+    to its window in ``table`` and in ``gaps``, the grid cells'
+    half-widths, and ``work`` holds the closure sums and the bounds of a
+    chunk."""
     values, lo, hi = work
     chunk = len(values)
-    cell, row = np.divmod(np.flatnonzero(kept), kept.shape[1])
+    cell, row = np.divmod(kept, len(rows))
     for first in range(0, cell.size, chunk):
         cells, string = cell[first:first + chunk], row[first:first + chunk]
         slots, m = slot[cells], cells.size
@@ -525,35 +553,40 @@ def _tabulate(rho: np.ndarray, grid: np.ndarray, strings: np.ndarray):
     closure sums at every :data:`_STEP`-th sample and the gaps of the coarse
     cells, computed once, bound each string's coarse cells, a block of
     strings at a time.  Only a coarse cell whose widened bound meets a
-    level ``pi k``, and the first cell, is tabulated at every sample, both
-    ends included: a window is its cell's samples.  Each grid cell of a
-    window is bounded the same way, from the closure sums at its ends and
-    its own gap, and is a candidate when that bound meets a level.  A bound
-    holds C on its whole cell, so a cell left out at either resolution
-    holds no root of F, and no zero of delta near enough to a level to be a
-    double root.  Half-angles and gaps are computed on kept cells alone, one
-    row per window for every string, and the work arrays hold the windows a
-    block keeps, :data:`_WINDOWS` at most.
+    level ``pi k``, and that the far-cell rule of :func:`_coarse_cells`
+    does not drop, is tabulated at every sample, both ends included: a
+    window is its cell's samples.  Each grid cell of a window is bounded
+    the same way, from the closure sums at its ends and its own gap, and is
+    a candidate when that bound meets a level.  A bound holds C on its
+    whole cell, so a cell left out at either resolution holds no root of F,
+    and no zero of delta near enough to a level to be a double root.
+    Half-angles and gaps are computed on kept cells alone, one row per
+    window for every string, and the work arrays hold the windows a block
+    keeps, :data:`_WINDOWS` at most.  A block that keeps no cell has no
+    candidate, and neither has a scan where no block keeps one.
     """
     coarse = _half_angles(rho, grid[::_STEP])
     widen = 2.0 * _LEVEL_SLACK * math.pi
-    gaps = _cell_gaps(rho, grid[::_STEP], coarse, widen)
-    # The first cell, where a wall string's scan starts (see _scan), is
-    # always kept: it starts at _FAR_ANGLE, where C is about 1e-200, so its
-    # widened bound holds the level 0.
+    gaps = _cell_gaps(grid[::_STEP], coarse, widen)
+    # Each block's kept coarse cells as flat indices, 8 bytes per kept cell.
+    # The far-cell rule keeps the first cell of the strings near a wall,
+    # where roots lie at any radius, among them every wall string of _scan.
     used, blocks = np.zeros(len(gaps), dtype=bool), []
     for start in range(0, len(strings), _BLOCK):
-        blocks.append((start, _coarse_cells(coarse, strings[start:start + _BLOCK], gaps)))
-        used |= blocks[-1][1].any(axis=1)
+        rows = strings[start:start + _BLOCK]
+        kept = np.flatnonzero(_coarse_cells(coarse, rows, gaps))
+        used[kept // len(rows)] = True
+        if kept.size:
+            blocks.append((start, kept))
     # The table of kept cells: a window per cell some string keeps, at the
     # cell's slot, its samples, both ends included, and the gaps of its grid
     # cells.
     slot, index = np.cumsum(used) - 1, np.flatnonzero(used)[:, None] * _STEP + np.arange(_STEP + 1)
     table = _half_angles(rho, grid[index])
-    gaps = _cell_gaps(rho, grid[index], table, widen)
+    gaps = _cell_gaps(grid[index], table, widen)
     # Work arrays reused by every chunk of windows, sized by the windows a
     # block keeps (see _BLOCK and _WINDOWS).
-    size = min(max((np.count_nonzero(kept) for _, kept in blocks), default=0), _WINDOWS)
+    size = min(max((kept.size for _, kept in blocks), default=0), _WINDOWS)
     work = np.empty((size, _STEP + 1)), np.empty((size, _STEP)), np.empty((size, _STEP))
     found = [(np.zeros(0, dtype=int),) * 2]
     for start, kept in blocks:

@@ -698,7 +698,7 @@ def _full_table(rho, grid, strings):
     every grid point, and every grid cell bounded by the scan's rule, as
     the row and the cell's first sample."""
     alphas_tab = solver._half_angles(rho, grid)
-    gaps = solver._cell_gaps(rho, grid, alphas_tab, 2.0 * solver._LEVEL_SLACK * math.pi)
+    gaps = solver._cell_gaps(grid, alphas_tab, 2.0 * solver._LEVEL_SLACK * math.pi)
     found = [(np.zeros(0, dtype=int),) * 2]
     for start in range(0, len(strings), 16):
         closures = strings[start:start + 16] @ alphas_tab.T
@@ -787,16 +787,25 @@ def test_pruned_scan_keeping_every_cell_is_the_full_table(monkeypatch):
                for f in fields(table))
 
 
+def _grid_to(end):
+    """A grid of the scan's size, uniform from _FAR_ANGLE, whose coarse
+    cells each span ``end`` / 2: sample 2 _STEP, the second coarse cell's
+    last one, lies at ``end``.  It runs past pi/2, the domain of the
+    far-cell rule, but keeps the first coarse cell, whose R is then huge."""
+    grid = np.linspace(0.0, end * solver.SAMPLES / (2 * solver._STEP), solver.SAMPLES + 1)
+    grid[0], grid[2 * solver._STEP] = solver._FAR_ANGLE, end
+    return grid
+
+
 def test_pruned_scan_takes_a_cell_end_once(monkeypatch):
     # with three equal edges and eps = (1, 1, -1), C is theta exactly; on a
-    # grid that puts pi on the first coarse cell's last sample, C - pi has an
-    # exact zero there, so both grid cells that share that sample are
+    # grid that puts pi on the second coarse cell's last sample, C - pi has
+    # an exact zero there, so both grid cells that share that sample are
     # candidates, each tests it, and the scan reports it once
-    grid = np.linspace(0.0, math.pi * solver.SAMPLES / solver._STEP, solver.SAMPLES + 1)
-    grid[solver._STEP] = math.pi
+    grid, step = _grid_to(math.pi), 2 * solver._STEP
     rho, strings = np.ones(3), np.array([[1.0, 1.0, -1.0]])
     candidates = _candidate_cells(solver._tabulate(rho, grid, strings))
-    assert {(0, solver._STEP - 1), (0, solver._STEP)} <= set(candidates)
+    assert {(0, step - 1), (0, step)} <= set(candidates)
     assert candidates == _candidate_cells(_full_table(rho, grid, strings))
     monkeypatch.setattr(solver, "_angle_grid", lambda: grid)
     _, k, theta = solver._scan(Linkage([1, 1, 1]), strings)
@@ -804,13 +813,12 @@ def test_pruned_scan_takes_a_cell_end_once(monkeypatch):
 
 
 def test_last_bits_of_the_tables_move_no_root(monkeypatch):
-    # C = theta exactly, as above, on a grid whose sample _STEP lies one ulp
-    # above pi, so C - pi changes sign in the first cell.  The tables sum
-    # the edges in another order than _scan_rows, here two ulps low within
-    # 1e-12 of pi: the candidates they mark still hold the root, which is
-    # decided on the values brentq starts from, not on the tables'.
-    grid = np.linspace(0.0, math.pi * solver.SAMPLES / solver._STEP, solver.SAMPLES + 1)
-    grid[solver._STEP] = np.nextafter(math.pi, 4.0)
+    # C = theta exactly, as above, on a grid whose sample 2 _STEP lies one
+    # ulp above pi, so C - pi changes sign in the cell before it.  The
+    # tables sum the edges in another order than _scan_rows, here two ulps
+    # low within 1e-12 of pi: the candidates they mark still hold the root,
+    # which is decided on the values brentq starts from, not on the tables'.
+    grid = _grid_to(np.nextafter(math.pi, 4.0))
     windows = solver._windows
 
     def low_near_pi(table, eps, slots, out):
@@ -821,7 +829,7 @@ def test_last_bits_of_the_tables_move_no_root(monkeypatch):
     monkeypatch.setattr(solver, "_angle_grid", lambda: grid)
     monkeypatch.setattr(solver, "_windows", low_near_pi)
     _, k, theta = solver._scan(Linkage([1, 1, 1]), np.array([[1.0, 1.0, -1.0]]))
-    assert theta[k == 1].tolist() == [grid[solver._STEP]]
+    assert theta[k == 1].tolist() == [grid[2 * solver._STEP]]
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -843,6 +851,17 @@ def test_vanishing_strings_are_the_identically_zero_ones(n):
         assert solver._vanishing(lengths.astype(float), strings.astype(float)).tolist() == exact
 
 
+def test_scan_keeping_no_cell_is_empty():
+    # C = theta of three unit edges and eps = (1, 1, -1) lies in (0, pi/2),
+    # away from every level but 0, which the far-cell rule excludes: no
+    # block keeps a cell, and the scan has no candidate and no root
+    strings = np.array([[1.0, 1.0, -1.0]])
+    row, i = solver._tabulate(np.ones(3), solver._angle_grid(), strings)
+    assert row.size == i.size == 0 and row.dtype.kind == i.dtype.kind == "i"
+    row, k, theta = solver._scan(Linkage([1, 1, 1]), strings)
+    assert row.size == k.size == theta.size == 0
+
+
 def test_merge_drops_repeated_roots_only():
     # a root found by two rules comes twice with the same theta and is kept
     # once; two roots of one (E, k) 1e-12 apart (relative) are both roots,
@@ -858,13 +877,13 @@ def test_merge_drops_repeated_roots_only():
 
 
 def _kept_cells(monkeypatch, scan):
-    """The coarse kept-cell masks (cells x strings) of every block that
-    ``scan()`` bounds."""
+    """The strings (rows of +-1) and the coarse kept-cell mask (cells x
+    strings) of every block that ``scan()`` bounds."""
     kept, cells = [], solver._coarse_cells
 
     def recording(coarse, rows, gaps):
-        kept.append(cells(coarse, rows, gaps))
-        return kept[-1]
+        kept.append((rows, cells(coarse, rows, gaps)))
+        return kept[-1][1]
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_coarse_cells", recording)
@@ -872,28 +891,82 @@ def _kept_cells(monkeypatch, scan):
     return kept
 
 
+def _far_reach(rho):
+    """``R = sum_i tan(alpha_i(b)) / sin b - sum_i rho_i`` of the first
+    coarse cell (0, b]: on it ``C / sin theta`` and ``delta / sin theta``
+    lie within R of ``s_0 = sum_i eps_i rho_i``."""
+    b = solver._angle_grid()[solver._STEP]
+    return np.tan(solver._half_angles(rho, b)).sum() / math.sin(b) - rho.sum()
+
+
 @pytest.mark.parametrize("linkage", [pytest.param(Linkage(lengths), id=name) for name, lengths in (
     ("wall_5", [1, 2, 3, 2.5, 1.5]), ("wall_6", [1, 1, 1, 1, 2, 2]),
     ("hex_121212", [1, 2, 1, 2, 1, 2]), ("equilateral_6", [1] * 6),
     ("quad_wall_1e-8", QUAD_WALL_8))])
 def test_first_cell_is_kept_on_walls(linkage, monkeypatch):
-    """The first coarse cell, where a wall string's scan starts at the
-    second grid point, is tabulated for every string: it starts at
-    _FAR_ANGLE, where C is about 1e-200, so its widened bound holds the
-    level 0."""
-    kept = _kept_cells(monkeypatch, lambda: enumerate_cyclic(linkage))
-    assert kept and all(mask[0].all() for mask in kept)
+    """The first coarse cell is tabulated for every string in _scan's wall
+    mask, whose scan starts at the second grid point, and for every string
+    with ``|s_0| <= R``, where the far-cell rule proves nothing, and for
+    no string farther from a wall.  The wall strings of hex_121212 and
+    equilateral_6 vanish and are not scanned, so they keep no first cell."""
+    rho = solver._ratios(linkage)
+    first = solver._half_angles(rho, solver._angle_grid()[0])
+    reach = _far_reach(rho)
+    for rows, mask in _kept_cells(monkeypatch, lambda: enumerate_cyclic(linkage)):
+        wall = np.abs(rows @ first) <= solver.RESIDUAL_TOL * first.sum()
+        s0 = np.abs(rows @ rho)
+        assert mask[0][wall | (s0 <= reach)].all()
+        assert not mask[0][s0 > reach * (1.0 + 1e-6)].any()
 
 
-def test_first_cell_is_kept_on_random_strings(monkeypatch):
+def _far_cell_cases(rng, n):
+    """Ratios (the largest exactly 1) and strings for the far-cell rule at
+    n edges.  Random ratios, some next to 1, with random strings; then the
+    bound's near-worst case, the longest edge against n - 1 short ones,
+    whose sum puts ``s_0`` at ``R (1 + d)`` for d from -1e-3 to 1e-2.
+    There delta / sin theta - s_0 is nearly -R at b, since the short edges
+    add little: at n = 16 the bound is within 1% of tight."""
+    rho = rng.uniform(0.05, 1.0, n)
+    near = rng.random(n) < 0.3
+    rho[near] = 1.0 - rng.integers(1, 65, n)[near] * 2.0 ** -53
+    yield rho / rho.max(), rng.choice([-1.0, 1.0], (300, n))
+    if n < 3:
+        return
+    eps = np.array([-1.0] + [1.0] * (n - 1))
+    for d in (-1e-3, -1e-9, 1e-12, 1e-9, 1e-7, 1e-6, 1e-3, 1e-2):
+        rho = np.concatenate([[1.0], rng.uniform(0.5, 1.5, n - 1)])
+        for _ in range(4):
+            rho[1:] *= (1.0 + (1.0 + d) * _far_reach(rho)) / rho[1:].sum()
+        yield rho, np.stack([eps, -eps])
+
+
+def test_far_cell_rule_keeps_the_signs_of_s0(monkeypatch):
+    """Where the far-cell rule drops a string's first coarse cell (0, b],
+    F at k = 0 and delta, as _scan_rows gives them, keep the strict sign of
+    ``s_0`` at _FAR_ANGLE, 1e-100, 1e-20, 1e-8 and at 2048 points up to b;
+    and every string with ``|s_0| <= R`` keeps its first cell."""
     rng = np.random.default_rng(67)
     grid = solver._angle_grid()
+    points = np.concatenate([[solver._FAR_ANGLE, 1e-100, 1e-20, 1e-8],
+                             np.linspace(0.0, grid[solver._STEP], 2049)[1:]])
+    dropped = 0
     for n in range(2, MAX_EDGES + 1):
-        rho = rng.uniform(0.05, 1.0, n)
-        strings = rng.choice([-1.0, 1.0], (300, n))
-        kept = _kept_cells(monkeypatch, lambda: solver._tabulate(rho / rho.max(), grid, strings))
-        assert sum(mask.shape[1] for mask in kept) == len(strings)
-        assert all(mask[0].all() for mask in kept)
+        for rho, strings in _far_cell_cases(rng, n):
+            kept = _kept_cells(monkeypatch, lambda: solver._tabulate(rho, grid, strings))
+            first = np.concatenate([mask[0] for _, mask in kept])
+            assert first.size == len(strings)
+            s0 = strings @ rho
+            assert first[np.abs(s0) <= _far_reach(rho)].all()
+            drop = np.flatnonzero(~first)
+            for chunk in np.array_split(drop, 1 + drop.size // 32):
+                rows = np.repeat(strings[chunk], points.size, axis=0)
+                theta, sign = np.tile(points, chunk.size), np.sign(s0[chunk])[:, None]
+                for delta in (False, True):
+                    values = solver._scan_rows(theta, rho, rows, np.zeros(theta.size),
+                                               np.full(theta.size, delta))
+                    assert np.all(values.reshape(chunk.size, points.size) * sign > 0)
+            dropped += drop.size
+    assert dropped > 4500
 
 
 # Lengths next to the longest one, where alpha'' peaks next to theta_max:
@@ -929,7 +1002,7 @@ def test_cell_bounds_hold_every_sample(lengths, codes):
     coarse = table[::step]
     ends = coarse @ strings.T
     lo, hi = solver._bounds(ends[:-1], ends[1:],
-                            solver._cell_gaps(rho, grid[::step], coarse, 0.0)[:, None])
+                            solver._cell_gaps(grid[::step], coarse, 0.0)[:, None])
     cells = solver.SAMPLES // step
     windows = np.empty((cells * len(strings), step + 1))
     # the table of every cell's window: its samples, both ends included
@@ -956,7 +1029,7 @@ def test_fine_bounds_hold_between_samples(lengths, codes):
     grid = solver._angle_grid()
     table = solver._half_angles(rho, grid)
     ends = solver._dot_rows(strings[:, None, :], table)
-    lo, hi = solver._bounds(ends[:, :-1], ends[:, 1:], solver._cell_gaps(rho, grid, table, 0.0))
+    lo, hi = solver._bounds(ends[:, :-1], ends[:, 1:], solver._cell_gaps(grid, table, 0.0))
     inner = grid[:-1, None] + np.diff(grid)[:, None] * (np.arange(1, 8) / 8.0)
     values = solver._dot_rows(strings[:, None, None, :], solver._half_angles(rho, inner))
     assert np.all(lo[..., None] <= values)
