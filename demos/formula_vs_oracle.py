@@ -5,16 +5,17 @@ For every cyclic configuration two sign quantities are computed twice:
   * the sign of the Hessian determinant, once as -sign(delta) * (-1)^e from
     the orientation string and half-angle tangents, once as the eigenvalue
     product sign of the projected Lagrangian Hessian;
-  * the Morse index, once as the number of sign changes over the nested
-    subpolygon sequence, once as the count of negative eigenvalues.
+  * the Morse index, once as the paper's formula e - 1 - 2k - [delta < 0]
+    from the orientation string, winding and sign of delta, once as the
+    count of negative eigenvalues.
 
 This script samples random linkages of 4..7 edges and tallies the agreement,
 which is exact on every configuration away from the flagged degeneracies.
-It also checks the sign sequence term by term: ``h_i`` is the determinant
-sign of the subconfiguration ``P_i = (p_1..p_i)`` closed by its chord, itself
-a cyclic configuration, so the oracle's determinant sign on the first i
-vertices is an independent value of it.  It exits 1 unless every unflagged
-configuration agrees and every term matches.
+It also checks the formula's proof path, the sign sequence, term by term:
+``h_i`` is the determinant sign of the subconfiguration ``P_i = (p_1..p_i)``
+closed by its chord, itself a cyclic configuration, so the oracle's
+determinant sign on the first i vertices is an independent value of it.  It
+exits 1 unless every unflagged configuration agrees and every term matches.
 
 Run:  python demos/formula_vs_oracle.py
 """
@@ -36,9 +37,9 @@ def random_linkage(rng, n):
 
 def sign_terms(analyses):
     """Terms ``h_3..h_n`` compared with the oracle's determinant sign on
-    ``points[:, :i]``, and how many match, over the rows where the formula
-    applies."""
-    rows = np.flatnonzero(np.equal(analyses.morse_error, None))
+    ``points[:, :i]``, and how many match, over the rows where the sequence
+    is defined (a refused one is a row of zeros)."""
+    rows = np.flatnonzero(analyses.h_sequence[:, 0] != 0)
     points, sequence = analyses.points[rows], analyses.h_sequence[rows]
     matched = sum(int((_verdict_rows(points[:, :i])[3] == sequence[:, i - 3]).sum())
                   for i in range(3, points.shape[1] + 1))

@@ -84,11 +84,10 @@ class ConfigurationAnalysis:
     of an :class:`AnalysisTable`, whose columns hold the closed-form and
     oracle data.
 
-    ``index`` is the Morse index: the closed-form value when available,
-    otherwise the oracle count of negative eigenvalues (used for
-    configurations whose subconfiguration sequence is degenerate), None
-    when neither has one, and ``index_source`` says which; ``agree`` is
-    :func:`_agreement`'s verdict.
+    ``index`` is the Morse index: the closed form's ``e - 1 - 2k -
+    [delta < 0]`` where it applies, otherwise the oracle's count of negative
+    eigenvalues, None when neither has one, and ``index_source`` says which;
+    ``agree`` is :func:`_agreement`'s verdict.
     """
 
     descriptor: CyclicDescriptor
@@ -105,20 +104,20 @@ class ConfigurationAnalysis:
 class AnalysisTable(CyclicTable):
     """The columns of :class:`CyclicTable` and, per row, the analysis.
 
-    ``area`` and ``convex``; the closed form: ``signed`` (whether the sign
-    data exists), ``delta``, ``positives``, ``h_sign``, ``h_sequence``,
-    ``formula_index`` and ``morse_error``; the oracle: ``multipliers``,
-    ``residual``, ``inertia``, ``det_sign``, ``oracle_index`` and
-    ``oracle_error``; and ``index``, ``index_source`` and ``agree``.  Error
-    texts, ``index_source`` and ``agree`` are object columns holding None
-    where a row has no value; a missing index is -1, and a row refused by
-    a side holds NaN or 0 in that side's numeric columns.  An integer index
-    gives the row's :class:`ConfigurationAnalysis` view.
+    ``area`` and ``convex``; the closed form: ``delta``, ``positives``,
+    ``h_sign``, ``h_sequence`` (a row of zeros where its subconfigurations
+    refuse it), ``formula_index`` and ``morse_error``; the oracle:
+    ``multipliers``, ``residual``, ``inertia``, ``det_sign``,
+    ``oracle_index`` and ``oracle_error``; and ``index``, ``index_source``
+    and ``agree``.  Error texts, ``index_source`` and ``agree`` are object
+    columns holding None where a row has no value; a missing index is -1,
+    and a row refused by a side holds NaN or 0 in that side's numeric
+    columns.  An integer index gives the row's :class:`ConfigurationAnalysis`
+    view.
     """
 
     area: np.ndarray
     convex: np.ndarray
-    signed: np.ndarray
     delta: np.ndarray
     positives: np.ndarray
     h_sign: np.ndarray
@@ -149,9 +148,8 @@ def _refused_columns(rows: int, n: int) -> dict:
     """The analysis columns of ``rows`` flagged configurations, on which
     both sides refused."""
     return dict(
-        signed=np.zeros(rows, dtype=bool), delta=np.full(rows, np.nan),
-        positives=np.zeros(rows, dtype=int), h_sign=np.zeros(rows, dtype=int),
-        h_sequence=np.zeros((rows, n - 2), dtype=int),
+        delta=np.full(rows, np.nan), positives=np.zeros(rows, dtype=int),
+        h_sign=np.zeros(rows, dtype=int), h_sequence=np.zeros((rows, n - 2), dtype=int),
         formula_index=np.full(rows, -1), morse_error=np.full(rows, _FLAGGED, dtype=object),
         multipliers=np.full((rows, 2), np.nan), residual=np.full(rows, np.nan),
         inertia=np.zeros((rows, 3), dtype=int), det_sign=np.zeros(rows, dtype=int),
@@ -161,16 +159,15 @@ def _refused_columns(rows: int, n: int) -> dict:
 
 
 def _agreement(cols: dict):
-    """Formula against oracle, per row of analysis columns: the determinant
-    sign always, the index too when its formula applies; None when either
-    side has no sign.  Returns the ``agree``, ``index`` and ``index_source``
-    columns."""
-    formula = cols["signed"] & (cols["morse_error"] == None)  # noqa: E711
+    """Formula against oracle, per row of analysis columns: their indices
+    equal, None when either side has none.  The determinant signs then agree
+    too: the oracle's is ``(-1)**index`` and the formula's its parity.
+    Returns the ``agree``, ``index`` and ``index_source`` columns."""
+    formula = cols["morse_error"] == None  # noqa: E711
     morse = (cols["oracle_error"] == None) & (cols["inertia"][:, 1] == 0)  # noqa: E711
-    both = cols["signed"] & morse
+    both = formula & morse
     agree = np.full(both.size, None, dtype=object)
-    agree[both] = ((cols["h_sign"] == cols["det_sign"])
-                   & (~formula | (cols["formula_index"] == cols["oracle_index"])))[both].tolist()
+    agree[both] = (cols["formula_index"] == cols["oracle_index"])[both].tolist()
     index = np.where(formula, cols["formula_index"], np.where(morse, cols["oracle_index"], -1))
     return agree, index, _INDEX_SOURCES[np.where(formula, 2, morse.astype(int))]
 
@@ -197,12 +194,12 @@ def _analyze_rows(points, centers, radii, flagged, verdict):
     live = np.flatnonzero(~flagged)
     form = _closed_form_rows(points[live], centers[live], radii[live])
     measured[live] = np.where(np.equal(form.central, None)[:, None], form.eps, 0)
-    signed, formula = np.equal(form.sign_errors, None), np.equal(form.errors, None)
-    cols["signed"][live], cols["morse_error"][live] = signed, form.errors
+    signed, sequenced = np.equal(form.sign_errors, None), np.equal(form.errors, None)
+    cols["morse_error"][live] = form.sign_errors
     # a refused side keeps the NaN, 0 and -1 of _refused_columns
     for name, value, ok in (("delta", form.delta, signed), ("positives", form.positives, signed),
-                            ("h_sign", form.h_sign, signed), ("formula_index", form.index, formula),
-                            ("h_sequence", form.h_sequence, formula)):
+                            ("h_sign", form.h_sign, signed), ("formula_index", form.index, signed),
+                            ("h_sequence", form.h_sequence, sequenced)):
         cols[name][live[ok]] = value[ok]
     cols.update(zip(_VERDICT, verdict))
     cols["oracle_index"] = np.where(np.equal(cols["oracle_error"], None), cols["inertia"][:, 0], -1)
@@ -587,36 +584,29 @@ def _judge(out: dict, rows, flagged, disagree, cols) -> None:
     (0) an oracle refusal and (1) a criticality residual above
     :data:`CRITICALITY_TOL` fail it; (2) a flag excludes it from the
     comparison, and it agrees; (3) a zero eigenvalue, (4) a recorded string
-    the geometry contradicts and (5) a refused sign formula fail it.  The
-    rest compare the closed form's determinant sign with the oracle's
-    always, and its index where the formula applies: (6) an inapplicable
-    formula whose sign agrees agrees, with a note, and (7) one whose sign
-    disagrees and (8) an applicable formula that disagrees fail it; a record
-    that meets no rule agrees.  The rule met also decides which columns are
-    reported.
+    the geometry contradicts, (5) a refused index formula and (6) a formula
+    index other than the oracle's fail it; a record that meets no rule
+    agrees.  The rule met also decides which columns are reported.
     """
     error, residual, morse_error = cols["oracle_error"], cols["residual"], cols["morse_error"]
-    inapplicable, agree = np.not_equal(morse_error, None), np.equal(cols["agree"], True)
     failed = np.stack([np.not_equal(error, None), residual > CRITICALITY_TOL, flagged,
-                       cols["inertia"][:, 1] != 0, disagree, ~cols["signed"],
-                       inapplicable & agree, inapplicable, ~agree], axis=1)
+                       cols["inertia"][:, 1] != 0, disagree, np.not_equal(morse_error, None),
+                       np.not_equal(cols["agree"], True)], axis=1)
 
     def note(row, rule):
         if rule == 1:
             return f"criticality residual {residual[row]:.3e} exceeds {CRITICALITY_TOL:.1e}"
-        if rule == 6:
-            return f"index formula not applicable ({morse_error[row]})"
         return (error[row], None, "flagged, excluded", "oracle found a zero eigenvalue",
                 "recorded orientation string disagrees with the geometry", morse_error[row],
-                None, "determinant sign disagrees", "formula and oracle disagree")[rule]
+                "formula and oracle disagree")[rule]
 
     first = np.where(failed.any(axis=1), failed.argmax(axis=1), failed.shape[1])
     # per rule met, in the order above and then none:
     shown, judged, formula, agreed = np.array([
-        [0, 0, 1, 1, 0, 0, 1, 1, 1, 1],  # the residual reported
-        [0, 0, 0, 1, 0, 0, 1, 1, 1, 1],  # the oracle's inertia, det_sign and index reported
-        [0, 0, 0, 0, 0, 0, 0, 0, 1, 1],  # the formula's index reported
-        [0, 0, 1, 0, 0, 0, 1, 0, 0, 1],  # the record agrees
+        [0, 0, 1, 1, 0, 0, 1, 1],  # the residual reported
+        [0, 0, 0, 1, 0, 0, 1, 1],  # the oracle's inertia, det_sign and index reported
+        [0, 0, 0, 0, 0, 0, 1, 1],  # the formula's index reported
+        [0, 0, 1, 0, 0, 0, 0, 1],  # the record agrees
     ], dtype=bool)[:, first]
     out["residual"][rows[shown]] = residual[shown]
     out["inertia"][rows[judged]] = cols["inertia"][judged]
@@ -639,9 +629,8 @@ def verify_enumeration(linkage: Linkage, records: list):
     points, r, center, winding and flags.  The records that pass are
     analysed a chunk at a time and judged by :func:`_judge`: each must be
     critical and reproduce the recorded orientation string, and the closed
-    form's determinant sign must agree with the oracle's always, its index
-    where the formula applies.  Flagged records are reported but exempt from
-    the agreement requirement.
+    form's index must equal the oracle's.  Flagged records are reported but
+    exempt from the agreement requirement.
     """
     n, rows = linkage.n, len(records)
     out = dict(residual=np.full(rows, np.nan), inertia=np.zeros((rows, 3), dtype=int),

@@ -54,10 +54,10 @@ def cmd_index(args) -> int:
     if fit is None:
         raise LinkmorseError("configuration is not cyclic at the fit tolerance")
     form = closed_form(config, fit)
-    if form.errors is not None:
-        raise LinkmorseError(form.errors)
+    if form.sign_errors is not None:
+        raise LinkmorseError(form.sign_errors)
     payload = {
-        "h_sequence": form.h_sequence.tolist(),
+        "h_sequence": None if form.errors is not None else form.h_sequence.tolist(),
         "index": int(form.index),
         "sign_report": {"delta": float(form.delta), "d": 1 if form.delta > 0.0 else -1,
                         "e": int(form.positives), "h_sign": int(form.h_sign)},
@@ -151,7 +151,7 @@ def _render_items(data) -> list:
             # an edge through the center leaves no string to measure: only a
             # recorded one can be drawn
             if eps is None:
-                raise LinkmorseError(form.errors)
+                raise LinkmorseError(form.sign_errors)
             k = 0 if winding is None else winding
         elif eps not in (None, measured):
             raise LinkmorseError(f"record {j}: recorded orientation string disagrees with the "
@@ -159,7 +159,7 @@ def _render_items(data) -> list:
         elif winding not in (None, k):
             raise LinkmorseError(f"record {j}: recorded winding {winding} disagrees with the "
                                  f"geometry (winding {k})")
-        idx = None if form.errors is not None else int(form.index)
+        idx = None if form.sign_errors is not None else int(form.index)
         label = render.annotation(eps or measured, k, fit.radius, idx, area)
         items.append(render.RenderItem(points=pts, center=fit.center, radius=fit.radius,
                                        label=label))

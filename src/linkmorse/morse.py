@@ -1,25 +1,28 @@
 """Closed-form Hessian sign and Morse index of the signed area.
 
-At a generic cyclic configuration the sign of the Hessian determinant of the
-signed area is ``-d * (-1)**e`` where ``d = sign(delta)``,
-``delta = sum_i eps_i tan(alpha_i)``, and ``e`` counts the positive entries
-of the orientation string.  The Morse index is the number of sign changes in
-the sequence of these determinant signs taken over the nested
-subconfigurations ``(p_1..p_3), (p_1..p_4), ..., (p_1..p_n)``, each closed by
-the chord back to ``p_1`` and seeded with +1 for the triangle.
+At a generic cyclic configuration with orientation string ``eps``, ``e``
+positive entries, winding ``k`` and ``delta = sum_i eps_i tan(alpha_i)``,
+the Morse index is the paper's explicit formula
+``mu = e - 1 - 2 k - [delta < 0]``.  Its parity is the sign of the Hessian
+determinant, ``-d * (-1)**e`` with ``d = sign(delta)``
+(:func:`determinant_sign`).  Only the full polygon's checks refuse it: a
+central edge, an edge longer than the diameter, a small ``|delta|``.
 
-The sequence depends on the combinatorics ``eps`` and the metric
-characterization ``alpha`` alone.  For ``P_i`` with ``4 <= i < n`` let
-``S``, ``T`` and ``P`` be the sums over its first ``i - 1`` edges of
-``eps * alpha``, ``eps * tan(alpha)`` and ``[eps > 0]``.  The closing chord
-spans the central angle ``2 S``, so it has ``eps_c * tan(alpha_c) = -tan(S)``
-and ``eps_c = +1`` iff ``(-S) mod pi < pi/2``; hence
+Its proof path is the sequence of these determinant signs over the nested
+subconfigurations ``(p_1..p_3), ..., (p_1..p_n)``, each closed by the chord
+back to ``p_1`` and seeded with +1 for the triangle: ``mu`` is its number of
+sign changes.  For ``P_i`` with ``4 <= i < n`` let ``S``, ``T`` and ``P`` be
+the sums over its first ``i - 1`` edges of ``eps * alpha``,
+``eps * tan(alpha)`` and ``[eps > 0]``.  The closing chord spans the central
+angle ``2 S``, so it has ``eps_c * tan(alpha_c) = -tan(S)`` and
+``eps_c = +1`` iff ``(-S) mod pi < pi/2``; hence
 
     h_i = -sign(T - tan S) * (-1)**(P + [(-S) mod pi < pi/2]).
 
 Its length is ``2 r |sin S|``, its distance from the center ``r |cos S|``: it
-vanishes at ``S = 0``, is a diameter at ``S = pi/2`` (mod pi), and both are
-refused.  ``P_n`` closes with its own last edge and uses the full sums.
+vanishes at ``S = 0`` and is a diameter at ``S = pi/2`` (mod pi); these and
+a small prefix ``|delta|`` refuse the sequence alone.  ``P_n`` closes with
+its own last edge and uses the full sums.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ from .geometry import (
 )
 
 # |delta| below this multiple of sum(tan(alpha)) counts as degenerate: the
-# determinant sign rule is undefined on the delta = 0 boundary.
+# index formula and the sign rule are undefined on the delta = 0 boundary.
 DELTA_REL_TOL = 1e-9
 
-# A closing chord vanishes when 2 |sin S|, its length over r, is at most this.
+# A closing chord vanishes when 2 |sin S|, its length over r, is at most this:
+# a refusal of the sign sequence alone.
 CHORD_TOL = 1e-9
 
 
@@ -104,13 +108,13 @@ class ClosedForm(NamedTuple):
 
     ``eps`` holds the measured orientation strings (int rows of +-1) and
     ``k`` the measured windings ``rint(eps . alpha / pi)``; ``delta``,
-    ``positives`` (``e``) and ``h_sign`` are the full polygon's sign data,
-    ``h_sequence`` the rows of sign sequences and ``index`` their sign
-    changes.  Three object columns give per row the refusal (None where
-    there is none) of a central edge, which leaves no measured string; the
-    first refusal before the sign data, which leaves no ``delta``,
-    ``positives`` and ``h_sign``; and the first refusal of all, which leaves
-    no ``h_sequence`` and ``index``.
+    ``positives`` (``e``), ``h_sign`` and ``index``, ``e - 1 - 2 k -
+    [delta < 0]``, are the full polygon's sign data, and ``h_sequence`` the
+    rows of sign sequences, the index's proof path.  Three object columns
+    give per row the refusal (None where there is none) of a central edge,
+    which leaves no measured string; the first refusal of the full polygon,
+    which leaves no sign data; and the first refusal of all, which leaves
+    no ``h_sequence``.
     """
 
     eps: np.ndarray
@@ -131,21 +135,23 @@ def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
     measures, as :class:`ClosedForm` columns.
 
     The refusals apply in this order: a central edge (a diameter among
-    them), an edge longer than the diameter, a small ``|delta|``, then the
-    first degenerate subconfiguration, which alone leaves the sign data.
+    them), an edge longer than the diameter and a small ``|delta|``, which
+    leave no sign data, then the first degenerate subconfiguration, which
+    leaves no sequence.
     """
     sides, central = _orientation_rows(points, centers)
     alphas, over = _half_angle_rows(points, centers, radii)
     strings = sides.astype(float)
     value, sequences, polygon, prefix = _sign_rows(strings, alphas)
     positives = (sides > 0).sum(axis=1)
+    k = np.rint(_dot_rows(strings, alphas) / math.pi).astype(int)
+    d = np.where(value > 0.0, 1, -1)
     causes = np.stack([central, over, polygon, prefix], axis=1)
     refused = np.not_equal(causes, None)
     return ClosedForm(
-        eps=sides, k=np.rint(_dot_rows(strings, alphas) / math.pi).astype(int), delta=value,
-        positives=positives, h_sign=determinant_sign(np.where(value > 0.0, 1, -1), positives),
-        h_sequence=sequences, index=(sequences[:, 1:] != sequences[:, :-1]).sum(axis=1),
-        central=central, sign_errors=_refusals(refused[:, :3], lambda row, i: causes[row, i]),
+        eps=sides, k=k, delta=value, positives=positives, h_sign=determinant_sign(d, positives),
+        h_sequence=sequences, index=positives - 1 - 2 * k - (d < 0), central=central,
+        sign_errors=_refusals(refused[:, :3], lambda row, i: causes[row, i]),
         errors=_refusals(refused, lambda row, i: causes[row, i]))
 
 
@@ -154,8 +160,8 @@ def closed_form(config: Configuration, fit: CircleFit) -> ClosedForm:
     row 0 of :func:`_closed_form_rows`, each field that row's entry.
 
     Orientations and half-angles are measured once, from the points and the
-    circle.  The sign data hold where ``sign_errors`` is None, the sequence
-    and the index where ``errors`` is; otherwise that text says why not.
+    circle.  The sign data and the index hold where ``sign_errors`` is None,
+    the sequence where ``errors`` is; otherwise that text says why not.
     """
     form = _closed_form_rows(config.points[None], fit.center[None], np.array([fit.radius]))
     return ClosedForm(*(column[0] for column in form))

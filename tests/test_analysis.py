@@ -57,32 +57,37 @@ def test_pentagon_summary_line(pentagon_analyses):
         "14 configurations: index 0 x2, index 1 x10, index 2 x2"
 
 
-def test_aligned_configurations_use_oracle_fallback(pentagon_analyses):
-    fallback = [a for a in pentagon_analyses if a.index_source == "oracle"]
-    assert len(fallback) == 10
-    assert all(a.index == 1 for a in fallback)
-    oracle_rows = pentagon_analyses.index_source == "oracle"
-    assert all(error is not None for error in pentagon_analyses.morse_error[oracle_rows])
-    # the determinant sign is still compared where the index formula fails
-    assert all(a.agree is True for a in fallback)
-    formula = [a for a in pentagon_analyses if a.index_source == "formula"]
-    assert sorted(a.index for a in formula) == [0, 0, 2, 2]
-    assert all(a.agree for a in formula)
+def test_aligned_configurations_use_the_formula_index(pentagon_analyses):
+    # the 10 configurations with three aligned edges have a degenerate
+    # subconfiguration, which refuses the sign sequence but not the index
+    # e - 1 - 2k - [delta < 0] of the full polygon
+    aligned = ~pentagon_analyses.h_sequence.any(axis=1)
+    assert aligned.sum() == 10
+    assert all(a.index_source == "formula" and a.agree is True for a in pentagon_analyses)
+    assert (pentagon_analyses.index[aligned] == 1).all()
+    assert sorted(pentagon_analyses.index[~aligned].tolist()) == [0, 0, 2, 2]
+    assert np.array_equal(pentagon_analyses.formula_index, pentagon_analyses.oracle_index)
 
 
 def test_refused_closed_form_leaves_its_columns_empty(pentagon_analyses):
-    # the 10 aligned configurations keep their sign data but not the index
-    # formula: the formula's columns read as refused, as flagged rows do
-    refused = pentagon_analyses.morse_error != None  # noqa: E711
-    assert refused.sum() == 10 and not pentagon_analyses.flagged[refused].any()
-    assert (pentagon_analyses.formula_index[refused] == -1).all()
-    assert (pentagon_analyses.h_sequence[refused] == 0).all()
-    assert (pentagon_analyses.formula_index[~refused] >= 0).all()
-    unsigned = ~pentagon_analyses.signed
-    assert np.isnan(pentagon_analyses.delta[unsigned]).all()
-    assert (pentagon_analyses.positives[unsigned] == 0).all()
-    assert (pentagon_analyses.h_sign[unsigned] == 0).all()
-    assert np.isfinite(pentagon_analyses.delta[~unsigned]).all()
+    # a refused sequence reads as a row of zeros, and the sign data of a
+    # refused full polygon as NaN, 0 and -1, as on flagged rows, whose
+    # closed form is not run
+    refused = ~pentagon_analyses.h_sequence.any(axis=1)
+    assert refused.sum() == 10 and not pentagon_analyses.flagged.any()
+    assert np.equal(pentagon_analyses.morse_error, None).all()
+    assert (pentagon_analyses.formula_index >= 0).all()
+    assert np.isfinite(pentagon_analyses.delta).all()
+    assert (pentagon_analyses.h_sequence[~refused] != 0).all()
+    analyses = analyze_linkage(Linkage([1, 2, 1.5, 2.5 - 1e-8]))
+    unsigned = np.not_equal(analyses.morse_error, None)
+    assert unsigned.tolist() == analyses.flagged.tolist() == [False, True, True, False]
+    assert np.isnan(analyses.delta[unsigned]).all()
+    assert (analyses.positives[unsigned] == 0).all()
+    assert (analyses.h_sign[unsigned] == 0).all()
+    assert (analyses.formula_index[unsigned] == -1).all()
+    assert (analyses.h_sequence[unsigned] == 0).all()
+    assert np.isfinite(analyses.delta[~unsigned]).all()
 
 
 def test_record_schema(pentagon_analyses):
@@ -299,10 +304,9 @@ def test_columns_refuse_exactly_the_records_with_a_note():
 # A record that passes every rule of _judge, as _analyze_rows columns plus
 # its recomputed flag and whether its recorded string disagrees.
 _JUDGED = dict(oracle_error=None, residual=1e-13, flagged=False, inertia=(1, 0, 1), det_sign=-1,
-               oracle_index=1, disagree=False, signed=True, morse_error=None, agree=True,
-               formula_index=1)
+               oracle_index=1, disagree=False, morse_error=None, agree=True, formula_index=1)
 _RANK = "constraint Jacobian rank deficient (sigma_min/sigma_max = 1.000e-12)"
-_CHORD = "chord p_4 -> p_1 is a diameter"
+_CENTRAL = "edge 2 passes through the circle center"
 
 # Per row: the fields that differ from _JUDGED, and the VerificationRow that
 # _judge reports, the residual, inertia, det_sign and index being the row's
@@ -313,17 +317,12 @@ JUDGE_CASES = [
     (dict(oracle_error=_RANK, residual=math.nan, inertia=(0, 0, 0), det_sign=0, oracle_index=-1),
      dict(note=_RANK)),
     (dict(residual=2e-8), dict(note="criticality residual 2.000e-08 exceeds 1.0e-08")),
-    (dict(flagged=True, signed=False, morse_error="flagged non-generic", agree=None),
+    (dict(flagged=True, morse_error="flagged non-generic", agree=None),
      dict(residual=True, agree=True, flagged=True, note="flagged, excluded")),
     (dict(inertia=(1, 1, 0), det_sign=0),
      dict(judged=True, note="oracle found a zero eigenvalue")),
     (dict(disagree=True), dict(note="recorded orientation string disagrees with the geometry")),
-    (dict(signed=False, morse_error="edge 2 passes through the circle center", agree=None),
-     dict(note="edge 2 passes through the circle center")),
-    (dict(morse_error=_CHORD, formula_index=-1),
-     dict(judged=True, agree=True, note=f"index formula not applicable ({_CHORD})")),
-    (dict(morse_error=_CHORD, formula_index=-1, agree=False),
-     dict(judged=True, note="determinant sign disagrees")),
+    (dict(morse_error=_CENTRAL, agree=None), dict(note=_CENTRAL)),
     (dict(formula_index=3, agree=False),
      dict(judged=True, formula=True, note="formula and oracle disagree")),
     (dict(oracle_error=_RANK, residual=1.0), dict(note=_RANK)),
@@ -333,7 +332,7 @@ JUDGE_CASES = [
      dict(residual=True, agree=True, flagged=True, note="flagged, excluded")),
     (dict(inertia=(1, 1, 0), det_sign=0, disagree=True),
      dict(judged=True, note="oracle found a zero eigenvalue")),
-    (dict(disagree=True, signed=False, morse_error=_CHORD, agree=None),
+    (dict(disagree=True, morse_error=_CENTRAL, agree=None),
      dict(note="recorded orientation string disagrees with the geometry")),
     (dict(disagree=True, formula_index=3, agree=False),
      dict(note="recorded orientation string disagrees with the geometry")),
@@ -349,7 +348,7 @@ def test_judge_reports_the_first_rule_each_record_meets():
     cols = {name: np.array(column[name], dtype=object)
             for name in ("oracle_error", "morse_error", "agree")}
     cols.update({name: np.array(column[name]) for name in
-                 ("residual", "inertia", "det_sign", "oracle_index", "signed", "formula_index")})
+                 ("residual", "inertia", "det_sign", "oracle_index", "formula_index")})
     out = dict(residual=np.full(rows, np.nan), inertia=np.zeros((rows, 3), dtype=int),
                det_sign=np.zeros(rows, dtype=int), index=np.full(rows, -1),
                formula_index=np.full(rows, -1), agree=np.zeros(rows, dtype=bool),
@@ -400,7 +399,7 @@ def _kernel_fields(table, analysed: bool):
     eps = table.eps.astype(float)
     central, near_flip, delta_zero = _flag_rows(eps, table.alphas)
     form = _closed_form_rows(table.points, table.center, table.radius)
-    _, _, inertia, det_sign, errors = _verdict_rows(table.points)
+    _, _, inertia, _, errors = _verdict_rows(table.points)
     areas = _signed_areas(table.points)
     out = []
     for j in range(len(table)):
@@ -417,13 +416,12 @@ def _kernel_fields(table, analysed: bool):
             index = source = agree = None
             if not flags.any:
                 morse = errors[j] is None and inertia[j, 1] == 0
-                if form.errors[j] is None:
+                if form.sign_errors[j] is None:
                     index, source = int(form.index[j]), "formula"
                 elif morse:
                     index, source = int(inertia[j, 0]), "oracle"
                 if morse and form.sign_errors[j] is None:
-                    agree = bool(form.h_sign[j] == det_sign[j]) and (
-                        form.errors[j] is not None or index == inertia[j, 0])
+                    agree = bool(index == inertia[j, 0])
             fields += (float(areas[j]), index, source, agree)
         out.append(fields)
     return out

@@ -260,6 +260,17 @@ def test_index_command_pentagon(tmp_path, capsys):
     assert payload["sign_report"]["delta"] == pytest.approx(5.0 * math.tan(math.pi / 5))
 
 
+def test_index_command_hexagon_without_a_sequence(tmp_path, capsys):
+    # the regular hexagon's chord p_4 -> p_1 is a diameter: that refuses the
+    # sign sequence, not the index e - 1 - 2k - [delta < 0] = 6 - 1 - 2 - 0,
+    # the convex maximum n - 3
+    payload = _index_payload(tmp_path, capsys, 6)
+    assert payload["h_sequence"] is None
+    assert payload["index"] == 3
+    report = payload["sign_report"]
+    assert (report["e"], report["d"], report["h_sign"]) == (6, 1, -1)
+
+
 def test_index_command_rejects_non_cyclic(tmp_path, capsys):
     config_file = _write(tmp_path / "bad.json",
                          {"points": [[0, 0], [0, 1], [-1, 1.2], [-1.3, 0.1]]})
@@ -387,6 +398,14 @@ def test_render_labels_a_configuration_with_its_measured_winding(tmp_path):
     out = tmp_path / "square.svg"
     assert main(["render", "-i", config_file, "-o", str(out)]) == 0
     assert "E=++++ k=1 " in out.read_text()
+
+
+def test_render_labels_the_index_of_a_configuration_without_a_sequence(tmp_path):
+    pts, _, _ = regular_polygon_points(6)
+    config_file = _write(tmp_path / "hexagon.json", {"points": pts.tolist()})
+    out = tmp_path / "hexagon.svg"
+    assert main(["render", "-i", config_file, "-o", str(out)]) == 0
+    assert "E=++++++ k=1 " in out.read_text() and " m=3 " in out.read_text()
 
 
 def _mirror_and_pop(rec):

@@ -45,8 +45,8 @@ def test_formula_vs_oracle_fails_on_a_disagreement(column, monkeypatch, capsys):
     def one_wrong(linkage):
         table = analyze(linkage)
         values = getattr(table, column).copy()
-        # a row where the formula applies, so it is unflagged and its terms compared
-        row = int(np.flatnonzero(np.equal(table.morse_error, None))[0])
+        # a row whose sequence is defined, so it is unflagged and its terms compared
+        row = int(np.flatnonzero(table.h_sequence[:, 0] != 0)[0])
         values[row] = False if column == "agree" else -values[row]
         return dataclasses.replace(table, **{column: values})
 

@@ -87,6 +87,8 @@ def test_regular_hexagon_p4_chord_is_diameter():
     form = closed_form(Configuration(pts), CircleFit(center=center, radius=radius))
     assert form.sign_errors is None
     assert form.errors == "chord p_4 -> p_1 is a diameter"
+    # the chord refuses the sequence, not the index: e - 1 - 2k - [delta < 0]
+    assert (form.positives, form.k, form.delta > 0, form.index) == (6, 1, True, 3)
 
 
 def test_diameter_edge_is_refused_before_a_later_chord():

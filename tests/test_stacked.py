@@ -27,7 +27,7 @@ MIXED = {
     4: ([[1, 2, 1.5, 2.5 - 1e-8], [1, 1, 1, 1], [3, 1, 1, 2]],
         {("formula", False), (None, True)}),
     6: ([[1] * 6, [1, 2, 1, 2, 1, 2], THIN_HEXAGON, [1, 2, 1.5, 2.5 - 1e-8, 1, 1]],
-        {("formula", False), ("oracle", False), (None, True)}),
+        {("formula", False), (None, True)}),
 }
 
 
@@ -405,8 +405,8 @@ def test_sign_sequence_terms_match_the_oracle_on_each_subconfiguration():
     for linkage in [*_fixture_linkages(), *(random_linkage(np.random.default_rng(53 + n), n)
                                             for n in range(5, 13))]:
         table = analyze_linkage(linkage)
-        # rows where the formula applies, as _agreement reads them
-        rows = np.flatnonzero(np.equal(table.morse_error, None))
+        # rows where the sequence is defined: a refused one is a row of zeros
+        rows = np.flatnonzero(table.h_sequence[:, 0] != 0)
         sequence = table.h_sequence[rows]
         for i in range(3, linkage.n + 1):
             _, _, inertia, det_sign, errors = oracle._verdict_rows(table.points[rows, :i])
@@ -416,3 +416,32 @@ def test_sign_sequence_terms_match_the_oracle_on_each_subconfiguration():
             assert np.array_equal(inertia[:, 0], changes), (linkage.lengths, i)
             terms += rows.size
     assert terms > 20000
+
+
+# CI's n = 12 lengths: 1530 configurations, none flagged.
+CI_12 = [0.8762366871626692, 1.920129414289137, 0.783980576809642, 0.7689371156271614,
+         1.0248338608939362, 0.8458118698848589, 1.505668614159177, 0.6726190731851712,
+         1.8444640605570206, 1.7871957336258633, 0.5042405482799301, 1.3121992425781914]
+
+
+def test_the_index_formula_is_the_sign_changes_of_the_sequence(random_tables):
+    # the paper's theorem on stacked rows: e - 1 - 2k - [delta < 0] counts the
+    # sign changes of h_3..h_n wherever the sequence is defined, and its
+    # parity is the determinant sign -d (-1)^e
+    sequences = 0
+    for linkage, table in random_tables:
+        signed = np.equal(table.morse_error, None)
+        index = table.formula_index[signed]
+        assert ((0 <= index) & (index <= linkage.n - 3)).all()
+        assert np.array_equal((-1) ** index, table.h_sign[signed])
+        defined = table.h_sequence[:, 0] != 0
+        sequence = table.h_sequence[defined]
+        changes = (sequence[:, 1:] != sequence[:, :-1]).sum(axis=1)
+        assert np.array_equal(changes, table.formula_index[defined]), linkage.lengths
+        sequences += int(defined.sum())
+    assert sequences > 60000
+    table = analyze_linkage(Linkage(CI_12))
+    live = ~table.flagged
+    assert live.sum() == 1530
+    assert np.array_equal(table.formula_index[live], table.oracle_index[live])
+    assert (table.index_source[live] == "formula").all()
