@@ -22,8 +22,10 @@ is at ``t_j + (m pi - g0) / (g1 - g0) * (t_{j+1} - t_j)``, a flip for even m
 and a central crossing for odd m.  ``tan(D_i / 2)`` has its poles where
 ``D_i`` crosses pi mod 2pi, so delta changes sign between two frames at a
 zero or at the pole of a central crossing between them.  Delta zeros are
-refined in time by ``solver.brentq``; an event's sign data are those of
-the frames around it.
+refined in time by ``solver.brentq``, started from the delta of the frame
+table at both frames, so delta is evaluated by :meth:`AngularPath.gaps_at`
+only between frames; an event's sign data are those of the frames around
+it.
 """
 
 from __future__ import annotations
@@ -239,7 +241,8 @@ def detect_events(path: AngularPath) -> list:
     crossing.  Delta zeros are the sign changes of ``delta`` between frames
     j and j + 1, except where that interval holds a central crossing: there
     the tangent pole of the crossing edge flips the sign without a zero.
-    One :func:`brentq` call refines them all on their frame intervals.
+    One :func:`brentq` call refines them all on their frame intervals,
+    from the frame table's delta at both frames.
     Two events closer than the frame resolution violate the genericity
     assumption and raise, so each frame interval holds at most one event,
     and its two frames give the event's ``before`` and ``after``.
@@ -257,9 +260,11 @@ def detect_events(path: AngularPath) -> list:
     central = multiples % 2 == 1
 
     dsigns = np.sign(deltas)
-    lo = np.flatnonzero(dsigns[:-1] * dsigns[1:] < 0.0)
-    lo = lo[~np.isin(lo, rows[central])]
-    t_delta = brentq(lambda t: _delta(path.gaps_at(t)), times[lo], times[lo + 1])
+    crossed = np.zeros(times.size - 1, dtype=bool)
+    crossed[rows[central]] = True
+    lo = np.flatnonzero((dsigns[:-1] * dsigns[1:] < 0.0) & ~crossed)
+    t_delta = brentq(lambda t: _delta(path.gaps_at(t)), times[lo], times[lo + 1],
+                     deltas[lo], deltas[lo + 1])
 
     t_all = np.concatenate([t_edge, t_delta])
     order = np.argsort(t_all, kind="stable")
@@ -326,13 +331,17 @@ def check_lemmas(path: AngularPath, events: list) -> LemmaReport:
 
     times = path.times
     res = path.resolution
-    bounds = [float(times[0])] + [e.t for e in events] + [float(times[-1])]
+    bounds = np.array([times[0]] + [e.t for e in events] + [times[-1]])
+    # the frames with lo + res < t < hi - res of each segment (lo, hi), a
+    # slice of the sorted times, empty where the two ends cross
+    first = np.searchsorted(times, bounds[:-1] + res, side="right").tolist()
+    last = np.searchsorted(times, bounds[1:] - res, side="left").tolist()
     _, sines, deltas = path.frame_table
     # one row of sign data per frame: eps_i > 0 for each edge, then d > 0
     table = np.column_stack([sines > 0.0, deltas > 0.0])
     checked = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        rows = table[(times > lo + res) & (times < hi - res)]
+    for lo, hi, start, stop in zip(bounds.tolist(), bounds[1:].tolist(), first, last):
+        rows = table[start:stop]
         checked += len(rows)
         if np.any(rows != rows[:1]):
             violations.append(

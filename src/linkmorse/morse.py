@@ -64,10 +64,11 @@ def _delta_text(value, scale) -> str:
 def _sign_rows(eps: np.ndarray, alphas: np.ndarray):
     """Sign data of stacked orientation strings and half-angles (rows of n).
 
-    Returns ``(delta, sequences, polygon, prefix)``: the full polygon's
-    ``delta`` per row; the sign sequences of P_3 .. P_n, one row each, read
-    off prefix sums as in the module docstring, with the full polygon's sign
-    last; and two refusal columns (None where the checks pass): the full
+    Returns ``(delta, h_sign, sequences, polygon, prefix)``: the full
+    polygon's ``delta`` and determinant sign per row; the sign sequences of
+    P_3 .. P_n, one row each, read off prefix sums as in the module
+    docstring, with that sign last (n = 3 has the seed alone); and two
+    refusal columns (None where the checks pass): the full
     polygon's, ``|delta|`` below :data:`DELTA_REL_TOL` times
     ``sum tan(alpha)`` (a central edge is the caller's to refuse first), and
     the first degenerate P_i, 4 <= i < n.
@@ -75,6 +76,7 @@ def _sign_rows(eps: np.ndarray, alphas: np.ndarray):
     n = eps.shape[1]
     tans = np.tan(alphas)
     value = _dot_rows(eps, tans)
+    full = determinant_sign(np.where(value > 0.0, 1, -1), (eps > 0.0).sum(axis=1))
     scale = tans.sum(axis=1)
     small = np.abs(value) < DELTA_REL_TOL * scale
     polygon = _refusals(small[:, None], lambda row, i: _delta_text(value[row], scale[row]))
@@ -98,9 +100,8 @@ def _sign_rows(eps: np.ndarray, alphas: np.ndarray):
     positives = np.cumsum(eps > 0.0, axis=1)[:, first] + (np.mod(-s, math.pi) < 0.5 * math.pi)
     sequences = [np.ones((eps.shape[0], 1), dtype=int)]
     if n > 3:
-        full = determinant_sign(np.where(value > 0.0, 1, -1), (eps > 0.0).sum(axis=1))
         sequences += [determinant_sign(np.where(values > 0.0, 1, -1), positives), full[:, None]]
-    return value, np.concatenate(sequences, axis=1), polygon, prefix
+    return value, full, np.concatenate(sequences, axis=1), polygon, prefix
 
 
 class ClosedForm(NamedTuple):
@@ -142,14 +143,14 @@ def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
     sides, central = _orientation_rows(points, centers)
     alphas, over = _half_angle_rows(points, centers, radii)
     strings = sides.astype(float)
-    value, sequences, polygon, prefix = _sign_rows(strings, alphas)
+    value, h_sign, sequences, polygon, prefix = _sign_rows(strings, alphas)
     positives = (sides > 0).sum(axis=1)
     k = np.rint(_dot_rows(strings, alphas) / math.pi).astype(int)
     d = np.where(value > 0.0, 1, -1)
     causes = np.stack([central, over, polygon, prefix], axis=1)
     refused = np.not_equal(causes, None)
     return ClosedForm(
-        eps=sides, k=k, delta=value, positives=positives, h_sign=determinant_sign(d, positives),
+        eps=sides, k=k, delta=value, positives=positives, h_sign=h_sign,
         h_sequence=sequences, index=positives - 1 - 2 * k - (d < 0), central=central,
         sign_errors=_refusals(refused[:, :3], lambda row, i: causes[row, i]),
         errors=_refusals(refused, lambda row, i: causes[row, i]))

@@ -39,7 +39,8 @@ is accepted when ``|F| <= RESIDUAL_TOL * (sum alpha_i + pi |k|)``, far
 inside the widening, so the bound that holds C on the whole cell marks it,
 and delta is only evaluated at the ends of candidate cells.  One call of
 :func:`brentq`, a Brent's method over stacked rows of :func:`_scan_rows`,
-refines every bracket of F and of delta at once.  A root is flagged
+refines every bracket of F and of delta at once, started from the values
+at the ends that the sign tests read.  A root is flagged
 ``delta_zero`` when ``|delta| < DEGENERACY_TOL * sum tan(alpha_i)``, so
 both tests scale with the problem.  Only the strings with ``eps_1 = +1``
 are scanned: the mirror string ``(-E, -k)`` has ``F_{-E,-k} = -F_{E,k}``
@@ -293,34 +294,35 @@ def _closures_and_deltas(rho: np.ndarray, theta: np.ndarray, eps: np.ndarray):
     return closure, _dot_rows(eps, np.tan(values, out=values))
 
 
-def brentq(f, a: np.ndarray, b: np.ndarray, args=()) -> np.ndarray:
+def brentq(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+           args=()) -> np.ndarray:
     """Roots of ``f`` in the brackets ``[a_j, b_j]``, all refined at once by
-    Brent's method.
+    Brent's method, from the values ``fa`` and ``fb`` of ``f`` at their ends.
 
-    ``f(x, *rows)`` is evaluated on stacked rows: ``x`` holds one point per
-    bracket still open and ``rows`` the matching rows of each array in
-    ``args``.  Every bracket takes the steps of scipy's ``brentq`` (its C
+    Both callers hold those values already, so ``f`` is never evaluated at a
+    bracket's end.  ``f(x, *rows)`` is evaluated on stacked rows: ``x``
+    holds one point per bracket still open and ``rows`` the matching rows of
+    each array in ``args``; once no bracket is open, it is not called again.
+    Every bracket takes the steps of scipy's ``brentq`` (its C
     ``brentq.c``: inverse quadratic or linear interpolation, else bisection)
     with ``xtol`` :data:`_FAR_ANGLE`, ``rtol`` :data:`ROOT_RTOL` and at most
     :data:`_MAXITER` iterations, so each root has the same digits as a
     scipy call on that bracket alone.  One call refines every root of F and
     zero of delta of an enumeration in theta, another the delta zeros of a
     deformation path in time (see :mod:`linkmorse.deform`).  Like scipy,
-    raises ``ValueError`` for a NaN
-    value of ``f`` or for a bracket whose ends have the same sign, and
-    ``RuntimeError`` for a bracket not converged after :data:`_MAXITER`
-    iterations.
+    raises ``ValueError`` for a NaN value of ``f``, given or evaluated, or
+    for a bracket whose ends have the same sign, and ``RuntimeError`` for a
+    bracket not converged after :data:`_MAXITER` iterations.
     """
-    def evaluate(x, open_):
-        fx = np.asarray(f(x, *(arg[open_] for arg in args)), dtype=float)
+    def checked(x, fx):
+        fx = np.asarray(fx, dtype=float)
         if np.isnan(fx).any():
             raise ValueError(f"the function value at x={x[np.isnan(fx)][0]} is NaN; "
                              "solver cannot continue")
         return fx
 
     xa, xb = np.array(a, dtype=float), np.array(b, dtype=float)
-    fa = evaluate(xa, slice(None))
-    fb = evaluate(xb, slice(None))
+    fa, fb = checked(xa, fa), checked(xb, fb)
     roots = np.where(fa == 0.0, xa, xb)
     open_ = np.flatnonzero((fa != 0.0) & (fb != 0.0))
     if (np.signbit(fa[open_]) == np.signbit(fb[open_])).any():
@@ -332,8 +334,6 @@ def brentq(f, a: np.ndarray, b: np.ndarray, args=()) -> np.ndarray:
     state[0], state[1], state[3], state[4] = xa[open_], xb[open_], fa[open_], fb[open_]
     xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
     for _ in range(_MAXITER):
-        if not open_.size:
-            break
         # fpre is never 0 here, and a zero fcur ends the bracket below
         # whatever this step does, so comparing sign bits suffices
         new = np.signbit(fpre) != np.signbit(fcur)
@@ -352,6 +352,8 @@ def brentq(f, a: np.ndarray, b: np.ndarray, args=()) -> np.ndarray:
             going = ~done
             open_, state, delta, sbis = open_[going], state[:, going], delta[going], sbis[going]
             xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = state
+        if not open_.size:
+            break
 
         # Interpolate through the last two points when the previous one is
         # the contrapoint, else extrapolate through all three.  The step is
@@ -368,7 +370,7 @@ def brentq(f, a: np.ndarray, b: np.ndarray, args=()) -> np.ndarray:
         state[0], state[3] = xcur, fcur
         # sbis is never 0 on an open bracket, so its sign picks +-delta
         xcur += np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
-        state[4] = evaluate(xcur, open_)
+        state[4] = checked(xcur, f(xcur, *(arg[open_] for arg in args)))
     if open_.size:
         raise RuntimeError(f"failed to converge after {_MAXITER} iterations")
     return roots
@@ -658,19 +660,24 @@ def _scan(linkage: Linkage, strings: np.ndarray):
     here, after = closure
     lo = np.floor(np.minimum(here, after) / math.pi)
     hi = np.floor(np.maximum(here, after) / math.pi) + 1.0
-    brackets = [(row[:0], lo[:0], i[:0])]  # typed empty arrays if there is no step
+    # Each bracket carries F at its ends, the values the sign test read, for
+    # brentq to start from.
+    brackets = [(row[:0], lo[:0], i[:0], here[:0], after[:0])]  # typed empty arrays
     for step in range(int(np.max(hi - lo, initial=-1.0)) + 1):
         k = lo + step
-        change = _sign_change(here, after, math.pi * k)
-        brackets.append((row[change], k[change], i[change]))
+        level = math.pi * k
+        change = _sign_change(here, after, level)
+        brackets.append((row[change], k[change], i[change],
+                         here[change] - level[change], after[change] - level[change]))
     # Double roots hide at interior extrema of F, i.e. zeros of delta, whose
     # sign changes are refined with the closure brackets as delta rows.
     change = _sign_change(*deltas, 0.0)
-    brackets.append((row[change], np.zeros(int(change.sum())), i[change]))
-    row, k, i = (np.concatenate(v) for v in zip(*brackets))
+    brackets.append((row[change], np.zeros(int(change.sum())), i[change],
+                     deltas[0][change], deltas[1][change]))
+    row, k, i, fa, fb = (np.concatenate(v) for v in zip(*brackets))
     delta = np.arange(row.size) >= row.size - int(change.sum())
     roots = brentq(lambda t, e, kk, d: _scan_rows(t, rho, e, kk, d), grid[i], grid[i + 1],
-                   args=(strings[row], k, delta))
+                   fa, fb, args=(strings[row], k, delta))
     found.append((row[~delta], k[~delta], roots[~delta]))
 
     # Each zero of delta, exact at a cell's end or refined, is tested against

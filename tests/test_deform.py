@@ -421,6 +421,42 @@ def test_delta_zero_times_are_scipy_brentq_roots():
     assert checked > 50
 
 
+def test_detect_events_takes_delta_at_frames_from_the_frame_table(monkeypatch):
+    # brentq starts from the frame table's delta at both ends of a bracket,
+    # so gaps_at is only asked for times between frames
+    seen = []
+    gaps_at = AngularPath.gaps_at
+    monkeypatch.setattr(AngularPath, "gaps_at", lambda path, t: seen.append((path, t)) or gaps_at(path, t))
+    zeros = 0
+    for _, events in _generic_random_paths(18, 30):
+        zeros += sum(event.kind == "delta_zero" for event in events)
+    assert zeros > 10 and len(seen) >= zeros
+    for path, t in seen:
+        assert t.size and not np.isin(t, path.times).any()
+
+
+def test_segments_hold_the_frames_of_the_mask_rule():
+    """check_lemmas checks the frames with lo + res < t < hi - res of each
+    segment, as the per-frame mask does, at the edges of that rule too: an
+    event on a frame whose time plus res is the next frame's, events within
+    res of a frame, and two events closer than 2 res, whose segment holds
+    no frame."""
+    theta_a, theta_b = _random_endpoints(np.random.default_rng(16), 6)
+    path = deform(theta_a, theta_b, 1.0, steps=200)
+    times, res = path.times, path.resolution
+    assert times[25] + res == times[26] and times[30] - res == times[29]
+    moments = [times[25], times[30], times[60] + 0.4 * res, times[100] + 0.2 * res,
+               times[100] + 1.7 * res]
+    events = [Event("flip", 1, float(t), _sign_data(path, times[0]), _sign_data(path, times[-1]))
+              for t in moments]
+    report = check_lemmas(path, events)
+    assert (report.violations, report.frames_checked) == _per_frame_lemmas(path, events)
+    # every frame but 15: the two at each end, the event's frame and both
+    # neighbours at exactly res from it at times[25] and times[30], frames 60
+    # and 61 around the third event, and 100 to 102 around the close pair
+    assert report.frames_checked == path.frames - 15
+
+
 def test_event_sign_data_are_the_bracketing_frames():
     checked = 0
     for path, events in _generic_random_paths(14, 60):

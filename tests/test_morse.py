@@ -29,7 +29,7 @@ def _regular(winding=1, ccw=True):
 def _polygon(alphas, eps):
     """The full polygon's ``delta`` and refusal text (or None) for one
     string and its half-angles, through the stacked kernel."""
-    value, _, polygon, _ = _sign_rows(np.array([eps], dtype=float), np.array([alphas], dtype=float))
+    value, _, _, polygon, _ = _sign_rows(np.array([eps], dtype=float), np.array([alphas], dtype=float))
     return float(value[0]), polygon[0]
 
 

@@ -21,6 +21,8 @@ from linkmorse import (
     DegeneracyFlags,
     Linkage,
     analyze_linkage,
+    deform,
+    detect_events,
     enumerate_cyclic,
     fit_circle,
     signed_area,
@@ -28,7 +30,7 @@ from linkmorse import (
 from linkmorse import solver
 from linkmorse.geometry import _half_angle_rows, _orientation_rows
 from linkmorse.solver import MAX_EDGES, _closure_defects, _flag_rows
-from linkmorse.errors import InconsistentDescriptorError, InvalidLinkageError
+from linkmorse.errors import InconsistentDescriptorError, InvalidLinkageError, NonGenericPathError
 
 SQUARE_L = Linkage([1, 1, 1, 1])
 PENTA_L = Linkage([1, 1, 1, 1, 1])
@@ -727,9 +729,9 @@ def _scan_trace(linkage, monkeypatch, tabulate):
         seen["candidates"] = tabulate(rho, grid, strings)
         return seen["candidates"]
 
-    def recording_brentq(f, a, b, args=()):
+    def recording_brentq(f, a, b, fa, fb, args=()):
         brackets.append((a, args))
-        return batched(f, a, b, args)
+        return batched(f, a, b, fa, fb, args)
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_tabulate", recording_tabulate)
@@ -1108,8 +1110,8 @@ def test_brentq_matches_scipy_on_every_bracket(linkage, delta_rows, monkeypatch)
     calls = []
     batched = solver.brentq
 
-    def recording(f, a, b, args=()):
-        roots = batched(f, a, b, args)
+    def recording(f, a, b, fa, fb, args=()):
+        roots = batched(f, a, b, fa, fb, args)
         calls.append((f, a, b, args, roots))
         return roots
 
@@ -1136,11 +1138,67 @@ def test_brentq_rows_end_alone():
     def f(x, c):
         return x ** 3 - c
 
-    roots = solver.brentq(f, a, b, args=(shift,))
+    roots = solver.brentq(f, a, b, f(a, shift), f(b, shift), args=(shift,))
     assert roots.tolist() == [brentq(_alone(f, [shift[j:j + 1]]), a[j], b[j],
                                      xtol=solver._FAR_ANGLE, rtol=solver.ROOT_RTOL)
                               for j in range(4)]
     assert roots[0] == 0.0 and roots[2] == 3.0
+
+
+def _watched(batched, seen, roots):
+    """``batched`` with its ``f`` watched: each call of ``f`` appends its
+    points and the ends of the brackets they belong to to ``seen``, and
+    each call appends its roots to ``roots``."""
+    def watched(f, a, b, fa, fb, args=()):
+        def g(x, j, *rows):
+            seen.append((x, a[j], b[j]))
+            return f(x, *rows)
+
+        roots.append(batched(g, a, b, fa, fb, args=(np.arange(len(a)), *args)))
+        return roots[-1]
+
+    return watched
+
+
+def _delta_zero_path():
+    """A random 2000-frame path at n = 7 on which delta changes sign."""
+    rng = np.random.default_rng(5)
+    while True:
+        start, end = (np.cumsum(rng.uniform(-2.5, 2.5, size=7)) for _ in range(2))
+        path = deform(start, end, 1.0, steps=2000)
+        try:
+            if any(e.kind == "delta_zero" for e in detect_events(path)):
+                return path
+        except NonGenericPathError:
+            continue
+
+
+@pytest.mark.parametrize("case", ["scan", "path", "no_bracket"])
+def test_brentq_evaluates_no_bracket_end_and_no_empty_stack(case, monkeypatch):
+    """Both callers hand brentq f at the ends of every bracket, so f is
+    never taken at a row's a or b, and brentq stops once no bracket is
+    open, so f never gets zero rows."""
+    deform_module = sys.modules["linkmorse.deform"]
+    seen, roots = [], []
+    if case == "scan":
+        monkeypatch.setattr(solver, "brentq", _watched(solver.brentq, seen, roots))
+        enumerate_cyclic(random_linkage(np.random.default_rng(8), 8))
+    elif case == "path":
+        path = _delta_zero_path()
+        monkeypatch.setattr(deform_module, "brentq", _watched(deform_module.brentq, seen, roots))
+        detect_events(path)
+    else:
+        def f(x):
+            raise AssertionError("f called with no bracket")
+
+        empty = np.zeros(0)
+        roots.append(solver.brentq(f, empty, empty, empty, empty))
+        assert roots[0].shape == (0,) and roots[0].dtype == float
+    assert len(roots) == 1
+    if case != "no_bracket":
+        assert seen and roots[0].size
+    for x, a, b in seen:
+        assert x.size and not (x == a).any() and not (x == b).any()
 
 
 @pytest.mark.parametrize("f, a, b, error, match", [
@@ -1151,8 +1209,9 @@ def test_brentq_rows_end_alone():
     (lambda x: np.where(x >= 0.0, 1.0, -1.0), -1.0, 2.0, RuntimeError, "converge"),
 ], ids=["nan", "same-sign", "no-convergence"])
 def test_brentq_refuses_as_scipy_does(f, a, b, error, match):
+    ends = np.array([a]), np.array([b])
     with pytest.raises(error, match=match):
-        solver.brentq(f, np.array([a]), np.array([b]))
+        solver.brentq(f, *ends, *(f(x) for x in ends))
     with pytest.raises(error, match=match):
         brentq(_alone(f), a, b, xtol=solver._FAR_ANGLE, rtol=solver.ROOT_RTOL,
                maxiter=solver._MAXITER)

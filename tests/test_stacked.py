@@ -105,7 +105,7 @@ def test_stack_across_chunk_boundaries(monkeypatch):
 
 def test_empty_stacks_and_shapes():
     assert oracle._inertia_rows(np.zeros((2, 0, 0))).tolist() == [[0, 0, 0], [0, 0, 0]]
-    _, sequences, _, prefix = morse._sign_rows(np.ones((3, 4)), np.full((3, 4), 0.25 * math.pi))
+    _, _, sequences, _, prefix = morse._sign_rows(np.ones((3, 4)), np.full((3, 4), 0.25 * math.pi))
     assert sequences.shape == (3, 2)
     # the prefix range is empty at n = 4
     assert prefix.dtype == object and prefix.tolist() == [None] * 3
