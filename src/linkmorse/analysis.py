@@ -18,8 +18,12 @@ as columns, checks them as one stack and passes the records that pass;
 both compare formula and oracle by one rule, :func:`_agreement`, and
 verification returns a :class:`VerificationTable` of columns.  JSON
 encoding and decoding of enumeration artifacts lives here too:
-:func:`write_enumeration` formats an artifact from the columns, a chunk of
-records at a time, and :func:`write_verification` the lines of ``verify``.
+:func:`write_enumeration` formats an artifact from the columns of the
+scan's table, a chunk of records at a time, and :func:`write_verification`
+the lines of ``verify``.  Neither the artifact nor :func:`index_summary`,
+which counts the paper's index read off the scan's table, needs the
+analysis: ``linkmorse enumerate`` runs neither the closed form nor the
+oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .geometry import (
     _refusals,
     _signed_areas,
 )
-from .morse import _closed_form_rows
+from .morse import _closed_form_rows, morse_index
 from .oracle import _mirror_rows, _verdict_rows
 from .solver import (
     CLOSURE_TOL,
@@ -84,10 +88,10 @@ class ConfigurationAnalysis:
     of an :class:`AnalysisTable`, whose columns hold the closed-form and
     oracle data.
 
-    ``index`` is the Morse index: the closed form's ``e - 1 - 2k -
-    [delta < 0]`` where it applies, otherwise the oracle's count of negative
-    eigenvalues, None when neither has one, and ``index_source`` says which;
-    ``agree`` is :func:`_agreement`'s verdict.
+    ``index`` is the Morse index: the closed form's
+    (:func:`morse.morse_index`) where it applies, otherwise the oracle's
+    count of negative eigenvalues, None when neither has one, and
+    ``index_source`` says which; ``agree`` is :func:`_agreement`'s verdict.
     """
 
     descriptor: CyclicDescriptor
@@ -247,20 +251,36 @@ def analyze_linkage(linkage: Linkage) -> AnalysisTable:
                          **cols)
 
 
-def index_summary(analyses: AnalysisTable) -> str:
-    """Human-readable count per Morse index, e.g.
-    '14 configurations: index 0 x2, index 1 x10, index 2 x2'."""
-    counts = np.bincount(analyses.index[analyses.index >= 0])
+def _scan_index(table: CyclicTable) -> np.ndarray:
+    """The Morse index of each row of ``table`` by :func:`morse.morse_index`,
+    read off the scan's own ``eps``, ``k`` and ``alphas``, with no points
+    and no analysis; -1 on flagged rows.
+
+    On every unflagged row it is the index of the closed form measured from
+    the points: the flags keep each ``cos(alpha_i)``, and ``|delta|`` against
+    ``sum tan(alpha)``, at least :data:`DEGENERACY_TOL`, 100 times the closed
+    form's refusal tolerances, and the scan makes no edge longer than the
+    diameter, so the closed form refuses no such row and measures the
+    scan's string, winding and sign of ``delta``."""
+    delta = _dot_rows(table.eps, np.tan(table.alphas))
+    return np.where(table.flagged, -1, morse_index(table.eps, table.k, delta))
+
+
+def index_summary(table: CyclicTable) -> str:
+    """Human-readable count per Morse index of the rows of a
+    :class:`CyclicTable` (an :class:`AnalysisTable` is one), by
+    :func:`_scan_index`, e.g.
+    '14 configurations: index 0 x2, index 1 x10, index 2 x2', and the
+    number of flagged rows, which have none."""
+    index = _scan_index(table)
+    counts = np.bincount(index[index >= 0])
     parts = [f"index {m} x{c}" for m, c in enumerate(counts.tolist()) if c]
-    text = f"{len(analyses)} configurations"
+    text = f"{len(table)} configurations"
     if parts:
         text += ": " + ", ".join(parts)
-    flagged = int(analyses.flagged.sum())
-    unknown = int((~analyses.flagged & (analyses.index < 0)).sum())
+    flagged = int(table.flagged.sum())
     if flagged:
         text += f" ({flagged} flagged)"
-    if unknown:
-        text += f" ({unknown} without index)"
     return text
 
 
@@ -293,12 +313,12 @@ def _record_template(n: int) -> str:
     return "    " + text.replace(json.dumps(value), "{}").replace("\n", "\n    ")
 
 
-def _nonfinite_refusal(analyses: AnalysisTable):
+def _nonfinite_refusal(table: CyclicTable, area: np.ndarray):
     """The refusal of the first record with a NaN or infinite value, None
     when every written float is finite: JSON has no text for them."""
     bad = [(name, ~np.isfinite(column).all(axis=tuple(range(1, column.ndim))))
-           for name, column in (("r", analyses.radius), ("center", analyses.center),
-                                ("points", analyses.points), ("area", analyses.area))]
+           for name, column in (("r", table.radius), ("center", table.center),
+                                ("points", table.points), ("area", area))]
     worst = [(int(mask.argmax()), order, name) for order, (name, mask) in enumerate(bad)
              if mask.any()]
     if worst:
@@ -307,23 +327,18 @@ def _nonfinite_refusal(analyses: AnalysisTable):
     return None
 
 
-def write_enumeration(stream, linkage: Linkage, analyses: AnalysisTable,
-                      seed: int | None = None) -> None:
-    """Write the enumeration artifact of ``analyses`` to ``stream``: the
-    envelope ``dump_json`` gives the linkage, the seed, the solver's
-    tolerances and the wire record of every row, so runs are reproducible
-    from the artifact alone.
-
-    The records are formatted from the columns by one template, a chunk of
-    :data:`_WRITE_CHUNK` values at a time, so the whole text is never held:
-    ``str.format`` writes a Python float as ``float.__repr__``, json's own
-    float encoder.  Raises :class:`LinkmorseError` before writing anything
-    when a record holds a NaN or infinite value, which JSON cannot carry.
-    """
-    refusal = _nonfinite_refusal(analyses)
+def _artifact_parts(linkage: Linkage, table: CyclicTable, seed: int | None):
+    """The text of the enumeration artifact of ``table``, as an iterator of
+    parts: see :func:`write_enumeration`.  The areas are computed and every
+    value checked here, before the first part is asked for, so a caller
+    that opens a file to write the parts into refuses before opening it."""
+    # overflow is reported by the refusal, as a non-finite area
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = _signed_areas(table.points)
+    refusal = _nonfinite_refusal(table, area)
     if refusal is not None:
         raise refusal
-    n, rows = linkage.n, len(analyses)
+    n, rows = linkage.n, len(table)
     head, tail = dump_json({
         **linkage.to_json_dict(),
         "seed": seed,
@@ -331,21 +346,43 @@ def write_enumeration(stream, linkage: Linkage, analyses: AnalysisTable,
                        "closure": CLOSURE_TOL},
         "configurations": [],
     }).rsplit("[]", 1)
-    stream.write(head + "[")
     template = _record_template(n)
     step = max(1, _WRITE_CHUNK // (5 * n + 6))
-    for start in range(0, rows, step):
-        part = slice(start, start + step)
-        # the values of each record in the template's order, as Python objects
-        numbers = [analyses.eps[part], analyses.k[part, None], analyses.radius[part, None],
-                   analyses.center[part], analyses.points[part].reshape(-1, 2 * n),
-                   analyses.area[part, None]]
-        flags = [analyses.central[part], analyses.near_flip[part], analyses.delta_zero[part, None]]
-        values = np.concatenate([column.astype(object) for column in numbers]
-                                + [_JSON_BOOLS[mask.view(np.uint8)] for mask in flags], axis=1)
-        records = ",\n".join([template] * len(values)).format(*values.ravel().tolist())
-        stream.write(("\n" if start == 0 else ",\n") + records)
-    stream.write(("]" if rows == 0 else "\n  ]") + tail)
+
+    def parts():
+        yield head + "["
+        for start in range(0, rows, step):
+            part = slice(start, start + step)
+            # the values of each record in the template's order, as Python objects
+            numbers = [table.eps[part], table.k[part, None], table.radius[part, None],
+                       table.center[part], table.points[part].reshape(-1, 2 * n),
+                       area[part, None]]
+            flags = [table.central[part], table.near_flip[part], table.delta_zero[part, None]]
+            values = np.concatenate([column.astype(object) for column in numbers]
+                                    + [_JSON_BOOLS[mask.view(np.uint8)] for mask in flags],
+                                    axis=1)
+            records = ",\n".join([template] * len(values)).format(*values.ravel().tolist())
+            yield ("\n" if start == 0 else ",\n") + records
+        yield ("]" if rows == 0 else "\n  ]") + tail
+
+    return parts()
+
+
+def write_enumeration(stream, linkage: Linkage, table: CyclicTable,
+                      seed: int | None = None) -> None:
+    """Write the enumeration artifact of the rows of ``table`` to ``stream``:
+    the envelope ``dump_json`` gives the linkage, the seed, the solver's
+    tolerances and the wire record of every row, so runs are reproducible
+    from the artifact alone.  A record's ``area`` is the shoelace area of
+    its points, as :func:`analyze_linkage` computes it.
+
+    The records are formatted from the columns by one template, a chunk of
+    :data:`_WRITE_CHUNK` values at a time, so the whole text is never held:
+    ``str.format`` writes a Python float as ``float.__repr__``, json's own
+    float encoder.  Raises :class:`LinkmorseError` before writing anything
+    when a record holds a NaN or infinite value, which JSON cannot carry.
+    """
+    stream.writelines(_artifact_parts(linkage, table, seed))
 
 
 def load_enumeration(text: str):

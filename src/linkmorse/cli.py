@@ -25,6 +25,7 @@ from .errors import LinkmorseError
 from .geometry import (INPUT_TOL, CircleFit, Configuration, Linkage, _json_numbers, fit_circle,
                        signed_area)
 from .morse import closed_form
+from .solver import enumerate_cyclic
 
 
 def _read_json(path: str, parse=json.loads):
@@ -37,14 +38,23 @@ def _read_json(path: str, parse=json.loads):
 
 
 def cmd_enumerate(args) -> int:
+    """Write the artifact of the scan's table and print its index summary.
+
+    Neither needs the analysis: the artifact holds the table's columns and
+    the areas of its points, and the summary reads each row's index off its
+    ``eps``, ``k`` and ``alphas`` (``analysis.index_summary``), so neither
+    the closed form nor the oracle runs.  A record the artifact cannot
+    carry is refused before the output file is opened.
+    """
     linkage = Linkage.from_json_dict(_read_json(args.input))
-    analyses = analysis.analyze_linkage(linkage)
+    table = enumerate_cyclic(linkage)
+    parts = analysis._artifact_parts(linkage, table, args.seed)
     if args.output:
         with open(args.output, "w") as out:
-            analysis.write_enumeration(out, linkage, analyses, seed=args.seed)
+            out.writelines(parts)
     else:
-        analysis.write_enumeration(sys.stdout, linkage, analyses, seed=args.seed)
-    print(analysis.index_summary(analyses))
+        sys.stdout.writelines(parts)
+    print(analysis.index_summary(table))
     return 0
 
 

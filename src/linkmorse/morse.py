@@ -3,10 +3,11 @@
 At a generic cyclic configuration with orientation string ``eps``, ``e``
 positive entries, winding ``k`` and ``delta = sum_i eps_i tan(alpha_i)``,
 the Morse index is the paper's explicit formula
-``mu = e - 1 - 2 k - [delta < 0]``.  Its parity is the sign of the Hessian
-determinant, ``-d * (-1)**e`` with ``d = sign(delta)``
-(:func:`determinant_sign`).  Only the full polygon's checks refuse it: a
-central edge, an edge longer than the diameter, a small ``|delta|``.
+``mu = e - 1 - 2 k - [delta < 0]`` (:func:`morse_index`).  Its parity is
+the sign of the Hessian determinant, ``-d * (-1)**e`` with
+``d = sign(delta)`` (:func:`determinant_sign`).  Only the full polygon's
+checks refuse it: a central edge, an edge longer than the diameter, a
+small ``|delta|``.
 
 Its proof path is the sequence of these determinant signs over the nested
 subconfigurations ``(p_1..p_3), ..., (p_1..p_n)``, each closed by the chord
@@ -55,6 +56,14 @@ def determinant_sign(d: int, e: int) -> int:
     """The sign rule ``-d * (-1)**e`` for ``d = sign(delta)`` and ``e``
     positive orientations."""
     return -d * (-1) ** e
+
+
+def morse_index(eps: np.ndarray, k, delta) -> np.ndarray:
+    """The Morse index by the paper's explicit formula (see the module
+    docstring) of stacked orientation strings ``eps`` (rows of +-1),
+    windings ``k`` and ``delta = sum_i eps_i tan(alpha_i)``: it holds where
+    the full polygon's checks pass."""
+    return (eps > 0).sum(axis=1) - 1 - 2 * k - (delta < 0)
 
 
 def _delta_text(value, scale) -> str:
@@ -109,13 +118,13 @@ class ClosedForm(NamedTuple):
 
     ``eps`` holds the measured orientation strings (int rows of +-1) and
     ``k`` the measured windings ``rint(eps . alpha / pi)``; ``delta``,
-    ``positives`` (``e``), ``h_sign`` and ``index``, ``e - 1 - 2 k -
-    [delta < 0]``, are the full polygon's sign data, and ``h_sequence`` the
-    rows of sign sequences, the index's proof path.  Three object columns
-    give per row the refusal (None where there is none) of a central edge,
-    which leaves no measured string; the first refusal of the full polygon,
-    which leaves no sign data; and the first refusal of all, which leaves
-    no ``h_sequence``.
+    ``positives`` (``e``), ``h_sign`` and ``index``, by :func:`morse_index`,
+    are the full polygon's sign data, and ``h_sequence`` the rows of sign
+    sequences, the index's proof path.  Three object columns give per row
+    the refusal (None where there is none) of a central edge, which leaves
+    no measured string; the first refusal of the full polygon, which leaves
+    no sign data; and the first refusal of all, which leaves no
+    ``h_sequence``.
     """
 
     eps: np.ndarray
@@ -146,12 +155,11 @@ def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray
     value, h_sign, sequences, polygon, prefix = _sign_rows(strings, alphas)
     positives = (sides > 0).sum(axis=1)
     k = np.rint(_dot_rows(strings, alphas) / math.pi).astype(int)
-    d = np.where(value > 0.0, 1, -1)
     causes = np.stack([central, over, polygon, prefix], axis=1)
     refused = np.not_equal(causes, None)
     return ClosedForm(
         eps=sides, k=k, delta=value, positives=positives, h_sign=h_sign,
-        h_sequence=sequences, index=positives - 1 - 2 * k - (d < 0), central=central,
+        h_sequence=sequences, index=morse_index(sides, k, value), central=central,
         sign_errors=_refusals(refused[:, :3], lambda row, i: causes[row, i]),
         errors=_refusals(refused, lambda row, i: causes[row, i]))
 

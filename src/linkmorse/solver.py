@@ -116,12 +116,12 @@ _LEVEL_SLACK = 1e-9
 
 # Largest number of edges enumerate_cyclic accepts.  The scan covers
 # 2^(n-1) strings and the number of configurations grows about as fast:
-# ``linkmorse enumerate -o`` on random lengths in [0.5, 2] took 0.3-0.4 s at
-# n = 12, 0.5-0.8 s at n = 14 and 2.4-2.8 s at n = 16 (37796
-# configurations, 114 MB peak; 0.9-1.2 s of it analyze_linkage, 0.31-0.36 s
-# of that enumerate_cyclic) on a 2-core x86-64 host with Python 3.11
-# (BENCH_scan.json).  Each edge more about doubles the scan and the
-# configurations, and so the time.
+# ``linkmorse enumerate -o``, which runs no analysis, on random lengths in
+# [0.5, 2] took 0.2-0.4 s at n = 12, 0.4-0.6 s at n = 14 and 1.4-2.1 s at
+# n = 16 (37796 configurations, 79 MB peak; 0.15-0.18 s of it
+# enumerate_cyclic, 1.1-1.3 s writing the 88 MB artifact) on a 2-core
+# x86-64 host with Python 3.11, import included (BENCH_columns.json).  Each
+# edge more about doubles the scan and the configurations, and so the time.
 MAX_EDGES = 16
 
 # First grid point, standing in for theta = 0 (r = inf): F has the sign of its

@@ -4,16 +4,19 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_linkage, regular_polygon_points
 from test_analysis import IRREGULAR, TAMPERED_NOTES, _envelope, _tamper
-from linkmorse import Linkage, analyze_linkage, analysis, cli, index_summary
+from linkmorse import Linkage, analysis, analyze_linkage, cli, enumerate_cyclic, index_summary
+from linkmorse import morse, oracle
 from linkmorse.analysis import CRITICALITY_TOL, dump_json, write_enumeration
 from linkmorse.cli import main
 from linkmorse.errors import LinkmorseError
+from linkmorse.geometry import _signed_areas
 
 
 def _write(path, obj):
@@ -136,14 +139,23 @@ def _seeded_lengths():
 @pytest.mark.parametrize("lengths", [[1, 1, 1], [1, 1, 1, 1, 1], [1, 2, 1, 2, 1, 2],
                                      [1, 2, 1.5, 2.5 - 1e-8], [1.0, 1.2, 1.4, 1.1, 0.9]]
                          + _seeded_lengths())
-def test_enumerate_streams_the_artifact_text(tmp_path, capsys, lengths):
+def test_enumerate_streams_the_artifact_text(tmp_path, capsys, monkeypatch, lengths):
     # the artifact is formatted from the columns by a template; it must be
-    # the text of the per-record json encoder, on stdout and with -o
+    # the text of the per-record json encoder, on stdout and with -o.  Both
+    # it and the summary are read off the scan's table: enumerate runs
+    # neither the closed form nor the oracle, which are made to raise
     linkage = Linkage(lengths)
     analyses = analyze_linkage(linkage)
     expected = _reference_artifact(linkage, analyses, seed=3)
     summary = _reference_summary(analyses) + "\n"
     assert index_summary(analyses) + "\n" == summary
+
+    def refuse(*args):
+        raise AssertionError("enumerate ran the analysis")
+
+    for module, name in ((oracle, "_verdict_rows"), (morse, "_closed_form_rows"),
+                         (analysis, "_verdict_rows"), (analysis, "_closed_form_rows")):
+        monkeypatch.setattr(module, name, refuse)
     linkage_file = _write(tmp_path / "linkage.json", {"lengths": lengths})
     capsys.readouterr()
     assert main(["enumerate", "-i", linkage_file, "--seed", "3"]) == 0
@@ -171,6 +183,10 @@ def test_artifact_spans_several_chunks(monkeypatch):
     assert stream.getvalue() == _reference_artifact(linkage, analyses, seed=5)
 
 
+# Finite vertices whose shoelace area overflows to -inf.
+OVERFLOWING = [[0.0, 0.0], [0.0, 1e200], [1e200, 1e200], [1e200, 0.0], [5e199, -5e199]]
+
+
 @pytest.mark.parametrize("field, entry, value, message", [
     ("radius", 3, math.nan, "record 3: field 'r' is not finite"),
     ("points", (5, 2, 1), math.inf, "record 5: field 'points' is not finite"),
@@ -178,33 +194,78 @@ def test_artifact_spans_several_chunks(monkeypatch):
 ])
 def test_writer_refuses_non_finite_values(field, entry, value, message):
     # json.dumps would write NaN or Infinity, which is not JSON; nothing is
-    # written before the refusal
+    # written before the refusal, and the area the writer takes of the
+    # points raises no RuntimeWarning: the refusal reports it
     linkage = Linkage([1.0, 1.2, 1.4, 1.1, 0.9])
-    analyses = analyze_linkage(linkage)
-    column = getattr(analyses, field).copy()
+    table = enumerate_cyclic(linkage)
+    if field == "area":
+        # the writer takes the area of the points: give the record finite
+        # points whose area overflows to the value
+        points = np.array(OVERFLOWING)
+        with np.errstate(over="ignore"):
+            assert _signed_areas(points[None])[0] == value
+        field, value = "points", points
+    column = getattr(table, field).copy()
     column[entry] = value
     stream = io.StringIO()
-    with pytest.raises(LinkmorseError, match=f"^{message}$"):
-        write_enumeration(stream, linkage, dataclasses.replace(analyses, **{field: column}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(LinkmorseError, match=f"^{message}$"):
+            write_enumeration(stream, linkage, dataclasses.replace(table, **{field: column}))
     assert stream.getvalue() == ""
 
 
 def test_enumerate_exits_2_on_a_non_finite_value(tmp_path, capsys, monkeypatch):
-    analyze = analysis.analyze_linkage
-
     def nan_radius(linkage):
-        analyses = analyze(linkage)
-        radius = analyses.radius.copy()
+        table = enumerate_cyclic(linkage)
+        radius = table.radius.copy()
         radius[0] = math.nan
-        return dataclasses.replace(analyses, radius=radius)
+        return dataclasses.replace(table, radius=radius)
 
-    monkeypatch.setattr(analysis, "analyze_linkage", nan_radius)
+    monkeypatch.setattr(cli, "enumerate_cyclic", nan_radius)
     linkage_file = _write(tmp_path / "linkage.json", {"lengths": [1, 1, 1, 1, 1]})
     capsys.readouterr()
     assert main(["enumerate", "-i", linkage_file]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: record 0: field 'r' is not finite\n"
+
+
+def test_refused_enumerate_leaves_the_output_file_alone(tmp_path, capsys):
+    # the points of these lengths are finite, but their areas overflow: the
+    # refusal comes before -o opens (and truncates) the file, and the
+    # overflow raises no RuntimeWarning
+    linkage_file = _write(tmp_path / "linkage.json", {"lengths": [1e300, 1e300, 1e300]})
+    out = tmp_path / "out.json"
+    out.write_text("an earlier artifact\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["enumerate", "-i", linkage_file, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: record 0: field 'area' is not finite\n")
+    assert out.read_text() == "an earlier artifact\n"
+
+
+@pytest.mark.parametrize("lengths", [[1, 1, 1], [1, 1.2, 1.4, 1.1, 0.9]])
+def test_the_summary_is_scale_free(tmp_path, capsys, lengths):
+    # the index is read off the scan's strings, windings and half-angles,
+    # which do not depend on the scale: at 1e-300 the closed form measured
+    # from the points underflows and refuses every row, and at 1e150 the
+    # oracle overflowed; neither runs, and nothing warns
+    summaries = set()
+    for scale in (1e-300, 1e-150, 1.0, 1e150):
+        linkage_file = _write(tmp_path / "linkage.json",
+                              {"lengths": [scale * v for v in lengths]})
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["enumerate", "-i", linkage_file, "-o", str(tmp_path / "out.json")]) == 0
+        summaries.add(capsys.readouterr().out)
+    assert len(summaries) == 1
+    assert summaries.pop() == {3: "2 configurations: index 0 x2\n",
+                               5: "10 configurations: index 0 x1, index 1 x8, index 2 x1\n"}[
+                                   len(lengths)]
 
 
 def test_enumerate_rejects_malformed_json(tmp_path, capsys):

@@ -445,3 +445,22 @@ def test_the_index_formula_is_the_sign_changes_of_the_sequence(random_tables):
     assert live.sum() == 1530
     assert np.array_equal(table.formula_index[live], table.oracle_index[live])
     assert (table.index_source[live] == "formula").all()
+
+
+def test_the_scan_index_is_the_analysis_index(random_tables):
+    # enumerate's summary reads the paper's rule off the scan's eps, k and
+    # alphas, with no points: on every row it is analyze_linkage's index,
+    # -1 on the flagged rows, and no row takes its index from the oracle
+    rng = np.random.default_rng(61)
+    sweep = [random_linkage(rng, n) for n in range(3, 13) for _ in range(4)]
+    walls = [Linkage([1, 2, 1.5, 2.5 - 1e-11]), Linkage([1.0] * 6)]
+    tables = random_tables + [(linkage, analyze_linkage(linkage)) for linkage in sweep + walls]
+    rows = flagged = 0
+    for linkage, table in tables:
+        index = analysis._scan_index(table)
+        assert np.array_equal(index, table.index), linkage.lengths
+        assert (index[table.flagged] == -1).all()
+        assert (table.index_source[~table.flagged] == "formula").all()
+        rows += len(table)
+        flagged += int(table.flagged.sum())
+    assert rows > 80000 and flagged > 0
