@@ -34,9 +34,10 @@ def main():
     print("The convex pentagon is the global area maximum (index 2 = n-3), its")
     print("mirror the minimum (index 0).  The positively oriented pentagram is a")
     print("local minimum, the negatively oriented one a local maximum.  The ten")
-    print("folded configurations all have index 1; their nested-subpolygon sign")
-    print("sequence degenerates (a closing chord vanishes), so their index comes")
-    print("from the numerical Hessian instead of the closed form.")
+    print("folded configurations all have index 1.  Their nested-subpolygon sign")
+    print("sequence degenerates (a closing chord vanishes, or a subpolygon has")
+    print("delta = 0), so it is refused; their index still comes from the closed")
+    print("form e - 1 - 2k - [delta < 0] of the full polygon, whose checks pass.")
 
     items = [
         RenderItem(

@@ -6,16 +6,20 @@ enough for the formulas), the oracle verdict, and their agreement, as one
 :class:`AnalysisTable`; a :class:`ConfigurationAnalysis` is a view of one
 of its rows, built on demand.
 
-The analysis is an array computation over a stack of configurations: the
-points of a chunk of them, shape (rows, n, 2), go through the stacked
-kernels of ``geometry`` (area, convexity), ``morse`` (the closed form) and
-``oracle`` (the numerical verdict) once, and a row refused by a check keeps
-its own refusal.  One kernel, :func:`_analyze_rows`, serves both
-:func:`analyze_linkage`, which passes its unflagged configurations with the
-oracle's verdicts taken on one row of each mirror pair, and
+The analysis is an array computation over a stack of configurations, and
+a row refused by a check keeps its own refusal.  The closed form
+(``morse._closed_form_rows``) reads descriptors, not points:
+:func:`analyze_linkage` passes the scan's ``eps``, ``k`` and ``alphas`` of
+its unflagged rows in one call.  The oracle (``oracle._verdict_rows``), with
+its n x n work per row, is the one kernel that takes the points a chunk at
+a time; ``geometry``'s stacked kernels give area and convexity.  One column
+builder, :func:`_analysis_columns`, turns closed-form and verdict columns
+into analysis columns for both :func:`analyze_linkage`, whose oracle
+verdicts are taken on one row of each mirror pair, and
 :func:`verify_enumeration`, which stacks the fields of the outside records
-as columns, checks them as one stack and passes the records that pass;
-both compare formula and oracle by one rule, :func:`_agreement`, and
+as columns, checks them as one stack and measures the closed form of the
+records that pass from their points (``morse._measured_rows``); both
+compare formula and oracle by one rule, :func:`_agreement`, and
 verification returns a :class:`VerificationTable` of columns.  JSON
 encoding and decoding of enumeration artifacts lives here too:
 :func:`write_enumeration` formats an artifact from the columns of the
@@ -48,7 +52,7 @@ from .geometry import (
     _refusals,
     _signed_areas,
 )
-from .morse import _closed_form_rows, morse_index
+from .morse import ClosedForm, _closed_form_rows, _measured_rows, morse_index
 from .oracle import _mirror_rows, _verdict_rows
 from .solver import (
     CLOSURE_TOL,
@@ -66,8 +70,8 @@ from .solver import (
 # critical point during verification.
 CRITICALITY_TOL = 1e-8
 
-# Work-array budget of the stacked analysis, in float64 entries.  A chunk of
-# configurations takes _CHUNK // n^2 rows, so each of the oracle's (rows, n, n)
+# Work-array budget of the oracle, the one chunked kernel, in float64 entries.
+# A chunk takes _CHUNK // n^2 rows, so each of the oracle's (rows, n, n)
 # Hessians over the edge angles takes at most 512 kB whatever n is, below the
 # 655 kB under which solver._BLOCK and solver._WINDOWS keep the scan's tables.
 _CHUNK = 2 ** 16
@@ -148,20 +152,6 @@ class AnalysisTable(CyclicTable):
             agree=self.agree[j])
 
 
-def _refused_columns(rows: int, n: int) -> dict:
-    """The analysis columns of ``rows`` flagged configurations, on which
-    both sides refused."""
-    return dict(
-        delta=np.full(rows, np.nan), positives=np.zeros(rows, dtype=int),
-        h_sign=np.zeros(rows, dtype=int), h_sequence=np.zeros((rows, n - 2), dtype=int),
-        formula_index=np.full(rows, -1), morse_error=np.full(rows, _FLAGGED, dtype=object),
-        multipliers=np.full((rows, 2), np.nan), residual=np.full(rows, np.nan),
-        inertia=np.zeros((rows, 3), dtype=int), det_sign=np.zeros(rows, dtype=int),
-        oracle_index=np.full(rows, -1), oracle_error=np.full(rows, _FLAGGED, dtype=object),
-        index=np.full(rows, -1), index_source=np.full(rows, None, dtype=object),
-        agree=np.full(rows, None, dtype=object))
-
-
 def _agreement(cols: dict):
     """Formula against oracle, per row of analysis columns: their indices
     equal, None when either side has none.  The determinant signs then agree
@@ -176,31 +166,35 @@ def _agreement(cols: dict):
     return agree, index, _INDEX_SOURCES[np.where(formula, 2, morse.astype(int))]
 
 
-def _chunks(items, n: int):
-    """Consecutive slices of ``items`` of at most ``_CHUNK // n^2`` rows."""
+def _oracle_columns(points: np.ndarray, rows: np.ndarray) -> list:
+    """The columns of :func:`oracle._verdict_rows` of stacked configurations,
+    shape (count, n, 2): its verdict at ``rows``, taken a chunk of
+    ``_CHUNK // n^2`` rows at a time, and the refusal as flagged elsewhere."""
+    count, n = points.shape[:2]
+    verdict = [np.full((count, 2), np.nan), np.full(count, np.nan), np.zeros((count, 3), dtype=int),
+               np.zeros(count, dtype=int), np.full(count, _FLAGGED, dtype=object)]
     step = max(1, _CHUNK // n ** 2)
-    for start in range(0, len(items), step):
-        yield items[start:start + step]
+    for start in range(0, rows.size, step):
+        chunk = rows[start:start + step]
+        for column, value in zip(verdict, _verdict_rows(points[chunk])):
+            column[chunk] = value
+    return verdict
 
 
-def _analyze_rows(points, centers, radii, flagged, verdict):
-    """The analysis of stacked configurations, shape (rows, n, 2), on their
-    circles: the orientation strings the closed form measures (a row of
-    zeros where it measures none), and a dict of :class:`AnalysisTable`
-    columns but area and convexity.  An unflagged row gets
-    :func:`morse._closed_form_rows`; a flagged (near-degenerate) one, where
-    the closed form does not hold, is refused as flagged.  Every row gets
-    the oracle's verdict or its refusal, ``verdict``: the columns of
-    :func:`oracle._verdict_rows`, which the caller runs or derives."""
-    rows, n = points.shape[:2]
-    cols = _refused_columns(rows, n)
-    measured = np.zeros((rows, n), dtype=int)
+def _analysis_columns(flagged: np.ndarray, form: ClosedForm, verdict) -> dict:
+    """The :class:`AnalysisTable` columns but area and convexity of stacked
+    configurations, from ``form``, the :class:`morse.ClosedForm` of the
+    unflagged ones in order, and ``verdict``, the columns of
+    :func:`oracle._verdict_rows` of all of them.  A flagged (near-degenerate)
+    row, where the closed form does not hold, is refused by it as flagged;
+    a refused side keeps NaN, 0 and -1 in its numeric columns."""
+    rows, n = flagged.size, form.eps.shape[1]
     live = np.flatnonzero(~flagged)
-    form = _closed_form_rows(points[live], centers[live], radii[live])
-    measured[live] = np.where(np.equal(form.central, None)[:, None], form.eps, 0)
-    signed, sequenced = np.equal(form.sign_errors, None), np.equal(form.errors, None)
+    cols = dict(delta=np.full(rows, np.nan), positives=np.zeros(rows, dtype=int),
+                h_sign=np.zeros(rows, dtype=int), h_sequence=np.zeros((rows, n - 2), dtype=int),
+                formula_index=np.full(rows, -1), morse_error=np.full(rows, _FLAGGED, dtype=object))
     cols["morse_error"][live] = form.sign_errors
-    # a refused side keeps the NaN, 0 and -1 of _refused_columns
+    signed, sequenced = np.equal(form.sign_errors, None), np.equal(form.errors, None)
     for name, value, ok in (("delta", form.delta, signed), ("positives", form.positives, signed),
                             ("h_sign", form.h_sign, signed), ("formula_index", form.index, signed),
                             ("h_sequence", form.h_sequence, sequenced)):
@@ -208,15 +202,17 @@ def _analyze_rows(points, centers, radii, flagged, verdict):
     cols.update(zip(_VERDICT, verdict))
     cols["oracle_index"] = np.where(np.equal(cols["oracle_error"], None), cols["inertia"][:, 0], -1)
     cols["agree"], cols["index"], cols["index_source"] = _agreement(cols)
-    return measured, cols
+    return cols
 
 
 def analyze_linkage(linkage: Linkage) -> AnalysisTable:
-    """Enumerate all cyclic configurations and analyze them, a chunk of
-    configurations at a time as one stack of points.  Flagged rows skip the
-    closed form and the oracle, whose comparison would be meaningless on the
-    degeneracy boundary, and read as refused by both sides.  Returns an
-    :class:`AnalysisTable` in the order of :func:`enumerate_cyclic`.
+    """Enumerate all cyclic configurations and analyze them.  The closed
+    form reads the descriptors of the unflagged rows, the scan's ``eps``,
+    ``k`` and ``alphas``, in one stacked call with no points; the oracle
+    takes their points a chunk at a time.  Flagged rows skip both, whose
+    comparison would be meaningless on the degeneracy boundary, and read as
+    refused by both sides.  Returns an :class:`AnalysisTable` in the order
+    of :func:`enumerate_cyclic`.
 
     The oracle runs on the root of each mirror pair, the row whose string
     starts with +1; :func:`solver._enumerate` gives each row its mirror.  A
@@ -229,39 +225,24 @@ def analyze_linkage(linkage: Linkage) -> AnalysisTable:
     indices alone.  ``verify`` analyses every record on its own.
     """
     table, mirror = _enumerate(linkage)
-    n = linkage.n
-    cols = _refused_columns(len(table), n)
     live = np.flatnonzero(~table.flagged)
     # a mirror has its root's flags, so it is live with it
     roots = live[table.eps[live, 0] > 0]
-    mirrors = mirror[roots]
-    for rows in _chunks(roots, n):
-        for name, value in zip(_VERDICT, _verdict_rows(table.points[rows])):
-            cols[name][rows] = value
-    for name, value in zip(_VERDICT, _mirror_rows(n, *(cols[name][roots] for name in _VERDICT))):
-        cols[name][mirrors] = value
-    for rows in _chunks(live, n):
-        _, chunk = _analyze_rows(table.points[rows], table.center[rows], table.radius[rows],
-                                 np.zeros(rows.size, dtype=bool),
-                                 [cols[name][rows] for name in _VERDICT])
-        for name, value in chunk.items():
-            cols[name][rows] = value
+    verdict = _oracle_columns(table.points, roots)
+    derived = _mirror_rows(linkage.n, *(column[roots] for column in verdict))
+    for column, value in zip(verdict, derived):
+        column[mirror[roots]] = value
+    form = _closed_form_rows(table.eps[live], table.k[live], table.alphas[live])
     return AnalysisTable(**{f.name: getattr(table, f.name) for f in fields(table)},
                          area=_signed_areas(table.points), convex=_convex_rows(table.points),
-                         **cols)
+                         **_analysis_columns(table.flagged, form, verdict))
 
 
 def _scan_index(table: CyclicTable) -> np.ndarray:
     """The Morse index of each row of ``table`` by :func:`morse.morse_index`,
     read off the scan's own ``eps``, ``k`` and ``alphas``, with no points
-    and no analysis; -1 on flagged rows.
-
-    On every unflagged row it is the index of the closed form measured from
-    the points: the flags keep each ``cos(alpha_i)``, and ``|delta|`` against
-    ``sum tan(alpha)``, at least :data:`DEGENERACY_TOL`, 100 times the closed
-    form's refusal tolerances, and the scan makes no edge longer than the
-    diameter, so the closed form refuses no such row and measures the
-    scan's string, winding and sign of ``delta``."""
+    and no analysis; -1 on flagged rows.  :func:`analyze_linkage`'s closed
+    form reads the same inputs."""
     delta = _dot_rows(table.eps, np.tan(table.alphas))
     return np.where(table.flagged, -1, morse_index(table.eps, table.k, delta))
 
@@ -571,12 +552,13 @@ def _check_rows(linkage: Linkage, points, centers, radii, eps, windings, recorde
     expected = np.concatenate([[0.0, 0.0], lengths])
     # a record that fails a check can leave inf or NaN in the later ones
     with np.errstate(all="ignore"):
+        # hypot, not a norm: the squares of a norm underflow at tiny scales
+        edges, offsets = np.roll(points, -1, axis=1) - points, points - centers[:, None, :]
         measured = np.concatenate([
             np.hypot(points[:, :1, 0], points[:, :1, 1]),
             np.hypot(points[:, 1:2, 0], points[:, 1:2, 1] - l1),
-            np.linalg.norm(np.roll(points, -1, axis=1) - points, axis=2)], axis=1)
-        dist = np.linalg.norm(points - centers[:, None, :], axis=2)
-        worst = np.abs(dist - radii[:, None]).max(axis=1)
+            np.hypot(edges[..., 0], edges[..., 1])], axis=1)
+        worst = np.abs(np.hypot(offsets[..., 0], offsets[..., 1]) - radii[:, None]).max(axis=1)
         alphas = np.arcsin(np.clip(lengths / (2.0 * radii[:, None]), 0.0, 1.0))
         central, near_flip, delta_zero = _flag_rows(eps, alphas)
         closure = np.rint(_dot_rows(eps, alphas) / math.pi)
@@ -615,7 +597,7 @@ def _check_rows(linkage: Linkage, points, centers, radii, eps, windings, recorde
 def _judge(out: dict, rows, flagged, disagree, cols) -> None:
     """Write into the verification columns ``out``, at ``rows``, the verdict
     on analysed records, from their flags, whether their recorded string
-    disagrees with the measured one, and their :func:`_analyze_rows` columns.
+    disagrees with the measured one, and their :func:`_analysis_columns`.
 
     Each record takes the note of the first rule it meets, in this order:
     (0) an oracle refusal and (1) a criticality residual above
@@ -663,11 +645,12 @@ def verify_enumeration(linkage: Linkage, records: list):
     When a record cannot be stacked, :func:`_record_note` reads each record
     on its own to give the bad ones their notes, and the others are stacked.
     The stack is checked by :func:`_check_rows`, which detects tampered
-    points, r, center, winding and flags.  The records that pass are
-    analysed a chunk at a time and judged by :func:`_judge`: each must be
-    critical and reproduce the recorded orientation string, and the closed
-    form's index must equal the oracle's.  Flagged records are reported but
-    exempt from the agreement requirement.
+    points, r, center, winding and flags.  The records that pass go to the
+    oracle, the unflagged ones to the closed form measured from their points
+    too, and are judged by :func:`_judge`: each must be critical and
+    reproduce the recorded orientation string, and the closed form's index
+    must equal the oracle's.  Flagged records are reported but exempt from
+    the agreement requirement.
     """
     n, rows = linkage.n, len(records)
     out = dict(residual=np.full(rows, np.nan), inertia=np.zeros((rows, 3), dtype=int),
@@ -683,11 +666,12 @@ def verify_enumeration(linkage: Linkage, records: list):
     notes, flagged = _check_rows(linkage, *columns)
     out["note"][parsed] = notes
     live = np.flatnonzero(np.equal(notes, None))
-    for chunk in _chunks(live, n):
-        measured, cols = _analyze_rows(points[chunk], centers[chunk], radii[chunk],
-                                       flagged[chunk], _verdict_rows(points[chunk]))
-        disagree = measured.any(axis=1) & (measured != eps[chunk]).any(axis=1)
-        _judge(out, parsed[chunk], flagged[chunk], disagree, cols)
+    flagged, judged = flagged[live], live[~flagged[live]]
+    form = _measured_rows(points[judged], centers[judged], radii[judged])
+    disagree = np.zeros(live.size, dtype=bool)
+    disagree[~flagged] = np.equal(form.central, None) & (form.eps != eps[judged]).any(axis=1)
+    verdict = [column[live] for column in _oracle_columns(points, live)]
+    _judge(out, parsed[live], flagged, disagree, _analysis_columns(flagged, form, verdict))
     table = VerificationTable(**out)
     excluded = int(table.flagged.sum())
     good = int((table.agree & ~table.flagged).sum())

@@ -5,9 +5,12 @@ positive entries, winding ``k`` and ``delta = sum_i eps_i tan(alpha_i)``,
 the Morse index is the paper's explicit formula
 ``mu = e - 1 - 2 k - [delta < 0]`` (:func:`morse_index`).  Its parity is
 the sign of the Hessian determinant, ``-d * (-1)**e`` with
-``d = sign(delta)`` (:func:`determinant_sign`).  Only the full polygon's
-checks refuse it: a central edge, an edge longer than the diameter, a
-small ``|delta|``.
+``d = sign(delta)`` (:func:`determinant_sign`).  It reads a descriptor
+``(eps, k, alpha)`` alone (:func:`_closed_form_rows`): ``analyze_linkage``
+passes the scan's, and :func:`closed_form` and ``verify`` measure them from
+points on a circle (:func:`_measured_rows`), which first refuses a central
+edge and an edge longer than the diameter.  Otherwise only a small
+``|delta|`` refuses it.
 
 Its proof path is the sequence of these determinant signs over the nested
 subconfigurations ``(p_1..p_3), ..., (p_1..p_n)``, each closed by the chord
@@ -114,17 +117,16 @@ def _sign_rows(eps: np.ndarray, alphas: np.ndarray):
 
 
 class ClosedForm(NamedTuple):
-    """:func:`closed_form` of stacked configurations, as columns.
+    """The closed form of stacked configurations, as columns.
 
-    ``eps`` holds the measured orientation strings (int rows of +-1) and
-    ``k`` the measured windings ``rint(eps . alpha / pi)``; ``delta``,
-    ``positives`` (``e``), ``h_sign`` and ``index``, by :func:`morse_index`,
-    are the full polygon's sign data, and ``h_sequence`` the rows of sign
-    sequences, the index's proof path.  Three object columns give per row
-    the refusal (None where there is none) of a central edge, which leaves
-    no measured string; the first refusal of the full polygon, which leaves
-    no sign data; and the first refusal of all, which leaves no
-    ``h_sequence``.
+    ``eps`` holds the orientation strings (int rows of +-1) and ``k`` the
+    windings it read; ``delta``, ``positives`` (``e``), ``h_sign`` and
+    ``index``, by :func:`morse_index`, are the full polygon's sign data, and
+    ``h_sequence`` the rows of sign sequences, the index's proof path.  Three
+    object columns give per row the refusal (None where there is none) of a
+    measured central edge, which leaves no measured string; the first
+    refusal of the full polygon, which leaves no sign data; and the first
+    refusal of all, which leaves no ``h_sequence``.
     """
 
     eps: np.ndarray
@@ -139,38 +141,46 @@ class ClosedForm(NamedTuple):
     errors: np.ndarray
 
 
-def _closed_form_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> ClosedForm:
-    """:func:`closed_form` of each stacked configuration, shape (rows, n, 2),
-    on its circle, after the orientation string and the winding it
-    measures, as :class:`ClosedForm` columns.
+def _closed_form_rows(eps: np.ndarray, k, alphas: np.ndarray, central=None,
+                      over=None) -> ClosedForm:
+    """The :class:`ClosedForm` of stacked descriptors: orientation strings
+    ``eps`` (int rows of +-1), windings ``k`` and half-angles ``alphas``.
 
-    The refusals apply in this order: a central edge (a diameter among
-    them), an edge longer than the diameter and a small ``|delta|``, which
-    leave no sign data, then the first degenerate subconfiguration, which
-    leaves no sequence.
+    The refusals apply in this order: ``central`` and ``over``, the refusal
+    columns of a measurement's central edges and edges longer than the
+    diameter (None: the descriptors come with none), and a small
+    ``|delta|``, which leave no sign data, then the first degenerate
+    subconfiguration, which leaves no sequence.
     """
-    sides, central = _orientation_rows(points, centers)
-    alphas, over = _half_angle_rows(points, centers, radii)
-    strings = sides.astype(float)
-    value, h_sign, sequences, polygon, prefix = _sign_rows(strings, alphas)
-    positives = (sides > 0).sum(axis=1)
-    k = np.rint(_dot_rows(strings, alphas) / math.pi).astype(int)
-    causes = np.stack([central, over, polygon, prefix], axis=1)
+    value, h_sign, sequences, polygon, prefix = _sign_rows(eps, alphas)
+    causes = np.stack(np.broadcast_arrays(central, over, polygon, prefix), axis=1)
     refused = np.not_equal(causes, None)
     return ClosedForm(
-        eps=sides, k=k, delta=value, positives=positives, h_sign=h_sign,
-        h_sequence=sequences, index=morse_index(sides, k, value), central=central,
+        eps=eps, k=k, delta=value, positives=(eps > 0).sum(axis=1), h_sign=h_sign,
+        h_sequence=sequences, index=morse_index(eps, k, value), central=causes[:, 0],
         sign_errors=_refusals(refused[:, :3], lambda row, i: causes[row, i]),
         errors=_refusals(refused, lambda row, i: causes[row, i]))
 
 
+def _measured_rows(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> ClosedForm:
+    """:func:`_closed_form_rows` of stacked configurations, shape (rows, n, 2),
+    on their circles, after the orientation strings, half-angles and
+    windings ``rint(eps . alpha / pi)`` they measure; a central edge (a
+    diameter among them) and an edge longer than the diameter refuse first.
+    """
+    sides, central = _orientation_rows(points, centers)
+    alphas, over = _half_angle_rows(points, centers, radii)
+    k = np.rint(_dot_rows(sides, alphas) / math.pi).astype(int)
+    return _closed_form_rows(sides, k, alphas, central, over)
+
+
 def closed_form(config: Configuration, fit: CircleFit) -> ClosedForm:
     """The :class:`ClosedForm` of one cyclic configuration on its circle:
-    row 0 of :func:`_closed_form_rows`, each field that row's entry.
+    row 0 of :func:`_measured_rows`, each field that row's entry.
 
     Orientations and half-angles are measured once, from the points and the
     circle.  The sign data and the index hold where ``sign_errors`` is None,
     the sequence where ``errors`` is; otherwise that text says why not.
     """
-    form = _closed_form_rows(config.points[None], fit.center[None], np.array([fit.radius]))
+    form = _measured_rows(config.points[None], fit.center[None], np.array([fit.radius]))
     return ClosedForm(*(column[0] for column in form))

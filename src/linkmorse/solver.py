@@ -380,9 +380,8 @@ def _flag_rows(eps: np.ndarray, alphas: np.ndarray):
     """The :class:`DegeneracyFlags` of stacked strings and half-angles, as
     masks: ``central`` and ``near_flip`` of shape (rows, n), ``delta_zero``."""
     tangents = np.tan(alphas)
-    delta = (eps * tangents).sum(axis=1)
     return (np.cos(alphas) <= DEGENERACY_TOL, alphas < DEGENERACY_TOL,
-            np.abs(delta) < DEGENERACY_TOL * tangents.sum(axis=1))
+            np.abs(_dot_rows(eps, tangents)) < DEGENERACY_TOL * tangents.sum(axis=1))
 
 
 def _closure_defects(eps: np.ndarray, alphas: np.ndarray, winding) -> np.ndarray:

@@ -27,7 +27,7 @@ from linkmorse.analysis import (
     write_enumeration,
 )
 from linkmorse.geometry import _signed_areas
-from linkmorse.morse import _closed_form_rows
+from linkmorse.morse import _closed_form_rows, _measured_rows
 from linkmorse.oracle import _verdict_rows
 from linkmorse.solver import _flag_rows
 
@@ -250,6 +250,19 @@ TAMPERED_NOTES = [
 ]
 
 
+def test_verify_measures_tiny_records_without_underflow():
+    # the edge lengths and circle distances of an untampered record at
+    # lengths 1e-300 are measured by hypot, whose squares do not underflow:
+    # the records pass their checks, and the oracle, whose products do
+    # underflow, refuses them
+    linkage = Linkage([1e-300] * 3)
+    rows, summary, ok = verify_enumeration(linkage, _envelope(linkage, enumerate_cyclic(linkage))
+                                           ["configurations"])
+    assert not ok and summary == "0/2 agree (0 flagged)"
+    assert rows.note.tolist() == ["constraint Jacobian rank deficient "
+                                  "(sigma_min/sigma_max = nan)"] * 2
+
+
 @pytest.mark.parametrize("check, note", TAMPERED_NOTES)
 def test_verify_note_names_the_first_failing_check(check, note):
     tampered = _envelope(IRREGULAR, analyze_linkage(IRREGULAR))
@@ -301,7 +314,7 @@ def test_columns_refuse_exactly_the_records_with_a_note():
     assert mismatched == []
 
 
-# A record that passes every rule of _judge, as _analyze_rows columns plus
+# A record that passes every rule of _judge, as _analysis_columns plus
 # its recomputed flag and whether its recorded string disagrees.
 _JUDGED = dict(oracle_error=None, residual=1e-13, flagged=False, inertia=(1, 0, 1), det_sign=-1,
                oracle_index=1, disagree=False, morse_error=None, agree=True, formula_index=1)
@@ -398,7 +411,8 @@ def _kernel_fields(table, analysed: bool):
     half-angles through the stacked kernels alone."""
     eps = table.eps.astype(float)
     central, near_flip, delta_zero = _flag_rows(eps, table.alphas)
-    form = _closed_form_rows(table.points, table.center, table.radius)
+    form = _closed_form_rows(table.eps, table.k, table.alphas)
+    measured = _measured_rows(table.points, table.center, table.radius)
     _, _, inertia, _, errors = _verdict_rows(table.points)
     areas = _signed_areas(table.points)
     out = []
@@ -406,9 +420,11 @@ def _kernel_fields(table, analysed: bool):
         flags = DegeneracyFlags(tuple(central[j].tolist()), tuple(near_flip[j].tolist()),
                                 bool(delta_zero[j]))
         if not flags.any:
-            # the enumerated string and winding are the ones the points measure
-            assert tuple(form.eps[j].tolist()) == tuple(table.eps[j].tolist())
-            assert form.k[j] == table.k[j]
+            # the enumerated string and winding are the ones the points
+            # measure: the closed form reads them, and this ties it to the
+            # vertices
+            assert tuple(measured.eps[j].tolist()) == tuple(table.eps[j].tolist())
+            assert measured.k[j] == table.k[j]
         fields = (tuple(table.eps[j].tolist()), int(table.k[j]), float(table.radius[j]),
                   table.alphas[j].tolist(), table.center[j].tolist(), table.points[j].tolist(),
                   flags)

@@ -154,7 +154,8 @@ def test_enumerate_streams_the_artifact_text(tmp_path, capsys, monkeypatch, leng
         raise AssertionError("enumerate ran the analysis")
 
     for module, name in ((oracle, "_verdict_rows"), (morse, "_closed_form_rows"),
-                         (analysis, "_verdict_rows"), (analysis, "_closed_form_rows")):
+                         (morse, "_measured_rows"), (analysis, "_verdict_rows"),
+                         (analysis, "_closed_form_rows"), (analysis, "_measured_rows")):
         monkeypatch.setattr(module, name, refuse)
     linkage_file = _write(tmp_path / "linkage.json", {"lengths": lengths})
     capsys.readouterr()

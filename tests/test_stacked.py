@@ -40,12 +40,17 @@ def _verdicts(pts):
              int(det_sign[j])) if error is None else error for j, error in enumerate(errors)]
 
 
-def _kernel(points, centers, radii, flagged):
-    """The analysis kernel's columns for a stack, the measured strings among
-    them."""
-    measured, columns = analysis._analyze_rows(points, centers, radii, flagged,
-                                               oracle._verdict_rows(points))
-    return dict(columns, measured=measured)
+def _kernel(eps, k, alphas, points, centers, radii, flagged):
+    """The analysis columns of a stack: the closed form of its unflagged
+    descriptors and the oracle's verdict on every row, through the column
+    builder, and the columns of the closed form measured from every row's
+    points, prefixed ``measured_``."""
+    live = ~flagged
+    form = morse._closed_form_rows(eps[live], k[live], alphas[live])
+    columns = analysis._analysis_columns(flagged, form, oracle._verdict_rows(points))
+    measured = morse._measured_rows(points, centers, radii)
+    return dict(columns, **{f"measured_{name}": value
+                            for name, value in measured._asdict().items()})
 
 
 def _same(a, b) -> bool:
@@ -59,9 +64,9 @@ def _same(a, b) -> bool:
 def test_mixed_stack_equals_per_linkage_stacks(n):
     lengths, kinds = MIXED[n]
     tables = [enumerate_cyclic(Linkage(ls)) for ls in lengths]
-    fields = ("points", "center", "radius", "flagged")
-    # the kernel reads everything off the points, circles and flags, so the
-    # configurations of several linkages with n edges share a stack
+    fields = ("eps", "k", "alphas", "points", "center", "radius", "flagged")
+    # the kernels read everything off the descriptors, points, circles and
+    # flags, so the configurations of several linkages with n edges share a stack
     stacked = _kernel(*(np.concatenate([getattr(t, f) for t in tables]) for f in fields))
     groups = [_kernel(*(getattr(t, f) for f in fields)) for t in tables]
     for name, column in stacked.items():
@@ -78,21 +83,24 @@ def test_mixed_stack_equals_per_linkage_stacks(n):
 
 def test_stack_across_chunk_boundaries(monkeypatch):
     linkage = random_linkage(np.random.default_rng(5), 10)
+    # chunks of 7 rows: the oracle, the one chunked kernel, takes the roots
+    # in more than ten chunks
+    monkeypatch.setattr(analysis, "_CHUNK", 7 * linkage.n ** 2)
     chunked = analyze_linkage(linkage)
-    assert len(chunked) > analysis._CHUNK // (2 * (10 - 2)) ** 2
+    assert (~chunked.flagged & (chunked.eps[:, 0] > 0)).sum() > 70
     # one chunk: a single stack of every configuration of the linkage
     monkeypatch.setattr(analysis, "_CHUNK", 2 ** 40)
-    assert len(list(analysis._chunks(chunked, linkage.n))) == 1
     whole = analyze_linkage(linkage)
     for field in dataclasses.fields(whole):
         assert _same(getattr(chunked, field.name), getattr(whole, field.name)), field.name
-    # the kernel on the whole stack runs the oracle on every row: the root
-    # rows equal it exactly, and the mirror rows, whose verdicts analyze_linkage
-    # derives from their roots', equal it up to their residual and multipliers
+    # the column builder on the whole stack with the oracle run on every row:
+    # the root rows equal it exactly, and the mirror rows, whose verdicts
+    # analyze_linkage derives from their roots', equal it up to their
+    # residual and multipliers
     live = ~whole.flagged
-    _, kernel = analysis._analyze_rows(whole.points[live], whole.center[live],
-                                       whole.radius[live], np.zeros(live.sum(), dtype=bool),
-                                       oracle._verdict_rows(whole.points[live]))
+    form = morse._closed_form_rows(whole.eps[live], whole.k[live], whole.alphas[live])
+    kernel = analysis._analysis_columns(np.zeros(live.sum(), dtype=bool), form,
+                                        oracle._verdict_rows(whole.points[live]))
     root = whole.eps[live, 0] > 0
     for name, column in kernel.items():
         if name in ("residual", "multipliers"):
@@ -464,3 +472,61 @@ def test_the_scan_index_is_the_analysis_index(random_tables):
         rows += len(table)
         flagged += int(table.flagged.sum())
     assert rows > 80000 and flagged > 0
+
+
+def test_the_analysis_measures_nothing_from_the_points(monkeypatch):
+    # analyze_linkage reads the closed form off the scan's descriptors: with
+    # the kernels that measure them from points made to raise, in geometry
+    # and as morse binds them, it gives the same columns
+    rng = np.random.default_rng(7)
+    linkages = [Linkage(lengths) for lengths in MIXED[6][0]] + [random_linkage(rng, 9)]
+    expected = [analyze_linkage(linkage) for linkage in linkages]
+
+    def refuse(*args):
+        raise AssertionError("analyze_linkage measured the points")
+
+    for module, name in ((geometry, "_orientation_rows"), (geometry, "_half_angle_rows"),
+                         (morse, "_orientation_rows"), (morse, "_half_angle_rows"),
+                         (morse, "_measured_rows"), (analysis, "_measured_rows")):
+        monkeypatch.setattr(module, name, refuse)
+    for linkage, table in zip(linkages, expected):
+        seen = analyze_linkage(linkage)
+        for field in dataclasses.fields(table):
+            assert _same(getattr(seen, field.name), getattr(table, field.name)), field.name
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150])
+def test_the_analysis_index_is_scale_free(scale):
+    # the scan's descriptors do not scale with the lengths, so the closed
+    # form that reads them neither underflows nor overflows: every row has
+    # its index at scale 1, and every unflagged row the formula's.  The
+    # oracle's products overflow at 1e150; its refusal is not under test
+    for lengths in ([1, 1, 1], [1] * 5, [1, 1.2, 1.4, 1.1, 0.9], [1, 2, 1, 2, 1, 2],
+                    [1, 2, 1.5, 2.5 - 1e-11]):
+        unit = analyze_linkage(Linkage(lengths))
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = analyze_linkage(Linkage([scale * v for v in lengths]))
+        assert np.array_equal(table.index, unit.index), lengths
+        assert (table.index_source[~table.flagged] == "formula").all(), lengths
+    # the wall fixture has flagged rows, -1 at every scale
+    assert table.flagged.any()
+
+
+def test_the_measured_closed_form_is_the_analysis_closed_form(random_tables):
+    # closed_form and verify measure eps, k and alpha from the points, the
+    # analysis reads the scan's: every column agrees but delta, a sum of
+    # tangents, which moves within rounding of sum tan(alpha)
+    worst = 0.0
+    for linkage, table in random_tables:
+        live = ~table.flagged
+        measured = morse._measured_rows(table.points[live], table.center[live],
+                                        table.radius[live])
+        verdict = [getattr(table, name) for name in analysis._VERDICT]
+        columns = analysis._analysis_columns(table.flagged, measured, verdict)
+        for name, column in columns.items():
+            if name != "delta":
+                assert _same(column, getattr(table, name)), (linkage.lengths, name)
+        gap = np.abs(columns["delta"] - table.delta) / np.tan(table.alphas).sum(axis=1)
+        assert np.array_equal(np.isnan(gap), np.isnan(table.delta))
+        worst = max(worst, float(np.nanmax(gap, initial=0.0)))
+    assert 0.0 < worst <= 1e-10
